@@ -131,9 +131,11 @@ if [ "$tier" = chaos ] || [ "$tier" = full ]; then
     # The durable-execution invariants (ISSUE: crash-recoverable queue,
     # lease-based retry, breakers): failpoints at every store write and
     # the trace decoder, a SIGKILLed worker subprocess, journal recovery
-    # replayed from snapshots — all under the race detector.
+    # replayed from snapshots, and the cancel-vs-start race, shutdown
+    # drain and queue bound that claim arbitration decides — all under
+    # the race detector.
     go test -race ./internal/fault/...
-    go test -race -run 'Chaos|Journal|Fault|Breaker|Failpoint|Sweep' \
+    go test -race -run 'Chaos|Journal|Fault|Breaker|Failpoint|Sweep|Cancel|Shutdown|BoundedQueue' \
         ./internal/serve/... ./internal/fsutil/... \
         ./internal/stream/... ./internal/results/... ./internal/policy/...
 fi

@@ -50,8 +50,8 @@
 // -log-json switches them to JSON, -log-level debug|info|warn|error
 // filters them.
 //
-// Training jobs flow through the same queue and SSE machinery as
-// experiments; a repeat training request for a policy already in the
+// Training jobs flow through the same claim protocol and SSE machinery
+// as experiments; a repeat training request for a policy already in the
 // store completes with zero simulations (the job's sims counter proves
 // it), and warm-started evaluations reuse stored policies the same way.
 //
@@ -66,14 +66,17 @@
 // a graceful shutdown — admission closes, queued jobs drain, and after
 // the grace period whatever is still running is canceled.
 //
-// With -journal set, every accepted job is also persisted to a
-// crash-recovery journal: a killed or crashed process requeues its
-// queued and orphaned-running jobs on the next start (at-least-once
-// execution — the content-addressed stores make re-execution
-// idempotent). Transient store failures are retried with jittered
-// backoff; a persistently failing store opens a circuit breaker that
-// sheds new simulation jobs with 503 + Retry-After while store hits
-// keep being served (degraded read-only mode, visible in /healthz).
+// Every accepted job is persisted to a job journal, and an in-process
+// worker runs it through the same claim protocol fleet workers use.
+// With -journal set the journal survives the process: a killed or
+// crashed server requeues its queued and orphaned-running jobs on the
+// next start (at-least-once execution — the content-addressed stores
+// make re-execution idempotent); without it the journal is a private
+// temporary directory removed at shutdown. Transient store failures are
+// retried with jittered backoff; a persistently failing store opens a
+// circuit breaker that sheds new simulation jobs with 503 + Retry-After
+// while store hits keep being served (degraded read-only mode, visible
+// in /healthz).
 //
 // Fleet mode (-fleet N, requires -journal) turns this process into a
 // stateless frontend plus a coordinator that autoscales up to N worker
@@ -114,7 +117,7 @@ func main() {
 		queue    = flag.Int("queue", 16, "max queued (admitted but unstarted) jobs")
 		parallel = flag.Int("parallel", 0, "max concurrent simulations per job (0 = all CPUs)")
 		grace    = flag.Duration("grace", 30*time.Second, "graceful-shutdown budget for draining queued jobs before canceling them")
-		journal  = flag.String("journal", "", "job-journal directory; accepted jobs survive crashes and are requeued on restart (empty disables)")
+		journal  = flag.String("journal", "", "job-journal directory; accepted jobs survive crashes and are requeued on restart (empty: a private temporary journal removed at shutdown)")
 		withProf = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (profiling is opt-in; see EXPERIMENTS.md)")
 		logJSON  = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")

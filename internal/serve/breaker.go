@@ -17,8 +17,8 @@ import (
 //
 // There is no explicit half-open state to get stuck in: "open with an
 // elapsed cooldown" admits probes, and only a recorded success closes
-// the breaker. With a single executor at most one probe runs at a time
-// anyway.
+// the breaker. With one job at a time per worker at most one probe runs
+// at a time anyway.
 type breaker struct {
 	name      string
 	threshold int

@@ -179,18 +179,20 @@ func (l *journal) liveClaims() []claimRecord {
 	return out
 }
 
-// reapExpiredClaims removes claims whose lease has lapsed and returns
+// reapExpiredClaims removes claims whose lease has lapsed, except those
+// of owner spare (a live owner in the caller's own process), and returns
 // the affected job IDs. Removing the claim is the whole requeue: a
-// non-terminal record with no claim is claimable, so the next worker
-// scan picks the job up. Only the fleet coordinator calls this —
-// a single reaper keeps the check-then-remove window away from the
-// many-workers path (a live owner that was wrongly reaped discovers it
-// at its next renewClaim and abandons the run instead of split-braining).
-func (l *journal) reapExpiredClaims(grace time.Duration) []string {
+// non-terminal record with no claim is claimable again. One process
+// reaps a journal — the fleet coordinator when one owns it, the
+// frontend's watcher otherwise — which keeps the check-then-remove
+// window away from the many-workers path (a live owner that was wrongly
+// reaped discovers it at its next renewClaim and abandons the run
+// instead of split-braining).
+func (l *journal) reapExpiredClaims(grace time.Duration, spare string) []string {
 	now := time.Now().UTC()
 	var reaped []string
 	for _, c := range l.liveClaims() {
-		if !l.claimExpired(c, grace, now) {
+		if (spare != "" && c.Owner == spare) || !l.claimExpired(c, grace, now) {
 			continue
 		}
 		if err := os.Remove(l.claimPath(c.ID)); err == nil {

@@ -74,7 +74,7 @@ func TestRenewAfterReapFails(t *testing.T) {
 		t.Fatal("claim refused")
 	}
 	time.Sleep(5 * time.Millisecond)
-	reaped := jl.reapExpiredClaims(0)
+	reaped := jl.reapExpiredClaims(0, "")
 	if len(reaped) != 1 || reaped[0] != "job-1" {
 		t.Fatalf("reapExpiredClaims = %v, want [job-1]", reaped)
 	}
@@ -102,11 +102,11 @@ func TestReapSparesLiveAndGracedClaims(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if reaped := jl.reapExpiredClaims(time.Hour); len(reaped) != 0 {
+	if reaped := jl.reapExpiredClaims(time.Hour, ""); len(reaped) != 0 {
 		t.Fatalf("reaped live/graced claims: %v", reaped)
 	}
 	time.Sleep(5 * time.Millisecond)
-	reaped := jl.reapExpiredClaims(time.Millisecond)
+	reaped := jl.reapExpiredClaims(time.Millisecond, "")
 	if len(reaped) != 1 || reaped[0] != "job-halfwritten" {
 		t.Fatalf("reap with lapsed grace = %v, want [job-halfwritten]", reaped)
 	}

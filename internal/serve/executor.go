@@ -1,15 +1,16 @@
 package serve
 
-// executor is the job-execution engine, extracted from Server so two
-// roles can drive it: the in-process executor goroutine of a standalone
-// Server (the single-process mode that predates the fleet), and the
-// worker-process loop in worker.go, which drains claims from a shared
-// journal. The execution semantics — store-first GetOrCompute, jittered
-// transient retries under the attempt budget, breaker feedback,
-// delivery-beats-persistence — are identical in both roles; only how a
-// job arrives (queue channel vs. journal claim) differs.
+// executor is the job-execution engine both worker kinds drive: the
+// in-process worker goroutine of a Server without Dispatch, and the
+// worker-process loop in worker.go. Either wins a job's claim first and
+// then hands it to runClaimed, so the execution semantics — claim-file
+// lease, store-first GetOrCompute, jittered transient retries under the
+// attempt budget, breaker feedback, delivery-beats-persistence — are
+// identical; only how a claimable job is found (an ID handed over by the
+// frontend vs. a journal scan) differs.
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -29,22 +30,91 @@ type executor struct {
 	// result and policy persistence respectively.
 	storeBrk *breaker
 	polBrk   *breaker
-	// journal is nil when journaling is disabled.
-	journal *journal
+	journal  *journal
 
 	leaseTTL         time.Duration
 	maxAttempts      int
 	retryBase        time.Duration
 	progressInterval time.Duration
 
-	// owner is the claim-owner identity when this executor runs inside a
-	// fleet worker ("" in the single-process role). With an owner set,
-	// the heartbeat also renews the job's claim file — and cancels the
+	// owner is the claim-owner identity the executor runs jobs under. The
+	// heartbeat renews the job's claim file as owner — and cancels the
 	// run if the claim was lost (lease reaped, job requeued elsewhere)
 	// or a frontend left a cancel marker.
 	owner string
 
 	log *slog.Logger
+}
+
+// newExecutor builds the engine from a defaulted Config (see defaults).
+func newExecutor(cfg Config, jl *journal, owner string) *executor {
+	return &executor{
+		store:            cfg.Store,
+		policies:         cfg.Policies,
+		storeBrk:         newBreaker("results", cfg.BreakerThreshold, cfg.BreakerCooldown),
+		polBrk:           newBreaker("policies", cfg.BreakerThreshold, cfg.BreakerCooldown),
+		journal:          jl,
+		leaseTTL:         cfg.LeaseTTL,
+		maxAttempts:      cfg.MaxAttempts,
+		retryBase:        cfg.RetryBase,
+		progressInterval: cfg.ProgressInterval,
+		owner:            owner,
+		log:              cfg.Logger,
+	}
+}
+
+// runClaimed runs one job whose claim the executor's owner just won, and
+// releases the claim. specErr is the error rebuilding the job from its
+// record, if any. It reports whether the job finished here — false when
+// a draining worker released it for requeue or a lost lease orphaned
+// it — and the simulations it executed.
+func (e *executor) runClaimed(j *job, specErr error) (finished bool, sims int64) {
+	j.mu.Lock()
+	j.owner = e.owner
+	attempts := j.attempts
+	j.mu.Unlock()
+	switch {
+	case e.journal.cancelRequested(j.id):
+		// A cancel marker landed while the job sat queued; honor it
+		// before spending any work.
+		j.markUserCanceled()
+		j.finish(nil, false, 0, context.Canceled)
+	case attempts >= e.maxAttempts:
+		// The attempt budget is carried by the record, so a job that
+		// kills every process that touches it (a crash loop) is abandoned
+		// on its way into yet another execution.
+		e.log.Warn("job abandoned (attempt budget)", "job", j.id, "attempts", attempts)
+		j.finish(nil, false, 0, fmt.Errorf("abandoned after %d attempts (crash loop)", attempts))
+	case specErr != nil:
+		e.log.Warn("unrecoverable job spec", "job", j.id, "error", specErr.Error())
+		j.finish(nil, false, 0, fmt.Errorf("unrecoverable job spec: %w", specErr))
+	default:
+		start := harness.SimCount()
+		e.execute(j)
+		sims = harness.SimCount() - start
+	}
+
+	if j.lostLease() {
+		// The claim was reaped mid-run and may belong to a new owner now;
+		// touch neither it nor the record.
+		e.log.Warn("job orphaned mid-run", "job", j.id)
+		return false, sims
+	}
+	j.mu.Lock()
+	user, status := j.userCanceled, j.status
+	j.mu.Unlock()
+	if user {
+		e.journal.clearCancel(j.id)
+	}
+	e.journal.releaseClaim(j.id, e.owner)
+	if status == StatusCanceled && !user {
+		// Shutdown-driven cancel: the record keeps its pre-cancel state
+		// (finishWith skipped the journal write), so releasing the claim
+		// requeues the job.
+		e.log.Info("job released for requeue (worker draining)", "job", j.id)
+		return false, sims
+	}
+	return true, sims
 }
 
 // execute routes a job to its kind's runner and logs its terminal
@@ -84,7 +154,7 @@ func (e *executor) runJob(j *job) {
 	var err error
 	for {
 		payload = harness.ExperimentPayload{}
-		j.beginAttempt(e.leaseTTL)
+		j.beginAttempt()
 		hit, err = e.store.GetOrCompute(key, &payload, func() (any, error) {
 			return e.computeExperiment(j, startSims)
 		})
@@ -125,7 +195,7 @@ func (e *executor) runTrainJob(j *job) {
 	var hit bool
 	var err error
 	for {
-		j.beginAttempt(e.leaseTTL)
+		j.beginAttempt()
 		env, hit, err = e.trainPolicy(j)
 		e.recordPersist(e.polBrk, hit, env.ID != "", err)
 		if !e.retry(j, err) {
@@ -205,11 +275,11 @@ func backoff(base time.Duration, attempt int) time.Duration {
 // time per process, every simulation between job start and finish
 // belongs to this job, so the delta is exact.
 //
-// The sampler is also the lease heartbeat: each tick renews the running
-// job's journaled lease, so the lease lapses exactly when the process
-// stops making progress observations (crash, hang, SIGKILL). In the
-// worker role (owner set) the heartbeat additionally renews the claim
-// file — aborting the run if the claim was lost — and honors cancel
+// The sampler is also the lease heartbeat: it renews the job's claim
+// file, so the lease lapses exactly when the process stops making
+// progress observations (crash, hang, SIGKILL), and aborts the run if
+// the claim was lost. Each renewal also checkpoints the record's sims
+// count for frontends that proxy the job. Every tick honors cancel
 // markers left by a frontend, since contexts don't cross processes.
 func (e *executor) startSampler(j *job, startSims int64) (stop func()) {
 	done := make(chan struct{})
@@ -227,10 +297,7 @@ func (e *executor) startSampler(j *job, startSims int64) (stop func()) {
 				return
 			case <-tick.C:
 				j.progress(harness.SimCount() - startSims)
-				if e.journal == nil {
-					continue
-				}
-				if e.owner != "" && e.journal.cancelRequested(j.id) {
+				if e.journal.cancelRequested(j.id) {
 					e.log.Info("cancel marker honored", "job", j.id)
 					j.markUserCanceled()
 					j.cancel()
@@ -239,19 +306,17 @@ func (e *executor) startSampler(j *job, startSims int64) (stop func()) {
 				// often than durability needs; a third of the TTL keeps two
 				// renewals of slack before a lease could falsely lapse.
 				if time.Since(lastRenew) >= e.leaseTTL/3 {
-					if e.owner != "" {
-						if err := e.journal.renewClaim(j.id, e.owner, e.leaseTTL); err != nil {
-							// The claim is gone or owned elsewhere: this worker
-							// lost the lease (reaped after a stall). Abort the
-							// run rather than split-brain with the new owner;
-							// the finish path must not journal over theirs.
-							e.log.Warn("lease lost, aborting run", "job", j.id, "error", err.Error())
-							j.orphan()
-							j.cancel()
-							return
-						}
+					if err := e.journal.renewClaim(j.id, e.owner, e.leaseTTL); err != nil {
+						// The claim is gone or owned elsewhere: this worker
+						// lost the lease (reaped after a stall). Abort the
+						// run rather than split-brain with the new owner;
+						// the finish path must not journal over theirs.
+						e.log.Warn("lease lost, aborting run", "job", j.id, "error", err.Error())
+						j.orphan()
+						j.cancel()
+						return
 					}
-					j.renewLease(e.leaseTTL)
+					j.checkpoint()
 					lastRenew = time.Now()
 				}
 			}

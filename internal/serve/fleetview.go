@@ -80,5 +80,5 @@ func (f *FleetJournal) RemoveWorker(owner string) {
 // the affected job IDs. The coordinator is the fleet's single reaper —
 // see the claim-protocol notes in claims.go.
 func (f *FleetJournal) ReapExpired(grace time.Duration) []string {
-	return f.jl.reapExpiredClaims(grace)
+	return f.jl.reapExpiredClaims(grace, "")
 }

@@ -16,7 +16,7 @@ import (
 // Job kinds and statuses are defined by the wire contract in
 // internal/api; serve re-exports them so internal code (and the journal,
 // which persists status strings) reads naturally. Both kinds flow
-// through the same queue, executor and SSE machinery.
+// through the same claim protocol, executor and SSE machinery.
 const (
 	KindExperiment = api.KindExperiment
 	KindTrain      = api.KindTrain
@@ -35,7 +35,7 @@ func terminalStatus(s string) bool { return api.TerminalStatus(s) }
 type Event = api.Event
 
 // job is one queued experiment run. All mutable state is behind mu; the
-// executor writes, HTTP handlers read, SSE subscribers receive a replay of
+// worker writes, HTTP handlers read, SSE subscribers receive a replay of
 // every event published so far followed by live events, so a subscriber
 // that arrives after completion still sees the full history.
 //
@@ -61,9 +61,9 @@ type job struct {
 	// marks the stages it owns; JobView surfaces the snapshot.
 	tl *obs.Timeline
 
-	// jl is the server's journal (nil = journaling disabled); set before
-	// the job is visible to any other goroutine. State transitions under
-	// mu write through to it, so per-job journal writes are serialized.
+	// jl is the journal the job lives in; set before the job is visible
+	// to any other goroutine. State transitions under mu write through to
+	// it, so per-job journal writes are serialized.
 	jl *journal
 	// recovered marks a job rebuilt from the journal after a restart.
 	recovered bool
@@ -74,13 +74,14 @@ type job struct {
 	cached   bool
 	sims     int64
 	attempts int
-	// owner is the lease-owner identity of the process executing the job
-	// (set by the worker loop before execution; empty for the in-process
-	// executor and for queued jobs). Journaled so fleet frontends can
-	// report which worker holds each job.
+	// owner is the claim-owner identity of the worker executing the job
+	// (set once the claim is won; empty while queued). Journaled so
+	// frontends can report which worker holds each job.
 	owner string
-	// leaseUntil is the running job's heartbeat-renewed lease expiry.
-	leaseUntil time.Time
+	// held marks a job the server's in-process worker has taken: its
+	// in-memory state leads the journal record, so the watcher leaves it
+	// alone.
+	held bool
 	// userCanceled distinguishes DELETE (a terminal decision, journaled)
 	// from shutdown-driven cancellation (the journal keeps the job's
 	// pre-cancel state so a restart requeues it).
@@ -226,12 +227,10 @@ func (j *job) publish(typ string, payload any) {
 }
 
 // beginAttempt transitions the job to running (announced once, on the
-// first attempt), counts the attempt, and takes a lease of ttl — all
-// journaled. A job that already turned terminal stays terminal: a
-// DELETE can finish a queued job between the executor popping it and
-// reaching here, and running must not overwrite (or be published after)
-// that terminal state.
-func (j *job) beginAttempt(ttl time.Duration) {
+// first attempt) and counts the attempt, journaled. A job that already
+// turned terminal stays terminal: running must not overwrite (or be
+// published after) a terminal state.
+func (j *job) beginAttempt() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if terminalStatus(j.status) {
@@ -245,26 +244,22 @@ func (j *job) beginAttempt(ttl time.Duration) {
 	// Barrier, not Mark: each attempt opens a fresh dedup window, so a
 	// retried job's timeline shows every leased→streaming→… sequence.
 	j.tl.Barrier("leased", now)
-	j.leaseUntil = now.Add(ttl)
 	if j.status != StatusRunning {
 		j.status = StatusRunning
 		j.started = time.Now().UTC()
 		j.publish("status", j.viewLocked())
 	}
-	j.journalLocked(j.jl)
+	j.journalLocked()
 }
 
-// renewLease is the heartbeat: the progress sampler pushes the running
-// job's lease expiry out every interval, so only a process that stopped
-// sampling (crashed, hung, killed) ever lets it lapse.
-func (j *job) renewLease(ttl time.Duration) {
+// checkpoint journals a running job's progress, so a frontend that
+// proxies the job from its record sees the sims count move.
+func (j *job) checkpoint() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != StatusRunning {
-		return
+	if j.status == StatusRunning {
+		j.journalLocked()
 	}
-	j.leaseUntil = time.Now().UTC().Add(ttl)
-	j.journalLocked(j.jl)
 }
 
 // retrying announces a transient failure and the backoff before the
@@ -285,15 +280,32 @@ func (j *job) retrying(err error, wait time.Duration) {
 	})
 }
 
-// requeued journals the job's (re-)queued state; the recovery requeue
-// paths call it so the journal reflects that the job is waiting again.
-func (j *job) requeued() {
+// journalQueued writes the admitted job's queued record — the
+// write-ahead that makes admission durable.
+func (j *job) journalQueued() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.journalLocked()
+}
+
+// setHeld marks the job taken (or released) by the in-process worker;
+// it refuses, returning false, once the job is terminal.
+func (j *job) setHeld(held bool) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if terminalStatus(j.status) {
-		return
+		return false
 	}
-	j.journalLocked(j.jl)
+	j.held = held
+	return true
+}
+
+// proxied reports whether the watcher mirrors the job from its journal
+// record: it is open and not held by the in-process worker.
+func (j *job) proxied() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return !terminalStatus(j.status) && !j.held
 }
 
 // markUserCanceled records that a cancellation was an explicit client
@@ -306,13 +318,12 @@ func (j *job) markUserCanceled() {
 }
 
 // orphan marks a job whose lease was lost to another owner (the claim
-// was reaped and possibly re-claimed elsewhere). Detaching the journal
-// makes the eventual local terminal state memory-only, so this process
-// can never overwrite the new owner's record; the worker loop also skips
-// releasing a claim it no longer holds.
+// was reaped and possibly re-claimed elsewhere). From then on its state
+// is memory-only, so this process can never overwrite the new owner's
+// record; the worker loop also skips releasing a claim it no longer
+// holds.
 func (j *job) orphan() {
 	j.mu.Lock()
-	j.jl = nil
 	j.orphaned = true
 	j.mu.Unlock()
 }
@@ -341,8 +352,8 @@ func (j *job) progress(sims int64) {
 // subscriber channel (their signal to end the SSE stream). A context
 // cancellation error lands the job in canceled, not error: being stopped
 // on request is a normal lifecycle outcome, not a failure. Finishing twice
-// is a no-op (a canceled queued job may be finished by both the DELETE
-// handler and the executor's drain).
+// is a no-op (a job may be finished by both a DELETE and the worker
+// that raced it).
 func (j *job) finish(res *harness.ExperimentPayload, cached bool, sims int64, err error) {
 	j.finishWith(func() { j.result = res }, cached, sims, err)
 }
@@ -364,7 +375,6 @@ func (j *job) finishWith(setResult func(), cached bool, sims int64, err error) {
 	j.finished = time.Now().UTC()
 	j.cached = cached
 	j.sims = sims
-	mSSESubs.Add(-float64(len(j.subs)))
 	switch {
 	case err == nil:
 		j.status = StatusDone
@@ -376,18 +386,28 @@ func (j *job) finishWith(setResult func(), cached bool, sims int64, err error) {
 		j.status = StatusError
 		j.errMsg = err.Error()
 	}
-	j.tl.Barrier(j.status, j.finished)
-	jobsFinished(j.status).Inc()
-	if !j.started.IsZero() {
-		jobDuration(j.kind).Observe(j.finished.Sub(j.started).Seconds())
-	}
 	// Journal the terminal state — except for cancellations the client
 	// did not ask for (shutdown, an aborted drain): those keep their
 	// last journaled state so a restart requeues the job instead of
 	// losing it. That asymmetry is what makes the queue durable across
 	// SIGTERM, not just SIGKILL.
 	if j.status != StatusCanceled || j.userCanceled {
-		j.journalLocked(j.jl)
+		j.journalLocked()
+	}
+	j.terminateLocked()
+}
+
+// terminateLocked announces the terminal state just recorded on the job
+// — metrics, timeline, the terminal event — and closes every subscriber
+// stream. The job context is done with: canceling it releases its
+// resources (and unparks any AfterFunc the harness registered for it).
+// Callers hold mu.
+func (j *job) terminateLocked() {
+	mSSESubs.Add(-float64(len(j.subs)))
+	j.tl.Barrier(j.status, j.finished)
+	jobsFinished(j.status).Inc()
+	if !j.started.IsZero() {
+		jobDuration(j.kind).Observe(j.finished.Sub(j.started).Seconds())
 	}
 	j.publish(j.status, j.viewLocked())
 	j.closed = true
@@ -395,26 +415,23 @@ func (j *job) finishWith(setResult func(), cached bool, sims int64, err error) {
 		close(ch)
 		delete(j.subs, ch)
 	}
-	// The job context is done with: release its resources (also unparks
-	// any AfterFunc the harness registered for it).
 	j.cancel()
 }
 
 // syncRunning applies a worker-written running record to a job the
-// frontend is tracking in dispatch mode: the status flip is announced
-// once, progress rides the record's sims counter, and the executing
-// worker's identity becomes visible. The journal is NOT written back —
-// the worker owns the record while it holds the claim; the frontend is
-// a reader here.
+// frontend proxies: the status flip is announced once, progress rides
+// the record's sims counter, and the executing worker's identity becomes
+// visible. The journal is NOT written back — the worker owns the record
+// while it holds the claim; the frontend is a reader here. A job the
+// in-process worker holds is left alone: its record lags its progress.
 func (j *job) syncRunning(rec jobRecord) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if terminalStatus(j.status) {
+	if terminalStatus(j.status) || j.held {
 		return
 	}
 	j.attempts = rec.Attempts
 	j.owner = rec.Owner
-	j.leaseUntil = rec.LeaseUntil
 	if j.status != StatusRunning {
 		j.status = StatusRunning
 		j.started = rec.UpdatedAt
@@ -434,13 +451,13 @@ func (j *job) syncRunning(rec jobRecord) {
 // adoptTerminal applies a worker-written terminal record: the frontend's
 // tracked job reaches the same terminal state the worker journaled, with
 // the artifact (res or pm) fetched from the shared stores by the caller.
-// Like finishWith it is idempotent and closes every subscriber stream;
+// Like finishWith it is idempotent and ends through terminateLocked;
 // unlike finishWith it does not journal — the record on disk already is
 // the terminal state.
 func (j *job) adoptTerminal(rec jobRecord, res *harness.ExperimentPayload, pm *policy.Meta) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if terminalStatus(j.status) {
+	if terminalStatus(j.status) || j.held {
 		return
 	}
 	j.finished = time.Now().UTC()
@@ -455,19 +472,7 @@ func (j *job) adoptTerminal(rec jobRecord, res *harness.ExperimentPayload, pm *p
 	j.owner = rec.Owner
 	j.result = res
 	j.policyMeta = pm
-	mSSESubs.Add(-float64(len(j.subs)))
-	j.tl.Barrier(j.status, j.finished)
-	jobsFinished(j.status).Inc()
-	if !j.started.IsZero() {
-		jobDuration(j.kind).Observe(j.finished.Sub(j.started).Seconds())
-	}
-	j.publish(j.status, j.viewLocked())
-	j.closed = true
-	for ch := range j.subs {
-		close(ch)
-		delete(j.subs, ch)
-	}
-	j.cancel()
+	j.terminateLocked()
 }
 
 // subscribe returns the event history so far plus a channel of subsequent

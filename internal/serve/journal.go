@@ -21,9 +21,9 @@ import (
 // rather than failing admissions.
 const FPJournalWrite = "serve.journal-write"
 
-// FPAdmitCrash sits between the admission journal write and the queue
-// insert — the widest at-least-once window. A crash there leaves a
-// journaled job that was never queued; recovery must requeue it even
+// FPAdmitCrash sits between the admission journal write and the job's
+// registration — the widest at-least-once window. A crash there leaves
+// a journaled job no worker was handed; recovery must requeue it even
 // though the client saw an error (the store's content addressing makes
 // the re-execution idempotent).
 const FPAdmitCrash = "serve.admit-crash"
@@ -53,15 +53,10 @@ type jobRecord struct {
 	// server cannot crash-loop it forever.
 	Attempts int    `json:"attempts"`
 	Error    string `json:"error,omitempty"`
-	// LeaseUntil is the running job's lease expiry, heartbeat-renewed by
-	// the progress sampler. Recovery requeues a running job only once
-	// its lease has expired: a still-live lease may belong to another
-	// process sharing the journal directory.
-	LeaseUntil time.Time `json:"lease_until,omitempty"`
-	// Owner identifies the process executing the job (PID + start-time
-	// nonce; see NewOwnerID). Fleet frontends surface it as the job's
-	// worker; it is informational — mutual exclusion lives in the claim
-	// file, whose owner must match for lease renewal.
+	// Owner identifies the worker executing the job (PID + start-time
+	// nonce; see NewOwnerID). Frontends surface it as the job's worker;
+	// it is informational — the lease and mutual exclusion live in the
+	// claim file (claims.go), whose owner must match for renewal.
 	Owner string `json:"owner,omitempty"`
 	// Sims and Cached mirror the job's progress/outcome so a stateless
 	// frontend can proxy status from the record alone; PolicyID names a
@@ -184,7 +179,6 @@ func (j *job) recordLocked() jobRecord {
 		Status:     j.status,
 		Attempts:   j.attempts,
 		Error:      j.errMsg,
-		LeaseUntil: j.leaseUntil,
 		Owner:      j.owner,
 		Sims:       j.sims,
 		Cached:     j.cached,
@@ -200,12 +194,12 @@ func (j *job) recordLocked() jobRecord {
 	return rec
 }
 
-// journalLocked writes the job's current state to jl (nil = journaling
-// disabled). Callers must hold j.mu; per-job writes are therefore
-// serialized, so a heartbeat can never overwrite a terminal record.
-func (j *job) journalLocked(jl *journal) {
-	if jl == nil {
-		return
+// journalLocked writes the job's current state to its journal, unless
+// the job was orphaned (its record belongs to another owner now).
+// Callers must hold j.mu; per-job writes are therefore serialized, so a
+// checkpoint can never overwrite a terminal record.
+func (j *job) journalLocked() {
+	if !j.orphaned {
+		j.jl.put(j.recordLocked())
 	}
-	jl.put(j.recordLocked())
 }

@@ -2,7 +2,7 @@ package serve_test
 
 // Journal-recovery properties: recovery is idempotent (restarting twice
 // from the same journal snapshot converges to the same jobs and never
-// re-simulates persisted work), expired leases are taken over while
+// re-simulates persisted work), expired claims are taken over while
 // live ones are respected, and user-visible job state round-trips the
 // restart.
 
@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -27,9 +28,9 @@ import (
 )
 
 // ghostQueue journals an admission on srv's journal without ever
-// inserting it into the queue, by crashing the handler (injected panic)
-// inside the admission window. This is the adversarial interleaving the
-// journal exists for.
+// registering it or handing it to a worker, by crashing the handler
+// (injected panic) inside the admission window. This is the adversarial
+// interleaving the journal exists for.
 func ghostQueue(t *testing.T, base, exp string) {
 	t.Helper()
 	fault.Enable(serve.FPAdmitCrash, fault.Spec{Mode: fault.ModePanic, Count: 1})
@@ -51,23 +52,28 @@ func quietHTTPServer(t *testing.T, srv *serve.Server) *httptest.Server {
 	return ts
 }
 
-// copyDir clones the journal directory — a filesystem snapshot of the
-// moment of the crash, replayable as many times as the test likes.
+// copyDir clones the journal directory, claims included — a filesystem
+// snapshot of the moment of the crash, replayable as many times as the
+// test likes.
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
-	ents, err := os.ReadDir(src)
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), buf, 0o644)
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, e := range ents {
-		buf, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return dst
 }
@@ -180,6 +186,9 @@ func TestJournalRecoveryIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range ents {
+			if e.IsDir() {
+				continue // claims/: released by now, and not job records
+			}
 			buf, err := os.ReadFile(filepath.Join(dir, e.Name()))
 			if err != nil {
 				t.Fatal(err)
@@ -199,29 +208,44 @@ func TestJournalRecoveryIdempotent(t *testing.T) {
 	}
 }
 
-// TestJournalLeaseTakeover: a journaled running job with a still-live
-// lease is not stolen at startup — the reaper waits for the lease to
-// expire, then requeues it. (A live lease may belong to another process
-// sharing the journal directory.)
+// TestJournalLeaseTakeover: a journaled running job whose claim file
+// holds a still-live lease is not stolen at startup — the server waits
+// for the lease to expire, reaps the claim, then runs the job. (A live
+// claim may belong to another process sharing the journal directory.)
 func TestJournalLeaseTakeover(t *testing.T) {
 	harness.ResetCaches()
 	defer harness.ResetCaches()
 	journalDir := t.TempDir()
 	lease := 1500 * time.Millisecond
 
+	now := time.Now().UTC()
 	rec := map[string]any{
-		"id":          "job-7",
-		"kind":        serve.KindExperiment,
-		"experiment":  "table2",
-		"scale":       "tiny",
-		"status":      serve.StatusRunning,
-		"attempts":    1,
-		"lease_until": time.Now().Add(lease).UTC().Format(time.RFC3339Nano),
-		"created_at":  time.Now().UTC().Format(time.RFC3339Nano),
-		"updated_at":  time.Now().UTC().Format(time.RFC3339Nano),
+		"id":         "job-7",
+		"kind":       serve.KindExperiment,
+		"experiment": "table2",
+		"scale":      "tiny",
+		"status":     serve.StatusRunning,
+		"attempts":   1,
+		"owner":      "pid1-00000000000000aa",
+		"created_at": now.Format(time.RFC3339Nano),
+		"updated_at": now.Format(time.RFC3339Nano),
 	}
 	buf, _ := json.Marshal(rec)
 	if err := os.WriteFile(filepath.Join(journalDir, "job-7.json"), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The foreign owner's claim: its lease is the only one there is.
+	claim := map[string]any{
+		"id":          "job-7",
+		"owner":       "pid1-00000000000000aa",
+		"lease_until": now.Add(lease).Format(time.RFC3339Nano),
+		"claimed_at":  now.Format(time.RFC3339Nano),
+	}
+	buf, _ = json.Marshal(claim)
+	if err := os.MkdirAll(filepath.Join(journalDir, "claims"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(journalDir, "claims", "job-7.claim"), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -251,7 +275,7 @@ func TestJournalLeaseTakeover(t *testing.T) {
 			out.Job.Status, time.Since(start), lease)
 	}
 
-	// After expiry the reaper requeues it and it runs to completion.
+	// After expiry the claim is reaped and the job runs to completion.
 	done := waitDone(t, ts, "job-7")
 	if done.Status != serve.StatusDone {
 		t.Fatalf("taken-over job ended %q (%s)", done.Status, done.Error)
@@ -290,14 +314,13 @@ func TestJournalAbandonsCrashLoopers(t *testing.T) {
 	defer harness.ResetCaches()
 	journalDir := t.TempDir()
 	rec := map[string]any{
-		"id":          "job-3",
-		"kind":        serve.KindExperiment,
-		"experiment":  "fig14",
-		"scale":       "tiny",
-		"status":      serve.StatusRunning,
-		"attempts":    3,
-		"lease_until": time.Now().Add(-time.Minute).UTC().Format(time.RFC3339Nano),
-		"created_at":  time.Now().UTC().Format(time.RFC3339Nano),
+		"id":         "job-3",
+		"kind":       serve.KindExperiment,
+		"experiment": "fig14",
+		"scale":      "tiny",
+		"status":     serve.StatusRunning,
+		"attempts":   3,
+		"created_at": time.Now().UTC().Format(time.RFC3339Nano),
 	}
 	buf, _ := json.Marshal(rec)
 	if err := os.WriteFile(filepath.Join(journalDir, "job-3.json"), buf, 0o644); err != nil {

@@ -15,7 +15,7 @@ var (
 	mRetries = obs.GetCounter("pythia_serve_retries_total",
 		"Transient-failure retry attempts across all jobs.", nil)
 	mRequeues = obs.GetCounter("pythia_serve_requeues_total",
-		"Jobs re-enqueued from the journal (startup recovery and lease takeover).", nil)
+		"Jobs requeued from the journal (startup recovery and expired claims).", nil)
 	mRecovered = obs.GetCounter("pythia_serve_journal_recovered_total",
 		"Jobs rebuilt from the journal at startup.", nil)
 	mSSESubs = obs.GetGauge("pythia_serve_sse_subscribers",
@@ -54,11 +54,11 @@ func routeCounter(pattern string) *obs.Counter {
 // servers back-to-back always scrape the current one.
 func (s *Server) registerMetrics() {
 	obs.RegisterGaugeFunc("pythia_serve_queue_depth",
-		"Jobs admitted and waiting to execute.", nil,
-		func() float64 { return float64(len(s.queue)) })
+		"Jobs admitted and waiting to execute (queued, unclaimed).", nil,
+		func() float64 { return float64(s.queued()) })
 	obs.RegisterGaugeFunc("pythia_serve_queue_capacity",
-		"Job queue capacity (recovered backlog included).", nil,
-		func() float64 { return float64(cap(s.queue)) })
+		"Admission bound on waiting jobs (Config.QueueDepth).", nil,
+		func() float64 { return float64(s.cfg.QueueDepth) })
 	obs.RegisterGaugeFunc("pythia_serve_jobs_tracked",
 		"Jobs currently registered (queued, running, and retained history).", nil,
 		func() float64 {
@@ -74,12 +74,9 @@ func (s *Server) registerMetrics() {
 			"Entries currently on disk.", obs.L("store", "policies"),
 			func() float64 { return float64(p.Len()) })
 	}
-	s.storeBrk.register()
-	s.polBrk.register()
-	if s.journal != nil {
-		jl := s.journal
-		obs.RegisterCounterFunc("pythia_serve_journal_write_errors_total",
-			"Journal writes that failed (job state may lag on disk).", nil,
-			func() float64 { return float64(jl.writeErrs.Load()) })
-	}
+	s.exec.storeBrk.register()
+	s.exec.polBrk.register()
+	obs.RegisterCounterFunc("pythia_serve_journal_write_errors_total",
+		"Journal writes that failed (job state may lag on disk).", nil,
+		func() float64 { return float64(s.journal.writeErrs.Load()) })
 }

@@ -10,18 +10,28 @@ import (
 )
 
 // jobBuilder reconstructs executable jobs from journal records through
-// the same resolve tables admission uses. Both recovery paths share it:
-// a restarting server rebuilding its backlog, and a fleet worker
-// materializing a claimed record into something it can execute.
+// the same resolve tables admission uses. Both readers of the journal
+// share it: a restarting server rebuilding its backlog, and a fleet
+// worker materializing a claimed record into something it can execute.
 type jobBuilder struct {
 	base        context.Context
 	extraScales map[string]harness.Scale
+	jl          *journal
 }
 
-// build reconstructs rec. Even on error a placeholder job is returned
-// (never nil) so callers can register and fail it visibly rather than
-// silently dropping a journaled job.
+// build reconstructs rec, carrying its durable state (attempt count,
+// creation time) onto the job. Even on error a placeholder job is
+// returned (never nil) so callers can register and fail it visibly
+// rather than silently dropping a journaled job.
 func (b *jobBuilder) build(rec jobRecord) (*job, error) {
+	j, err := b.resolve(rec)
+	j.jl = b.jl
+	j.attempts = rec.Attempts
+	j.created = rec.CreatedAt
+	return j, err
+}
+
+func (b *jobBuilder) resolve(rec jobRecord) (*job, error) {
 	sc, err := b.resolveScale(scaleArg(rec.Scale))
 	if err != nil {
 		return b.placeholder(rec), err

@@ -370,3 +370,98 @@ func TestServeSurvivesJobLifecycle(t *testing.T) {
 		t.Errorf("service unhealthy after job: %d", code)
 	}
 }
+
+// TestDispatchQueueDepthCountsQueuedJobs: on a fleet frontend (no
+// worker running here), /healthz "queued" and pythia_serve_queue_depth
+// count the queued, unclaimed jobs, and the same count is the admission
+// bound.
+func TestDispatchQueueDepthCountsQueuedJobs(t *testing.T) {
+	srv, err := serve.New(serve.Config{
+		Store:            results.Open(t.TempDir()),
+		QueueDepth:       2,
+		ProgressInterval: 10 * time.Millisecond,
+		JournalDir:       t.TempDir(),
+		Dispatch:         true,
+		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPServer(t, srv)
+
+	var ids []string
+	for _, exp := range []string{"table2", "table4"} {
+		job, code := postRun(t, ts, exp, "tiny")
+		if code != http.StatusAccepted {
+			t.Fatalf("POST %s = %d", exp, code)
+		}
+		ids = append(ids, job.ID)
+	}
+	if q, _ := health(t, ts)["queued"].(float64); q != 2 {
+		t.Errorf("healthz queued = %v, want 2", q)
+	}
+	if d := metricValue("pythia_serve_queue_depth", nil); d != 2 {
+		t.Errorf("pythia_serve_queue_depth = %v, want 2", d)
+	}
+	if _, code := postRun(t, ts, "table7", "tiny"); code != http.StatusServiceUnavailable {
+		t.Errorf("launch past the queue bound = %d, want 503", code)
+	}
+
+	// A canceled job no longer waits.
+	if v, code := cancelRun(t, ts, ids[0]); code != http.StatusOK || v.Status != serve.StatusCanceled {
+		t.Fatalf("DELETE queued job = %d, status %q", code, v.Status)
+	}
+	if q, _ := health(t, ts)["queued"].(float64); q != 1 {
+		t.Errorf("healthz queued after cancel = %v, want 1", q)
+	}
+}
+
+// TestServeProgressNeverRegresses: a single-process job's SSE progress
+// never goes backwards while the watcher is reading the journal. The
+// short lease makes the worker checkpoint its record often, so the
+// record always holds some earlier sims count than the job itself.
+func TestServeProgressNeverRegresses(t *testing.T) {
+	harness.ResetCaches()
+	defer harness.ResetCaches()
+	srv, err := serve.New(serve.Config{
+		Store:            results.Open(t.TempDir()),
+		QueueDepth:       4,
+		ProgressInterval: 5 * time.Millisecond,
+		LeaseTTL:         30 * time.Millisecond,
+		ExtraScales:      map[string]harness.Scale{"slow": slowScale},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPServer(t, srv)
+
+	job, code := postRun(t, ts, "fig14", "slow")
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d", code)
+	}
+	var last int64
+	progress := 0
+	evs := readSSE(t, ts, job.ID)
+	for _, ev := range evs {
+		if ev.Type != "progress" {
+			continue
+		}
+		var p struct {
+			Sims int64 `json:"sims"`
+		}
+		if err := json.Unmarshal(ev.Data, &p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Sims < last {
+			t.Errorf("progress went backwards: %d after %d", p.Sims, last)
+		}
+		last = p.Sims
+		progress++
+	}
+	if progress == 0 {
+		t.Fatal("no progress events")
+	}
+	if lastType(evs) != serve.StatusDone {
+		t.Fatalf("job ended with %q", lastType(evs))
+	}
+}

@@ -2,21 +2,26 @@
 // service: the first step from batch reproduction toward a system that
 // serves results to many concurrent consumers.
 //
-// Architecture: requests land in a bounded job queue; a single executor
-// goroutine drains it, running one experiment at a time. Each experiment
-// internally fans its simulations out over the harness worker pool
-// (harness.SetWorkers), so the machine stays fully utilized while queue
-// depth — not goroutine count — bounds admitted work. Every completed
-// experiment is persisted in a results.Store; a repeat request (same
-// experiment, same scale, same generator version) is served from the
-// store with zero additional simulation work, observable through the
-// job's sims counter. Progress streams to clients over SSE with full
-// event replay, so late subscribers see the whole history.
+// Architecture: every admitted job is journaled and runs through one
+// claim protocol, at any scale. A worker wins a job by creating its
+// claim file, and the claim file is the job's lease. A Server without
+// Dispatch starts one in-process worker goroutine and hands it job IDs
+// over a channel, running one experiment at a time; with Dispatch,
+// worker processes (RunWorker) find jobs by scanning the shared
+// journal. Each experiment internally fans its simulations out over the
+// harness worker pool (harness.SetWorkers), so the machine stays fully
+// utilized while the queued-job bound — not goroutine count — bounds
+// admitted work. Every completed experiment is persisted in a
+// results.Store; a repeat request (same experiment, same scale, same
+// generator version) is served from the store with zero additional
+// simulation work, observable through the job's sims counter. Progress
+// streams to clients over SSE with full event replay, so late
+// subscribers see the whole history.
 //
-// Policy-training jobs flow through the same queue, executor and SSE
-// machinery: a POST with a "train" body trains a Pythia policy and
-// persists it in the policy.Store, a repeat training request is a store
-// hit with zero simulations (same sims-counter proof), and stored
+// Policy-training jobs flow through the same claim protocol, executor
+// and SSE machinery: a POST with a "train" body trains a Pythia policy
+// and persists it in the policy.Store, a repeat training request is a
+// store hit with zero simulations (same sims-counter proof), and stored
 // policies are listable and downloadable under /api/v1/policies.
 //
 // Failure and cancellation are first-class: the harness returns errors as
@@ -24,8 +29,8 @@
 // it, with a terminal "error" SSE event, while the service keeps serving),
 // every job carries a context that DELETE /api/v1/runs/{id} cancels (terminal
 // "canceled" event, in-flight simulations abort at the next chunk
-// boundary and release their worker slots), and Shutdown drains the queue
-// before stopping.
+// boundary and release their worker slots), and Shutdown drains the
+// queued jobs before stopping.
 package serve
 
 import (
@@ -34,6 +39,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -59,11 +65,12 @@ type Config struct {
 	// nil those endpoints answer 503 and everything else works unchanged.
 	Policies *policy.Store
 	// QueueDepth bounds the number of jobs waiting to execute (admitted
-	// but unstarted); the default is 16. A full queue rejects launches
+	// but unclaimed); the default is 16. A full queue rejects launches
 	// with 503 rather than queueing unboundedly.
 	QueueDepth int
 	// ProgressInterval is how often a running job samples the simulation
-	// counter into an SSE progress event; the default is 250ms.
+	// counter into an SSE progress event, and how often the watcher reads
+	// the journal; the default is 250ms.
 	ProgressInterval time.Duration
 	// JobHistory bounds how many finished jobs are retained for listing
 	// and late fetches (the default is 256). Queued and running jobs are
@@ -77,17 +84,17 @@ type Config struct {
 	// horizons).
 	ExtraScales map[string]harness.Scale
 
-	// JournalDir enables the durable job journal: every accepted job is
+	// JournalDir is the durable job journal: every accepted job is
 	// persisted there (spec + state transitions), and New recovers
-	// non-terminal jobs from it — queued jobs requeue immediately,
-	// running jobs requeue once their lease expires. Empty disables
-	// journaling (jobs live only in process memory, the pre-journal
-	// behavior). Custom scales in ExtraScales must be re-registered for
-	// their journaled jobs to be recoverable.
+	// non-terminal jobs from it — unclaimed ones requeue immediately,
+	// claimed ones once their claim's lease expires. Empty means a
+	// private temporary journal that Shutdown removes: jobs then survive
+	// nothing but the process. Custom scales in ExtraScales must be
+	// re-registered for their journaled jobs to be recoverable.
 	JournalDir string
-	// LeaseTTL is how long a running job's lease lasts between
-	// heartbeats (renewed by the progress sampler); the default is 30s.
-	// A crashed server stops renewing, and recovery requeues the job
+	// LeaseTTL is how long a job's claim lasts between heartbeats
+	// (renewed by the progress sampler); the default is 30s. A crashed
+	// worker stops renewing, and its claim is reaped — the job requeued —
 	// once the lease lapses.
 	LeaseTTL time.Duration
 	// MaxAttempts bounds how many times a job may enter execution —
@@ -104,18 +111,20 @@ type Config struct {
 	// work before letting a probe through; default 15s.
 	BreakerCooldown time.Duration
 
-	// Dispatch turns the server into a stateless fleet frontend: admitted
-	// jobs are journaled but never executed in-process — worker processes
-	// (serve.RunWorker over the same JournalDir) claim and execute them,
-	// and a watcher goroutine proxies status, progress and terminal
-	// events back from the journal and the shared stores. Requires
-	// JournalDir. Cancellation crosses the process boundary through
-	// claim acquisition (queued jobs) or cancel markers (claimed jobs).
+	// Dispatch turns the server into a stateless fleet frontend: it runs
+	// no in-process worker — worker processes (serve.RunWorker over the
+	// same JournalDir) claim and execute the journaled jobs, and the
+	// watcher proxies status, progress and terminal events back from the
+	// journal and the shared stores. Requires JournalDir. Cancellation
+	// crosses the process boundary through claim acquisition (queued
+	// jobs) or cancel markers (claimed jobs).
 	Dispatch bool
 
 	// FleetStatus, when set, backs GET /api/v1/fleet: the serving layer
 	// stays ignorant of the fleet coordinator (fleet imports serve, never
-	// the reverse); cmd wiring hands the coordinator's Status here.
+	// the reverse); cmd wiring hands the coordinator's Status here. A
+	// coordinator is its journal's reaper, so with FleetStatus set the
+	// watcher leaves expired claims to it.
 	FleetStatus func() api.FleetStatus
 
 	// Logger receives structured job-lifecycle logs (admission, dispatch,
@@ -124,19 +133,50 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+// defaults fills every unset knob with its documented default; New and
+// RunWorker share it.
+func (c *Config) defaults() {
+	if c.QueueDepth <= 0 {
+		c.QueueDepth = 16
+	}
+	if c.ProgressInterval <= 0 {
+		c.ProgressInterval = 250 * time.Millisecond
+	}
+	if c.JobHistory <= 0 {
+		c.JobHistory = 256
+	}
+	if c.LeaseTTL <= 0 {
+		c.LeaseTTL = 30 * time.Second
+	}
+	if c.MaxAttempts <= 0 {
+		c.MaxAttempts = 3
+	}
+	if c.RetryBase <= 0 {
+		c.RetryBase = 100 * time.Millisecond
+	}
+	if c.BreakerThreshold <= 0 {
+		c.BreakerThreshold = 3
+	}
+	if c.BreakerCooldown <= 0 {
+		c.BreakerCooldown = 15 * time.Second
+	}
+	if c.Logger == nil {
+		c.Logger = obs.NopLogger()
+	}
+}
+
 // Server is the pythia-serve HTTP service.
 type Server struct {
 	cfg   Config
 	store *results.Store
-	queue chan *job
 	wg    sync.WaitGroup
 
 	// baseCtx parents every job context; baseCancel is the hard-stop
 	// lever (Close, or Shutdown past its deadline).
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	// drain tells the executor to exit once the queue is empty; closing
-	// is the shutdown signal.
+	// drain tells the in-process worker to exit once its channel is
+	// empty, and the watcher to stop; closing is the shutdown signal.
 	drain     chan struct{}
 	drainOnce sync.Once
 	closing   atomic.Bool
@@ -146,22 +186,22 @@ type Server struct {
 	order  []string
 	nextID int64
 
-	// journal is the durable job log (nil when Config.JournalDir is
-	// empty); recovered counts the jobs it requeued at startup.
-	journal   *journal
-	recovered int
+	// journal is the durable job log; tempJournal marks a private one
+	// (Config.JournalDir empty) that Shutdown removes. recovered counts
+	// the jobs New re-tracked from it.
+	journal     *journal
+	tempJournal bool
+	recovered   int
 
-	// storeBrk and polBrk are the per-store circuit breakers guarding
-	// result and policy persistence respectively (shared with exec).
-	storeBrk *breaker
-	polBrk   *breaker
-
-	// exec is the job-execution engine the executor goroutine drains the
-	// queue into; in dispatch mode it is never used (workers execute).
+	// exec is the execution engine of the in-process worker; its
+	// breakers guard admission in every mode.
 	exec *executor
+	// work hands claimable job IDs to the in-process worker (nil in
+	// dispatch mode, where worker processes scan the journal instead).
+	work chan string
 
-	// frontOwner is this frontend's lease-owner identity, used in
-	// dispatch mode to claim queued jobs for prompt cancellation.
+	// frontOwner is this frontend's claim-owner identity, used to claim
+	// queued jobs for prompt cancellation.
 	frontOwner string
 
 	log *slog.Logger
@@ -169,14 +209,14 @@ type Server struct {
 	started time.Time
 }
 
-// New builds a Server and starts its executor. Callers own the HTTP
-// listener (mount Handler) and must stop the server with Shutdown (drain)
-// or Close (abort) to stop the executor.
+// New builds a Server and starts its watcher and, without Dispatch, its
+// in-process worker. Callers own the HTTP listener (mount Handler) and
+// must stop the server with Shutdown (drain) or Close (abort).
 //
-// With Config.JournalDir set, New first recovers the journal: jobs that
-// were queued (or running with an expired lease) when the previous
-// process died are rebuilt and requeued ahead of new admissions, and
-// running jobs whose lease is still live are taken over once it lapses.
+// New first recovers the journal: non-terminal jobs are re-tracked, and
+// those nobody has claimed are handed to the worker ahead of new
+// admissions; a claimed job waits until its lease lapses and the claim
+// is reaped (the claimant may be alive in another process).
 // Re-execution is at-least-once but idempotent — results and policies
 // are content-addressed and singleflight-guarded, so a recovered job
 // that already persisted its result is a store hit with zero new
@@ -185,46 +225,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("serve: Config.Store is required")
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 16
-	}
-	if cfg.ProgressInterval <= 0 {
-		cfg.ProgressInterval = 250 * time.Millisecond
-	}
-	if cfg.JobHistory <= 0 {
-		cfg.JobHistory = 256
-	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 30 * time.Second
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 100 * time.Millisecond
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 15 * time.Second
-	}
-	log := cfg.Logger
-	if log == nil {
-		log = obs.NopLogger()
-	}
 	if cfg.Dispatch && cfg.JournalDir == "" {
 		return nil, fmt.Errorf("serve: Dispatch mode requires Config.JournalDir (the journal is the frontend-worker coordination substrate)")
 	}
+	cfg.defaults()
 	s := &Server{
 		cfg:        cfg,
 		store:      cfg.Store,
 		drain:      make(chan struct{}),
 		jobs:       make(map[string]*job),
-		storeBrk:   newBreaker("results", cfg.BreakerThreshold, cfg.BreakerCooldown),
-		polBrk:     newBreaker("policies", cfg.BreakerThreshold, cfg.BreakerCooldown),
 		frontOwner: NewOwnerID("front"),
-		log:        log,
+		log:        cfg.Logger,
 		started:    time.Now().UTC(),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -237,81 +248,59 @@ func New(cfg Config) (*Server, error) {
 	}
 	harness.SweepTraceCache()
 
-	var jl *journal
-	if cfg.JournalDir != "" {
+	dir := cfg.JournalDir
+	if dir == "" {
 		var err error
-		if jl, err = openJournal(cfg.JournalDir); err != nil {
-			return nil, err
+		if dir, err = os.MkdirTemp("", "pythia-journal-"); err != nil {
+			return nil, fmt.Errorf("serve: private journal: %w", err)
 		}
-		s.journal = jl
+		s.tempJournal = true
 	}
-	s.exec = &executor{
-		store:            cfg.Store,
-		policies:         cfg.Policies,
-		storeBrk:         s.storeBrk,
-		polBrk:           s.polBrk,
-		journal:          s.journal,
-		leaseTTL:         cfg.LeaseTTL,
-		maxAttempts:      cfg.MaxAttempts,
-		retryBase:        cfg.RetryBase,
-		progressInterval: cfg.ProgressInterval,
-		log:              log,
+	jl, err := openJournal(dir)
+	if err != nil {
+		return nil, err
 	}
+	s.journal = jl
+	s.exec = newExecutor(cfg, jl, NewOwnerID("local"))
 
-	if cfg.Dispatch {
-		// Fleet frontend: re-track every journaled job (the watcher syncs
-		// each to its record's real state on the first tick — workers may
-		// have kept executing while no frontend was up) and proxy instead
-		// of executing.
-		s.recoverDispatch(jl.load())
-		s.queue = make(chan *job, cfg.QueueDepth)
-		if s.recovered > 0 {
-			mRecovered.Add(int64(s.recovered))
-			s.log.Info("journal re-tracked", "jobs", s.recovered)
-		}
-		s.registerMetrics()
-		s.wg.Add(1)
-		go s.watcher()
-		return s, nil
-	}
-
-	var requeue, pending []*job
-	if s.journal != nil {
-		requeue, pending = s.recover(jl.load())
-	}
-	// The recovered backlog rides ahead of the configured depth so a
-	// full journal can never deadlock startup; the extra capacity drains
-	// as the backlog executes.
-	s.queue = make(chan *job, cfg.QueueDepth+len(requeue)+len(pending))
-	for _, j := range requeue {
-		j.requeued() // re-land as queued before it can run
-		mRequeues.Inc()
-		s.queue <- j
-	}
+	claimable := s.recoverJobs(jl.load())
+	mRequeues.Add(int64(len(claimable)))
 	if s.recovered > 0 {
 		mRecovered.Add(int64(s.recovered))
-		s.log.Info("journal recovery complete",
-			"recovered", s.recovered, "requeued", len(requeue), "pending_leases", len(pending))
+		s.log.Info("journal recovery complete", "recovered", s.recovered, "requeued", len(claimable))
 	}
-	if len(pending) > 0 {
+	if !cfg.Dispatch {
+		// Admission keeps at most QueueDepth unclaimed jobs; the channel
+		// has room for as many again (IDs of jobs canceled while waiting
+		// stay in it until the worker skips them), plus the recovered
+		// backlog, which rides ahead so a full journal cannot deadlock
+		// startup.
+		s.work = make(chan string, 2*cfg.QueueDepth+s.recovered)
+		for _, id := range claimable {
+			s.work <- id
+		}
 		s.wg.Add(1)
-		go s.reaper(pending)
+		go s.runLocal()
 	}
 	s.registerMetrics()
 	s.wg.Add(1)
-	go s.executor()
+	go s.watcher()
 	return s, nil
 }
 
-// recoverDispatch re-tracks journaled jobs on a fleet frontend restart:
-// nothing is requeued or executed here — workers own execution — the
-// frontend only rebuilds its in-memory views (terminal history included;
-// the watcher adopts each record's real state, fetching artifacts from
-// the shared stores, on its first tick).
-func (s *Server) recoverDispatch(recs []jobRecord) {
+// recoverJobs re-tracks the journal after a restart, the same way in
+// both modes: terminal records are reclaimed, every other job is rebuilt
+// as queued — one whose spec no longer resolves fails visibly — and the
+// IDs of those without a claim file are returned: they are claimable
+// now. A claimed job stays parked until reaping removes its claim.
+func (s *Server) recoverJobs(recs []jobRecord) (claimable []string) {
 	for _, rec := range recs {
 		if n := jobIDNum(rec.ID); n > s.nextID {
 			s.nextID = n
+		}
+		if terminalStatus(rec.Status) {
+			s.journal.remove(rec.ID)
+			continue
 		}
 		j, err := s.rebuildJob(rec)
 		s.jobs[rec.ID] = j
@@ -319,16 +308,76 @@ func (s *Server) recoverDispatch(recs []jobRecord) {
 		s.recovered++
 		if err != nil {
 			j.finish(nil, false, 0, fmt.Errorf("unrecoverable job spec: %w", err))
+		} else if _, claimed := s.journal.claimState(rec.ID); !claimed {
+			claimable = append(claimable, rec.ID)
+		}
+	}
+	return claimable
+}
+
+// rebuildJob reconstructs a job from its journal record, resolving the
+// spec through the same tables admission used (jobBuilder, shared with
+// the worker role). The job is not yet visible to other goroutines.
+func (s *Server) rebuildJob(rec jobRecord) (*job, error) {
+	b := &jobBuilder{base: s.baseCtx, extraScales: s.cfg.ExtraScales, jl: s.journal}
+	j, err := b.build(rec)
+	j.recovered = true
+	j.publish("status", j.viewLocked())
+	return j, err
+}
+
+// runLocal is the in-process worker: it runs the jobs whose IDs arrive
+// on s.work, one at a time — the progress sampler's process-wide
+// SimCount delta relies on that. On shutdown it drains what is already
+// handed over (each job still honors its own context, so an aborted
+// shutdown cancels them), then exits.
+func (s *Server) runLocal() {
+	defer s.wg.Done()
+	for {
+		select {
+		case id := <-s.work:
+			s.runLocalJob(id)
+		case <-s.drain:
+			for {
+				select {
+				case id := <-s.work:
+					s.runLocalJob(id)
+				default:
+					return
+				}
+			}
 		}
 	}
 }
 
-// watcher is the dispatch-mode proxy loop: every ProgressInterval it
-// reads the journal record of each tracked non-terminal job and mirrors
-// worker-side transitions into the in-memory job (status flip, progress
-// samples, terminal adoption with the artifact fetched from the shared
-// store) — so the HTTP surface, SSE streams included, behaves
-// identically whether the job ran in-process or on a fleet worker.
+// runLocalJob wins one job's claim and runs the frontend's own *job, so
+// status and SSE update directly. A job that turned terminal meanwhile
+// is skipped; one a foreign owner holds comes back through reaping once
+// that lease lapses.
+func (s *Server) runLocalJob(id string) {
+	j, ok := s.jobByID(id)
+	if !ok || !j.setHeld(true) {
+		return
+	}
+	if !s.journal.claim(id, s.exec.owner, s.cfg.LeaseTTL) {
+		j.setHeld(false)
+		return
+	}
+	if j.terminal() {
+		// A DELETE won the claim, canceled the job and released the claim
+		// between the check above and our claim.
+		s.journal.releaseClaim(id, s.exec.owner)
+		return
+	}
+	s.exec.runClaimed(j, nil)
+}
+
+// watcher is the frontend's journal loop: every ProgressInterval it
+// reaps expired claims (unless a fleet coordinator owns the journal) and
+// mirrors worker-side transitions into the in-memory jobs it proxies
+// (status flip, progress samples, terminal adoption with the artifact
+// fetched from the shared store) — so the HTTP surface, SSE streams
+// included, behaves identically whichever process ran the job.
 func (s *Server) watcher() {
 	defer s.wg.Done()
 	tick := time.NewTicker(s.cfg.ProgressInterval)
@@ -340,18 +389,41 @@ func (s *Server) watcher() {
 		case <-s.baseCtx.Done():
 			return
 		case <-tick.C:
+			if s.cfg.FleetStatus == nil {
+				s.reap()
+			}
 			s.syncTrackedJobs()
 		}
 	}
 }
 
-// syncTrackedJobs applies one round of journal reads to every tracked
-// non-terminal job.
+// reap requeues the jobs whose claims expired, handing each to the
+// in-process worker. The worker's own claims are spared: its owner is
+// alive by definition.
+func (s *Server) reap() {
+	for _, id := range s.journal.reapExpiredClaims(s.cfg.LeaseTTL, s.exec.owner) {
+		mRequeues.Inc()
+		s.log.Info("lease expired, job requeued", "job", id)
+		if s.work == nil {
+			continue
+		}
+		select {
+		case s.work <- id:
+		case <-s.drain:
+			return
+		}
+	}
+}
+
+// syncTrackedJobs applies one round of journal reads to every proxied
+// job. A running record last written before this server started is
+// stale — its claimant may be dead — so the job shows as queued until
+// the claimant writes again or its claim is reaped.
 func (s *Server) syncTrackedJobs() {
 	s.mu.Lock()
 	open := make([]*job, 0, len(s.order))
 	for _, id := range s.order {
-		if j := s.jobs[id]; !j.terminal() {
+		if j := s.jobs[id]; j.proxied() {
 			open = append(open, j)
 		}
 	}
@@ -364,7 +436,7 @@ func (s *Server) syncTrackedJobs() {
 		switch {
 		case terminalStatus(rec.Status):
 			s.adoptTerminalRecord(j, rec)
-		case rec.Status == StatusRunning:
+		case rec.Status == StatusRunning && rec.UpdatedAt.After(s.started):
 			j.syncRunning(rec)
 		}
 	}
@@ -391,109 +463,23 @@ func (s *Server) adoptTerminalRecord(j *job, rec jobRecord) {
 		}
 	}
 	j.adoptTerminal(rec, res, pm)
-	s.journal.clearCancel(j.id)
 	s.log.Info("job finished on worker", "job", j.id, "status", rec.Status,
 		"worker", rec.Owner, "sims", rec.Sims, "attempts", rec.Attempts)
 }
 
-// recover rebuilds journaled jobs after a restart: terminal records are
-// reclaimed, queued ones (and expired-lease running ones) are returned
-// for immediate requeue, and running jobs whose lease is still live are
-// returned as pending for the reaper to take over at expiry (a live
-// lease may belong to another process sharing the journal). Jobs whose
-// spec no longer resolves, or that already burned the attempt budget
-// (a crash loop), are registered permanently failed instead of
-// requeued.
-func (s *Server) recover(recs []jobRecord) (requeue, pending []*job) {
-	now := time.Now().UTC()
-	for _, rec := range recs {
-		if n := jobIDNum(rec.ID); n > s.nextID {
-			s.nextID = n
-		}
-		if terminalStatus(rec.Status) {
-			s.journal.remove(rec.ID)
-			continue
-		}
-		j, err := s.rebuildJob(rec)
-		s.jobs[rec.ID] = j
-		s.order = append(s.order, rec.ID)
-		s.recovered++
-		switch {
-		case err != nil:
-			j.finish(nil, false, 0, fmt.Errorf("unrecoverable job spec: %w", err))
-		case rec.Attempts >= s.cfg.MaxAttempts:
-			j.finish(nil, false, 0, fmt.Errorf("abandoned after %d attempts (crash loop): %s", rec.Attempts, rec.Error))
-		case rec.Status == StatusRunning && rec.LeaseUntil.After(now):
-			pending = append(pending, j)
-		default:
-			requeue = append(requeue, j)
-		}
-	}
-	return requeue, pending
-}
-
-// rebuildJob reconstructs a job from its journal record, resolving the
-// spec through the same tables admission used (jobBuilder, shared with
-// the worker role), then carries the record's durable state onto it.
-func (s *Server) rebuildJob(rec jobRecord) (*job, error) {
-	b := &jobBuilder{base: s.baseCtx, extraScales: s.cfg.ExtraScales}
-	j, err := b.build(rec)
-	s.adoptRecovered(j, rec)
-	return j, err
-}
-
-// adoptRecovered carries durable state from the record onto a rebuilt
-// job. The job is not yet visible to other goroutines.
-func (s *Server) adoptRecovered(j *job, rec jobRecord) {
-	j.jl = s.journal
-	j.recovered = true
-	j.attempts = rec.Attempts
-	j.leaseUntil = rec.LeaseUntil // the reaper waits this out before requeueing
-	j.created = rec.CreatedAt
-	j.status = StatusQueued
-	j.publish("status", j.viewLocked())
-}
-
-// reaper waits out the live leases of running jobs recovered from the
-// journal and requeues each as its lease expires; pending jobs stay
-// visible as queued in the listing meanwhile. The enqueue blocks if the
-// queue is momentarily full — the reaper, unlike admission, may wait.
-func (s *Server) reaper(pending []*job) {
-	defer s.wg.Done()
-	sort.Slice(pending, func(i, j int) bool {
-		return pending[i].leaseUntil.Before(pending[j].leaseUntil)
-	})
-	for _, j := range pending {
-		wait := time.Until(j.leaseUntil)
-		if wait > 0 {
-			select {
-			case <-time.After(wait):
-			case <-s.baseCtx.Done():
-				return
-			}
-		}
-		j.requeued() // journal the takeover point
-		mRequeues.Inc()
-		s.log.Info("lease expired, job requeued", "job", j.id)
-		select {
-		case s.queue <- j:
-		case <-s.baseCtx.Done():
-			return
-		}
-	}
-}
-
 // Shutdown gracefully stops the server: admission closes immediately
-// (launches get 503), then the executor drains every queued job to
-// completion before exiting. If ctx expires first, the drain turns into
-// an abort — the base context is canceled, so the in-flight job ends
+// (launches get 503), then the in-process worker drains every job handed
+// to it before exiting. If ctx expires first, the drain turns into an
+// abort — the base context is canceled, so the in-flight job ends
 // "canceled" at its next chunk boundary and the remaining queued jobs
-// are marked canceled as the executor pops them. Shutdown returns when
-// the executor has exited; it is idempotent and safe to race with Close.
+// are marked canceled as the worker takes them; their journal records
+// stay requeue-able. Shutdown returns when the worker and watcher have
+// exited, and removes a private journal; it is idempotent and safe to
+// race with Close.
 func (s *Server) Shutdown(ctx context.Context) {
 	// The closing transition is taken under s.mu — the same lock admission
-	// holds across its check-and-enqueue — so after this critical section
-	// no launch can observe closing == false and enqueue later.
+	// holds across its check-and-hand-off — so after this critical section
+	// no launch can observe closing == false and hand a job over later.
 	s.mu.Lock()
 	s.closing.Store(true)
 	s.mu.Unlock()
@@ -510,14 +496,19 @@ func (s *Server) Shutdown(ctx context.Context) {
 		<-done
 	}
 	s.baseCancel()
-	// A launch that won the race (enqueued before the closing transition
-	// above) may still have slipped its job in after the executor drained
-	// and exited; finish any leftovers here — every admitted job is
-	// guaranteed a terminal event, shutdown or not.
+	if s.tempJournal {
+		defer os.RemoveAll(s.journal.dir)
+	}
+	// A launch that won the race (handed over before the closing
+	// transition above) may still have slipped its job in after the worker
+	// drained and exited; finish any leftovers here — every admitted job
+	// is guaranteed a terminal event, shutdown or not.
 	for {
 		select {
-		case j := <-s.queue:
-			j.finish(nil, false, 0, context.Canceled)
+		case id := <-s.work:
+			if j, ok := s.jobByID(id); ok {
+				j.finish(nil, false, 0, context.Canceled)
+			}
 		default:
 			return
 		}
@@ -533,8 +524,8 @@ func (s *Server) Close() {
 	s.Shutdown(ctx)
 }
 
-// Recovered reports how many jobs were rebuilt from the journal at
-// startup (0 without a journal).
+// Recovered reports how many jobs were re-tracked from the journal at
+// startup.
 func (s *Server) Recovered() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -548,33 +539,6 @@ func (s *Server) resolveScale(name string) (harness.Scale, error) {
 		return sc, nil
 	}
 	return harness.ScaleByName(name)
-}
-
-// --- Executor ---
-
-// executor drains the queue into the execution engine (executor.go) —
-// the single-process role's job loop. Fleet workers drain the shared
-// journal through the same engine instead; see worker.go.
-func (s *Server) executor() {
-	defer s.wg.Done()
-	for {
-		select {
-		case j := <-s.queue:
-			s.exec.execute(j)
-		case <-s.drain:
-			// Shutdown: finish whatever is queued (each job still honors
-			// its own context, so an aborted shutdown cancels them), then
-			// exit.
-			for {
-				select {
-				case j := <-s.queue:
-					s.exec.execute(j)
-				default:
-					return
-				}
-			}
-		}
-	}
 }
 
 // --- HTTP API ---
@@ -721,8 +685,8 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		train = harness.TrainSpec{Workload: wl, CacheCfg: cache.DefaultConfig(1), Scale: sc, Config: cfg}
 		// Degraded mode: an open policy breaker sheds training work (every
 		// training job needs a store write to be useful).
-		if !s.polBrk.allow() {
-			shedDegraded(w, s.polBrk, "policy store")
+		if !s.exec.polBrk.allow() {
+			shedDegraded(w, s.exec.polBrk, "policy store")
 			return
 		}
 	} else {
@@ -735,8 +699,8 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		// Degraded mode: with the result-store breaker open, only requests
 		// the store can already answer are admitted — a store hit needs no
 		// write, so degraded is read-only, not down.
-		if !s.store.Has(harness.ExperimentKey(exp.ID, sc)) && !s.storeBrk.allow() {
-			shedDegraded(w, s.storeBrk, "result store")
+		if !s.store.Has(harness.ExperimentKey(exp.ID, sc)) && !s.exec.storeBrk.allow() {
+			shedDegraded(w, s.exec.storeBrk, "result store")
 			return
 		}
 	}
@@ -765,98 +729,89 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		j = newJob(s.baseCtx, id, exp, scaleName, sc)
 	}
 	j.jl = s.journal
-	// Journal before enqueue: a crash in the window between the two (the
-	// FPAdmitCrash failpoint) leaves a journaled job that never reached
-	// the queue — recovery requeues it, which is the at-least-once side
-	// of the durability contract (content-addressed stores make the
-	// possible re-execution idempotent).
-	j.requeued()
+	// Journal before the hand-off: the record IS the enqueue for worker
+	// processes, and a crash in the window before registration (the
+	// FPAdmitCrash failpoint) leaves a journaled job that recovery
+	// requeues — the at-least-once side of the durability contract
+	// (content-addressed stores make the possible re-execution
+	// idempotent).
+	j.journalQueued()
 	if err := fault.Hit(FPAdmitCrash); err != nil {
-		if s.journal != nil {
-			s.journal.remove(id)
-		}
+		s.journal.remove(id)
 		j.cancel()
 		writeError(w, api.Errorf(api.CodeInternal, "admission failed: %v", err))
 		return
 	}
 
+	// Registration and hand-off are one step under mu, so a job is
+	// registered iff a worker can get it.
 	s.mu.Lock()
 	if s.closing.Load() {
 		s.mu.Unlock()
-		if s.journal != nil {
-			s.journal.remove(id)
-		}
+		s.journal.remove(id)
 		j.cancel()
 		shedCounter("closing").Inc()
 		writeError(w, api.Errorf(api.CodeShuttingDown, "server is shutting down"))
 		return
 	}
-	if s.cfg.Dispatch {
-		// Fleet frontend: the journal record written above IS the enqueue —
-		// workers scan for claimable records; nothing enters the in-process
-		// queue. The admission bound is the count of tracked non-terminal
-		// jobs (the fleet-wide backlog), playing the role queue capacity
-		// plays in the single-process path.
-		if s.backlogLocked() >= s.cfg.QueueDepth {
-			s.mu.Unlock()
-			if s.journal != nil {
-				s.journal.remove(id)
-			}
-			j.cancel()
-			shedCounter("queue_full").Inc()
-			s.log.Warn("launch shed: fleet backlog full", "depth", s.cfg.QueueDepth)
-			writeError(w, api.Error{
-				Code:          api.CodeQueueFull,
-				Message:       fmt.Sprintf("fleet backlog full (%d jobs open)", s.cfg.QueueDepth),
-				RetryAfterSec: 1,
-			})
-			return
-		}
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		s.pruneLocked()
+	if s.queuedLocked() >= s.cfg.QueueDepth || !s.handOff(id) {
 		s.mu.Unlock()
-	} else {
-		// The enqueue attempt is non-blocking, so holding mu across it keeps
-		// admission atomic: a job is registered iff it made it into the queue.
-		select {
-		case s.queue <- j:
-			s.jobs[id] = j
-			s.order = append(s.order, id)
-			s.pruneLocked()
-			s.mu.Unlock()
-		default:
-			s.mu.Unlock()
-			// The rejected job was never admitted: drop its journal record and
-			// release its context registration on baseCtx so retry storms
-			// against a full queue don't accumulate canceled children.
-			if s.journal != nil {
-				s.journal.remove(id)
-			}
-			j.cancel()
-			shedCounter("queue_full").Inc()
-			s.log.Warn("launch shed: queue full", "depth", s.cfg.QueueDepth)
-			writeError(w, api.Error{
-				Code:          api.CodeQueueFull,
-				Message:       fmt.Sprintf("job queue full (%d queued)", s.cfg.QueueDepth),
-				RetryAfterSec: 1,
-			})
-			return
-		}
+		// The rejected job was never admitted: drop its journal record and
+		// release its context registration on baseCtx so retry storms
+		// against a full queue don't accumulate canceled children.
+		s.journal.remove(id)
+		j.cancel()
+		shedCounter("queue_full").Inc()
+		s.log.Warn("launch shed: queue full", "depth", s.cfg.QueueDepth)
+		writeError(w, api.Error{
+			Code:          api.CodeQueueFull,
+			Message:       fmt.Sprintf("job queue full (%d queued)", s.cfg.QueueDepth),
+			RetryAfterSec: 1,
+		})
+		return
 	}
+	s.jobs[id] = j
+	s.order = append(s.order, id)
+	s.pruneLocked()
+	s.mu.Unlock()
 	s.log.Info("job admitted", "job", id, "kind", j.kind,
 		"experiment", j.expID, "scale", scaleName)
 	writeJSON(w, http.StatusAccepted, api.JobResponse{Job: j.view()})
 }
 
-// backlogLocked counts tracked non-terminal jobs — the fleet frontend's
-// admission bound. Callers hold s.mu.
-func (s *Server) backlogLocked() int {
+// handOff passes an admitted job to the in-process worker without
+// blocking; false means its channel is full. In dispatch mode the
+// journal record written at admission is the hand-off.
+func (s *Server) handOff(id string) bool {
+	if s.work == nil {
+		return true
+	}
+	select {
+	case s.work <- id:
+		return true
+	default:
+		return false
+	}
+}
+
+// queued counts the jobs waiting to execute — queued and not taken by
+// the in-process worker — for /healthz and /metrics.
+func (s *Server) queued() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queuedLocked()
+}
+
+// queuedLocked is queued for callers holding s.mu; it is also the
+// admission bound (Config.QueueDepth).
+func (s *Server) queuedLocked() int {
 	n := 0
 	for _, j := range s.jobs {
-		if !j.terminal() {
+		j.mu.Lock()
+		if j.status == StatusQueued && !j.held {
 			n++
 		}
+		j.mu.Unlock()
 	}
 	return n
 }
@@ -891,9 +846,7 @@ func (s *Server) pruneLocked() {
 	for _, id := range s.order {
 		if drop > 0 && s.jobs[id].terminal() {
 			delete(s.jobs, id)
-			if s.journal != nil {
-				s.journal.remove(id)
-			}
+			s.journal.remove(id)
 			drop--
 			continue
 		}
@@ -945,39 +898,25 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 			"job %q is already %s; nothing to cancel", j.id, j.view().Status))
 		return
 	}
-	if s.cfg.Dispatch {
-		s.cancelDispatched(j)
-		writeJSON(w, http.StatusOK, api.JobResponse{Job: j.view()})
-		return
-	}
-	// A DELETE is an explicit client decision: the terminal state it
-	// causes is journaled, unlike shutdown-driven cancellation (which
-	// leaves the journal requeue-able).
-	j.markUserCanceled()
-	// Cancel the context first so a job mid-transition (popped from the
-	// queue but not yet running) still observes it; then, if the executor
-	// hasn't picked the job up, finish it here for a prompt terminal event
-	// (finish is idempotent, so racing the executor's own finish is safe).
-	j.cancel()
-	if v := j.view(); v.Status == StatusQueued {
-		j.finish(nil, false, 0, context.Canceled)
-	}
+	s.cancelJob(j)
 	writeJSON(w, http.StatusOK, api.JobResponse{Job: j.view()})
 }
 
-// cancelDispatched cancels a job whose execution lives (or will live) in
-// a worker process. Contexts don't cross process boundaries, so the
-// cancellation races through the claim protocol instead: the frontend
-// tries to claim the job itself — winning means no worker has it (still
-// queued fleet-wide), and the job turns terminal right here, the claim
-// making that decision visible to every scanning worker before the
-// journal write lands. Losing means some worker owns it: a cancel
-// marker asks that worker to abort at its next heartbeat, and the
-// watcher adopts the resulting terminal record.
-func (s *Server) cancelDispatched(j *job) {
+// cancelJob cancels a job through the claim protocol, whichever worker
+// runs it. The frontend tries to claim the job itself: winning means no
+// worker has it, so the job turns terminal right here, the claim making
+// that decision visible to every worker before the journal write lands.
+// Losing means a worker holds it: the in-process worker sees the
+// canceled context at its next chunk boundary, and a worker process —
+// contexts don't cross process boundaries — sees the cancel marker at
+// its next heartbeat; either journals the terminal state. A DELETE is
+// an explicit client decision, so its terminal state is journaled,
+// unlike shutdown-driven cancellation (which leaves the journal
+// requeue-able).
+func (s *Server) cancelJob(j *job) {
 	j.markUserCanceled()
+	j.cancel()
 	if s.journal.claim(j.id, s.frontOwner, s.cfg.LeaseTTL) {
-		j.cancel()
 		j.finish(nil, false, 0, context.Canceled)
 		s.journal.releaseClaim(j.id, s.frontOwner)
 		s.log.Info("queued job canceled", "job", j.id)
@@ -1029,7 +968,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				// Channel closed: the job is terminal. A subscriber that
 				// fell behind may have had the terminal event dropped from
-				// its buffer (publish never blocks the executor), so
+				// its buffer (publish never blocks the worker), so
 				// synthesize it from the job's final state before ending
 				// the stream — every client is guaranteed a terminal event.
 				if !sawTerminal {
@@ -1135,26 +1074,24 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	// flips ok to false and names itself, so fleet probes (and humans)
 	// see "degraded read-only", not a lying green light. The endpoint
 	// still answers 200 — the process is alive and serving store hits.
-	degraded := s.storeBrk.open() || s.polBrk.open()
+	degraded := s.exec.storeBrk.open() || s.exec.polBrk.open()
 	health := api.Health{
 		OK:            !degraded,
 		Degraded:      degraded,
-		Breakers:      map[string]api.BreakerState{"results": s.storeBrk.view(), "policies": s.polBrk.view()},
+		Breakers:      map[string]api.BreakerState{"results": s.exec.storeBrk.view(), "policies": s.exec.polBrk.view()},
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Jobs:          jobs,
 		QueueDepth:    s.cfg.QueueDepth,
-		Queued:        len(s.queue),
+		Queued:        s.queued(),
 		Closing:       s.closing.Load(),
 		Sims:          harness.SimCount(),
 		Workers:       harness.Workers(),
 		Stores:        s.storesHealth(),
-	}
-	if s.journal != nil {
-		health.Journal = &api.JournalHealth{
+		Journal: &api.JournalHealth{
 			Dir:         s.journal.dir,
 			Recovered:   s.recovered,
 			WriteErrors: s.journal.writeErrs.Load(),
-		}
+		},
 	}
 	writeJSON(w, http.StatusOK, health)
 }

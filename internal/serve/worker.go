@@ -1,13 +1,13 @@
 package serve
 
 // The fleet worker role: a thin process loop that drains jobs from a
-// shared journal directory through the same execution engine the
-// standalone server uses (executor.go). Workers hold no HTTP surface
-// and no queue — the journal IS the queue: a non-terminal record with
-// no claim file is claimable, the O_CREATE|O_EXCL claim is the
-// arbitration, and every state transition lands in the record where the
-// fleet frontend's watcher picks it up. pythia-serve -worker runs this
-// loop; the fleet coordinator spawns and scales such processes.
+// shared journal directory through the same claim step and execution
+// engine as a Server's in-process worker (executor.go). Workers hold no
+// HTTP surface and no queue — the journal IS the queue: a non-terminal
+// record with no claim file is claimable, the O_CREATE|O_EXCL claim is
+// the arbitration, and every state transition lands in the record where
+// the fleet frontend's watcher picks it up. pythia-serve -worker runs
+// this loop; the fleet coordinator spawns and scales such processes.
 
 import (
 	"context"
@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"pythia/internal/harness"
-	"pythia/internal/obs"
 	"pythia/internal/policy"
 	"pythia/internal/results"
 )
@@ -101,59 +100,38 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (int64, error) {
 	if cfg.JournalDir == "" {
 		return 0, fmt.Errorf("serve: WorkerConfig.JournalDir is required")
 	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 30 * time.Second
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 100 * time.Millisecond
-	}
-	if cfg.ProgressInterval <= 0 {
-		cfg.ProgressInterval = 250 * time.Millisecond
-	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 100 * time.Millisecond
 	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = time.Second
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
+	ec := Config{
+		Store:            cfg.Store,
+		Policies:         cfg.Policies,
+		LeaseTTL:         cfg.LeaseTTL,
+		MaxAttempts:      cfg.MaxAttempts,
+		RetryBase:        cfg.RetryBase,
+		ProgressInterval: cfg.ProgressInterval,
+		BreakerThreshold: cfg.BreakerThreshold,
+		BreakerCooldown:  cfg.BreakerCooldown,
+		Logger:           cfg.Logger,
 	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 15 * time.Second
-	}
-	log := cfg.Logger
-	if log == nil {
-		log = obs.NopLogger()
-	}
+	ec.defaults()
 
 	jl, err := openJournal(cfg.JournalDir)
 	if err != nil {
 		return 0, err
 	}
 	owner := NewOwnerID(cfg.Label)
+	ec.Logger = ec.Logger.With("worker", owner)
 	w := &worker{
-		cfg:   cfg,
-		jl:    jl,
-		owner: owner,
-		ctx:   ctx,
-		log:   log.With("worker", owner),
-		exec: &executor{
-			store:            cfg.Store,
-			policies:         cfg.Policies,
-			storeBrk:         newBreaker("results", cfg.BreakerThreshold, cfg.BreakerCooldown),
-			polBrk:           newBreaker("policies", cfg.BreakerThreshold, cfg.BreakerCooldown),
-			journal:          jl,
-			leaseTTL:         cfg.LeaseTTL,
-			maxAttempts:      cfg.MaxAttempts,
-			retryBase:        cfg.RetryBase,
-			progressInterval: cfg.ProgressInterval,
-			owner:            owner,
-			log:              log.With("worker", owner),
-		},
+		cfg:     cfg,
+		jl:      jl,
+		owner:   owner,
+		ctx:     ctx,
+		log:     ec.Logger,
+		exec:    newExecutor(ec, jl, owner),
 		started: time.Now().UTC(),
 	}
 	w.log.Info("worker up", "journal", cfg.JournalDir, "pid", os.Getpid())
@@ -210,116 +188,31 @@ func (w *worker) drainOne() bool {
 		if _, claimed := w.jl.claimState(rec.ID); claimed {
 			continue
 		}
-		if !w.jl.claim(rec.ID, w.owner, w.cfg.LeaseTTL) {
+		if !w.jl.claim(rec.ID, w.owner, w.exec.leaseTTL) {
 			continue // lost the race for this one; try the next
 		}
-		w.runClaimed(rec)
+		// Re-read under the claim: a frontend cancels a queued job by
+		// winning its claim, finishing it and releasing the claim, which
+		// may all fall between this scan and the claim above.
+		cur, ok := w.jl.get(rec.ID)
+		if !ok || terminalStatus(cur.Status) {
+			w.jl.releaseClaim(rec.ID, w.owner)
+			continue
+		}
+		b := &jobBuilder{base: w.ctx, extraScales: w.cfg.ExtraScales, jl: w.jl}
+		j, err := b.build(cur)
+		w.setState("busy", cur.ID)
+		finished, sims := w.exec.runClaimed(j, err)
+		w.mu.Lock()
+		if finished {
+			w.jobs++
+		}
+		w.sims += sims
+		w.mu.Unlock()
+		w.setState("idle", "")
 		return true
 	}
 	return false
-}
-
-// runClaimed executes one job this worker just claimed.
-func (w *worker) runClaimed(rec jobRecord) {
-	// A cancel marker may have landed while the job sat queued (the
-	// frontend lost the claim race to nobody — the marker is its fallback
-	// signal); honor it before spending any work.
-	if w.jl.cancelRequested(rec.ID) {
-		w.finishCanceled(rec)
-		w.jl.releaseClaim(rec.ID, w.owner)
-		return
-	}
-	// The attempt budget is fleet-wide, carried by the record: a job that
-	// kills every worker that touches it (crash loop) gets abandoned here
-	// on its way into yet another execution, exactly like single-process
-	// recovery abandons it at startup.
-	if rec.Attempts >= w.cfg.MaxAttempts {
-		w.abandon(rec)
-		w.jl.releaseClaim(rec.ID, w.owner)
-		return
-	}
-
-	j, err := w.rebuild(rec)
-	if err != nil {
-		w.log.Warn("unrecoverable job spec", "job", rec.ID, "error", err.Error())
-		j.finish(nil, false, 0, fmt.Errorf("unrecoverable job spec: %w", err))
-		w.jl.releaseClaim(rec.ID, w.owner)
-		return
-	}
-	w.setState("busy", rec.ID)
-	startSims := harness.SimCount()
-	w.exec.execute(j)
-	executed := harness.SimCount() - startSims
-
-	if j.lostLease() {
-		// The claim was reaped mid-run and may belong to a new owner now;
-		// this worker must not touch it (or the record) further.
-		w.log.Warn("job orphaned mid-run", "job", rec.ID)
-		w.bumpCounters(0, executed)
-		w.setState("idle", "")
-		return
-	}
-	if v := j.view(); v.Status == StatusCanceled && !w.canceledByUser(j) {
-		// Shutdown-driven cancel: the record keeps its pre-cancel state
-		// (finishWith skipped the journal write), so releasing the claim
-		// requeues the job for a surviving worker.
-		w.log.Info("job released for requeue (worker draining)", "job", rec.ID)
-		w.bumpCounters(0, executed)
-	} else {
-		w.bumpCounters(1, executed)
-	}
-	w.jl.releaseClaim(rec.ID, w.owner)
-	w.setState("idle", "")
-}
-
-// bumpCounters folds one execution's outcome into the heartbeat totals.
-func (w *worker) bumpCounters(jobs, sims int64) {
-	w.mu.Lock()
-	w.jobs += jobs
-	w.sims += sims
-	w.mu.Unlock()
-}
-
-// canceledByUser reports whether the job's cancellation was a client
-// decision (cancel marker honored) rather than worker shutdown.
-func (w *worker) canceledByUser(j *job) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.userCanceled
-}
-
-// finishCanceled writes the terminal canceled record for a job whose
-// cancel marker arrived before execution.
-func (w *worker) finishCanceled(rec jobRecord) {
-	j, _ := w.rebuild(rec)
-	j.markUserCanceled()
-	j.cancel()
-	j.finish(nil, false, 0, context.Canceled)
-	w.jl.clearCancel(rec.ID)
-	w.log.Info("queued job canceled by marker", "job", rec.ID)
-}
-
-// abandon writes the terminal error record for a job that burned its
-// fleet-wide attempt budget.
-func (w *worker) abandon(rec jobRecord) {
-	j, _ := w.rebuild(rec)
-	j.finish(nil, false, 0,
-		fmt.Errorf("abandoned after %d attempts (crash loop): %s", rec.Attempts, rec.Error))
-	w.log.Warn("job abandoned (attempt budget)", "job", rec.ID, "attempts", rec.Attempts)
-}
-
-// rebuild reconstructs an executable job from its journal record — the
-// worker-side mirror of Server.rebuildJob, resolving through the same
-// tables. Even on error a placeholder job is returned so the caller can
-// journal a terminal state.
-func (w *worker) rebuild(rec jobRecord) (*job, error) {
-	b := &jobBuilder{base: w.ctx, extraScales: w.cfg.ExtraScales}
-	j, err := b.build(rec)
-	j.jl = w.jl
-	j.attempts = rec.Attempts
-	j.created = rec.CreatedAt
-	j.owner = w.owner
-	return j, err
 }
 
 // setState records a state transition and lands it immediately (the
