@@ -169,6 +169,67 @@ func TestPythiaTrainAllocationFree(t *testing.T) {
 	}
 }
 
+// workloadAccesses concatenates the first n records of one
+// representative workload per suite as training accesses, so every
+// prefetcher sees the streams, strides, footprints and irregular traffic
+// that make it emit candidates.
+func workloadAccesses(n int) []prefetch.Access {
+	var out []prefetch.Access
+	for _, suite := range trace.Suites() {
+		for _, r := range trace.Representative(suite)[0].Generate(n).Records {
+			out = append(out, prefetch.Access{PC: r.PC, Line: r.Addr >> 6, Cycle: int64(len(out)), Store: r.Store})
+		}
+	}
+	return out
+}
+
+// TestPrefetchersTrainAllocationFree asserts that every prefetcher the
+// harness builds trains without allocating in steady state: each reuses
+// one candidate buffer across Train calls (the prefetch.Prefetcher
+// contract), so the simulation's training path allocates nothing per
+// access.
+func TestPrefetchersTrainAllocationFree(t *testing.T) {
+	fdp := harness.PF{Name: "FDP(SPP)", L2: func(sys prefetch.System) prefetch.Prefetcher {
+		return prefetch.NewFDP(prefetch.DefaultFDPConfig(), prefetch.NewSPP(prefetch.DefaultSPPConfig()), sys)
+	}}
+	pfs := []harness.PF{
+		harness.Baseline(), harness.SPPPF(), harness.BingoPF(), harness.MLOPPF(),
+		harness.DSPatchPF(), harness.PPFPF(), harness.StridePF(), harness.BasicPythiaPF(),
+		harness.CPHWPF(), harness.Power7PF(), harness.IPCPPF(), harness.StrideStreamerPF(),
+		harness.StridePythiaPF(), fdp,
+		harness.HybridPF("St+S+B+D+M", harness.StridePF(), harness.SPPPF(), harness.BingoPF(),
+			harness.DSPatchPF(), harness.MLOPPF()),
+	}
+	acc := workloadAccesses(4000)
+	for _, pf := range pfs {
+		for level, build := range []func(prefetch.System) prefetch.Prefetcher{pf.L1, pf.L2} {
+			if build == nil {
+				continue
+			}
+			p := build(prefetch.NilSystem())
+			issued := 0
+			pass := func() {
+				for _, a := range acc {
+					cands := p.Train(a)
+					for _, c := range cands {
+						p.Fill(c)
+					}
+					issued += len(cands)
+				}
+			}
+			// One op is a whole pass, so a single allocation anywhere in
+			// it fails the test. AllocsPerRun's own warm-up pass grows
+			// every reused buffer and table to steady state.
+			if avg := testing.AllocsPerRun(3, pass); avg != 0 {
+				t.Errorf("%s L%d (%s).Train allocates %.0f times per %d accesses, want 0", pf.Name, level+1, p.Name(), avg, len(acc))
+			}
+			if p.Name() != "nopref" && issued == 0 {
+				t.Errorf("%s L%d issued no candidates: the traffic does not exercise it", pf.Name, level+1)
+			}
+		}
+	}
+}
+
 // TestQVStoreSearchAllocationFree pins the resolve+search path at zero
 // allocations.
 func TestQVStoreSearchAllocationFree(t *testing.T) {

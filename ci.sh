@@ -14,7 +14,9 @@
 #   ci.sh full    quick + chaos, plus the race detector over every
 #                 concurrent subsystem, a QVStore benchmark smoke so
 #                 hot-path perf regressions fail loudly (the benchmark
-#                 run also executes the allocation-budget tests), and a
+#                 run also executes the allocation-budget tests), the
+#                 perfbench tests plus a short run of each workload
+#                 (correctness checks gate, timings do not), and a
 #                 load smoke: pythia-load drives a live pythia-serve
 #                 under SLOs and proves the store absorbs repeat traffic
 #
@@ -256,6 +258,24 @@ if [ "$tier" = full ]; then
 
     echo "== bench smoke (QVStore hot path) =="
     go test -run='AllocationFree' -bench='QVStore' -benchtime=100x -benchmem .
+
+    echo "== perfbench (benchmark tests + one short run per workload) =="
+    # perfbench is a module of its own, outside ./...: vet and test it,
+    # then run every workload BENCHMARK.json declares for two seconds.
+    # Its correctness checks gate (a non-zero exit, or "failed" > 0 in the
+    # JSON line); its timings never do. The JSON lines are kept in
+    # $PERFBENCH_OUT (a temp dir by default) so CI can upload them.
+    (cd perfbench && go vet . && go test .)
+    pb_out=${PERFBENCH_OUT:-$(mktemp -d)}
+    mkdir -p "$pb_out"
+    for w in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+        bash perfbench/run.sh --workload "$w" --seed 1 --seconds 2 --trace 0 >"$pb_out/$w.json"
+        tail -n 1 "$pb_out/$w.json" | python3 -c '
+import json, sys
+d = json.load(sys.stdin)
+print("perfbench %s: %d checks, %d failed" % (sys.argv[1], d["attempted"], d["failed"]))
+sys.exit(1 if d["failed"] > 0 else 0)' "$w"
+    done
 
     echo "== load smoke (pythia-load vs live pythia-serve) =="
     # Boot a real pythia-serve subprocess, seed its result store, and

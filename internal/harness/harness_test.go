@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -341,5 +342,33 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Errorf("%s CSV empty", e.ID)
 			}
 		})
+	}
+}
+
+// TestRunAllocDoesNotScaleWithTraceLen checks that a materialized run
+// replays its resident trace in place: the bytes one Run allocates (the
+// hierarchy, the cores and a batch-sized column buffer) must not grow
+// with the trace. Each trace is generated and cached by a first run, so
+// only the second run of each length is measured.
+func TestRunAllocDoesNotScaleWithTraceLen(t *testing.T) {
+	t.Cleanup(ResetCaches)
+	allocated := func(traceLen int) int64 {
+		sc := tinyScale
+		sc.TraceLen = traceLen
+		spec := RunSpec{Mix: tinyMix(t), CacheCfg: cache.DefaultConfig(1), Scale: sc, PF: Baseline()}
+		if _, err := Run(bg, spec); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(bg, spec); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	short, long := allocated(50_000), allocated(400_000)
+	if d := long - short; d >= 1<<20 || d <= -1<<20 {
+		t.Errorf("Run allocated %d B at TraceLen 50k and %d B at 400k: differs by %d B, want < 1 MB", short, long, d)
 	}
 }

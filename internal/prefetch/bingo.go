@@ -46,6 +46,7 @@ type Bingo struct {
 	cfg BingoConfig
 	at  []bingoGen
 	pht []bingoPHTEntry
+	buf []uint64
 }
 
 // NewBingo builds a Bingo instance.
@@ -148,12 +149,13 @@ func (b *Bingo) Train(a Access) []uint64 {
 		return nil
 	}
 	base := region * bingoRegionLines
-	var out []uint64
+	out := b.buf[:0]
 	for i := 0; i < bingoRegionLines; i++ {
 		if fp&(1<<uint(i)) != 0 && i != off {
 			out = append(out, base+uint64(i))
 		}
 	}
+	b.buf = out
 	return clampToPage(a.Line, out)
 }
 

@@ -49,6 +49,7 @@ type DSPatch struct {
 	sys System
 	spt []dspatchSPT
 	at  []dspatchGen
+	buf []uint64
 }
 
 // NewDSPatch builds a DSPatch using sys for bandwidth feedback.
@@ -122,12 +123,13 @@ func (d *DSPatch) Train(a Access) []uint64 {
 		return nil
 	}
 	base := region * dspatchRegionLines
-	var out []uint64
+	out := d.buf[:0]
 	for i := 0; i < dspatchRegionLines; i++ {
 		if pattern&(1<<uint(i)) != 0 && i != off {
 			out = append(out, base+uint64(i))
 		}
 	}
+	d.buf = out
 	return clampToPage(a.Line, out)
 }
 

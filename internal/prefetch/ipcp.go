@@ -49,6 +49,7 @@ type IPCP struct {
 	gsLast uint64
 	gsRun  int
 	gsDir  int64
+	buf    []uint64
 }
 
 // NewIPCP builds an IPCP instance.
@@ -128,7 +129,7 @@ func (p *IPCP) Train(a Access) []uint64 {
 		e.class = ipcpClassNone
 	}
 
-	var out []uint64
+	out := p.buf[:0]
 	switch e.class {
 	case ipcpClassCS:
 		next := a.Line
@@ -154,6 +155,7 @@ func (p *IPCP) Train(a Access) []uint64 {
 			sig = uint16((int(sig)<<3 ^ int(int64(cc.delta)&0x3f)) & 4095)
 		}
 	}
+	p.buf = out
 	if len(out) == 0 {
 		return nil
 	}

@@ -49,6 +49,7 @@ type MLOP struct {
 	scores  [mlopNumOff]int
 	chosen  []int
 	trained int
+	buf     []uint64
 }
 
 // NewMLOP builds an MLOP instance.
@@ -120,10 +121,11 @@ func (m *MLOP) emit(a Access) []uint64 {
 	if len(m.chosen) == 0 {
 		return nil
 	}
-	out := make([]uint64, 0, len(m.chosen))
+	out := m.buf[:0]
 	for _, d := range m.chosen {
 		out = append(out, uint64(int64(a.Line)+int64(d)))
 	}
+	m.buf = out
 	return clampToPage(a.Line, out)
 }
 

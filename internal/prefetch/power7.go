@@ -41,6 +41,7 @@ type Power7 struct {
 	seen     int
 	useful   int
 	issued   int
+	buf      []uint64
 }
 
 // NewPower7 builds the adaptive prefetcher.
@@ -74,8 +75,9 @@ func (p *Power7) Train(a Access) []uint64 {
 		p.adapt()
 	}
 
-	out := p.streamer.Train(a)
+	out := append(p.buf[:0], p.streamer.Train(a)...)
 	out = append(out, p.stride.Train(a)...)
+	p.buf = out
 	for _, l := range out {
 		p.window.add(l)
 	}

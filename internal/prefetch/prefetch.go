@@ -35,9 +35,15 @@ type System interface {
 // Prefetcher is the interface the cache hierarchy drives.
 //
 // Train observes a demand access and returns the line addresses to prefetch
-// (possibly none). Fill notifies the prefetcher that one of its prefetches
-// has been filled into the cache, which Pythia uses to set the EQ filled bit
-// (timeliness classification, Algorithm 1 step 7).
+// (possibly none). The returned slice is a buffer the prefetcher reuses: it
+// is valid only until that prefetcher's next Train call and must not be
+// kept (copy it to keep it). Callers may filter it in place, as FDP and PPF
+// do with their inner prefetcher's candidates. This is what keeps the
+// simulation's training path free of per-access allocation.
+//
+// Fill notifies the prefetcher that one of its prefetches has been filled
+// into the cache, which Pythia uses to set the EQ filled bit (timeliness
+// classification, Algorithm 1 step 7).
 type Prefetcher interface {
 	Name() string
 	Train(a Access) []uint64
@@ -71,6 +77,7 @@ func (None) Fill(uint64) {}
 type Multi struct {
 	name  string
 	parts []Prefetcher
+	buf   []uint64
 }
 
 // NewMulti builds a hybrid from parts.
@@ -83,10 +90,11 @@ func (m *Multi) Name() string { return m.name }
 
 // Train implements Prefetcher.
 func (m *Multi) Train(a Access) []uint64 {
-	var out []uint64
+	out := m.buf[:0]
 	for _, p := range m.parts {
 		out = append(out, p.Train(a)...)
 	}
+	m.buf = out
 	return out
 }
 

@@ -53,6 +53,7 @@ type SPP struct {
 	cfg SPPConfig
 	st  []sppSTEntry
 	pt  []sppPTEntry
+	buf []uint64
 }
 
 // NewSPP builds an SPP instance.
@@ -159,7 +160,7 @@ func (s *SPP) Train(a Access) []uint64 {
 	}
 
 	// Lookahead: walk the signature path while confidence holds.
-	var out []uint64
+	out := s.buf[:0]
 	conf := 1.0
 	curSig := sig
 	line := a.Line
@@ -180,6 +181,7 @@ func (s *SPP) Train(a Access) []uint64 {
 		curSig = sppAdvance(curSig, d)
 		line = next
 	}
+	s.buf = out
 	return out
 }
 

@@ -12,6 +12,7 @@ type Stride struct {
 	degree  int
 	entries []strideEntry
 	mask    uint64
+	buf     []uint64
 }
 
 type strideEntry struct {
@@ -65,12 +66,13 @@ func (s *Stride) Train(a Access) []uint64 {
 	if e.conf < 2 {
 		return nil
 	}
-	var out []uint64
+	out := s.buf[:0]
 	next := a.Line
 	for i := 0; i < s.degree; i++ {
 		next = uint64(int64(next) + e.stride)
 		out = append(out, next)
 	}
+	s.buf = out
 	return clampToPage(a.Line, out)
 }
 
@@ -81,6 +83,7 @@ func (s *Stride) Fill(uint64) {}
 // baseline and a building block for tests.
 type NextLine struct {
 	degree int
+	buf    []uint64
 }
 
 // NewNextLine builds a next-line prefetcher of the given degree.
@@ -96,10 +99,11 @@ func (n *NextLine) Name() string { return "nextline" }
 
 // Train implements Prefetcher.
 func (n *NextLine) Train(a Access) []uint64 {
-	out := make([]uint64, 0, n.degree)
+	out := n.buf[:0]
 	for i := 1; i <= n.degree; i++ {
 		out = append(out, a.Line+uint64(i))
 	}
+	n.buf = out
 	return clampToPage(a.Line, out)
 }
 
@@ -114,6 +118,7 @@ type Streamer struct {
 	depth   int
 	entries []streamEntry
 	mask    uint64
+	buf     []uint64
 }
 
 type streamEntry struct {
@@ -181,10 +186,11 @@ func (s *Streamer) Train(a Access) []uint64 {
 	if e.conf < 2 || s.depth == 0 {
 		return nil
 	}
-	out := make([]uint64, 0, s.depth)
+	out := s.buf[:0]
 	for i := 1; i <= s.depth; i++ {
 		out = append(out, uint64(int64(a.Line)+int64(i)*int64(dir)))
 	}
+	s.buf = out
 	return clampToPage(a.Line, out)
 }
 

@@ -176,6 +176,56 @@ func TestMultiComposition(t *testing.T) {
 	m.Fill(501) // must not panic
 }
 
+// TestCompositesOwnTheirCandidates checks Multi and Power7 against fresh
+// reference instances of their parts: each Train must return exactly the
+// concatenation of the parts' candidates for that access, although every
+// part reuses one buffer across calls. Two access streams interleave so
+// consecutive calls draw candidates from different parts.
+func TestCompositesOwnTheirCandidates(t *testing.T) {
+	cfg := DefaultPower7Config()
+	cases := map[string]func() (Prefetcher, []Prefetcher){
+		"multi": func() (Prefetcher, []Prefetcher) {
+			return NewMulti("m", NewNextLine(2), NewStride(256, 2), NewStreamer(64, 4), NewPower7(cfg)),
+				[]Prefetcher{NewNextLine(2), NewStride(256, 2), NewStreamer(64, 4), NewPower7(cfg)}
+		},
+		// Below one adaptation interval POWER7's depth stays at the
+		// middle of its ladder, so it is a streamer plus a stride engine.
+		"power7": func() (Prefetcher, []Prefetcher) {
+			return NewPower7(cfg), []Prefetcher{NewStreamer(64, cfg.Depths[len(cfg.Depths)/2]), NewStride(256, 2)}
+		},
+	}
+	for name, build := range cases {
+		p, parts := build()
+		up, strided := uint64(1<<22), uint64(1<<24)
+		emitted := 0
+		for i := 0; i < cfg.Interval-1; i++ {
+			a := Access{PC: 0x100, Line: up}
+			up++
+			if i%2 == 1 {
+				a = Access{PC: 0x200, Line: strided}
+				strided += 3
+			}
+			got := p.Train(a)
+			var want []uint64
+			for _, r := range parts {
+				want = append(want, r.Train(a)...)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s access %d: %d candidates, want %d", name, i, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("%s access %d: candidates %v, want %v", name, i, got, want)
+				}
+			}
+			emitted += len(got)
+		}
+		if emitted == 0 {
+			t.Errorf("%s emitted no candidates", name)
+		}
+	}
+}
+
 func TestNonePrefetcher(t *testing.T) {
 	var n None
 	if got := n.Train(Access{Line: 1}); got != nil {

@@ -126,7 +126,7 @@ func FillChunk(it Iter, c *Chunk, max int) int {
 // chunkingReader adapts a record-at-a-time Reader to the ChunkReader
 // fast path by batching Next calls into an internal column buffer. It is
 // how the simulation kernel consumes readers that have no native batch
-// path (materialized SliceReaders, test readers): the record sequence is
+// path (test readers, record-at-a-time adapters): the record sequence is
 // exactly the wrapped reader's, delivered batch-wise.
 type chunkingReader struct {
 	r   Reader

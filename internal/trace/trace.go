@@ -69,63 +69,66 @@ type Reader interface {
 }
 
 // SliceReader adapts a materialized record slice to the Reader interface.
-// Internally the records live in column (SoA) layout, converted once at
-// construction: NextChunk serves zero-copy column views, so slice-backed
-// traces (cached harness traces, microbenches, tests) feed the batched
-// kernel without a per-record copy, and Reset is a cursor rewind.
+// It reads the caller's records in place: nothing proportional to the
+// trace is copied at construction or on Reset (a cursor rewind), so any
+// number of readers can replay one resident trace. NextChunk transposes
+// at most one batch into a column buffer the reader owns and reuses
+// across calls, which the ChunkReader contract allows: a chunk lives only
+// until the next NextChunk, Next or Reset.
 type SliceReader struct {
-	cols  Chunk // the whole trace, in column layout
+	recs  []Record
 	pos   int
-	batch int // NextChunk view size; 0 = DefaultBatch
+	batch int   // NextChunk batch size; 0 = DefaultBatch
+	buf   Chunk // NextChunk's reused column buffer
 }
 
-// NewSliceReader returns a Reader over recs. The records are copied into
-// column layout; later mutation of recs does not affect the reader.
+// NewSliceReader returns a Reader over recs. The reader keeps recs rather
+// than a copy, so the caller must not mutate them while reading.
 func NewSliceReader(recs []Record) *SliceReader {
-	c := NewChunk(len(recs))
-	for i := range recs {
-		c.Append(recs[i])
-	}
-	return &SliceReader{cols: *c}
+	return &SliceReader{recs: recs}
 }
 
 // Next implements Reader.
 func (s *SliceReader) Next() (Record, bool) {
-	if s.pos >= s.cols.Len() {
+	if s.pos >= len(s.recs) {
 		return Record{}, false
 	}
-	r := s.cols.At(s.pos)
+	r := s.recs[s.pos]
 	s.pos++
 	return r, true
 }
 
-// NextChunk implements ChunkReader: the returned chunk is a view into the
-// reader's columns, valid until Reset (nothing is overwritten by
-// subsequent calls, but the blanket ChunkReader contract applies).
+// NextChunk implements ChunkReader: it transposes the next batch of
+// records into the reader's column buffer and returns a view of it, valid
+// until the next NextChunk, Next or Reset call.
 func (s *SliceReader) NextChunk() (Chunk, bool) {
-	n := s.cols.Len()
-	if s.pos >= n {
+	n := len(s.recs) - s.pos
+	if n <= 0 {
 		return Chunk{}, false
 	}
 	b := s.batch
 	if b <= 0 {
 		b = DefaultBatch
 	}
-	end := s.pos + b
-	if end > n {
-		end = n
+	if n > b {
+		n = b
 	}
-	ch := Chunk{
-		PC:     s.cols.PC[s.pos:end],
-		Addr:   s.cols.Addr[s.pos:end],
-		NonMem: s.cols.NonMem[s.pos:end],
-		Store:  s.cols.Store[s.pos:end],
+	c := &s.buf
+	if cap(c.PC) < n {
+		*c = *NewChunk(min(b, len(s.recs)))
 	}
-	s.pos = end
-	return ch, true
+	c.PC, c.Addr, c.NonMem, c.Store = c.PC[:n], c.Addr[:n], c.NonMem[:n], c.Store[:n]
+	for i, r := range s.recs[s.pos : s.pos+n] {
+		c.PC[i] = r.PC
+		c.Addr[i] = r.Addr
+		c.NonMem[i] = r.NonMem
+		c.Store[i] = r.Store
+	}
+	s.pos += n
+	return *c, true
 }
 
-// SetBatch sets the view size NextChunk serves (n <= 0 restores
+// SetBatch sets the batch size NextChunk serves (n <= 0 restores
 // DefaultBatch). Batch size is delivery granularity only; it never changes
 // the record sequence.
 func (s *SliceReader) SetBatch(n int) { s.batch = n }
@@ -134,4 +137,4 @@ func (s *SliceReader) SetBatch(n int) { s.batch = n }
 func (s *SliceReader) Reset() { s.pos = 0 }
 
 // Len returns the number of records in the trace.
-func (s *SliceReader) Len() int { return s.cols.Len() }
+func (s *SliceReader) Len() int { return len(s.recs) }
