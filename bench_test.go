@@ -1,16 +1,15 @@
-// Package pythia_test holds the top-level benchmark harness: one
-// testing.B benchmark per table and figure of the paper (printing the
-// regenerated rows on first run), micro-benchmarks of the hot paths (see
-// PERF.md for what each one measures and the recorded trajectory), and
-// ablation benches for the design choices called out in DESIGN.md.
+// Package pythia_test holds the top-level micro-benchmarks of the hot
+// paths (see PERF.md for what each one measures and the recorded
+// trajectory), the allocation-budget tests, ablation benches for the
+// design choices called out in DESIGN.md, and the scorecard bench.
 //
 // Run everything with:
 //
 //	go test -bench=. -benchmem
 //
-// Figure benches execute at ScaleQuick so the full suite finishes in
-// minutes; use cmd/pythia-bench -scale default (optionally -parallel N
-// and -json BENCH_<pr>.json) for the EXPERIMENTS.md numbers.
+// The paper's tables and figures are regenerated by cmd/pythia-bench
+// (-exp ID -scale quick|default); the end-to-end performance record is
+// perfbench (PERF.md "Running the benchmarks").
 package pythia_test
 
 import (
@@ -54,34 +53,6 @@ func benchExperiment(b *testing.B, id string) {
 		fmt.Println(table.Render())
 	})
 }
-
-func BenchmarkTable2(b *testing.B) { benchExperiment(b, "table2") }
-func BenchmarkTable4(b *testing.B) { benchExperiment(b, "table4") }
-func BenchmarkTable7(b *testing.B) { benchExperiment(b, "table7") }
-func BenchmarkTable8(b *testing.B) { benchExperiment(b, "table8") }
-func BenchmarkFig1(b *testing.B)   { benchExperiment(b, "fig1") }
-func BenchmarkFig7(b *testing.B)   { benchExperiment(b, "fig7") }
-func BenchmarkFig8a(b *testing.B)  { benchExperiment(b, "fig8a") }
-func BenchmarkFig8b(b *testing.B)  { benchExperiment(b, "fig8b") }
-func BenchmarkFig8c(b *testing.B)  { benchExperiment(b, "fig8c") }
-func BenchmarkFig8d(b *testing.B)  { benchExperiment(b, "fig8d") }
-func BenchmarkFig9a(b *testing.B)  { benchExperiment(b, "fig9a") }
-func BenchmarkFig9b(b *testing.B)  { benchExperiment(b, "fig9b") }
-func BenchmarkFig10a(b *testing.B) { benchExperiment(b, "fig10a") }
-func BenchmarkFig10b(b *testing.B) { benchExperiment(b, "fig10b") }
-func BenchmarkFig11(b *testing.B)  { benchExperiment(b, "fig11") }
-func BenchmarkFig12(b *testing.B)  { benchExperiment(b, "fig12") }
-func BenchmarkFig13(b *testing.B)  { benchExperiment(b, "fig13") }
-func BenchmarkFig14(b *testing.B)  { benchExperiment(b, "fig14") }
-func BenchmarkFig15(b *testing.B)  { benchExperiment(b, "fig15") }
-func BenchmarkFig16(b *testing.B)  { benchExperiment(b, "fig16") }
-func BenchmarkFig17(b *testing.B)  { benchExperiment(b, "fig17") }
-func BenchmarkFig18(b *testing.B)  { benchExperiment(b, "fig18") }
-func BenchmarkFig19(b *testing.B)  { benchExperiment(b, "fig19") }
-func BenchmarkFig20(b *testing.B)  { benchExperiment(b, "fig20") }
-func BenchmarkFig21(b *testing.B)  { benchExperiment(b, "fig21") }
-func BenchmarkFig22(b *testing.B)  { benchExperiment(b, "fig22") }
-func BenchmarkFig23(b *testing.B)  { benchExperiment(b, "fig23") }
 
 // --- Micro-benchmarks of the hot paths ---
 
@@ -519,12 +490,5 @@ func BenchmarkAblationSingleFeature(b *testing.B) {
 	}, "pcdeltaonly")
 }
 
-// --- Extended-study benches (design-space methods and ablations) ---
-
-func BenchmarkExtPruning(b *testing.B)    { benchExperiment(b, "ext-pruning") }
-func BenchmarkExtAutoTune(b *testing.B)   { benchExperiment(b, "ext-autotune") }
-func BenchmarkExtFDP(b *testing.B)        { benchExperiment(b, "ext-fdp") }
-func BenchmarkExtXlat(b *testing.B)       { benchExperiment(b, "ext-xlat") }
-func BenchmarkExtFixedPoint(b *testing.B) { benchExperiment(b, "ext-fixedpoint") }
-
+// BenchmarkScorecard regenerates the paper-claim scorecard at quick scale.
 func BenchmarkScorecard(b *testing.B) { benchExperiment(b, "scorecard") }

@@ -16,9 +16,11 @@
 #                 hot-path perf regressions fail loudly (the benchmark
 #                 run also executes the allocation-budget tests), the
 #                 perfbench tests plus a short run of each workload
-#                 (correctness checks gate, timings do not), and a
-#                 load smoke: pythia-load drives a live pythia-serve
-#                 under SLOs and proves the store absorbs repeat traffic
+#                 (correctness checks gate, timings do not), a
+#                 pythia-bench CLI check (CSV tables byte-identical at
+#                 -parallel 1 and 2, bad -exp exits 2), and a load
+#                 smoke: pythia-load drives a live pythia-serve under
+#                 SLOs and proves the store absorbs repeat traffic
 #
 # With no argument, full runs (unchanged historical behavior).
 set -eu
@@ -276,6 +278,29 @@ d = json.load(sys.stdin)
 print("perfbench %s: %d checks, %d failed" % (sys.argv[1], d["attempted"], d["failed"]))
 sys.exit(1 if d["failed"] > 0 else 0)' "$w"
     done
+
+    echo "== pythia-bench CLI (worker-count determinism, bad -exp exits 2) =="
+    # Worker count changes wall time only, never a table: the CSVs of one
+    # experiment set at -parallel 1 and -parallel 2 must be byte-identical.
+    cli=$(mktemp -d)
+    go build -o "$cli/pythia-bench" ./cmd/pythia-bench
+    for p in 1 2; do
+        "$cli/pythia-bench" -exp fig8d,ext-warmstart -scale quick -parallel "$p" \
+            -csv "$cli/csv-p$p" >"$cli/p$p.log"
+    done
+    if ! diff -r "$cli/csv-p1" "$cli/csv-p2"; then
+        echo "pythia-bench tables differ between -parallel 1 and -parallel 2" >&2
+        rm -rf "$cli"
+        exit 1
+    fi
+    exp_status=0
+    "$cli/pythia-bench" -exp bogus 2>/dev/null || exp_status=$?
+    if [ "$exp_status" -ne 2 ]; then
+        echo "pythia-bench -exp bogus exited $exp_status, want 2" >&2
+        rm -rf "$cli"
+        exit 1
+    fi
+    rm -rf "$cli"
 
     echo "== load smoke (pythia-load vs live pythia-serve) =="
     # Boot a real pythia-serve subprocess, seed its result store, and

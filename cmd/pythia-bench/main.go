@@ -18,20 +18,11 @@
 // count changes wall time only, never a table's contents. -json records
 // per-experiment wall times plus simulation throughput (sims run,
 // instructions retired, simulated instructions per second) in the
-// BENCH_*.json format described in PERF.md, tracking the perf
-// trajectory PR over PR. -results points the
-// harness at a persistent result store shared with pythia-serve and
-// earlier invocations, so repeated simulations are read from disk instead
-// of re-run (-results-readonly consumes without writing). -loadbench
-// additionally boots an in-process pythia-serve and drives a short mixed
-// load storm through internal/load, recording per-class latency
-// quantiles in the report's `loadtest` section (see pythia-load for the
-// standalone harness). -fleetbench boots real worker-process fleets at
-// 1, 2 and 4 workers over a shared journal (this binary re-exec'd as
-// the workers), pushes an identical job batch through each, and records
-// jobs/sec mean±sd plus scaling efficiency in the report's `fleet`
-// section — the multi-process scaling trajectory pythia-benchdiff
-// tracks.
+// BENCH_*.json format described in PERF.md. -results points the harness
+// at a persistent result store shared with pythia-serve and earlier
+// invocations, so repeated simulations are read from disk instead of
+// re-run (-results-readonly consumes without writing). The repo's
+// performance record is perfbench (PERF.md "Running the benchmarks").
 package main
 
 import (
@@ -40,13 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"math"
-	"math/rand"
-	"net"
-	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"runtime"
@@ -54,18 +39,7 @@ import (
 	"syscall"
 	"time"
 
-	"pythia/internal/api"
-	"pythia/internal/cache"
-	"pythia/internal/core"
-	"pythia/internal/cpu"
-	"pythia/internal/fleet"
 	"pythia/internal/harness"
-	"pythia/internal/load"
-	"pythia/internal/policy"
-	"pythia/internal/results"
-	"pythia/internal/serve"
-	"pythia/internal/stream"
-	"pythia/internal/trace"
 )
 
 // benchReport is the -json payload; PERF.md documents the format.
@@ -75,11 +49,6 @@ type benchReport struct {
 	GOOS        string            `json:"goos"`
 	GOARCH      string            `json:"goarch"`
 	CPUs        int               `json:"cpus"`
-	Stream      *streamBench      `json:"stream,omitempty"`
-	Kernel      *kernelBench      `json:"kernel,omitempty"`
-	Warmstart   *warmstartBench   `json:"warmstart,omitempty"`
-	Loadtest    *load.Report      `json:"loadtest,omitempty"`
-	Fleet       *fleetBench       `json:"fleet,omitempty"`
 	Experiments []benchExperiment `json:"experiments"`
 	TotalSecs   float64           `json:"total_seconds"`
 }
@@ -96,519 +65,6 @@ type benchExperiment struct {
 	Sims         int64   `json:"sims"`
 	Instructions int64   `json:"instructions"`
 	InstrPerSec  float64 `json:"instr_per_sec"`
-}
-
-// streamBench compares trace-delivery throughput (million records per
-// second) across the three delivery paths, mirroring the
-// BenchmarkTraceDelivery* benches in bench_test.go.
-type streamBench struct {
-	Records           int     `json:"records"`
-	MaterializedMrecS float64 `json:"materialized_mrecs_s"`
-	GenStreamMrecS    float64 `json:"genstream_mrecs_s"`
-	FileStreamMrecS   float64 `json:"filestream_mrecs_s"`
-}
-
-// runStreamBench measures delivery throughput over a few passes each.
-func runStreamBench(records int) (*streamBench, error) {
-	w, ok := trace.ByName("459.GemsFDTD-100B")
-	if !ok {
-		return nil, fmt.Errorf("stream bench workload missing")
-	}
-	drain := func(r trace.Reader) int {
-		n := 0
-		for {
-			if _, ok := r.Next(); !ok {
-				return n
-			}
-			n++
-		}
-	}
-	const passes = 3
-	rate := func(open func() (trace.Reader, error)) (float64, error) {
-		start := time.Now()
-		total := 0
-		for i := 0; i < passes; i++ {
-			r, err := open()
-			if err != nil {
-				return 0, err
-			}
-			total += drain(r)
-			if c, ok := r.(interface{ Close() error }); ok {
-				c.Close()
-			}
-		}
-		return float64(total) / time.Since(start).Seconds() / 1e6, nil
-	}
-
-	sb := &streamBench{Records: records}
-	tr := w.Generate(records)
-	var err error
-	if sb.MaterializedMrecS, err = rate(func() (trace.Reader, error) {
-		return trace.NewSliceReader(tr.Records), nil
-	}); err != nil {
-		return nil, err
-	}
-	gen := &stream.GenSource{W: w, N: records}
-	if sb.GenStreamMrecS, err = rate(func() (trace.Reader, error) { return gen.Open() }); err != nil {
-		return nil, err
-	}
-	dir, err := os.MkdirTemp("", "pythia-streambench")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	file, err := stream.NewCache(dir).Source(context.Background(), w, records, 0)
-	if err != nil {
-		return nil, err
-	}
-	if sb.FileStreamMrecS, err = rate(func() (trace.Reader, error) { return file.Open() }); err != nil {
-		return nil, err
-	}
-	return sb, nil
-}
-
-// kernelBench measures the raw simulation kernel on a single core with no
-// prefetcher attached — pure record-path throughput, the denominator of
-// every experiment's wall time. Both arms run the same trace and produce
-// bit-identical simulation results (internal/cpu batch_test.go); the only
-// difference is the fused SoA chunk loop vs the record-at-a-time shim.
-// Speedup (batched over shim instructions/sec) is the headline column
-// pythia-benchdiff tracks; PERF.md "Batched SoA kernel" records the
-// trajectory.
-type kernelBench struct {
-	Workloads []kernelWorkload `json:"workloads"`
-}
-
-// kernelWorkload is one workload's arm timings, best-of-kernelReps each.
-type kernelWorkload struct {
-	Workload           string  `json:"workload"`
-	Records            int64   `json:"records"` // records consumed per arm
-	BatchedRecsPerSec  float64 `json:"batched_recs_per_sec"`
-	BatchedInstrPerSec float64 `json:"batched_instr_per_sec"`
-	ShimRecsPerSec     float64 `json:"shim_recs_per_sec"`
-	ShimInstrPerSec    float64 `json:"shim_instr_per_sec"`
-	Speedup            float64 `json:"speedup"`
-}
-
-// kernelReps is the repetitions per arm; arms are interleaved
-// (shim, batched, shim, batched, ...) and each takes its best rep, so a
-// load spike on the host machine penalizes both arms rather than one.
-const kernelReps = 3
-
-// computeTrace synthesizes a record-path-bound workload: an L1-resident
-// 16KB footprint with 32-48 non-memory instructions per record, so nearly
-// all wall time is the issue/retire machinery rather than the memory
-// hierarchy. It isolates the fused-loop half of the kernel the way the
-// GemsFDTD smoke workload exercises the miss path.
-func computeTrace(n int, seed int64) []trace.Record {
-	rng := rand.New(rand.NewSource(seed))
-	recs := make([]trace.Record, n)
-	for i := range recs {
-		recs[i] = trace.Record{
-			PC:     uint64(0x400 + rng.Intn(8)*4),
-			Addr:   uint64(rng.Intn(256))*64 + 1<<20,
-			NonMem: uint16(32 + rng.Intn(17)),
-			Store:  rng.Intn(8) == 0,
-		}
-	}
-	return recs
-}
-
-// runKernelBench times both kernel paths over the canonical GemsFDTD-like
-// smoke workload (memory-bound) and a synthetic compute-dense workload
-// (record-path-bound). Each trace is materialized once and shared; every
-// rep gets its own hierarchy, so neither arm borrows cache warmth.
-func runKernelBench() (*kernelBench, error) {
-	gems, ok := trace.ByName("459.GemsFDTD-100B")
-	if !ok {
-		return nil, fmt.Errorf("kernel bench workload missing")
-	}
-	const traceLen = 2_000_000
-	workloads := []struct {
-		name string
-		recs []trace.Record
-	}{
-		{gems.Name, gems.Generate(traceLen).Records},
-		{"synthetic-compute-l1", computeTrace(1_000_000, 42)},
-	}
-	kb := &kernelBench{}
-	for _, wl := range workloads {
-		arm := func(shim bool) (recs, instr int64, secs float64, err error) {
-			hier, err := cache.NewHierarchy(cache.DefaultConfig(1))
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			cfg := cpu.SystemConfig{
-				Core:               cpu.DefaultCoreConfig(),
-				WarmupInstructions: 2_000_000,
-				SimInstructions:    30_000_000,
-				RecordShim:         shim,
-			}
-			sys, err := cpu.NewSystem(cfg, hier, []trace.Reader{trace.NewSliceReader(wl.recs)})
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			start := time.Now()
-			if err := sys.Run(context.Background()); err != nil {
-				return 0, 0, 0, err
-			}
-			secs = time.Since(start).Seconds()
-			c := sys.Cores[0]
-			return c.Records(), c.Retired(), secs, nil
-		}
-		var recs, instr int64
-		var shimBest, batchBest float64
-		for rep := 0; rep < kernelReps; rep++ {
-			sr, si, ss, err := arm(true)
-			if err != nil {
-				return nil, err
-			}
-			br, bi, bs, err := arm(false)
-			if err != nil {
-				return nil, err
-			}
-			if br != sr || bi != si {
-				return nil, fmt.Errorf("kernel arms diverged on %s: batched %d recs/%d instr, shim %d recs/%d instr",
-					wl.name, br, bi, sr, si)
-			}
-			recs, instr = br, bi
-			if rep == 0 || ss < shimBest {
-				shimBest = ss
-			}
-			if rep == 0 || bs < batchBest {
-				batchBest = bs
-			}
-		}
-		kw := kernelWorkload{
-			Workload:           wl.name,
-			Records:            recs,
-			BatchedRecsPerSec:  float64(recs) / batchBest,
-			BatchedInstrPerSec: float64(instr) / batchBest,
-			ShimRecsPerSec:     float64(recs) / shimBest,
-			ShimInstrPerSec:    float64(instr) / shimBest,
-		}
-		kw.Speedup = kw.BatchedInstrPerSec / kw.ShimInstrPerSec
-		kb.Workloads = append(kb.Workloads, kw)
-	}
-	return kb, nil
-}
-
-// warmstartBench records what warm-starting buys on one workload: the
-// instructions each arm needed to reach converged IPC (99% of its own
-// full-horizon figure over a checkpoint ladder) and the wall time of the
-// full-horizon evaluations. ConvergeSpeedup — cold over warm converge
-// instructions — is the headline column pythia-benchdiff tracks.
-type warmstartBench struct {
-	Workload          string  `json:"workload"`
-	TrainSeconds      float64 `json:"train_seconds"`
-	ColdConvergeInstr int64   `json:"cold_converge_instr"`
-	WarmConvergeInstr int64   `json:"warm_converge_instr"`
-	ConvergeSpeedup   float64 `json:"converge_speedup"`
-	ColdEvalSeconds   float64 `json:"cold_eval_seconds"`
-	WarmEvalSeconds   float64 `json:"warm_eval_seconds"`
-}
-
-// runWarmBench trains a policy fresh (no store) and times warm vs cold
-// evaluations over a horizon-checkpoint ladder. It uses harness.Run, not
-// RunCached, so every timing is a real simulation.
-func runWarmBench(ctx context.Context, sc harness.Scale) (*warmstartBench, error) {
-	w, ok := trace.ByName("459.GemsFDTD-100B")
-	if !ok {
-		return nil, fmt.Errorf("warm bench workload missing")
-	}
-	cfg := cache.DefaultConfig(1)
-	ts := harness.TrainSpec{Workload: w, CacheCfg: cfg, Scale: sc, Config: core.BasicConfig()}
-
-	wb := &warmstartBench{Workload: w.Name}
-	start := time.Now()
-	env, _, err := harness.TrainPolicyIn(ctx, nil, ts)
-	if err != nil {
-		return nil, err
-	}
-	wb.TrainSeconds = time.Since(start).Seconds()
-
-	// The ladder, arm construction and convergence rule are the
-	// harness's (WarmLadderSpec / WarmConvergeInstr), so this section
-	// records exactly the metric ext-warmstart defines. Run, not
-	// RunCached: every timing is a real simulation.
-	ipcAt := func(warm *policy.Envelope) ([]float64, float64, error) {
-		ipc := make([]float64, len(harness.WarmCheckpoints))
-		var fullSecs float64
-		for ci, f := range harness.WarmCheckpoints {
-			start := time.Now()
-			r, err := harness.Run(ctx, harness.WarmLadderSpec(w, cfg, sc, ci, warm))
-			if err != nil {
-				return nil, 0, err
-			}
-			if f == 1.0 {
-				fullSecs = time.Since(start).Seconds()
-			}
-			ipc[ci] = r.IPC[0]
-		}
-		return ipc, fullSecs, nil
-	}
-	coldIPC, coldSecs, err := ipcAt(nil)
-	if err != nil {
-		return nil, err
-	}
-	warmIPC, warmSecs, err := ipcAt(&env)
-	if err != nil {
-		return nil, err
-	}
-	wb.ColdEvalSeconds, wb.WarmEvalSeconds = coldSecs, warmSecs
-	wb.ColdConvergeInstr = harness.WarmConvergeInstr(coldIPC, sc.Sim)
-	wb.WarmConvergeInstr = harness.WarmConvergeInstr(warmIPC, sc.Sim)
-	wb.ConvergeSpeedup = float64(wb.ColdConvergeInstr) / float64(wb.WarmConvergeInstr)
-	return wb, nil
-}
-
-// runLoadBench measures serving behavior under load: it boots an
-// in-process pythia-serve on a loopback port with a throwaway result
-// store, seeds two hot keys at the bench scale, and drives a short
-// constant-RPS mixed storm (reads, metadata, re-launches) through the
-// same open-loop harness as cmd/pythia-load. The resulting per-class
-// latency quantiles land in the -json report's `loadtest` section, so
-// serving p95s ride the same regression trajectory as wall times.
-func runLoadBench(ctx context.Context, scaleName string) (*load.Report, error) {
-	dir, err := os.MkdirTemp("", "pythia-loadbench")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	srv, err := serve.New(serve.Config{Store: results.Open(dir), QueueDepth: 64})
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
-
-	base := "http://" + ln.Addr().String()
-	targets := load.Targets{Experiments: []string{"fig14", "table2"}, Scale: scaleName}
-	prepSims, err := load.Prepare(ctx, api.NewClient(base), targets)
-	if err != nil {
-		return nil, err
-	}
-	client := api.NewClient(base, api.WithRetries(0))
-	mix, err := load.BuildMix(client, "read=0.7,meta=0.15,simulate=0.15", targets, 1.2)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := load.Run(ctx, load.Config{
-		Client:   client,
-		Schedule: load.Constant{RPS: 40},
-		Duration: 5 * time.Second,
-		Mix:      mix,
-		Seed:     1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.PrepareSims = prepSims
-	return rep, nil
-}
-
-// fleetBench records multi-process scaling: identical job batches pushed
-// through real worker-process fleets of 1, 2 and 4, each repeated for a
-// mean±sd jobs/sec figure. Efficiency (speedup over the 1-worker arm,
-// divided by the worker count) is the headline column pythia-benchdiff
-// tracks — on a single-CPU host it degenerates toward 1/W by
-// construction, so the report records CPUs alongside.
-type fleetBench struct {
-	JobsPerArm     int        `json:"jobs_per_arm"`
-	Repeats        int        `json:"repeats"`
-	WorkerParallel int        `json:"worker_parallel"` // -parallel inside each worker process
-	Arms           []fleetArm `json:"arms"`
-}
-
-// fleetArm is one worker-count's measurements.
-type fleetArm struct {
-	Workers        int     `json:"workers"`
-	JobsPerSecMean float64 `json:"jobs_per_sec_mean"`
-	JobsPerSecSD   float64 `json:"jobs_per_sec_sd"`
-	Speedup        float64 `json:"speedup"`    // mean over the 1-worker mean
-	Efficiency     float64 `json:"efficiency"` // speedup / workers
-}
-
-// fleetArmWorkers are the fleet sizes each pass measures.
-var fleetArmWorkers = []int{1, 2, 4}
-
-const (
-	fleetBenchJobs    = 8
-	fleetBenchRepeats = 3
-)
-
-// fleetBenchScales builds the job batch: parametric scales (resolvable
-// in any process without a shared table) made unique per job so every
-// job is a real simulation with its own store fingerprint. Jobs are
-// sized to hundreds of milliseconds of single-threaded simulation so
-// throughput measures compute scaling, not the claim/poll machinery.
-func fleetBenchScales() []string {
-	scales := make([]string, fleetBenchJobs)
-	for i := range scales {
-		scales[i] = fmt.Sprintf("custom:warmup=100000,sim=%d,tracelen=100000,wps=1,mixes=1", 20_000_000+i)
-	}
-	return scales
-}
-
-// runFleetBenchWorker is the hidden -fleet-worker mode: one fleet worker
-// process over the bench pass directory, single-threaded so per-job cost
-// is constant and scaling comes only from process parallelism.
-func runFleetBenchWorker(dir, traceDir string) {
-	if traceDir != "" {
-		harness.SetTraceCacheDir(traceDir)
-	}
-	harness.SetWorkers(1)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	_, err := serve.RunWorker(ctx, serve.WorkerConfig{
-		Store:            results.Open(filepath.Join(dir, "results")),
-		JournalDir:       filepath.Join(dir, "journal"),
-		PollInterval:     10 * time.Millisecond,
-		ProgressInterval: 50 * time.Millisecond,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-// fleetBenchPass boots a fixed fleet of `workers` processes over a fresh
-// journal+store, pushes the batch through it, and returns jobs/sec. The
-// store is fresh per pass so every arm simulates the same work; only the
-// trace cache is shared (trace synthesis is identical everywhere and
-// would otherwise dominate the small arms).
-func fleetBenchPass(ctx context.Context, self, root, traceDir string, scales []string, workers, rep int) (float64, error) {
-	dir := filepath.Join(root, fmt.Sprintf("w%d-r%d", workers, rep))
-	for _, d := range []string{"journal", "results"} {
-		if err := os.MkdirAll(filepath.Join(dir, d), 0o755); err != nil {
-			return 0, err
-		}
-	}
-	cluster, err := fleet.StartLocal(fleet.LocalOptions{
-		Store:      results.Open(filepath.Join(dir, "results")),
-		JournalDir: filepath.Join(dir, "journal"),
-		QueueDepth: len(scales) + 4,
-		WorkerCommand: func() *exec.Cmd {
-			cmd := exec.Command(self, "-fleet-worker", dir, "-fleet-trace", traceDir)
-			cmd.Stdout, cmd.Stderr = io.Discard, io.Discard
-			return cmd
-		},
-		// A fixed pool: the bench measures worker scaling, not the
-		// autoscaler (which has its own tests).
-		Min: workers, Max: workers,
-		ScaleDownDelay: time.Hour,
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		cluster.Shutdown(sctx)
-	}()
-
-	// Wait for the full pool before starting the clock — cold starts are
-	// measured separately (coordinator metrics), not smeared into
-	// throughput.
-	readyBy := time.Now().Add(60 * time.Second)
-	for cluster.Coord.Status().Ready < workers {
-		if time.Now().After(readyBy) {
-			return 0, fmt.Errorf("fleet bench: %d-worker pool never became ready", workers)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	hs := &http.Server{Handler: cluster.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
-	client := api.NewClient("http://" + ln.Addr().String())
-
-	start := time.Now()
-	ids := make([]string, 0, len(scales))
-	for _, sc := range scales {
-		job, err := client.Launch(ctx, api.LaunchRequest{Experiment: "fig14", Scale: sc})
-		if err != nil {
-			return 0, err
-		}
-		ids = append(ids, job.ID)
-	}
-	for _, id := range ids {
-		job, err := client.Wait(ctx, id, 25*time.Millisecond)
-		if err != nil {
-			return 0, err
-		}
-		if job.Status != api.StatusDone {
-			return 0, fmt.Errorf("fleet bench job %s ended %q: %s", id, job.Status, job.Error)
-		}
-	}
-	return float64(len(ids)) / time.Since(start).Seconds(), nil
-}
-
-// runFleetBench measures jobs/sec at 1, 2 and 4 worker processes.
-func runFleetBench(ctx context.Context) (*fleetBench, error) {
-	self, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	root, err := os.MkdirTemp("", "pythia-fleetbench")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(root)
-	traceDir := filepath.Join(root, "trace")
-	scales := fleetBenchScales()
-
-	fb := &fleetBench{JobsPerArm: fleetBenchJobs, Repeats: fleetBenchRepeats, WorkerParallel: 1}
-	var base float64
-	for _, w := range fleetArmWorkers {
-		rates := make([]float64, 0, fleetBenchRepeats)
-		for rep := 0; rep < fleetBenchRepeats; rep++ {
-			rate, err := fleetBenchPass(ctx, self, root, traceDir, scales, w, rep)
-			if err != nil {
-				return nil, err
-			}
-			rates = append(rates, rate)
-		}
-		mean, sd := meanSD(rates)
-		arm := fleetArm{Workers: w, JobsPerSecMean: mean, JobsPerSecSD: sd}
-		if w == 1 {
-			base = mean
-		}
-		if base > 0 {
-			arm.Speedup = mean / base
-			arm.Efficiency = arm.Speedup / float64(w)
-		}
-		fb.Arms = append(fb.Arms, arm)
-		fmt.Printf("[fleet %d worker(s): %.2f ± %.2f jobs/s, speedup %.2fx, efficiency %.0f%%]\n",
-			w, mean, sd, arm.Speedup, arm.Efficiency*100)
-	}
-	fmt.Println()
-	return fb, nil
-}
-
-// meanSD is the sample mean and (population) standard deviation.
-func meanSD(xs []float64) (mean, sd float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		sd += (x - mean) * (x - mean)
-	}
-	return mean, math.Sqrt(sd / float64(len(xs)))
 }
 
 // humanCount renders an instruction count compactly (12.3M, 4.5G) for
@@ -671,24 +127,12 @@ func main() {
 		mdPath    = flag.String("md", "", "also append all results as a markdown report to this file")
 		jsonPath  = flag.String("json", "", "write per-experiment wall times as a BENCH_*.json report")
 		parallel  = flag.Int("parallel", 0, "max concurrent simulations (0 = all CPUs, 1 = sequential)")
-		strBench  = flag.Bool("streambench", false, "also measure trace-delivery throughput (materialized vs streamed) into the -json report")
-		kernBench = flag.Bool("kernelbench", false, "also measure single-core kernel throughput (fused SoA batches vs record-at-a-time shim) into the -json report")
 		resDir    = flag.String("results", "", "persistent result store directory: simulations are read from and written to it, surviving restarts")
 		resRO     = flag.Bool("results-readonly", false, "with -results, read stored simulations but never write new ones")
 		polDir    = flag.String("policies", "", "policy store directory: warm-start experiments reuse trained policies across invocations")
-		warmBench = flag.Bool("warmbench", false, "also measure warm-vs-cold convergence (instructions and wall time) into the -json report")
-		loadBench = flag.Bool("loadbench", false, "also drive a short mixed load storm at an in-process pythia-serve into the -json report's loadtest section")
-		fltBench  = flag.Bool("fleetbench", false, "also measure multi-process fleet throughput (jobs/sec at 1/2/4 worker processes) into the -json report's fleet section")
-		fltWorker = flag.String("fleet-worker", "", "internal: run as a fleetbench worker over this pass directory (used by -fleetbench's re-exec)")
-		fltTrace  = flag.String("fleet-trace", "", "internal: shared trace-cache directory for fleetbench workers")
 		list      = flag.Bool("list", false, "list available experiments and exit")
 	)
 	flag.Parse()
-
-	if *fltWorker != "" {
-		runFleetBenchWorker(*fltWorker, *fltTrace)
-		return
-	}
 
 	if *list {
 		fmt.Println("paper experiments:")
@@ -733,47 +177,11 @@ func main() {
 		GOARCH:  runtime.GOARCH,
 		CPUs:    runtime.NumCPU(),
 	}
-	if *strBench {
-		sb, err := runStreamBench(sc.TraceLen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		report.Stream = sb
-		fmt.Printf("[trace delivery, %d records: materialized %.1f Mrec/s, gen-stream %.1f Mrec/s, file-stream %.1f Mrec/s]\n\n",
-			sb.Records, sb.MaterializedMrecS, sb.GenStreamMrecS, sb.FileStreamMrecS)
-	}
-	if *kernBench {
-		kb, err := runKernelBench()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		report.Kernel = kb
-		for _, kw := range kb.Workloads {
-			fmt.Printf("[kernel %s, %s records: batched %s instr/s (%s rec/s) vs shim %s instr/s (%s rec/s), %.2fx]\n",
-				kw.Workload, humanCount(kw.Records), humanCount(int64(kw.BatchedInstrPerSec)), humanCount(int64(kw.BatchedRecsPerSec)),
-				humanCount(int64(kw.ShimInstrPerSec)), humanCount(int64(kw.ShimRecsPerSec)), kw.Speedup)
-		}
-		fmt.Println()
-	}
 	// SIGINT/SIGTERM cancel the experiment context: in-flight simulations
 	// abort at the next chunk boundary and the process exits cleanly
 	// instead of being killed mid-table.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-
-	if *warmBench {
-		wb, err := runWarmBench(ctx, sc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		report.Warmstart = wb
-		fmt.Printf("[warm start, %s: converge %d instr warm vs %d cold (%.1fx), train %.1fs, full eval %.1fs warm / %.1fs cold]\n\n",
-			wb.Workload, wb.WarmConvergeInstr, wb.ColdConvergeInstr, wb.ConvergeSpeedup,
-			wb.TrainSeconds, wb.WarmEvalSeconds, wb.ColdEvalSeconds)
-	}
 
 	var md strings.Builder
 	wall := time.Now()
@@ -819,28 +227,6 @@ func main() {
 		}
 	}
 	report.TotalSecs = time.Since(wall).Seconds()
-
-	// Load-bench runs after the experiment loop on purpose: its hot-key
-	// seeding warms the in-process harness caches, and running it first
-	// would collapse the per-experiment wall times the diff tracks.
-	// (TotalSecs is already pinned, so the storm doesn't inflate it.)
-	if *loadBench {
-		lr, err := runLoadBench(ctx, *scaleFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		report.Loadtest = lr
-		fmt.Printf("[load test]\n%s\n", lr.Render())
-	}
-	if *fltBench {
-		fbr, err := runFleetBench(ctx)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		report.Fleet = fbr
-	}
 
 	if st := harness.ResultStore(); st != nil {
 		fmt.Printf("[result store %s: %d hits, %d misses, %d writes]\n",

@@ -20,8 +20,7 @@
 //
 // -slo declares per-class bounds ("read:p95ms=50,err=0;simulate:shed=0.2");
 // any violation renders in the report and exits nonzero, so a load run
-// is CI-gateable. -json writes the load.Report for pythia-bench's
-// `loadtest` section and pythia-benchdiff.
+// is CI-gateable. -json writes the load.Report as JSON.
 //
 // Exit codes: 0 pass, 1 SLO violation (or -min-store-hits unmet),
 // 2 usage/setup error.

@@ -53,7 +53,7 @@ func mixedTrace(n int, seed int64) []trace.Record {
 func runBoth(t *testing.T, cfg SystemConfig, cores int, recs ...[]trace.Record) (shim, fused *System) {
 	t.Helper()
 	shimCfg := cfg
-	shimCfg.RecordShim = true
+	shimCfg.recordShim = true
 	shim = newSystem(t, shimCfg, cores, recs...)
 	mustRun(t, shim)
 	fused = newSystem(t, cfg, cores, recs...)
@@ -261,7 +261,7 @@ func TestShimSurfacesReaderError(t *testing.T) {
 	}
 	boom := errors.New("decode failed mid-run")
 	cfg := smallConfig()
-	cfg.RecordShim = true
+	cfg.recordShim = true
 	sys, err := NewSystem(cfg, hier, []trace.Reader{&failingReader{left: 500, err: boom}})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func TestShimSurfacesReaderError(t *testing.T) {
 // shim path.
 func TestShimHonorsCancellation(t *testing.T) {
 	cfg := smallConfig()
-	cfg.RecordShim = true
+	cfg.recordShim = true
 	cfg.SimInstructions = 500_000_000
 	sys := newSystem(t, cfg, 1, computeTrace(100_000))
 	ctx, cancel := context.WithCancel(context.Background())

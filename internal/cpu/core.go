@@ -143,11 +143,6 @@ func (c *Core) Replays() int { return c.replays }
 // (simulated-instructions/sec) are computed from this.
 func (c *Core) Retired() int64 { return c.instret }
 
-// Records returns the total trace records the core has consumed, warmup
-// and replays included; with Retired it gives the kernel microbenches
-// both records/sec and instructions/sec.
-func (c *Core) Records() int64 { return c.records }
-
 // readerErr surfaces a delivery failure from readers that can fail
 // mid-stream (streaming readers implement Err, per stream.Reader); plain
 // in-memory readers cannot fail and report nil.
@@ -324,10 +319,11 @@ type SystemConfig struct {
 	// Batch size never affects simulation results — only delivery
 	// granularity — which batch_test.go pins down to chunk±1 edge cases.
 	Chunk int
-	// RecordShim forces the record-at-a-time compatibility path (shim.go)
-	// instead of the fused chunk kernel. It exists so tests and tools can
-	// compare the two paths; results are bit-identical either way.
-	RecordShim bool
+	// recordShim forces the record-at-a-time compatibility path (shim.go)
+	// instead of the fused chunk kernel. It is unexported: only this
+	// package's tests compare the two paths; results are bit-identical
+	// either way.
+	recordShim bool
 }
 
 // DefaultSystemConfig returns the simulation lengths used by the harness:
@@ -389,7 +385,7 @@ func NewSystem(cfg SystemConfig, hier *cache.Hierarchy, readers []trace.Reader) 
 // (milliseconds of simulation at the default chunk size) and multi-core
 // runs at scheduling-quantum boundaries, which are at most one chunk.
 func (s *System) Run(ctx context.Context) error {
-	if s.cfg.RecordShim {
+	if s.cfg.recordShim {
 		return s.runShim(ctx)
 	}
 	done := ctx.Done()

@@ -39,7 +39,7 @@ func benchKernel(b *testing.B, shim bool, recs []trace.Record) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := SystemConfig{Core: DefaultCoreConfig(), WarmupInstructions: 1_000_000, SimInstructions: 8_000_000, RecordShim: shim}
+		cfg := SystemConfig{Core: DefaultCoreConfig(), WarmupInstructions: 1_000_000, SimInstructions: 8_000_000, recordShim: shim}
 		sys, err := NewSystem(cfg, hier, []trace.Reader{trace.NewSliceReader(recs)})
 		if err != nil {
 			b.Fatal(err)

@@ -7,8 +7,9 @@ import (
 
 // This file is the record-at-a-time compatibility path: the simulation
 // kernel as it existed before the fused chunk kernel (core.go stepChunk),
-// preserved as the reference implementation. Tests and the kernel
-// microbench run it via SystemConfig.RecordShim to pin the batched path's
+// preserved as the reference implementation. This package's tests and
+// kernel benchmarks (batch_test.go, kernel_bench_test.go) select it via
+// the unexported SystemConfig.recordShim to pin the batched path's
 // bit-identity and to measure the fusion speedup against a live baseline.
 // It is the only non-test code in this package allowed to call a reader's
 // record-at-a-time Next (ci.sh enforces that with a grep gate).
@@ -96,7 +97,7 @@ func (c *Core) waitOldest() {
 const cancelCheckSteps = 1 << 12
 
 // runShim is the record-at-a-time driver: Run as it existed before chunk
-// fusion, selected by SystemConfig.RecordShim. Its observable behavior —
+// fusion, selected by SystemConfig.recordShim. Its observable behavior —
 // every simulation statistic, bit for bit — must match the fused driver;
 // batch_test.go holds the two against each other.
 func (s *System) runShim(ctx context.Context) error {

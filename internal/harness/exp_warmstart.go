@@ -11,39 +11,36 @@ import (
 	"pythia/internal/trace"
 )
 
-// WarmCheckpoints are the horizon fractions the convergence study
+// warmCheckpoints are the horizon fractions the convergence study
 // samples: each arm is simulated to every fraction of the scale's
 // instruction budget, and "converged" is the first checkpoint whose IPC
-// reaches WarmConvergedFrac of that arm's own full-horizon IPC. Exported
-// (with WarmConvergeInstr) so pythia-bench's -warmbench records exactly
-// the metric this experiment defines — tuning the ladder or threshold
-// here changes both in lockstep, keeping BENCH_*.json comparable.
-var WarmCheckpoints = []float64{0.125, 0.25, 0.5, 1.0}
+// reaches warmConvergedFrac of that arm's own full-horizon IPC. The
+// ext-warmstart table reports both arms' convergence points and their
+// ratio ("converged at (instr)", "converge speedup").
+var warmCheckpoints = []float64{0.125, 0.25, 0.5, 1.0}
 
-// WarmConvergedFrac is the convergence threshold.
-const WarmConvergedFrac = 0.99
+// warmConvergedFrac is the convergence threshold.
+const warmConvergedFrac = 0.99
 
-// WarmConvergeInstr returns the instruction count of the first
+// warmConvergeInstr returns the instruction count of the first
 // checkpoint whose IPC reaches the threshold of the series' final
-// (full-horizon) IPC. ipc must have one entry per WarmCheckpoints
+// (full-horizon) IPC. ipc must have one entry per warmCheckpoints
 // fraction; sim is the full-horizon budget.
-func WarmConvergeInstr(ipc []float64, sim int64) int64 {
+func warmConvergeInstr(ipc []float64, sim int64) int64 {
 	final := ipc[len(ipc)-1]
-	for i, frac := range WarmCheckpoints {
-		if ipc[i] >= WarmConvergedFrac*final {
+	for i, frac := range warmCheckpoints {
+		if ipc[i] >= warmConvergedFrac*final {
 			return int64(frac * float64(sim))
 		}
 	}
 	return sim
 }
 
-// WarmLadderSpec builds the single-core RunSpec for checkpoint ci of the
-// warm-start ladder (warm == nil is the cold arm). It is the one
-// definition of the ladder's arm construction, shared by ext-warmstart
-// and pythia-bench -warmbench so their recorded metrics cannot drift.
-func WarmLadderSpec(w trace.Workload, cfg cache.Config, sc Scale, ci int, warm *policy.Envelope) RunSpec {
+// warmLadderSpec builds the single-core RunSpec for checkpoint ci of the
+// warm-start ladder (warm == nil is the cold arm).
+func warmLadderSpec(w trace.Workload, cfg cache.Config, sc Scale, ci int, warm *policy.Envelope) RunSpec {
 	scAt := sc
-	scAt.Sim = int64(WarmCheckpoints[ci] * float64(sc.Sim))
+	scAt.Sim = int64(warmCheckpoints[ci] * float64(sc.Sim))
 	if scAt.Sim < 1 {
 		scAt.Sim = 1
 	}
@@ -115,7 +112,7 @@ func ExtWarmStart(ctx context.Context, sc Scale) (*stats.Table, error) {
 
 	// Phase 2: workload × {cold, warm} × checkpoint, all in parallel into
 	// index-addressed slots.
-	nc := len(WarmCheckpoints)
+	nc := len(warmCheckpoints)
 	ipc := make([]float64, len(ws)*2*nc)
 	err = RunAll(ctx, len(ws)*2*nc, func(i int) error {
 		wi, arm, ci := i/(2*nc), (i/nc)%2, i%nc
@@ -123,7 +120,7 @@ func ExtWarmStart(ctx context.Context, sc Scale) (*stats.Table, error) {
 		if arm == 1 {
 			warm = &envs[wi]
 		}
-		r, err := RunCached(ctx, WarmLadderSpec(ws[wi], cfg, sc, ci, warm))
+		r, err := RunCached(ctx, warmLadderSpec(ws[wi], cfg, sc, ci, warm))
 		if err != nil {
 			return err
 		}
@@ -142,8 +139,8 @@ func ExtWarmStart(ctx context.Context, sc Scale) (*stats.Table, error) {
 	for wi, w := range ws {
 		cold := ipc[wi*2*nc : wi*2*nc+nc]
 		warm := ipc[wi*2*nc+nc : wi*2*nc+2*nc]
-		coldConv := WarmConvergeInstr(cold, sc.Sim)
-		warmConv := WarmConvergeInstr(warm, sc.Sim)
+		coldConv := warmConvergeInstr(cold, sc.Sim)
+		warmConv := warmConvergeInstr(warm, sc.Sim)
 		for arm, series := range [][]float64{cold, warm} {
 			name, conv, adv := "cold", coldConv, "-"
 			if arm == 1 {
@@ -159,7 +156,7 @@ func ExtWarmStart(ctx context.Context, sc Scale) (*stats.Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("converged = first checkpoint reaching %.0f%% of the arm's own full-horizon IPC (budget %d instr/core)", 100*WarmConvergedFrac, sc.Sim),
+		fmt.Sprintf("converged = first checkpoint reaching %.0f%% of the arm's own full-horizon IPC (budget %d instr/core)", 100*warmConvergedFrac, sc.Sim),
 		"warm arms restore the policy trained on the same workload at this scale (self-transfer); training costs are excluded from both arms",
 		"with a populated policy store, warm evaluations perform zero training simulations")
 	return t, nil

@@ -7,9 +7,8 @@ import (
 	"strings"
 )
 
-// Report is one load run's measurements — the `loadtest` section of
-// BENCH_*.json, so serving performance rides the same regression-diff
-// trajectory as wall-clock benchmarks.
+// Report is one load run's measurements, as pythia-load renders them and
+// writes them with -json.
 type Report struct {
 	Schedule    string  `json:"schedule"`
 	DurationSec float64 `json:"duration_seconds"`
