@@ -414,6 +414,63 @@ func BenchmarkSimulatorEndToEnd(b *testing.B) {
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")
 }
 
+// BenchmarkRunCachedStoreHit times a stored-result hit as a later
+// process over a stored sweep pays it: the in-memory memo is dropped
+// before every harness.RunCached, so each call renders the run's key and
+// reads and decodes its entry from the result store. perfbench's
+// read_p50_ms/read_p90_ms time the same call end to end.
+func BenchmarkRunCachedStoreHit(b *testing.B) {
+	ws := func(names ...string) []trace.Workload {
+		var out []trace.Workload
+		for _, n := range names {
+			w, ok := trace.ByName(n)
+			if !ok {
+				b.Fatalf("missing workload %s", n)
+			}
+			out = append(out, w)
+		}
+		return out
+	}
+	sc := harness.Scale{Warmup: 20_000, Sim: 80_000, TraceLen: 20_000}
+	zooCfg := cache.DefaultConfig(4)
+	zooCfg.DRAM = zooCfg.DRAM.WithMTPS(150)
+	for _, bc := range []struct {
+		name string
+		spec harness.RunSpec
+	}{
+		{"pythia-1c", harness.RunSpec{
+			Mix:      trace.Mix{Name: "459.GemsFDTD-100B", Workloads: ws("459.GemsFDTD-100B")},
+			CacheCfg: cache.DefaultConfig(1), Scale: sc, PF: harness.BasicPythiaPF(),
+		}},
+		{"zoo-4c", harness.RunSpec{
+			Mix:      trace.Mix{Name: "Mix-1", Workloads: ws("459.GemsFDTD-100B", "482.sphinx3-100B", "462.libquantum-100B", "429.mcf-100B")},
+			CacheCfg: zooCfg, Scale: sc, PF: harness.SPPPF(),
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			st := harness.SetResultStore(b.TempDir())
+			defer harness.SetResultStore("")
+			defer harness.ResetCaches()
+			if _, err := harness.RunCached(context.Background(), bc.spec); err != nil {
+				b.Fatal(err)
+			}
+			sims := harness.SimCount()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				harness.ResetCaches()
+				if _, err := harness.RunCached(context.Background(), bc.spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if harness.SimCount() != sims || st.Hits() != int64(b.N) {
+				b.Fatalf("%d store hits and %d sims over %d reads, want every read a hit", st.Hits(), harness.SimCount()-sims, b.N)
+			}
+		})
+	}
+}
+
 // --- Ablation benches (DESIGN.md design-choice studies) ---
 
 // ablationSpeedup measures Pythia's geomean speedup over three

@@ -12,15 +12,17 @@
 #                 the storm must meet its SLOs and no admitted job may
 #                 be lost
 #   ci.sh full    quick + chaos, plus the race detector over every
-#                 concurrent subsystem, a QVStore benchmark smoke so
-#                 hot-path perf regressions fail loudly (the benchmark
-#                 run also executes the allocation-budget tests), the
+#                 concurrent subsystem, a benchmark smoke of the QVStore
+#                 hot path and a stored-result hit (the benchmark run
+#                 also executes the allocation-budget tests), the
 #                 perfbench tests plus a short run of each workload
 #                 (correctness checks gate, timings do not), a
 #                 pythia-bench CLI check (CSV tables byte-identical at
-#                 -parallel 1 and 2, bad -exp exits 2), and a load
-#                 smoke: pythia-load drives a live pythia-serve under
-#                 SLOs and proves the store absorbs repeat traffic
+#                 -parallel 1 and 2 and over a cold and a warm result
+#                 store, the warm pass simulating nothing; bad -exp
+#                 exits 2), and a load smoke: pythia-load drives a
+#                 live pythia-serve under SLOs and proves the store
+#                 absorbs repeat traffic
 #
 # With no argument, full runs (unchanged historical behavior).
 set -eu
@@ -258,8 +260,8 @@ if [ "$tier" = full ]; then
     go test -race -run 'BatchedMatchesShim|BatchedChunkSizeInvariance|DeterministicAcrossWorkerCounts' \
         ./internal/cpu/... ./internal/harness/...
 
-    echo "== bench smoke (QVStore hot path) =="
-    go test -run='AllocationFree' -bench='QVStore' -benchtime=100x -benchmem .
+    echo "== bench smoke (QVStore hot path, stored-result hit) =="
+    go test -run='AllocationFree' -bench='QVStore|RunCachedStoreHit' -benchtime=100x -benchmem .
 
     echo "== perfbench (benchmark tests + one short run per workload) =="
     # perfbench is a module of its own, outside ./...: vet and test it,
@@ -279,7 +281,7 @@ print("perfbench %s: %d checks, %d failed" % (sys.argv[1], d["attempted"], d["fa
 sys.exit(1 if d["failed"] > 0 else 0)' "$w"
     done
 
-    echo "== pythia-bench CLI (worker-count determinism, bad -exp exits 2) =="
+    echo "== pythia-bench CLI (worker-count determinism, warm store, bad -exp exits 2) =="
     # Worker count changes wall time only, never a table: the CSVs of one
     # experiment set at -parallel 1 and -parallel 2 must be byte-identical.
     cli=$(mktemp -d)
@@ -290,6 +292,27 @@ sys.exit(1 if d["failed"] > 0 else 0)' "$w"
     done
     if ! diff -r "$cli/csv-p1" "$cli/csv-p2"; then
         echo "pythia-bench tables differ between -parallel 1 and -parallel 2" >&2
+        rm -rf "$cli"
+        exit 1
+    fi
+    # A warm result store answers a repeat run: the second pass over one
+    # -results directory must write byte-identical tables and simulate
+    # nothing.
+    for pass in cold warm; do
+        "$cli/pythia-bench" -exp fig8d -scale quick -results "$cli/store" \
+            -csv "$cli/csv-$pass" -json "$cli/$pass.json" >"$cli/$pass.log"
+    done
+    if ! diff -r "$cli/csv-cold" "$cli/csv-warm"; then
+        echo "pythia-bench tables differ between a cold and a warm result store" >&2
+        rm -rf "$cli"
+        exit 1
+    fi
+    if ! python3 -c '
+import json, sys
+sims = {e["id"]: e["sims"] for e in json.load(open(sys.argv[1]))["experiments"]}
+print("warm store pass: fig8d sims=%s" % sims.get("fig8d"))
+sys.exit(0 if sims.get("fig8d") == 0 else 1)' "$cli/warm.json"; then
+        echo "pythia-bench re-simulated fig8d over a warm result store" >&2
         rm -rf "$cli"
         exit 1
     fi

@@ -344,7 +344,8 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event)) (Job, er
 	}
 	var final *Job
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Events are small; the buffer grows (to 1 MiB) only for a long line.
+	sc.Buffer(make([]byte, 0, 16<<10), 1<<20)
 	var cur Event
 	for sc.Scan() {
 		line := sc.Text()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -134,7 +135,9 @@ func TestClientEventsFollowsSSEToTerminal(t *testing.T) {
 		}
 		emit("status", Job{ID: "run-9", Status: StatusQueued})
 		emit("progress", Progress{ID: "run-9", Sims: 3})
-		emit(StatusDone, Job{ID: "run-9", Status: StatusDone, Sims: 3})
+		// A data line far longer than the scanner's starting buffer (and
+		// than bufio's default 64 KiB token limit) must still arrive whole.
+		emit(StatusDone, Job{ID: "run-9", Status: StatusDone, Sims: 3, Error: strings.Repeat("x", 300<<10)})
 	}))
 	defer srv.Close()
 
@@ -146,8 +149,8 @@ func TestClientEventsFollowsSSEToTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("events: %v", err)
 	}
-	if j.Status != StatusDone || j.Sims != 3 {
-		t.Errorf("terminal job = %+v", j)
+	if j.Status != StatusDone || j.Sims != 3 || len(j.Error) != 300<<10 {
+		t.Errorf("terminal job = %s/%d sims, %d-byte error", j.Status, j.Sims, len(j.Error))
 	}
 	want := []string{"status", "progress", "done"}
 	if len(types) != len(want) {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"strconv"
 
 	"pythia/internal/dram"
 	"pythia/internal/mem"
@@ -86,6 +87,56 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: unknown LLC policy %q", c.LLCPolicy)
 	}
 	return c.DRAM.Validate()
+}
+
+// Key renders the whole configuration, DRAM included, byte for byte as
+// fmt's %+v does ({Cores:1 L1SizeKB:32 ... DRAM:{Channels:1 ...}}), but
+// field by field instead of by reflection. It is part of every run's
+// identity: the harness's memo key and the fingerprint of every stored
+// result. Entries already on disk keep hitting only while the bytes stay
+// those of %+v, which TestConfigKeyMatchesSprintf pins; a field added to
+// Config or dram.Config must be added here too, in declaration order.
+func (c Config) Key() string {
+	d := c.DRAM
+	b := make([]byte, 0, 384)
+	b = appendField(b, "{Cores:", c.Cores)
+	b = appendField(b, " L1SizeKB:", c.L1SizeKB)
+	b = appendField(b, " L1Ways:", c.L1Ways)
+	b = appendField(b, " L2SizeKB:", c.L2SizeKB)
+	b = appendField(b, " L2Ways:", c.L2Ways)
+	b = appendField(b, " LLCSizeKBPerCore:", c.LLCSizeKBPerCore)
+	b = appendField(b, " LLCWays:", c.LLCWays)
+	b = appendField(b, " L1Latency:", c.L1Latency)
+	b = appendField(b, " L2Latency:", c.L2Latency)
+	b = appendField(b, " LLCLatency:", c.LLCLatency)
+	b = appendField(b, " MSHRs:", c.MSHRs)
+	b = appendField(b, " PrefetchBudget:", c.PrefetchBudget)
+	b = strconv.AppendBool(append(b, " Translate:"...), c.Translate)
+	b = append(append(b, " LLCPolicy:"...), c.LLCPolicy...)
+	b = appendField(b, " DRAM:{Channels:", d.Channels)
+	b = appendField(b, " RanksPerChannel:", d.RanksPerChannel)
+	b = appendField(b, " BanksPerRank:", d.BanksPerRank)
+	b = appendField(b, " MTPS:", d.MTPS)
+	b = appendField(b, " BusBytes:", d.BusBytes)
+	b = appendField(b, " RowBytes:", d.RowBytes)
+	b = appendField(b, " CoreMHz:", d.CoreMHz)
+	b = appendFloat(b, " TRCDns:", d.TRCDns)
+	b = appendFloat(b, " TRPns:", d.TRPns)
+	b = appendFloat(b, " TCASns:", d.TCASns)
+	b = appendFloat(b, " TREFIns:", d.TREFIns)
+	b = appendFloat(b, " TRFCns:", d.TRFCns)
+	return string(append(b, "}}"...))
+}
+
+// appendField appends one integer field of Config.Key.
+func appendField[T int | int64](b []byte, name string, v T) []byte {
+	return strconv.AppendInt(append(b, name...), int64(v), 10)
+}
+
+// appendFloat appends one float64 field of Config.Key in %v's form,
+// which is strconv's shortest 'g' form.
+func appendFloat(b []byte, name string, v float64) []byte {
+	return strconv.AppendFloat(append(b, name...), v, 'g', -1, 64)
 }
 
 // CoreStats accumulates per-core memory-system statistics used by the

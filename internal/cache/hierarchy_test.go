@@ -1,6 +1,10 @@
 package cache
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"pythia/internal/prefetch"
@@ -331,5 +335,69 @@ func TestCompletionMonotoneWithArrival(t *testing.T) {
 	latLate := mk(1 << 20)
 	if latEarly <= 0 || latLate <= 0 {
 		t.Fatal("cold miss latency must be positive")
+	}
+}
+
+// TestConfigKeyMatchesSprintf pins Config.Key to the %+v rendering that
+// run identities and stored-result fingerprints were built from, on the
+// configurations the experiments use and on random ones with every
+// field, DRAM included, set by reflection (so a field Key forgets fails
+// here).
+func TestConfigKeyMatchesSprintf(t *testing.T) {
+	var cfgs []Config
+	for _, cores := range []int{1, 2, 4, 8} {
+		cfgs = append(cfgs, DefaultConfig(cores))
+	}
+	for _, mtps := range []int{150, 600, 2400, 9600} {
+		c := DefaultConfig(1)
+		c.DRAM = c.DRAM.WithMTPS(mtps)
+		cfgs = append(cfgs, c)
+	}
+	refresh := DefaultConfig(1)
+	refresh.DRAM = refresh.DRAM.WithRefresh()
+	translate := DefaultConfig(1)
+	translate.Translate = true
+	cfgs = append(cfgs, refresh, translate, Config{})
+	for _, pol := range []string{"ship", "drrip", "lru"} {
+		c := DefaultConfig(4)
+		c.LLCPolicy = pol
+		cfgs = append(cfgs, c)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	floats := []float64{0, math.Copysign(0, -1), 13.75, 7.8e3, 1e6, 1e21, 1e-5, 350, math.Inf(1), math.NaN()}
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case reflect.Int, reflect.Int64:
+			v.SetInt(rng.Int63n(1<<40) - 1<<39)
+		case reflect.Float64:
+			if rng.Intn(2) == 0 {
+				v.SetFloat(floats[rng.Intn(len(floats))])
+			} else {
+				v.SetFloat(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20)))
+			}
+		case reflect.Bool:
+			v.SetBool(rng.Intn(2) == 0)
+		case reflect.String:
+			v.SetString([]string{"", "ship", "drrip", "lru", "a b:{c}"}[rng.Intn(5)])
+		default:
+			t.Fatalf("Config field of kind %s: extend Key and this test", v.Kind())
+		}
+	}
+	for i := 0; i < 500; i++ {
+		var c Config
+		fill(reflect.ValueOf(&c).Elem())
+		cfgs = append(cfgs, c)
+	}
+
+	for _, c := range cfgs {
+		if got, want := c.Key(), fmt.Sprintf("%+v", c); got != want {
+			t.Fatalf("Key() = %q\nwant %%+v  %q", got, want)
+		}
 	}
 }

@@ -1,28 +1,13 @@
 package core
 
-// Batch faces of the QVStore search, used over windows of in-flight
-// demands. Demand streams are heavily repetitive — consecutive demands
-// from a striding PC resolve to the same (vault, plane) rows — so a batch
-// scan can reuse the plane-row loads of the previous element instead of
-// re-walking the tables. Every reuse below is bit-exact, not approximate:
-// a reused result is returned only when the resolved row offsets are
-// identical, in which case the fresh scan would have loaded exactly the
-// same table entries in the same order (qvbatch_test.go pins this against
-// the one-at-a-time path).
-
-// equalVals reports whether two raw signatures carry identical per-vault
-// feature values.
-func equalVals(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if b[i] != v {
-			return false
-		}
-	}
-	return true
-}
+// Scan reuse for the train path. Demand streams are heavily repetitive —
+// consecutive demands from a striding PC resolve to the same (vault,
+// plane) rows — so Pythia.Train reuses the Q-values of its last
+// action-selection scan instead of re-walking the tables. Every reuse is
+// bit-exact, not approximate: a reused value is read only when the
+// resolved row offsets are identical (SameRows), in which case a fresh
+// lookup would have loaded exactly the same table entries in the same
+// order (qvbatch_test.go pins this).
 
 // SameRows reports whether two resolved signatures index exactly the same
 // plane rows — the condition under which one signature's scan results are
@@ -37,48 +22,6 @@ func SameRows(a, b *ResolvedSig) bool {
 		}
 	}
 	return true
-}
-
-// ResolveStateBatch resolves a window of states into out (len(out) must be
-// at least len(sts); entries come from NewResolvedSig for reuse). A state
-// whose raw feature values match the previous element's copies its row
-// offsets instead of re-hashing every (vault, plane) pair, so a run of
-// same-state demands costs one resolution.
-func (s *QVStore) ResolveStateBatch(sts []State, out []ResolvedSig) {
-	for i := range sts {
-		r := &out[i]
-		r.vals = r.vals[:0]
-		for vi := range s.vaults {
-			r.vals = append(r.vals, s.vaults[vi].feature.Value(&sts[i]))
-		}
-		if i > 0 && equalVals(r.vals, out[i-1].vals) {
-			r.offs = append(r.offs[:0], out[i-1].offs...)
-			continue
-		}
-		r.offs = r.offs[:0]
-		for vi := range s.vaults {
-			v := &s.vaults[vi]
-			for p, shift := range v.shifts {
-				r.offs = append(r.offs, s.rowBase(shift, p, r.vals[vi]))
-			}
-		}
-	}
-}
-
-// ArgmaxQBatch runs the pipelined search over a window of resolved
-// signatures, writing the best action and its Q-value per element
-// (actions and qs must be at least len(rs) long). Adjacent elements that
-// resolve to the same plane rows carry the previous result over without
-// touching the tables. The batch must not interleave with updates: a
-// carried-over result reflects the tables as of its first scan.
-func (s *QVStore) ArgmaxQBatch(rs []ResolvedSig, actions []int, qs []float64) {
-	for i := range rs {
-		if i > 0 && SameRows(&rs[i], &rs[i-1]) {
-			actions[i], qs[i] = actions[i-1], qs[i-1]
-			continue
-		}
-		actions[i], qs[i] = s.ArgmaxQResolved(&rs[i])
-	}
 }
 
 // ScanQ returns the Q-value of an action as computed by the most recent

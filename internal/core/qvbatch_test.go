@@ -6,8 +6,7 @@ import (
 	"testing"
 )
 
-// randState returns a plausible tracker state; adjacent duplicates are
-// common in real demand streams, so the batch tests inject them.
+// randState returns a plausible tracker state.
 func randState(rng *rand.Rand) State {
 	return State{
 		PC:     uint64(rng.Intn(64) * 4),
@@ -31,62 +30,50 @@ func churn(qv *QVStore, rng *rand.Rand, n int) {
 	}
 }
 
-func TestResolveStateBatchMatchesSingle(t *testing.T) {
+// TestSameRows pins the reuse condition Pythia.Train checks before
+// reading one signature's Q-values off another's scan: the same state
+// always resolves to the same rows, signatures on the same rows read
+// bitwise-equal Q-values, and one differing offset or a different length
+// is not the same rows.
+func TestSameRows(t *testing.T) {
 	qv := testStore()
 	rng := rand.New(rand.NewSource(1))
-	sts := make([]State, 64)
-	for i := range sts {
-		if i > 0 && rng.Intn(3) == 0 {
-			sts[i] = sts[i-1] // adjacent duplicate: exercises the offs reuse
-		} else {
-			sts[i] = randState(rng)
-		}
-	}
-	out := make([]ResolvedSig, len(sts))
-	for i := range out {
-		out[i] = qv.NewResolvedSig()
-	}
-	qv.ResolveStateBatch(sts, out)
-
-	single := qv.NewResolvedSig()
-	for i := range sts {
-		qv.ResolveState(&sts[i], &single)
-		if !equalVals(out[i].vals, single.vals) {
-			t.Fatalf("state %d: batch vals %v, single %v", i, out[i].vals, single.vals)
-		}
-		if !SameRows(&out[i], &single) {
-			t.Fatalf("state %d: batch offs %v, single %v", i, out[i].offs, single.offs)
-		}
-	}
-}
-
-func TestArgmaxQBatchMatchesSingle(t *testing.T) {
-	qv := testStore()
-	rng := rand.New(rand.NewSource(2))
 	churn(qv, rng, 2000)
-
-	sts := make([]State, 48)
-	for i := range sts {
-		if i > 0 && rng.Intn(3) == 0 {
-			sts[i] = sts[i-1]
-		} else {
-			sts[i] = randState(rng)
+	a, b := qv.NewResolvedSig(), qv.NewResolvedSig()
+	same := 0
+	for i := 0; i < 500; i++ {
+		sa := randState(rng)
+		sb := sa
+		if rng.Intn(2) == 0 {
+			sb = randState(rng)
+		}
+		qv.ResolveState(&sa, &a)
+		qv.ResolveState(&sb, &b)
+		if sa == sb && !SameRows(&a, &b) {
+			t.Fatalf("pair %d: one state resolved to different rows", i)
+		}
+		if !SameRows(&a, &b) {
+			continue
+		}
+		same++
+		for act := 0; act < 16; act++ {
+			if qa, qb := qv.QResolved(&a, act), qv.QResolved(&b, act); math.Float64bits(qa) != math.Float64bits(qb) {
+				t.Fatalf("pair %d action %d: same rows read %v and %v", i, act, qa, qb)
+			}
 		}
 	}
-	rs := make([]ResolvedSig, len(sts))
-	for i := range rs {
-		rs[i] = qv.NewResolvedSig()
+	if same == 0 || same == 500 {
+		t.Fatalf("%d of 500 pairs on the same rows: the draw exercises one side only", same)
 	}
-	qv.ResolveStateBatch(sts, rs)
 
-	actions := make([]int, len(rs))
-	qs := make([]float64, len(rs))
-	qv.ArgmaxQBatch(rs, actions, qs)
-	for i := range rs {
-		wantA, wantQ := qv.ArgmaxQResolved(&rs[i])
-		if actions[i] != wantA || math.Float64bits(qs[i]) != math.Float64bits(wantQ) {
-			t.Fatalf("element %d: batch (%d, %v), single (%d, %v)", i, actions[i], qs[i], wantA, wantQ)
-		}
+	other := ResolvedSig{offs: append([]int32(nil), a.offs...)}
+	other.offs[len(other.offs)-1]++
+	if SameRows(&a, &other) {
+		t.Error("signatures differing in one offset reported the same rows")
+	}
+	short := ResolvedSig{offs: a.offs[:len(a.offs)-1]}
+	if SameRows(&a, &short) || SameRows(&short, &a) {
+		t.Error("signatures of different lengths reported the same rows")
 	}
 }
 

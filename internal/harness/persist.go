@@ -76,12 +76,13 @@ func (p runPayload) result() RunResult {
 	return RunResult{Name: p.Name, IPC: p.IPC, Stats: p.Stats, Buckets: p.Buckets, DRAM: p.DRAM}
 }
 
-// runKey addresses one simulation in the persistent store.
-func runKey(spec RunSpec) results.Key {
+// runKey addresses one simulation in the persistent store; key is the
+// spec's cacheKey.
+func runKey(spec RunSpec, key string) results.Key {
 	return results.Key{
 		Kind:        "run",
-		Name:        fmt.Sprintf("%s|%s", spec.Mix.Name, spec.PF.Name),
-		Fingerprint: results.Fingerprint(cacheKey(spec)),
+		Name:        spec.Mix.Name + "|" + spec.PF.Name,
+		Fingerprint: results.Fingerprint(key),
 	}
 }
 
@@ -115,25 +116,25 @@ type ExperimentPayload struct {
 // snapshots), which a disk hit cannot provide. RunCached already bypasses
 // every cache layer for such specs; the check here keeps the rule local
 // too. Warm-started specs persist normally — their policy's content
-// address is part of the key.
-func loadPersisted(spec RunSpec) (RunResult, bool) {
+// address is part of the key. key is the spec's cacheKey.
+func loadPersisted(spec RunSpec, key string) (RunResult, bool) {
 	st := ResultStore()
 	if st == nil || spec.Hook != nil || spec.TrainPolicy != nil {
 		return RunResult{}, false
 	}
 	var p runPayload
-	if !st.Get(runKey(spec), &p) {
+	if !st.Get(runKey(spec, key), &p) {
 		return RunResult{}, false
 	}
 	return p.result(), true
 }
 
-// storePersisted writes a completed run to the persistent store
-// (best-effort: a full disk degrades to "no reuse").
-func storePersisted(spec RunSpec, r RunResult) {
+// storePersisted writes a completed run to the persistent store under
+// the spec's cacheKey (best-effort: a full disk degrades to "no reuse").
+func storePersisted(spec RunSpec, key string, r RunResult) {
 	st := ResultStore()
 	if st == nil || spec.Hook != nil || spec.TrainPolicy != nil {
 		return
 	}
-	_ = st.Put(runKey(spec), payloadOf(r))
+	_ = st.Put(runKey(spec, key), payloadOf(r))
 }

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -690,8 +691,8 @@ func mixIdentity(mix trace.Mix, traceLen int) string {
 }
 
 // cacheKey captures everything that affects a run's outcome. The whole
-// cache/DRAM configuration is rendered into the key (%+v over plain value
-// structs, deterministic field order) rather than a hand-picked subset: an
+// cache/DRAM configuration is rendered into the key (cache.Config.Key,
+// byte-identical to its %+v form) rather than a hand-picked subset: an
 // earlier version listed individual fields and silently collided specs
 // differing in the unlisted ones (Translate, LLCPolicy, geometry), serving
 // one ablation arm the other arm's cached result; the mix contributes its
@@ -701,10 +702,16 @@ func mixIdentity(mix trace.Mix, traceLen int) string {
 // delivery mode share a memoization slot. A warm-started run contributes
 // its policy's content address: warm and cold runs of one spec produce
 // different results and must never share a slot (on disk or in memory).
+// The key also fingerprints the spec's stored result (runKey), so its
+// bytes must not change: TestCacheKeyMatchesSprintfForm pins them to the
+// fmt.Sprintf form that entries on disk were written under. RunCached
+// renders it once per call.
 func cacheKey(spec RunSpec) string {
-	key := fmt.Sprintf("%s|%s|c%d|%+v|w%d|s%d|t%d",
-		mixIdentity(spec.Mix, spec.Scale.TraceLen), spec.PF.Name, len(spec.Mix.Workloads),
-		spec.CacheCfg, spec.Scale.Warmup, spec.Scale.Sim, spec.Scale.TraceLen)
+	key := mixIdentity(spec.Mix, spec.Scale.TraceLen) + "|" + spec.PF.Name +
+		"|c" + strconv.Itoa(len(spec.Mix.Workloads)) + "|" + spec.CacheCfg.Key() +
+		"|w" + strconv.FormatInt(spec.Scale.Warmup, 10) +
+		"|s" + strconv.FormatInt(spec.Scale.Sim, 10) +
+		"|t" + strconv.Itoa(spec.Scale.TraceLen)
 	if spec.WarmStart != nil {
 		key += "|warm:" + spec.WarmStart.ID
 	}
@@ -749,7 +756,7 @@ func RunCached(ctx context.Context, spec RunSpec) (RunResult, error) {
 		if v, ok := baselineCache.Load(key); ok {
 			return v.(RunResult), nil
 		}
-		if r, ok := loadPersisted(spec); ok {
+		if r, ok := loadPersisted(spec, key); ok {
 			baselineCache.Store(key, r)
 			return r, nil
 		}
@@ -757,7 +764,7 @@ func RunCached(ctx context.Context, spec RunSpec) (RunResult, error) {
 		if err != nil {
 			return RunResult{}, err
 		}
-		storePersisted(spec, r)
+		storePersisted(spec, key, r)
 		r = stripPFs(r)
 		baselineCache.Store(key, r)
 		return r, nil

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -163,40 +164,57 @@ func (s *Store) path(key Key) string {
 	if len(name) > 80 {
 		name = name[:80]
 	}
-	return filepath.Join(s.dir, fmt.Sprintf("%s-%s-%s.json", fsutil.Sanitize(key.Kind), name, key.Fingerprint))
+	return filepath.Join(s.dir, fsutil.Sanitize(key.Kind)+"-"+name+"-"+key.Fingerprint+".json")
 }
 
-// Get looks a key up and, on a hit, unmarshals the stored payload into
-// out. It returns false on any miss: absent file, unreadable JSON, or an
-// envelope whose identity fields do not match the key.
-func (s *Store) Get(key Key, out any) bool {
-	env, ok := s.load(key)
-	if !ok {
-		s.miss()
-		return false
-	}
-	if err := json.Unmarshal(env.Payload, out); err != nil {
-		s.miss()
-		return false
-	}
-	s.hit()
-	return true
+// entry is the part of an envelope a read needs: the identity fields, and
+// the payload decoded straight into the reader's value in the same pass.
+type entry struct {
+	Kind        string `json:"kind"`
+	Name        string `json:"name"`
+	Fingerprint string `json:"fingerprint"`
+	Payload     any    `json:"payload"`
 }
 
-// load reads and validates the envelope for a key.
-func (s *Store) load(key Key) (envelope, bool) {
+// decode is the store's one read path. It reads key's file and unmarshals
+// envelope and payload in a single JSON parse, the payload into target,
+// which must be a pointer to a nil pointer: the payload is present only
+// when the decode left that pointer non-nil. It reports whether the file
+// exists, parses as an envelope whose payload fits target, and names key
+// (kind, name and fingerprint are re-checked, so a filename-hash
+// collision or a hand-copied file can never serve the wrong result).
+func (s *Store) decode(key Key, target any) bool {
 	buf, err := os.ReadFile(s.path(key))
 	if err != nil {
-		return envelope{}, false
+		return false
 	}
-	var env envelope
-	if err := json.Unmarshal(buf, &env); err != nil {
-		return envelope{}, false
+	e := entry{Payload: target}
+	if json.Unmarshal(buf, &e) != nil {
+		return false
 	}
-	if env.Kind != key.Kind || env.Name != key.Name || env.Fingerprint != key.Fingerprint {
-		return envelope{}, false
+	return e.Kind == key.Kind && e.Name == key.Name && e.Fingerprint == key.Fingerprint
+}
+
+// Get looks a key up and, on a hit, stores the payload in out, which must
+// be a non-nil pointer. The payload is decoded into a fresh value and
+// copied into out only once the entry is known to be valid, so a miss —
+// absent file, malformed JSON, a missing, null or mis-shaped payload, an
+// envelope whose identity fields do not match the key, or an unusable
+// out — returns false and leaves out untouched.
+func (s *Store) Get(key Key, out any) bool {
+	dst := reflect.ValueOf(out)
+	if dst.Kind() != reflect.Pointer || dst.IsNil() {
+		s.miss()
+		return false
 	}
-	return env, true
+	fresh := reflect.New(dst.Type()) // a pointer to a nil *T
+	if !s.decode(key, fresh.Interface()) || fresh.Elem().IsNil() {
+		s.miss()
+		return false
+	}
+	dst.Elem().Set(fresh.Elem().Elem())
+	s.hit()
+	return true
 }
 
 // Put persists a payload under a key, overwriting any previous entry.
@@ -252,11 +270,13 @@ func (s *Store) Sweep() {
 }
 
 // Has reports whether a valid entry for key is on disk, without
-// decoding its payload or touching the hit/miss counters. The serving
-// layer uses it to admit store-hit requests while writes are degraded.
+// decoding its payload or touching the hit/miss counters: the file parses
+// and names key, and carries a payload, whose shape only a Get can check.
+// The serving layer uses it to admit store-hit requests while writes are
+// degraded.
 func (s *Store) Has(key Key) bool {
-	_, ok := s.load(key)
-	return ok
+	var raw *json.RawMessage
+	return s.decode(key, &raw) && raw != nil
 }
 
 // GetOrCompute returns the stored payload for key, computing and persisting
@@ -275,9 +295,10 @@ func (s *Store) GetOrCompute(key Key, out any, compute func() (any, error)) (hit
 	res, leader, ferr := s.flight.Do(flightKey, func() (flightOut, error) {
 		// Re-check under the flight: an earlier flight (or another process)
 		// may have landed the entry between our miss and taking leadership.
-		if env, ok := s.load(key); ok {
+		var raw *json.RawMessage
+		if s.decode(key, &raw) && raw != nil {
 			s.hit()
-			return flightOut{payload: env.Payload, hit: true}, nil
+			return flightOut{payload: *raw, hit: true}, nil
 		}
 		v, err := compute()
 		if err != nil {

@@ -2,6 +2,7 @@ package results_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -245,5 +246,115 @@ func TestFingerprintSeparatesParts(t *testing.T) {
 	}
 	if results.Fingerprint("x") == results.Fingerprint("y") {
 		t.Error("distinct inputs collided")
+	}
+}
+
+// entryFile returns the file key's entries live in, learned by storing a
+// placeholder there.
+func entryFile(t *testing.T, s *results.Store, key results.Key) string {
+	t.Helper()
+	if err := s.Put(key, payload{Label: "placeholder"}); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(s.Dir())
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("want one entry file, got %d (%v)", len(ents), err)
+	}
+	return filepath.Join(s.Dir(), ents[0].Name())
+}
+
+// TestGetMissesLeaveOutUntouched covers every way a read can miss: each
+// must report false from Get, count a miss, and leave the caller's value
+// exactly as it was, even where the JSON decodes partway (a payload whose
+// second field has the wrong type). Has agrees except on a payload's
+// shape, which only a typed read can check.
+func TestGetMissesLeaveOutUntouched(t *testing.T) {
+	key := testKey("gems|pythia", "cfg")
+	doc := func(kind, name, fp, rest string) string {
+		return fmt.Sprintf(`{"kind":%q,"name":%q,"fingerprint":%q,"gen_version":1,"created_at":"2026-01-01T00:00:00Z"%s}`,
+			kind, name, fp, rest)
+	}
+	good := `,"payload":{"label":"stored","ipc":[1.5]}`
+	for _, tc := range []struct {
+		name string
+		file string // entry contents; "" leaves no file
+		has  bool   // Has cannot see a payload's shape, only Get can
+	}{
+		{"absent file", "", false},
+		{"corrupt JSON", doc(key.Kind, key.Name, key.Fingerprint, good)[:60], false},
+		{"trailing garbage", doc(key.Kind, key.Name, key.Fingerprint, good) + "}", false},
+		{"kind mismatch", doc("experiment", key.Name, key.Fingerprint, good), false},
+		{"name mismatch", doc(key.Kind, "gems|nopref", key.Fingerprint, good), false},
+		{"fingerprint mismatch", doc(key.Kind, key.Name, "0123456789abcdef", good), false},
+		{"payload of the wrong shape", doc(key.Kind, key.Name, key.Fingerprint, `,"payload":[1,2,3]`), true},
+		{"payload field of the wrong type", doc(key.Kind, key.Name, key.Fingerprint, `,"payload":{"label":"partial","ipc":"x"}`), true},
+		{"null payload", doc(key.Kind, key.Name, key.Fingerprint, `,"payload":null`), false},
+		{"missing payload", doc(key.Kind, key.Name, key.Fingerprint, ""), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := results.Open(t.TempDir())
+			if tc.file != "" {
+				if err := os.WriteFile(entryFile(t, s, key), []byte(tc.file), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out := payload{Label: "caller's", IPC: []float64{9}}
+			if s.Get(key, &out) {
+				t.Fatal("Get hit")
+			}
+			if out.Label != "caller's" || len(out.IPC) != 1 || out.IPC[0] != 9 {
+				t.Errorf("miss changed out to %+v", out)
+			}
+			if s.Misses() != 1 || s.Hits() != 0 {
+				t.Errorf("counters hits=%d misses=%d, want 0/1", s.Hits(), s.Misses())
+			}
+			if got := s.Has(key); got != tc.has {
+				t.Errorf("Has = %v, want %v", got, tc.has)
+			}
+		})
+	}
+
+	t.Run("unusable out", func(t *testing.T) {
+		s := results.Open(t.TempDir())
+		if err := s.Put(key, payload{Label: "stored"}); err != nil {
+			t.Fatal(err)
+		}
+		out := payload{Label: "caller's"}
+		if s.Get(key, out) {
+			t.Error("Get hit into a non-pointer")
+		}
+		if s.Get(key, (*payload)(nil)) {
+			t.Error("Get hit into a nil pointer")
+		}
+		if s.Get(key, nil) {
+			t.Error("Get hit into nil")
+		}
+		if out.Label != "caller's" || s.Misses() != 3 {
+			t.Errorf("out=%+v misses=%d, want untouched and 3", out, s.Misses())
+		}
+		if !s.Has(key) {
+			t.Error("Has misses a valid entry")
+		}
+	})
+}
+
+// TestGetReplacesOutWholesale: a hit stores exactly the payload on disk,
+// never a merge with what out held before (a field absent from the
+// payload comes back zero, not as the caller's old value).
+func TestGetReplacesOutWholesale(t *testing.T) {
+	s := results.Open(t.TempDir())
+	key := testKey("w", "cfg")
+	stored := struct {
+		Label string `json:"label"`
+	}{"stored"} // no "ipc" field at all
+	if err := s.Put(key, stored); err != nil {
+		t.Fatal(err)
+	}
+	out := payload{Label: "caller's", IPC: []float64{9}}
+	if !s.Get(key, &out) {
+		t.Fatal("stored entry missed")
+	}
+	if out.Label != "stored" || out.IPC != nil {
+		t.Errorf("hit left %+v, want exactly the stored payload", out)
 	}
 }
