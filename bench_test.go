@@ -15,6 +15,9 @@ package pythia_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -281,19 +284,25 @@ func BenchmarkTraceGen(b *testing.B) {
 // --- Trace-delivery benches (streaming vs materialized, PERF.md) ---
 
 // benchDrainReader measures record-delivery throughput of an opened
-// reader, reporting records per wall second.
+// reader through NextChunk, the batched path the fused simulation kernel
+// consumes, reporting records per wall second.
 func benchDrainReader(b *testing.B, open func() trace.Reader, n int) {
 	b.Helper()
 	b.ResetTimer()
 	var recs int64
 	for i := 0; i < b.N; i++ {
 		r := open()
+		cr, ok := r.(trace.ChunkReader)
+		if !ok {
+			b.Fatalf("%T delivers no chunks", r)
+		}
 		count := 0
 		for {
-			if _, ok := r.Next(); !ok {
+			c, ok := cr.NextChunk()
+			if !ok {
 				break
 			}
-			count++
+			count += c.Len()
 		}
 		if c, ok := r.(interface{ Close() error }); ok {
 			c.Close()
@@ -348,6 +357,42 @@ func BenchmarkTraceDeliveryFileStream(b *testing.B) {
 		}
 		return r
 	}, benchTraceLen)
+}
+
+// BenchmarkTraceCacheFill times a trace-cache fill as a streamed
+// experiment's set-up pays it: stream.Cache.Ensure generates and encodes
+// three registry workloads of different suites into a fresh directory.
+// It reports records written per wall second.
+func BenchmarkTraceCacheFill(b *testing.B) {
+	const n = 50_000
+	var ws []trace.Workload
+	for _, name := range []string{"459.GemsFDTD-100B", "482.sphinx3-100B", "canneal-100B"} {
+		w, ok := trace.ByName(name)
+		if !ok {
+			b.Fatalf("missing workload %s", name)
+		}
+		ws = append(ws, w)
+	}
+	root := b.TempDir()
+	b.ResetTimer()
+	var recs int64
+	for i := 0; i < b.N; i++ {
+		dir := filepath.Join(root, strconv.Itoa(i))
+		c := stream.NewCache(dir)
+		for _, w := range ws {
+			if _, err := c.Ensure(context.Background(), w, n); err != nil {
+				b.Fatal(err)
+			}
+			recs += int64(w.NumRecords(n))
+		}
+		b.StopTimer()
+		if c.Writes() != int64(len(ws)) {
+			b.Fatalf("fill wrote %d traces, want %d", c.Writes(), len(ws))
+		}
+		os.RemoveAll(dir)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(recs)/b.Elapsed().Seconds(), "recs/s")
 }
 
 // BenchmarkSimulatorEndToEndStreaming is BenchmarkSimulatorEndToEnd with

@@ -12,9 +12,11 @@
 #                 the storm must meet its SLOs and no admitted job may
 #                 be lost
 #   ci.sh full    quick + chaos, plus the race detector over every
-#                 concurrent subsystem, a benchmark smoke of the QVStore
-#                 hot path and a stored-result hit (the benchmark run
-#                 also executes the allocation-budget tests), the
+#                 concurrent subsystem, a short fuzz of the trace-file
+#                 decoder, a benchmark smoke of the QVStore hot path, a
+#                 stored-result hit, trace delivery and a trace-cache
+#                 fill (the benchmark run also executes the
+#                 allocation-budget tests), the
 #                 perfbench tests plus a short run of each workload
 #                 (correctness checks gate, timings do not), a
 #                 pythia-bench CLI check (CSV tables byte-identical at
@@ -260,8 +262,11 @@ if [ "$tier" = full ]; then
     go test -race -run 'BatchedMatchesShim|BatchedChunkSizeInvariance|DeterministicAcrossWorkerCounts' \
         ./internal/cpu/... ./internal/harness/...
 
-    echo "== bench smoke (QVStore hot path, stored-result hit) =="
-    go test -run='AllocationFree' -bench='QVStore|RunCachedStoreHit' -benchtime=100x -benchmem .
+    echo "== fuzz smoke (trace-file decoder, record and chunk paths) =="
+    go test -run='^$' -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/trace
+
+    echo "== bench smoke (QVStore hot path, stored-result hit, trace delivery and cache fill) =="
+    go test -run='AllocationFree' -bench='QVStore|RunCachedStoreHit|TraceDelivery|TraceCacheFill' -benchtime=100x -benchmem .
 
     echo "== perfbench (benchmark tests + one short run per workload) =="
     # perfbench is a module of its own, outside ./...: vet and test it,

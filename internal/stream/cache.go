@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -174,31 +175,38 @@ func (c *Cache) populate(ctx context.Context, path string, w trace.Workload, n i
 }
 
 // encodeWorkload streams n records of w into wr through the incremental
-// encoder, one column chunk at a time: the generator fills a reused
-// trace.Chunk directly and the encoder writes straight off the columns,
-// so no []Record is ever materialized between the two. The context is
-// checked between chunks so a canceled generation pass aborts promptly.
+// encoder, one column chunk at a time. The generator fills chunks in a
+// chunk pipeline's producer goroutine (the one GenSource readers use), so
+// generation overlaps encoding and writing, and no []Record is ever
+// materialized between the two. The context is checked between chunks so
+// a canceled generation pass aborts promptly.
 func encodeWorkload(ctx context.Context, wr *os.File, w trace.Workload, n int) (records int, instructions int64, err error) {
-	count := w.NumRecords(n)
-	e, err := trace.NewEncoder(wr, w.Name, w.Suite, count)
+	e, err := trace.NewEncoder(wr, w.Name, w.Suite, w.NumRecords(n))
 	if err != nil {
 		return 0, 0, err
 	}
-	it := w.Iter(n)
-	buf := trace.NewChunk(DefaultChunk)
+	// DefaultBatch-record chunks keep the ring's depth+2 buffers within
+	// about one DefaultChunk of memory.
+	r, err := newChunkedReader(func() (trace.Iter, io.Closer, error) {
+		return w.Iter(n), nil, nil
+	}, trace.DefaultBatch, 0)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer r.Close()
 	for {
 		if cerr := ctx.Err(); cerr != nil {
 			return records, instructions, cerr
 		}
-		buf.Reset()
-		if trace.FillChunk(it, buf, DefaultChunk) == 0 {
+		c, ok := r.NextChunk()
+		if !ok {
 			break
 		}
-		if err := e.EncodeChunk(buf); err != nil {
+		if err := e.EncodeChunk(&c); err != nil {
 			return records, instructions, err
 		}
-		records += buf.Len()
-		instructions += buf.Instructions()
+		records += c.Len()
+		instructions += c.Instructions()
 	}
 	return records, instructions, e.Close()
 }

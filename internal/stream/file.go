@@ -112,30 +112,30 @@ func (it *fileIter) Next() (trace.Record, bool) {
 	return rec, true
 }
 
-// FillChunk implements trace.ChunkFiller: records decode straight onto
-// the chunk's columns (Decoder.DecodeInto), never materializing a Record
-// between disk and ring. The FPDecode failpoint is still consulted per
-// record — fault specs count hits in records, and a "file corrupted
-// mid-stream" must be able to land mid-chunk.
+// FillChunk implements trace.ChunkFiller: a run of up to max records
+// decodes straight onto the chunk's columns (Decoder.DecodeChunk), never
+// materializing a Record between disk and ring. The FPDecode failpoint is
+// still consulted once per record, before the run decodes: fault specs
+// count hits in records, and a "file corrupted mid-stream" must be able to
+// land mid-chunk, after exactly the records the spec lets through.
 func (it *fileIter) FillChunk(c *trace.Chunk, max int) int {
 	if it.err != nil {
 		return 0
 	}
-	n := 0
-	for n < max {
-		if ferr := fault.Hit(FPDecode); ferr != nil {
-			it.err = fmt.Errorf("stream: decoding %s: %w", it.path, ferr)
+	max = int(min(int64(max), it.d.Remaining()))
+	var ferr error
+	for k := 0; k < max; k++ {
+		if ferr = fault.Hit(FPDecode); ferr != nil {
+			max = k
 			break
 		}
-		err := it.d.DecodeInto(c)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			it.err = fmt.Errorf("stream: decoding %s: %w", it.path, err)
-			break
-		}
-		n++
+	}
+	n, err := it.d.DecodeChunk(c, max)
+	if err == nil {
+		err = ferr
+	}
+	if err != nil {
+		it.err = fmt.Errorf("stream: decoding %s: %w", it.path, err)
 	}
 	return n
 }

@@ -33,8 +33,8 @@ import (
 	"pythia/internal/trace"
 )
 
-// DefaultChunk is the default chunk size in records (~768 KiB of records
-// per chunk at 24 B/record).
+// DefaultChunk is the default chunk size in records (608 KiB of columns
+// per chunk at 19 B/record).
 const DefaultChunk = 1 << 15
 
 // DefaultDepth is the default chunk-ring depth: the producer may run at

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -338,6 +340,30 @@ func TestMaterialize(t *testing.T) {
 	}
 	if _, err := os.Stat(badPath); !os.IsNotExist(err) {
 		t.Error("partial output left behind")
+	}
+}
+
+// TestMaterializeBytesPinned pins the trace-file bytes of one registry
+// workload at a fixed length: the digest was taken from files written
+// before the codec moved to byte slices, so any drift in the generator or
+// the on-disk format fails here (cache keys would silently go stale).
+func TestMaterializeBytesPinned(t *testing.T) {
+	const (
+		n          = 50_000
+		wantLen    = 414_100
+		wantSHA256 = "25653cfc5681f546c64e1a91d1f2c4271662c8d8ecc60a5b77c4574283c65bad"
+	)
+	path := filepath.Join(t.TempDir(), "pinned.pytr")
+	if _, _, err := Materialize(bgCtx, path, testWorkload(t), n); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); len(data) != wantLen || got != wantSHA256 {
+		t.Fatalf("Materialize wrote %d bytes with SHA-256 %s, want %d bytes with %s", len(data), got, wantLen, wantSHA256)
 	}
 }
 

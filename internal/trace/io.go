@@ -37,11 +37,22 @@ const maxNameLen = 1 << 20
 // maxRecordCount bounds the decoded record count.
 const maxRecordCount = 1 << 32
 
+// maxRecordLen is the longest a well-formed record can be: three varints
+// of at most binary.MaxVarintLen64 bytes each (non-minimal encodings
+// included) and the flags byte.
+const maxRecordLen = 3*binary.MaxVarintLen64 + 1
+
+// encoderFlush is the pending-output size at which WriteRecord writes
+// through to the underlying writer.
+const encoderFlush = 64 << 10
+
 // Encoder streams records into the binary trace format. The record count
 // is part of the header, so it must be known up front; Close fails if the
 // number of records written differs.
 type Encoder struct {
-	bw       *bufio.Writer
+	w        io.Writer
+	buf      []byte // encoded bytes not yet written to w
+	err      error  // sticky first write error
 	left     uint64
 	prevPC   uint64
 	prevAddr uint64
@@ -53,30 +64,37 @@ func NewEncoder(w io.Writer, name, suite string, count int) (*Encoder, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("trace: negative record count %d", count)
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return nil, err
+	b := append([]byte(nil), magic[:]...)
+	b = binary.AppendUvarint(b, uint64(len(name)))
+	b = append(b, name...)
+	b = binary.AppendUvarint(b, uint64(len(suite)))
+	b = append(b, suite...)
+	b = binary.AppendUvarint(b, uint64(count))
+	return &Encoder{w: w, buf: b, left: uint64(count)}, nil
+}
+
+// appendRecord appends one record's encoding to b: its PC and address
+// deltas from the previous record, its nonmem count and its flags byte.
+// It is the format's only record encoder.
+func appendRecord(b []byte, pcDelta, addrDelta uint64, nonmem uint16, store bool) []byte {
+	b = binary.AppendVarint(b, int64(pcDelta))
+	b = binary.AppendVarint(b, int64(addrDelta))
+	b = binary.AppendUvarint(b, uint64(nonmem))
+	var flags byte
+	if store {
+		flags = 1
 	}
-	var buf [binary.MaxVarintLen64]byte
-	writeString := func(s string) error {
-		n := binary.PutUvarint(buf[:], uint64(len(s)))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
+	return append(b, flags)
+}
+
+// flush writes the pending output. A write error is sticky: every later
+// flush, and so Close, reports it.
+func (e *Encoder) flush() error {
+	if e.err == nil {
+		_, e.err = e.w.Write(e.buf)
 	}
-	if err := writeString(name); err != nil {
-		return nil, err
-	}
-	if err := writeString(suite); err != nil {
-		return nil, err
-	}
-	n := binary.PutUvarint(buf[:], uint64(count))
-	if _, err := bw.Write(buf[:n]); err != nil {
-		return nil, err
-	}
-	return &Encoder{bw: bw, left: uint64(count)}, nil
+	e.buf = e.buf[:0]
+	return e.err
 }
 
 // WriteRecord appends one record.
@@ -85,63 +103,31 @@ func (e *Encoder) WriteRecord(r Record) error {
 		return fmt.Errorf("trace: encoder: more records than the declared count")
 	}
 	e.left--
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], int64(r.PC-e.prevPC))
-	if _, err := e.bw.Write(buf[:n]); err != nil {
-		return err
-	}
-	n = binary.PutVarint(buf[:], int64(r.Addr-e.prevAddr))
-	if _, err := e.bw.Write(buf[:n]); err != nil {
-		return err
-	}
-	n = binary.PutUvarint(buf[:], uint64(r.NonMem))
-	if _, err := e.bw.Write(buf[:n]); err != nil {
-		return err
-	}
-	var flags byte
-	if r.Store {
-		flags |= 1
-	}
-	if err := e.bw.WriteByte(flags); err != nil {
-		return err
-	}
+	e.buf = appendRecord(e.buf, r.PC-e.prevPC, r.Addr-e.prevAddr, r.NonMem, r.Store)
 	e.prevPC, e.prevAddr = r.PC, r.Addr
+	if len(e.buf) >= encoderFlush {
+		return e.flush()
+	}
 	return nil
 }
 
 // EncodeChunk appends every record of a column chunk, streaming straight
 // off the columns: the chunked write path never assembles a Record or a
-// []Record between producer and encoder.
+// []Record between producer and encoder. The chunk's bytes reach the
+// underlying writer in one write.
 func (e *Encoder) EncodeChunk(c *Chunk) error {
 	n := c.Len()
 	if uint64(n) > e.left {
 		return fmt.Errorf("trace: encoder: more records than the declared count")
 	}
 	e.left -= uint64(n)
-	var buf [binary.MaxVarintLen64]byte
+	b, pc, addr := e.buf, e.prevPC, e.prevAddr
 	for i := 0; i < n; i++ {
-		w := binary.PutVarint(buf[:], int64(c.PC[i]-e.prevPC))
-		if _, err := e.bw.Write(buf[:w]); err != nil {
-			return err
-		}
-		w = binary.PutVarint(buf[:], int64(c.Addr[i]-e.prevAddr))
-		if _, err := e.bw.Write(buf[:w]); err != nil {
-			return err
-		}
-		w = binary.PutUvarint(buf[:], uint64(c.NonMem[i]))
-		if _, err := e.bw.Write(buf[:w]); err != nil {
-			return err
-		}
-		var flags byte
-		if c.Store[i] {
-			flags |= 1
-		}
-		if err := e.bw.WriteByte(flags); err != nil {
-			return err
-		}
-		e.prevPC, e.prevAddr = c.PC[i], c.Addr[i]
+		b = appendRecord(b, c.PC[i]-pc, c.Addr[i]-addr, c.NonMem[i], c.Store[i])
+		pc, addr = c.PC[i], c.Addr[i]
 	}
-	return nil
+	e.buf, e.prevPC, e.prevAddr = b, pc, addr
+	return e.flush()
 }
 
 // Close flushes buffered output and verifies the declared record count was
@@ -150,7 +136,7 @@ func (e *Encoder) Close() error {
 	if e.left != 0 {
 		return fmt.Errorf("trace: encoder: %d records short of the declared count", e.left)
 	}
-	return e.bw.Flush()
+	return e.flush()
 }
 
 // Write encodes t to w in the binary trace format.
@@ -177,6 +163,7 @@ type Decoder struct {
 	read     uint64
 	prevPC   uint64
 	prevAddr uint64
+	one      Chunk // Next's one-record chunk
 }
 
 // NewDecoder reads and validates the trace header from r.
@@ -229,6 +216,9 @@ func (d *Decoder) Suite() string { return d.suite }
 // Count returns the declared record count from the header.
 func (d *Decoder) Count() int64 { return int64(d.count) }
 
+// Remaining returns how many of the declared records are still to decode.
+func (d *Decoder) Remaining() int64 { return int64(d.count - d.read) }
+
 // Next decodes the next record. It returns io.EOF after the declared count
 // of records has been read, and an ErrBadFormat-wrapped error on corrupt
 // input.
@@ -236,43 +226,77 @@ func (d *Decoder) Next() (Record, error) {
 	if d.read >= d.count {
 		return Record{}, io.EOF
 	}
-	i := d.read
-	pcD, err := binary.ReadVarint(d.br)
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: record %d: %v", ErrBadFormat, i, err)
+	d.one.Reset()
+	if _, err := d.DecodeChunk(&d.one, 1); err != nil {
+		return Record{}, err
 	}
-	addrD, err := binary.ReadVarint(d.br)
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: record %d: %v", ErrBadFormat, i, err)
-	}
-	nonmem, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: record %d: %v", ErrBadFormat, i, err)
-	}
-	if nonmem > math.MaxUint16 {
-		return Record{}, fmt.Errorf("%w: record %d: nonmem %d overflows uint16", ErrBadFormat, i, nonmem)
-	}
-	flags, err := d.br.ReadByte()
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: record %d: %v", ErrBadFormat, i, err)
-	}
-	d.read++
-	d.prevPC += uint64(pcD)
-	d.prevAddr += uint64(addrD)
-	return Record{
-		PC:     d.prevPC,
-		Addr:   d.prevAddr,
-		NonMem: uint16(nonmem),
-		Store:  flags&1 != 0,
-	}, nil
+	return d.one.At(0), nil
 }
 
-// DecodeInto decodes the next record directly onto c's columns, without
-// materializing a Record. It returns io.EOF after the declared count.
-func (d *Decoder) DecodeInto(c *Chunk) error {
-	if d.read >= d.count {
-		return io.EOF
+// DecodeChunk appends up to max records onto c's columns, returning how
+// many were decoded. A clean end of trace yields (n, nil) with n < max;
+// corrupt input yields the ErrBadFormat-wrapped error.
+//
+// Whole runs of records are parsed straight out of the buffered window.
+// A record the window does not hold in full (the input's last bytes), or
+// whose bytes the window parse refuses, goes through decodeSlow instead,
+// which reads byte by byte and so fails on truncated or corrupt input
+// exactly as a byte reader does.
+func (d *Decoder) DecodeChunk(c *Chunk, max int) (int, error) {
+	want := 0
+	if max > 0 {
+		want = int(min(uint64(max), d.count-d.read))
 	}
+	n := 0
+	for n < want {
+		// Refill the window so it holds a whole record if the input does.
+		// A short window (the end of input, or a read error) is left to
+		// decodeSlow, which reports it.
+		d.br.Peek(maxRecordLen)
+		win, _ := d.br.Peek(d.br.Buffered())
+		pc, addr := d.prevPC, d.prevAddr
+		p, m := 0, 0
+		for n+m < want && len(win)-p >= maxRecordLen {
+			pcD, k := binary.Varint(win[p:])
+			if k <= 0 {
+				break
+			}
+			q := p + k
+			addrD, k := binary.Varint(win[q:])
+			if k <= 0 {
+				break
+			}
+			q += k
+			nonmem, k := binary.Uvarint(win[q:])
+			if k <= 0 || nonmem > math.MaxUint16 {
+				break
+			}
+			q += k
+			pc += uint64(pcD)
+			addr += uint64(addrD)
+			c.PC = append(c.PC, pc)
+			c.Addr = append(c.Addr, addr)
+			c.NonMem = append(c.NonMem, uint16(nonmem))
+			c.Store = append(c.Store, win[q]&1 != 0)
+			p = q + 1
+			m++
+		}
+		d.br.Discard(p) // cannot fail: the p bytes are buffered
+		d.prevPC, d.prevAddr = pc, addr
+		d.read += uint64(m)
+		n += m
+		if m == 0 {
+			if err := d.decodeSlow(c); err != nil {
+				return n, err
+			}
+			n++
+		}
+	}
+	return n, nil
+}
+
+// decodeSlow decodes one record through the byte reader.
+func (d *Decoder) decodeSlow(c *Chunk) error {
 	i := d.read
 	pcD, err := binary.ReadVarint(d.br)
 	if err != nil {
@@ -301,21 +325,6 @@ func (d *Decoder) DecodeInto(c *Chunk) error {
 	c.NonMem = append(c.NonMem, uint16(nonmem))
 	c.Store = append(c.Store, flags&1 != 0)
 	return nil
-}
-
-// DecodeChunk appends up to max records onto c's columns, returning how
-// many were decoded. A clean end of trace yields (n, nil) with n < max;
-// corrupt input yields the ErrBadFormat-wrapped error.
-func (d *Decoder) DecodeChunk(c *Chunk, max int) (int, error) {
-	for n := 0; n < max; n++ {
-		if err := d.DecodeInto(c); err != nil {
-			if err == io.EOF {
-				return n, nil
-			}
-			return n, err
-		}
-	}
-	return max, nil
 }
 
 // Read decodes a trace from r.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -19,10 +20,66 @@ func encodeTrace(t *testing.T, tr *Trace) []byte {
 	return buf.Bytes()
 }
 
+// decodeRecords decodes data record by record through Decoder.Next
+// (chunk == 0) or through Decoder.DecodeChunk at the given chunk size. It
+// returns the records decoded before the first error, and that error.
+func decodeRecords(r io.Reader, chunk int) ([]Record, error) {
+	d, err := NewDecoder(r)
+	if err != nil {
+		return nil, err
+	}
+	var out []Record
+	if chunk == 0 {
+		for {
+			rec, err := d.Next()
+			if err == io.EOF {
+				return out, nil
+			}
+			if err != nil {
+				return out, err
+			}
+			out = append(out, rec)
+		}
+	}
+	c := NewChunk(chunk)
+	for {
+		c.Reset()
+		n, err := d.DecodeChunk(c, chunk)
+		if n != c.Len() {
+			return out, fmt.Errorf("DecodeChunk returned %d but the chunk holds %d", n, c.Len())
+		}
+		for i := 0; i < n; i++ {
+			out = append(out, c.At(i))
+		}
+		if err != nil || n < chunk {
+			return out, err
+		}
+	}
+}
+
+// sameDecode fails the test unless the two decodes produced the same
+// records and the same error (or both none).
+func sameDecode(t *testing.T, label string, got []Record, gotErr error, want []Record, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("%s: error %v, want %v", label, gotErr, wantErr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: record %d = %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
 // FuzzRoundTrip feeds arbitrary bytes to the decoder: anything that
 // decodes must re-encode and decode again to the identical trace, and
 // nothing — however corrupt — may crash or over-allocate (the decoder caps
-// name lengths, record counts and the records pre-allocation).
+// name lengths, record counts and the records pre-allocation). The chunk
+// path (DecodeChunk, what file-streamed runs use) must agree with Read on
+// every input: the same records, and the same success or failure.
 //
 // Run with: go test -fuzz=FuzzRoundTrip ./internal/trace
 func FuzzRoundTrip(f *testing.F) {
@@ -44,6 +101,16 @@ func FuzzRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
+		want, wantErr := decodeRecords(bytes.NewReader(data), 0)
+		if err == nil {
+			sameDecode(t, "Next", want, wantErr, tr.Records, nil)
+		} else {
+			sameDecode(t, "Next", nil, wantErr, nil, err)
+		}
+		for _, chunk := range []int{1, 7, 4096} {
+			got, gotErr := decodeRecords(bytes.NewReader(data), chunk)
+			sameDecode(t, fmt.Sprintf("chunk %d", chunk), got, gotErr, want, wantErr)
+		}
 		if err != nil {
 			if tr != nil {
 				t.Fatal("non-nil trace alongside a decode error")
@@ -117,8 +184,45 @@ func TestReadNonMemOverflowRejected(t *testing.T) {
 	}
 }
 
+// TestCorruptRecordRejectedMidTrace puts one bad record after 100 good
+// ones, followed by padding, so the decoder meets it inside a full read
+// window rather than at the end of input. Every decode path must deliver
+// the 100 good records and then fail with ErrBadFormat on record 100.
+func TestCorruptRecordRejectedMidTrace(t *testing.T) {
+	good := randRecords(100, 4)
+	cases := map[string][]byte{
+		"nonmem overflows uint16": {0, 0, 0x80, 0x80, 0x40, 0},
+		"11-byte pc varint":       append(bytes.Repeat([]byte{0x80}, 10), 0),
+		"10th addr byte > 1":      append([]byte{0}, append(bytes.Repeat([]byte{0xff}, 9), 2)...),
+	}
+	for name, bad := range cases {
+		var buf bytes.Buffer
+		e, err := NewEncoder(&buf, "corrupt", "TEST", 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewChunk(len(good))
+		for _, r := range good {
+			c.Append(r)
+		}
+		if err := e.EncodeChunk(c); err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(bad)
+		buf.Write(make([]byte, 200))
+		for _, chunk := range []int{0, 1, 7, 4096} {
+			got, err := decodeRecords(bytes.NewReader(buf.Bytes()), chunk)
+			if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "record 100:") {
+				t.Fatalf("%s, chunk %d: error %v, want ErrBadFormat at record 100", name, chunk, err)
+			}
+			sameDecode(t, fmt.Sprintf("%s, chunk %d", name, chunk), got, nil, good, nil)
+		}
+	}
+}
+
 // TestDecoderTruncatedMidRecord walks every truncation point of a small
-// trace through the incremental Decoder.
+// trace through the incremental Decoder, record by record and through the
+// chunk path.
 func TestDecoderTruncatedMidRecord(t *testing.T) {
 	tr := &Trace{Name: "trunc", Suite: "TEST", Records: []Record{
 		{PC: 1 << 40, Addr: 1 << 41, NonMem: 300},
@@ -132,6 +236,14 @@ func TestDecoderTruncatedMidRecord(t *testing.T) {
 		}
 		if !errors.Is(err, ErrBadFormat) {
 			t.Fatalf("truncation at byte %d: %v is not ErrBadFormat", cut, err)
+		}
+		want, wantErr := decodeRecords(bytes.NewReader(full[:cut]), 0)
+		for _, chunk := range []int{1, 7, 4096} {
+			got, err := decodeRecords(bytes.NewReader(full[:cut]), chunk)
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("truncation at byte %d, chunk %d: %v is not ErrBadFormat", cut, chunk, err)
+			}
+			sameDecode(t, fmt.Sprintf("cut %d, chunk %d", cut, chunk), got, err, want, wantErr)
 		}
 	}
 }

@@ -3,9 +3,13 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -75,6 +79,38 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRoundTripAcrossRefills round-trips a trace many times longer than
+// the decoder's read buffer, with deltas of every varint width from one
+// byte to ten, so records straddle buffer refills at every offset. Each
+// decode path (Next, DecodeChunk at several sizes) reads it through
+// readers that return whole, half and single-byte reads.
+func TestRoundTripAcrossRefills(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tr := &Trace{Name: "refill", Suite: "TEST", Records: make([]Record, 20_000)}
+	var pc, addr uint64
+	for i := range tr.Records {
+		// A random bit length gives every encoded width equal weight.
+		pc += uint64(rng.Int63()) >> rng.Intn(64)
+		addr -= uint64(rng.Int63()) >> rng.Intn(64)
+		tr.Records[i] = Record{PC: pc, Addr: addr, NonMem: uint16(rng.Intn(math.MaxUint16 + 1)), Store: rng.Intn(3) == 0}
+	}
+	data := encodeTrace(t, tr)
+	if len(data) < 40*4096 {
+		t.Fatalf("encoded trace is %d bytes, too short to span many refills", len(data))
+	}
+	readers := map[string]func() io.Reader{
+		"whole": func() io.Reader { return bytes.NewReader(data) },
+		"half":  func() io.Reader { return iotest.HalfReader(bytes.NewReader(data)) },
+		"byte":  func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) },
+	}
+	for name, open := range readers {
+		for _, chunk := range []int{0, 1, 7, 4096, 1 << 15} {
+			got, err := decodeRecords(open(), chunk)
+			sameDecode(t, fmt.Sprintf("%s reads, chunk %d", name, chunk), got, err, tr.Records, nil)
+		}
 	}
 }
 
