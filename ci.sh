@@ -6,7 +6,7 @@
 #                 race detector: every failpoint armed, a worker process
 #                 SIGKILLed mid-job, journal recovery replayed
 #   ci.sh fleet   the multi-process worker tier: fleet package tests
-#                 (autoscaler tables, coordinator SIGKILL chaos) under
+#                 (coordinator SIGKILL and SIGSTOP chaos) under
 #                 -race, then a live 3-worker cluster driven by
 #                 pythia-load while one worker is SIGKILLed mid-storm —
 #                 the storm must meet its SLOs and no admitted job may
@@ -149,12 +149,12 @@ if [ "$tier" = chaos ] || [ "$tier" = full ]; then
 fi
 
 if [ "$tier" = fleet ]; then
-    echo "== fleet tier: worker processes, autoscaler, claim protocol under -race =="
-    # The fleet invariants (ISSUE: sharded simulation fleet): the
-    # table-driven autoscaler policy, the coordinator SIGKILLing a real
-    # worker subprocess mid-job with requeue-to-survivor and
-    # no-duplicate-simulation proofs, and the multi-worker journal
-    # contention sweep — all under the race detector.
+    echo "== fleet tier: worker processes, respawn, claim protocol under -race =="
+    # The fleet invariants: a real worker subprocess SIGKILLed mid-job
+    # (requeue to a survivor, no duplicate simulation) and one SIGSTOPped
+    # mid-job (the coordinator stops the hung worker and respawns its
+    # slot), plus the multi-worker journal contention sweep — all under
+    # the race detector.
     go test -race ./internal/fleet/...
     go test -race -run 'MultiWorker|Claim|Renew|Reap|OwnerID|WorkerHeartbeat|FleetJournal' ./internal/serve/...
 
@@ -170,7 +170,7 @@ if [ "$tier" = fleet ]; then
     go build -o "$smoke/pythia-load" ./cmd/pythia-load
     "$smoke/pythia-serve" -addr 127.0.0.1:18742 \
         -results "$smoke/results" -policies "$smoke/policies" \
-        -journal "$smoke/journal" -fleet 3 -fleet-min 3 -queue 64 \
+        -journal "$smoke/journal" -fleet 3 -queue 64 \
         >"$smoke/serve.log" 2>&1 &
     serve_pid=$!
     load_status=0

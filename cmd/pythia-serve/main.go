@@ -30,7 +30,7 @@
 //	GET    /api/v1/policies               list trained policies (metadata)
 //	GET    /api/v1/policies/{id}          one policy's envelope metadata
 //	GET    /api/v1/policies/{id}/snapshot download the raw PYQV01 Q-table
-//	GET    /api/v1/fleet                  fleet status (workers, scaling) —
+//	GET    /api/v1/fleet                  fleet status (workers, backlog) —
 //	                                      503 on a standalone server
 //	GET    /healthz                       service + store health (unversioned)
 //	GET    /metrics                       Prometheus text exposition (queue
@@ -79,12 +79,13 @@
 // in /healthz).
 //
 // Fleet mode (-fleet N, requires -journal) turns this process into a
-// stateless frontend plus a coordinator that autoscales up to N worker
-// processes (this same binary re-exec'd with -worker). The frontend
-// journals admissions and serves the API; workers claim and execute
-// jobs through the shared journal's lease protocol; the coordinator
-// reaps dead workers' claims so their jobs requeue. -fleet-min 0 (the
-// default) scales to zero when idle. See DESIGN.md "Fleet architecture".
+// stateless frontend plus a coordinator that keeps exactly N worker
+// processes (this same binary re-exec'd with -worker) alive: it starts
+// them at boot, respawns any that exit and replaces any whose heartbeat
+// goes stale. The frontend journals admissions and serves the API;
+// workers claim and execute jobs through the shared journal's lease
+// protocol; the coordinator reaps dead workers' claims so their jobs
+// requeue. See DESIGN.md "Fleet architecture".
 package main
 
 import (
@@ -123,9 +124,7 @@ func main() {
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")
 
 		workerMode = flag.Bool("worker", false, "run as a fleet worker: no HTTP, drain leased jobs from -journal until SIGTERM")
-		fleetMax   = flag.Int("fleet", 0, "local cluster mode: dispatch-only frontend plus up to N autoscaled worker processes (requires -journal)")
-		fleetMin   = flag.Int("fleet-min", 0, "minimum fleet workers to keep warm (0 scales to zero when idle)")
-		scaleDown  = flag.Duration("scale-down-delay", 15*time.Second, "how long fleet demand must stay low before workers are stopped")
+		fleetN     = flag.Int("fleet", 0, "local cluster mode: dispatch-only frontend plus N worker processes, kept alive and respawned (requires -journal)")
 	)
 	flag.Parse()
 
@@ -146,22 +145,20 @@ func main() {
 
 	var srv *serve.Server
 	var cluster *fleet.Local
-	if *fleetMax > 0 {
+	if *fleetN > 0 {
 		if *journal == "" {
 			fmt.Fprintln(os.Stderr, "pythia-serve: -fleet requires -journal (the shared coordination substrate)")
 			os.Exit(2)
 		}
 		var err error
 		cluster, err = fleet.StartLocal(fleet.LocalOptions{
-			Store:          store,
-			Policies:       pols,
-			JournalDir:     *journal,
-			QueueDepth:     *queue,
-			WorkerCommand:  workerCommand(*journal, *storeDir, *polDir, *parallel, *logJSON, *logLevel),
-			Min:            *fleetMin,
-			Max:            *fleetMax,
-			ScaleDownDelay: *scaleDown,
-			Logger:         logger,
+			Store:         store,
+			Policies:      pols,
+			JournalDir:    *journal,
+			QueueDepth:    *queue,
+			WorkerCommand: workerCommand(*journal, *storeDir, *polDir, *parallel, *logJSON, *logLevel),
+			Workers:       *fleetN,
+			Logger:        logger,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -201,8 +198,8 @@ func main() {
 		polDesc = pols.Dir()
 	}
 	if cluster != nil {
-		fmt.Printf("pythia-serve fleet frontend on %s (journal %s, workers %d..%d, queue %d)\n",
-			*addr, *journal, *fleetMin, *fleetMax, *queue)
+		fmt.Printf("pythia-serve fleet frontend on %s (journal %s, %d workers, queue %d)\n",
+			*addr, *journal, *fleetN, *queue)
 	} else {
 		fmt.Printf("pythia-serve listening on %s (store %s, policies %s, queue %d, %d workers)\n",
 			*addr, store.Dir(), polDesc, *queue, harness.Workers())

@@ -208,8 +208,9 @@ type FleetWorker struct {
 	// Owner is the worker's lease-owner identity (PID + start nonce).
 	Owner string `json:"owner"`
 	PID   int    `json:"pid"`
-	// State is "starting" (spawned, no heartbeat yet), "idle", "busy", or
-	// "stale" (heartbeat stopped; the coordinator is about to sweep it).
+	// State is "starting" (spawned, no heartbeat yet), "idle" or "busy". A
+	// worker whose heartbeat goes stale is stopped and replaced, so it
+	// leaves the roster instead.
 	State string `json:"state"`
 	// Job is the claimed job while busy.
 	Job string `json:"job,omitempty"`
@@ -221,22 +222,23 @@ type FleetWorker struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// FleetStatus is the fleet coordinator's snapshot: the autoscaler's
-// inputs and outputs plus the per-worker roster.
+// FleetStatus is the fleet coordinator's snapshot: the fixed pool's size
+// and liveness, the journal backlog, plus the per-worker roster.
 type FleetStatus struct {
-	// Desired and Ready are the autoscaler's target worker count and the
-	// count of live (heartbeating) workers.
+	// Desired is the fleet size (pythia-serve -fleet N); Ready counts
+	// live (heartbeating) workers.
 	Desired int `json:"desired"`
 	Ready   int `json:"ready"`
 	// Starting counts spawned workers that have not heartbeat yet (cold
 	// starts in progress).
 	Starting int `json:"starting"`
-	// Queued and InFlight are the scaling signals: claimable journal
-	// records and claimed-but-unfinished jobs.
+	// Queued and InFlight are the backlog: claimable journal records and
+	// claimed-but-unfinished jobs.
 	Queued   int `json:"queued"`
 	InFlight int `json:"in_flight"`
-	// ColdStarts counts worker spawns over the coordinator's lifetime;
-	// LastColdStartSeconds is the most recent spawn-to-ready latency.
+	// ColdStarts counts workers that came up over the coordinator's
+	// lifetime, boot and respawns alike; LastColdStartSeconds is the most
+	// recent spawn-to-ready latency.
 	ColdStarts           int64   `json:"cold_starts"`
 	LastColdStartSeconds float64 `json:"last_cold_start_seconds,omitempty"`
 	// Requeues counts jobs whose expired claims the coordinator reaped.

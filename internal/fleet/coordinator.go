@@ -1,3 +1,10 @@
+// Package fleet runs a local cluster of pythia-serve worker processes:
+// a supervisor that spawns and stops them, and a coordinator that keeps
+// a fixed number of them alive over the shared job journal (respawning
+// exited workers, replacing hung ones, reaping expired claims, serving
+// the /api/v1/fleet view). All coordination rides the journal's
+// claim/lease substrate — there is no worker wire protocol to version or
+// secure.
 package fleet
 
 import (
@@ -22,11 +29,9 @@ type Config struct {
 	// call must return a fresh *exec.Cmd.
 	WorkerCommand func() *exec.Cmd
 
-	// Min, Max, TargetConcurrency and ScaleDownDelay parameterize the
-	// autoscaler (see AutoscalerConfig).
-	Min, Max          int
-	TargetConcurrency int
-	ScaleDownDelay    time.Duration
+	// Workers is the fleet size (required, at least 1): the coordinator
+	// starts this many worker processes and respawns any that exit.
+	Workers int
 
 	// PollInterval is the coordinator's control-loop cadence; the default
 	// is 500ms.
@@ -35,7 +40,8 @@ type Config struct {
 	// default is 10s.
 	StopGrace time.Duration
 	// StaleAfter is how old a worker heartbeat may grow before the worker
-	// counts as dead; the default is 5s (five worker heartbeat intervals).
+	// counts as hung and is stopped; the default is 5s (five worker
+	// heartbeat intervals).
 	StaleAfter time.Duration
 	// ClaimGrace is the expiry slack for claims whose lease never got
 	// written (killed mid-claim); the default is 5s.
@@ -45,16 +51,15 @@ type Config struct {
 }
 
 // Coordinator runs the fleet control loop: reap expired claims so
-// orphaned jobs requeue, track worker liveness and cold starts, and
-// reconcile the process count to the autoscaler's decision. It is the
+// orphaned jobs requeue, track worker liveness and cold starts, stop
+// hung workers, and respawn until Workers processes are alive. It is the
 // fleet's single reaper — see the claim-protocol notes in
 // serve/claims.go for why reaping must not be replicated per worker.
 type Coordinator struct {
-	cfg    Config
-	fj     *serve.FleetJournal
-	scaler *Autoscaler
-	sup    *supervisor
-	log    *slog.Logger
+	cfg Config
+	fj  *serve.FleetJournal
+	sup *supervisor
+	log *slog.Logger
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -62,7 +67,6 @@ type Coordinator struct {
 	// mu guards the Status snapshot fields below, written by the loop and
 	// read by the /api/v1/fleet handler.
 	mu            sync.Mutex
-	desired       int
 	queued        int
 	inflight      int
 	coldStarts    int64
@@ -72,14 +76,17 @@ type Coordinator struct {
 }
 
 // Start opens the journal, registers metrics, and launches the control
-// loop. The fleet starts at Min workers (the first loop tick spawns
-// them); Close stops the loop and the workers.
+// loop, whose first tick spawns the Workers processes; Close stops the
+// loop and the workers.
 func Start(cfg Config) (*Coordinator, error) {
 	if cfg.JournalDir == "" {
 		return nil, fmt.Errorf("fleet: Config.JournalDir is required")
 	}
 	if cfg.WorkerCommand == nil {
 		return nil, fmt.Errorf("fleet: Config.WorkerCommand is required")
+	}
+	if cfg.Workers < 1 {
+		return nil, fmt.Errorf("fleet: Config.Workers must be at least 1, got %d", cfg.Workers)
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 500 * time.Millisecond
@@ -102,13 +109,8 @@ func Start(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg: cfg,
-		fj:  fj,
-		scaler: NewAutoscaler(AutoscalerConfig{
-			Min: cfg.Min, Max: cfg.Max,
-			TargetConcurrency: cfg.TargetConcurrency,
-			ScaleDownDelay:    cfg.ScaleDownDelay,
-		}),
+		cfg:  cfg,
+		fj:   fj,
 		sup:  newSupervisor(cfg.WorkerCommand, cfg.StopGrace, log),
 		log:  log,
 		done: make(chan struct{}),
@@ -132,8 +134,8 @@ func (c *Coordinator) Status() api.FleetStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ready, starting := c.sup.counts()
-	st := api.FleetStatus{
-		Desired:              c.desired,
+	return api.FleetStatus{
+		Desired:              c.cfg.Workers,
 		Ready:                ready,
 		Starting:             starting,
 		Queued:               c.queued,
@@ -143,15 +145,14 @@ func (c *Coordinator) Status() api.FleetStatus {
 		Requeues:             c.requeues,
 		Workers:              append([]api.FleetWorker(nil), c.workers...),
 	}
-	return st
 }
 
-// loop is the control loop: observe, reap, sweep, decide, reconcile.
+// loop is the control loop: reap, observe, stop the hung, sweep, respawn.
 func (c *Coordinator) loop() {
 	defer c.wg.Done()
 	tick := time.NewTicker(c.cfg.PollInterval)
 	defer tick.Stop()
-	c.step() // size the fleet immediately; Min workers shouldn't wait a tick
+	c.step() // spawn the fleet immediately, not a tick after boot
 	for {
 		select {
 		case <-c.done:
@@ -167,7 +168,7 @@ func (c *Coordinator) step() {
 	now := time.Now().UTC()
 
 	// Requeue orphaned work first: a reaped claim turns its job claimable
-	// before this tick's demand is measured, so the autoscaler sees it.
+	// before this tick's backlog is counted.
 	if reaped := c.fj.ReapExpired(c.cfg.ClaimGrace); len(reaped) > 0 {
 		mRequeues.Add(int64(len(reaped)))
 		c.mu.Lock()
@@ -198,9 +199,27 @@ func (c *Coordinator) step() {
 		}
 	}
 
+	// Stop hung workers. Heartbeats come from a background goroutine, so
+	// a busy worker stays fresh; a stale one is frozen or wedged, and it
+	// holds a slot of the fixed pool until it is gone. stop escalates
+	// SIGTERM to SIGKILL after StopGrace, and a stopping process no
+	// longer counts, so the respawn below replaces it at once.
+	livePids = c.sup.live()
+	for _, hb := range hbs {
+		owner, supervised := livePids[hb.PID]
+		if !supervised || owner != hb.Owner || now.Sub(hb.UpdatedAt) <= c.cfg.StaleAfter {
+			continue
+		}
+		c.log.Warn("worker heartbeat stale, stopping", "pid", hb.PID, "owner", hb.Owner,
+			"age_ms", now.Sub(hb.UpdatedAt).Milliseconds())
+		c.sup.stop(hb.PID)
+	}
+
 	// Sweep corpses and their heartbeat litter. A crashed worker (exited
 	// without being asked) is just logged — reconciliation below respawns
-	// it, and the claim reaper already rescued its job.
+	// it, and the claim reaper already rescued its job. Sweeping before
+	// spawning keeps a recycled PID from inheriting a dead worker's
+	// heartbeat document.
 	crashed, stopped := c.sup.sweep()
 	for _, p := range crashed {
 		c.log.Warn("worker died unexpectedly", "pid", p.pid, "owner", p.owner)
@@ -225,61 +244,22 @@ func (c *Coordinator) step() {
 		}
 	}
 
-	// Observe demand and decide.
-	queued, inflight := c.fj.Backlog()
+	// Respawn up to the fleet size.
 	ready, starting := c.sup.counts()
-	dec := c.scaler.Decide(Signals{Queued: queued, InFlight: inflight, Ready: ready, Starting: starting}, now)
-	current := ready + starting
-	if dec.Direction != "hold" {
-		mScaleDecisions(dec.Direction).Inc()
-		c.log.Info("scale decision", "direction", dec.Direction, "desired", dec.Desired,
-			"current", current, "queued", queued, "inflight", inflight)
-	}
-
-	// Reconcile supply to the decision.
-	for i := current; i < dec.Desired; i++ {
+	for i := ready + starting; i < c.cfg.Workers; i++ {
 		if err := c.sup.spawn(); err != nil {
 			c.log.Error("worker spawn failed", "error", err.Error())
 			break
 		}
 	}
-	if dec.Desired < current {
-		c.stopWorkers(current-dec.Desired, byPid)
-	}
 
 	// Publish the status snapshot.
+	queued, inflight := c.fj.Backlog()
 	c.mu.Lock()
-	c.desired = dec.Desired
 	c.queued = queued
 	c.inflight = inflight
 	c.workers = c.workersView(byPid, now)
 	c.mu.Unlock()
-}
-
-// stopWorkers stops n workers, preferring idle ones — stopping a busy
-// worker cancels its job back into the queue (safe, but wasted work).
-func (c *Coordinator) stopWorkers(n int, byPid map[int]serve.WorkerInfo) {
-	type cand struct {
-		pid  int
-		busy bool
-	}
-	var cands []cand
-	for pid := range c.sup.live() {
-		hb, ok := byPid[pid]
-		cands = append(cands, cand{pid: pid, busy: ok && hb.State == "busy"})
-	}
-	for pass := 0; pass < 2 && n > 0; pass++ {
-		for _, cd := range cands {
-			if n == 0 {
-				break
-			}
-			if (pass == 0) == cd.busy {
-				continue // first pass: idle only; second: whoever is left
-			}
-			c.sup.stop(cd.pid)
-			n--
-		}
-	}
 }
 
 // workersView renders the per-worker roster for Status.
@@ -287,23 +267,18 @@ func (c *Coordinator) workersView(byPid map[int]serve.WorkerInfo, now time.Time)
 	var out []api.FleetWorker
 	for pid, owner := range c.sup.live() {
 		hb, ok := byPid[pid]
-		switch {
-		case !ok:
+		if !ok {
 			out = append(out, api.FleetWorker{PID: pid, State: "starting"})
-		default:
-			state := hb.State
-			if now.Sub(hb.UpdatedAt) > c.cfg.StaleAfter {
-				state = "stale"
-			}
-			if owner == "" {
-				owner = hb.Owner
-			}
-			out = append(out, api.FleetWorker{
-				Owner: owner, PID: pid, State: state, Job: hb.Job,
-				Jobs: hb.Jobs, Sims: hb.Sims,
-				UptimeSeconds: now.Sub(hb.StartedAt).Seconds(),
-			})
+			continue
 		}
+		if owner == "" {
+			owner = hb.Owner
+		}
+		out = append(out, api.FleetWorker{
+			Owner: owner, PID: pid, State: hb.State, Job: hb.Job,
+			Jobs: hb.Jobs, Sims: hb.Sims,
+			UptimeSeconds: now.Sub(hb.StartedAt).Seconds(),
+		})
 	}
 	return out
 }

@@ -1,9 +1,10 @@
 package fleet_test
 
-// End-to-end chaos for the fleet: a real coordinator autoscales real
-// worker processes (this test binary re-exec'd), one of them is
-// SIGKILLed mid-simulation, and the fleet must requeue the orphaned job
-// to a survivor with no store corruption and no duplicate simulation.
+// End-to-end chaos for the fleet: a real coordinator keeps a pool of real
+// worker processes (this test binary re-exec'd) alive, one of them is
+// SIGKILLed or SIGSTOPped mid-simulation, and the fleet must requeue the
+// orphaned job to a survivor, replace the lost worker, and corrupt
+// nothing or simulate nothing twice.
 // The worker body is TestFleetWorkerProcess, gated on an environment
 // variable so normal `go test` runs skip it instantly.
 
@@ -76,9 +77,7 @@ func startChaosCluster(t *testing.T, root string) (*fleet.Local, *httptest.Serve
 			}
 			return cmd
 		},
-		// A fixed pool of two: the point here is failover, not scaling
-		// (the autoscaler has its own table tests).
-		Min: 2, Max: 2,
+		Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,32 +168,11 @@ func TestFleetSIGKILLRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test skipped in -short mode")
 	}
-	root := t.TempDir()
-	for _, d := range []string{"journal", "results", "trace"} {
-		if err := os.MkdirAll(filepath.Join(root, d), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
+	root := newChaosRoot(t)
 	cluster, ts := startChaosCluster(t, root)
 
 	jobID := postFleetRun(t, ts.URL, "fig7", chaosScale)
-
-	// Wait for a worker to claim the job, then let the simulation get
-	// deep enough that the kill lands mid-flight.
-	var victim int
-	deadline := time.Now().Add(60 * time.Second)
-	for victim == 0 && time.Now().Before(deadline) {
-		for _, w := range cluster.Coord.Status().Workers {
-			if w.State == "busy" && w.Job == jobID {
-				victim = w.PID
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if victim == 0 {
-		t.Fatalf("no worker ever claimed %s; worker log:\n%s", jobID, readLog(root))
-	}
-	time.Sleep(500 * time.Millisecond)
+	victim := waitBusyWorker(t, cluster, root, jobID).PID
 
 	if err := syscall.Kill(victim, syscall.SIGKILL); err != nil {
 		t.Fatalf("SIGKILL worker %d: %v", victim, err)
@@ -245,6 +223,103 @@ func TestFleetSIGKILLRecovery(t *testing.T) {
 	if fs.Requeues != st.Requeues || fs.Desired != 2 {
 		t.Errorf("fleet endpoint %+v disagrees with coordinator %+v", fs, st)
 	}
+}
+
+// TestFleetReplacesHungWorker freezes a busy worker with SIGSTOP. Its
+// heartbeat goes stale, so the coordinator must stop it (SIGTERM stays
+// pending on a stopped process; the SIGKILL escalation ends it), respawn
+// its slot, and let the survivor finish the job the frozen worker had
+// claimed.
+func TestFleetReplacesHungWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess chaos test skipped in -short mode")
+	}
+	root := newChaosRoot(t)
+	cluster, ts := startChaosCluster(t, root)
+	waitFleetStatus(t, cluster, root, "2 ready workers", func(st api.FleetStatus) bool { return st.Ready == 2 })
+	coldBefore := cluster.Coord.Status().ColdStarts
+
+	jobID := postFleetRun(t, ts.URL, "fig7", chaosScale)
+	victim := waitBusyWorker(t, cluster, root, jobID)
+	if err := syscall.Kill(victim.PID, syscall.SIGSTOP); err != nil {
+		t.Fatalf("SIGSTOP worker %d: %v", victim.PID, err)
+	}
+
+	done := waitFleetTerminal(t, ts.URL, jobID, 4*time.Minute)
+	if done.Status != serve.StatusDone {
+		t.Fatalf("frozen worker's job ended %q (%s); worker log:\n%s", done.Status, done.Error, readLog(root))
+	}
+	if done.Worker == "" || done.Worker == victim.Owner {
+		t.Errorf("job finished on %q, want a worker other than the frozen %q", done.Worker, victim.Owner)
+	}
+
+	st := waitFleetStatus(t, cluster, root, "2 ready workers without the frozen one", func(st api.FleetStatus) bool {
+		for _, w := range st.Workers {
+			if w.PID == victim.PID {
+				return false
+			}
+		}
+		return st.Ready == 2
+	})
+	if st.ColdStarts != coldBefore+1 {
+		t.Errorf("coordinator reports %d cold starts, want %d (one respawn)", st.ColdStarts, coldBefore+1)
+	}
+	if st.Requeues < 1 {
+		t.Errorf("coordinator reports %d requeues, want >= 1", st.Requeues)
+	}
+
+	// The frozen process itself must be gone, not merely replaced.
+	deadline := time.Now().Add(time.Minute)
+	for syscall.Kill(victim.PID, 0) == nil {
+		if time.Now().After(deadline) {
+			t.Fatalf("frozen worker %d still alive a minute after it was replaced", victim.PID)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+// newChaosRoot makes the shared directories of one test cluster.
+func newChaosRoot(t *testing.T) string {
+	t.Helper()
+	root := t.TempDir()
+	for _, d := range []string{"journal", "results", "trace"} {
+		if err := os.MkdirAll(filepath.Join(root, d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+// waitBusyWorker waits for a worker to claim jobID, then lets the
+// simulation get deep enough that a signal lands mid-flight.
+func waitBusyWorker(t *testing.T, cluster *fleet.Local, root, jobID string) api.FleetWorker {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, w := range cluster.Coord.Status().Workers {
+			if w.State == "busy" && w.Job == jobID {
+				time.Sleep(500 * time.Millisecond)
+				return w
+			}
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	t.Fatalf("no worker ever claimed %s; worker log:\n%s", jobID, readLog(root))
+	return api.FleetWorker{}
+}
+
+// waitFleetStatus polls the coordinator until ok holds for its status.
+func waitFleetStatus(t *testing.T, cluster *fleet.Local, root, what string, ok func(api.FleetStatus) bool) api.FleetStatus {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for time.Now().Before(deadline) {
+		if st := cluster.Coord.Status(); ok(st) {
+			return st
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	t.Fatalf("fleet never reached %s: %+v; worker log:\n%s", what, cluster.Coord.Status(), readLog(root))
+	return api.FleetStatus{}
 }
 
 func readLog(root string) string {

@@ -13,8 +13,8 @@ import (
 )
 
 // LocalOptions parameterizes a local cluster: one stateless frontend
-// (serve in Dispatch mode) plus a coordinator autoscaling worker
-// processes over a shared journal.
+// (serve in Dispatch mode) plus a coordinator keeping a fixed number of
+// worker processes alive over a shared journal.
 type LocalOptions struct {
 	Store    *results.Store
 	Policies *policy.Store
@@ -27,10 +27,8 @@ type LocalOptions struct {
 	// typically the calling binary re-exec'd in its worker mode.
 	WorkerCommand func() *exec.Cmd
 
-	// Min, Max, TargetConcurrency, ScaleDownDelay: see AutoscalerConfig.
-	Min, Max          int
-	TargetConcurrency int
-	ScaleDownDelay    time.Duration
+	// Workers is the fleet size: see Config.Workers.
+	Workers int
 	// LeaseTTL is the frontend's claim TTL for cancellation claims and
 	// the default lease horizon; workers bring their own.
 	LeaseTTL time.Duration
@@ -49,13 +47,10 @@ type Local struct {
 // Shutdown stops admission, the coordinator, and the workers.
 func StartLocal(opt LocalOptions) (*Local, error) {
 	coord, err := Start(Config{
-		JournalDir:        opt.JournalDir,
-		WorkerCommand:     opt.WorkerCommand,
-		Min:               opt.Min,
-		Max:               opt.Max,
-		TargetConcurrency: opt.TargetConcurrency,
-		ScaleDownDelay:    opt.ScaleDownDelay,
-		Logger:            opt.Logger,
+		JournalDir:    opt.JournalDir,
+		WorkerCommand: opt.WorkerCommand,
+		Workers:       opt.Workers,
+		Logger:        opt.Logger,
 	})
 	if err != nil {
 		return nil, err

@@ -11,7 +11,7 @@ import (
 
 // supervisor owns the worker processes: spawn, readiness bookkeeping,
 // graceful stop (SIGTERM, then SIGKILL after a grace window), and
-// sweeping the corpses. It knows nothing about scaling policy or the
+// sweeping the corpses. It knows nothing about the pool size or the
 // journal — the coordinator decides, the supervisor executes.
 type supervisor struct {
 	newCmd func() *exec.Cmd

@@ -228,9 +228,10 @@ func (l *journal) clearCancel(id string) {
 // --- Worker heartbeats ---
 
 // workerState is a worker process's heartbeat document: liveness (the
-// coordinator treats a stale UpdatedAt as dead), current occupancy (the
-// autoscaler's in-flight signal), and cumulative throughput counters
-// (per-worker jobs/sims for /api/v1/fleet and /metrics).
+// coordinator stops a worker whose UpdatedAt goes stale), current
+// occupancy (busy or idle, and the claimed job), and cumulative
+// throughput counters (per-worker jobs/sims for /api/v1/fleet and
+// /metrics).
 type workerState struct {
 	Owner string `json:"owner"`
 	PID   int    `json:"pid"`

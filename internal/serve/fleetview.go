@@ -1,7 +1,7 @@
 package serve
 
 // FleetJournal is the read/admin façade the fleet coordinator uses over
-// a shared journal directory: backlog counts for the autoscaler, worker
+// a shared journal directory: backlog counts for the fleet status, worker
 // heartbeats for liveness and occupancy, and expired-claim reaping. All
 // journal file-format knowledge stays in this package — fleet imports
 // serve, never the reverse.
@@ -25,9 +25,9 @@ func OpenFleetJournal(dir string) (*FleetJournal, error) {
 	return &FleetJournal{jl: jl}, nil
 }
 
-// Backlog counts the autoscaler's demand signals in one scan: queued is
-// non-terminal records with no claim (work a new worker could start this
-// instant), inflight is non-terminal records currently claimed.
+// Backlog counts the fleet's open work in one scan: queued is
+// non-terminal records with no claim (work an idle worker could start
+// this instant), inflight is non-terminal records currently claimed.
 func (f *FleetJournal) Backlog() (queued, inflight int) {
 	for _, rec := range f.jl.load() {
 		if terminalStatus(rec.Status) {

@@ -579,7 +579,7 @@ func (s *Server) Handler() http.Handler {
 
 // handleFleet is GET /api/v1/fleet: the fleet coordinator's view of the
 // worker tier (desired/ready counts, per-worker state and throughput,
-// autoscaler signals). Without a coordinator wired in (standalone
+// queued and in-flight backlog). Without a coordinator wired in (standalone
 // serve), the endpoint answers 503 — the fleet resource doesn't exist
 // here, and clients can tell that apart from an empty fleet.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {

@@ -7,7 +7,7 @@ package serve
 // record with no claim file is claimable, the O_CREATE|O_EXCL claim is
 // the arbitration, and every state transition lands in the record where
 // the fleet frontend's watcher picks it up. pythia-serve -worker runs
-// this loop; the fleet coordinator spawns and scales such processes.
+// this loop; the fleet coordinator keeps a fixed number of them alive.
 
 import (
 	"context"
@@ -43,8 +43,8 @@ type WorkerConfig struct {
 	PollInterval time.Duration
 	// HeartbeatInterval is how often the worker's liveness document is
 	// rewritten (a background goroutine, so long jobs don't starve it);
-	// the default is 1s. The coordinator treats a heartbeat older than a
-	// few of these as a dead worker.
+	// the default is 1s. The coordinator stops a worker whose heartbeat
+	// is older than a few of these as hung, and respawns its slot.
 	HeartbeatInterval time.Duration
 	// ExtraScales must match the frontend's table for its journaled jobs
 	// to resolve here. Parametric "custom:..." scales resolve in any
