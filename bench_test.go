@@ -516,6 +516,47 @@ func BenchmarkRunCachedStoreHit(b *testing.B) {
 	}
 }
 
+// BenchmarkFreshScaleJob times one perfbench serve-journal job without
+// the service around it: Fig. 14 at a custom: scale no earlier iteration
+// used, over a result store, at one worker. Each iteration simulates six
+// runs of about 120k instructions and writes six store entries, so it
+// measures a small simulation's fixed costs (hierarchy set-up, the store
+// write) beside the kernel. -benchmem reports what one job allocates.
+func BenchmarkFreshScaleJob(b *testing.B) {
+	harness.SetWorkers(1)
+	defer harness.SetWorkers(0)
+	st := harness.SetResultStore(b.TempDir())
+	defer harness.SetResultStore("")
+	defer harness.ResetCaches()
+	exp, ok := harness.ExperimentByID("fig14")
+	if !ok {
+		b.Fatal("missing experiment fig14")
+	}
+	scale := func(i int) harness.Scale {
+		sc, err := harness.ScaleByName(fmt.Sprintf("custom:warmup=20000,sim=%d,tracelen=20000,wps=1,mixes=1", 100_000+i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sc
+	}
+	// The warm-up job generates the trace every later job replays.
+	if _, err := exp.Run(context.Background(), scale(-1)); err != nil {
+		b.Fatal(err)
+	}
+	writes := st.Writes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := exp.Run(context.Background(), scale(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := st.Writes() - writes; got != int64(6*b.N) {
+		b.Fatalf("%d jobs wrote %d store entries, want %d", b.N, got, 6*b.N)
+	}
+}
+
 // --- Ablation benches (DESIGN.md design-choice studies) ---
 
 // ablationSpeedup measures Pythia's geomean speedup over three

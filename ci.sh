@@ -14,8 +14,9 @@
 #   ci.sh full    quick + chaos, plus the race detector over every
 #                 concurrent subsystem, a short fuzz of the trace-file
 #                 decoder, a benchmark smoke of the QVStore hot path, a
-#                 stored-result hit, trace delivery and a trace-cache
-#                 fill (the benchmark run also executes the
+#                 stored-result hit, trace delivery, a trace-cache fill
+#                 and a fresh-scale Fig. 14 job (the benchmark run also
+#                 executes the
 #                 allocation-budget tests), the
 #                 perfbench tests plus a short run of each workload
 #                 (correctness checks gate, timings do not), a
@@ -265,8 +266,8 @@ if [ "$tier" = full ]; then
     echo "== fuzz smoke (trace-file decoder, record and chunk paths) =="
     go test -run='^$' -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/trace
 
-    echo "== bench smoke (QVStore hot path, stored-result hit, trace delivery and cache fill) =="
-    go test -run='AllocationFree' -bench='QVStore|RunCachedStoreHit|TraceDelivery|TraceCacheFill' -benchtime=100x -benchmem .
+    echo "== bench smoke (QVStore hot path, stored-result hit, trace delivery, cache fill, fresh-scale job) =="
+    go test -run='AllocationFree' -bench='QVStore|RunCachedStoreHit|TraceDelivery|TraceCacheFill|FreshScaleJob' -benchtime=100x -benchmem .
 
     echo "== perfbench (benchmark tests + one short run per workload) =="
     # perfbench is a module of its own, outside ./...: vet and test it,
@@ -289,10 +290,12 @@ sys.exit(1 if d["failed"] > 0 else 0)' "$w"
     echo "== pythia-bench CLI (worker-count determinism, warm store, bad -exp exits 2) =="
     # Worker count changes wall time only, never a table: the CSVs of one
     # experiment set at -parallel 1 and -parallel 2 must be byte-identical.
+    # Fig. 14, 15 and 16 are in the set because they fan their cells out
+    # through RunAll, which runs one goroutine more than the sim slots.
     cli=$(mktemp -d)
     go build -o "$cli/pythia-bench" ./cmd/pythia-bench
     for p in 1 2; do
-        "$cli/pythia-bench" -exp fig8d,ext-warmstart -scale quick -parallel "$p" \
+        "$cli/pythia-bench" -exp fig8d,ext-warmstart,fig14,fig15,fig16 -scale quick -parallel "$p" \
             -csv "$cli/csv-p$p" >"$cli/p$p.log"
     done
     if ! diff -r "$cli/csv-p1" "$cli/csv-p2"; then

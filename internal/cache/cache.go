@@ -76,18 +76,33 @@ type Cache struct {
 // NewCache builds a cache of sizeKB with the given associativity and
 // replacement policy. Sets must come out a power of two.
 func NewCache(name string, sizeKB, ways int, repl func(sets, ways int) Replacement) *Cache {
+	return recycleCache(name, sizeKB, ways, func(sets, ways int, _ Replacement) Replacement { return repl(sets, ways) }, nil)
+}
+
+// replFactory builds a replacement policy for a sets×ways cache, taking
+// over old's arrays where they fit (old may be nil).
+type replFactory func(sets, ways int, old Replacement) Replacement
+
+// recycleCache builds a cache as NewCache does, taking over old's tag,
+// metadata and replacement arrays where their sizes match (old may be
+// nil). The arrays it takes are cleared, so the cache starts exactly as a
+// fresh one, and detached from old (see reuse).
+func recycleCache(name string, sizeKB, ways int, repl replFactory, old *Cache) *Cache {
 	sets := sizeKB * 1024 / 64 / ways
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: %dKB/%d-way yields non-power-of-two sets %d", name, sizeKB, ways, sets))
+	}
+	if old == nil {
+		old = &Cache{}
 	}
 	c := &Cache{
 		name:     name,
 		sets:     sets,
 		ways:     ways,
 		wayShift: -1,
-		tags:     make([]uint64, sets*ways),
-		meta:     make([]lineMeta, sets*ways),
-		repl:     repl(sets, ways),
+		tags:     reuse(&old.tags, sets*ways),
+		meta:     reuse(&old.meta, sets*ways),
+		repl:     repl(sets, ways, old.repl),
 	}
 	if ways&(ways-1) == 0 {
 		for s := 0; 1<<s <= ways; s++ {
@@ -253,8 +268,28 @@ type lru struct {
 }
 
 // NewLRU returns an LRU replacement policy.
-func NewLRU(sets, ways int) Replacement {
-	return &lru{ways: ways, stamp: make([]int64, sets*ways)}
+func NewLRU(sets, ways int) Replacement { return recycleLRU(sets, ways, nil) }
+
+// recycleLRU builds an LRU policy on old's stamp array when old is an LRU
+// policy of the same geometry.
+func recycleLRU(sets, ways int, old Replacement) Replacement {
+	o, ok := old.(*lru)
+	if !ok {
+		o = &lru{}
+	}
+	return &lru{ways: ways, stamp: reuse(&o.stamp, sets*ways)}
+}
+
+// reuse returns *old cleared and detaches it (*old becomes nil) when it
+// holds exactly n elements, and a fresh slice of n otherwise.
+func reuse[T any](old *[]T, n int) []T {
+	s := *old
+	if len(s) != n {
+		return make([]T, n)
+	}
+	*old = nil
+	clear(s)
+	return s
 }
 
 func (p *lru) touch(set, way int) {

@@ -22,11 +22,19 @@ type drrip struct {
 }
 
 // NewDRRIP returns a DRRIP replacement policy.
-func NewDRRIP(sets, ways int) Replacement {
+func NewDRRIP(sets, ways int) Replacement { return recycleDRRIP(sets, ways, nil) }
+
+// recycleDRRIP builds a DRRIP policy on old's RRPV array when old is a
+// DRRIP policy of the same geometry.
+func recycleDRRIP(sets, ways int, old Replacement) Replacement {
+	o, ok := old.(*drrip)
+	if !ok {
+		o = &drrip{}
+	}
 	return &drrip{
 		sets:       sets,
 		ways:       ways,
-		rrpv:       make([]uint8, sets*ways),
+		rrpv:       reuse(&o.rrpv, sets*ways),
 		psel:       drripPSELMax / 2,
 		leaderMask: 31,
 	}

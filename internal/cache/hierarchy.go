@@ -279,27 +279,44 @@ type Hierarchy struct {
 
 // NewHierarchy builds the memory system. Prefetchers are attached with
 // AttachPrefetcher afterwards; all cores start with no prefetching.
-func NewHierarchy(cfg Config) (*Hierarchy, error) {
+func NewHierarchy(cfg Config) (*Hierarchy, error) { return Recycle(cfg, nil) }
+
+// Recycle builds the memory system for cfg exactly as NewHierarchy does,
+// but takes the large per-line arrays (tags, metadata, LRU stamps, SHiP
+// lines and SHCT, DRRIP RRPVs) from spare wherever an array of the same
+// size is there, clearing each before use. A small simulation otherwise
+// spends a sizeable share of its time zeroing freshly allocated pages.
+// spare may be nil. Its caches are detached either way: spare must not be
+// used again, and any later access through it panics instead of reading
+// another run's state.
+func Recycle(cfg Config, spare *Hierarchy) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	llcRepl := NewSHiP
+	if spare == nil {
+		spare = &Hierarchy{}
+	}
+	llcRepl := recycleSHiP
 	switch cfg.LLCPolicy {
 	case "drrip":
-		llcRepl = NewDRRIP
+		llcRepl = recycleDRRIP
 	case "lru":
-		llcRepl = NewLRU
+		llcRepl = recycleLRU
 	}
 	h := &Hierarchy{
 		cfg:   cfg,
 		cores: make([]corePipes, cfg.Cores),
-		llc:   NewCache("LLC", cfg.LLCSizeKBPerCore*cfg.Cores, cfg.LLCWays, llcRepl),
+		llc:   recycleCache("LLC", cfg.LLCSizeKBPerCore*cfg.Cores, cfg.LLCWays, llcRepl, spare.llc),
 		dram:  dram.NewController(cfg.DRAM),
 	}
 	for i := range h.cores {
+		var old corePipes
+		if i < len(spare.cores) {
+			old = spare.cores[i]
+		}
 		h.cores[i] = corePipes{
-			l1:          NewCache(fmt.Sprintf("L1D%d", i), cfg.L1SizeKB, cfg.L1Ways, NewLRU),
-			l2:          NewCache(fmt.Sprintf("L2_%d", i), cfg.L2SizeKB, cfg.L2Ways, NewLRU),
+			l1:          recycleCache(fmt.Sprintf("L1D%d", i), cfg.L1SizeKB, cfg.L1Ways, recycleLRU, old.l1),
+			l2:          recycleCache(fmt.Sprintf("L2_%d", i), cfg.L2SizeKB, cfg.L2Ways, recycleLRU, old.l2),
 			l2pf:        prefetch.None{},
 			outstanding: newMissTable(cfg.MSHRs + cfg.PrefetchBudget),
 		}
@@ -307,7 +324,40 @@ func NewHierarchy(cfg Config) (*Hierarchy, error) {
 			h.cores[i].mmu = xlat.NewMMU(uint64(i) + 1)
 		}
 	}
+	spare.cores, spare.llc = nil, nil
 	return h, nil
+}
+
+// Spare moves h's per-line arrays into a hierarchy that holds nothing
+// else, for a later Recycle: unlike h, it keeps no prefetcher, DRAM
+// controller or MMU alive while it waits. h's caches are detached, so h
+// must not be used again, and any later access through it panics.
+func (h *Hierarchy) Spare() *Hierarchy {
+	s := &Hierarchy{cfg: h.cfg, llc: h.llc, cores: make([]corePipes, len(h.cores))}
+	for i, cp := range h.cores {
+		s.cores[i] = corePipes{l1: cp.l1, l2: cp.l2}
+	}
+	h.cores, h.llc = nil, nil
+	return s
+}
+
+// Fits reports whether Recycle(cfg, h) would take every array of h: the
+// two hierarchies agree in core count, cache geometry and LLC policy.
+func (h *Hierarchy) Fits(cfg Config) bool {
+	a, b := h.cfg, cfg
+	return a.Cores == b.Cores &&
+		a.L1SizeKB == b.L1SizeKB && a.L1Ways == b.L1Ways &&
+		a.L2SizeKB == b.L2SizeKB && a.L2Ways == b.L2Ways &&
+		a.LLCSizeKBPerCore == b.LLCSizeKBPerCore && a.LLCWays == b.LLCWays &&
+		llcPolicy(a.LLCPolicy) == llcPolicy(b.LLCPolicy)
+}
+
+// llcPolicy names the LLC policy a Config selects ("" means SHiP).
+func llcPolicy(p string) string {
+	if p == "" {
+		return "ship"
+	}
+	return p
 }
 
 // AttachPrefetcher sets the L2 prefetcher of a core.

@@ -401,3 +401,66 @@ func TestConfigKeyMatchesSprintf(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycleDetachesSpare checks the hand-over of a finished run's
+// arrays: Spare takes them out of the used hierarchy, Recycle gives them
+// cleared to the new one, and an access through either hierarchy left
+// behind panics instead of reading or writing the new run's state.
+func TestRecycleDetachesSpare(t *testing.T) {
+	mustPanic := func(what string, access func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("an access through %s did not panic", what)
+			}
+		}()
+		access()
+	}
+	cfg := DefaultConfig(1)
+	used := newTestHierarchy(t, 1)
+	line := uint64(1 << 14)
+	done := used.Access(0, 1, line<<6, false, 0)
+	used.Access(0, 1, line<<6, false, done+1)
+	if _, hit := used.llc.Lookup(line); !hit {
+		t.Fatal("the used hierarchy never filled the line")
+	}
+	llcTags := &used.llc.tags[0]
+	spare := used.Spare()
+	mustPanic("the used hierarchy", func() { used.Access(0, 1, line<<6, false, done+10) })
+	h, err := Recycle(cfg, spare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &h.llc.tags[0] != llcTags {
+		t.Error("Recycle allocated a fresh LLC instead of taking the spare's")
+	}
+	if _, hit := h.llc.Lookup(line); hit {
+		t.Error("a recycled LLC still holds the used hierarchy's line")
+	}
+	if _, hit := h.cores[0].l1.Lookup(line); hit {
+		t.Error("a recycled L1 still holds the used hierarchy's line")
+	}
+	mustPanic("the recycled spare", func() { spare.Access(0, 1, line<<6, false, done+10) })
+}
+
+func TestHierarchyFits(t *testing.T) {
+	h := newTestHierarchy(t, 1)
+	cfg := DefaultConfig(1)
+	cfg.DRAM = cfg.DRAM.WithMTPS(600) // DRAM is rebuilt every time
+	cfg.LLCPolicy = "ship"            // the default policy by name
+	if !h.Fits(cfg) {
+		t.Error("a hierarchy does not fit its own geometry")
+	}
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.Cores = 2 },
+		func(c *Config) { c.L2SizeKB = 512 },
+		func(c *Config) { c.LLCWays = 8 },
+		func(c *Config) { c.LLCPolicy = "drrip" },
+	} {
+		c := DefaultConfig(1)
+		mut(&c)
+		if h.Fits(c) {
+			t.Errorf("a hierarchy fits the different geometry %+v", c)
+		}
+	}
+}

@@ -29,11 +29,19 @@ type ship struct {
 }
 
 // NewSHiP returns a SHiP replacement policy.
-func NewSHiP(sets, ways int) Replacement {
+func NewSHiP(sets, ways int) Replacement { return recycleSHiP(sets, ways, nil) }
+
+// recycleSHiP builds a SHiP policy on old's line and SHCT arrays when old
+// is a SHiP policy of the same geometry.
+func recycleSHiP(sets, ways int, old Replacement) Replacement {
+	o, ok := old.(*ship)
+	if !ok {
+		o = &ship{}
+	}
 	s := &ship{
 		ways:  ways,
-		lines: make([]shipLine, sets*ways),
-		shct:  make([]uint8, shipSHCTSize),
+		lines: reuse(&o.lines, sets*ways),
+		shct:  reuse(&o.shct, shipSHCTSize),
 	}
 	for i := range s.shct {
 		s.shct[i] = 1 // weakly re-use-predicted

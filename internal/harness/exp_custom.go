@@ -90,16 +90,21 @@ func Fig14BandwidthBuckets(ctx context.Context, sc Scale) (*stats.Table, error) 
 		t.Notes = append(t.Notes, "missing Ligra-CC workload")
 		return t, nil
 	}
-	mix := single(w)
-	base, err := RunCached(ctx, RunSpec{Mix: mix, CacheCfg: cfg, Scale: sc, PF: Baseline()})
+	// Every prefetcher's run simulates in parallel; rows are assembled in
+	// presentation order afterwards.
+	pfs := fig14PFs()
+	runs := make([]RunResult, len(pfs))
+	err := RunAll(ctx, len(pfs), func(i int) error {
+		var err error
+		runs[i], err = RunCached(ctx, RunSpec{Mix: single(w), CacheCfg: cfg, Scale: sc, PF: pfs[i]})
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, pf := range fig14PFs() {
-		run, err := RunCached(ctx, RunSpec{Mix: mix, CacheCfg: cfg, Scale: sc, PF: pf})
-		if err != nil {
-			return nil, err
-		}
+	base := runs[0] // fig14PFs leads with the no-prefetching baseline
+	for i, pf := range pfs {
+		run := runs[i]
 		sp := 1.0
 		if pf.Name != "nopref" {
 			sp = Speedup(run, base)
@@ -122,17 +127,22 @@ func Fig15StrictPythia(ctx context.Context, sc Scale) (*stats.Table, error) {
 		Title:  "Fig. 15: basic vs strict Pythia on Ligra",
 		Header: []string{"workload", "basic", "strict", "delta"},
 	}
-	basic, strict := BasicPythiaPF(), PythiaPF(core.StrictConfig())
+	// Every (workload, basic|strict) speedup simulates in parallel into
+	// its own slot; rows are assembled afterwards.
+	pfs := []PF{BasicPythiaPF(), PythiaPF(core.StrictConfig())}
+	ws := trace.Representative(trace.SuiteLigra)
+	sp := make([]float64, len(ws)*len(pfs))
+	err := RunAll(ctx, len(sp), func(i int) error {
+		var err error
+		sp[i], err = SpeedupOn(ctx, single(ws[i/len(pfs)]), cfg, sc, pfs[i%len(pfs)])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	var bs, ss []float64
-	for _, w := range trace.Representative(trace.SuiteLigra) {
-		b, err := SpeedupOn(ctx, single(w), cfg, sc, basic)
-		if err != nil {
-			return nil, err
-		}
-		s, err := SpeedupOn(ctx, single(w), cfg, sc, strict)
-		if err != nil {
-			return nil, err
-		}
+	for wi, w := range ws {
+		b, s := sp[wi*len(pfs)], sp[wi*len(pfs)+1]
 		bs = append(bs, b)
 		ss = append(ss, s)
 		t.AddRow(w.Base, fmt.Sprintf("%.3f", b), fmt.Sprintf("%.3f", s), pct(s/b-1))
@@ -171,20 +181,28 @@ func Fig16FeatureOpt(ctx context.Context, sc Scale) (*stats.Table, error) {
 		Title:  "Fig. 16: basic vs feature-optimized Pythia on SPEC06",
 		Header: []string{"workload", "basic", "best", "best features"},
 	}
+	// Every (workload, candidate) speedup simulates in parallel into its
+	// own slot; each workload's best candidate is picked afterwards. The
+	// first candidate is the basic configuration.
+	cands := fig16Candidates()
+	ws := suiteWorkloads(trace.SuiteSPEC06, sc)
+	sp := make([]float64, len(ws)*len(cands))
+	err := RunAll(ctx, len(sp), func(i int) error {
+		var err error
+		sp[i], err = SpeedupOn(ctx, single(ws[i/len(cands)]), cfg, sc, PythiaPF(cands[i%len(cands)]))
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	var bs, os []float64
-	for _, w := range suiteWorkloads(trace.SuiteSPEC06, sc) {
-		base, err := SpeedupOn(ctx, single(w), cfg, sc, BasicPythiaPF())
-		if err != nil {
-			return nil, err
-		}
+	for wi, w := range ws {
+		row := sp[wi*len(cands) : (wi+1)*len(cands)]
+		base := row[0]
 		best, bestName := base, "basic"
-		for _, cand := range fig16Candidates()[1:] {
-			sp, err := SpeedupOn(ctx, single(w), cfg, sc, PythiaPF(cand))
-			if err != nil {
-				return nil, err
-			}
-			if sp > best {
-				best, bestName = sp, featureNames(cand)
+		for ci := 1; ci < len(row); ci++ {
+			if row[ci] > best {
+				best, bestName = row[ci], featureNames(cands[ci])
 			}
 		}
 		bs = append(bs, base)

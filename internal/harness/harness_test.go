@@ -372,3 +372,24 @@ func TestRunAllocDoesNotScaleWithTraceLen(t *testing.T) {
 		t.Errorf("Run allocated %d B at TraceLen 50k and %d B at 400k: differs by %d B, want < 1 MB", short, long, d)
 	}
 }
+
+// TestWarmRunRecyclesHierarchy pins what a warmed run allocates: a
+// second 1-core run takes its predecessor's hierarchy arrays (about
+// 600 KB of tags, metadata, LRU stamps and SHiP state) from the pool
+// instead of allocating and zeroing fresh ones.
+func TestWarmRunRecyclesHierarchy(t *testing.T) {
+	t.Cleanup(ResetCaches)
+	spec := RunSpec{Mix: tinyMix(t), CacheCfg: cache.DefaultConfig(1), Scale: tinyScale, PF: Baseline()}
+	if _, err := Run(bg, spec); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(bg, spec); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+		t.Errorf("a warmed 1-core run allocated %d B, want < 256 KB", got)
+	}
+}

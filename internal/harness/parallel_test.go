@@ -1,11 +1,16 @@
 package harness
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pythia/internal/cache"
+	"pythia/internal/prefetch"
+	"pythia/internal/stats"
+	"pythia/internal/trace"
 )
 
 func TestRunAllCoversEveryIndex(t *testing.T) {
@@ -73,19 +78,77 @@ func TestRunCachedConcurrentCallersAgree(t *testing.T) {
 // TestExperimentDeterministicAcrossWorkerCounts is the parallel harness's
 // core guarantee: the same experiment renders byte-identical tables at 1
 // worker and at N workers (fresh caches each time, so every simulation
-// actually re-runs).
+// actually re-runs). Fig. 14, 15 and 16 fan out their cells through
+// RunAll like Fig. 1.
 func TestExperimentDeterministicAcrossWorkerCounts(t *testing.T) {
 	defer SetWorkers(0)
-	render := func(workers int) string {
-		SetWorkers(workers)
-		ResetCaches()
-		defer ResetCaches()
-		return mustTable(t)(Fig1Motivation(bg, tinyScale)).Render()
+	for _, exp := range []struct {
+		name string
+		run  func(context.Context, Scale) (*stats.Table, error)
+	}{
+		{"Fig. 1", Fig1Motivation},
+		{"Fig. 14", Fig14BandwidthBuckets},
+		{"Fig. 15", Fig15StrictPythia},
+		{"Fig. 16", Fig16FeatureOpt},
+	} {
+		render := func(workers int) string {
+			SetWorkers(workers)
+			ResetCaches()
+			defer ResetCaches()
+			return mustTable(t)(exp.run(bg, tinyScale)).Render()
+		}
+		seq := render(1)
+		par := render(8)
+		if seq != par {
+			t.Errorf("%s table differs between 1 and 8 workers:\n--- sequential ---\n%s\n--- parallel ---\n%s", exp.name, seq, par)
+		}
 	}
-	seq := render(1)
-	par := render(8)
-	if seq != par {
-		t.Errorf("Fig. 1 table differs between 1 and 8 workers:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
+}
+
+// TestRunAllOneSimulationPerSlot checks that at one worker RunAll over
+// Fig. 14's specs runs two goroutines, so that one can write its result
+// while the other simulates, but never two simulations at once. A run is
+// in flight from its Hook (before simulating) to its TrainPolicy (after).
+// The first run waits in its Hook (for at most 5 s in all) until the
+// second goroutine has entered its call, which proves the two goroutines
+// overlap.
+func TestRunAllOneSimulationPerSlot(t *testing.T) {
+	SetWorkers(1)
+	defer SetWorkers(0)
+	w, ok := trace.ByName("CC-100B")
+	if !ok {
+		t.Fatal("missing workload")
+	}
+	raise := func(peak *atomic.Int32, v int32) {
+		for m := peak.Load(); v > m && !peak.CompareAndSwap(m, v); m = peak.Load() {
+		}
+	}
+	var calls, callPeak, sims, simPeak atomic.Int32
+	pfs := fig14PFs()
+	deadline := time.Now().Add(5 * time.Second)
+	err := RunAll(bg, len(pfs), func(i int) error {
+		raise(&callPeak, calls.Add(1))
+		defer calls.Add(-1)
+		spec := RunSpec{Mix: single(w), CacheCfg: cache.DefaultConfig(1), Scale: tinyScale, PF: pfs[i],
+			Hook: func(*cache.Hierarchy, []prefetch.Prefetcher) {
+				raise(&simPeak, sims.Add(1))
+				for callPeak.Load() < 2 && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+			},
+			TrainPolicy: func([]prefetch.Prefetcher) { sims.Add(-1) },
+		}
+		_, err := Run(bg, spec)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := callPeak.Load(); got != 2 {
+		t.Errorf("RunAll had %d calls in flight at once, want 2 (one more than the sim slots)", got)
+	}
+	if got := simPeak.Load(); got != 1 {
+		t.Errorf("%d simulations ran at once at one worker, want 1", got)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -60,18 +61,25 @@ func SetWorkers(n int) {
 // Workers reports the current parallelism bound.
 func Workers() int { return simSlots.limit() }
 
-// RunAll invokes fn(0..n-1), fanning out over the worker pool. Every fn
-// must write its result to its own index-addressed slot; on success RunAll
-// returns nil once all calls complete, so the slot array is fully
-// populated and tables stay byte-identical at any worker count. Calls may
-// nest — the global simulation cap keeps total CPU bounded.
+// RunAll invokes fn(0..n-1), fanning out over min(Workers()+1, n)
+// goroutines. Every fn must write its result to its own index-addressed
+// slot; on success RunAll returns nil once all calls complete, so the slot
+// array is fully populated and tables stay byte-identical at any worker
+// count. Calls may nest — the global simulation cap keeps total CPU
+// bounded.
+//
+// The goroutine beyond the sim slots is there for the work a call does
+// outside its simulation: Run gives its slot back before RunCached writes
+// the result to the store, so while one goroutine waits on that write
+// (an fsync) another already simulates. At Workers() == 1 that still
+// means exactly one simulation at a time.
 //
 // Errors short-circuit the fan-out: once any fn returns non-nil (or ctx is
 // canceled), no further indices are dispatched, in-flight calls finish,
 // and RunAll returns the first error observed. Partial results in the slot
 // array must be discarded by the caller.
 func RunAll(ctx context.Context, n int, fn func(i int) error) error {
-	w := Workers()
+	w := Workers() + 1
 	if w > n {
 		w = n
 	}
@@ -523,7 +531,9 @@ func SimCount() int64 { return simCount.Load() }
 
 // Run executes one simulation. Concurrent callers are throttled to the
 // worker limit; each simulation owns all its mutable state, so any number
-// may run side by side with deterministic results.
+// may run side by side with deterministic results. That state is built
+// on a finished run's cleared arrays where one fits (see spare), which
+// changes no result.
 //
 // Errors are returned, never panicked: an unbuildable hierarchy or system,
 // a stream that cannot open or fails mid-run, and a canceled ctx all
@@ -545,7 +555,8 @@ func Run(ctx context.Context, spec RunSpec) (RunResult, error) {
 	cores := len(spec.Mix.Workloads)
 	cfg := spec.CacheCfg
 	cfg.Cores = cores
-	hier, err := cache.NewHierarchy(cfg)
+	prev := takeSpare(cfg)
+	hier, err := cache.Recycle(cfg, prev.hier)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("harness: %s: hierarchy: %w", spec.Mix.Name, err)
 	}
@@ -582,7 +593,11 @@ func Run(ctx context.Context, spec RunSpec) (RunResult, error) {
 			return RunResult{}, err
 		}
 		for i, t := range traces {
-			readers[i] = trace.NewSliceReader(t.Records)
+			var old *trace.SliceReader
+			if i < len(prev.readers) {
+				old = prev.readers[i]
+			}
+			readers[i] = trace.RecycleSliceReader(t.Records, old)
 		}
 	}
 
@@ -659,7 +674,62 @@ func Run(ctx context.Context, spec RunSpec) (RunResult, error) {
 	if spec.TrainPolicy != nil {
 		spec.TrainPolicy(pfs)
 	}
+	// A hook may have kept the hierarchy, so only hook-free runs give
+	// theirs up for the next run to recycle. The spare holds the arrays
+	// and column buffers alone: readers over no records, so the pool
+	// keeps neither this run's trace nor its prefetchers alive.
+	if spec.Hook == nil {
+		sp := spare{hier: hier.Spare()}
+		for _, r := range readers {
+			if sr, ok := r.(*trace.SliceReader); ok {
+				sp.readers = append(sp.readers, trace.RecycleSliceReader(nil, sr))
+			}
+		}
+		putSpare(sp)
+	}
 	return res, nil
+}
+
+// spare is what a finished run leaves for a later run of the same
+// geometry to recycle: its hierarchy's arrays (cache.Recycle) and its
+// slice readers' column buffers (trace.RecycleSliceReader). A small
+// simulation otherwise spends a sizeable share of its time allocating
+// and zeroing them.
+type spare struct {
+	hier    *cache.Hierarchy
+	readers []*trace.SliceReader
+}
+
+// spares pools spares, at most one per sim slot. It is not a sync.Pool: a
+// pool empties at every collection, and both perfbench and a long-lived
+// server collect between runs.
+var spares struct {
+	mu sync.Mutex
+	s  []spare
+}
+
+// takeSpare removes and returns the most recently pooled spare whose
+// hierarchy fits cfg, or the zero spare.
+func takeSpare(cfg cache.Config) spare {
+	spares.mu.Lock()
+	defer spares.mu.Unlock()
+	for i := len(spares.s) - 1; i >= 0; i-- {
+		if sp := spares.s[i]; sp.hier.Fits(cfg) {
+			spares.s = slices.Delete(spares.s, i, i+1)
+			return sp
+		}
+	}
+	return spare{}
+}
+
+// putSpare pools sp, dropping the oldest spares beyond one per sim slot.
+func putSpare(sp spare) {
+	spares.mu.Lock()
+	defer spares.mu.Unlock()
+	spares.s = append(spares.s, sp)
+	if over := len(spares.s) - Workers(); over > 0 {
+		spares.s = slices.Delete(spares.s, 0, over)
+	}
 }
 
 var (
@@ -667,12 +737,15 @@ var (
 	runFlight     flight.Group[RunResult]
 )
 
-// ResetCaches drops all memoized simulation results and materialized
-// traces. Tests use it to force fresh runs; long-lived tools can use it to
-// bound memory between sweeps.
+// ResetCaches drops all memoized simulation results, materialized traces
+// and pooled spares. Tests use it to force fresh runs; long-lived tools
+// can use it to bound memory between sweeps.
 func ResetCaches() {
 	baselineCache.Range(func(k, _ any) bool { baselineCache.Delete(k); return true })
 	traceCache.Range(func(k, _ any) bool { traceCache.Delete(k); return true })
+	spares.mu.Lock()
+	spares.s = nil
+	spares.mu.Unlock()
 }
 
 // mixIdentity renders a mix's full composition, not just its display

@@ -88,6 +88,18 @@ func NewSliceReader(recs []Record) *SliceReader {
 	return &SliceReader{recs: recs}
 }
 
+// RecycleSliceReader returns a Reader over recs, as NewSliceReader does,
+// that takes spare's column buffer instead of allocating its own (spare
+// may be nil). NextChunk overwrites the buffer before serving it, so no
+// state of spare's run carries over. spare keeps no buffer afterwards.
+func RecycleSliceReader(recs []Record, spare *SliceReader) *SliceReader {
+	s := &SliceReader{recs: recs}
+	if spare != nil {
+		s.buf, spare.buf = spare.buf, Chunk{}
+	}
+	return s
+}
+
 // Next implements Reader.
 func (s *SliceReader) Next() (Record, bool) {
 	if s.pos >= len(s.recs) {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -52,6 +53,42 @@ func TestSliceReader(t *testing.T) {
 	rec, ok := r.Next()
 	if !ok || rec.PC != 1 {
 		t.Errorf("after Reset got (%v, %v)", rec.PC, ok)
+	}
+}
+
+// TestRecycleSliceReader checks that a reader on a recycled column
+// buffer serves exactly the chunks of a fresh reader, whatever the
+// spare's run left in the buffer, and serves them from that buffer.
+func TestRecycleSliceReader(t *testing.T) {
+	w, ok := ByName("459.GemsFDTD-100B")
+	if !ok {
+		t.Fatal("missing workload")
+	}
+	recs := w.Generate(3000).Records
+	spare := NewSliceReader(w.Generate(5000).Records)
+	spare.SetBatch(1024)
+	for _, ok := spare.NextChunk(); ok; _, ok = spare.NextChunk() {
+	}
+	buf := &spare.buf.PC[:1][0]
+	fresh := NewSliceReader(recs)
+	recycled := RecycleSliceReader(recs, spare)
+	if spare.buf.PC != nil {
+		t.Error("the spare kept its column buffer")
+	}
+	fresh.SetBatch(1024)
+	recycled.SetBatch(1024)
+	for n := 0; ; n++ {
+		a, okA := fresh.NextChunk()
+		b, okB := recycled.NextChunk()
+		if okA != okB || !reflect.DeepEqual(a, b) {
+			t.Fatalf("chunk %d differs: fresh (%v, %d records), recycled (%v, %d records)", n, okA, a.Len(), okB, b.Len())
+		}
+		if !okA {
+			break
+		}
+		if &b.PC[0] != buf {
+			t.Fatalf("chunk %d: the recycled reader allocated a buffer of its own", n)
+		}
 	}
 }
 
