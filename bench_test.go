@@ -286,27 +286,21 @@ func BenchmarkTraceGen(b *testing.B) {
 // benchDrainReader measures record-delivery throughput of an opened
 // reader through NextChunk, the batched path the fused simulation kernel
 // consumes, reporting records per wall second.
-func benchDrainReader(b *testing.B, open func() trace.Reader, n int) {
+func benchDrainReader(b *testing.B, open func() trace.ChunkReader, n int) {
 	b.Helper()
 	b.ResetTimer()
 	var recs int64
 	for i := 0; i < b.N; i++ {
 		r := open()
-		cr, ok := r.(trace.ChunkReader)
-		if !ok {
-			b.Fatalf("%T delivers no chunks", r)
-		}
 		count := 0
 		for {
-			c, ok := cr.NextChunk()
+			c, ok := r.NextChunk()
 			if !ok {
 				break
 			}
 			count += c.Len()
 		}
-		if c, ok := r.(interface{ Close() error }); ok {
-			c.Close()
-		}
+		r.Close()
 		if count != n {
 			b.Fatalf("drained %d records, want %d", count, n)
 		}
@@ -323,7 +317,7 @@ const benchTraceLen = 400_000
 func BenchmarkTraceDeliveryMaterialized(b *testing.B) {
 	w, _ := trace.ByName("459.GemsFDTD-100B")
 	tr := w.Generate(benchTraceLen)
-	benchDrainReader(b, func() trace.Reader { return trace.NewSliceReader(tr.Records) }, benchTraceLen)
+	benchDrainReader(b, func() trace.ChunkReader { return trace.NewSliceReader(tr.Records) }, benchTraceLen)
 }
 
 // BenchmarkTraceDeliveryGenStream streams the generator through the chunk
@@ -332,7 +326,7 @@ func BenchmarkTraceDeliveryMaterialized(b *testing.B) {
 func BenchmarkTraceDeliveryGenStream(b *testing.B) {
 	w, _ := trace.ByName("459.GemsFDTD-100B")
 	src := &stream.GenSource{W: w, N: benchTraceLen}
-	benchDrainReader(b, func() trace.Reader {
+	benchDrainReader(b, func() trace.ChunkReader {
 		r, err := src.Open()
 		if err != nil {
 			b.Fatal(err)
@@ -350,7 +344,7 @@ func BenchmarkTraceDeliveryFileStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchDrainReader(b, func() trace.Reader {
+	benchDrainReader(b, func() trace.ChunkReader {
 		r, err := src.Open()
 		if err != nil {
 			b.Fatal(err)
@@ -417,7 +411,7 @@ func BenchmarkSimulatorEndToEndStreaming(b *testing.B) {
 			Core:               cpu.DefaultCoreConfig(),
 			WarmupInstructions: 100_000,
 			SimInstructions:    500_000,
-		}, h, []trace.Reader{r})
+		}, h, []trace.ChunkReader{r})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -447,7 +441,7 @@ func BenchmarkSimulatorEndToEnd(b *testing.B) {
 			Core:               cpu.DefaultCoreConfig(),
 			WarmupInstructions: 100_000,
 			SimInstructions:    500_000,
-		}, h, []trace.Reader{trace.NewSliceReader(tr.Records)})
+		}, h, []trace.ChunkReader{trace.NewSliceReader(tr.Records)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,6 +20,8 @@
 #                 allocation-budget tests), the
 #                 perfbench tests plus a short run of each workload
 #                 (correctness checks gate, timings do not), a
+#                 pythia-sim -tracefile check (a tracegen file prints
+#                 what its registry workload prints), a
 #                 pythia-bench CLI check (CSV tables byte-identical at
 #                 -parallel 1 and 2 and over a cold and a warm result
 #                 store, the warm pass simulating nothing; bad -exp
@@ -83,20 +85,6 @@ private_fps=$(grep -rnE '(func|var)( \([^)]*\))? [Ff]ailpoint' internal cmd exam
 if [ -n "$private_fps" ]; then
     echo "private failpoint mechanism outside internal/fault:" >&2
     echo "$private_fps" >&2
-    exit 1
-fi
-
-echo "== fused-kernel gate (no per-record reader calls) =="
-# The hot loop consumes trace columns via Reader.NextChunk; the only
-# per-record reader.Next() caller in internal/cpu is the compatibility
-# shim (shim.go), kept for bit-identity cross-checks. A Next() call
-# reappearing elsewhere means the fused SoA path regressed to
-# record-at-a-time consumption (PERF.md "Batched SoA kernel").
-per_record=$(grep -rn '\.Next(' internal/cpu --include='*.go' |
-    grep -v '_test\.go' | grep -v '^internal/cpu/shim\.go:' || true)
-if [ -n "$per_record" ]; then
-    echo "per-record reader.Next() outside the shim in internal/cpu:" >&2
-    echo "$per_record" >&2
     exit 1
 fi
 
@@ -256,12 +244,39 @@ if [ "$tier" = full ]; then
 
     echo "== batch bit-identity under -race (fused kernel vs shim, worker counts) =="
     # The fused SoA kernel must stay bit-identical to the record-at-a-time
-    # shim at every chunk edge and chunk size, and experiment results must
-    # not depend on worker count. These run inside the package sweeps above
+    # shim the tests keep as its reference, at every chunk edge and chunk
+    # size and on randomly drawn systems, and experiment results must not
+    # depend on worker count. These run inside the package sweeps above
     # too; the explicit invocation keeps the invariant visible and failing
     # on its own line.
-    go test -race -run 'BatchedMatchesShim|BatchedChunkSizeInvariance|DeterministicAcrossWorkerCounts' \
+    go test -race -run 'BatchedMatchesShim|BatchedChunkSizeInvariance|FusedMatchesShimRandomSystems|DeterministicAcrossWorkerCounts' \
         ./internal/cpu/... ./internal/harness/...
+
+    echo "== pythia-sim -tracefile (a trace file replays as its registry workload) =="
+    # A trace written by tracegen and run with -tracefile must print
+    # exactly what the registry workload it came from prints: the file
+    # path (trace.Read into a fixed workload) and the generator path
+    # deliver the same records. Fresh trace-cache and store directories
+    # keep earlier runs out of it.
+    tf=$(mktemp -d)
+    go build -o "$tf/tracegen" ./cmd/tracegen
+    go build -o "$tf/pythia-sim" ./cmd/pythia-sim
+    "$tf/tracegen" -workload 459.GemsFDTD-100B -n 120000 -o "$tf/gems.pytr" >/dev/null
+    run_sim() { # run_sim ARM FLAG... runs pythia-sim into $tf/ARM.txt
+        arm=$1
+        shift
+        PYTHIA_TRACE_CACHE="$tf/traces-$arm" PYTHIA_RESULT_STORE="$tf/results-$arm" \
+            PYTHIA_POLICY_STORE="$tf/policies-$arm" \
+            "$tf/pythia-sim" -scale quick "$@" >"$tf/$arm.txt"
+    }
+    run_sim file -tracefile "$tf/gems.pytr"
+    run_sim registry -workload 459.GemsFDTD-100B
+    if ! diff "$tf/file.txt" "$tf/registry.txt"; then
+        echo "pythia-sim -tracefile differs from -workload on the same trace" >&2
+        rm -rf "$tf"
+        exit 1
+    fi
+    rm -rf "$tf"
 
     echo "== fuzz smoke (trace-file decoder, record and chunk paths) =="
     go test -run='^$' -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/trace

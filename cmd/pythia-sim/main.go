@@ -56,12 +56,18 @@ func main() {
 
 	var w trace.Workload
 	if *traceFile != "" {
-		r, err := trace.OpenFile(*traceFile)
+		f, err := os.Open(*traceFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		w = trace.Fixed(r.Trace())
+		t, err := trace.Read(f)
+		f.Close()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "decode %s: %v\n", *traceFile, err)
+			os.Exit(2)
+		}
+		w = trace.Fixed(t)
 	} else {
 		var ok bool
 		w, ok = trace.ByName(*workload)

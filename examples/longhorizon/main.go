@@ -49,7 +49,7 @@ func main() {
 	fmt.Printf("agent: %s (paper Table 2 hyperparameters: alpha=%.4f epsilon=%.4f)\n\n",
 		cfg.Name, cfg.Alpha, cfg.Epsilon)
 
-	var reader trace.Reader
+	var reader trace.ChunkReader
 	start := time.Now()
 	if *materialize {
 		fmt.Println("delivery: materialized []Record (pre-streaming architecture)")
@@ -75,7 +75,7 @@ func main() {
 		Core:               cpu.DefaultCoreConfig(),
 		WarmupInstructions: *warmup,
 		SimInstructions:    *sim,
-	}, hier, []trace.Reader{reader})
+	}, hier, []trace.ChunkReader{reader})
 	if err != nil {
 		panic(err)
 	}

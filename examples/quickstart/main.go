@@ -29,7 +29,7 @@ func run(w trace.Workload, attach func(h *cache.Hierarchy)) (float64, cache.Core
 		Core:               cpu.DefaultCoreConfig(),
 		WarmupInstructions: 1_000_000,
 		SimInstructions:    4_000_000,
-	}, hier, []trace.Reader{trace.NewSliceReader(t.Records)})
+	}, hier, []trace.ChunkReader{trace.NewSliceReader(t.Records)})
 	if err != nil {
 		panic(err)
 	}

@@ -10,12 +10,11 @@ import (
 	"testing"
 	"time"
 
-	"pythia/internal/cache"
 	"pythia/internal/trace"
 )
 
 // This file pins the fused chunk kernel (core.go stepChunk) to the
-// record-at-a-time shim (shim.go): same traces, same config, every
+// record-at-a-time shim (shim_test.go): same traces, same config, every
 // observable bit-identical — per-core clocks, retirement, measurement
 // windows, snapshotted cache statistics and the shared DRAM model.
 // Coverage deliberately straddles chunk boundaries (lengths chunk-1,
@@ -47,18 +46,31 @@ func mixedTrace(n int, seed int64) []trace.Record {
 	return recs
 }
 
-// runBoth executes the same simulation twice — once forced onto the
-// record-at-a-time shim, once on the fused kernel — and returns both
-// systems for comparison.
-func runBoth(t *testing.T, cfg SystemConfig, cores int, recs ...[]trace.Record) (shim, fused *System) {
+// runBoth executes the same simulation twice — once on the
+// record-at-a-time shim, once on the fused kernel reading batch-record
+// chunks — and returns both systems for comparison. Core i replays
+// recs[i%len(recs)], as newSystem assigns them.
+func runBoth(t *testing.T, cfg SystemConfig, batch, cores int, recs ...[]trace.Record) (shim, fused *System) {
 	t.Helper()
-	shimCfg := cfg
-	shimCfg.recordShim = true
-	shim = newSystem(t, shimCfg, cores, recs...)
-	mustRun(t, shim)
+	shim = newSystem(t, cfg, cores, recs...)
+	perCore := make([][]trace.Record, cores)
+	for i := range perCore {
+		perCore[i] = recs[i%len(recs)]
+	}
+	if err := shim.runShim(context.Background(), perCore); err != nil {
+		t.Fatal(err)
+	}
 	fused = newSystem(t, cfg, cores, recs...)
+	setBatch(fused, batch)
 	mustRun(t, fused)
 	return shim, fused
+}
+
+// setBatch sets the NextChunk batch of every core's slice reader.
+func setBatch(sys *System, n int) {
+	for _, c := range sys.Cores {
+		c.reader.(*trace.SliceReader).SetBatch(n)
+	}
 }
 
 // ringRecords returns the logical front-to-back contents of a load ring.
@@ -115,12 +127,11 @@ func requireIdentical(t *testing.T, want, got *System) {
 func TestBatchedMatchesShimAtChunkEdges(t *testing.T) {
 	const chunk = 256
 	cfg := smallConfig()
-	cfg.Chunk = chunk
 	cfg.WarmupInstructions = 2_000
 	cfg.SimInstructions = 20_000
 	for _, n := range []int{1, chunk - 1, chunk, chunk + 1, 3*chunk + 17} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			shim, fused := runBoth(t, cfg, 1, mixedTrace(n, int64(n)))
+			shim, fused := runBoth(t, cfg, chunk, 1, mixedTrace(n, int64(n)))
 			requireIdentical(t, shim, fused)
 			if fused.Cores[0].Replays() == 0 {
 				t.Error("trace was meant to replay mid-run; lengths need shrinking")
@@ -135,7 +146,6 @@ func TestBatchedMatchesShimAtChunkEdges(t *testing.T) {
 // shifts contention and shows up in the stats.
 func TestBatchedMatchesShimMultiCore(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Chunk = 512
 	cfg.WarmupInstructions = 2_000
 	cfg.SimInstructions = 30_000
 	for _, cores := range []int{2, 4} {
@@ -144,7 +154,7 @@ func TestBatchedMatchesShimMultiCore(t *testing.T) {
 			for i := range traces {
 				traces[i] = mixedTrace(5_000+i*777, int64(100+i))
 			}
-			shim, fused := runBoth(t, cfg, cores, traces...)
+			shim, fused := runBoth(t, cfg, 512, cores, traces...)
 			requireIdentical(t, shim, fused)
 		})
 	}
@@ -160,9 +170,8 @@ func TestBatchedChunkSizeInvariance(t *testing.T) {
 	base := newSystem(t, cfg, 1, recs) // default batch
 	mustRun(t, base)
 	for _, chunk := range []int{1, 3, 64, 1_000, 1 << 15} {
-		c := cfg
-		c.Chunk = chunk
-		sys := newSystem(t, c, 1, recs)
+		sys := newSystem(t, cfg, 1, recs)
+		setBatch(sys, chunk)
 		mustRun(t, sys)
 		requireIdentical(t, base, sys)
 	}
@@ -174,10 +183,9 @@ func TestBatchedChunkSizeInvariance(t *testing.T) {
 func TestEmptyTraceStepEquivalence(t *testing.T) {
 	a := newSystem(t, smallConfig(), 1, []trace.Record{}).Cores[0]
 	b := newSystem(t, smallConfig(), 1, []trace.Record{}).Cores[0]
+	pos := 0
 	for i := 0; i < 3; i++ {
-		if err := a.step(); err != nil {
-			t.Fatal(err)
-		}
+		a.step(nil, &pos)
 		if err := b.stepChunk(math.MaxInt64, math.MaxInt64); err != nil {
 			t.Fatal(err)
 		}
@@ -252,36 +260,17 @@ func TestLoadRing(t *testing.T) {
 	}
 }
 
-// TestShimSurfacesReaderError mirrors TestRunSurfacesReaderError on the
-// shim path (the default path's version runs the fused kernel).
-func TestShimSurfacesReaderError(t *testing.T) {
-	hier, err := cache.NewHierarchy(cache.DefaultConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("decode failed mid-run")
-	cfg := smallConfig()
-	cfg.recordShim = true
-	sys, err := NewSystem(cfg, hier, []trace.Reader{&failingReader{left: 500, err: boom}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.Run(context.Background()); !errors.Is(got, boom) {
-		t.Fatalf("Run returned %v, want the reader's error", got)
-	}
-}
-
 // TestShimHonorsCancellation mirrors TestRunHonorsCancellation on the
-// shim path.
+// shim, which polls the context every cancelCheckSteps records.
 func TestShimHonorsCancellation(t *testing.T) {
 	cfg := smallConfig()
-	cfg.recordShim = true
 	cfg.SimInstructions = 500_000_000
-	sys := newSystem(t, cfg, 1, computeTrace(100_000))
+	recs := computeTrace(100_000)
+	sys := newSystem(t, cfg, 1, recs)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if err := sys.Run(ctx); !errors.Is(err, context.Canceled) {
+	if err := sys.runShim(ctx, [][]trace.Record{recs}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {

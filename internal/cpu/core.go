@@ -5,18 +5,17 @@
 // finish early in multi-programmed runs.
 //
 // The hot loop is batched: cores consume records as column chunks
-// (trace.Chunk) through the trace.ChunkReader fast path and fuse a whole
-// batch per driver step (stepChunk), keeping clock and retirement state
-// in registers instead of paying an interface call per record. The
-// record-at-a-time path survives as a compatibility shim (shim.go) whose
-// results the batched kernel must match bit for bit — batch_test.go pins
-// that across chunk-boundary edge cases, replays and multi-core runs.
+// (trace.Chunk) through trace.ChunkReader and fuse a whole batch per
+// driver step (stepChunk), keeping clock and retirement state in
+// registers instead of paying an interface call per record. The tests
+// keep the record-at-a-time driver the kernel replaced (shim_test.go) as
+// a reference it must match bit for bit — across chunk-boundary edge
+// cases, replays, multi-core runs and randomly drawn systems.
 package cpu
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"pythia/internal/cache"
@@ -78,8 +77,7 @@ func (r *loadRing) push(v inflightLoad) {
 type Core struct {
 	id     int
 	cfg    CoreConfig
-	reader trace.Reader      // the caller's reader: Close target, shim path
-	cr     trace.ChunkReader // batched fast path (reader itself, or an adapter)
+	reader trace.ChunkReader
 	hier   *cache.Hierarchy
 
 	cycle    int64
@@ -143,33 +141,23 @@ func (c *Core) Replays() int { return c.replays }
 // (simulated-instructions/sec) are computed from this.
 func (c *Core) Retired() int64 { return c.instret }
 
-// readerErr surfaces a delivery failure from readers that can fail
-// mid-stream (streaming readers implement Err, per stream.Reader); plain
-// in-memory readers cannot fail and report nil.
-func readerErr(r trace.Reader) error {
-	if e, ok := r.(interface{ Err() error }); ok {
-		return e.Err()
-	}
-	return nil
-}
-
-// nextBatch pulls the next column batch from the fast-path reader,
-// replaying the trace once on a clean EOF (the paper's methodology for
-// cores that finish early). Returning with an empty cur means the trace
-// itself is empty; the caller spins the clock, as the shim does. A
-// delivery failure aborts: the record sequence can no longer be trusted,
-// so the simulation must fail rather than silently truncate or replay.
+// nextBatch pulls the next column batch from the reader, replaying the
+// trace once on a clean EOF (the paper's methodology for cores that
+// finish early). Returning with an empty cur means the trace itself is
+// empty; the caller spins the clock. A delivery failure aborts: the
+// record sequence can no longer be trusted, so the simulation must fail
+// rather than silently truncate or replay.
 func (c *Core) nextBatch() error {
-	ch, ok := c.cr.NextChunk()
+	ch, ok := c.reader.NextChunk()
 	if !ok {
-		if err := readerErr(c.reader); err != nil {
+		if err := c.reader.Err(); err != nil {
 			return fmt.Errorf("cpu: core %d: trace delivery: %w", c.id, err)
 		}
-		c.cr.Reset()
+		c.reader.Reset()
 		c.replays++
-		ch, ok = c.cr.NextChunk()
+		ch, ok = c.reader.NextChunk()
 		if !ok {
-			if err := readerErr(c.reader); err != nil {
+			if err := c.reader.Err(); err != nil {
 				return fmt.Errorf("cpu: core %d: trace replay: %w", c.id, err)
 			}
 			c.cur, c.pos = trace.Chunk{}, 0
@@ -196,7 +184,7 @@ func (c *Core) stepChunk(instrLimit, cycleCap int64) error {
 		}
 		if c.cur.Len() == 0 {
 			// Empty trace: spin the clock forward so the driver terminates,
-			// one spin per driver step, exactly as the shim's step() does.
+			// one spin per driver step.
 			c.cycle += 1000
 			return nil
 		}
@@ -313,17 +301,6 @@ type SystemConfig struct {
 	WarmupInstructions int64
 	// SimInstructions measured per core.
 	SimInstructions int64
-	// Chunk sizes the column batches used to adapt record-at-a-time
-	// readers to the fused kernel (0 = trace.DefaultBatch). Readers with a
-	// native batch path (internal/stream) deliver their own chunk size.
-	// Batch size never affects simulation results — only delivery
-	// granularity — which batch_test.go pins down to chunk±1 edge cases.
-	Chunk int
-	// recordShim forces the record-at-a-time compatibility path (shim.go)
-	// instead of the fused chunk kernel. It is unexported: only this
-	// package's tests compare the two paths; results are bit-identical
-	// either way.
-	recordShim bool
 }
 
 // DefaultSystemConfig returns the simulation lengths used by the harness:
@@ -337,10 +314,9 @@ func DefaultSystemConfig() SystemConfig {
 }
 
 // NewSystem builds cores over readers (one per core) and the hierarchy.
-// Readers that implement trace.ChunkReader (streaming readers) feed the
-// fused kernel directly; any other reader is adapted through a column
-// batcher, so every core runs the same hot loop.
-func NewSystem(cfg SystemConfig, hier *cache.Hierarchy, readers []trace.Reader) (*System, error) {
+// Each reader's chunk size is its own: batch size is delivery
+// granularity and never changes a result (batch_test.go).
+func NewSystem(cfg SystemConfig, hier *cache.Hierarchy, readers []trace.ChunkReader) (*System, error) {
 	if len(readers) != hier.Config().Cores {
 		return nil, fmt.Errorf("cpu: %d readers for %d cores", len(readers), hier.Config().Cores)
 	}
@@ -349,20 +325,10 @@ func NewSystem(cfg SystemConfig, hier *cache.Hierarchy, readers []trace.Reader) 
 	}
 	s := &System{Hier: hier, cfg: cfg}
 	for i, r := range readers {
-		cr, ok := r.(trace.ChunkReader)
-		if !ok {
-			cr = trace.NewChunkingReader(r, cfg.Chunk)
-		} else if b, ok := cr.(interface{ SetBatch(int) }); ok && cfg.Chunk > 0 {
-			// Native chunk readers with an adjustable view size (SliceReader)
-			// honor the configured granularity; streaming readers size their
-			// own chunks.
-			b.SetBatch(cfg.Chunk)
-		}
 		s.Cores = append(s.Cores, &Core{
 			id:         i,
 			cfg:        cfg.Core,
 			reader:     r,
-			cr:         cr,
 			hier:       hier,
 			inflight:   newLoadRing(cfg.Core.LQ),
 			addrOffset: uint64(i) << 56,
@@ -385,9 +351,6 @@ func NewSystem(cfg SystemConfig, hier *cache.Hierarchy, readers []trace.Reader) 
 // (milliseconds of simulation at the default chunk size) and multi-core
 // runs at scheduling-quantum boundaries, which are at most one chunk.
 func (s *System) Run(ctx context.Context) error {
-	if s.cfg.recordShim {
-		return s.runShim(ctx)
-	}
 	done := ctx.Done()
 	poll := func() error {
 		if done != nil {
@@ -402,7 +365,7 @@ func (s *System) Run(ctx context.Context) error {
 
 	// Warmup: advance each core in lockstep until it retires the warmup
 	// count. stepChunk stops on its own at the instruction limit, so a
-	// core never overshoots farther than the shim would (one record).
+	// core overshoots it by at most one record.
 	warm := func(c *Core) bool { return c.instret < s.cfg.WarmupInstructions }
 	for {
 		c := s.nextCore(warm)
@@ -489,18 +452,15 @@ func (s *System) capFor(c *Core, eligible func(*Core) bool) int64 {
 // measurement window.
 func (c *Core) Stats() cache.CoreStats { return c.statsSnap }
 
-// Close releases per-core trace readers that own external resources:
-// streaming readers (internal/stream) hold a producer goroutine and
-// possibly an open file until closed. Readers that are plain in-memory
-// iterators are unaffected. Close is safe to call after Run and more than
-// once; the first reader error is returned.
+// Close closes every core's reader: streaming readers (internal/stream)
+// hold a producer goroutine and possibly an open file until closed.
+// Close is safe to call after Run and more than once; the first reader
+// error is returned.
 func (s *System) Close() error {
 	var first error
 	for _, c := range s.Cores {
-		if cl, ok := c.reader.(io.Closer); ok {
-			if err := cl.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := c.reader.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first

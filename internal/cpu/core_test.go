@@ -37,7 +37,7 @@ func newSystem(t *testing.T, cfg SystemConfig, cores int, recs ...[]trace.Record
 	if err != nil {
 		t.Fatal(err)
 	}
-	readers := make([]trace.Reader, cores)
+	readers := make([]trace.ChunkReader, cores)
 	for i := 0; i < cores; i++ {
 		readers[i] = trace.NewSliceReader(recs[i%len(recs)])
 	}
@@ -177,13 +177,13 @@ func TestROBLimitsMLP(t *testing.T) {
 
 func TestNewSystemValidation(t *testing.T) {
 	hier, _ := cache.NewHierarchy(cache.DefaultConfig(2))
-	if _, err := NewSystem(smallConfig(), hier, []trace.Reader{trace.NewSliceReader(nil)}); err == nil {
+	if _, err := NewSystem(smallConfig(), hier, []trace.ChunkReader{trace.NewSliceReader(nil)}); err == nil {
 		t.Error("reader/core mismatch should fail")
 	}
 	bad := smallConfig()
 	bad.Core.Width = 0
 	hier1, _ := cache.NewHierarchy(cache.DefaultConfig(1))
-	if _, err := NewSystem(bad, hier1, []trace.Reader{trace.NewSliceReader(nil)}); err == nil {
+	if _, err := NewSystem(bad, hier1, []trace.ChunkReader{trace.NewSliceReader(nil)}); err == nil {
 		t.Error("zero width should fail")
 	}
 }
@@ -253,19 +253,23 @@ func TestLQLimitsInflightLoads(t *testing.T) {
 	}
 }
 
-// failingReader delivers a few records, then stops with a sticky error —
-// the shape of a streaming reader whose backing file corrupted mid-run.
+// failingReader delivers one chunk of a few records, then stops with a
+// sticky error — the shape of a streaming reader whose backing file
+// corrupted mid-run.
 type failingReader struct {
 	left int
 	err  error
 }
 
-func (r *failingReader) Next() (trace.Record, bool) {
+func (r *failingReader) NextChunk() (trace.Chunk, bool) {
 	if r.left <= 0 {
-		return trace.Record{}, false
+		return trace.Chunk{}, false
 	}
-	r.left--
-	return trace.Record{PC: 1, Addr: 64, NonMem: 1}, true
+	c := trace.NewChunk(r.left)
+	for ; r.left > 0; r.left-- {
+		c.Append(trace.Record{PC: 1, Addr: 64, NonMem: 1})
+	}
+	return *c, true
 }
 
 func (r *failingReader) Reset() {}
@@ -277,6 +281,8 @@ func (r *failingReader) Err() error {
 	return nil
 }
 
+func (r *failingReader) Close() error { return nil }
+
 // TestRunSurfacesReaderError: a reader that fails mid-stream must abort
 // the simulation with its error, not silently truncate or replay.
 func TestRunSurfacesReaderError(t *testing.T) {
@@ -285,7 +291,7 @@ func TestRunSurfacesReaderError(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("decode failed mid-run")
-	sys, err := NewSystem(smallConfig(), hier, []trace.Reader{&failingReader{left: 500, err: boom}})
+	sys, err := NewSystem(smallConfig(), hier, []trace.ChunkReader{&failingReader{left: 500, err: boom}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,12 +39,17 @@ func benchKernel(b *testing.B, shim bool, recs []trace.Record) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := SystemConfig{Core: DefaultCoreConfig(), WarmupInstructions: 1_000_000, SimInstructions: 8_000_000, recordShim: shim}
-		sys, err := NewSystem(cfg, hier, []trace.Reader{trace.NewSliceReader(recs)})
+		cfg := SystemConfig{Core: DefaultCoreConfig(), WarmupInstructions: 1_000_000, SimInstructions: 8_000_000}
+		sys, err := NewSystem(cfg, hier, []trace.ChunkReader{trace.NewSliceReader(recs)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sys.Run(context.Background()); err != nil {
+		if shim {
+			err = sys.runShim(context.Background(), [][]trace.Record{recs})
+		} else {
+			err = sys.Run(context.Background())
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 		instr = sys.Cores[0].Retired()

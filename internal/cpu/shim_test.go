@@ -2,40 +2,32 @@ package cpu
 
 import (
 	"context"
-	"fmt"
+
+	"pythia/internal/trace"
 )
 
-// This file is the record-at-a-time compatibility path: the simulation
-// kernel as it existed before the fused chunk kernel (core.go stepChunk),
-// preserved as the reference implementation. This package's tests and
-// kernel benchmarks (batch_test.go, kernel_bench_test.go) select it via
-// the unexported SystemConfig.recordShim to pin the batched path's
-// bit-identity and to measure the fusion speedup against a live baseline.
-// It is the only non-test code in this package allowed to call a reader's
-// record-at-a-time Next (ci.sh enforces that with a grep gate).
+// This file is the record-at-a-time shim: the simulation driver as it
+// existed before the fused chunk kernel (core.go stepChunk), kept as the
+// reference the kernel is checked against (batch_test.go,
+// oracle_test.go) and as the baseline of the kernel benchmarks
+// (kernel_bench_test.go). It reads each core's records straight from the
+// test's []Record, so its replay logic shares nothing with nextBatch.
 
-// step consumes one trace record, advancing the core's local clock. A
-// reader that stops delivering because of an error (not EOF) aborts the
-// step: the record sequence can no longer be trusted, so the simulation
-// must fail rather than silently truncate or replay early.
-func (c *Core) step() error {
-	rec, ok := c.reader.Next()
-	if !ok {
-		if err := readerErr(c.reader); err != nil {
-			return fmt.Errorf("cpu: core %d: trace delivery: %w", c.id, err)
-		}
-		c.reader.Reset()
+// step consumes one trace record, advancing the core's local clock. pos
+// is the core's cursor into recs; at the end of recs the trace replays
+// from its first record.
+func (c *Core) step(recs []trace.Record, pos *int) {
+	if *pos == len(recs) {
+		*pos = 0
 		c.replays++
-		rec, ok = c.reader.Next()
-		if !ok {
-			if err := readerErr(c.reader); err != nil {
-				return fmt.Errorf("cpu: core %d: trace replay: %w", c.id, err)
-			}
+		if len(recs) == 0 {
 			// Empty trace: spin the clock forward so the driver terminates.
 			c.cycle += 1000
-			return nil
+			return
 		}
 	}
+	rec := recs[*pos]
+	*pos++
 	c.records++
 
 	// Issue the non-memory instructions plus the memory op at Width/cycle.
@@ -72,7 +64,6 @@ func (c *Core) step() error {
 	if !rec.Store && done > c.cycle {
 		c.inflight.push(inflightLoad{idx: c.instret, complete: done})
 	}
-	return nil
 }
 
 // waitOldest advances the clock to the oldest in-flight load's completion.
@@ -97,10 +88,12 @@ func (c *Core) waitOldest() {
 const cancelCheckSteps = 1 << 12
 
 // runShim is the record-at-a-time driver: Run as it existed before chunk
-// fusion, selected by SystemConfig.recordShim. Its observable behavior —
-// every simulation statistic, bit for bit — must match the fused driver;
-// batch_test.go holds the two against each other.
-func (s *System) runShim(ctx context.Context) error {
+// fusion, replaying recs[i] on core i (the cores' readers go unread).
+// Its observable behavior — every simulation statistic, bit for bit —
+// must match the fused driver; batch_test.go and oracle_test.go hold the
+// two against each other.
+func (s *System) runShim(ctx context.Context, recs [][]trace.Record) error {
+	pos := make([]int, len(s.Cores))
 	done := ctx.Done()
 	steps := 0
 	canceled := func() error {
@@ -121,9 +114,7 @@ func (s *System) runShim(ctx context.Context) error {
 		if c == nil {
 			break
 		}
-		if err := c.step(); err != nil {
-			return err
-		}
+		c.step(recs[c.id], &pos[c.id])
 		if err := canceled(); err != nil {
 			return err
 		}
@@ -144,9 +135,7 @@ func (s *System) runShim(ctx context.Context) error {
 	unfinished := len(s.Cores)
 	for unfinished > 0 {
 		c := s.nextCore(func(*Core) bool { return true })
-		if err := c.step(); err != nil {
-			return err
-		}
+		c.step(recs[c.id], &pos[c.id])
 		if err := canceled(); err != nil {
 			return err
 		}

@@ -219,11 +219,13 @@ type Scale struct {
 	WorkloadsPerSuite int
 	// HeteroMixes is the number of random heterogeneous multi-core mixes.
 	HeteroMixes int
-	// StreamChunk switches trace delivery to the bounded-memory streaming
-	// pipeline (internal/stream) with this many records per chunk; 0 keeps
-	// the in-memory materialized path. Streaming delivers exactly the same
-	// record sequence, so results are identical either way — only peak
-	// memory and the horizon ceiling change.
+	// StreamChunk selects trace delivery. 0 replays traces materialized
+	// once in memory and shared by every run, which is several times
+	// faster than decoding a file (PERF.md); a positive value streams them
+	// through the bounded-memory pipeline (internal/stream) in chunks of
+	// this many records, for horizons memory cannot hold. Streaming
+	// delivers exactly the same record sequence, so results are identical
+	// either way — only speed, peak memory and the horizon ceiling change.
 	StreamChunk int
 }
 
@@ -561,45 +563,24 @@ func Run(ctx context.Context, spec RunSpec) (RunResult, error) {
 		return RunResult{}, fmt.Errorf("harness: %s: hierarchy: %w", spec.Mix.Name, err)
 	}
 
-	readers := make([]trace.Reader, cores)
-	closeReaders := func() {
+	readers, err := openReaders(ctx, spec, prev.readers)
+	if err != nil {
+		return RunResult{}, err
+	}
+	sys, err := cpu.NewSystem(cpu.SystemConfig{
+		Core:               cpu.DefaultCoreConfig(),
+		WarmupInstructions: spec.Scale.Warmup,
+		SimInstructions:    spec.Scale.Sim,
+	}, hier, readers)
+	if err != nil {
 		for _, r := range readers {
-			if cl, ok := r.(interface{ Close() error }); ok && cl != nil {
-				cl.Close()
-			}
+			r.Close()
 		}
+		return RunResult{}, fmt.Errorf("harness: %s: %w", spec.Mix.Name, err)
 	}
-	if spec.Scale.StreamChunk > 0 {
-		// Streaming delivery: records flow through the bounded chunk
-		// pipeline instead of a materialized []Record, so the horizon is
-		// limited by disk, not memory. The record sequence is identical to
-		// the materialized path (stream package equivalence tests), so a
-		// spec yields the same result either way.
-		srcs, err := streamSources(ctx, spec.Mix, spec.Scale)
-		if err != nil {
-			return RunResult{}, err
-		}
-		for i, src := range srcs {
-			r, err := src.Open()
-			if err != nil {
-				closeReaders()
-				return RunResult{}, fmt.Errorf("harness: open stream %s: %w", src.Name(), err)
-			}
-			readers[i] = r
-		}
-	} else {
-		traces, err := tracesFor(ctx, spec.Mix, spec.Scale.TraceLen)
-		if err != nil {
-			return RunResult{}, err
-		}
-		for i, t := range traces {
-			var old *trace.SliceReader
-			if i < len(prev.readers) {
-				old = prev.readers[i]
-			}
-			readers[i] = trace.RecycleSliceReader(t.Records, old)
-		}
-	}
+	// Streaming readers own producer goroutines and file handles; release
+	// them once the simulation is done.
+	defer sys.Close()
 
 	var pfs []prefetch.Prefetcher
 	for i := 0; i < cores; i++ {
@@ -623,36 +604,15 @@ func Run(ctx context.Context, spec RunSpec) (RunResult, error) {
 				continue
 			}
 			if err := spec.WarmStart.Restore(py); err != nil {
-				closeReaders()
 				return RunResult{}, fmt.Errorf("harness: %s: warm start: %w", spec.Mix.Name, err)
 			}
 			restored++
 		}
 		if restored == 0 {
-			closeReaders()
 			return RunResult{}, fmt.Errorf("harness: %s: warm start: prefetcher %s has no Pythia agent to restore into", spec.Mix.Name, spec.PF.Name)
 		}
 	}
 
-	sysCfg := cpu.SystemConfig{
-		Core:               cpu.DefaultCoreConfig(),
-		WarmupInstructions: spec.Scale.Warmup,
-		SimInstructions:    spec.Scale.Sim,
-		// Streaming readers feed the fused kernel StreamChunk-sized column
-		// batches directly; materialized slice readers are adapted at the
-		// same granularity so both paths batch identically. Batch size
-		// never changes results (it is excluded from cacheKey for the same
-		// reason) — cancellation lands at chunk boundaries either way.
-		Chunk: spec.Scale.StreamChunk,
-	}
-	sys, err := cpu.NewSystem(sysCfg, hier, readers)
-	if err != nil {
-		closeReaders()
-		return RunResult{}, fmt.Errorf("harness: %s: %w", spec.Mix.Name, err)
-	}
-	// Streaming readers own producer goroutines and file handles; release
-	// them once the simulation is done (a no-op for slice readers).
-	defer sys.Close()
 	tl.Mark("simulating", time.Now())
 	simStart := time.Now()
 	if err := sys.Run(ctx); err != nil {
@@ -688,6 +648,46 @@ func Run(ctx context.Context, spec RunSpec) (RunResult, error) {
 		putSpare(sp)
 	}
 	return res, nil
+}
+
+// openReaders opens one trace reader per core of spec's mix, the only
+// place a run's trace delivery is chosen. StreamChunk == 0 replays the
+// memoized traces (tracesFor) through slice readers built on prev's
+// column buffers. StreamChunk > 0 streams each trace through the bounded
+// chunk pipeline instead, so the horizon is limited by disk, not memory.
+// The record sequence is the same either way (stream package equivalence
+// tests), so a spec yields the same result on both.
+func openReaders(ctx context.Context, spec RunSpec, prev []*trace.SliceReader) ([]trace.ChunkReader, error) {
+	readers := make([]trace.ChunkReader, len(spec.Mix.Workloads))
+	if spec.Scale.StreamChunk <= 0 {
+		traces, err := tracesFor(ctx, spec.Mix, spec.Scale.TraceLen)
+		if err != nil {
+			return nil, err
+		}
+		for i, t := range traces {
+			var old *trace.SliceReader
+			if i < len(prev) {
+				old = prev[i]
+			}
+			readers[i] = trace.RecycleSliceReader(t.Records, old)
+		}
+		return readers, nil
+	}
+	srcs, err := streamSources(ctx, spec.Mix, spec.Scale)
+	if err != nil {
+		return nil, err
+	}
+	for i, src := range srcs {
+		r, err := src.Open()
+		if err != nil {
+			for _, r := range readers[:i] {
+				r.Close()
+			}
+			return nil, fmt.Errorf("harness: open stream %s: %w", src.Name(), err)
+		}
+		readers[i] = r
+	}
+	return readers, nil
 }
 
 // spare is what a finished run leaves for a later run of the same

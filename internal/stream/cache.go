@@ -185,11 +185,11 @@ func encodeWorkload(ctx context.Context, wr *os.File, w trace.Workload, n int) (
 	if err != nil {
 		return 0, 0, err
 	}
-	// DefaultBatch-record chunks keep the ring's depth+2 buffers within
-	// about one DefaultChunk of memory.
+	// DefaultBatch-record chunks keep the ring's DefaultDepth+2 buffers
+	// within about one DefaultChunk of memory.
 	r, err := newChunkedReader(func() (trace.Iter, io.Closer, error) {
 		return w.Iter(n), nil, nil
-	}, trace.DefaultBatch, 0)
+	}, trace.DefaultBatch)
 	if err != nil {
 		return 0, 0, err
 	}

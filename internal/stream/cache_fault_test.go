@@ -50,7 +50,7 @@ func TestPopulateFailureLeavesNoPartialFiles(t *testing.T) {
 
 // TestDecodeFaultSurfacesAsStickyError arms the decode failpoint and
 // holds the package's error contract: a mid-stream decode failure
-// surfaces as Next() == false with a sticky Err() on the consumer side,
+// surfaces as NextChunk() == false with a sticky Err() on the consumer side,
 // never as a panic or a silently truncated trace. The failpoint counts
 // records, so a spec skipping 100 hits delivers exactly 100 records, even
 // though the decoder fills whole chunks.
@@ -73,11 +73,8 @@ func TestDecodeFaultSurfacesAsStickyError(t *testing.T) {
 	}
 	defer r.Close()
 	reads := 0
-	for {
-		if _, ok := r.Next(); !ok {
-			break
-		}
-		reads++
+	for c, ok := r.NextChunk(); ok; c, ok = r.NextChunk() {
+		reads += c.Len()
 	}
 	if err := r.Err(); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("Err = %v, want injected decode fault", err)

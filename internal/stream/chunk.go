@@ -32,34 +32,27 @@ var (
 // trace.ChunkFiller (the generator, the file decoder) append straight onto
 // the columns; others are drained record-at-a-time into the columns.
 //
-// Memory bound: at most depth+2 chunk buffers ever exist per reader — one
-// in the producer's hands, up to depth queued, one being drained by the
-// consumer — regardless of trace length.
-//
-// Consumers have two faces over the same stream: Next (trace.Reader, the
-// record-at-a-time compatibility path) and NextChunk (trace.ChunkReader,
-// the batched fast path the fused simulation kernel uses). They can be
-// mixed freely; NextChunk first hands out whatever Next left unconsumed.
+// Memory bound: at most DefaultDepth+2 chunk buffers ever exist per
+// reader — one in the producer's hands, up to DefaultDepth queued, one
+// being drained by the consumer — regardless of trace length.
 //
 // Producer failures (a decode error on a file that changed under a running
 // simulation, a reset that cannot reopen its pass) are carried through the
-// pipe and surface on the consumer side as Next() == false with a sticky
-// Err(), never as a panic: the simulation driver owns the decision of what
-// an unrecoverable trace means for the run.
+// pipe and surface on the consumer side as NextChunk() == false with a
+// sticky Err(), never as a panic: the simulation driver owns the decision
+// of what an unrecoverable trace means for the run.
 type chunkedReader struct {
 	// open starts a fresh pass over the records; the returned closer (may
 	// be nil) releases pass-scoped resources (an open file) when the
 	// producer exits.
 	open  func() (trace.Iter, io.Closer, error)
 	chunk int
-	depth int
 
 	free chan *trace.Chunk // recycled chunk buffers; nil entry = allocate
 	p    *pipe             // current producer generation, nil after EOF+Close
 
-	cur    *trace.Chunk // chunk being drained
-	pos    int
-	err    error // sticky first delivery error
+	cur    *trace.Chunk // chunk the consumer holds, recycled on the next call
+	err    error        // sticky first delivery error
 	closed bool
 }
 
@@ -75,9 +68,9 @@ type pipe struct {
 	err error
 }
 
-func newChunkedReader(open func() (trace.Iter, io.Closer, error), chunk, depth int) (*chunkedReader, error) {
-	c := &chunkedReader{open: open, chunk: chunkOr(chunk), depth: depthOr(depth)}
-	c.free = make(chan *trace.Chunk, c.depth+2)
+func newChunkedReader(open func() (trace.Iter, io.Closer, error), chunk int) (*chunkedReader, error) {
+	c := &chunkedReader{open: open, chunk: chunkOr(chunk)}
+	c.free = make(chan *trace.Chunk, DefaultDepth+2)
 	for i := 0; i < cap(c.free); i++ {
 		c.free <- nil
 	}
@@ -94,7 +87,7 @@ func (c *chunkedReader) start() error {
 		return err
 	}
 	p := &pipe{
-		ch:   make(chan *trace.Chunk, c.depth),
+		ch:   make(chan *trace.Chunk, DefaultDepth),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -163,15 +156,17 @@ func iterErr(it trace.Iter) error {
 	return nil
 }
 
-// recv pulls the next chunk from the ring, recycling the drained one. It
-// returns nil at end of pass (setting the sticky error on failures).
-func (c *chunkedReader) recv() *trace.Chunk {
-	if c.err != nil || c.p == nil {
-		return nil
-	}
+// NextChunk implements trace.ChunkReader: it recycles the chunk handed
+// out last and pulls the next one from the ring. The returned column view
+// is valid until the next NextChunk/Reset/Close call. At the end of a
+// pass it returns false, setting the sticky error on failures.
+func (c *chunkedReader) NextChunk() (trace.Chunk, bool) {
 	if c.cur != nil {
 		c.free <- c.cur
-		c.cur, c.pos = nil, 0
+		c.cur = nil
+	}
+	if c.err != nil || c.p == nil {
+		return trace.Chunk{}, false
 	}
 	var buf *trace.Chunk
 	var ok bool
@@ -188,58 +183,25 @@ func (c *chunkedReader) recv() *trace.Chunk {
 		if c.p.err != nil {
 			c.err = c.p.err
 		}
-		return nil
+		return trace.Chunk{}, false
 	}
 	obsRing.Add(-1)
 	obsChunks.Inc()
-	return buf
-}
-
-// Next implements trace.Reader.
-func (c *chunkedReader) Next() (trace.Record, bool) {
-	if c.cur != nil && c.pos < c.cur.Len() {
-		r := c.cur.At(c.pos)
-		c.pos++
-		return r, true
-	}
-	buf := c.recv()
-	if buf == nil {
-		return trace.Record{}, false
-	}
-	c.cur, c.pos = buf, 1
-	return buf.At(0), true
-}
-
-// NextChunk implements trace.ChunkReader: the batched fast path. The
-// returned column view is valid until the next NextChunk/Next/Reset/Close
-// call. If the record-at-a-time path consumed part of the current chunk,
-// the unconsumed tail is returned first, so mixing the two faces never
-// skips records.
-func (c *chunkedReader) NextChunk() (trace.Chunk, bool) {
-	if c.cur != nil && c.pos < c.cur.Len() {
-		t := c.cur.Tail(c.pos)
-		c.pos = c.cur.Len()
-		return t, true
-	}
-	buf := c.recv()
-	if buf == nil {
-		return trace.Chunk{}, false
-	}
-	c.cur, c.pos = buf, buf.Len()
+	c.cur = buf
 	return *buf, true
 }
 
-// Err implements Reader: the sticky first delivery error, nil on clean
-// streams.
+// Err implements trace.ChunkReader: the sticky first delivery error, nil
+// on clean streams.
 func (c *chunkedReader) Err() error { return c.err }
 
-// Reset implements trace.Reader: it stops the current pass and starts a
-// fresh one from the first record. The multi-core driver calls this to
-// replay traces for cores that finish early. Reset on a closed or failed
-// reader is a no-op; a failure to reopen the underlying pass (e.g. a cache
-// file deleted mid-simulation) is recorded in Err and subsequent Next
-// calls return false, so the driver observes the failure on its next read
-// instead of a panic.
+// Reset implements trace.ChunkReader: it stops the current pass and
+// starts a fresh one from the first record. The multi-core driver calls
+// this to replay traces for cores that finish early. Reset on a closed or
+// failed reader is a no-op; a failure to reopen the underlying pass (e.g.
+// a cache file deleted mid-simulation) is recorded in Err and subsequent
+// NextChunk calls return false, so the driver observes the failure on its
+// next read instead of a panic.
 func (c *chunkedReader) Reset() {
 	if c.closed || c.err != nil {
 		return
@@ -250,8 +212,8 @@ func (c *chunkedReader) Reset() {
 	}
 }
 
-// Close implements io.Closer; it terminates the producer and releases its
-// resources. Idempotent.
+// Close implements trace.ChunkReader; it terminates the producer and
+// releases its resources. Idempotent.
 func (c *chunkedReader) Close() error {
 	if c.closed {
 		return nil
@@ -278,6 +240,6 @@ func (c *chunkedReader) stopPipe() {
 	c.p = nil
 	if c.cur != nil {
 		c.free <- c.cur
-		c.cur, c.pos = nil, 0
+		c.cur = nil
 	}
 }

@@ -1,103 +1,50 @@
 package stream
 
 import (
-	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"pythia/internal/trace"
 )
 
-// drainChunks collects every record delivered through the batched face.
-func drainChunks(r trace.ChunkReader) []trace.Record {
+// iterRecords collects the record sequence of a one-pass iterator.
+func iterRecords(it trace.Iter) []trace.Record {
 	var out []trace.Record
-	for {
-		ch, ok := r.NextChunk()
-		if !ok {
-			return out
-		}
-		for i := 0; i < ch.Len(); i++ {
-			out = append(out, ch.At(i))
-		}
+	for rec, ok := it.Next(); ok; rec, ok = it.Next() {
+		out = append(out, rec)
 	}
+	return out
 }
 
-// TestNextChunkMatchesNext: both backends deliver the same record
-// sequence through NextChunk as through Next, with a chunk size that
-// forces multiple chunks and a partial tail.
+// TestNextChunkMatchesNext: both backends deliver through NextChunk the
+// record sequence the workload's iterator yields one Next at a time, with
+// a chunk size that forces multiple chunks and a partial tail.
 func TestNextChunkMatchesNext(t *testing.T) {
 	w := testWorkload(t)
 	const n = 10_000
-	want := w.Generate(n).Records
+	want := iterRecords(w.Iter(n))
 
-	gen := &GenSource{W: w, N: n, Chunk: 1024}
-	r, err := gen.Open()
+	r, err := (&GenSource{W: w, N: n, Chunk: 1024}).Open()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	cr, ok := r.(trace.ChunkReader)
-	if !ok {
-		t.Fatal("stream reader does not implement trace.ChunkReader")
-	}
-	mustEqual(t, drainChunks(cr), want, "GenSource chunks")
+	mustEqual(t, drain(r, 0), want, "GenSource chunks")
 
 	path := filepath.Join(t.TempDir(), "t.pytr")
 	if _, _, err := Materialize(t.Context(), path, w, n); err != nil {
 		t.Fatal(err)
 	}
-	fs := &FileSource{Path: path, Chunk: 1024}
-	fr, err := fs.Open()
+	fr, err := (&FileSource{Path: path, Chunk: 1024}).Open()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fr.Close()
-	mustEqual(t, drainChunks(fr.(trace.ChunkReader)), want, "FileSource chunks")
+	mustEqual(t, drain(fr, 0), want, "FileSource chunks")
 }
 
-// TestMixedFacesNeverSkip: alternating Next and NextChunk arbitrarily
-// yields the full sequence exactly once — NextChunk returns the
-// unconsumed tail of a partially-drained chunk before pulling a new one.
-func TestMixedFacesNeverSkip(t *testing.T) {
-	w := testWorkload(t)
-	const n = 8_000
-	want := w.Generate(n).Records
-
-	r, err := (&GenSource{W: w, N: n, Chunk: 512}).Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	cr := r.(trace.ChunkReader)
-
-	rng := rand.New(rand.NewSource(3))
-	var got []trace.Record
-	for {
-		if rng.Intn(3) > 0 {
-			rec, ok := cr.Next()
-			if !ok {
-				break
-			}
-			got = append(got, rec)
-		} else {
-			ch, ok := cr.NextChunk()
-			if !ok {
-				break
-			}
-			for i := 0; i < ch.Len(); i++ {
-				got = append(got, ch.At(i))
-			}
-		}
-	}
-	mustEqual(t, got, want, "mixed faces")
-	if r.Err() != nil {
-		t.Fatalf("clean mixed drain left Err = %v", r.Err())
-	}
-}
-
-// TestResetMidChunkRestartsChunks: a Reset with a chunk partially
-// consumed (through either face) restarts the pass from record zero on
-// the batched face too.
+// TestResetMidChunkRestartsChunks: a Reset after one chunk, after the end
+// of a pass, or twice in a row restarts the pass from record zero.
 func TestResetMidChunkRestartsChunks(t *testing.T) {
 	w := testWorkload(t)
 	const n = 5_000
@@ -108,21 +55,18 @@ func TestResetMidChunkRestartsChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	cr := r.(trace.ChunkReader)
 
-	// Consume 100 records via Next (mid-chunk), then Reset.
-	mustEqual(t, drain(r, 100), want[:100], "pre-reset prefix")
-	r.Reset()
-	mustEqual(t, drainChunks(cr), want, "post-reset chunk drain")
-
-	// Consume one full chunk plus a partial tail via NextChunk, then Reset.
-	r.Reset()
-	if ch, ok := cr.NextChunk(); !ok || ch.Len() == 0 {
-		t.Fatal("first chunk missing after reset")
-	}
-	if _, ok := cr.Next(); !ok {
-		t.Fatal("record after first chunk missing")
+	if ch, ok := r.NextChunk(); !ok || ch.Len() != 512 {
+		t.Fatalf("first chunk = (%d records, %v), want 512", ch.Len(), ok)
 	}
 	r.Reset()
-	mustEqual(t, drainChunks(cr), want, "second post-reset drain")
+	mustEqual(t, drain(r, 0), want, "reset after one chunk")
+	r.Reset()
+	mustEqual(t, drain(r, 0), want, "reset after the end of a pass")
+	r.Reset()
+	r.Reset()
+	mustEqual(t, drain(r, 0), want, "double reset")
+	if r.Err() != nil {
+		t.Fatalf("clean passes left Err = %v", r.Err())
+	}
 }

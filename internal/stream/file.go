@@ -26,8 +26,6 @@ type FileSource struct {
 	Path string
 	// Chunk is records per pipeline chunk (0 = DefaultChunk).
 	Chunk int
-	// Depth is the chunk-ring depth (0 = DefaultDepth).
-	Depth int
 
 	nameOnce sync.Once
 	name     string
@@ -51,7 +49,7 @@ func (s *FileSource) Name() string {
 }
 
 // Open implements Source.
-func (s *FileSource) Open() (Reader, error) {
+func (s *FileSource) Open() (trace.ChunkReader, error) {
 	// Validate eagerly so a missing or corrupt file fails at Open, not
 	// inside the producer.
 	it, cl, err := s.openPass()
@@ -65,7 +63,7 @@ func (s *FileSource) Open() (Reader, error) {
 			return it, cl, nil
 		}
 		return s.openPass()
-	}, s.Chunk, s.Depth)
+	}, s.Chunk)
 }
 
 func (s *FileSource) openPass() (trace.Iter, io.Closer, error) {

@@ -18,16 +18,14 @@ type GenSource struct {
 	N int
 	// Chunk is records per pipeline chunk (0 = DefaultChunk).
 	Chunk int
-	// Depth is the chunk-ring depth (0 = DefaultDepth).
-	Depth int
 }
 
 // Name implements Source.
 func (s *GenSource) Name() string { return s.W.Name }
 
 // Open implements Source.
-func (s *GenSource) Open() (Reader, error) {
+func (s *GenSource) Open() (trace.ChunkReader, error) {
 	return newChunkedReader(func() (trace.Iter, io.Closer, error) {
 		return s.W.Iter(s.N), nil, nil
-	}, s.Chunk, s.Depth)
+	}, s.Chunk)
 }

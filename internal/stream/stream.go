@@ -4,14 +4,13 @@
 // before a simulation could start, which capped horizons at a few million
 // records per core. This package decouples trace production from
 // consumption (the vhive-invitro synthesizer split, applied to memory
-// traces): a Source produces restartable trace.Readers on demand, and each
-// reader pumps records through a bounded ring of reusable column chunks
-// (trace.Chunk — SoA parallel slices) filled by a producer goroutine, so
-// generation or file decode overlaps simulation and peak resident trace
-// memory is capped at a handful of chunks regardless of trace length.
-// Readers implement both the record-at-a-time trace.Reader face and the
-// batched trace.ChunkReader fast path the fused simulation kernel
-// consumes (DESIGN.md "The chunk-column contract").
+// traces): a Source produces restartable trace.ChunkReaders on demand,
+// and each reader pumps records through a bounded ring of reusable column
+// chunks (trace.Chunk — SoA parallel slices) filled by a producer
+// goroutine, so generation or file decode overlaps simulation and peak
+// resident trace memory is capped at a handful of chunks regardless of
+// trace length. The fused simulation kernel consumes those chunks
+// directly (DESIGN.md "Chunk-column contract").
 //
 // Two backends exist:
 //
@@ -27,51 +26,33 @@
 // parallel workers share one generation pass and then stream from disk.
 package stream
 
-import (
-	"io"
-
-	"pythia/internal/trace"
-)
+import "pythia/internal/trace"
 
 // DefaultChunk is the default chunk size in records (608 KiB of columns
 // per chunk at 19 B/record).
 const DefaultChunk = 1 << 15
 
-// DefaultDepth is the default chunk-ring depth: the producer may run at
-// most this many chunks ahead of the consumer. Peak resident memory per
+// DefaultDepth is the chunk-ring depth: the producer may run at most
+// this many chunks ahead of the consumer. Peak resident memory per
 // reader is (depth+2) chunks — one being filled, the ring, one being
 // drained.
 const DefaultDepth = 2
 
-// Reader is a restartable record stream that owns resources: a producer
-// goroutine and possibly an open file. Callers must Close it when the
-// simulation is done (Close is idempotent); cpu.System.Close does this for
-// every core reader.
+// Source produces fresh readers over one trace. A Source is cheap and
+// stateless; all per-pass state lives in the reader, so any number of
+// cores can Open the same Source concurrently.
 //
 // Delivery can fail mid-stream (a cache file deleted or corrupted under a
 // running simulation, a reset that cannot reopen its pass). Such failures
-// surface through the read path, never as panics: Next returns ok == false
-// and Err reports the sticky first error, distinguishing a failure from a
-// genuine end of trace (Err == nil). Consumers must check Err before
-// treating ok == false as EOF — the cpu driver does, and aborts the
-// simulation with the error instead of silently truncating.
-type Reader interface {
-	trace.Reader
-	io.Closer
-	// Err returns the first delivery error, or nil if the stream has only
-	// ever ended cleanly. It is sticky: once non-nil, Next keeps returning
-	// false and Reset is a no-op.
-	Err() error
-}
-
-// Source produces fresh Readers over one trace. A Source is cheap and
-// stateless; all per-pass state lives in the Reader, so any number of
-// cores can Open the same Source concurrently.
+// surface through the read path, never as panics: NextChunk returns
+// ok == false and Err reports the sticky first error, distinguishing a
+// failure from a genuine end of trace (Err == nil). Callers must Close
+// every reader they open; cpu.System.Close does this for every core.
 type Source interface {
 	// Name identifies the underlying trace.
 	Name() string
-	// Open returns a new Reader positioned at the first record.
-	Open() (Reader, error)
+	// Open returns a new reader positioned at the first record.
+	Open() (trace.ChunkReader, error)
 }
 
 // SliceSource adapts an already-materialized trace to the Source
@@ -85,26 +66,13 @@ type SliceSource struct {
 func (s *SliceSource) Name() string { return s.T.Name }
 
 // Open implements Source.
-func (s *SliceSource) Open() (Reader, error) {
-	return nopCloserReader{trace.NewSliceReader(s.T.Records)}, nil
+func (s *SliceSource) Open() (trace.ChunkReader, error) {
+	return trace.NewSliceReader(s.T.Records), nil
 }
-
-type nopCloserReader struct{ *trace.SliceReader }
-
-func (nopCloserReader) Close() error { return nil }
-
-func (nopCloserReader) Err() error { return nil }
 
 func chunkOr(n int) int {
 	if n <= 0 {
 		return DefaultChunk
-	}
-	return n
-}
-
-func depthOr(n int) int {
-	if n <= 0 {
-		return DefaultDepth
 	}
 	return n
 }

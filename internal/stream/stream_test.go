@@ -26,15 +26,21 @@ func testWorkload(t testing.TB) trace.Workload {
 	return w
 }
 
-// drain collects up to limit records from r (limit <= 0 means all).
-func drain(r trace.Reader, limit int) []trace.Record {
+// drain collects up to limit records from r (limit <= 0 means all). It
+// stops after the chunk that reaches limit, leaving the reader mid-pass.
+func drain(r trace.ChunkReader, limit int) []trace.Record {
 	var out []trace.Record
 	for limit <= 0 || len(out) < limit {
-		rec, ok := r.Next()
+		c, ok := r.NextChunk()
 		if !ok {
 			break
 		}
-		out = append(out, rec)
+		for i := 0; i < c.Len(); i++ {
+			out = append(out, c.At(i))
+		}
+	}
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
 	}
 	return out
 }
@@ -68,8 +74,8 @@ func TestGenSourceMatchesGenerate(t *testing.T) {
 	defer r.Close()
 
 	mustEqual(t, drain(r, 0), want, "first pass")
-	if _, ok := r.Next(); ok {
-		t.Fatal("Next after EOF returned a record")
+	if _, ok := r.NextChunk(); ok {
+		t.Fatal("NextChunk after EOF returned a chunk")
 	}
 	r.Reset()
 	mustEqual(t, drain(r, 0), want, "post-EOF reset pass")
@@ -247,11 +253,8 @@ func TestStreamingBoundedAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var count int
-	for {
-		if _, ok := r.Next(); !ok {
-			break
-		}
-		count++
+	for c, ok := r.NextChunk(); ok; c, ok = r.NextChunk() {
+		count += c.Len()
 	}
 	r.Close()
 	runtime.ReadMemStats(&after)
@@ -285,8 +288,8 @@ func TestReaderCloseReleasesProducer(t *testing.T) {
 			t.Fatal("second Close errored:", err)
 		}
 		r.Reset() // no-op after Close
-		if _, ok := r.Next(); ok {
-			t.Fatal("Next after Close returned a record")
+		if _, ok := r.NextChunk(); ok {
+			t.Fatal("NextChunk after Close returned a chunk")
 		}
 	}
 	// Producers exit asynchronously after Close; give them a beat.
@@ -324,13 +327,18 @@ func TestMaterialize(t *testing.T) {
 		t.Fatalf("wrote %d records / %d instructions", recs, instrs)
 	}
 	want := w.Generate(10_000)
-	fr, err := trace.OpenFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqual(t, fr.Trace().Records, want.Records, "materialized file")
-	if fr.Trace().Name != w.Name || fr.Trace().Suite != w.Suite {
-		t.Errorf("identity %q/%q, want %q/%q", fr.Trace().Name, fr.Trace().Suite, w.Name, w.Suite)
+	got, err := trace.Read(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqual(t, got.Records, want.Records, "materialized file")
+	if got.Name != w.Name || got.Suite != w.Suite {
+		t.Errorf("identity %q/%q, want %q/%q", got.Name, got.Suite, w.Name, w.Suite)
 	}
 
 	// An uncreatable path errors and leaves nothing behind.
@@ -369,8 +377,8 @@ func TestMaterializeBytesPinned(t *testing.T) {
 
 // TestFileReaderSurfacesMidStreamCorruption: truncating a trace file under
 // an open reader (the header stays intact, the body dies mid-record) must
-// end the stream with Next == false and a sticky non-nil Err — never a
-// panic, never a silent truncation that looks like EOF.
+// end the stream with NextChunk == false and a sticky non-nil Err — never
+// a panic, never a silent truncation that looks like EOF.
 func TestFileReaderSurfacesMidStreamCorruption(t *testing.T) {
 	w := testWorkload(t)
 	const n = 20_000
@@ -404,8 +412,8 @@ func TestFileReaderSurfacesMidStreamCorruption(t *testing.T) {
 	}
 	// The error is sticky: further reads and resets change nothing.
 	r.Reset()
-	if _, ok := r.Next(); ok {
-		t.Error("Next delivered a record after a sticky delivery error")
+	if _, ok := r.NextChunk(); ok {
+		t.Error("NextChunk delivered a chunk after a sticky delivery error")
 	}
 	if r.Err() == nil {
 		t.Error("Err cleared by Reset")
@@ -413,8 +421,8 @@ func TestFileReaderSurfacesMidStreamCorruption(t *testing.T) {
 }
 
 // TestFileReaderSurfacesResetFailure: deleting the backing file mid-run
-// makes the next Reset (reopen) fail; the failure lands in Err and Next
-// returns false, instead of the old panic.
+// makes the next Reset (reopen) fail; the failure lands in Err and
+// NextChunk returns false, instead of the old panic.
 func TestFileReaderSurfacesResetFailure(t *testing.T) {
 	w := testWorkload(t)
 	const n = 5_000
@@ -436,8 +444,8 @@ func TestFileReaderSurfacesResetFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Reset()
-	if _, ok := r.Next(); ok {
-		t.Fatal("Next delivered a record after a failed Reset")
+	if _, ok := r.NextChunk(); ok {
+		t.Fatal("NextChunk delivered a chunk after a failed Reset")
 	}
 	if r.Err() == nil {
 		t.Fatal("failed Reset left Err nil")

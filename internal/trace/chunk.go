@@ -8,11 +8,11 @@ package trace
 // an intermediate []Record. PERF.md "Batched SoA kernel" documents the
 // layout invariants and the measured effect.
 
-// DefaultBatch is the column-batch size NewChunkingReader uses when the
-// caller does not specify one. It matches the working-set goal of the
-// stream pipeline's chunks: large enough to amortize per-batch costs to
-// noise, small enough to stay cache-resident alongside the simulator's
-// own state.
+// DefaultBatch is the column-batch size a SliceReader serves unless
+// SetBatch picks another, and the chunk size of trace-cache fills. It
+// matches the working-set goal of the stream pipeline's chunks: large
+// enough to amortize per-batch costs to noise, small enough to stay
+// cache-resident alongside the simulator's own state.
 const DefaultBatch = 1 << 13
 
 // Chunk is a batch of records in column (SoA) layout. All four columns
@@ -62,13 +62,6 @@ func (c *Chunk) At(i int) Record {
 	return Record{PC: c.PC[i], Addr: c.Addr[i], NonMem: c.NonMem[i], Store: c.Store[i]}
 }
 
-// Tail returns a view of the records from i on. The view shares the
-// underlying column arrays; it is valid exactly as long as the chunk it
-// was taken from.
-func (c *Chunk) Tail(i int) Chunk {
-	return Chunk{PC: c.PC[i:], Addr: c.Addr[i:], NonMem: c.NonMem[i:], Store: c.Store[i:]}
-}
-
 // Instructions returns the total instruction count of the chunk's
 // records (each record counts its access plus its NonMem gap).
 func (c *Chunk) Instructions() int64 {
@@ -79,19 +72,22 @@ func (c *Chunk) Instructions() int64 {
 	return n
 }
 
-// ChunkReader is the batched fast path over Reader: NextChunk delivers
-// the next run of records as a column view, and ok == false signals the
-// end of the pass (or a delivery failure, distinguished by the reader's
-// Err method where one exists — exactly as with Next).
+// ChunkReader is the one contract between trace delivery and the
+// simulation kernel. NextChunk delivers the next run of records as a
+// column view; ok == false ends the pass, and Err tells a delivery
+// failure (non-nil) from a clean end of trace (nil). Reset restarts the
+// trace from its first record, which the multi-core driver uses to replay
+// traces for cores that finish early (per the paper's methodology).
+// Close releases what the reader holds (a producer goroutine, an open
+// file); it is idempotent.
 //
-// The returned chunk is valid only until the next NextChunk, Next, Reset
-// or Close call on the same reader: implementations recycle column
-// buffers. Mixing Next and NextChunk on one reader is allowed and never
-// skips or duplicates records — NextChunk first drains whatever the
-// record-at-a-time path left unconsumed in the current batch.
+// The returned chunk is valid only until the next NextChunk, Reset or
+// Close call on the same reader: implementations recycle column buffers.
 type ChunkReader interface {
-	Reader
 	NextChunk() (Chunk, bool)
+	Reset()
+	Err() error
+	Close() error
 }
 
 // ChunkFiller is implemented by one-pass iterators (the workload
@@ -121,53 +117,4 @@ func FillChunk(it Iter, c *Chunk, max int) int {
 		n++
 	}
 	return n
-}
-
-// chunkingReader adapts a record-at-a-time Reader to the ChunkReader
-// fast path by batching Next calls into an internal column buffer. It is
-// how the simulation kernel consumes readers that have no native batch
-// path (test readers, record-at-a-time adapters): the record sequence is
-// exactly the wrapped reader's, delivered batch-wise.
-type chunkingReader struct {
-	r   Reader
-	buf *Chunk
-}
-
-// NewChunkingReader returns a ChunkReader over r with batches of up to
-// chunk records (chunk <= 0 selects DefaultBatch).
-func NewChunkingReader(r Reader, chunk int) ChunkReader {
-	if chunk <= 0 {
-		chunk = DefaultBatch
-	}
-	return &chunkingReader{r: r, buf: NewChunk(chunk)}
-}
-
-// Next implements Reader by delegating to the wrapped reader.
-func (a *chunkingReader) Next() (Record, bool) { return a.r.Next() }
-
-// Reset implements Reader.
-func (a *chunkingReader) Reset() { a.r.Reset() }
-
-// Err surfaces the wrapped reader's delivery error, if it has one.
-func (a *chunkingReader) Err() error {
-	if e, ok := a.r.(interface{ Err() error }); ok {
-		return e.Err()
-	}
-	return nil
-}
-
-// NextChunk implements ChunkReader.
-func (a *chunkingReader) NextChunk() (Chunk, bool) {
-	a.buf.Reset()
-	for a.buf.Len() < cap(a.buf.PC) {
-		rec, ok := a.r.Next()
-		if !ok {
-			break
-		}
-		a.buf.Append(rec)
-	}
-	if a.buf.Len() == 0 {
-		return Chunk{}, false
-	}
-	return *a.buf, true
 }

@@ -20,7 +20,7 @@ func randRecords(n int, seed int64) []Record {
 	return recs
 }
 
-func TestChunkAppendAtTailReset(t *testing.T) {
+func TestChunkAppendAtReset(t *testing.T) {
 	recs := randRecords(100, 1)
 	c := NewChunk(100)
 	for _, r := range recs {
@@ -32,15 +32,6 @@ func TestChunkAppendAtTailReset(t *testing.T) {
 	for i, r := range recs {
 		if c.At(i) != r {
 			t.Fatalf("At(%d) = %+v, want %+v", i, c.At(i), r)
-		}
-	}
-	tail := c.Tail(40)
-	if tail.Len() != 60 {
-		t.Fatalf("Tail(40).Len = %d", tail.Len())
-	}
-	for i := 0; i < tail.Len(); i++ {
-		if tail.At(i) != recs[40+i] {
-			t.Fatalf("tail record %d = %+v, want %+v", i, tail.At(i), recs[40+i])
 		}
 	}
 	var wantInstr int64
@@ -182,73 +173,5 @@ func TestFillChunkGenMatchesNext(t *testing.T) {
 			}
 		}
 		i += n
-	}
-}
-
-// TestChunkingReaderEquivalence: the adapter delivers the wrapped
-// reader's exact sequence batch-wise, supports mixing the two faces, and
-// restarts cleanly on Reset.
-func TestChunkingReaderEquivalence(t *testing.T) {
-	recs := randRecords(500, 4)
-	cr := NewChunkingReader(NewSliceReader(recs), 64)
-
-	drain := func() []Record {
-		var got []Record
-		for {
-			ch, ok := cr.NextChunk()
-			if !ok {
-				return got
-			}
-			for i := 0; i < ch.Len(); i++ {
-				got = append(got, ch.At(i))
-			}
-		}
-	}
-	got := drain()
-	if len(got) != len(recs) {
-		t.Fatalf("chunked drain yielded %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-
-	// Mixed faces: alternate Next and NextChunk; the concatenation must be
-	// the full sequence with nothing skipped or duplicated.
-	cr.Reset()
-	rng := rand.New(rand.NewSource(7))
-	got = got[:0]
-	for {
-		if rng.Intn(2) == 0 {
-			r, ok := cr.Next()
-			if !ok {
-				break
-			}
-			got = append(got, r)
-		} else {
-			ch, ok := cr.NextChunk()
-			if !ok {
-				break
-			}
-			for i := 0; i < ch.Len(); i++ {
-				got = append(got, ch.At(i))
-			}
-		}
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("mixed drain yielded %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("mixed-face record %d mismatch", i)
-		}
-	}
-
-	// Default batch size kicks in for chunk <= 0.
-	cr = NewChunkingReader(NewSliceReader(recs), 0)
-	ch, ok := cr.NextChunk()
-	if !ok || ch.Len() != len(recs) {
-		t.Fatalf("default-batch NextChunk = (%d, %v), want all %d records", ch.Len(), ok, len(recs))
 	}
 }

@@ -6,69 +6,41 @@ import (
 	"testing"
 )
 
+// TestFileRoundTrip writes a registry trace to disk with Write and reads
+// it back with Read, the path pythia-sim -tracefile takes: the decoded
+// trace keeps its identity and records.
 func TestFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "x.pytr")
+	path := filepath.Join(t.TempDir(), "x.pytr")
 	w, ok := ByName("459.GemsFDTD-100B")
 	if !ok {
 		t.Fatal("missing workload")
 	}
 	orig := w.Generate(5000)
-	if err := SaveFile(path, orig); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenFile(path)
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Trace().Name != orig.Name || len(r.Trace().Records) != len(orig.Records) {
-		t.Fatalf("decoded identity mismatch: %s/%d", r.Trace().Name, len(r.Trace().Records))
-	}
-	// Reader semantics: full pass, then Reset.
-	n := 0
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
-		if rec != orig.Records[n] {
-			t.Fatalf("record %d mismatch", n)
-		}
-		n++
-	}
-	if n != len(orig.Records) {
-		t.Fatalf("read %d records", n)
-	}
-	r.Reset()
-	if rec, ok := r.Next(); !ok || rec != orig.Records[0] {
-		t.Error("Reset did not restart the stream")
-	}
-}
-
-func TestOpenFileErrors(t *testing.T) {
-	if _, err := OpenFile("/nonexistent/path.pytr"); err == nil {
-		t.Error("missing file should fail")
-	}
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.pytr")
-	if err := SaveFile(bad, &Trace{Name: "x"}); err != nil {
+	if err := Write(f, orig); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the magic.
-	if err := corruptFirstByte(bad); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFile(bad); err == nil {
-		t.Error("corrupt file should fail to decode")
-	}
-}
-
-// corruptFirstByte flips the first byte of a file.
-func corruptFirstByte(path string) error {
-	b, err := os.ReadFile(path)
+	f, err = os.Open(path)
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	b[0] ^= 0xFF
-	return os.WriteFile(path, b, 0o644)
+	defer f.Close()
+	got, err := Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != orig.Name || got.Suite != orig.Suite || len(got.Records) != len(orig.Records) {
+		t.Fatalf("decoded identity mismatch: %s/%s/%d", got.Suite, got.Name, len(got.Records))
+	}
+	for i, r := range orig.Records {
+		if got.Records[i] != r {
+			t.Fatalf("record %d mismatch", i)
+		}
+	}
 }

@@ -87,3 +87,46 @@ func TestWorkloadKeyDistinguishes(t *testing.T) {
 		t.Errorf("fixed NumRecords = %d, want 3", ft.NumRecords(100))
 	}
 }
+
+// TestFixedWorkloadIter: a fixed workload's Iter yields exactly its
+// resident records, whatever n asks for, through Next and through
+// FillChunk across chunk boundaries alike.
+func TestFixedWorkloadIter(t *testing.T) {
+	recs := randRecords(300, 6)
+	w := Fixed(&Trace{Name: "f", Suite: "s", Records: recs})
+
+	it := w.Iter(10)
+	for i, want := range recs {
+		if got, ok := it.Next(); !ok || got != want {
+			t.Fatalf("Next record %d = (%+v, %v), want %+v", i, got, ok, want)
+		}
+	}
+	if _, ok := it.Next(); ok {
+		t.Fatal("Next overran the fixed records")
+	}
+
+	it = w.Iter(10)
+	c := NewChunk(64)
+	var got []Record
+	for {
+		c.Reset()
+		n := FillChunk(it, c, 64)
+		for i := 0; i < n; i++ {
+			got = append(got, c.At(i))
+		}
+		if n < 64 {
+			break
+		}
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("FillChunk yielded %d records, want %d", len(got), len(recs))
+	}
+	for i := range recs {
+		if got[i] != recs[i] {
+			t.Fatalf("FillChunk record %d = %+v, want %+v", i, got[i], recs[i])
+		}
+	}
+	if n := FillChunk(it, c, 64); n != 0 {
+		t.Fatalf("FillChunk after the end appended %d records", n)
+	}
+}

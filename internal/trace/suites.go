@@ -47,9 +47,32 @@ func (w Workload) Generate(n int) *Trace {
 // long traces never need to be resident at once.
 func (w Workload) Iter(n int) Iter {
 	if w.fixed != nil {
-		return NewSliceReader(w.fixed.Records)
+		return &sliceIter{recs: w.fixed.Records}
 	}
 	return w.Spec().Generator(n)
+}
+
+// sliceIter is the one-pass Iter over a fixed workload's resident records.
+type sliceIter struct{ recs []Record }
+
+// Next implements Iter.
+func (it *sliceIter) Next() (Record, bool) {
+	if len(it.recs) == 0 {
+		return Record{}, false
+	}
+	r := it.recs[0]
+	it.recs = it.recs[1:]
+	return r, true
+}
+
+// FillChunk implements ChunkFiller.
+func (it *sliceIter) FillChunk(c *Chunk, max int) int {
+	n := min(max, len(it.recs))
+	for _, r := range it.recs[:n] {
+		c.Append(r)
+	}
+	it.recs = it.recs[n:]
+	return n
 }
 
 // NumRecords returns the exact record count Iter(n)/Generate(n) produce:

@@ -53,28 +53,20 @@ func (t *Trace) String() string {
 
 // Iter yields trace records one at a time, once: the minimal producer
 // interface that generators, file decoders and slices share. Streaming
-// sources (internal/stream) build restartable Readers out of Iters.
+// sources (internal/stream) build restartable ChunkReaders out of Iters.
 type Iter interface {
 	// Next returns the next record. ok is false when the trace is exhausted.
 	Next() (rec Record, ok bool)
 }
 
-// Reader yields trace records one at a time and can restart from the
-// beginning, which the multi-core driver uses to replay traces for cores
-// that finish early (per the paper's methodology).
-type Reader interface {
-	Iter
-	// Reset restarts the reader from the first record.
-	Reset()
-}
-
-// SliceReader adapts a materialized record slice to the Reader interface.
-// It reads the caller's records in place: nothing proportional to the
-// trace is copied at construction or on Reset (a cursor rewind), so any
-// number of readers can replay one resident trace. NextChunk transposes
-// at most one batch into a column buffer the reader owns and reuses
-// across calls, which the ChunkReader contract allows: a chunk lives only
-// until the next NextChunk, Next or Reset.
+// SliceReader is the ChunkReader over a materialized record slice. It
+// reads the caller's records in place: nothing proportional to the trace
+// is copied at construction or on Reset (a cursor rewind), so any number
+// of readers can replay one resident trace. NextChunk transposes at most
+// one batch into a column buffer the reader owns and reuses across calls,
+// which the ChunkReader contract allows: a chunk lives only until the
+// next NextChunk or Reset. A SliceReader cannot fail and holds nothing to
+// release.
 type SliceReader struct {
 	recs  []Record
 	pos   int
@@ -82,13 +74,13 @@ type SliceReader struct {
 	buf   Chunk // NextChunk's reused column buffer
 }
 
-// NewSliceReader returns a Reader over recs. The reader keeps recs rather
+// NewSliceReader returns a reader over recs. The reader keeps recs rather
 // than a copy, so the caller must not mutate them while reading.
 func NewSliceReader(recs []Record) *SliceReader {
 	return &SliceReader{recs: recs}
 }
 
-// RecycleSliceReader returns a Reader over recs, as NewSliceReader does,
+// RecycleSliceReader returns a reader over recs, as NewSliceReader does,
 // that takes spare's column buffer instead of allocating its own (spare
 // may be nil). NextChunk overwrites the buffer before serving it, so no
 // state of spare's run carries over. spare keeps no buffer afterwards.
@@ -100,19 +92,9 @@ func RecycleSliceReader(recs []Record, spare *SliceReader) *SliceReader {
 	return s
 }
 
-// Next implements Reader.
-func (s *SliceReader) Next() (Record, bool) {
-	if s.pos >= len(s.recs) {
-		return Record{}, false
-	}
-	r := s.recs[s.pos]
-	s.pos++
-	return r, true
-}
-
 // NextChunk implements ChunkReader: it transposes the next batch of
 // records into the reader's column buffer and returns a view of it, valid
-// until the next NextChunk, Next or Reset call.
+// until the next NextChunk or Reset call.
 func (s *SliceReader) NextChunk() (Chunk, bool) {
 	n := len(s.recs) - s.pos
 	if n <= 0 {
@@ -145,8 +127,11 @@ func (s *SliceReader) NextChunk() (Chunk, bool) {
 // the record sequence.
 func (s *SliceReader) SetBatch(n int) { s.batch = n }
 
-// Reset implements Reader.
+// Reset implements ChunkReader.
 func (s *SliceReader) Reset() { s.pos = 0 }
 
-// Len returns the number of records in the trace.
-func (s *SliceReader) Len() int { return len(s.recs) }
+// Err implements ChunkReader: a slice cannot fail.
+func (s *SliceReader) Err() error { return nil }
+
+// Close implements ChunkReader: a slice holds nothing to release.
+func (s *SliceReader) Close() error { return nil }

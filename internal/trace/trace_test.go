@@ -29,30 +29,36 @@ func TestTraceString(t *testing.T) {
 	}
 }
 
-func TestSliceReader(t *testing.T) {
-	recs := []Record{{PC: 1}, {PC: 2}, {PC: 3}}
-	r := NewSliceReader(recs)
-	if r.Len() != 3 {
-		t.Fatalf("Len() = %d", r.Len())
-	}
-	var seen []uint64
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			break
+// drainSlice collects every record r serves through NextChunk.
+func drainSlice(r *SliceReader) []Record {
+	var out []Record
+	for c, ok := r.NextChunk(); ok; c, ok = r.NextChunk() {
+		for i := 0; i < c.Len(); i++ {
+			out = append(out, c.At(i))
 		}
-		seen = append(seen, rec.PC)
 	}
-	if len(seen) != 3 || seen[0] != 1 || seen[2] != 3 {
-		t.Errorf("iteration order wrong: %v", seen)
+	return out
+}
+
+func TestSliceReader(t *testing.T) {
+	recs := randRecords(1000, 5)
+	r := NewSliceReader(recs)
+	r.SetBatch(64)
+	if c, ok := r.NextChunk(); !ok || c.Len() != 64 {
+		t.Fatalf("first chunk = (%d records, %v), want 64", c.Len(), ok)
 	}
-	if _, ok := r.Next(); ok {
+	if got := drainSlice(r); !reflect.DeepEqual(got, recs[64:]) {
+		t.Fatalf("drain after one chunk yielded %d records, want the remaining %d in order", len(got), len(recs)-64)
+	}
+	if _, ok := r.NextChunk(); ok {
 		t.Error("exhausted reader should keep returning !ok")
 	}
 	r.Reset()
-	rec, ok := r.Next()
-	if !ok || rec.PC != 1 {
-		t.Errorf("after Reset got (%v, %v)", rec.PC, ok)
+	if got := drainSlice(r); !reflect.DeepEqual(got, recs) {
+		t.Errorf("after Reset drained %d records, want all %d in order", len(got), len(recs))
+	}
+	if r.Err() != nil || r.Close() != nil {
+		t.Error("a slice reader reported an error")
 	}
 }
 
@@ -94,11 +100,11 @@ func TestRecycleSliceReader(t *testing.T) {
 
 func TestSliceReaderEmpty(t *testing.T) {
 	r := NewSliceReader(nil)
-	if _, ok := r.Next(); ok {
+	if _, ok := r.NextChunk(); ok {
 		t.Error("empty reader should return !ok")
 	}
 	r.Reset()
-	if _, ok := r.Next(); ok {
+	if _, ok := r.NextChunk(); ok {
 		t.Error("empty reader should return !ok after Reset")
 	}
 }
