@@ -69,6 +69,7 @@ echo "== no-new-panics gate (error-propagation model) =="
 # registry's deliberate injected panic (tagged "fault: injected panic"),
 # which exists so chaos tests can simulate crashes.
 panics=$(grep -rn 'panic(' internal/stream internal/harness internal/serve internal/cpu internal/policy internal/fault \
+    internal/results internal/fsutil \
     --include='*.go' | grep -v '_test\.go' | grep -v 'fault: injected panic' || true)
 if [ -n "$panics" ]; then
     echo "panic() on an error-propagation hot path:" >&2
@@ -231,16 +232,17 @@ sys.exit(1 if open_jobs else 0)'; then
 fi
 
 if [ "$tier" = full ]; then
-    echo "== go test -race (worker pool + stream pipeline + trace io + result/policy stores + serve/cancellation) =="
+    echo "== go test -race (worker pool + stream pipeline + trace io + store core + result/policy stores + serve/cancellation) =="
     # The repo's concurrency lives in the harness worker pool/singleflights,
-    # the stream chunk pipeline / trace-cache population, the persistent
-    # result and policy stores, the serving layer's queue/SSE fan-out (now
+    # the stream chunk pipeline / trace-cache population, the store core
+    # (internal/fsutil) and the persistent result and policy stores built
+    # on it, the serving layer's queue/SSE fan-out (now
     # including POST-able training jobs), and the cancellation paths
     # threading contexts through cpu/harness/serve; run those packages
     # under the race detector.
     go test -race ./internal/harness/... ./internal/stream/... ./internal/trace/... \
         ./internal/results/... ./internal/policy/... ./internal/serve/... \
-        ./internal/flight/... ./internal/cpu/...
+        ./internal/flight/... ./internal/fsutil/... ./internal/cpu/...
 
     echo "== batch bit-identity under -race (fused kernel vs shim, worker counts) =="
     # The fused SoA kernel must stay bit-identical to the record-at-a-time

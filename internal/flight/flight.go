@@ -1,8 +1,9 @@
 // Package flight provides a minimal generic singleflight: concurrent
 // calls for the same key are deduplicated so the first caller does the
 // work while everyone else blocks and shares the result. It is the one
-// implementation behind the harness's run/trace deduplication, the
-// stream trace cache's population, and the result store's compute path.
+// implementation behind the harness's run, trace and training
+// deduplication and the on-disk stores' get-or-fill (fsutil.Store, used
+// by the result store, the policy store and the stream trace cache).
 package flight
 
 import "sync"

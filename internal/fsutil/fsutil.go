@@ -1,11 +1,12 @@
-// Package fsutil holds the crash-safety helpers shared by the repo's
-// content-addressed disk caches (the stream trace cache and the result
-// store): atomic temp-file writes that never leave partial files behind,
-// reclamation of temp files orphaned by crashed processes, and
-// filesystem-safe name mangling.
+// Package fsutil holds the on-disk machinery of the repo's three
+// content-addressed stores (results, policies, the trace cache) and the
+// serve job journal: atomic temp-file writes that never leave partial
+// files behind, reclamation of orphaned temp files, filesystem-safe name
+// mangling, and Store, the core each of the three stores embeds.
 package fsutil
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -63,6 +64,20 @@ func WriteAtomic(dir, path string, write func(*os.File) error) error {
 		return fault.Transient(fmt.Errorf("rename %s: %w", path, err))
 	}
 	return nil
+}
+
+// WriteJSON returns a WriteAtomic callback that writes v as two-space
+// indented JSON and a newline, the layout of every JSON entry the stores
+// and the job journal keep.
+func WriteJSON(v any) func(*os.File) error {
+	return func(f *os.File) error {
+		buf, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			return err
+		}
+		_, err = f.Write(append(buf, '\n'))
+		return fault.Transient(err)
+	}
 }
 
 // StaleTempAge is how old an orphaned temp file must be before

@@ -14,11 +14,11 @@
 // mismatched configuration or across a generator bump — both fail with a
 // typed error (ErrMismatch).
 //
-// The store shares the crash-safety idiom of internal/results and the
-// stream trace cache: files land via fully-written temp files plus atomic
-// rename (internal/fsutil), population is deduplicated through a
-// singleflight (internal/flight), and temp files orphaned by crashed
-// processes are swept on first write.
+// The store embeds the store core of internal/fsutil, shared with
+// internal/results and the stream trace cache, for its directory,
+// counters, atomic writes, stale-temp sweep and deduplicated
+// get-or-train; this package keeps the ID-to-file mapping, the envelope
+// codec and its identity checks.
 package policy
 
 import (

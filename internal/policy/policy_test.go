@@ -1,6 +1,8 @@
 package policy_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -286,25 +288,6 @@ func TestSweepReclaimsOnlyStaleTemps(t *testing.T) {
 	}
 }
 
-func TestReadOnlySuppressesWrites(t *testing.T) {
-	s := policy.Open(t.TempDir())
-	s.SetReadOnly(true)
-	env := testEnvelope(t)
-	if err := s.Put(env); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 0 {
-		t.Error("read-only Put landed a file")
-	}
-	got, hit, err := s.GetOrTrain(env.ID, func() (policy.Envelope, error) { return env, nil })
-	if err != nil || hit || got.ID != env.ID {
-		t.Fatalf("hit=%v err=%v", hit, err)
-	}
-	if s.Len() != 0 {
-		t.Error("read-only GetOrTrain landed a file")
-	}
-}
-
 func TestFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trained.policy.json")
 	env := testEnvelope(t)
@@ -329,5 +312,59 @@ func TestFileRoundTrip(t *testing.T) {
 	os.WriteFile(bad, []byte(`{"id":""}`), 0o644)
 	if _, err := policy.ReadFile(bad); err == nil || !strings.Contains(err.Error(), "not a policy envelope") {
 		t.Errorf("bad file read: %v", err)
+	}
+}
+
+// TestStoreLayoutPinned pins the policy store's on-disk layout: a fixed
+// envelope lands under a fixed file name with fixed bytes, and a store
+// over that file serves it to Get and to GetOrTrain without training. Any
+// drift in naming or encoding would orphan every stored policy.
+func TestStoreLayoutPinned(t *testing.T) {
+	const (
+		wantName   = "pol-0123456789abcdef.json"
+		wantSHA256 = "a6f5a8b15200258f43d8ed35246782325c4455a3cf777fbe8a3e10a7e9ce3da1"
+	)
+	env := policy.Envelope{
+		Meta: policy.Meta{
+			ID:                "pol-0123456789abcdef",
+			Config:            "pythia",
+			ConfigFingerprint: "fedcba9876543210",
+			GenVersion:        3,
+			SchemaVersion:     policy.SchemaVersion,
+			TrainedOn:         policy.Provenance{Workload: "pinned-wl", Scale: "quick", Seed: 7, Sims: 1},
+			SnapshotBytes:     4,
+			CreatedAt:         time.Date(2024, 5, 6, 7, 8, 9, 0, time.UTC),
+		},
+		Snapshot: []byte("PYQV"),
+	}
+	dir := t.TempDir()
+	if err := policy.Open(dir).Put(env); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 || ents[0].Name() != wantName {
+		t.Fatalf("store holds %v (err %v), want one file %s", ents, err, wantName)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, wantName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != wantSHA256 {
+		t.Fatalf("entry bytes have SHA-256 %x, want %s:\n%s", sum, wantSHA256, data)
+	}
+
+	s := policy.Open(dir)
+	if got, ok := s.Get(env.ID); !ok || got.ID != env.ID || string(got.Snapshot) != "PYQV" || !got.CreatedAt.Equal(env.CreatedAt) {
+		t.Fatalf("Get = %+v, %v; want the pinned envelope", got.Meta, ok)
+	}
+	got, hit, err := s.GetOrTrain(env.ID, func() (policy.Envelope, error) {
+		t.Error("GetOrTrain trained over a stored policy")
+		return env, nil
+	})
+	if err != nil || !hit || got.ID != env.ID {
+		t.Fatalf("GetOrTrain hit=%v err=%v id=%s", hit, err, got.ID)
+	}
+	if s.Hits() != 2 || s.Misses() != 0 || s.Writes() != 0 {
+		t.Errorf("counters hits=%d misses=%d writes=%d, want 2/0/0", s.Hits(), s.Misses(), s.Writes())
 	}
 }

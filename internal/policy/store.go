@@ -7,23 +7,12 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
-	"pythia/internal/fault"
-	"pythia/internal/flight"
 	"pythia/internal/fsutil"
-	"pythia/internal/obs"
 )
 
-// Process-wide registry counters, shared by every Store instance (the
-// per-instance atomics remain the per-store source of truth for tests and
-// /healthz detail; these feed /metrics, labeled by store).
-var (
-	obsHits   = obs.GetCounter("pythia_store_hits_total", "Store lookups served from disk.", obs.L("store", "policies"))
-	obsMisses = obs.GetCounter("pythia_store_misses_total", "Store lookups that found no valid entry.", obs.L("store", "policies"))
-	obsWrites = obs.GetCounter("pythia_store_writes_total", "Store entries successfully persisted.", obs.L("store", "policies"))
-)
+// counters feed /metrics for every Store, labeled store="policies".
+var counters = fsutil.StoreCounters("policies")
 
 // FPWrite is the failpoint at the head of every policy-store write;
 // chaos tests arm it to fail policy persistence in isolation.
@@ -32,68 +21,24 @@ const FPWrite = "policy.write"
 // Store is an on-disk policy store rooted at one directory (created on
 // first write). The zero value is not usable; call Open.
 type Store struct {
-	dir      string
-	readOnly atomic.Bool
-
-	flight flight.Group[flightOut]
-
-	sweepOnce sync.Once
-
-	hits, misses, writes atomic.Int64
-}
-
-// flightOut is what a GetOrTrain flight delivers to every caller.
-type flightOut struct {
-	env Envelope
-	hit bool
+	// A GetOrTrain flight delivers the envelope.
+	*fsutil.Store[Envelope]
 }
 
 // Open returns a store rooted at dir. The directory is created lazily on
 // first write, so opening a store never touches the filesystem.
 func Open(dir string) *Store {
-	return &Store{dir: dir}
+	return &Store{fsutil.NewStore[Envelope](dir, ".json", counters, FPWrite)}
 }
 
 // DefaultDir returns the store directory used when none is configured: the
 // PYTHIA_POLICY_STORE environment variable, or pythia-policy-store under
 // the OS temp directory.
-func DefaultDir() string {
-	if dir := os.Getenv("PYTHIA_POLICY_STORE"); dir != "" {
-		return dir
-	}
-	return filepath.Join(os.TempDir(), "pythia-policy-store")
-}
+func DefaultDir() string { return fsutil.DefaultDir("PYTHIA_POLICY_STORE", "pythia-policy-store") }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// SetReadOnly toggles write suppression: a read-only store serves hits but
-// silently drops Put calls (shared populated stores in CI).
-func (s *Store) SetReadOnly(ro bool) { s.readOnly.Store(ro) }
-
-// ReadOnly reports whether writes are suppressed.
-func (s *Store) ReadOnly() bool { return s.readOnly.Load() }
-
-// Hits returns the number of lookups served from disk.
-func (s *Store) Hits() int64 { return s.hits.Load() }
-
-// Misses returns the number of lookups that found no valid entry.
-func (s *Store) Misses() int64 { return s.misses.Load() }
-
-// Writes returns the number of envelopes successfully persisted.
-func (s *Store) Writes() int64 { return s.writes.Load() }
-
-// hit/miss/wrote bump the per-instance atomic and the shared registry
-// counter together so /metrics and the instance views cannot drift.
-func (s *Store) hit()   { s.hits.Add(1); obsHits.Inc() }
-func (s *Store) miss()  { s.misses.Add(1); obsMisses.Inc() }
-func (s *Store) wrote() { s.writes.Add(1); obsWrites.Inc() }
-
-// path maps a policy ID to its file. The config and workload names are
-// embedded (sanitized) for debuggability; the ID digest provides the
-// content addressing and is all Get needs.
+// path maps a policy ID, the content address, to its file.
 func (s *Store) path(id string) string {
-	return filepath.Join(s.dir, fsutil.Sanitize(id)+".json")
+	return s.Path(fsutil.Sanitize(id))
 }
 
 // Get loads the envelope for a policy ID. It returns false on any miss:
@@ -101,25 +46,13 @@ func (s *Store) path(id string) string {
 // match (a hand-copied or renamed file can never serve the wrong policy).
 func (s *Store) Get(id string) (Envelope, bool) {
 	env, ok := s.load(id)
-	if !ok {
-		s.miss()
-		return Envelope{}, false
-	}
-	s.hit()
-	return env, true
+	return env, s.Lookup(ok)
 }
 
 // load reads and validates the envelope for an ID without counting.
 func (s *Store) load(id string) (Envelope, bool) {
-	buf, err := os.ReadFile(s.path(id))
-	if err != nil {
-		return Envelope{}, false
-	}
-	var env Envelope
-	if err := json.Unmarshal(buf, &env); err != nil {
-		return Envelope{}, false
-	}
-	if env.ID != id || len(env.Snapshot) == 0 {
+	env, err := ReadFile(s.path(id))
+	if err != nil || env.ID != id {
 		return Envelope{}, false
 	}
 	return env, true
@@ -127,40 +60,15 @@ func (s *Store) load(id string) (Envelope, bool) {
 
 // Put persists an envelope under its ID, overwriting any previous entry.
 // Writes go through a unique temp file and atomic rename; no error path
-// leaves a partial file behind. On a read-only store Put is a no-op.
+// leaves a partial file behind.
 func (s *Store) Put(env Envelope) error {
-	if s.ReadOnly() {
-		return nil
-	}
 	if env.ID == "" {
 		return fmt.Errorf("policy: envelope has no ID")
 	}
-	buf, err := json.MarshalIndent(&env, "", "  ")
-	if err != nil {
-		return fmt.Errorf("policy: marshal %s: %w", env.ID, err)
-	}
-	buf = append(buf, '\n')
-
-	s.Sweep()
-	if err := fault.Hit(FPWrite); err != nil {
-		return fmt.Errorf("policy: write %s: %w", env.ID, err)
-	}
-	path := s.path(env.ID)
-	if err := fsutil.WriteAtomic(s.dir, path, func(tmp *os.File) error {
-		_, werr := tmp.Write(buf)
-		return fault.Transient(werr)
-	}); err != nil {
+	if err := s.Write(s.path(env.ID), fsutil.WriteJSON(&env)); err != nil {
 		return fmt.Errorf("policy: %w", err)
 	}
-	s.wrote()
 	return nil
-}
-
-// Sweep reclaims temp files orphaned by crashed processes now, instead
-// of waiting for the first write (long-lived services sweep at startup).
-// It runs at most once per Store.
-func (s *Store) Sweep() {
-	s.sweepOnce.Do(func() { fsutil.SweepStaleTemps(s.dir) })
 }
 
 // GetOrTrain returns the stored envelope for id, training and persisting
@@ -172,34 +80,19 @@ func (s *Store) Sweep() {
 // delivered (and the error surfaced), so a full disk degrades to "no
 // reuse", never to "no policy".
 func (s *Store) GetOrTrain(id string, train func() (Envelope, error)) (env Envelope, hit bool, err error) {
-	if env, ok := s.Get(id); ok {
-		return env, true, nil
-	}
-	res, leader, ferr := s.flight.Do(id, func() (flightOut, error) {
-		// Re-check under the flight: an earlier flight (or another
-		// process) may have landed the entry between our miss and taking
-		// leadership.
-		if env, ok := s.load(id); ok {
-			s.hit()
-			return flightOut{env: env, hit: true}, nil
-		}
+	load := func() (Envelope, bool) { return s.load(id) }
+	return s.GetOrFill(id, load, load, func() (Envelope, error) {
 		env, err := train()
 		if err != nil {
-			return flightOut{}, err
+			return Envelope{}, err
 		}
 		if env.ID != id {
-			return flightOut{}, fmt.Errorf("policy: trained envelope has ID %s, expected %s", env.ID, id)
+			return Envelope{}, fmt.Errorf("policy: trained envelope has ID %s, expected %s", env.ID, id)
 		}
 		// Delivery beats persistence; report a write failure without
 		// discarding the trained policy.
-		return flightOut{env: env}, s.Put(env)
+		return env, s.Put(env)
 	})
-	if res.env.ID == "" {
-		return Envelope{}, false, ferr
-	}
-	// Waiters share the leader's envelope but report hit=false: they did
-	// not observe the entry on disk themselves.
-	return res.env, res.hit && leader, ferr
 }
 
 // metaProbe decodes an envelope's metadata while skipping the expensive
@@ -216,17 +109,9 @@ type metaProbe struct {
 // listing describes what Get would serve. Snapshot payloads are not
 // decoded.
 func (s *Store) List() []Meta {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil
-	}
 	var out []Meta
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.Contains(name, ".tmp") {
-			continue
-		}
-		buf, err := os.ReadFile(filepath.Join(s.dir, name))
+	for _, name := range s.Names() {
+		buf, err := os.ReadFile(filepath.Join(s.Dir(), name))
 		if err != nil {
 			continue
 		}
@@ -251,37 +136,11 @@ func (s *Store) List() []Meta {
 	return out
 }
 
-// Len reports how many envelope files are on disk (for status endpoints;
-// it counts directory entries without reading them, so a routinely
-// polled health check never re-reads the store).
-func (s *Store) Len() int {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") && !strings.Contains(e.Name(), ".tmp") {
-			n++
-		}
-	}
-	return n
-}
-
 // WriteFile saves a single envelope as a standalone file outside any
 // store (pythia-sim -save-policy), using the same atomic temp-and-rename
 // discipline.
 func WriteFile(path string, env Envelope) error {
-	buf, err := json.MarshalIndent(&env, "", "  ")
-	if err != nil {
-		return fmt.Errorf("policy: marshal %s: %w", env.ID, err)
-	}
-	buf = append(buf, '\n')
-	dir := filepath.Dir(path)
-	if err := fsutil.WriteAtomic(dir, path, func(tmp *os.File) error {
-		_, werr := tmp.Write(buf)
-		return werr
-	}); err != nil {
+	if err := fsutil.WriteAtomic(filepath.Dir(path), path, fsutil.WriteJSON(&env)); err != nil {
 		return fmt.Errorf("policy: %w", err)
 	}
 	return nil

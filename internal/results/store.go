@@ -3,13 +3,13 @@
 // measured (kind + name) and a fingerprint of everything that could change
 // the outcome (configuration, scale, trace.GenVersion, payload schema).
 //
-// It shares the crash-safety machinery of the on-disk trace cache
-// (internal/fsutil, internal/flight): population is deduplicated through a
-// singleflight so concurrent writers for one key do the work once, and
-// files land via fully-written temp files plus atomic rename, so readers
-// never observe partial JSON and concurrent processes sharing a directory
-// are safe (both write, either rename wins, contents are identical because
-// simulations are deterministic).
+// Its directory, counters, atomic writes and deduplicated get-or-fill
+// come from the store core in internal/fsutil, shared with the policy
+// store and the trace cache; this package adds the key-to-file mapping
+// and the JSON envelope, whose identity fields are re-checked on every
+// read. Concurrent processes sharing a directory are safe: both write,
+// either rename wins, and contents are identical because simulations are
+// deterministic.
 //
 // Unlike the harness's in-memory memoization, entries survive process
 // restarts: pythia-bench, pythia-serve, tests and examples pointed at one
@@ -24,28 +24,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"pythia/internal/fault"
-	"pythia/internal/flight"
 	"pythia/internal/fsutil"
-	"pythia/internal/obs"
 	"pythia/internal/trace"
 )
 
-// Process-wide registry counters, shared by every Store instance (the
-// per-instance atomics remain the per-store source of truth for tests and
-// /healthz detail; these feed /metrics, labeled by store).
-var (
-	obsHits   = obs.GetCounter("pythia_store_hits_total", "Store lookups served from disk.", obs.L("store", "results"))
-	obsMisses = obs.GetCounter("pythia_store_misses_total", "Store lookups that found no valid entry.", obs.L("store", "results"))
-	obsWrites = obs.GetCounter("pythia_store_writes_total", "Store entries successfully persisted.", obs.L("store", "results"))
-)
+// counters feed /metrics for every Store, labeled store="results".
+var counters = fsutil.StoreCounters("results")
 
 // FPWrite is the failpoint at the head of every store write; chaos tests
 // arm it to fail result persistence without touching other WriteAtomic
@@ -95,67 +83,38 @@ type envelope struct {
 	Payload     json.RawMessage `json:"payload"`
 }
 
+// entry is the part of an envelope a read needs: the identity fields, and
+// the payload decoded straight into the reader's value in the same pass.
+type entry struct {
+	Kind        string `json:"kind"`
+	Name        string `json:"name"`
+	Fingerprint string `json:"fingerprint"`
+	Payload     any    `json:"payload"`
+}
+
 // Store is an on-disk result store rooted at one directory (created on
 // first write). The zero value is not usable; call Open.
 type Store struct {
-	dir      string
+	// A GetOrCompute flight delivers the raw payload.
+	*fsutil.Store[json.RawMessage]
 	readOnly atomic.Bool
-
-	flight flight.Group[flightOut]
-
-	sweepOnce sync.Once
-
-	hits, misses, writes atomic.Int64
-}
-
-// flightOut is what a GetOrCompute flight delivers to every caller; the
-// flight's error return carries compute/persist failures alongside it.
-type flightOut struct {
-	payload json.RawMessage
-	hit     bool
 }
 
 // Open returns a store rooted at dir. The directory is created lazily on
 // first write, so opening a store never touches the filesystem.
 func Open(dir string) *Store {
-	return &Store{dir: dir}
+	return &Store{Store: fsutil.NewStore[json.RawMessage](dir, ".json", counters, FPWrite)}
 }
 
 // DefaultDir returns the store directory used when none is configured: the
 // PYTHIA_RESULT_STORE environment variable, or pythia-result-store under
 // the OS temp directory.
-func DefaultDir() string {
-	if dir := os.Getenv("PYTHIA_RESULT_STORE"); dir != "" {
-		return dir
-	}
-	return filepath.Join(os.TempDir(), "pythia-result-store")
-}
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
+func DefaultDir() string { return fsutil.DefaultDir("PYTHIA_RESULT_STORE", "pythia-result-store") }
 
 // SetReadOnly toggles write suppression: a read-only store serves hits but
 // silently drops Put calls (CI uses this to consume a shared populated
 // store without mutating it).
 func (s *Store) SetReadOnly(ro bool) { s.readOnly.Store(ro) }
-
-// ReadOnly reports whether writes are suppressed.
-func (s *Store) ReadOnly() bool { return s.readOnly.Load() }
-
-// Hits returns the number of Get/GetOrCompute calls served from disk.
-func (s *Store) Hits() int64 { return s.hits.Load() }
-
-// Misses returns the number of lookups that found no valid entry.
-func (s *Store) Misses() int64 { return s.misses.Load() }
-
-// Writes returns the number of entries successfully persisted.
-func (s *Store) Writes() int64 { return s.writes.Load() }
-
-// hit/miss/wrote bump the per-instance atomic and the shared registry
-// counter together so /metrics and the instance views cannot drift.
-func (s *Store) hit()   { s.hits.Add(1); obsHits.Inc() }
-func (s *Store) miss()  { s.misses.Add(1); obsMisses.Inc() }
-func (s *Store) wrote() { s.writes.Add(1); obsWrites.Inc() }
 
 // path maps a key to its file. The name is embedded (sanitized) for
 // debuggability; the fingerprint digest provides the content addressing.
@@ -164,16 +123,7 @@ func (s *Store) path(key Key) string {
 	if len(name) > 80 {
 		name = name[:80]
 	}
-	return filepath.Join(s.dir, fsutil.Sanitize(key.Kind)+"-"+name+"-"+key.Fingerprint+".json")
-}
-
-// entry is the part of an envelope a read needs: the identity fields, and
-// the payload decoded straight into the reader's value in the same pass.
-type entry struct {
-	Kind        string `json:"kind"`
-	Name        string `json:"name"`
-	Fingerprint string `json:"fingerprint"`
-	Payload     any    `json:"payload"`
+	return s.Path(fsutil.Sanitize(key.Kind) + "-" + name + "-" + key.Fingerprint)
 }
 
 // decode is the store's one read path. It reads key's file and unmarshals
@@ -201,72 +151,51 @@ func (s *Store) decode(key Key, target any) bool {
 // absent file, malformed JSON, a missing, null or mis-shaped payload, an
 // envelope whose identity fields do not match the key, or an unusable
 // out — returns false and leaves out untouched.
-func (s *Store) Get(key Key, out any) bool {
+func (s *Store) Get(key Key, out any) bool { return s.Lookup(s.get(key, out)) }
+
+// get is Get without the counting.
+func (s *Store) get(key Key, out any) bool {
 	dst := reflect.ValueOf(out)
 	if dst.Kind() != reflect.Pointer || dst.IsNil() {
-		s.miss()
 		return false
 	}
 	fresh := reflect.New(dst.Type()) // a pointer to a nil *T
 	if !s.decode(key, fresh.Interface()) || fresh.Elem().IsNil() {
-		s.miss()
 		return false
 	}
 	dst.Elem().Set(fresh.Elem().Elem())
-	s.hit()
 	return true
 }
 
 // Put persists a payload under a key, overwriting any previous entry.
 // Writes go through a unique temp file and atomic rename; no error path
-// leaves a partial file behind. On a read-only store Put is a no-op.
+// leaves a partial file behind. On a read-only store Put writes nothing.
 func (s *Store) Put(key Key, payload any) error {
-	if s.ReadOnly() {
-		return nil
-	}
-	buf, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("results: marshal %s/%s: %w", key.Kind, key.Name, err)
-	}
-	return s.write(key, buf)
+	_, err := s.put(key, payload)
+	return err
 }
 
-// write lands raw payload bytes on disk.
-func (s *Store) write(key Key, payload json.RawMessage) error {
-	env := envelope{
+// put marshals payload and, unless the store is read-only, lands it under
+// key. It returns the marshalled payload even when the write fails.
+func (s *Store) put(key Key, payload any) (json.RawMessage, error) {
+	buf, err := json.Marshal(payload)
+	if err != nil {
+		return nil, fmt.Errorf("results: marshal %s/%s: %w", key.Kind, key.Name, err)
+	}
+	if s.readOnly.Load() {
+		return buf, nil
+	}
+	if err := s.Write(s.path(key), fsutil.WriteJSON(&envelope{
 		Kind:        key.Kind,
 		Name:        key.Name,
 		Fingerprint: key.Fingerprint,
 		GenVersion:  trace.GenVersion,
 		CreatedAt:   time.Now().UTC(),
-		Payload:     payload,
+		Payload:     buf,
+	})); err != nil {
+		return buf, fmt.Errorf("results: %w", err)
 	}
-	buf, err := json.MarshalIndent(&env, "", "  ")
-	if err != nil {
-		return fmt.Errorf("results: marshal envelope: %w", err)
-	}
-	buf = append(buf, '\n')
-
-	s.Sweep()
-	if err := fault.Hit(FPWrite); err != nil {
-		return fmt.Errorf("results: write %s/%s: %w", key.Kind, key.Name, err)
-	}
-	path := s.path(key)
-	if err := fsutil.WriteAtomic(s.dir, path, func(tmp *os.File) error {
-		_, werr := tmp.Write(buf)
-		return fault.Transient(werr)
-	}); err != nil {
-		return fmt.Errorf("results: %w", err)
-	}
-	s.wrote()
-	return nil
-}
-
-// Sweep reclaims temp files orphaned by crashed processes now, instead
-// of waiting for the first write (long-lived services sweep at startup).
-// It runs at most once per Store.
-func (s *Store) Sweep() {
-	s.sweepOnce.Do(func() { fsutil.SweepStaleTemps(s.dir) })
+	return buf, nil
 }
 
 // Has reports whether a valid entry for key is on disk, without
@@ -275,8 +204,17 @@ func (s *Store) Sweep() {
 // The serving layer uses it to admit store-hit requests while writes are
 // degraded.
 func (s *Store) Has(key Key) bool {
+	_, ok := s.raw(key)
+	return ok
+}
+
+// raw reads key's payload without decoding it.
+func (s *Store) raw(key Key) (json.RawMessage, bool) {
 	var raw *json.RawMessage
-	return s.decode(key, &raw) && raw != nil
+	if !s.decode(key, &raw) || raw == nil {
+		return nil, false
+	}
+	return *raw, true
 }
 
 // GetOrCompute returns the stored payload for key, computing and persisting
@@ -285,60 +223,24 @@ func (s *Store) Has(key Key) bool {
 // result is unmarshalled into out; hit reports whether disk served it
 // without running compute. A failed persist does not fail the call — the
 // computed value is still delivered (and the error surfaced) so a full
-// disk degrades to "no reuse", never to "no results".
+// disk degrades to "no reuse", never to "no results". The first lookup is
+// Get's one-pass decode into out; only the flight's re-check reads the
+// payload raw.
 func (s *Store) GetOrCompute(key Key, out any, compute func() (any, error)) (hit bool, err error) {
-	if s.Get(key, out) {
-		return true, nil
-	}
-
-	flightKey := key.Kind + "\x00" + key.Name + "\x00" + key.Fingerprint
-	res, leader, ferr := s.flight.Do(flightKey, func() (flightOut, error) {
-		// Re-check under the flight: an earlier flight (or another process)
-		// may have landed the entry between our miss and taking leadership.
-		var raw *json.RawMessage
-		if s.decode(key, &raw) && raw != nil {
-			s.hit()
-			return flightOut{payload: *raw, hit: true}, nil
-		}
-		v, err := compute()
-		if err != nil {
-			return flightOut{}, err
-		}
-		buf, err := json.Marshal(v)
-		if err != nil {
-			return flightOut{}, fmt.Errorf("results: marshal %s/%s: %w", key.Kind, key.Name, err)
-		}
-		o := flightOut{payload: buf}
-		if !s.ReadOnly() {
-			// Delivery beats persistence; report a write failure without
-			// discarding the computed value.
-			return o, s.write(key, buf)
-		}
-		return o, nil
-	})
-	if res.payload == nil {
-		return false, ferr
-	}
-	if uerr := json.Unmarshal(res.payload, out); uerr != nil {
-		return false, uerr
-	}
-	// Waiters share the leader's payload but report hit=false: they did
-	// not observe the entry on disk themselves.
-	return res.hit && leader, ferr
-}
-
-// Len reports how many entries are currently on disk (for tests and
-// status endpoints; it scans the directory).
-func (s *Store) Len() int {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
-			n++
+	look := func() (json.RawMessage, bool) { return nil, s.get(key, out) }
+	load := func() (json.RawMessage, bool) { return s.raw(key) }
+	payload, hit, err := s.GetOrFill(key.Kind+"\x00"+key.Name+"\x00"+key.Fingerprint, look, load,
+		func() (json.RawMessage, error) {
+			v, err := compute()
+			if err != nil {
+				return nil, err
+			}
+			return s.put(key, v)
+		})
+	if payload != nil {
+		if uerr := json.Unmarshal(payload, out); uerr != nil {
+			return false, uerr
 		}
 	}
-	return n
+	return hit, err
 }

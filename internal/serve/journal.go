@@ -95,15 +95,7 @@ func (l *journal) put(rec jobRecord) {
 	rec.UpdatedAt = time.Now().UTC()
 	err := fault.Hit(FPJournalWrite)
 	if err == nil {
-		err = fsutil.WriteAtomic(l.dir, l.path(rec.ID), func(tmp *os.File) error {
-			buf, merr := json.MarshalIndent(&rec, "", "  ")
-			if merr != nil {
-				return merr
-			}
-			buf = append(buf, '\n')
-			_, werr := tmp.Write(buf)
-			return fault.Transient(werr)
-		})
+		err = fsutil.WriteAtomic(l.dir, l.path(rec.ID), fsutil.WriteJSON(&rec))
 	}
 	if err != nil {
 		l.writeErrs.Add(1)

@@ -16,6 +16,7 @@ import (
 
 	"pythia/internal/harness"
 	"pythia/internal/obs"
+	"pythia/internal/policy"
 	"pythia/internal/results"
 	"pythia/internal/serve"
 )
@@ -52,10 +53,12 @@ func scrapeMetrics(t *testing.T, base string) string {
 // observability surface — queue gauges, terminal-state and latency
 // families, per-store hit/miss counters, simulation throughput, and
 // per-route request counts — and the families the job exercised moved.
+// Every store's counter series is present whether or not a store of that
+// kind has served a lookup yet.
 func TestMetricsEndpoint(t *testing.T) {
 	harness.ResetCaches()
 	defer harness.ResetCaches()
-	_, ts := newTestServer(t, results.Open(t.TempDir()), 8)
+	_, ts := newPolicyServer(t, results.Open(t.TempDir()), policy.Open(t.TempDir()))
 
 	doneBefore := metricValue("pythia_serve_jobs_total", obs.L("status", "done"))
 	simsBefore := metricValue("pythia_sims_total", nil)
@@ -89,6 +92,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		`pythia_store_hits_total{store="results"}`,
 		`pythia_store_misses_total{store="results"}`,
 		`pythia_store_entries{store="results"}`,
+		`pythia_store_writes_total{store="results"}`,
+		`pythia_store_hits_total{store="policies"}`,
+		`pythia_store_misses_total{store="policies"}`,
+		`pythia_store_writes_total{store="policies"}`,
+		`pythia_store_entries{store="policies"}`,
+		`pythia_store_hits_total{store="trace"}`,
+		`pythia_store_misses_total{store="trace"}`,
+		`pythia_store_writes_total{store="trace"}`,
 		`pythia_serve_breaker_open{store="results"}`,
 		"pythia_sims_total",
 		"pythia_sim_instructions_total",

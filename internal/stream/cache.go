@@ -7,91 +7,42 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 
-	"pythia/internal/flight"
 	"pythia/internal/fsutil"
-	"pythia/internal/obs"
 	"pythia/internal/trace"
 )
 
-// Process-wide registry counters, shared by every Cache instance. The
-// trace cache reports alongside the results/policy stores under the same
-// pythia_store_* families so /healthz and /metrics enumerate all three
-// content-addressed stores uniformly.
-var (
-	obsHits   = obs.GetCounter("pythia_store_hits_total", "Store lookups served from disk.", obs.L("store", "trace"))
-	obsMisses = obs.GetCounter("pythia_store_misses_total", "Store lookups that found no valid entry.", obs.L("store", "trace"))
-	obsWrites = obs.GetCounter("pythia_store_writes_total", "Store entries successfully persisted.", obs.L("store", "trace"))
-)
+// counters feed /metrics for every Cache, labeled store="trace", beside
+// the result and policy stores' series.
+var counters = fsutil.StoreCounters("trace")
 
 // Cache is a content-addressed on-disk trace cache: files are keyed by
 // Workload.Key (name, seed, length, generator version), so every process
 // and every PR that shares a cache directory reuses the same generation
 // pass, and any change to generator output lands on fresh file names.
 //
-// Population is deduplicated through a singleflight: when N workers race
-// to simulate the same workload, exactly one generates and encodes the
-// trace while the rest wait, then everyone streams from disk. Writers go
-// through a unique temp file plus atomic rename, so concurrent processes
-// are safe too (both write, either rename wins, contents are identical).
+// Population is deduplicated through the store core's get-or-fill
+// (internal/fsutil): when N workers race to simulate the same workload,
+// exactly one generates and encodes the trace while the rest wait, then
+// everyone streams from disk.
 type Cache struct {
-	dir string
-
-	flight flight.Group[struct{}]
-
-	sweepOnce sync.Once
-
-	hits, misses, writes atomic.Int64
+	*fsutil.Store[struct{}]
 }
 
 // NewCache returns a cache rooted at dir (created on first population).
 func NewCache(dir string) *Cache {
-	return &Cache{dir: dir}
+	return &Cache{fsutil.NewStore[struct{}](dir, ".pytr", counters, "")}
 }
 
 // DefaultDir returns the cache directory used when none is configured: the
 // PYTHIA_TRACE_CACHE environment variable, or pythia-trace-cache under the
 // OS temp directory.
-func DefaultDir() string {
-	if dir := os.Getenv("PYTHIA_TRACE_CACHE"); dir != "" {
-		return dir
-	}
-	return filepath.Join(os.TempDir(), "pythia-trace-cache")
-}
-
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
-
-// Hits returns the number of Ensure calls served by an existing file.
-func (c *Cache) Hits() int64 { return c.hits.Load() }
-
-// Misses returns the number of Ensure calls that found no valid entry.
-func (c *Cache) Misses() int64 { return c.misses.Load() }
-
-// Writes returns the number of trace files successfully populated.
-func (c *Cache) Writes() int64 { return c.writes.Load() }
-
-// hit/miss/wrote bump the per-instance atomic and the shared registry
-// counter together so /metrics and the instance views cannot drift.
-func (c *Cache) hit()   { c.hits.Add(1); obsHits.Inc() }
-func (c *Cache) miss()  { c.misses.Add(1); obsMisses.Inc() }
-func (c *Cache) wrote() { c.writes.Add(1); obsWrites.Inc() }
-
-// Sweep reclaims temp files orphaned by crashed processes now, instead
-// of waiting for the first population (long-lived services sweep at
-// startup so a crash mid-write never leaves litter across restarts).
-// The sweep runs at most once per Cache.
-func (c *Cache) Sweep() {
-	c.sweepOnce.Do(func() { fsutil.SweepStaleTemps(c.dir) })
-}
+func DefaultDir() string { return fsutil.DefaultDir("PYTHIA_TRACE_CACHE", "pythia-trace-cache") }
 
 // path maps a workload identity to its cache file.
 func (c *Cache) path(w trace.Workload, n int) string {
 	sum := sha256.Sum256([]byte(w.Key(n)))
-	return filepath.Join(c.dir, fmt.Sprintf("%s-%s.pytr", fsutil.Sanitize(w.Name), hex.EncodeToString(sum[:8])))
+	return c.Path(fsutil.Sanitize(w.Name) + "-" + hex.EncodeToString(sum[:8]))
 }
 
 // Source ensures the workload's trace is on disk (generating it exactly
@@ -113,31 +64,28 @@ func (c *Cache) Source(ctx context.Context, w trace.Workload, n, chunk int) (Sou
 }
 
 // Ensure populates the cache entry for (w, n) if needed and returns its
-// path. Concurrent calls for the same entry share one generation pass
-// (a flight.Group singleflight); a canceled ctx aborts the pass without
-// leaving a partial file. Fixed workloads are rejected: their cache key
-// has no content identity (see Source).
+// path. Concurrent calls for the same entry share one generation pass; a
+// canceled ctx aborts the pass without leaving a partial file. Fixed
+// workloads are rejected: their cache key has no content identity (see
+// Source).
 func (c *Cache) Ensure(ctx context.Context, w trace.Workload, n int) (string, error) {
 	if w.FixedTrace() != nil {
 		return "", fmt.Errorf("stream: fixed workload %s is not disk-cacheable", w.Name)
 	}
 	path := c.path(w, n)
-	if c.valid(path, w, n) {
-		c.hit()
-		return path, nil
-	}
-	c.miss()
-	_, _, err := c.flight.Do(path, func() (struct{}, error) {
-		// Re-check under the flight: another process (or an earlier flight
-		// that completed between our check and joining) may have populated
-		// it.
-		if c.valid(path, w, n) {
-			c.hit()
-			return struct{}{}, nil
-		}
-		return struct{}{}, c.populate(ctx, path, w, n)
+	valid := func() (struct{}, bool) { return struct{}{}, c.valid(path, w, n) }
+	_, _, err := c.GetOrFill(path, valid, valid, func() (struct{}, error) {
+		// No error path leaves a partial file behind (cache_fault_test.go
+		// injects faults to hold this).
+		return struct{}{}, c.Write(path, func(tmp *os.File) error {
+			_, _, werr := encodeWorkload(ctx, tmp, w, n)
+			return werr
+		})
 	})
-	return path, err
+	if err != nil {
+		return path, fmt.Errorf("stream: cache populate: %w", err)
+	}
+	return path, nil
 }
 
 // valid reports whether path holds a decodable trace matching the
@@ -154,24 +102,6 @@ func (c *Cache) valid(path string, w trace.Workload, n int) bool {
 		return false
 	}
 	return d.Name() == w.Name && d.Count() == int64(w.NumRecords(n))
-}
-
-// populate generates the trace into a unique temp file and atomically
-// renames it into place (fsutil.WriteAtomic). No error path leaves a
-// partial file behind (cache_fault_test.go injects faults to hold this);
-// temp files orphaned by a crashed process are reclaimed by an age-gated
-// sweep on first population.
-func (c *Cache) populate(ctx context.Context, path string, w trace.Workload, n int) error {
-	c.sweepOnce.Do(func() { fsutil.SweepStaleTemps(c.dir) })
-	err := fsutil.WriteAtomic(c.dir, path, func(tmp *os.File) error {
-		_, _, werr := encodeWorkload(ctx, tmp, w, n)
-		return werr
-	})
-	if err != nil {
-		return fmt.Errorf("stream: cache populate: %w", err)
-	}
-	c.wrote()
-	return nil
 }
 
 // encodeWorkload streams n records of w into wr through the incremental

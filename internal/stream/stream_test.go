@@ -375,6 +375,32 @@ func TestMaterializeBytesPinned(t *testing.T) {
 	}
 }
 
+// TestCacheFileNamePinned pins the trace cache's file naming: a registry
+// workload at a fixed length lands under a fixed base name, holding the
+// bytes TestMaterializeBytesPinned pins. A renamed entry would make every
+// existing cache directory miss.
+func TestCacheFileNamePinned(t *testing.T) {
+	const (
+		n          = 50_000
+		wantBase   = "459.GemsFDTD-100B-63fb50de97b66790.pytr"
+		wantSHA256 = "25653cfc5681f546c64e1a91d1f2c4271662c8d8ecc60a5b77c4574283c65bad"
+	)
+	path, err := NewCache(t.TempDir()).Ensure(bgCtx, testWorkload(t), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := filepath.Base(path); got != wantBase {
+		t.Fatalf("Ensure path base = %q, want %q", got, wantBase)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != wantSHA256 {
+		t.Fatalf("cache entry has SHA-256 %x, want %s", sum, wantSHA256)
+	}
+}
+
 // TestFileReaderSurfacesMidStreamCorruption: truncating a trace file under
 // an open reader (the header stays intact, the body dies mid-record) must
 // end the stream with NextChunk == false and a sticky non-nil Err — never
