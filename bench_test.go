@@ -70,9 +70,17 @@ func streamAccesses(n int) []prefetch.Access {
 	return out
 }
 
+// BenchmarkPythiaTrain times one steady-state Train (and the Fills of its
+// candidates): the EQ is filled first, so every op evicts, updates and
+// reuses the buffers the first inserts allocated.
 func BenchmarkPythiaTrain(b *testing.B) {
 	p := core.MustNew(core.BasicConfig(), prefetch.NilSystem())
 	acc := streamAccesses(4096)
+	for i := 0; i < 2*p.Config().EQSize; i++ {
+		for _, c := range p.Train(acc[i%len(acc)]) {
+			p.Fill(c)
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range p.Train(acc[i%len(acc)]) {
@@ -120,8 +128,8 @@ func BenchmarkQVStoreUpdate(b *testing.B) {
 }
 
 // TestPythiaTrainAllocationFree asserts the training hot path stays
-// allocation-free in steady state (the EQ and the agent's reused buffers
-// absorb everything); the ISSUE budget is <= 2 allocs/op.
+// allocation-free in steady state: the EQ and the agent's reused buffers
+// absorb everything, so a single allocation per op fails it.
 func TestPythiaTrainAllocationFree(t *testing.T) {
 	p := core.MustNew(core.BasicConfig(), prefetch.NilSystem())
 	acc := streamAccesses(4096)
@@ -138,8 +146,8 @@ func TestPythiaTrainAllocationFree(t *testing.T) {
 		}
 		i++
 	})
-	if avg > 2 {
-		t.Errorf("Pythia.Train allocates %.2f times/op, want <= 2", avg)
+	if avg != 0 {
+		t.Errorf("Pythia.Train allocates %.2f times/op, want 0", avg)
 	}
 }
 

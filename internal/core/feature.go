@@ -204,14 +204,17 @@ type Tracker struct {
 	prevPC uint64
 }
 
+// trackerPage is one tracked page, 24 bytes: in-page offsets (0..63) and
+// deltas (-63..63) fit an int8, which keeps the table small enough to stay
+// cache-resident next to the simulator's own state.
 type trackerPage struct {
-	tag     uint64
-	lastOff int
-	valid   bool
-	// Per-page histories: the paper's delta/offset sequence features are
-	// page-local (interleaved pages would otherwise scramble them).
-	offsets [4]int
-	deltas  [4]int
+	tag   uint64
+	valid bool
+	// Per-page histories, most recent first: the paper's delta/offset
+	// sequence features are page-local (interleaved pages would otherwise
+	// scramble them). offsets[0] is the page's last offset.
+	offsets [4]int8
+	deltas  [4]int8
 }
 
 // NewTracker builds a tracker following `pages` concurrent pages (power of
@@ -223,20 +226,20 @@ func NewTracker(pages int) *Tracker {
 	return &Tracker{pages: make([]trackerPage, pages), mask: uint64(pages - 1)}
 }
 
-// Observe folds one demand access into the history and returns the state.
-func (t *Tracker) Observe(pc, line uint64) State {
+// Observe folds one demand access into the history and writes the state
+// to s.
+func (t *Tracker) Observe(pc, line uint64, s *State) {
 	page := mem.PageOfLine(line)
 	off := mem.LineOffsetOfLine(line)
 
 	delta := 0
 	e := &t.pages[page&t.mask]
 	if e.valid && e.tag == page {
-		delta = off - e.lastOff
+		delta = off - int(e.offsets[0])
 	} else {
 		// New page (or tracker eviction): page-local histories restart.
-		*e = trackerPage{tag: page}
+		*e = trackerPage{tag: page, valid: true}
 	}
-	e.tag, e.lastOff, e.valid = page, off, true
 
 	prevPC := t.prevPC
 	if t.pcs[0] != pc {
@@ -250,20 +253,19 @@ func (t *Tracker) Observe(pc, line uint64) State {
 	copy(t.pcs[1:], t.pcs[:2])
 	t.pcs[0] = pc
 	copy(e.offsets[1:], e.offsets[:3])
-	e.offsets[0] = off
+	e.offsets[0] = int8(off)
 	copy(e.deltas[1:], e.deltas[:3])
-	e.deltas[0] = delta
+	e.deltas[0] = int8(delta)
 
-	s := State{
-		PC:     pc,
-		Line:   line,
-		Page:   page,
-		Offset: off,
-		Delta:  delta,
-		PCPath: t.pcs[0] ^ t.pcs[1] ^ t.pcs[2],
-		PrevPC: prevPC,
+	s.PC = pc
+	s.Line = line
+	s.Page = page
+	s.Offset = off
+	s.Delta = delta
+	s.PCPath = t.pcs[0] ^ t.pcs[1] ^ t.pcs[2]
+	s.PrevPC = prevPC
+	for i := range e.offsets {
+		s.LastOffsets[i] = int(e.offsets[i])
+		s.LastDeltas[i] = int(e.deltas[i])
 	}
-	s.LastOffsets = e.offsets
-	s.LastDeltas = e.deltas
-	return s
 }

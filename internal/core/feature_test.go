@@ -74,18 +74,25 @@ func TestFeatureValueNegativeDeltaFolds(t *testing.T) {
 	}
 }
 
+// observe runs one Tracker.Observe and returns the state it wrote.
+func observe(tr *Tracker, pc, line uint64) State {
+	var s State
+	tr.Observe(pc, line, &s)
+	return s
+}
+
 func TestTrackerDeltaComputation(t *testing.T) {
 	tr := NewTracker(256)
 	page := uint64(100)
-	s1 := tr.Observe(1, page*mem.LinesPerPage+10)
+	s1 := observe(tr, 1, page*mem.LinesPerPage+10)
 	if s1.Delta != 0 {
 		t.Errorf("first touch delta = %d, want 0", s1.Delta)
 	}
-	s2 := tr.Observe(1, page*mem.LinesPerPage+33)
+	s2 := observe(tr, 1, page*mem.LinesPerPage+33)
 	if s2.Delta != 23 {
 		t.Errorf("delta = %d, want 23", s2.Delta)
 	}
-	s3 := tr.Observe(1, page*mem.LinesPerPage+30)
+	s3 := observe(tr, 1, page*mem.LinesPerPage+30)
 	if s3.Delta != -3 {
 		t.Errorf("delta = %d, want -3", s3.Delta)
 	}
@@ -95,15 +102,15 @@ func TestTrackerPageLocalHistories(t *testing.T) {
 	tr := NewTracker(256)
 	pageA, pageB := uint64(10), uint64(20)
 	// Interleave two pages with different delta patterns.
-	tr.Observe(1, pageA*mem.LinesPerPage+0)
-	tr.Observe(1, pageB*mem.LinesPerPage+0)
-	tr.Observe(1, pageA*mem.LinesPerPage+5)        // A: +5
-	tr.Observe(1, pageB*mem.LinesPerPage+9)        // B: +9
-	sA := tr.Observe(1, pageA*mem.LinesPerPage+10) // A: +5
+	observe(tr, 1, pageA*mem.LinesPerPage+0)
+	observe(tr, 1, pageB*mem.LinesPerPage+0)
+	observe(tr, 1, pageA*mem.LinesPerPage+5)        // A: +5
+	observe(tr, 1, pageB*mem.LinesPerPage+9)        // B: +9
+	sA := observe(tr, 1, pageA*mem.LinesPerPage+10) // A: +5
 	if sA.LastDeltas[0] != 5 || sA.LastDeltas[1] != 5 {
 		t.Errorf("page A deltas %v polluted by page B", sA.LastDeltas)
 	}
-	sB := tr.Observe(1, pageB*mem.LinesPerPage+18) // B: +9
+	sB := observe(tr, 1, pageB*mem.LinesPerPage+18) // B: +9
 	if sB.LastDeltas[0] != 9 || sB.LastDeltas[1] != 9 {
 		t.Errorf("page B deltas %v polluted by page A", sB.LastDeltas)
 	}
@@ -111,9 +118,9 @@ func TestTrackerPageLocalHistories(t *testing.T) {
 
 func TestTrackerPCPath(t *testing.T) {
 	tr := NewTracker(256)
-	tr.Observe(0x100, 1)
-	tr.Observe(0x200, 2)
-	s := tr.Observe(0x400, 3)
+	observe(tr, 0x100, 1)
+	observe(tr, 0x200, 2)
+	s := observe(tr, 0x400, 3)
 	if s.PCPath != 0x100^0x200^0x400 {
 		t.Errorf("PCPath = %#x", s.PCPath)
 	}
@@ -124,10 +131,10 @@ func TestTrackerPCPath(t *testing.T) {
 
 func TestTrackerEvictionRestartsHistory(t *testing.T) {
 	tr := NewTracker(2) // tiny: pages conflict aggressively
-	tr.Observe(1, 0*mem.LinesPerPage+4)
-	tr.Observe(1, 1*mem.LinesPerPage+9)
-	tr.Observe(1, 2*mem.LinesPerPage+9) // evicts page 0 (same slot)
-	s := tr.Observe(1, 0*mem.LinesPerPage+6)
+	observe(tr, 1, 0*mem.LinesPerPage+4)
+	observe(tr, 1, 1*mem.LinesPerPage+9)
+	observe(tr, 1, 2*mem.LinesPerPage+9) // evicts page 0 (same slot)
+	s := observe(tr, 1, 0*mem.LinesPerPage+6)
 	if s.Delta != 0 {
 		t.Errorf("delta after eviction = %d, want 0 (history restarted)", s.Delta)
 	}
@@ -145,7 +152,7 @@ func TestTrackerBadSizePanics(t *testing.T) {
 func TestTrackerDeltaBoundedProperty(t *testing.T) {
 	tr := NewTracker(1024)
 	f := func(pc, line uint64) bool {
-		s := tr.Observe(pc, line)
+		s := observe(tr, pc, line)
 		return s.Delta > -mem.LinesPerPage && s.Delta < mem.LinesPerPage &&
 			s.Offset >= 0 && s.Offset < mem.LinesPerPage
 	}

@@ -38,9 +38,10 @@ type Pythia struct {
 	rng     *rand.Rand
 	stats   Stats
 
-	// sigRS and outBuf are reused across Train calls so the hot path is
-	// allocation-free: the EQ copies signatures on insert, and callers
+	// st, sigRS and outBuf are reused across Train calls so the hot path
+	// is allocation-free: the EQ copies signatures on insert, and callers
 	// consume the returned candidate slice before the next Train.
+	st     State
 	sigRS  ResolvedSig
 	outBuf []uint64
 
@@ -126,9 +127,9 @@ func (p *Pythia) Train(a prefetch.Access) []uint64 {
 
 	// (2) Extract the state vector and resolve its QVStore row offsets
 	// once; every lookup, search and update below reuses them.
-	st := p.tracker.Observe(a.PC, a.Line)
+	p.tracker.Observe(a.PC, a.Line, &p.st)
 	sig := &p.sigRS
-	p.qv.ResolveState(&st, sig)
+	p.qv.ResolveState(&p.st, sig)
 
 	// (3) ε-greedy action selection. An exploit-path scan leaves every
 	// action's Q-value for sig's rows in the store's scan buffer; step (6)
@@ -149,7 +150,7 @@ func (p *Pythia) Train(a prefetch.Access) []uint64 {
 
 	// (4) Generate the prefetch and (5) create the EQ entry.
 	out := p.outBuf[:0]
-	var evicted Evicted
+	var evicted *Evicted
 	switch {
 	case offset == 0:
 		p.stats.NoPrefetch++
@@ -187,7 +188,7 @@ func (p *Pythia) Train(a prefetch.Access) []uint64 {
 	p.outBuf = out
 
 	// (6) SARSA update with the evicted entry.
-	if evicted.Valid {
+	if evicted != nil {
 		reward := evicted.Reward
 		if !evicted.HadReward {
 			if p.highBW() {

@@ -253,6 +253,19 @@ func TestAgentMatchesSeedGolden(t *testing.T) {
 			goldenFingerprint{39744, 15963, 22560, 1477, 389, 8090, 4040, 204320, 0x36ed9d00771ce008}},
 		{"planes1", func() Config { c := BasicConfig(); c.PlanesPerVault = 1; c.Seed = 7; return c }(),
 			goldenFingerprint{39744, 16218, 22348, 1434, 392, 8115, 4074, 204089, 0xdf312a31853de559}},
+		// The next two pin the generic scan shape (any vault and plane
+		// count, a wide action row) beside the basic 2-vault/3-plane one;
+		// they were captured from the implementation before the one-pass
+		// ArgmaxQResolved and the open-addressed EQ index.
+		{"vaults3planes2", func() Config {
+			c := BasicConfig()
+			c.Features = append(c.Features, Feature{CFPCPath, DFOffset})
+			c.PlanesPerVault = 2
+			c.Seed = 11
+			return c
+		}(), goldenFingerprint{39744, 38194, 1031, 775, 378, 8520, 4281, 213450, 0x162971941a0864bb}},
+		{"cphw", NewCPHW(nil).Config(),
+			goldenFingerprint{39744, 21525, 2287, 16188, 389, 4543, 2231, 2451200, 0x6b1ff392743b2770}},
 	} {
 		if got := fingerprintAgent(t, tc.cfg); got != tc.want {
 			t.Errorf("%s: fingerprint diverged from seed implementation:\n got %+v\nwant %+v", tc.name, got, tc.want)
@@ -290,7 +303,7 @@ func TestEQResolvedRoundTrip(t *testing.T) {
 	st3 := State{PC: 0x48, Delta: 3}
 	qv.ResolveState(&st3, &rs)
 	ev := q.InsertResolved(&rs, 5, 102, true, 0, false)
-	if !ev.Valid || ev.Action != 3 || ev.rs == nil {
+	if ev == nil || ev.Action != 3 || ev.rs == nil {
 		t.Fatalf("eviction lost the entry: %+v", ev)
 	}
 	for i, o := range ev.rs.offs {

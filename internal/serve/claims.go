@@ -253,10 +253,6 @@ func (l *journal) workerPath(owner string) string {
 // putWorker lands a worker heartbeat (best-effort, like every journal
 // write: a lost heartbeat costs liveness slack, never correctness).
 func (l *journal) putWorker(w workerState) {
-	if err := os.MkdirAll(l.workersDir(), 0o755); err != nil {
-		l.writeErrs.Add(1)
-		return
-	}
 	w.UpdatedAt = time.Now().UTC()
 	err := fsutil.WriteAtomic(l.workersDir(), l.workerPath(w.Owner), func(tmp *os.File) error {
 		buf, merr := json.Marshal(&w)

@@ -28,9 +28,9 @@ var (
 // pulls records from a one-pass iterator and hands them to the consumer in
 // column chunks (trace.Chunk — parallel PC/Addr/NonMem/Store slices)
 // through a bounded ring, recycling chunk buffers through a free list so
-// steady-state streaming allocates nothing. Producers that implement
-// trace.ChunkFiller (the generator, the file decoder) append straight onto
-// the columns; others are drained record-at-a-time into the columns.
+// steady-state streaming allocates nothing. Every producer (the generator,
+// the file decoder, a fixed workload's records) appends straight onto the
+// columns.
 //
 // Memory bound: at most DefaultDepth+2 chunk buffers ever exist per
 // reader — one in the producer's hands, up to DefaultDepth queued, one
@@ -118,7 +118,7 @@ func (c *chunkedReader) produce(p *pipe, it trace.Iter, cl io.Closer) {
 			buf = trace.NewChunk(c.chunk)
 		}
 		buf.Reset()
-		trace.FillChunk(it, buf, c.chunk)
+		it.FillChunk(buf, c.chunk)
 		ended := buf.Len() < c.chunk
 		if buf.Len() == 0 {
 			c.free <- buf

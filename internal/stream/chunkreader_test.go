@@ -7,11 +7,13 @@ import (
 	"pythia/internal/trace"
 )
 
-// iterRecords collects the record sequence of a one-pass iterator.
+// iterRecords collects the record sequence of a one-pass iterator, one
+// record per FillChunk call.
 func iterRecords(it trace.Iter) []trace.Record {
 	var out []trace.Record
-	for rec, ok := it.Next(); ok; rec, ok = it.Next() {
-		out = append(out, rec)
+	c := trace.NewChunk(1)
+	for c.Reset(); it.FillChunk(c, 1) == 1; c.Reset() {
+		out = append(out, c.At(0))
 	}
 	return out
 }

@@ -90,27 +90,7 @@ type fileIter struct {
 	err  error
 }
 
-// Next implements trace.Iter.
-func (it *fileIter) Next() (trace.Record, bool) {
-	if it.err != nil {
-		return trace.Record{}, false
-	}
-	if ferr := fault.Hit(FPDecode); ferr != nil {
-		it.err = fmt.Errorf("stream: decoding %s: %w", it.path, ferr)
-		return trace.Record{}, false
-	}
-	rec, err := it.d.Next()
-	if err == io.EOF {
-		return trace.Record{}, false
-	}
-	if err != nil {
-		it.err = fmt.Errorf("stream: decoding %s: %w", it.path, err)
-		return trace.Record{}, false
-	}
-	return rec, true
-}
-
-// FillChunk implements trace.ChunkFiller: a run of up to max records
+// FillChunk implements trace.Iter: a run of up to max records
 // decodes straight onto the chunk's columns (Decoder.DecodeChunk), never
 // materializing a Record between disk and ring. The FPDecode failpoint is
 // still consulted once per record, before the run decodes: fault specs

@@ -90,31 +90,6 @@ type ChunkReader interface {
 	Close() error
 }
 
-// ChunkFiller is implemented by one-pass iterators (the workload
-// generator, the file decoder) that can append records directly to a
-// chunk's columns, letting producers fill batches without a per-record
-// interface call. FillChunk appends up to max records and returns how
-// many were appended; fewer than max means the pass ended or failed
-// (iterators that can fail expose Err, as with Iter).
-type ChunkFiller interface {
-	FillChunk(c *Chunk, max int) int
-}
-
-// FillChunk appends up to max records from it to c, using the iterator's
-// direct column path when it has one and falling back to per-record Next
-// calls otherwise. It returns the number of records appended.
-func FillChunk(it Iter, c *Chunk, max int) int {
-	if f, ok := it.(ChunkFiller); ok {
-		return f.FillChunk(c, max)
-	}
-	n := 0
-	for n < max {
-		rec, ok := it.Next()
-		if !ok {
-			break
-		}
-		c.Append(rec)
-		n++
-	}
-	return n
-}
+// FillChunk appends up to max records from it to c and returns the number
+// appended: it.FillChunk as a function.
+func FillChunk(it Iter, c *Chunk, max int) int { return it.FillChunk(c, max) }

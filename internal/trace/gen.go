@@ -103,7 +103,7 @@ func (g *Gen) Remaining() int {
 	return g.left
 }
 
-// FillChunk implements ChunkFiller: it appends up to max records to c's
+// FillChunk implements Iter: it appends up to max records to c's
 // columns, producing exactly the sequence repeated Next calls would —
 // both run the same generation step, so the stream equivalence tests and
 // the on-disk cache (keyed by GenVersion) see identical output.
@@ -120,7 +120,7 @@ func (g *Gen) FillChunk(c *Chunk, max int) int {
 	return n
 }
 
-// Next implements Iter.
+// Next returns the next record, or false once the generator is done.
 func (g *Gen) Next() (Record, bool) {
 	if g.left <= 0 {
 		return Record{}, false

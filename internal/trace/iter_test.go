@@ -2,6 +2,23 @@ package trace
 
 import "testing"
 
+// iterRecords drains a one-pass iterator through FillChunk runs of up to
+// chunk records.
+func iterRecords(it Iter, chunk int) []Record {
+	c := NewChunk(chunk)
+	var out []Record
+	for {
+		c.Reset()
+		n := it.FillChunk(c, chunk)
+		for i := 0; i < n; i++ {
+			out = append(out, c.At(i))
+		}
+		if n < chunk {
+			return out
+		}
+	}
+}
+
 // TestGeneratorMatchesGenerate is the contract the streaming pipeline
 // stands on: Spec.Generator must yield exactly the sequence Generate
 // materializes, for every registered workload shape.
@@ -21,21 +38,14 @@ func TestGeneratorMatchesGenerate(t *testing.T) {
 			continue
 		}
 		want := w.Generate(n).Records
-		it := w.Iter(n)
-		for i := 0; ; i++ {
-			rec, ok := it.Next()
-			if !ok {
-				if i != len(want) {
-					t.Errorf("%s: iterator ended at %d, want %d", name, i, len(want))
-				}
-				break
-			}
-			if i >= len(want) {
-				t.Errorf("%s: iterator overran %d records", name, len(want))
-				break
-			}
-			if rec != want[i] {
-				t.Fatalf("%s: record %d = %+v, want %+v", name, i, rec, want[i])
+		got := iterRecords(w.Iter(n), 1000)
+		if len(got) != len(want) {
+			t.Errorf("%s: iterator yielded %d records, want %d", name, len(got), len(want))
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: record %d = %+v, want %+v", name, i, got[i], want[i])
 			}
 		}
 	}
@@ -89,35 +99,13 @@ func TestWorkloadKeyDistinguishes(t *testing.T) {
 }
 
 // TestFixedWorkloadIter: a fixed workload's Iter yields exactly its
-// resident records, whatever n asks for, through Next and through
-// FillChunk across chunk boundaries alike.
+// resident records, whatever n asks for, across chunk boundaries.
 func TestFixedWorkloadIter(t *testing.T) {
 	recs := randRecords(300, 6)
 	w := Fixed(&Trace{Name: "f", Suite: "s", Records: recs})
 
 	it := w.Iter(10)
-	for i, want := range recs {
-		if got, ok := it.Next(); !ok || got != want {
-			t.Fatalf("Next record %d = (%+v, %v), want %+v", i, got, ok, want)
-		}
-	}
-	if _, ok := it.Next(); ok {
-		t.Fatal("Next overran the fixed records")
-	}
-
-	it = w.Iter(10)
-	c := NewChunk(64)
-	var got []Record
-	for {
-		c.Reset()
-		n := FillChunk(it, c, 64)
-		for i := 0; i < n; i++ {
-			got = append(got, c.At(i))
-		}
-		if n < 64 {
-			break
-		}
-	}
+	got := iterRecords(it, 64)
 	if len(got) != len(recs) {
 		t.Fatalf("FillChunk yielded %d records, want %d", len(got), len(recs))
 	}
@@ -126,7 +114,7 @@ func TestFixedWorkloadIter(t *testing.T) {
 			t.Fatalf("FillChunk record %d = %+v, want %+v", i, got[i], recs[i])
 		}
 	}
-	if n := FillChunk(it, c, 64); n != 0 {
+	if n := FillChunk(it, NewChunk(64), 64); n != 0 {
 		t.Fatalf("FillChunk after the end appended %d records", n)
 	}
 }

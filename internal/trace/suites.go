@@ -55,17 +55,7 @@ func (w Workload) Iter(n int) Iter {
 // sliceIter is the one-pass Iter over a fixed workload's resident records.
 type sliceIter struct{ recs []Record }
 
-// Next implements Iter.
-func (it *sliceIter) Next() (Record, bool) {
-	if len(it.recs) == 0 {
-		return Record{}, false
-	}
-	r := it.recs[0]
-	it.recs = it.recs[1:]
-	return r, true
-}
-
-// FillChunk implements ChunkFiller.
+// FillChunk implements Iter.
 func (it *sliceIter) FillChunk(c *Chunk, max int) int {
 	n := min(max, len(it.recs))
 	for _, r := range it.recs[:n] {

@@ -51,12 +51,14 @@ func (t *Trace) String() string {
 	return fmt.Sprintf("%s/%s (%d accesses)", t.Suite, t.Name, len(t.Records))
 }
 
-// Iter yields trace records one at a time, once: the minimal producer
+// Iter yields trace records once, a run at a time: the minimal producer
 // interface that generators, file decoders and slices share. Streaming
 // sources (internal/stream) build restartable ChunkReaders out of Iters.
 type Iter interface {
-	// Next returns the next record. ok is false when the trace is exhausted.
-	Next() (rec Record, ok bool)
+	// FillChunk appends up to max records straight onto c's columns and
+	// returns how many it appended; fewer than max means the pass ended
+	// or failed (iterators that can fail expose Err).
+	FillChunk(c *Chunk, max int) int
 }
 
 // SliceReader is the ChunkReader over a materialized record slice. It
