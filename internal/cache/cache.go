@@ -5,31 +5,31 @@
 // paper's Table 5.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// tagValid marks a resident way in the packed tag array. Line addresses are
-// byte addresses shifted right by 6, so they always fit below bit 63 and the
-// valid bit can ride in the tag word itself: an 8-way set's hit scan compares
-// eight contiguous uint64s — a single 64-byte cache line — with no branches
-// on a separate valid flag.
-const tagValid = 1 << 63
+// A tag word packs one way's whole state. Line addresses are byte
+// addresses shifted right by 6, so they fit in the low 58 bits, and the
+// bits above carry the rest: whether the way holds a line, whether the
+// line is dirty, and whether a prefetch brought it in and no demand has
+// touched it since. An 8-way set's hit scan thus compares eight
+// contiguous uint64s, a single 64-byte cache line, and a hit or fill
+// updates the line's state in the word it has already loaded. An empty
+// way's word is 0.
+const (
+	tagValid    = 1 << 63
+	tagDirty    = 1 << 62
+	tagPrefetch = 1 << 61
+	tagLine     = 1<<58 - 1
+	// tagKey selects what a probe compares: the line and the valid bit.
+	tagKey = tagValid | tagLine
+)
 
-// lineMeta holds the per-line state that the hit scan does not need. Keeping
-// it in a parallel array keeps the scan's footprint to the tag words alone;
-// metadata is touched only on hits, fills, and evictions.
-type lineMeta struct {
-	dirty    bool
-	prefetch bool // filled by a prefetch and not yet demanded
-}
-
-// line is a reconstructed per-way view used by tests and debugging; the
-// cache itself stores columns (tags, meta), not an array of these.
-type line struct {
-	tag      uint64
-	valid    bool
-	dirty    bool
-	prefetch bool
-}
+// maxWays is the largest associativity: LRU keeps a set's recency order
+// as sixteen 4-bit way numbers in one word.
+const maxWays = 16
 
 // Replacement chooses victims and reacts to hits/fills. Implementations:
 // LRU and SHiP.
@@ -46,9 +46,14 @@ type Replacement interface {
 	Evict(set, way int, reused bool)
 }
 
-// Cache is a single set-associative cache level. Storage is structure-of-
-// arrays: tags (with the valid bit packed in) separate from metadata, so the
-// dominant operation — the tag scan — reads one contiguous run of words.
+// Cache is a single set-associative cache level. Its storage is one tag
+// word per way (see tagValid) plus the replacement policy's own arrays, so
+// the dominant operation, the tag scan, reads one contiguous run of words.
+//
+// The valid ways of a set always form a prefix of it: a fill takes the
+// first empty way, and nothing empties a way again (a recycled cache is
+// cleared whole). Fill relies on this to stop its scan at the first empty
+// way.
 type Cache struct {
 	// Hot fields first so the scan's working state (tag slice header, set
 	// mask, counters, fast replacement pointer) shares a cache line.
@@ -60,37 +65,53 @@ type Cache struct {
 	// the probe's critical path; -1 selects the multiply fallback.
 	wayShift int
 	// lruFast devirtualizes the replacement policy when it is the built-in
-	// LRU (L1 and L2 always are): Access/Fill bump the stamp directly
-	// instead of paying an interface dispatch per hit. Behaviour is
-	// identical to calling repl.Hit/repl.Fill.
+	// LRU (L1 and L2 always are): Access and Fill update the set's order
+	// word directly instead of paying an interface dispatch per hit.
+	// Behaviour is identical to calling repl's methods.
 	lruFast *lru
 
 	// Hits and Misses count demand lookups.
 	Hits, Misses int64
 
-	meta []lineMeta
 	repl Replacement
 	name string
 }
 
 // NewCache builds a cache of sizeKB with the given associativity and
-// replacement policy. Sets must come out a power of two.
+// replacement policy. It panics on a geometry that geometry rejects.
 func NewCache(name string, sizeKB, ways int, repl func(sets, ways int) Replacement) *Cache {
 	return recycleCache(name, sizeKB, ways, func(sets, ways int, _ Replacement) Replacement { return repl(sets, ways) }, nil)
+}
+
+// geometry returns the set count of a sizeKB cache with the given
+// associativity. The size must be positive, the ways within 1..maxWays,
+// and the set count a power of two.
+func geometry(sizeKB, ways int) (sets int, err error) {
+	if sizeKB <= 0 {
+		return 0, fmt.Errorf("size must be positive, got %dKB", sizeKB)
+	}
+	if ways < 1 || ways > maxWays {
+		return 0, fmt.Errorf("ways must be within 1..%d, got %d", maxWays, ways)
+	}
+	sets = sizeKB * 1024 / 64 / ways
+	if sets <= 0 || sets&(sets-1) != 0 {
+		return 0, fmt.Errorf("%dKB/%d-way yields non-power-of-two sets %d", sizeKB, ways, sets)
+	}
+	return sets, nil
 }
 
 // replFactory builds a replacement policy for a sets×ways cache, taking
 // over old's arrays where they fit (old may be nil).
 type replFactory func(sets, ways int, old Replacement) Replacement
 
-// recycleCache builds a cache as NewCache does, taking over old's tag,
-// metadata and replacement arrays where their sizes match (old may be
-// nil). The arrays it takes are cleared, so the cache starts exactly as a
-// fresh one, and detached from old (see reuse).
+// recycleCache builds a cache as NewCache does, taking over old's tag and
+// replacement arrays where their sizes match (old may be nil). The arrays
+// it takes are cleared, so the cache starts exactly as a fresh one, and
+// detached from old (see reuse).
 func recycleCache(name string, sizeKB, ways int, repl replFactory, old *Cache) *Cache {
-	sets := sizeKB * 1024 / 64 / ways
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache %s: %dKB/%d-way yields non-power-of-two sets %d", name, sizeKB, ways, sets))
+	sets, err := geometry(sizeKB, ways)
+	if err != nil {
+		panic(fmt.Sprintf("cache %s: %v", name, err))
 	}
 	if old == nil {
 		old = &Cache{}
@@ -101,7 +122,6 @@ func recycleCache(name string, sizeKB, ways int, repl replFactory, old *Cache) *
 		ways:     ways,
 		wayShift: -1,
 		tags:     reuse(&old.tags, sets*ways),
-		meta:     reuse(&old.meta, sets*ways),
 		repl:     repl(sets, ways, old.repl),
 	}
 	if ways&(ways-1) == 0 {
@@ -128,19 +148,12 @@ func (c *Cache) Ways() int { return c.ways }
 
 func (c *Cache) setOf(lineAddr uint64) int { return int(lineAddr & uint64(c.sets-1)) }
 
-// rowBase returns the index of a set's first way in the tags/meta columns.
+// rowBase returns the index of a set's first way in the tags column.
 func (c *Cache) rowBase(set int) int {
 	if c.wayShift >= 0 {
 		return set << uint(c.wayShift)
 	}
 	return set * c.ways
-}
-
-// at reconstructs one way's state (test hook).
-func (c *Cache) at(set, way int) line {
-	idx := set*c.ways + way
-	t, m := c.tags[idx], c.meta[idx]
-	return line{tag: t &^ tagValid, valid: t&tagValid != 0, dirty: m.dirty, prefetch: m.prefetch}
 }
 
 // Lookup probes for lineAddr without updating replacement state.
@@ -149,8 +162,8 @@ func (c *Cache) Lookup(lineAddr uint64) (way int, hit bool) {
 	base := c.rowBase(c.setOf(lineAddr))
 	tags := c.tags[base : base+c.ways]
 	want := lineAddr | tagValid
-	for w := range tags {
-		if tags[w] == want {
+	for w, t := range tags {
+		if t&tagKey == want {
 			return w, true
 		}
 	}
@@ -166,32 +179,26 @@ func (c *Cache) Access(lineAddr, pc uint64, store bool) (hit, wasPrefetch bool) 
 	base := c.rowBase(set)
 	tags := c.tags[base : base+c.ways]
 	want := lineAddr | tagValid
-	way := -1
-	for w := range tags {
-		if tags[w] == want {
-			way = w
-			break
+	for w, t := range tags {
+		if t&tagKey != want {
+			continue
 		}
+		c.Hits++
+		if p := c.lruFast; p != nil {
+			p.touch(set, w)
+		} else {
+			c.repl.Hit(set, w, pc)
+		}
+		wasPrefetch = t&tagPrefetch != 0
+		t &^= tagPrefetch
+		if store {
+			t |= tagDirty
+		}
+		tags[w] = t
+		return true, wasPrefetch
 	}
-	if way < 0 {
-		c.Misses++
-		return false, false
-	}
-	c.Hits++
-	idx := base + way
-	if p := c.lruFast; p != nil {
-		p.clock++
-		p.stamp[idx] = p.clock
-	} else {
-		c.repl.Hit(set, way, pc)
-	}
-	m := &c.meta[idx]
-	wasPrefetch = m.prefetch
-	m.prefetch = false
-	if store {
-		m.dirty = true
-	}
-	return true, wasPrefetch
+	c.Misses++
+	return false, false
 }
 
 // Evicted describes a line pushed out by a fill.
@@ -208,76 +215,89 @@ func (c *Cache) Fill(lineAddr, pc uint64, isPrefetch, dirty bool) Evicted {
 	base := c.rowBase(set)
 	tags := c.tags[base : base+c.ways]
 	want := lineAddr | tagValid
-	// One pass finds both a resident copy (e.g. a racing fill: refresh and
-	// return) and the first invalid way.
+	// One pass finds a resident copy (e.g. a racing fill: refresh and
+	// return) or else the first empty way. Valid ways are a prefix of the
+	// set (see Cache), so no copy lies beyond the first empty way.
 	way := -1
-	for w := range tags {
-		t := tags[w]
-		if t == want {
+	for w, t := range tags {
+		if t&tagValid == 0 {
+			way = w
+			break
+		}
+		if t&tagKey == want {
 			if dirty {
-				c.meta[base+w].dirty = true
+				tags[w] = t | tagDirty
 			}
 			return Evicted{}
 		}
-		if t&tagValid == 0 && way < 0 {
-			way = w
-		}
 	}
 	var out Evicted
+	p := c.lruFast
 	if way < 0 {
-		way = c.repl.Victim(set)
-		idx := base + way
-		m := c.meta[idx]
-		out = Evicted{Line: c.tags[idx] &^ tagValid, Dirty: m.dirty, Valid: true}
-		c.repl.Evict(set, way, !m.prefetch) // untouched prefetch counts as dead on arrival
+		if p != nil {
+			way = p.Victim(set)
+		} else {
+			way = c.repl.Victim(set)
+		}
+		t := tags[way]
+		out = Evicted{Line: t & tagLine, Dirty: t&tagDirty != 0, Valid: true}
+		if p == nil {
+			c.repl.Evict(set, way, t&tagPrefetch == 0) // untouched prefetch counts as dead on arrival
+		}
 	}
-	idx := base + way
-	c.tags[idx] = want
-	c.meta[idx] = lineMeta{dirty: dirty, prefetch: isPrefetch}
-	if p := c.lruFast; p != nil {
-		p.clock++
-		p.stamp[idx] = p.clock
+	if dirty {
+		want |= tagDirty
+	}
+	if isPrefetch {
+		want |= tagPrefetch
+	}
+	tags[way] = want
+	if p != nil {
+		p.touch(set, way)
 	} else {
 		c.repl.Fill(set, way, pc, isPrefetch)
 	}
 	return out
 }
 
-// Invalidate removes lineAddr if present and returns whether it was dirty.
-func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
-	base := c.rowBase(c.setOf(lineAddr))
-	tags := c.tags[base : base+c.ways]
-	want := lineAddr | tagValid
-	for w := range tags {
-		if tags[w] == want {
-			c.tags[base+w] = 0
-			return true, c.meta[base+w].dirty
-		}
-	}
-	return false, false
-}
-
 // ResetStats clears hit/miss counters (contents are preserved).
 func (c *Cache) ResetStats() { c.Hits, c.Misses = 0, 0 }
 
-// lru is least-recently-used replacement via a monotonic use stamp.
+// lru is least-recently-used replacement. Each set's recency order is one
+// word of 4-bit way numbers: nibble 0 is the most recently used way and
+// nibble ways-1 the victim. A fresh set holds ways-1, …, 1, 0 from nibble
+// 0 up, so ways never touched leave lowest index first.
 type lru struct {
-	ways  int
-	stamp []int64
-	clock int64
+	order []uint64
+	// victimShift is 4*(ways-1), the bit offset of the victim's nibble.
+	victimShift uint
 }
+
+// nibbles1 and nibbles8 repeat 0x1 and 0x8 in every nibble of a word.
+const (
+	nibbles1 = 0x1111111111111111
+	nibbles8 = 0x8888888888888888
+)
 
 // NewLRU returns an LRU replacement policy.
 func NewLRU(sets, ways int) Replacement { return recycleLRU(sets, ways, nil) }
 
-// recycleLRU builds an LRU policy on old's stamp array when old is an LRU
+// recycleLRU builds an LRU policy on old's order array when old is an LRU
 // policy of the same geometry.
 func recycleLRU(sets, ways int, old Replacement) Replacement {
 	o, ok := old.(*lru)
 	if !ok {
 		o = &lru{}
 	}
-	return &lru{ways: ways, stamp: reuse(&o.stamp, sets*ways)}
+	p := &lru{order: reuse(&o.order, sets), victimShift: 4 * uint(ways-1)}
+	var fresh uint64
+	for w := 0; w < ways; w++ {
+		fresh = fresh<<4 | uint64(w)
+	}
+	for i := range p.order {
+		p.order[i] = fresh
+	}
+	return p
 }
 
 // reuse returns *old cleared and detaches it (*old becomes nil) when it
@@ -292,9 +312,20 @@ func reuse[T any](old *[]T, n int) []T {
 	return s
 }
 
+// touch moves way to the front of set's order. The nibble that holds way
+// is the lowest zero nibble of order^(way in every nibble); the classic
+// has-zero-byte test, on nibbles, flags it by its high bit. Nibbles below
+// it move up by one and way takes nibble 0; nibbles above it stay.
 func (p *lru) touch(set, way int) {
-	p.clock++
-	p.stamp[set*p.ways+way] = p.clock
+	o := p.order[set]
+	w := uint64(way)
+	if o&15 == w {
+		return
+	}
+	x := o ^ w*nibbles1
+	pos := uint(bits.TrailingZeros64((x-nibbles1)&^x&nibbles8)) - 3 // 4 × way's nibble
+	below := uint64(1)<<pos - 1
+	p.order[set] = o&^(below<<4|15) | (o&below)<<4 | w
 }
 
 // Hit implements Replacement.
@@ -303,18 +334,9 @@ func (p *lru) Hit(set, way int, pc uint64) { p.touch(set, way) }
 // Fill implements Replacement.
 func (p *lru) Fill(set, way int, pc uint64, prefetch bool) { p.touch(set, way) }
 
-// Victim implements Replacement.
-func (p *lru) Victim(set int) int {
-	base := set * p.ways
-	st := p.stamp[base : base+p.ways]
-	best, bestStamp := 0, st[0]
-	for w := 1; w < len(st); w++ {
-		if st[w] < bestStamp {
-			best, bestStamp = w, st[w]
-		}
-	}
-	return best
-}
+// Victim implements Replacement: the way in the last nibble of set's
+// order.
+func (p *lru) Victim(set int) int { return int(p.order[set] >> p.victimShift & 15) }
 
 // Evict implements Replacement.
 func (p *lru) Evict(set, way int, reused bool) {}

@@ -1,9 +1,25 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// line is one way's state, as tests read it.
+type line struct {
+	tag      uint64
+	valid    bool
+	dirty    bool
+	prefetch bool
+}
+
+// at reads one way's state out of its tag word.
+func (c *Cache) at(set, way int) line {
+	t := c.tags[set*c.ways+way]
+	return line{tag: t & tagLine, valid: t&tagValid != 0, dirty: t&tagDirty != 0, prefetch: t&tagPrefetch != 0}
+}
 
 func newLRUCache(sizeKB, ways int) *Cache {
 	return NewCache("test", sizeKB, ways, NewLRU)
@@ -112,21 +128,6 @@ func TestFillIdempotentWhenPresent(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := newLRUCache(32, 8)
-	c.Fill(42, 0, false, true)
-	present, dirty := c.Invalidate(42)
-	if !present || !dirty {
-		t.Errorf("Invalidate = (%v,%v)", present, dirty)
-	}
-	if _, hit := c.Lookup(42); hit {
-		t.Error("line still present after invalidation")
-	}
-	if present, _ := c.Invalidate(42); present {
-		t.Error("double invalidation should report absent")
-	}
-}
-
 func TestResetStatsKeepsContents(t *testing.T) {
 	c := newLRUCache(32, 8)
 	c.Fill(9, 0, false, false)
@@ -176,5 +177,97 @@ func TestLookupAfterFillProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCacheMatchesReference drives the cache and the reference cache
+// (reference_test.go) through the same random Fill, Access and Lookup
+// sequences and compares every result, both hit counters and every way's
+// state after each step. It covers LRU at 1, 2, 3, 4, 8 and 16 ways and
+// SHiP and DRRIP beside it. The line pool holds about twice a set's
+// ways per set, so hits, refills of resident lines and evictions are all
+// common, and it includes the largest line address.
+func TestCacheMatchesReference(t *testing.T) {
+	policies := []struct {
+		name      string
+		repl, ref func(sets, ways int) Replacement
+	}{
+		{"lru", NewLRU, newRefLRU},
+		{"ship", NewSHiP, NewSHiP},
+		{"drrip", NewDRRIP, NewDRRIP},
+	}
+	const sets = 16
+	for _, pol := range policies {
+		for _, ways := range []int{1, 2, 3, 4, 8, 16} {
+			t.Run(fmt.Sprintf("%s/%dway", pol.name, ways), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(ways)))
+				c := NewCache("test", ways, ways, pol.repl) // 16 sets
+				ref := newRefCache(sets, ways, pol.ref(sets, ways))
+				pool := []uint64{tagLine, 0}
+				for len(pool) < 2*sets*ways {
+					pool = append(pool, rng.Uint64()>>6)
+				}
+				for step := 0; step < 20_000; step++ {
+					l := pool[rng.Intn(len(pool))]
+					pc := 0x400 + uint64(rng.Intn(8))*4
+					var got, want any
+					switch op := rng.Intn(3); op {
+					case 0:
+						pf, dirty := rng.Intn(2) == 0, rng.Intn(4) == 0
+						got, want = c.Fill(l, pc, pf, dirty), ref.Fill(l, pc, pf, dirty)
+					case 1:
+						store := rng.Intn(4) == 0
+						h1, p1 := c.Access(l, pc, store)
+						h2, p2 := ref.Access(l, pc, store)
+						got, want = [2]bool{h1, p1}, [2]bool{h2, p2}
+					case 2:
+						w1, h1 := c.Lookup(l)
+						w2, h2 := ref.Lookup(l)
+						got, want = fmt.Sprint(w1, h1), fmt.Sprint(w2, h2)
+					}
+					if got != want {
+						t.Fatalf("step %d, op on line %#x: got %v, want %v", step, l, got, want)
+					}
+					if c.Hits != ref.hits || c.Misses != ref.misses {
+						t.Fatalf("step %d: hits/misses %d/%d, want %d/%d", step, c.Hits, c.Misses, ref.hits, ref.misses)
+					}
+					for s := 0; s < sets; s++ {
+						for w := 0; w < ways; w++ {
+							if g, r := c.at(s, w), ref.at(s, w); g != r {
+								t.Fatalf("step %d: set %d way %d holds %+v, want %+v", step, s, w, g, r)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestLRUMatchesReference drives LRU replacement on its own, without a
+// cache, against the stamp-based reference: random Hit and Fill touches
+// and Victim queries, on fresh and partly touched sets too, at every
+// associativity from 1 to 16.
+func TestLRUMatchesReference(t *testing.T) {
+	const sets = 4
+	for ways := 1; ways <= maxWays; ways++ {
+		rng := rand.New(rand.NewSource(int64(ways)))
+		p, ref := NewLRU(sets, ways), newRefLRU(sets, ways)
+		for step := 0; step < 5000; step++ {
+			set, way := rng.Intn(sets), rng.Intn(ways)
+			switch rng.Intn(3) {
+			case 0:
+				p.Hit(set, way, 0)
+				ref.Hit(set, way, 0)
+			case 1:
+				p.Fill(set, way, 0, false)
+				ref.Fill(set, way, 0, false)
+			}
+			for s := 0; s < sets; s++ {
+				if got, want := p.Victim(s), ref.Victim(s); got != want {
+					t.Fatalf("%d ways, step %d: set %d victim %d, want %d", ways, step, s, got, want)
+				}
+			}
+		}
 	}
 }

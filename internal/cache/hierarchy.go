@@ -81,6 +81,18 @@ func (c Config) Validate() error {
 	if c.PrefetchBudget <= 0 {
 		return fmt.Errorf("cache: prefetch budget must be positive, got %d", c.PrefetchBudget)
 	}
+	for _, g := range []struct {
+		name         string
+		sizeKB, ways int
+	}{
+		{"L1", c.L1SizeKB, c.L1Ways},
+		{"L2", c.L2SizeKB, c.L2Ways},
+		{"LLC", c.LLCSizeKBPerCore * c.Cores, c.LLCWays},
+	} {
+		if _, err := geometry(g.sizeKB, g.ways); err != nil {
+			return fmt.Errorf("cache: %s: %w", g.name, err)
+		}
+	}
 	switch c.LLCPolicy {
 	case "", "ship", "drrip", "lru":
 	default:
@@ -282,10 +294,12 @@ type Hierarchy struct {
 func NewHierarchy(cfg Config) (*Hierarchy, error) { return Recycle(cfg, nil) }
 
 // Recycle builds the memory system for cfg exactly as NewHierarchy does,
-// but takes the large per-line arrays (tags, metadata, LRU stamps, SHiP
-// lines and SHCT, DRRIP RRPVs) from spare wherever an array of the same
-// size is there, clearing each before use. A small simulation otherwise
-// spends a sizeable share of its time zeroing freshly allocated pages.
+// but takes the large per-line arrays (tags, LRU order words, SHiP lines
+// and SHCT, DRRIP RRPVs, each core's outstanding-miss table) from spare
+// wherever an array of the same size is there, clearing each before use.
+// It takes each core's miss heap and entry pool as they are. A small
+// simulation otherwise spends a sizeable share of its time zeroing
+// freshly allocated pages.
 // spare may be nil. Its caches are detached either way: spare must not be
 // used again, and any later access through it panics instead of reading
 // another run's state.
@@ -318,7 +332,9 @@ func Recycle(cfg Config, spare *Hierarchy) (*Hierarchy, error) {
 			l1:          recycleCache(fmt.Sprintf("L1D%d", i), cfg.L1SizeKB, cfg.L1Ways, recycleLRU, old.l1),
 			l2:          recycleCache(fmt.Sprintf("L2_%d", i), cfg.L2SizeKB, cfg.L2Ways, recycleLRU, old.l2),
 			l2pf:        prefetch.None{},
-			outstanding: newMissTable(cfg.MSHRs + cfg.PrefetchBudget),
+			outstanding: newMissTable(cfg.MSHRs+cfg.PrefetchBudget, old.outstanding),
+			pending:     old.pending,
+			free:        old.free,
 		}
 		if cfg.Translate {
 			h.cores[i].mmu = xlat.NewMMU(uint64(i) + 1)
@@ -328,14 +344,17 @@ func Recycle(cfg Config, spare *Hierarchy) (*Hierarchy, error) {
 	return h, nil
 }
 
-// Spare moves h's per-line arrays into a hierarchy that holds nothing
-// else, for a later Recycle: unlike h, it keeps no prefetcher, DRAM
-// controller or MMU alive while it waits. h's caches are detached, so h
-// must not be used again, and any later access through it panics.
+// Spare moves h's per-line arrays and miss bookkeeping into a hierarchy
+// that holds nothing else, for a later Recycle: unlike h, it keeps no
+// prefetcher, DRAM controller or MMU alive while it waits. h's caches are
+// detached, so h must not be used again, and any later access through it
+// panics.
 func (h *Hierarchy) Spare() *Hierarchy {
 	s := &Hierarchy{cfg: h.cfg, llc: h.llc, cores: make([]corePipes, len(h.cores))}
 	for i, cp := range h.cores {
-		s.cores[i] = corePipes{l1: cp.l1, l2: cp.l2}
+		// A canceled run's misses still in flight are dropped: the heap is
+		// emptied here and Recycle clears the miss table.
+		s.cores[i] = corePipes{l1: cp.l1, l2: cp.l2, outstanding: cp.outstanding, pending: cp.pending[:0], free: cp.free}
 	}
 	h.cores, h.llc = nil, nil
 	return s
@@ -468,28 +487,22 @@ func (h *Hierarchy) Access(core int, pc, addr uint64, store bool, cycle int64) i
 	// Optional L1 prefetcher trains on every L1 access. The L1 probe is
 	// cache.Access hand-inlined (same package): one call boundary per
 	// record matters at this loop's rate, and the L1 always runs the
-	// devirtualized LRU. Behaviour is identical to cp.l1.Access.
+	// devirtualized LRU. No L1 line carries the prefetch bit (L1 fills
+	// never set it), so a hit has no prefetch flag to report or clear.
+	// Behaviour is identical to cp.l1.Access.
 	l1 := cp.l1
-	l1Hit, l1WasPf := false, false
+	l1Hit := false
 	{
-		base := int(lineAddr&uint64(l1.sets-1)) * l1.ways
+		set := int(lineAddr & uint64(l1.sets-1))
+		base := set * l1.ways
 		tags := l1.tags[base : base+l1.ways]
 		want := lineAddr | tagValid
-		for w := range tags {
-			if tags[w] == want {
+		for w, t := range tags {
+			if t&tagKey == want {
 				l1.Hits++
-				idx := base + w
-				if p := l1.lruFast; p != nil {
-					p.clock++
-					p.stamp[idx] = p.clock
-				} else {
-					l1.repl.Hit(base/l1.ways, w, pc)
-				}
-				m := &l1.meta[idx]
-				l1WasPf = m.prefetch
-				m.prefetch = false
+				l1.lruFast.touch(set, w)
 				if store {
-					m.dirty = true
+					tags[w] = t | tagDirty
 				}
 				l1Hit = true
 				break
@@ -503,11 +516,10 @@ func (h *Hierarchy) Access(core int, pc, addr uint64, store bool, cycle int64) i
 		for _, cand := range cp.l1pf.Train(prefetch.Access{
 			PC: pc, Line: lineAddr, Cycle: cycle, Hit: l1Hit, Store: store,
 		}) {
-			h.issuePrefetch(core, pc, cand, cycle, true)
+			h.issuePrefetch(core, pc, cand, cycle)
 		}
 	}
 	if l1Hit {
-		_ = l1WasPf
 		return cycle + h.cfg.L1Latency
 	}
 	cp.stats.L1Misses++
@@ -534,7 +546,7 @@ func (h *Hierarchy) Access(core int, pc, addr uint64, store bool, cycle int64) i
 	done := h.demandLookup(core, pc, lineAddr, store, arr, inFlight, l2Hit, l2WasPf)
 
 	for _, cand := range cands {
-		h.issuePrefetch(core, pc, cand, cycle, false)
+		h.issuePrefetch(core, pc, cand, cycle)
 	}
 	return done
 }
@@ -609,11 +621,11 @@ func (h *Hierarchy) demandLookup(core int, pc, lineAddr uint64, store bool, arr 
 	return done
 }
 
-// issuePrefetch injects one prefetch candidate. fillL1 marks multi-level
-// (L1) prefetches that should also fill the L1 on completion; for
-// simplicity both kinds fill L2+LLC and L1 fills are approximated by L2
-// fills, which the 4-cycle L1 latency makes near-equivalent.
-func (h *Hierarchy) issuePrefetch(core int, pc, lineAddr uint64, cycle int64, fillL1 bool) {
+// issuePrefetch injects one prefetch candidate. Candidates of the L1
+// prefetcher (multi-level schemes) would also fill the L1 on completion;
+// for simplicity both kinds fill L2+LLC and L1 fills are approximated by
+// L2 fills, which the 4-cycle L1 latency makes near-equivalent.
+func (h *Hierarchy) issuePrefetch(core int, pc, lineAddr uint64, cycle int64) {
 	cp := &h.cores[core]
 	if cp.outstanding.get(lineAddr) != nil {
 		cp.stats.PfDropped++
@@ -653,7 +665,6 @@ func (h *Hierarchy) issuePrefetch(core int, pc, lineAddr uint64, cycle int64, fi
 	cp.outstanding.put(lineAddr, e)
 	cp.pfOut++
 	cp.pending.pushEntry(e)
-	_ = fillL1
 }
 
 // Flush drains every outstanding miss (used at end of simulation so fills

@@ -37,6 +37,50 @@ func TestHierarchyValidation(t *testing.T) {
 	}
 }
 
+// TestValidateCacheGeometry checks that Validate rejects every cache
+// geometry NewHierarchy cannot build, so a bad configuration comes back as
+// an error instead of a panic, and that it accepts unusual geometries
+// that can be built.
+func TestValidateCacheGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		ok   bool
+	}{
+		{"L2 100KB", func(c *Config) { c.L2SizeKB = 100 }, false},
+		{"L1 0 ways", func(c *Config) { c.L1Ways = 0 }, false},
+		{"L1 17 ways", func(c *Config) { c.L1Ways = 17 }, false},
+		{"L2 -8 ways", func(c *Config) { c.L2Ways = -8 }, false},
+		{"LLC 32 ways", func(c *Config) { c.LLCWays = 32 }, false},
+		{"L1 0KB", func(c *Config) { c.L1SizeKB = 0 }, false},
+		{"L2 -256KB", func(c *Config) { c.L2SizeKB = -256 }, false},
+		{"LLC 0KB", func(c *Config) { c.LLCSizeKBPerCore = 0 }, false},
+		{"LLC 3000KB", func(c *Config) { c.LLCSizeKBPerCore = 3000 }, false},
+		{"L1 1KB 32 ways", func(c *Config) { c.L1SizeKB, c.L1Ways = 1, 32 }, false},
+		{"Table 5", func(c *Config) {}, true},
+		{"L1 direct-mapped", func(c *Config) { c.L1Ways = 1 }, true},
+		{"L1 48KB 3 ways", func(c *Config) { c.L1SizeKB, c.L1Ways = 48, 3 }, true},
+		{"L2 16 ways", func(c *Config) { c.L2Ways = 16 }, true},
+		{"LLC 1 way", func(c *Config) { c.LLCWays = 1 }, true},
+	} {
+		cfg := DefaultConfig(2)
+		tc.mut(&cfg)
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: NewHierarchy panicked: %v", tc.name, r)
+				}
+			}()
+			if _, err := NewHierarchy(cfg); (err == nil) != tc.ok {
+				t.Errorf("%s: NewHierarchy error %v, want ok=%v", tc.name, err, tc.ok)
+			}
+		}()
+	}
+}
+
 func TestL1HitLatency(t *testing.T) {
 	h := newTestHierarchy(t, 1)
 	addr := uint64(1 << 20)
@@ -425,6 +469,7 @@ func TestRecycleDetachesSpare(t *testing.T) {
 		t.Fatal("the used hierarchy never filled the line")
 	}
 	llcTags := &used.llc.tags[0]
+	missLines := &used.cores[0].outstanding.lines[0]
 	spare := used.Spare()
 	mustPanic("the used hierarchy", func() { used.Access(0, 1, line<<6, false, done+10) })
 	h, err := Recycle(cfg, spare)
@@ -433,6 +478,9 @@ func TestRecycleDetachesSpare(t *testing.T) {
 	}
 	if &h.llc.tags[0] != llcTags {
 		t.Error("Recycle allocated a fresh LLC instead of taking the spare's")
+	}
+	if mt := h.cores[0].outstanding; &mt.lines[0] != missLines || mt.size() != 0 {
+		t.Errorf("Recycle did not take the spare's miss table cleared (%d entries)", mt.size())
 	}
 	if _, hit := h.llc.Lookup(line); hit {
 		t.Error("a recycled LLC still holds the used hierarchy's line")

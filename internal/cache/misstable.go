@@ -18,8 +18,9 @@ type missTable struct {
 }
 
 // newMissTable sizes the table to keep load factor at or below 25% for
-// capacity live entries.
-func newMissTable(capacity int) *missTable {
+// capacity live entries. It takes over old's arrays, cleared, when they
+// are of that size (old may be nil; see reuse).
+func newMissTable(capacity int, old *missTable) *missTable {
 	size := 16
 	for size < 4*capacity {
 		size <<= 1
@@ -28,11 +29,14 @@ func newMissTable(capacity int) *missTable {
 	for 1<<b < size {
 		b++
 	}
+	if old == nil {
+		old = &missTable{}
+	}
 	return &missTable{
 		mask:       uint64(size - 1),
 		probeShift: 64 - b,
-		lines:      make([]uint64, size),
-		entries:    make([]*missEntry, size),
+		lines:      reuse(&old.lines, size),
+		entries:    reuse(&old.entries, size),
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // collisions at bounded occupancy) and checks they always agree.
 func TestMissTableMatchesMap(t *testing.T) {
 	const capacity = 96 // MSHRs + PrefetchBudget at the Table 5 default
-	tab := newMissTable(capacity)
+	tab := newMissTable(capacity, nil)
 	ref := make(map[uint64]*missEntry)
 	rng := rand.New(rand.NewSource(1))
 

@@ -375,8 +375,8 @@ func TestRunAllocDoesNotScaleWithTraceLen(t *testing.T) {
 
 // TestWarmRunRecyclesHierarchy pins what a warmed run allocates: a
 // second 1-core run takes its predecessor's hierarchy arrays (about
-// 600 KB of tags, metadata, LRU stamps and SHiP state) from the pool
-// instead of allocating and zeroing fresh ones.
+// 500 KB of tags, LRU order words, SHiP state and the miss table) from
+// the pool instead of allocating and zeroing fresh ones.
 func TestWarmRunRecyclesHierarchy(t *testing.T) {
 	t.Cleanup(ResetCaches)
 	spec := RunSpec{Mix: tinyMix(t), CacheCfg: cache.DefaultConfig(1), Scale: tinyScale, PF: Baseline()}
