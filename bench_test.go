@@ -275,18 +275,23 @@ func BenchmarkDRAMRead(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceGen materializes one workload at perfbench's
+// sim-pythia-1c trace length, so the per-trace setup (spec, actors, seeding)
+// is amortized as it is in a simulation run, reporting Mrec/s.
 func BenchmarkTraceGen(b *testing.B) {
+	const n = 200_000
 	w, ok := trace.ByName("482.sphinx3-100B")
 	if !ok {
 		b.Fatal("missing workload")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := w.Generate(10_000)
-		if len(t.Records) == 0 {
-			b.Fatal("empty trace")
+		t := w.Generate(n)
+		if len(t.Records) != n {
+			b.Fatalf("generated %d records, want %d", len(t.Records), n)
 		}
 	}
+	b.ReportMetric(float64(b.N)*n/1e6/b.Elapsed().Seconds(), "Mrec/s")
 }
 
 // --- Trace-delivery benches (streaming vs materialized, PERF.md) ---

@@ -41,9 +41,8 @@ type Replacement interface {
 	// Victim picks the way to evict in set (invalid ways are handled by the
 	// cache before calling Victim).
 	Victim(set int) int
-	// Evict notes that (set, way) was evicted; reused reports whether the
-	// line saw a demand hit during residency (used by SHiP training).
-	Evict(set, way int, reused bool)
+	// Evict notes that (set, way) was evicted.
+	Evict(set, way int)
 }
 
 // Cache is a single set-associative cache level. Its storage is one tag
@@ -242,7 +241,7 @@ func (c *Cache) Fill(lineAddr, pc uint64, isPrefetch, dirty bool) Evicted {
 		t := tags[way]
 		out = Evicted{Line: t & tagLine, Dirty: t&tagDirty != 0, Valid: true}
 		if p == nil {
-			c.repl.Evict(set, way, t&tagPrefetch == 0) // untouched prefetch counts as dead on arrival
+			c.repl.Evict(set, way)
 		}
 	}
 	if dirty {
@@ -339,4 +338,4 @@ func (p *lru) Fill(set, way int, pc uint64, prefetch bool) { p.touch(set, way) }
 func (p *lru) Victim(set int) int { return int(p.order[set] >> p.victimShift & 15) }
 
 // Evict implements Replacement.
-func (p *lru) Evict(set, way int, reused bool) {}
+func (p *lru) Evict(set, way int) {}

@@ -106,4 +106,4 @@ func (d *drrip) Victim(set int) int {
 }
 
 // Evict implements Replacement.
-func (d *drrip) Evict(set, way int, reused bool) {}
+func (d *drrip) Evict(set, way int) {}

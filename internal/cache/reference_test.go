@@ -84,7 +84,7 @@ func (c *refCache) Fill(lineAddr, pc uint64, isPrefetch, dirty bool) Evicted {
 		way = c.repl.Victim(set)
 		m := c.meta[base+way]
 		out = Evicted{Line: c.tags[base+way] &^ tagValid, Dirty: m.dirty, Valid: true}
-		c.repl.Evict(set, way, !m.prefetch)
+		c.repl.Evict(set, way)
 	}
 	c.tags[base+way] = lineAddr | tagValid
 	c.meta[base+way] = refMeta{dirty: dirty, prefetch: isPrefetch}
@@ -124,4 +124,4 @@ func (p *refLRU) Victim(set int) int {
 	return best
 }
 
-func (p *refLRU) Evict(set, way int, reused bool) {}
+func (p *refLRU) Evict(set, way int) {}

@@ -107,7 +107,7 @@ func (s *ship) Victim(set int) int {
 }
 
 // Evict implements Replacement.
-func (s *ship) Evict(set, way int, reused bool) {
+func (s *ship) Evict(set, way int) {
 	l := &s.lines[set*s.ways+way]
 	if l.occupied && !l.outcome {
 		if s.shct[l.sig] > 0 {

@@ -41,7 +41,7 @@ func TestSHiPLearnsDeadPCs(t *testing.T) {
 	// Train: lines from deadPC never see hits before eviction.
 	for i := 0; i < 8; i++ {
 		s.Fill(i%16, 0, deadPC, false)
-		s.Evict(i%16, 0, false)
+		s.Evict(i%16, 0)
 	}
 	// New fill from the dead PC must be inserted at max RRPV (immediately
 	// evictable even against an untouched line).
@@ -57,7 +57,7 @@ func TestSHiPLearnsLivePCs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.Fill(2, 1, livePC, false)
 		s.Hit(2, 1, livePC)
-		s.Evict(2, 1, true)
+		s.Evict(2, 1)
 	}
 	s.Fill(3, 0, livePC, false)
 	if got := s.lines[3*4+0].rrpv; got == shipMaxRRPV {

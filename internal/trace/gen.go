@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math"
-	"math/rand"
 
 	"pythia/internal/mem"
 )
@@ -17,7 +16,7 @@ import (
 // Actor produces one access at a time for a single pattern.
 type Actor interface {
 	// Next returns the next (pc, addr, store) triple for this pattern.
-	Next(rng *rand.Rand) (pc, addr uint64, store bool)
+	Next(rng *Rand) (pc, addr uint64, store bool)
 }
 
 // WeightedActor pairs an actor with a selection weight.
@@ -54,13 +53,9 @@ const GenVersion = 1
 // Generate materializes n records from the spec.
 func (s Spec) Generate(name, suite string, n int) *Trace {
 	g := s.Generator(n)
-	recs := make([]Record, 0, max(n, 0))
-	for {
-		rec, ok := g.Next()
-		if !ok {
-			break
-		}
-		recs = append(recs, rec)
+	recs := make([]Record, g.Remaining())
+	for i := range recs {
+		recs[i], _ = g.Next()
 	}
 	return &Trace{Name: name, Suite: suite, Records: recs}
 }
@@ -69,30 +64,39 @@ func (s Spec) Generate(name, suite string, n int) *Trace {
 // Generate materializes them, so callers can stream arbitrarily long traces
 // in constant memory. It implements Iter.
 type Gen struct {
-	spec     Spec
-	rng      *rand.Rand
-	total    int
-	hotLines int
-	hotBase  uint64
-	left     int
+	spec Spec
+	rng  *Rand
+	// The per-record Intn draws' divisors: the hot line, the gap and the
+	// actor pick.
+	hotLine, gap, pick divisor
+	hotBase            uint64
+	left               int
 }
 
 // Generator returns an iterator over the first n records of the spec. The
 // spec's actors carry state, so each Generator call needs a fresh Spec
 // (e.g. from Workload.Spec).
 func (s Spec) Generator(n int) *Gen {
-	g := &Gen{spec: s, rng: rand.New(rand.NewSource(s.Seed)), left: n, hotBase: region(30)}
-	for _, wa := range s.Actors {
-		g.total += wa.Weight
-	}
-	g.hotLines = s.HotLines
-	if g.hotLines <= 0 {
-		g.hotLines = 192
-	}
-	if g.total == 0 {
+	g := &Gen{spec: s, rng: NewRand(s.Seed), left: n, hotBase: region(30)}
+	total := s.totalWeight()
+	if total == 0 {
 		g.left = 0
 	}
+	hotLines := s.HotLines
+	if hotLines <= 0 {
+		hotLines = 192
+	}
+	g.hotLine, g.gap, g.pick = newDivisor(hotLines), newDivisor(2*s.MeanGap+1), newDivisor(total)
 	return g
+}
+
+// totalWeight sums the actors' selection weights.
+func (s Spec) totalWeight() int {
+	total := 0
+	for _, wa := range s.Actors {
+		total += wa.Weight
+	}
+	return total
 }
 
 // Remaining returns how many records the generator has yet to produce.
@@ -128,10 +132,10 @@ func (g *Gen) Next() (Record, bool) {
 	g.left--
 	s, rng := &g.spec, g.rng
 	if s.HotFrac > 0 && rng.Float64() < s.HotFrac {
-		l := rng.Intn(g.hotLines)
+		l := rng.intn(&g.hotLine)
 		gap := 0
 		if s.MeanGap > 0 {
-			gap = rng.Intn(2*s.MeanGap + 1)
+			gap = rng.intn(&g.gap)
 		}
 		return Record{
 			PC:     0xA00000 + uint64(l&7)*4,
@@ -140,7 +144,7 @@ func (g *Gen) Next() (Record, bool) {
 			Store:  rng.Float64() < s.StoreFrac,
 		}, true
 	}
-	pick := rng.Intn(g.total)
+	pick := rng.intn(&g.pick)
 	var act Actor
 	for _, wa := range s.Actors {
 		if pick < wa.Weight {
@@ -157,7 +161,7 @@ func (g *Gen) Next() (Record, bool) {
 	if s.MeanGap > 0 {
 		// Geometric-ish gap with the requested mean, capped to fit
 		// the record field.
-		gap = rng.Intn(2*s.MeanGap + 1)
+		gap = rng.intn(&g.gap)
 	}
 	return Record{PC: pc, Addr: addr, NonMem: uint16(gap), Store: store}, true
 }
@@ -186,7 +190,7 @@ type StreamActor struct {
 }
 
 // Next implements Actor.
-func (a *StreamActor) Next(rng *rand.Rand) (uint64, uint64, bool) {
+func (a *StreamActor) Next(rng *Rand) (uint64, uint64, bool) {
 	if a.left <= 0 {
 		a.region++
 		a.nexLine = mem.LineAddr(a.Base + uint64(a.region)*(1<<21)) // fresh 2MB region
@@ -224,7 +228,7 @@ type StrideActor struct {
 }
 
 // Next implements Actor.
-func (a *StrideActor) Next(rng *rand.Rand) (uint64, uint64, bool) {
+func (a *StrideActor) Next(rng *Rand) (uint64, uint64, bool) {
 	line := mem.LineAddr(a.Base) + uint64(a.pos)
 	a.pos += a.Stride
 	if a.Lines > 0 && a.pos >= a.Lines {
@@ -265,7 +269,7 @@ type deltaWalker struct {
 }
 
 // Next implements Actor.
-func (a *DeltaChainActor) Next(rng *rand.Rand) (uint64, uint64, bool) {
+func (a *DeltaChainActor) Next(rng *Rand) (uint64, uint64, bool) {
 	if a.walkers == nil {
 		p := a.Parallel
 		if p <= 0 {
@@ -334,7 +338,7 @@ type regionWalker struct {
 }
 
 // Next implements Actor.
-func (a *RegionActor) Next(rng *rand.Rand) (uint64, uint64, bool) {
+func (a *RegionActor) Next(rng *Rand) (uint64, uint64, bool) {
 	if a.walkers == nil {
 		p := a.Parallel
 		if p <= 0 {
@@ -397,7 +401,7 @@ type ChaseActor struct {
 }
 
 // Next implements Actor.
-func (a *ChaseActor) Next(rng *rand.Rand) (uint64, uint64, bool) {
+func (a *ChaseActor) Next(rng *Rand) (uint64, uint64, bool) {
 	if a.perm == nil {
 		n := a.Lines
 		if n <= 0 {
@@ -407,7 +411,11 @@ func (a *ChaseActor) Next(rng *rand.Rand) (uint64, uint64, bool) {
 		for i := range a.perm {
 			a.perm[i] = int32(i)
 		}
-		rng.Shuffle(n, func(i, j int) { a.perm[i], a.perm[j] = a.perm[j], a.perm[i] })
+		// rng.Shuffle's swaps, made in place.
+		for i := n - 1; i > 0; i-- {
+			j := rng.shuffleIndex(i)
+			a.perm[i], a.perm[j] = a.perm[j], a.perm[i]
+		}
 	}
 	line := mem.LineAddr(a.Base) + uint64(a.perm[a.cur])
 	a.cur = int(a.perm[a.cur])
@@ -437,7 +445,7 @@ type GraphActor struct {
 }
 
 // Next implements Actor.
-func (a *GraphActor) Next(rng *rand.Rand) (uint64, uint64, bool) {
+func (a *GraphActor) Next(rng *Rand) (uint64, uint64, bool) {
 	if a.burst > 0 {
 		a.burst--
 		a.burstAt++
@@ -473,22 +481,26 @@ type ZipfActor struct {
 	Base  uint64
 	Lines int
 	Theta float64 // skew; higher = more concentrated
+	exp   float64 // the power-law exponent, from Theta on the first Next
 }
 
 // Next implements Actor.
-func (a *ZipfActor) Next(rng *rand.Rand) (uint64, uint64, bool) {
+func (a *ZipfActor) Next(rng *Rand) (uint64, uint64, bool) {
 	n := a.Lines
 	if n <= 0 {
 		n = 1 << 18
 	}
+	if a.exp == 0 {
+		theta := a.Theta
+		if theta <= 0 {
+			theta = 0.99
+		}
+		a.exp = 1 / (1 - theta + 1e-9)
+	}
 	// Approximate Zipf via a power-law transform of a uniform draw; exact
 	// Zipf normalization is unnecessary for traffic shaping.
 	u := rng.Float64()
-	theta := a.Theta
-	if theta <= 0 {
-		theta = 0.99
-	}
-	idx := int(float64(n) * math.Pow(u, 1/(1-theta+1e-9)))
+	idx := int(float64(n) * math.Pow(u, a.exp))
 	if idx >= n {
 		idx = n - 1
 	}
@@ -510,7 +522,7 @@ type TemporalActor struct {
 }
 
 // Next implements Actor.
-func (a *TemporalActor) Next(rng *rand.Rand) (uint64, uint64, bool) {
+func (a *TemporalActor) Next(rng *Rand) (uint64, uint64, bool) {
 	if !a.built {
 		n := a.Len
 		if n <= 0 {

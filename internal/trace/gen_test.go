@@ -1,13 +1,12 @@
 package trace
 
 import (
-	"math/rand"
 	"testing"
 
 	"pythia/internal/mem"
 )
 
-func newRNG() *rand.Rand { return rand.New(rand.NewSource(7)) }
+func newRNG() *Rand { return NewRand(7) }
 
 func TestStreamActorSequential(t *testing.T) {
 	a := &StreamActor{PC: 0x100, Base: 1 << 30, Dir: 1, Span: 100, SkipProb: -1}

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Mix is a multi-programmed workload: one trace name per core, following the
 // paper's multi-core methodology (§5.1).
@@ -41,7 +38,7 @@ func HomogeneousMix(w Workload, n int) Mix {
 // HeterogeneousMixes builds count random n-core mixes drawn from the given
 // workload pool, deterministically from seed.
 func HeterogeneousMixes(pool []Workload, n, count int, seed int64) []Mix {
-	rng := rand.New(rand.NewSource(seed))
+	rng := NewRand(seed)
 	mixes := make([]Mix, 0, count)
 	for i := 0; i < count; i++ {
 		m := Mix{Name: fmt.Sprintf("Mix-%d", i+1)}

@@ -72,7 +72,10 @@ func (w Workload) NumRecords(n int) int {
 	if w.fixed != nil {
 		return len(w.fixed.Records)
 	}
-	return w.Spec().Generator(n).Remaining()
+	if n <= 0 || w.Spec().totalWeight() == 0 {
+		return 0
+	}
+	return n
 }
 
 // Key returns a deterministic identity for the first n records of the
