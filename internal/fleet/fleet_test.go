@@ -32,7 +32,10 @@ import (
 
 // chaosScale is big enough that the kill reliably lands mid-simulation
 // and parametric so every process resolves it without a shared table.
-const chaosScale = "custom:warmup=100000,sim=8000000,tracelen=100000,wps=1,mixes=1"
+// Its fig7 job runs 25 simulations of about 40M instructions each,
+// several seconds on a 2-vCPU linux/amd64 host, so a kill sent 500 ms
+// after the worker is seen busy finds the job still running.
+const chaosScale = "custom:warmup=100000,sim=40000000,tracelen=100000,wps=1,mixes=1"
 
 // TestFleetWorkerProcess is the worker process body, not a test in its
 // own right: it drains the shared journal until killed or SIGTERMed.

@@ -76,6 +76,26 @@ func TestGeneratorRemaining(t *testing.T) {
 	}
 }
 
+// TestNumRecordsMatchesGenerate checks the count NumRecords computes from
+// the spec against what Generate produces, degenerate specs and lengths
+// included.
+func TestNumRecordsMatchesGenerate(t *testing.T) {
+	gems, _ := ByName("459.GemsFDTD-100B")
+	for _, w := range []Workload{
+		gems,
+		{Name: "empty", Spec: func() Spec { return Spec{} }},
+		{Name: "zero-weight", Spec: func() Spec {
+			return Spec{Actors: []WeightedActor{{&StrideActor{Stride: 1}, 0}}}
+		}},
+	} {
+		for _, n := range []int{-3, 0, 1, 10} {
+			if got, want := w.NumRecords(n), len(w.Generate(n).Records); got != want {
+				t.Errorf("%s: NumRecords(%d) = %d, Generate made %d", w.Name, n, got, want)
+			}
+		}
+	}
+}
+
 func TestWorkloadKeyDistinguishes(t *testing.T) {
 	a, _ := ByName("459.GemsFDTD-100B")
 	b, _ := ByName("410.bwaves-100B")

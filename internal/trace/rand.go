@@ -16,8 +16,8 @@ import (
 // no copy of math/rand's seed table. TestRandMatchesMathRand pins the
 // equivalence.
 type Rand struct {
-	vec  [rngLen]uint64 // the next 607 outputs, x[n] in slot n mod 607
-	i, j int            // the next output's slot, and the slot 334 on
+	vec [rngLen]uint64 // the next 607 outputs, x[n] in slot n mod 607
+	i   int            // the next output's slot
 }
 
 const (
@@ -28,7 +28,7 @@ const (
 // NewRand returns the stream rand.NewSource(seed) starts.
 func NewRand(seed int64) *Rand {
 	src := rand.NewSource(seed).(rand.Source64)
-	r := &Rand{j: rngLen - rngTap}
+	r := &Rand{}
 	for i := range r.vec {
 		r.vec[i] = src.Uint64()
 	}
@@ -36,19 +36,21 @@ func NewRand(seed int64) *Rand {
 }
 
 // Int63 is rand.Rand.Int63: the source's next output, sign bit cleared.
-// Drawing x[n] replaces it with x[n+607] = x[n] + x[n+334]; slot j holds
-// x[n+334], a seed output or one written 273 draws earlier.
+// Drawing x[n] from slot i replaces it with x[n+607] = x[n] + x[n+334],
+// which takes x[n+334] from slot j = (i+334) mod 607: a seed output or one
+// written 273 draws earlier.
 func (r *Rand) Int63() int64 {
-	i, j := r.i, r.j
+	i := r.i
+	j := i + rngLen - rngTap
+	if i >= rngTap {
+		j = i - rngTap
+	}
 	x := r.vec[i]
 	r.vec[i] = x + r.vec[j]
 	if i++; i == rngLen {
 		i = 0
 	}
-	if j++; j == rngLen {
-		j = 0
-	}
-	r.i, r.j = i, j
+	r.i = i
 	return int64(x &^ (1 << 63))
 }
 
@@ -155,7 +157,7 @@ func (r *Rand) shuffleIndex(i int) int {
 type divisor struct {
 	n     int
 	bound int32  // largest accepted Int31 draw; 0 when n is out of range
-	m     uint64 // ceil(2^64 / n)
+	m     uint64 // ceil(2^64 / n) mod 2^64
 }
 
 func newDivisor(n int) divisor {
@@ -176,6 +178,11 @@ func (r *Rand) intn(d *divisor) int {
 	for v > d.bound {
 		v = r.Int31()
 	}
+	return d.mod(v)
+}
+
+// mod returns v % d.n for a d.n in range.
+func (d *divisor) mod(v int32) int {
 	hi, _ := bits.Mul64(d.m*uint64(v), uint64(d.n))
 	return int(hi)
 }

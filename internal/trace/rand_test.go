@@ -79,11 +79,23 @@ func TestRandShuffleMatchesMathRand(t *testing.T) {
 }
 
 // TestDivisorMatchesIntn checks the fixed-divisor draw against Intn for
-// every n, each on its own stream, so that the rejection path of every n
-// is exercised as often as its bound allows.
+// every n, each on its own stream. A rejection bound off by one would show
+// in a random draw only once in 2^31, so the bound and the remainder are
+// also checked directly: the bound accepts the largest whole number of
+// n-sized runs below 2^31, and mod is exact at the edges of its range.
 func TestDivisorMatchesIntn(t *testing.T) {
 	for _, n := range randNs {
 		d := newDivisor(int(n))
+		if n <= math.MaxInt32 {
+			if accepted := int64(d.bound) + 1; accepted%n != 0 || accepted <= 1<<31-n {
+				t.Errorf("n %d: bound %d accepts %d draws", n, d.bound, accepted)
+			}
+			for _, v := range []int64{0, 1, n - 1, n, n + 1, 2*n - 1, int64(d.bound), math.MaxInt32 - 1, math.MaxInt32} {
+				if v >= 0 && v <= math.MaxInt32 && int64(d.mod(int32(v))) != v%n {
+					t.Errorf("n %d: mod(%d) = %d, want %d", n, v, d.mod(int32(v)), v%n)
+				}
+			}
+		}
 		got, want := NewRand(int64(n)), rand.New(rand.NewSource(int64(n)))
 		for i := 0; i < 5000; i++ {
 			if g, w := got.intn(&d), want.Intn(int(n)); g != w {
