@@ -14,7 +14,8 @@ import (
 // x[n] = x[n-607] + x[n-273] (mod 2^64). Rand takes the source's first 607
 // outputs as its state and continues that recurrence itself, so it needs
 // no copy of math/rand's seed table. TestRandMatchesMathRand pins the
-// equivalence.
+// equivalence. The draw methods are copied from the Go standard library's
+// math/rand (Copyright The Go Authors, BSD-style license).
 type Rand struct {
 	vec [rngLen]uint64 // the next 607 outputs, x[n] in slot n mod 607
 	i   int            // the next output's slot
