@@ -7,6 +7,7 @@ package serve_test
 // restart.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -392,5 +393,60 @@ func TestJournalUnresolvableSpecFailsVisibly(t *testing.T) {
 	}
 	if done.Error == "" {
 		t.Error("unresolvable job carries no error message")
+	}
+}
+
+// compatJournal is a journal directory written by the release before
+// claims lost their lease field: a done record, a running record whose
+// claim carries a lapsed lease_until and names an owner with no
+// heartbeat, and a queued record.
+const compatJournal = "testdata/compat-journal"
+
+// TestCompatJournalRecovers: a server started over a copy of an older
+// release's journal reclaims the terminal record, runs both open jobs to
+// done with their results stored, and leaves no claim behind.
+func TestCompatJournalRecovers(t *testing.T) {
+	harness.ResetCaches()
+	defer harness.ResetCaches()
+	journalDir := copyDir(t, compatJournal)
+	store := results.Open(t.TempDir())
+	srv, err := serve.New(serve.Config{
+		Store:            store,
+		QueueDepth:       4,
+		ProgressInterval: 10 * time.Millisecond,
+		JournalDir:       journalDir,
+		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPServer(t, srv)
+
+	if _, err := os.Stat(filepath.Join(journalDir, "job-1.json")); !os.IsNotExist(err) {
+		t.Errorf("terminal record job-1 not reclaimed at startup (stat: %v)", err)
+	}
+	if code := getJSON(t, ts+"/api/v1/runs/job-1", &struct{}{}); code != http.StatusNotFound {
+		t.Errorf("reclaimed job-1 still listed: %d", code)
+	}
+	for _, id := range []string{"job-2", "job-3"} {
+		done := waitDone(t, ts, id)
+		if done.Status != serve.StatusDone {
+			t.Fatalf("%s ended %q (%s), want done", id, done.Status, done.Error)
+		}
+		if !done.Recovered {
+			t.Errorf("%s not marked recovered", id)
+		}
+		var stored harness.ExperimentPayload
+		if done.Result == nil || !store.Get(harness.ExperimentKey(done.Experiment, tinyScale), &stored) {
+			t.Errorf("%s finished without a stored result", id)
+		}
+	}
+	srv.Shutdown(context.Background())
+	if ents, err := os.ReadDir(filepath.Join(journalDir, "claims")); err == nil && len(ents) > 0 {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Errorf("claim files left behind: %v", names)
 	}
 }
