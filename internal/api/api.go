@@ -93,9 +93,9 @@ type Job struct {
 	Attempts int `json:"attempts,omitempty"`
 	// Recovered marks a job requeued from the journal after a restart.
 	Recovered bool `json:"recovered,omitempty"`
-	// Worker identifies the process executing (or that executed) the job
-	// — a fleet worker's lease-owner ID. Empty for jobs run in-process by
-	// a standalone server.
+	// Worker identifies the worker executing (or that executed) the job
+	// by its claim-owner ID: a fleet worker process's, or a standalone
+	// server's in-process worker's. Empty while the job is queued.
 	Worker     string                     `json:"worker,omitempty"`
 	CreatedAt  time.Time                  `json:"created_at"`
 	StartedAt  *time.Time                 `json:"started_at,omitempty"`
@@ -205,7 +205,7 @@ type Health struct {
 
 // FleetWorker is one worker process in the GET /api/v1/fleet view.
 type FleetWorker struct {
-	// Owner is the worker's lease-owner identity (PID + start nonce).
+	// Owner is the worker's claim-owner identity (PID + start nonce).
 	Owner string `json:"owner"`
 	PID   int    `json:"pid"`
 	// State is "starting" (spawned, no heartbeat yet), "idle" or "busy". A

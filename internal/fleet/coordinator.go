@@ -1,10 +1,10 @@
 // Package fleet runs a local cluster of pythia-serve worker processes:
 // a supervisor that spawns and stops them, and a coordinator that keeps
 // a fixed number of them alive over the shared job journal (respawning
-// exited workers, replacing hung ones, reaping expired claims, serving
-// the /api/v1/fleet view). All coordination rides the journal's
-// claim/lease substrate — there is no worker wire protocol to version or
-// secure.
+// exited workers, replacing hung ones, reaping the claims of stale
+// owners, serving the /api/v1/fleet view). All coordination rides the
+// journal's claim and heartbeat files — there is no worker wire protocol
+// to version or secure.
 package fleet
 
 import (
@@ -36,22 +36,19 @@ type Config struct {
 	// PollInterval is the coordinator's control-loop cadence; the default
 	// is 500ms.
 	PollInterval time.Duration
-	// StopGrace is how long a SIGTERM'd worker gets before SIGKILL; the
-	// default is 10s.
+	// StopGrace is how long a worker SIGTERM'd by Close gets before
+	// SIGKILL; the default is 10s.
 	StopGrace time.Duration
 	// StaleAfter is how old a worker heartbeat may grow before the worker
-	// counts as hung and is stopped; the default is 5s (five worker
-	// heartbeat intervals).
+	// counts as hung — it is killed, and its claims are reaped so their
+	// jobs requeue; the default is 5s (five worker heartbeat intervals).
 	StaleAfter time.Duration
-	// ClaimGrace is the expiry slack for claims whose lease never got
-	// written (killed mid-claim); the default is 5s.
-	ClaimGrace time.Duration
 
 	Logger *slog.Logger
 }
 
-// Coordinator runs the fleet control loop: reap expired claims so
-// orphaned jobs requeue, track worker liveness and cold starts, stop
+// Coordinator runs the fleet control loop: reap stale owners' claims so
+// orphaned jobs requeue, track worker liveness and cold starts, kill
 // hung workers, and respawn until Workers processes are alive. It is the
 // fleet's single reaper — see the claim-protocol notes in
 // serve/claims.go for why reaping must not be replicated per worker.
@@ -96,9 +93,6 @@ func Start(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = 5 * time.Second
-	}
-	if cfg.ClaimGrace <= 0 {
-		cfg.ClaimGrace = 5 * time.Second
 	}
 	log := cfg.Logger
 	if log == nil {
@@ -147,7 +141,7 @@ func (c *Coordinator) Status() api.FleetStatus {
 	}
 }
 
-// loop is the control loop: reap, observe, stop the hung, sweep, respawn.
+// loop is the control loop: reap, observe, kill the hung, sweep, respawn.
 func (c *Coordinator) loop() {
 	defer c.wg.Done()
 	tick := time.NewTicker(c.cfg.PollInterval)
@@ -169,12 +163,12 @@ func (c *Coordinator) step() {
 
 	// Requeue orphaned work first: a reaped claim turns its job claimable
 	// before this tick's backlog is counted.
-	if reaped := c.fj.ReapExpired(c.cfg.ClaimGrace); len(reaped) > 0 {
+	if reaped := c.fj.ReapStale(c.cfg.StaleAfter); len(reaped) > 0 {
 		mRequeues.Add(int64(len(reaped)))
 		c.mu.Lock()
 		c.requeues += int64(len(reaped))
 		c.mu.Unlock()
-		c.log.Warn("expired claims reaped, jobs requeued", "jobs", reaped)
+		c.log.Warn("stale claims reaped, jobs requeued", "jobs", reaped)
 	}
 
 	// Match heartbeats to supervised processes: a first heartbeat flips
@@ -199,35 +193,34 @@ func (c *Coordinator) step() {
 		}
 	}
 
-	// Stop hung workers. Heartbeats come from a background goroutine, so
+	// Kill hung workers. Heartbeats come from a background goroutine, so
 	// a busy worker stays fresh; a stale one is frozen or wedged, and it
-	// holds a slot of the fixed pool until it is gone. stop escalates
-	// SIGTERM to SIGKILL after StopGrace, and a stopping process no
-	// longer counts, so the respawn below replaces it at once.
+	// holds a slot of the fixed pool until it is gone. It gets SIGKILL at
+	// once: a process whose heartbeat goroutine has not run for StaleAfter
+	// cannot drain either, and its claims are already reapable. A killed
+	// process no longer counts, so the respawn below replaces it at once.
 	livePids = c.sup.live()
 	for _, hb := range hbs {
 		owner, supervised := livePids[hb.PID]
 		if !supervised || owner != hb.Owner || now.Sub(hb.UpdatedAt) <= c.cfg.StaleAfter {
 			continue
 		}
-		c.log.Warn("worker heartbeat stale, stopping", "pid", hb.PID, "owner", hb.Owner,
+		c.log.Warn("worker heartbeat stale, killing", "pid", hb.PID, "owner", hb.Owner,
 			"age_ms", now.Sub(hb.UpdatedAt).Milliseconds())
-		c.sup.stop(hb.PID)
+		c.sup.kill(hb.PID)
 	}
 
 	// Sweep corpses and their heartbeat litter. A crashed worker (exited
 	// without being asked) is just logged — reconciliation below respawns
-	// it, and the claim reaper already rescued its job. Sweeping before
+	// it, and with its heartbeat gone the reaper counts its claims from
+	// their claimed_at. Sweeping before
 	// spawning keeps a recycled PID from inheriting a dead worker's
 	// heartbeat document.
 	crashed, stopped := c.sup.sweep()
 	for _, p := range crashed {
 		c.log.Warn("worker died unexpectedly", "pid", p.pid, "owner", p.owner)
-		if p.owner != "" {
-			c.fj.RemoveWorker(p.owner)
-		}
 	}
-	for _, p := range stopped {
+	for _, p := range append(crashed, stopped...) {
 		if p.owner != "" {
 			c.fj.RemoveWorker(p.owner)
 		}

@@ -50,15 +50,10 @@ func TestFleetWorkerProcess(t *testing.T) {
 	harness.SetTraceCacheDir(filepath.Join(root, "trace"))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// Production timings: the requeue bound below holds with them.
 	_, err := serve.RunWorker(ctx, serve.WorkerConfig{
 		Store:      results.Open(filepath.Join(root, "results")),
 		JournalDir: filepath.Join(root, "journal"),
-		// Short lease so the coordinator notices the corpse in seconds,
-		// not the production 30s.
-		LeaseTTL:          2 * time.Second,
-		ProgressInterval:  50 * time.Millisecond,
-		PollInterval:      50 * time.Millisecond,
-		HeartbeatInterval: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,12 +175,22 @@ func TestFleetSIGKILLRecovery(t *testing.T) {
 	if err := syscall.Kill(victim, syscall.SIGKILL); err != nil {
 		t.Fatalf("SIGKILL worker %d: %v", victim, err)
 	}
+	killed := time.Now()
 
 	// Whatever the kill interrupted, nothing persisted may be corrupt.
 	auditResultFiles(t, filepath.Join(root, "results"))
 
-	// The coordinator must reap the dead worker's claim and a survivor
-	// (or respawn) must run the job to completion.
+	// The coordinator must reap the dead worker's claim within its
+	// StaleAfter (5s) plus two of its ticks (500ms each): the dead
+	// worker's heartbeat is the only liveness signal its claim has.
+	waitFleetStatus(t, cluster, root, "a requeue", func(st api.FleetStatus) bool { return st.Requeues >= 1 })
+	if took, bound := time.Since(killed), 6*time.Second; took > bound {
+		t.Errorf("dead worker's job requeued %v after the kill, want within %v", took.Round(time.Millisecond), bound)
+	} else {
+		t.Logf("dead worker's job requeued %v after the kill", took.Round(time.Millisecond))
+	}
+
+	// A survivor (or respawn) must run the job to completion.
 	done := waitFleetTerminal(t, ts.URL, jobID, 4*time.Minute)
 	if done.Status != serve.StatusDone {
 		t.Fatalf("orphaned job ended %q (%s); worker log:\n%s", done.Status, done.Error, readLog(root))
@@ -229,10 +234,9 @@ func TestFleetSIGKILLRecovery(t *testing.T) {
 }
 
 // TestFleetReplacesHungWorker freezes a busy worker with SIGSTOP. Its
-// heartbeat goes stale, so the coordinator must stop it (SIGTERM stays
-// pending on a stopped process; the SIGKILL escalation ends it), respawn
-// its slot, and let the survivor finish the job the frozen worker had
-// claimed.
+// heartbeat goes stale, so the coordinator must kill it (SIGKILL ends
+// even a stopped process), respawn its slot, and let the survivor finish
+// the job the frozen worker had claimed.
 func TestFleetReplacesHungWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test skipped in -short mode")

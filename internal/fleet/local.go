@@ -5,7 +5,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os/exec"
-	"time"
 
 	"pythia/internal/policy"
 	"pythia/internal/results"
@@ -29,9 +28,6 @@ type LocalOptions struct {
 
 	// Workers is the fleet size: see Config.Workers.
 	Workers int
-	// LeaseTTL is the frontend's claim TTL for cancellation claims and
-	// the default lease horizon; workers bring their own.
-	LeaseTTL time.Duration
 
 	Logger *slog.Logger
 }
@@ -60,7 +56,6 @@ func StartLocal(opt LocalOptions) (*Local, error) {
 		Policies:    opt.Policies,
 		QueueDepth:  opt.QueueDepth,
 		JournalDir:  opt.JournalDir,
-		LeaseTTL:    opt.LeaseTTL,
 		Dispatch:    true,
 		FleetStatus: coord.Status,
 		Logger:      opt.Logger,

@@ -10,8 +10,8 @@ import (
 )
 
 // supervisor owns the worker processes: spawn, readiness bookkeeping,
-// graceful stop (SIGTERM, then SIGKILL after a grace window), and
-// sweeping the corpses. It knows nothing about the pool size or the
+// kill, graceful stop of the whole pool (SIGTERM, then SIGKILL after a
+// grace window), and sweeping the corpses. It knows nothing about the pool size or the
 // journal — the coordinator decides, the supervisor executes.
 type supervisor struct {
 	newCmd func() *exec.Cmd
@@ -27,11 +27,11 @@ type workerProc struct {
 	pid       int
 	cmd       *exec.Cmd
 	spawnedAt time.Time
-	// owner is the worker's lease-owner identity, learned from its first
+	// owner is the worker's claim-owner identity, learned from its first
 	// heartbeat; ready flips true at the same moment.
 	owner string
 	ready bool
-	// stopping marks a process the supervisor already sent SIGTERM.
+	// stopping marks a process the supervisor killed or is stopping.
 	stopping bool
 	// exited closes when cmd.Wait returns.
 	exited chan struct{}
@@ -130,50 +130,41 @@ func (s *supervisor) sweep() (crashed, stopped []*workerProc) {
 	return crashed, stopped
 }
 
-// stop gracefully stops one worker: SIGTERM now (the worker finishes or
-// releases its claim and drains out), SIGKILL if it lingers past the
-// grace window. Runs the escalation asynchronously — the coordinator's
-// loop must not block on a slow exit.
-func (s *supervisor) stop(pid int) {
+// kill stops one worker at once with SIGKILL.
+func (s *supervisor) kill(pid int) {
 	s.mu.Lock()
 	p, ok := s.procs[pid]
-	if !ok || p.stopping {
-		s.mu.Unlock()
-		return
+	if ok {
+		p.stopping = true
 	}
-	p.stopping = true
 	s.mu.Unlock()
-	s.log.Info("worker stopping", "pid", pid)
-	p.cmd.Process.Signal(syscall.SIGTERM)
-	go func() {
-		select {
-		case <-p.exited:
-		case <-time.After(s.grace):
-			s.log.Warn("worker ignored SIGTERM, killing", "pid", pid)
-			p.cmd.Process.Kill()
-			<-p.exited
-		}
-	}()
+	if ok {
+		p.cmd.Process.Kill()
+	}
 }
 
-// stopAll stops every worker and waits for the corpses (bounded by the
-// per-process grace window plus slack).
+// stopAll stops every worker gracefully — SIGTERM, so in-flight jobs
+// release their claims and the workers drain out — and SIGKILLs any
+// that outlive the grace window.
 func (s *supervisor) stopAll() {
 	s.mu.Lock()
 	procs := make([]*workerProc, 0, len(s.procs))
 	for _, p := range s.procs {
+		p.stopping = true
 		procs = append(procs, p)
 	}
 	s.mu.Unlock()
 	for _, p := range procs {
-		s.stop(p.pid)
+		p.cmd.Process.Signal(syscall.SIGTERM)
 	}
-	deadline := time.After(s.grace + 5*time.Second)
+	deadline := time.Now().Add(s.grace)
 	for _, p := range procs {
 		select {
 		case <-p.exited:
-		case <-deadline:
+		case <-time.After(time.Until(deadline)):
+			s.log.Warn("worker ignored SIGTERM, killing", "pid", p.pid)
 			p.cmd.Process.Kill()
+			<-p.exited
 		}
 	}
 }

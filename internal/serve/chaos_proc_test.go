@@ -54,7 +54,6 @@ func TestChaosChildServer(t *testing.T) {
 		QueueDepth:       4,
 		ProgressInterval: 25 * time.Millisecond,
 		JournalDir:       filepath.Join(root, "journal"),
-		LeaseTTL:         time.Second,
 		ExtraScales:      map[string]harness.Scale{"chaos": chaosScale},
 	})
 	if err != nil {
@@ -130,8 +129,7 @@ func TestChaosWorkerSIGKILLRecovery(t *testing.T) {
 		t.Fatalf("POST to worker = %d; worker output:\n%s", code, out1.String())
 	}
 	waitRunning(t, base1, job.ID)
-	// Let the lease renew at least once and the simulation get deep
-	// enough that the kill lands mid-flight.
+	// Let the simulation get deep enough that the kill lands mid-flight.
 	time.Sleep(500 * time.Millisecond)
 
 	if err := worker1.Process.Kill(); err != nil {
@@ -183,8 +181,8 @@ func TestChaosWorkerSIGKILLRecovery(t *testing.T) {
 }
 
 // waitSuccessorDone is waitDone with a longer deadline: the successor
-// may wait out the dead worker's lease before re-running a multi-second
-// simulation from scratch.
+// waits for the dead worker's heartbeat to go stale before re-running a
+// multi-second simulation from scratch.
 func waitSuccessorDone(t *testing.T, base, id string) serve.JobView {
 	t.Helper()
 	deadline := time.Now().Add(4 * time.Minute)

@@ -11,15 +11,17 @@ package serve
 // Layout under the journal dir:
 //
 //	<id>.json          job record (journal.go)
-//	claims/<id>.claim  live execution claim: {owner, lease_until}
+//	claims/<id>.claim  live execution claim: {id, owner, claimed_at}
 //	workers/<owner>.json worker heartbeat: state, throughput counters
 //	cancels/<id>       cancel marker: a user canceled a claimed job
 //
+// A claim lives while its owner does: the reaper (reapStale) keeps it
+// while the owner's heartbeat document is younger than the stale bound.
 // Ownership identity is PID plus a per-process start nonce. The nonce
-// matters: PIDs recycle, and a lease protocol keyed on bare PID would
-// let a new process that happens to receive a dead worker's PID renew —
-// in effect steal — a lease it never acquired. renewClaim therefore
-// verifies the full owner string before rewriting the claim.
+// matters: PIDs recycle, and a liveness check keyed on bare PID would
+// let a new process that happens to receive a dead worker's PID keep —
+// in effect steal — the dead worker's claims with its own heartbeat.
+// Heartbeats and claims are therefore matched on the full owner string.
 
 import (
 	"crypto/rand"
@@ -48,7 +50,7 @@ var processNonce = func() uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }()
 
-// NewOwnerID mints a lease-owner identity for this process: PID plus the
+// NewOwnerID mints a claim-owner identity for this process: PID plus the
 // process start nonce. Multiple owners minted in one process (tests,
 // in-process worker pools) get a distinguishing suffix.
 func NewOwnerID(label string) string {
@@ -59,12 +61,13 @@ func NewOwnerID(label string) string {
 	return id
 }
 
-// claimRecord is the on-disk claim document.
+// claimRecord is the on-disk claim document. Claims written before the
+// heartbeat became the only liveness signal also carry a lease_until
+// field, which is ignored.
 type claimRecord struct {
-	ID         string    `json:"id"`
-	Owner      string    `json:"owner"`
-	LeaseUntil time.Time `json:"lease_until"`
-	ClaimedAt  time.Time `json:"claimed_at"`
+	ID        string    `json:"id"`
+	Owner     string    `json:"owner"`
+	ClaimedAt time.Time `json:"claimed_at"`
 }
 
 func (l *journal) claimsDir() string  { return filepath.Join(l.dir, "claims") }
@@ -78,10 +81,9 @@ func (l *journal) claimPath(id string) string {
 // claim attempts to acquire the execution claim for a job. The
 // O_CREATE|O_EXCL create is the atomic arbitration point: among any
 // number of concurrent claimants exactly one creates the file. The
-// winner's identity and lease land in the file body afterwards — a
-// reader that sees an empty claim treats it as live (the winner is
-// mid-write), which errs on the side of not double-executing.
-func (l *journal) claim(id, owner string, ttl time.Duration) bool {
+// winner's identity lands in the file body afterwards; until then the
+// claim counts as live from the file's mtime (see lastSign).
+func (l *journal) claim(id, owner string) bool {
 	if err := os.MkdirAll(l.claimsDir(), 0o755); err != nil {
 		return false
 	}
@@ -89,51 +91,31 @@ func (l *journal) claim(id, owner string, ttl time.Duration) bool {
 	if err != nil {
 		return false
 	}
-	now := time.Now().UTC()
-	buf, _ := json.Marshal(claimRecord{ID: id, Owner: owner, LeaseUntil: now.Add(ttl), ClaimedAt: now})
+	buf, _ := json.Marshal(claimRecord{ID: id, Owner: owner, ClaimedAt: time.Now().UTC()})
 	f.Write(buf)
 	f.Close()
 	return true
 }
 
-// renewClaim extends the lease on a held claim. It re-reads the claim
-// first and refuses unless the recorded owner matches exactly — the
-// recycled-PID defense: a process that did not mint this owner string
-// cannot extend (or resurrect) the lease, and an owner whose claim was
-// reaped learns it lost the job instead of silently recreating the
-// claim under a requeued record.
-func (l *journal) renewClaim(id, owner string, ttl time.Duration) error {
-	cur, ok := l.claimState(id)
-	if !ok {
-		return fmt.Errorf("claim for %s is gone (lease reaped)", id)
-	}
-	if cur.Owner != owner {
-		return fmt.Errorf("claim for %s is owned by %s, not %s", id, cur.Owner, owner)
-	}
-	cur.LeaseUntil = time.Now().UTC().Add(ttl)
-	return fsutil.WriteAtomic(l.claimsDir(), l.claimPath(id), func(tmp *os.File) error {
-		buf, err := json.Marshal(cur)
-		if err != nil {
-			return err
-		}
-		_, werr := tmp.Write(buf)
-		return werr
-	})
+// holds reports whether owner holds the job's claim. The check only
+// reads: an owner whose claim was reaped learns that it lost the job
+// and never recreates the claim under a requeued record.
+func (l *journal) holds(id, owner string) bool {
+	c, ok := l.claimState(id)
+	return ok && c.Owner == owner
 }
 
 // releaseClaim drops a held claim after verifying ownership; releasing a
 // claim someone else now holds is a no-op.
 func (l *journal) releaseClaim(id, owner string) {
-	if cur, ok := l.claimState(id); !ok || cur.Owner != owner {
-		return
+	if l.holds(id, owner) {
+		os.Remove(l.claimPath(id))
 	}
-	os.Remove(l.claimPath(id))
 }
 
 // claimState reads a job's claim. ok reports whether a claim file
-// exists; an unparseable or half-written body reads as a live claim
-// owned by nobody the caller knows (empty Owner, zero LeaseUntil is
-// treated as live by claimExpired's grace below).
+// exists; an unparseable or half-written body reads as a claim with an
+// empty owner and no claimed_at.
 func (l *journal) claimState(id string) (claimRecord, bool) {
 	buf, err := os.ReadFile(l.claimPath(id))
 	if err != nil {
@@ -143,20 +125,6 @@ func (l *journal) claimState(id string) (claimRecord, bool) {
 	json.Unmarshal(buf, &c)
 	c.ID = id
 	return c, true
-}
-
-// claimExpired reports whether a claim's lease has lapsed. A zero
-// LeaseUntil (claim body not yet written, or unparseable) gets a TTL of
-// grace from the file's mtime before it counts as expired.
-func (l *journal) claimExpired(c claimRecord, grace time.Duration, now time.Time) bool {
-	if !c.LeaseUntil.IsZero() {
-		return now.After(c.LeaseUntil)
-	}
-	st, err := os.Stat(l.claimPath(c.ID))
-	if err != nil {
-		return false
-	}
-	return now.After(st.ModTime().Add(grace))
 }
 
 // liveClaims lists every claim on disk.
@@ -179,20 +147,45 @@ func (l *journal) liveClaims() []claimRecord {
 	return out
 }
 
-// reapExpiredClaims removes claims whose lease has lapsed, except those
-// of owner spare (a live owner in the caller's own process), and returns
-// the affected job IDs. Removing the claim is the whole requeue: a
-// non-terminal record with no claim is claimable again. One process
-// reaps a journal — the fleet coordinator when one owns it, the
-// frontend's watcher otherwise — which keeps the check-then-remove
-// window away from the many-workers path (a live owner that was wrongly
-// reaped discovers it at its next renewClaim and abandons the run
-// instead of split-braining).
-func (l *journal) reapExpiredClaims(grace time.Duration, spare string) []string {
-	now := time.Now().UTC()
+// lastSign is a claim's owner's last sign of life: the owner's heartbeat
+// when it has one, else the claim's claimed_at, else (an empty or
+// unparseable body) the claim file's mtime. The fallbacks cover a
+// claimant between its create and its body write, the frontend's short
+// cancel claim, and claims written before owners heartbeat.
+func (l *journal) lastSign(c claimRecord, beats map[string]time.Time) time.Time {
+	if t, ok := beats[c.Owner]; ok {
+		return t
+	}
+	if !c.ClaimedAt.IsZero() {
+		return c.ClaimedAt
+	}
+	if st, err := os.Stat(l.claimPath(c.ID)); err == nil {
+		return st.ModTime()
+	}
+	return time.Now()
+}
+
+// reapStale removes every claim whose owner's last sign of life is older
+// than staleAfter, and returns the affected job IDs. Removing the claim
+// is the whole requeue: a non-terminal record with no claim is
+// claimable again. One process reaps a journal — the fleet coordinator
+// when one owns it, the frontend's watcher otherwise — which keeps the
+// check-then-remove window away from the many-workers path. A live owner
+// that was wrongly reaped finds its claim gone at its sampler's next
+// ownership check and abandons the run instead of split-braining.
+func (l *journal) reapStale(staleAfter time.Duration) []string {
+	claims := l.liveClaims()
+	if len(claims) == 0 {
+		return nil
+	}
+	beats := make(map[string]time.Time)
+	for _, w := range l.loadWorkers() {
+		beats[w.Owner] = w.UpdatedAt
+	}
+	now := time.Now()
 	var reaped []string
-	for _, c := range l.liveClaims() {
-		if (spare != "" && c.Owner == spare) || !l.claimExpired(c, grace, now) {
+	for _, c := range claims {
+		if now.Sub(l.lastSign(c, beats)) <= staleAfter {
 			continue
 		}
 		if err := os.Remove(l.claimPath(c.ID)); err == nil {
@@ -206,7 +199,7 @@ func (l *journal) reapExpiredClaims(grace time.Duration, spare string) []string 
 
 // markCancel requests cancellation of a job some worker currently owns:
 // the marker file is the frontend-to-worker signal (checked on every
-// heartbeat), since job contexts do not cross process boundaries.
+// progress tick), since job contexts do not cross process boundaries.
 func (l *journal) markCancel(id string) error {
 	if err := os.MkdirAll(l.cancelsDir(), 0o755); err != nil {
 		return err
@@ -227,12 +220,12 @@ func (l *journal) clearCancel(id string) {
 
 // --- Worker heartbeats ---
 
-// workerState is a worker process's heartbeat document: liveness (the
-// coordinator stops a worker whose UpdatedAt goes stale), current
-// occupancy (busy or idle, and the claimed job), and cumulative
-// throughput counters (per-worker jobs/sims for /api/v1/fleet and
-// /metrics).
-type workerState struct {
+// WorkerInfo is a worker's heartbeat document: liveness (its claims
+// live while UpdatedAt is fresh, and the coordinator kills a worker
+// process whose UpdatedAt goes stale), occupancy (busy or idle, and the
+// claimed job), and cumulative throughput counters (per-worker jobs and
+// sims for /api/v1/fleet and /metrics).
+type WorkerInfo struct {
 	Owner string `json:"owner"`
 	PID   int    `json:"pid"`
 	// State is "idle" or "busy"; Job is the claimed job while busy.
@@ -252,7 +245,7 @@ func (l *journal) workerPath(owner string) string {
 
 // putWorker lands a worker heartbeat (best-effort, like every journal
 // write: a lost heartbeat costs liveness slack, never correctness).
-func (l *journal) putWorker(w workerState) {
+func (l *journal) putWorker(w WorkerInfo) {
 	w.UpdatedAt = time.Now().UTC()
 	err := fsutil.WriteAtomic(l.workersDir(), l.workerPath(w.Owner), func(tmp *os.File) error {
 		buf, merr := json.Marshal(&w)
@@ -274,12 +267,12 @@ func (l *journal) removeWorker(owner string) {
 }
 
 // loadWorkers reads every parseable worker heartbeat.
-func (l *journal) loadWorkers() []workerState {
+func (l *journal) loadWorkers() []WorkerInfo {
 	ents, err := os.ReadDir(l.workersDir())
 	if err != nil {
 		return nil
 	}
-	var out []workerState
+	var out []WorkerInfo
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.Contains(name, ".tmp") {
@@ -289,7 +282,7 @@ func (l *journal) loadWorkers() []workerState {
 		if err != nil {
 			continue
 		}
-		var w workerState
+		var w WorkerInfo
 		if err := json.Unmarshal(buf, &w); err != nil || w.Owner == "" {
 			continue
 		}

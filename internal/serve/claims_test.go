@@ -1,10 +1,11 @@
 package serve
 
 // Unit tests for the multi-process claim protocol: O_CREATE|O_EXCL
-// mutual exclusion, owner-verified renewal (the recycled-PID defense),
-// expiry/reaping, cancel markers, and worker heartbeat documents.
+// mutual exclusion, heartbeat liveness and reaping (with the recycled-PID
+// defense), cancel markers, and worker heartbeat documents.
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -25,10 +26,10 @@ func TestClaimMutualExclusion(t *testing.T) {
 	jl := testJournal(t)
 	a, b := NewOwnerID("a"), NewOwnerID("b")
 
-	if !jl.claim("job-1", a, time.Minute) {
+	if !jl.claim("job-1", a) {
 		t.Fatal("first claim refused")
 	}
-	if jl.claim("job-1", b, time.Minute) {
+	if jl.claim("job-1", b) {
 		t.Fatal("second claimant also won — mutual exclusion broken")
 	}
 	// A release by a non-owner must be a no-op.
@@ -41,74 +42,86 @@ func TestClaimMutualExclusion(t *testing.T) {
 	if _, ok := jl.claimState("job-1"); ok {
 		t.Fatal("owner release left the claim in place")
 	}
-	if !jl.claim("job-1", b, time.Minute) {
+	if !jl.claim("job-1", b) {
 		t.Fatal("claim refused after release")
 	}
 }
 
-// TestRenewRejectsRecycledPID is the recycled-PID regression test: two
-// owner strings sharing a PID but minted with different process nonces
-// must not be able to renew each other's leases. Before owner IDs
-// carried the start-time nonce, a fresh process that happened to receive
-// a dead worker's PID could silently extend — steal — its lease.
-func TestRenewRejectsRecycledPID(t *testing.T) {
-	jl := testJournal(t)
-	deadWorker := fmt.Sprintf("pid%d-%016x", os.Getpid(), uint64(0xAAAA))
+// TestClaimLiveness: a claim lives while its owner's last sign of life
+// is younger than the stale bound. That sign is the owner's heartbeat
+// when it has one, else the claim's claimed_at, else the claim file's
+// mtime; heartbeats match owners on the full owner string, so a process
+// that recycled a dead worker's PID cannot keep the dead worker's claim
+// alive with its own heartbeat.
+func TestClaimLiveness(t *testing.T) {
+	const staleAfter = time.Minute
+	now := time.Now().UTC()
+	old := now.Add(-time.Hour)
+	dead := fmt.Sprintf("pid%d-%016x", os.Getpid(), uint64(0xAAAA))
 	imposter := fmt.Sprintf("pid%d-%016x", os.Getpid(), uint64(0xBBBB)) // same PID, new process
+	cases := []struct {
+		name string
+		// body is the claim document; nil leaves the claim file empty, as a
+		// claimant killed between its create and its body write does.
+		body   *claimRecord
+		mtime  time.Time
+		beats  map[string]time.Time
+		reaped bool
+	}{
+		{"old claim, fresh heartbeat", &claimRecord{Owner: "w", ClaimedAt: old}, old, map[string]time.Time{"w": now}, false},
+		{"fresh claim, stale heartbeat", &claimRecord{Owner: "w", ClaimedAt: now}, now, map[string]time.Time{"w": old}, true},
+		{"no heartbeat, recent claimed_at", &claimRecord{Owner: "w", ClaimedAt: now}, old, nil, false},
+		{"no heartbeat, old claimed_at", &claimRecord{Owner: "w", ClaimedAt: old}, now, nil, true},
+		{"empty body, recent mtime", nil, now, nil, false},
+		{"empty body, old mtime", nil, old, nil, true},
+		{"imposter heartbeat on a recycled PID", &claimRecord{Owner: dead, ClaimedAt: old}, old, map[string]time.Time{imposter: now}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			jl := testJournal(t)
+			var buf []byte
+			if tc.body != nil {
+				tc.body.ID = "job-1"
+				buf, _ = json.Marshal(tc.body)
+			}
+			if err := os.MkdirAll(jl.claimsDir(), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(jl.claimPath("job-1"), buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Chtimes(jl.claimPath("job-1"), tc.mtime, tc.mtime); err != nil {
+				t.Fatal(err)
+			}
+			for owner, at := range tc.beats {
+				doc, _ := json.Marshal(WorkerInfo{Owner: owner, UpdatedAt: at})
+				if err := os.MkdirAll(jl.workersDir(), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(jl.workerPath(owner), doc, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	if !jl.claim("job-1", deadWorker, time.Minute) {
-		t.Fatal("claim refused")
-	}
-	if err := jl.renewClaim("job-1", imposter, time.Minute); err == nil {
-		t.Fatal("a different process with a recycled PID renewed a lease it never acquired")
-	}
-	if err := jl.renewClaim("job-1", deadWorker, time.Minute); err != nil {
-		t.Fatalf("the true owner could not renew: %v", err)
-	}
-}
-
-func TestRenewAfterReapFails(t *testing.T) {
-	jl := testJournal(t)
-	owner := NewOwnerID("w")
-	if !jl.claim("job-1", owner, time.Millisecond) {
-		t.Fatal("claim refused")
-	}
-	time.Sleep(5 * time.Millisecond)
-	reaped := jl.reapExpiredClaims(0, "")
-	if len(reaped) != 1 || reaped[0] != "job-1" {
-		t.Fatalf("reapExpiredClaims = %v, want [job-1]", reaped)
-	}
-	// The old owner must learn it lost the job, not resurrect the claim.
-	if err := jl.renewClaim("job-1", owner, time.Minute); err == nil {
-		t.Fatal("renew succeeded on a reaped claim")
-	}
-	if _, ok := jl.claimState("job-1"); ok {
-		t.Fatal("failed renew recreated the claim file")
-	}
-}
-
-func TestReapSparesLiveAndGracedClaims(t *testing.T) {
-	jl := testJournal(t)
-	if !jl.claim("job-live", NewOwnerID("w"), time.Hour) {
-		t.Fatal("claim refused")
-	}
-	// An empty claim file models a claimant killed between the O_EXCL
-	// create and the body write: no lease inside, so expiry falls back to
-	// mtime + grace.
-	if err := os.MkdirAll(jl.claimsDir(), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(jl.claimPath("job-halfwritten"), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if reaped := jl.reapExpiredClaims(time.Hour, ""); len(reaped) != 0 {
-		t.Fatalf("reaped live/graced claims: %v", reaped)
-	}
-	time.Sleep(5 * time.Millisecond)
-	reaped := jl.reapExpiredClaims(time.Millisecond, "")
-	if len(reaped) != 1 || reaped[0] != "job-halfwritten" {
-		t.Fatalf("reap with lapsed grace = %v, want [job-halfwritten]", reaped)
+			reaped := jl.reapStale(staleAfter)
+			if got := len(reaped) == 1 && reaped[0] == "job-1"; got != tc.reaped {
+				t.Fatalf("reapStale = %v, want reaped %v", reaped, tc.reaped)
+			}
+			_, present := jl.claimState("job-1")
+			if present == tc.reaped {
+				t.Fatalf("claim present %v after reapStale, want %v", present, !tc.reaped)
+			}
+			if tc.reaped && tc.body != nil {
+				// The reaped owner learns it lost the job, and asking does
+				// not resurrect the claim.
+				if jl.holds("job-1", tc.body.Owner) {
+					t.Error("ownership check passed on a reaped claim")
+				}
+				if _, ok := jl.claimState("job-1"); ok {
+					t.Error("ownership check recreated the claim file")
+				}
+			}
+		})
 	}
 }
 
@@ -132,7 +145,7 @@ func TestCancelMarkers(t *testing.T) {
 func TestRemoveCleansClaimAndCancelLitter(t *testing.T) {
 	jl := testJournal(t)
 	jl.put(jobRecord{ID: "job-1", Kind: KindExperiment, Experiment: "fig14", Scale: "tiny", Status: StatusQueued, CreatedAt: time.Now().UTC()})
-	jl.claim("job-1", NewOwnerID("w"), time.Minute)
+	jl.claim("job-1", NewOwnerID("w"))
 	jl.markCancel("job-1")
 
 	jl.remove("job-1")
@@ -165,7 +178,7 @@ func TestNewOwnerIDShape(t *testing.T) {
 func TestWorkerHeartbeatRoundtrip(t *testing.T) {
 	jl := testJournal(t)
 	owner := NewOwnerID("hb")
-	jl.putWorker(workerState{Owner: owner, PID: os.Getpid(), State: "busy", Job: "job-9", Jobs: 3, Sims: 1200, StartedAt: time.Now().UTC()})
+	jl.putWorker(WorkerInfo{Owner: owner, PID: os.Getpid(), State: "busy", Job: "job-9", Jobs: 3, Sims: 1200, StartedAt: time.Now().UTC()})
 
 	ws := jl.loadWorkers()
 	if len(ws) != 1 {
@@ -194,7 +207,7 @@ func TestFleetJournalBacklog(t *testing.T) {
 	jl.put(jobRecord{ID: "job-1", Kind: KindExperiment, Experiment: "fig14", Scale: "tiny", Status: StatusQueued, CreatedAt: now})
 	jl.put(jobRecord{ID: "job-2", Kind: KindExperiment, Experiment: "fig14", Scale: "tiny", Status: StatusRunning, CreatedAt: now})
 	jl.put(jobRecord{ID: "job-3", Kind: KindExperiment, Experiment: "fig14", Scale: "tiny", Status: StatusDone, CreatedAt: now})
-	jl.claim("job-2", NewOwnerID("w"), time.Minute)
+	jl.claim("job-2", NewOwnerID("w"))
 
 	fj, err := OpenFleetJournal(dir)
 	if err != nil {

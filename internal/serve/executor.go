@@ -1,13 +1,11 @@
 package serve
 
-// executor is the job-execution engine both worker kinds drive: the
-// in-process worker goroutine of a Server without Dispatch, and the
-// worker-process loop in worker.go. Either wins a job's claim first and
-// then hands it to runClaimed, so the execution semantics — claim-file
-// lease, store-first GetOrCompute, jittered transient retries under the
-// attempt budget, breaker feedback, delivery-beats-persistence — are
-// identical; only how a claimable job is found (an ID handed over by the
-// frontend vs. a journal scan) differs.
+// executor is the job-execution engine the worker loop (worker.go)
+// drives, in a Server's in-process worker and in worker processes alike:
+// the loop wins a job's claim and hands it to runClaimed, so the
+// execution semantics — claim ownership, store-first GetOrCompute,
+// jittered transient retries under the attempt budget, breaker feedback,
+// delivery-beats-persistence — are identical whichever process runs it.
 
 import (
 	"context"
@@ -32,15 +30,13 @@ type executor struct {
 	polBrk   *breaker
 	journal  *journal
 
-	leaseTTL         time.Duration
 	maxAttempts      int
 	retryBase        time.Duration
 	progressInterval time.Duration
 
 	// owner is the claim-owner identity the executor runs jobs under. The
-	// heartbeat renews the job's claim file as owner — and cancels the
-	// run if the claim was lost (lease reaped, job requeued elsewhere)
-	// or a frontend left a cancel marker.
+	// progress sampler cancels the run if the claim was lost (reaped, job
+	// requeued elsewhere) or a frontend left a cancel marker.
 	owner string
 
 	log *slog.Logger
@@ -54,7 +50,6 @@ func newExecutor(cfg Config, jl *journal, owner string) *executor {
 		storeBrk:         newBreaker("results", cfg.BreakerThreshold, cfg.BreakerCooldown),
 		polBrk:           newBreaker("policies", cfg.BreakerThreshold, cfg.BreakerCooldown),
 		journal:          jl,
-		leaseTTL:         cfg.LeaseTTL,
 		maxAttempts:      cfg.MaxAttempts,
 		retryBase:        cfg.RetryBase,
 		progressInterval: cfg.ProgressInterval,
@@ -66,7 +61,7 @@ func newExecutor(cfg Config, jl *journal, owner string) *executor {
 // runClaimed runs one job whose claim the executor's owner just won, and
 // releases the claim. specErr is the error rebuilding the job from its
 // record, if any. It reports whether the job finished here — false when
-// a draining worker released it for requeue or a lost lease orphaned
+// a draining worker released it for requeue or a lost claim orphaned
 // it — and the simulations it executed.
 func (e *executor) runClaimed(j *job, specErr error) (finished bool, sims int64) {
 	j.mu.Lock()
@@ -89,12 +84,10 @@ func (e *executor) runClaimed(j *job, specErr error) (finished bool, sims int64)
 		e.log.Warn("unrecoverable job spec", "job", j.id, "error", specErr.Error())
 		j.finish(nil, false, 0, fmt.Errorf("unrecoverable job spec: %w", specErr))
 	default:
-		start := harness.SimCount()
-		e.execute(j)
-		sims = harness.SimCount() - start
+		sims = e.execute(j)
 	}
 
-	if j.lostLease() {
+	if j.lostClaim() {
 		// The claim was reaped mid-run and may belong to a new owner now;
 		// touch neither it nor the record.
 		e.log.Warn("job orphaned mid-run", "job", j.id)
@@ -117,102 +110,74 @@ func (e *executor) runClaimed(j *job, specErr error) (finished bool, sims int64)
 	return true, sims
 }
 
-// execute routes a job to its kind's runner and logs its terminal
-// outcome — the one log line per job worth grepping for.
-func (e *executor) execute(j *job) {
+// execute runs a job and returns the simulations it executed: the
+// experiment or the training, consulting its store first (a repeat
+// request is a store hit with zero simulations, which the job's sims
+// counter proves to clients). Transient failures (store writes, I/O
+// pressure — see fault.IsTransient) retry with jittered exponential
+// backoff under the job's attempt budget, and each attempt's persist
+// outcome feeds the store's circuit breaker. Retrying is nearly free on
+// the compute side: the harness memoizes finished runs in memory even
+// when persists fail. It logs the terminal outcome — the one log line
+// per job worth grepping for.
+func (e *executor) execute(j *job) (executed int64) {
 	e.log.Info("job dispatched", "job", j.id, "kind", j.kind, "scale", j.scaleName)
-	if j.kind == KindTrain {
-		e.runTrainJob(j)
-	} else {
-		e.runJob(j)
-	}
-	v := j.view()
-	e.log.Info("job finished", "job", j.id, "kind", j.kind, "status", v.Status,
-		"cached", v.Cached, "sims", v.Sims, "attempts", v.Attempts, "error", v.Error)
-}
-
-// runJob executes one experiment, consulting the store first. Transient
-// failures (store writes, I/O pressure — see fault.IsTransient) retry
-// with jittered exponential backoff under the job's attempt budget;
-// each attempt's persist outcome feeds the result store's circuit
-// breaker. Retrying the whole GetOrCompute is nearly free on the
-// compute side: the harness memoizes finished runs in memory even when
-// persists fail, so a retry re-renders the table without re-simulating.
-func (e *executor) runJob(j *job) {
+	defer func() {
+		v := j.view()
+		e.log.Info("job finished", "job", j.id, "kind", j.kind, "status", v.Status,
+			"cached", v.Cached, "sims", v.Sims, "attempts", v.Attempts, "error", v.Error)
+	}()
 	// A job canceled while queued (DELETE, or an aborted shutdown) is
 	// already terminal — or about to be; don't touch the store for it.
 	if j.ctx.Err() != nil {
 		j.finish(nil, false, 0, j.ctx.Err())
-		return
+		return 0
 	}
 	startSims := harness.SimCount()
 	stopSampler := e.startSampler(j, startSims)
 
-	key := harness.ExperimentKey(j.expID, j.scale)
 	var payload harness.ExperimentPayload
-	var hit bool
-	var err error
-	for {
+	var env policy.Envelope
+	brk, attempt := e.storeBrk, func() (hit, delivered bool, err error) {
 		payload = harness.ExperimentPayload{}
-		j.beginAttempt()
-		hit, err = e.store.GetOrCompute(key, &payload, func() (any, error) {
+		hit, err = e.store.GetOrCompute(harness.ExperimentKey(j.expID, j.scale), &payload, func() (any, error) {
 			return e.computeExperiment(j, startSims)
 		})
-		delivered := payload.Table != nil
-		e.recordPersist(e.storeBrk, hit, delivered, err)
-		if !e.retry(j, err) {
-			break
+		return hit, payload.Table != nil, err
+	}
+	if j.kind == KindTrain {
+		brk, attempt = e.polBrk, func() (hit, delivered bool, err error) {
+			env, hit, err = e.trainPolicy(j)
+			return hit, env.ID != "", err
 		}
 	}
-	stopSampler()
-
-	executed := harness.SimCount() - startSims
-	// GetOrCompute reports a non-nil error alongside a delivered payload
-	// when only the persist failed ("delivery beats persistence"); the
-	// computed table must still reach the client — an unwritable store
-	// degrades to "no reuse", never to a failed run.
-	if err != nil && payload.Table == nil {
-		j.finish(nil, false, executed, err)
-		return
-	}
-	j.finish(&payload, hit, executed, nil)
-}
-
-// runTrainJob executes one policy-training job: the policy store is
-// consulted first (through the same GetOrTrain path every caller shares),
-// so a repeat request for an already-trained policy is a store hit with
-// zero simulations — the job's sims counter proves it to clients, exactly
-// as experiment jobs prove result-store reuse.
-func (e *executor) runTrainJob(j *job) {
-	if j.ctx.Err() != nil {
-		j.finish(nil, false, 0, j.ctx.Err())
-		return
-	}
-	startSims := harness.SimCount()
-	stopSampler := e.startSampler(j, startSims)
-
-	var env policy.Envelope
-	var hit bool
+	var hit, delivered bool
 	var err error
 	for {
 		j.beginAttempt()
-		env, hit, err = e.trainPolicy(j)
-		e.recordPersist(e.polBrk, hit, env.ID != "", err)
+		hit, delivered, err = attempt()
+		e.recordPersist(brk, hit, delivered, err)
 		if !e.retry(j, err) {
 			break
 		}
 	}
 	stopSampler()
 
-	executed := harness.SimCount() - startSims
-	// Like experiment jobs, delivery beats persistence: a policy that
-	// trained but failed to land on disk still reaches the client.
-	if err != nil && env.ID == "" {
-		j.finishPolicy(nil, false, executed, err)
-		return
+	executed = harness.SimCount() - startSims
+	// The stores report a non-nil error alongside a delivered artifact
+	// when only the persist failed ("delivery beats persistence"); the
+	// artifact must still reach the client — an unwritable store degrades
+	// to "no reuse", never to a failed run.
+	switch {
+	case err != nil && !delivered:
+		j.finish(nil, false, executed, err)
+	case j.kind == KindTrain:
+		meta := env.Meta
+		j.finishPolicy(&meta, hit, executed, nil)
+	default:
+		j.finish(&payload, hit, executed, nil)
 	}
-	meta := env.Meta
-	j.finishPolicy(&meta, hit, executed, nil)
+	return executed
 }
 
 // recordPersist feeds one attempt's persist outcome into a store's
@@ -275,12 +240,12 @@ func backoff(base time.Duration, attempt int) time.Duration {
 // time per process, every simulation between job start and finish
 // belongs to this job, so the delta is exact.
 //
-// The sampler is also the lease heartbeat: it renews the job's claim
-// file, so the lease lapses exactly when the process stops making
-// progress observations (crash, hang, SIGKILL), and aborts the run if
-// the claim was lost. Each renewal also checkpoints the record's sims
-// count for frontends that proxy the job. Every tick honors cancel
-// markers left by a frontend, since contexts don't cross processes.
+// Every tick checkpoints the record's sims count for frontends that
+// proxy the job, honors cancel markers left by a frontend (contexts
+// don't cross processes), and checks that this owner still holds the
+// claim: the claim lives while the owner's heartbeat is fresh, so a
+// stall long enough to go stale gets it reaped, and the run is then
+// abandoned rather than split-brained with the job's next owner.
 func (e *executor) startSampler(j *job, startSims int64) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -290,7 +255,6 @@ func (e *executor) startSampler(j *job, startSims int64) (stop func()) {
 		tick := time.NewTicker(e.progressInterval)
 		defer tick.Stop()
 		j.progress(0)
-		lastRenew := time.Now()
 		for {
 			select {
 			case <-done:
@@ -302,23 +266,15 @@ func (e *executor) startSampler(j *job, startSims int64) (stop func()) {
 					j.markUserCanceled()
 					j.cancel()
 				}
-				// Renewing on every tick would write the journal far more
-				// often than durability needs; a third of the TTL keeps two
-				// renewals of slack before a lease could falsely lapse.
-				if time.Since(lastRenew) >= e.leaseTTL/3 {
-					if err := e.journal.renewClaim(j.id, e.owner, e.leaseTTL); err != nil {
-						// The claim is gone or owned elsewhere: this worker
-						// lost the lease (reaped after a stall). Abort the
-						// run rather than split-brain with the new owner;
-						// the finish path must not journal over theirs.
-						e.log.Warn("lease lost, aborting run", "job", j.id, "error", err.Error())
-						j.orphan()
-						j.cancel()
-						return
-					}
-					j.checkpoint()
-					lastRenew = time.Now()
+				if !e.journal.holds(j.id, e.owner) {
+					// The finish path must not journal over the new owner's
+					// record.
+					e.log.Warn("claim lost, aborting run", "job", j.id)
+					j.orphan()
+					j.cancel()
+					return
 				}
+				j.checkpoint()
 			}
 		}
 	}()

@@ -2,7 +2,7 @@ package serve
 
 // FleetJournal is the read/admin façade the fleet coordinator uses over
 // a shared journal directory: backlog counts for the fleet status, worker
-// heartbeats for liveness and occupancy, and expired-claim reaping. All
+// heartbeats for liveness and occupancy, and stale-claim reaping. All
 // journal file-format knowledge stays in this package — fleet imports
 // serve, never the reverse.
 
@@ -42,32 +42,10 @@ func (f *FleetJournal) Backlog() (queued, inflight int) {
 	return queued, inflight
 }
 
-// WorkerInfo is one worker process's heartbeat as the coordinator sees
-// it (the exported view of the on-disk document).
-type WorkerInfo struct {
-	Owner string
-	PID   int
-	// State is "idle" or "busy"; Job is the claimed job while busy.
-	State string
-	Job   string
-	// Jobs and Sims are cumulative completed-job/executed-simulation
-	// counters.
-	Jobs int64
-	Sims int64
-
-	StartedAt time.Time
-	UpdatedAt time.Time
-}
-
 // Workers lists every worker heartbeat on disk, dead or alive — the
 // caller judges staleness against UpdatedAt.
 func (f *FleetJournal) Workers() []WorkerInfo {
-	states := f.jl.loadWorkers()
-	out := make([]WorkerInfo, 0, len(states))
-	for _, w := range states {
-		out = append(out, WorkerInfo(w))
-	}
-	return out
+	return f.jl.loadWorkers()
 }
 
 // RemoveWorker retires a dead worker's heartbeat document.
@@ -75,10 +53,11 @@ func (f *FleetJournal) RemoveWorker(owner string) {
 	f.jl.removeWorker(owner)
 }
 
-// ReapExpired removes claims whose lease lapsed, requeueing their jobs
-// (a non-terminal record without a claim is claimable again); it returns
-// the affected job IDs. The coordinator is the fleet's single reaper —
-// see the claim-protocol notes in claims.go.
-func (f *FleetJournal) ReapExpired(grace time.Duration) []string {
-	return f.jl.reapExpiredClaims(grace, "")
+// ReapStale removes the claims whose owner's heartbeat is older than
+// staleAfter, requeueing their jobs (a non-terminal record without a
+// claim is claimable again); it returns the affected job IDs. The
+// coordinator is the fleet's single reaper — see the claim-protocol
+// notes in claims.go.
+func (f *FleetJournal) ReapStale(staleAfter time.Duration) []string {
+	return f.jl.reapStale(staleAfter)
 }

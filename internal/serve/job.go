@@ -317,19 +317,18 @@ func (j *job) markUserCanceled() {
 	j.mu.Unlock()
 }
 
-// orphan marks a job whose lease was lost to another owner (the claim
-// was reaped and possibly re-claimed elsewhere). From then on its state
-// is memory-only, so this process can never overwrite the new owner's
-// record; the worker loop also skips releasing a claim it no longer
-// holds.
+// orphan marks a job whose claim was lost (reaped, and possibly
+// re-claimed elsewhere). From then on its state is memory-only, so this
+// process can never overwrite the new owner's record; the worker loop
+// also skips releasing a claim it no longer holds.
 func (j *job) orphan() {
 	j.mu.Lock()
 	j.orphaned = true
 	j.mu.Unlock()
 }
 
-// lostLease reports whether orphan was called.
-func (j *job) lostLease() bool {
+// lostClaim reports whether orphan was called.
+func (j *job) lostClaim() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.orphaned

@@ -209,15 +209,18 @@ func TestJournalRecoveryIdempotent(t *testing.T) {
 	}
 }
 
-// TestJournalLeaseTakeover: a journaled running job whose claim file
-// holds a still-live lease is not stolen at startup — the server waits
-// for the lease to expire, reaps the claim, then runs the job. (A live
-// claim may belong to another process sharing the journal directory.)
+// TestJournalLeaseTakeover: a journaled running job whose claim belongs
+// to an owner with a fresh heartbeat is not stolen at startup — the
+// server waits until that heartbeat goes stale, reaps the claim, then
+// runs the job. (A live claim may belong to another process sharing the
+// journal directory.) The foreign owner heartbeats for 1.5 s, then stops.
 func TestJournalLeaseTakeover(t *testing.T) {
 	harness.ResetCaches()
 	defer harness.ResetCaches()
 	journalDir := t.TempDir()
-	lease := 1500 * time.Millisecond
+	const owner = "pid1-00000000000000aa"
+	alive := 1500 * time.Millisecond
+	staleAfter := 500 * time.Millisecond
 
 	now := time.Now().UTC()
 	rec := map[string]any{
@@ -227,7 +230,7 @@ func TestJournalLeaseTakeover(t *testing.T) {
 		"scale":      "tiny",
 		"status":     serve.StatusRunning,
 		"attempts":   1,
-		"owner":      "pid1-00000000000000aa",
+		"owner":      owner,
 		"created_at": now.Format(time.RFC3339Nano),
 		"updated_at": now.Format(time.RFC3339Nano),
 	}
@@ -235,20 +238,48 @@ func TestJournalLeaseTakeover(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(journalDir, "job-7.json"), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// The foreign owner's claim: its lease is the only one there is.
-	claim := map[string]any{
-		"id":          "job-7",
-		"owner":       "pid1-00000000000000aa",
-		"lease_until": now.Add(lease).Format(time.RFC3339Nano),
-		"claimed_at":  now.Format(time.RFC3339Nano),
+	writeDoc := func(sub, name string, doc map[string]any) {
+		t.Helper()
+		buf, _ := json.Marshal(doc)
+		if err := os.MkdirAll(filepath.Join(journalDir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		tmp := filepath.Join(journalDir, sub, name+".tmp")
+		if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(tmp, filepath.Join(journalDir, sub, name)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	buf, _ = json.Marshal(claim)
-	if err := os.MkdirAll(filepath.Join(journalDir, "claims"), 0o755); err != nil {
-		t.Fatal(err)
+	// The foreign owner's claim, and its heartbeat: fresh until it stops.
+	writeDoc("claims", "job-7.claim", map[string]any{
+		"id": "job-7", "owner": owner, "claimed_at": now.Format(time.RFC3339Nano),
+	})
+	beat := func() {
+		writeDoc("workers", owner+".json", map[string]any{
+			"owner": owner, "pid": 1, "state": "busy", "job": "job-7",
+			"updated_at": time.Now().UTC().Format(time.RFC3339Nano),
+		})
 	}
-	if err := os.WriteFile(filepath.Join(journalDir, "claims", "job-7.claim"), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	beat()
+	stopBeat := make(chan struct{})
+	beating := make(chan struct{})
+	go func() {
+		defer close(beating)
+		tick := time.NewTicker(100 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stopBeat:
+				return
+			case <-tick.C:
+				beat()
+			}
+		}
+	}()
+	time.AfterFunc(alive, func() { close(stopBeat) })
+	defer func() { <-beating }()
 
 	start := time.Now()
 	srv, err := serve.New(serve.Config{
@@ -256,6 +287,7 @@ func TestJournalLeaseTakeover(t *testing.T) {
 		QueueDepth:       4,
 		ProgressInterval: 10 * time.Millisecond,
 		JournalDir:       journalDir,
+		StaleAfter:       staleAfter,
 		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
 	})
 	if err != nil {
@@ -263,8 +295,9 @@ func TestJournalLeaseTakeover(t *testing.T) {
 	}
 	ts := newHTTPServer(t, srv)
 
-	// While the foreign lease is live, the job is registered but parked.
-	time.Sleep(200 * time.Millisecond)
+	// While the foreign owner heartbeats — well past its claim's age plus
+	// the stale bound — the job is registered but parked.
+	time.Sleep(alive - 300*time.Millisecond)
 	var out struct {
 		Job serve.JobView `json:"job"`
 	}
@@ -272,11 +305,12 @@ func TestJournalLeaseTakeover(t *testing.T) {
 		t.Fatalf("recovered job not listed: %d", code)
 	}
 	if out.Job.Status != serve.StatusQueued {
-		t.Fatalf("job with a live lease is %q %v into a %v lease, want queued",
-			out.Job.Status, time.Since(start), lease)
+		t.Fatalf("job whose owner heartbeats is %q %v after startup, want queued",
+			out.Job.Status, time.Since(start))
 	}
 
-	// After expiry the claim is reaped and the job runs to completion.
+	// Once the heartbeat goes stale the claim is reaped and the job runs
+	// to completion.
 	done := waitDone(t, ts, "job-7")
 	if done.Status != serve.StatusDone {
 		t.Fatalf("taken-over job ended %q (%s)", done.Status, done.Error)
@@ -284,8 +318,9 @@ func TestJournalLeaseTakeover(t *testing.T) {
 	if !done.Recovered {
 		t.Error("taken-over job not marked recovered")
 	}
-	if took := time.Since(start); took < lease-300*time.Millisecond {
-		t.Errorf("job finished %v after startup, inside the foreign %v lease", took, lease)
+	if took := time.Since(start); took < alive+staleAfter-300*time.Millisecond {
+		t.Errorf("job finished %v after startup, before the foreign owner's heartbeat (live %v) went stale (%v)",
+			took, alive, staleAfter)
 	}
 	// nextID resumed past the recovered ID: no collision with new jobs.
 	fresh, code := postRun(t, ts, "table4", "tiny")

@@ -9,10 +9,10 @@ import (
 	"pythia/internal/trace"
 )
 
-// jobBuilder reconstructs executable jobs from journal records through
-// the same resolve tables admission uses. Both readers of the journal
-// share it: a restarting server rebuilding its backlog, and a fleet
-// worker materializing a claimed record into something it can execute.
+// jobBuilder resolves job specs: admission's scale lookups, and
+// executable jobs rebuilt from journal records through the same tables.
+// A restarting server rebuilding its backlog and a fleet worker
+// materializing a claimed record share it.
 type jobBuilder struct {
 	base        context.Context
 	extraScales map[string]harness.Scale
@@ -56,7 +56,8 @@ func (b *jobBuilder) resolve(rec jobRecord) (*job, error) {
 }
 
 // resolveScale maps a scale name through the extra-scales table, then
-// the harness presets (which include parametric "custom:..." names).
+// the harness presets (which include parametric "custom:..." names). An
+// empty name means the harness default.
 func (b *jobBuilder) resolveScale(name string) (harness.Scale, error) {
 	if sc, ok := b.extraScales[name]; ok {
 		return sc, nil

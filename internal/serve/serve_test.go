@@ -167,6 +167,9 @@ func TestServeEndToEnd(t *testing.T) {
 	if final.Result == nil || final.Result.Table == nil || len(final.Result.Table.Rows) == 0 {
 		t.Fatal("first run returned no table")
 	}
+	if final.Worker == "" {
+		t.Error("finished job names no worker (the in-process worker's owner)")
+	}
 	firstRendered := final.Rendered
 
 	// The stored result is directly fetchable.
@@ -418,8 +421,8 @@ func TestDispatchQueueDepthCountsQueuedJobs(t *testing.T) {
 
 // TestServeProgressNeverRegresses: a single-process job's SSE progress
 // never goes backwards while the watcher is reading the journal. The
-// short lease makes the worker checkpoint its record often, so the
-// record always holds some earlier sims count than the job itself.
+// worker checkpoints its record on every progress tick, so the record
+// always holds some earlier sims count than the job itself.
 func TestServeProgressNeverRegresses(t *testing.T) {
 	harness.ResetCaches()
 	defer harness.ResetCaches()
@@ -427,7 +430,6 @@ func TestServeProgressNeverRegresses(t *testing.T) {
 		Store:            results.Open(t.TempDir()),
 		QueueDepth:       4,
 		ProgressInterval: 5 * time.Millisecond,
-		LeaseTTL:         30 * time.Millisecond,
 		ExtraScales:      map[string]harness.Scale{"slow": slowScale},
 	})
 	if err != nil {

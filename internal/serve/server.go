@@ -3,12 +3,13 @@
 // serves results to many concurrent consumers.
 //
 // Architecture: every admitted job is journaled and runs through one
-// claim protocol, at any scale. A worker wins a job by creating its
-// claim file, and the claim file is the job's lease. A Server without
-// Dispatch starts one in-process worker goroutine and hands it job IDs
-// over a channel, running one experiment at a time; with Dispatch,
-// worker processes (RunWorker) find jobs by scanning the shared
-// journal. Each experiment internally fans its simulations out over the
+// claim protocol and one worker loop, at any scale. A worker wins a job
+// by creating its claim file, and the claim lives while its owner's
+// heartbeat is fresh. A Server without Dispatch runs that loop in one
+// in-process worker goroutine over its own queued jobs, in admission
+// order, one experiment at a time; with Dispatch, worker processes
+// (RunWorker) run it over a scan of the shared journal. Each experiment
+// internally fans its simulations out over the
 // harness worker pool (harness.SetWorkers), so the machine stays fully
 // utilized while the queued-job bound — not goroutine count — bounds
 // admitted work. Every completed experiment is persisted in a
@@ -40,7 +41,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -87,16 +87,16 @@ type Config struct {
 	// JournalDir is the durable job journal: every accepted job is
 	// persisted there (spec + state transitions), and New recovers
 	// non-terminal jobs from it — unclaimed ones requeue immediately,
-	// claimed ones once their claim's lease expires. Empty means a
+	// claimed ones once their claim's owner goes stale. Empty means a
 	// private temporary journal that Shutdown removes: jobs then survive
 	// nothing but the process. Custom scales in ExtraScales must be
 	// re-registered for their journaled jobs to be recoverable.
 	JournalDir string
-	// LeaseTTL is how long a job's claim lasts between heartbeats
-	// (renewed by the progress sampler); the default is 30s. A crashed
-	// worker stops renewing, and its claim is reaped — the job requeued —
-	// once the lease lapses.
-	LeaseTTL time.Duration
+	// StaleAfter is how old a claim owner's last sign of life (its
+	// heartbeat, else the claim's claimed_at) may grow before the watcher
+	// reaps the claim and requeues the job; the default is 5s. The
+	// in-process worker heartbeats every StaleAfter/5.
+	StaleAfter time.Duration
 	// MaxAttempts bounds how many times a job may enter execution —
 	// transient-failure retries and crash-recovery dispatches both
 	// count — before it fails permanently; the default is 3.
@@ -124,7 +124,7 @@ type Config struct {
 	// stays ignorant of the fleet coordinator (fleet imports serve, never
 	// the reverse); cmd wiring hands the coordinator's Status here. A
 	// coordinator is its journal's reaper, so with FleetStatus set the
-	// watcher leaves expired claims to it.
+	// watcher leaves stale claims to it.
 	FleetStatus func() api.FleetStatus
 
 	// Logger receives structured job-lifecycle logs (admission, dispatch,
@@ -145,8 +145,8 @@ func (c *Config) defaults() {
 	if c.JobHistory <= 0 {
 		c.JobHistory = 256
 	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 30 * time.Second
+	if c.StaleAfter <= 0 {
+		c.StaleAfter = 5 * time.Second
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
@@ -175,8 +175,8 @@ type Server struct {
 	// lever (Close, or Shutdown past its deadline).
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	// drain tells the in-process worker to exit once its channel is
-	// empty, and the watcher to stop; closing is the shutdown signal.
+	// drain tells the in-process worker to exit once it finds no job to
+	// claim, and the watcher to stop; closing is the shutdown signal.
 	drain     chan struct{}
 	drainOnce sync.Once
 	closing   atomic.Bool
@@ -192,13 +192,15 @@ type Server struct {
 	journal     *journal
 	tempJournal bool
 	recovered   int
+	// builder resolves specs for admission and recovery alike.
+	builder jobBuilder
 
 	// exec is the execution engine of the in-process worker; its
 	// breakers guard admission in every mode.
 	exec *executor
-	// work hands claimable job IDs to the in-process worker (nil in
-	// dispatch mode, where worker processes scan the journal instead).
-	work chan string
+	// wake is the in-process worker's one-slot doorbell: admission and
+	// reaping ring it, so the worker never polls while a job waits.
+	wake chan struct{}
 
 	// frontOwner is this frontend's claim-owner identity, used to claim
 	// queued jobs for prompt cancellation.
@@ -214,9 +216,9 @@ type Server struct {
 // must stop the server with Shutdown (drain) or Close (abort).
 //
 // New first recovers the journal: non-terminal jobs are re-tracked, and
-// those nobody has claimed are handed to the worker ahead of new
-// admissions; a claimed job waits until its lease lapses and the claim
-// is reaped (the claimant may be alive in another process).
+// those nobody has claimed are the worker's first candidates, ahead of
+// new admissions; a claimed job waits until its owner goes stale and
+// the claim is reaped (the claimant may be alive in another process).
 // Re-execution is at-least-once but idempotent — results and policies
 // are content-addressed and singleflight-guarded, so a recovered job
 // that already persisted its result is a store hit with zero new
@@ -233,6 +235,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		store:      cfg.Store,
 		drain:      make(chan struct{}),
+		wake:       make(chan struct{}, 1),
 		jobs:       make(map[string]*job),
 		frontOwner: NewOwnerID("front"),
 		log:        cfg.Logger,
@@ -261,26 +264,17 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.journal = jl
+	s.builder = jobBuilder{base: s.baseCtx, extraScales: cfg.ExtraScales, jl: jl}
 	s.exec = newExecutor(cfg, jl, NewOwnerID("local"))
 
-	claimable := s.recoverJobs(jl.load())
-	mRequeues.Add(int64(len(claimable)))
+	requeued := s.recoverJobs(jl.load())
+	mRequeues.Add(int64(requeued))
 	if s.recovered > 0 {
 		mRecovered.Add(int64(s.recovered))
-		s.log.Info("journal recovery complete", "recovered", s.recovered, "requeued", len(claimable))
+		s.log.Info("journal recovery complete", "recovered", s.recovered, "requeued", requeued)
 	}
 	if !cfg.Dispatch {
-		// Admission keeps at most QueueDepth unclaimed jobs; the channel
-		// has room for as many again (IDs of jobs canceled while waiting
-		// stay in it until the worker skips them), plus the recovered
-		// backlog, which rides ahead so a full journal cannot deadlock
-		// startup.
-		s.work = make(chan string, 2*cfg.QueueDepth+s.recovered)
-		for _, id := range claimable {
-			s.work <- id
-		}
-		s.wg.Add(1)
-		go s.runLocal()
+		s.startWorker()
 	}
 	s.registerMetrics()
 	s.wg.Add(1)
@@ -291,9 +285,9 @@ func New(cfg Config) (*Server, error) {
 // recoverJobs re-tracks the journal after a restart, the same way in
 // both modes: terminal records are reclaimed, every other job is rebuilt
 // as queued — one whose spec no longer resolves fails visibly — and the
-// IDs of those without a claim file are returned: they are claimable
-// now. A claimed job stays parked until reaping removes its claim.
-func (s *Server) recoverJobs(recs []jobRecord) (claimable []string) {
+// number without a claim file is returned: they are claimable now. A
+// claimed job stays parked until reaping removes its claim.
+func (s *Server) recoverJobs(recs []jobRecord) (requeued int) {
 	for _, rec := range recs {
 		if n := jobIDNum(rec.ID); n > s.nextID {
 			s.nextID = n
@@ -302,78 +296,84 @@ func (s *Server) recoverJobs(recs []jobRecord) (claimable []string) {
 			s.journal.remove(rec.ID)
 			continue
 		}
-		j, err := s.rebuildJob(rec)
+		// Not yet visible to other goroutines, so publishing needs no lock.
+		j, err := s.builder.build(rec)
+		j.recovered = true
+		j.publish("status", j.viewLocked())
 		s.jobs[rec.ID] = j
 		s.order = append(s.order, rec.ID)
 		s.recovered++
 		if err != nil {
 			j.finish(nil, false, 0, fmt.Errorf("unrecoverable job spec: %w", err))
 		} else if _, claimed := s.journal.claimState(rec.ID); !claimed {
-			claimable = append(claimable, rec.ID)
+			requeued++
 		}
 	}
-	return claimable
+	return requeued
 }
 
-// rebuildJob reconstructs a job from its journal record, resolving the
-// spec through the same tables admission used (jobBuilder, shared with
-// the worker role). The job is not yet visible to other goroutines.
-func (s *Server) rebuildJob(rec jobRecord) (*job, error) {
-	b := &jobBuilder{base: s.baseCtx, extraScales: s.cfg.ExtraScales, jl: s.journal}
-	j, err := b.build(rec)
-	j.recovered = true
-	j.publish("status", j.viewLocked())
-	return j, err
-}
-
-// runLocal is the in-process worker: it runs the jobs whose IDs arrive
-// on s.work, one at a time — the progress sampler's process-wide
-// SimCount delta relies on that. On shutdown it drains what is already
-// handed over (each job still honors its own context, so an aborted
-// shutdown cancels them), then exits.
-func (s *Server) runLocal() {
-	defer s.wg.Done()
-	for {
+// startWorker starts the in-process worker: the worker loop over the
+// server's own open jobs, in admission order, one at a time — the
+// progress sampler's process-wide SimCount delta relies on that. A won
+// claim runs the frontend's own *job, so status and SSE update
+// directly. On shutdown the worker runs every job it can still claim
+// (each honors its own context, so an aborted shutdown cancels them),
+// then exits.
+func (s *Server) startWorker() {
+	w := newWorker(s.exec)
+	w.candidates = s.waitingJobs
+	w.take = func(id string) (*job, error) {
+		// A job that turned terminal meanwhile (a DELETE won the claim,
+		// canceled the job and released the claim) needs no run.
+		if j, ok := s.jobByID(id); ok && j.setHeld(true) {
+			return j, nil
+		}
+		return nil, nil
+	}
+	w.next = func(ran bool) bool {
+		if ran {
+			return true
+		}
 		select {
-		case id := <-s.work:
-			s.runLocalJob(id)
+		case <-s.wake:
+			return true
 		case <-s.drain:
-			for {
-				select {
-				case id := <-s.work:
-					s.runLocalJob(id)
-				default:
-					return
-				}
-			}
+			return false
 		}
 	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		w.run(s.cfg.StaleAfter / 5)
+	}()
 }
 
-// runLocalJob wins one job's claim and runs the frontend's own *job, so
-// status and SSE update directly. A job that turned terminal meanwhile
-// is skipped; one a foreign owner holds comes back through reaping once
-// that lease lapses.
-func (s *Server) runLocalJob(id string) {
-	j, ok := s.jobByID(id)
-	if !ok || !j.setHeld(true) {
-		return
+// waitingJobs lists the open jobs the in-process worker has not taken,
+// in admission order. A job another owner holds is listed too; its
+// claim attempt fails until reaping frees it.
+func (s *Server) waitingJobs() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var ids []string
+	for _, id := range s.order {
+		if s.jobs[id].proxied() {
+			ids = append(ids, id)
+		}
 	}
-	if !s.journal.claim(id, s.exec.owner, s.cfg.LeaseTTL) {
-		j.setHeld(false)
-		return
+	return ids
+}
+
+// signal rings the in-process worker's doorbell without blocking; a
+// ring already pending covers this one.
+func (s *Server) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
 	}
-	if j.terminal() {
-		// A DELETE won the claim, canceled the job and released the claim
-		// between the check above and our claim.
-		s.journal.releaseClaim(id, s.exec.owner)
-		return
-	}
-	s.exec.runClaimed(j, nil)
 }
 
 // watcher is the frontend's journal loop: every ProgressInterval it
-// reaps expired claims (unless a fleet coordinator owns the journal) and
+// reaps stale claims (unless a fleet coordinator owns the journal) and
 // mirrors worker-side transitions into the in-memory jobs it proxies
 // (status flip, progress samples, terminal adoption with the artifact
 // fetched from the shared store) — so the HTTP surface, SSE streams
@@ -397,21 +397,17 @@ func (s *Server) watcher() {
 	}
 }
 
-// reap requeues the jobs whose claims expired, handing each to the
-// in-process worker. The worker's own claims are spared: its owner is
-// alive by definition.
+// reap requeues the jobs whose claim owners went stale and wakes the
+// in-process worker for them. The worker's own claims stay live through
+// its heartbeat, like any owner's.
 func (s *Server) reap() {
-	for _, id := range s.journal.reapExpiredClaims(s.cfg.LeaseTTL, s.exec.owner) {
+	reaped := s.journal.reapStale(s.cfg.StaleAfter)
+	for _, id := range reaped {
 		mRequeues.Inc()
-		s.log.Info("lease expired, job requeued", "job", id)
-		if s.work == nil {
-			continue
-		}
-		select {
-		case s.work <- id:
-		case <-s.drain:
-			return
-		}
+		s.log.Info("claim owner stale, job requeued", "job", id)
+	}
+	if len(reaped) > 0 {
+		s.signal()
 	}
 }
 
@@ -468,18 +464,18 @@ func (s *Server) adoptTerminalRecord(j *job, rec jobRecord) {
 }
 
 // Shutdown gracefully stops the server: admission closes immediately
-// (launches get 503), then the in-process worker drains every job handed
-// to it before exiting. If ctx expires first, the drain turns into an
-// abort — the base context is canceled, so the in-flight job ends
-// "canceled" at its next chunk boundary and the remaining queued jobs
-// are marked canceled as the worker takes them; their journal records
-// stay requeue-able. Shutdown returns when the worker and watcher have
-// exited, and removes a private journal; it is idempotent and safe to
-// race with Close.
+// (launches get 503), then the in-process worker runs every queued job
+// it can claim before exiting. If ctx expires first, the drain turns
+// into an abort — the base context is canceled, so the in-flight job
+// ends "canceled" at its next chunk boundary and the remaining queued
+// jobs are marked canceled as the worker takes them; their journal
+// records stay requeue-able. Shutdown returns when the worker and
+// watcher have exited, and removes a private journal; it is idempotent
+// and safe to race with Close.
 func (s *Server) Shutdown(ctx context.Context) {
 	// The closing transition is taken under s.mu — the same lock admission
-	// holds across its check-and-hand-off — so after this critical section
-	// no launch can observe closing == false and hand a job over later.
+	// holds across its check-and-register — so after this critical section
+	// no launch can observe closing == false and register a job later.
 	s.mu.Lock()
 	s.closing.Store(true)
 	s.mu.Unlock()
@@ -499,18 +495,15 @@ func (s *Server) Shutdown(ctx context.Context) {
 	if s.tempJournal {
 		defer os.RemoveAll(s.journal.dir)
 	}
-	// A launch that won the race (handed over before the closing
-	// transition above) may still have slipped its job in after the worker
-	// drained and exited; finish any leftovers here — every admitted job
-	// is guaranteed a terminal event, shutdown or not.
-	for {
-		select {
-		case id := <-s.work:
+	// Jobs the in-process worker could not claim before it exited (another
+	// owner held them) are still open: finish them canceled here, so every
+	// admitted job gets a terminal event. As a shutdown cancellation it
+	// leaves their journal records requeue-able.
+	if !s.cfg.Dispatch {
+		for _, id := range s.waitingJobs() {
 			if j, ok := s.jobByID(id); ok {
 				j.finish(nil, false, 0, context.Canceled)
 			}
-		default:
-			return
 		}
 	}
 }
@@ -530,15 +523,6 @@ func (s *Server) Recovered() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recovered
-}
-
-// resolveScale maps a scale name through ExtraScales, then the harness
-// presets. An empty name means the harness default.
-func (s *Server) resolveScale(name string) (harness.Scale, error) {
-	if sc, ok := s.cfg.ExtraScales[name]; ok {
-		return sc, nil
-	}
-	return harness.ScaleByName(name)
 }
 
 // --- HTTP API ---
@@ -651,7 +635,7 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.Errorf(api.CodeBadRequest, "bad request body: %v", err))
 		return
 	}
-	sc, err := s.resolveScale(req.Scale)
+	sc, err := s.builder.resolveScale(req.Scale)
 	if err != nil {
 		writeError(w, api.Errorf(api.CodeBadRequest, "%v", err))
 		return
@@ -729,7 +713,7 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		j = newJob(s.baseCtx, id, exp, scaleName, sc)
 	}
 	j.jl = s.journal
-	// Journal before the hand-off: the record IS the enqueue for worker
+	// Journal before registration: the record IS the enqueue for worker
 	// processes, and a crash in the window before registration (the
 	// FPAdmitCrash failpoint) leaves a journaled job that recovery
 	// requeues — the at-least-once side of the durability contract
@@ -743,8 +727,8 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Registration and hand-off are one step under mu, so a job is
-	// registered iff a worker can get it.
+	// The closing check and registration are one step under mu, so a
+	// registered job is one the worker (or Shutdown) will finish.
 	s.mu.Lock()
 	if s.closing.Load() {
 		s.mu.Unlock()
@@ -754,7 +738,7 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.Errorf(api.CodeShuttingDown, "server is shutting down"))
 		return
 	}
-	if s.queuedLocked() >= s.cfg.QueueDepth || !s.handOff(id) {
+	if s.queuedLocked() >= s.cfg.QueueDepth {
 		s.mu.Unlock()
 		// The rejected job was never admitted: drop its journal record and
 		// release its context registration on baseCtx so retry storms
@@ -774,24 +758,10 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	s.order = append(s.order, id)
 	s.pruneLocked()
 	s.mu.Unlock()
+	s.signal()
 	s.log.Info("job admitted", "job", id, "kind", j.kind,
 		"experiment", j.expID, "scale", scaleName)
 	writeJSON(w, http.StatusAccepted, api.JobResponse{Job: j.view()})
-}
-
-// handOff passes an admitted job to the in-process worker without
-// blocking; false means its channel is full. In dispatch mode the
-// journal record written at admission is the hand-off.
-func (s *Server) handOff(id string) bool {
-	if s.work == nil {
-		return true
-	}
-	select {
-	case s.work <- id:
-		return true
-	default:
-		return false
-	}
 }
 
 // queued counts the jobs waiting to execute — queued and not taken by
@@ -909,14 +879,14 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 // Losing means a worker holds it: the in-process worker sees the
 // canceled context at its next chunk boundary, and a worker process —
 // contexts don't cross process boundaries — sees the cancel marker at
-// its next heartbeat; either journals the terminal state. A DELETE is
+// its next progress tick; either journals the terminal state. A DELETE is
 // an explicit client decision, so its terminal state is journaled,
 // unlike shutdown-driven cancellation (which leaves the journal
 // requeue-able).
 func (s *Server) cancelJob(j *job) {
 	j.markUserCanceled()
 	j.cancel()
-	if s.journal.claim(j.id, s.frontOwner, s.cfg.LeaseTTL) {
+	if s.journal.claim(j.id, s.frontOwner) {
 		j.finish(nil, false, 0, context.Canceled)
 		s.journal.releaseClaim(j.id, s.frontOwner)
 		s.log.Info("queued job canceled", "job", j.id)
@@ -997,7 +967,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.Errorf(api.CodeNotFound, "unknown experiment %q", expID))
 		return
 	}
-	sc, err := s.resolveScale(r.URL.Query().Get("scale"))
+	sc, err := s.builder.resolveScale(r.URL.Query().Get("scale"))
 	if err != nil {
 		writeError(w, api.Errorf(api.CodeBadRequest, "%v", err))
 		return
@@ -1139,15 +1109,4 @@ func (s *Server) storesHealth() map[string]api.StoreHealth {
 		}
 	}
 	return stores
-}
-
-// Scales lists the scale names this server accepts (presets plus extras),
-// for documentation endpoints and CLIs.
-func (s *Server) Scales() []string {
-	names := []string{"quick", "default", "full", "long"}
-	for n := range s.cfg.ExtraScales {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

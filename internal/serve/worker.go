@@ -1,13 +1,14 @@
 package serve
 
-// The fleet worker role: a thin process loop that drains jobs from a
-// shared journal directory through the same claim step and execution
-// engine as a Server's in-process worker (executor.go). Workers hold no
-// HTTP surface and no queue — the journal IS the queue: a non-terminal
-// record with no claim file is claimable, the O_CREATE|O_EXCL claim is
-// the arbitration, and every state transition lands in the record where
-// the fleet frontend's watcher picks it up. pythia-serve -worker runs
-// this loop; the fleet coordinator keeps a fixed number of them alive.
+// The worker loop, and the fleet worker role built on it: a process that
+// drains jobs from a shared journal directory through the same loop,
+// claim step and execution engine as a Server's in-process worker.
+// Worker processes hold no HTTP surface and no queue — the journal IS
+// the queue: a non-terminal record with no claim file is claimable, the
+// O_CREATE|O_EXCL claim is the arbitration, and every state transition
+// lands in the record where the fleet frontend's watcher picks it up.
+// pythia-serve -worker runs this loop; the fleet coordinator keeps a
+// fixed number of them alive.
 
 import (
 	"context"
@@ -32,19 +33,22 @@ type WorkerConfig struct {
 	// one the fleet frontend admits into.
 	JournalDir string
 
-	// LeaseTTL, MaxAttempts, RetryBase and ProgressInterval mirror the
-	// Config fields of the same names (same defaults).
-	LeaseTTL         time.Duration
+	// MaxAttempts, RetryBase and ProgressInterval mirror the Config
+	// fields of the same names (same defaults). Every ProgressInterval the
+	// running job's record is checkpointed and its claim checked.
 	MaxAttempts      int
 	RetryBase        time.Duration
 	ProgressInterval time.Duration
 	// PollInterval is how long an idle worker sleeps between journal
 	// scans; the default is 100ms.
 	PollInterval time.Duration
-	// HeartbeatInterval is how often the worker's liveness document is
-	// rewritten (a background goroutine, so long jobs don't starve it);
-	// the default is 1s. The coordinator stops a worker whose heartbeat
-	// is older than a few of these as hung, and respawns its slot.
+	// HeartbeatInterval is how often the worker rewrites its heartbeat
+	// document (from a background goroutine, so long jobs don't starve
+	// it); the default is 1s. The heartbeat is the worker's only liveness
+	// signal: its claims live while the heartbeat is younger than the
+	// coordinator's StaleAfter (5s by default), and past that the
+	// coordinator kills the worker as hung, reaps its claims and respawns
+	// its slot.
 	HeartbeatInterval time.Duration
 	// ExtraScales must match the frontend's table for its journaled jobs
 	// to resolve here. Parametric "custom:..." scales resolve in any
@@ -63,20 +67,30 @@ type WorkerConfig struct {
 	Logger *slog.Logger
 }
 
-// worker is the running state of one RunWorker invocation.
+// worker is the one scan-claim-execute loop, shared by worker processes
+// (RunWorker) and a Server's in-process worker. Two hooks say where
+// they differ: candidates lists the job IDs worth trying (a journal scan
+// in a worker process; the server's own queued jobs in-process), and
+// take turns a won claim into the job to execute (a job built from the
+// record; the frontend's own job, so its status and SSE stay direct).
 type worker struct {
-	cfg     WorkerConfig
-	jl      *journal
 	exec    *executor
-	owner   string
-	ctx     context.Context
-	log     *slog.Logger
 	started time.Time
+
+	// candidates lists job IDs to try to claim, in the order to try them.
+	candidates func() []string
+	// take turns a claimed job ID into the job to run, with the error
+	// rebuilding it, if any; a nil job means there is nothing to run (the
+	// job turned terminal meanwhile) and the claim is released.
+	take func(id string) (j *job, specErr error)
+	// next is called after every scan with whether the scan ran a job;
+	// it waits for work when none was found, and reports whether to
+	// scan again.
+	next func(ran bool) bool
 
 	// mu guards the heartbeat document's mutable fields: the loop writes
 	// them at state transitions while the background heartbeat goroutine
-	// reads them every tick (so a worker deep in a long job still proves
-	// liveness).
+	// reads them every tick.
 	mu    sync.Mutex
 	state string
 	job   string
@@ -109,7 +123,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (int64, error) {
 	ec := Config{
 		Store:            cfg.Store,
 		Policies:         cfg.Policies,
-		LeaseTTL:         cfg.LeaseTTL,
 		MaxAttempts:      cfg.MaxAttempts,
 		RetryBase:        cfg.RetryBase,
 		ProgressInterval: cfg.ProgressInterval,
@@ -125,84 +138,96 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (int64, error) {
 	}
 	owner := NewOwnerID(cfg.Label)
 	ec.Logger = ec.Logger.With("worker", owner)
-	w := &worker{
-		cfg:     cfg,
-		jl:      jl,
-		owner:   owner,
-		ctx:     ctx,
-		log:     ec.Logger,
-		exec:    newExecutor(ec, jl, owner),
-		started: time.Now().UTC(),
+	w := newWorker(newExecutor(ec, jl, owner))
+	b := &jobBuilder{base: ctx, extraScales: cfg.ExtraScales, jl: jl}
+	// Records are visited in job-ID order, so the fleet approximates the
+	// frontend's FIFO admission order.
+	w.candidates = func() []string {
+		var ids []string
+		for _, rec := range jl.load() {
+			if !terminalStatus(rec.Status) {
+				ids = append(ids, rec.ID)
+			}
+		}
+		return ids
 	}
-	w.log.Info("worker up", "journal", cfg.JournalDir, "pid", os.Getpid())
-	w.setState("idle", "")
-	defer jl.removeWorker(owner) // graceful exit retires the heartbeat; a SIGKILL leaves it for the coordinator to sweep
+	w.take = func(id string) (*job, error) {
+		// Re-read under the claim: a frontend cancels a queued job by
+		// winning its claim, finishing it and releasing the claim, which
+		// may all fall between the scan and our claim.
+		rec, ok := jl.get(id)
+		if !ok || terminalStatus(rec.Status) {
+			return nil, nil
+		}
+		return b.build(rec)
+	}
+	w.next = func(ran bool) bool {
+		if !ran {
+			select {
+			case <-ctx.Done():
+			case <-time.After(cfg.PollInterval):
+			}
+		}
+		return ctx.Err() == nil
+	}
+	ec.Logger.Info("worker up", "journal", cfg.JournalDir, "pid", os.Getpid())
+	jobs := w.run(cfg.HeartbeatInterval)
+	ec.Logger.Info("worker draining out", "jobs", jobs)
+	return jobs, nil
+}
 
-	// The heartbeat goroutine keeps liveness fresh even while the loop is
-	// buried in a multi-minute job — a stale heartbeat means this process
-	// is truly gone (or wedged solid), not merely busy.
-	hbDone := make(chan struct{})
-	defer close(hbDone)
+func newWorker(exec *executor) *worker {
+	return &worker{exec: exec, started: time.Now().UTC(), state: "idle"}
+}
+
+// run lands the heartbeat document before the first claim, keeps it
+// fresh every interval from a background goroutine (so a worker deep in
+// a long job still proves liveness, and its claims stay live), and runs
+// the loop until next says stop. It returns the jobs completed.
+func (w *worker) run(every time.Duration) int64 {
+	w.heartbeat()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
-		tick := time.NewTicker(cfg.HeartbeatInterval)
+		defer wg.Done()
+		tick := time.NewTicker(every)
 		defer tick.Stop()
 		for {
 			select {
-			case <-hbDone:
+			case <-done:
 				return
 			case <-tick.C:
 				w.heartbeat()
 			}
 		}
 	}()
-	return w.run()
-}
-
-// run is the scan-claim-execute loop.
-func (w *worker) run() (int64, error) {
-	for {
-		if w.ctx.Err() != nil {
-			w.mu.Lock()
-			jobs := w.jobs
-			w.mu.Unlock()
-			w.log.Info("worker draining out", "jobs", jobs)
-			return jobs, nil
-		}
-		if !w.drainOne() {
-			select {
-			case <-w.ctx.Done():
-			case <-time.After(w.cfg.PollInterval):
-			}
-		}
+	for w.next(w.drainOne()) {
 	}
+	close(done)
+	wg.Wait()
+	// A graceful exit retires the heartbeat; a SIGKILL leaves it to go
+	// stale, which frees the dead worker's claims.
+	w.exec.journal.removeWorker(w.exec.owner)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.jobs
 }
 
-// drainOne scans the journal for one claimable job, executes it, and
-// reports whether it found any. Records are visited in job-ID order so
-// the fleet approximates the frontend's FIFO admission order.
+// drainOne claims the first candidate it can, executes it, and reports
+// whether it ran one.
 func (w *worker) drainOne() bool {
-	for _, rec := range w.jl.load() {
-		if terminalStatus(rec.Status) {
+	for _, id := range w.candidates() {
+		if !w.exec.journal.claim(id, w.exec.owner) {
+			continue // held by another owner, or lost the race for it
+		}
+		j, specErr := w.take(id)
+		if j == nil {
+			w.exec.journal.releaseClaim(id, w.exec.owner)
 			continue
 		}
-		if _, claimed := w.jl.claimState(rec.ID); claimed {
-			continue
-		}
-		if !w.jl.claim(rec.ID, w.owner, w.exec.leaseTTL) {
-			continue // lost the race for this one; try the next
-		}
-		// Re-read under the claim: a frontend cancels a queued job by
-		// winning its claim, finishing it and releasing the claim, which
-		// may all fall between this scan and the claim above.
-		cur, ok := w.jl.get(rec.ID)
-		if !ok || terminalStatus(cur.Status) {
-			w.jl.releaseClaim(rec.ID, w.owner)
-			continue
-		}
-		b := &jobBuilder{base: w.ctx, extraScales: w.cfg.ExtraScales, jl: w.jl}
-		j, err := b.build(cur)
-		w.setState("busy", cur.ID)
-		finished, sims := w.exec.runClaimed(j, err)
+		w.setState("busy", id)
+		finished, sims := w.exec.runClaimed(j, specErr)
 		w.mu.Lock()
 		if finished {
 			w.jobs++
@@ -215,22 +240,20 @@ func (w *worker) drainOne() bool {
 	return false
 }
 
-// setState records a state transition and lands it immediately (the
-// background ticker would get there within a heartbeat anyway; writing
-// now keeps the coordinator's occupancy view prompt).
+// setState records a state transition; the heartbeat ticker lands it, so
+// the job path writes no file for it.
 func (w *worker) setState(state, jobID string) {
 	w.mu.Lock()
 	w.state = state
 	w.job = jobID
 	w.mu.Unlock()
-	w.heartbeat()
 }
 
 // heartbeat lands this worker's liveness/occupancy document.
 func (w *worker) heartbeat() {
 	w.mu.Lock()
-	doc := workerState{
-		Owner:     w.owner,
+	doc := WorkerInfo{
+		Owner:     w.exec.owner,
 		PID:       os.Getpid(),
 		State:     w.state,
 		Job:       w.job,
@@ -239,5 +262,5 @@ func (w *worker) heartbeat() {
 		StartedAt: w.started,
 	}
 	w.mu.Unlock()
-	w.jl.putWorker(doc)
+	w.exec.journal.putWorker(doc)
 }
