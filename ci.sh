@@ -128,8 +128,8 @@ fi
 
 if [ "$tier" = chaos ] || [ "$tier" = full ]; then
     echo "== chaos tier: fault injection + crash recovery under -race =="
-    # The durable-execution invariants (ISSUE: crash-recoverable queue,
-    # lease-based retry, breakers): failpoints at every store write and
+    # The durable-execution invariants (crash-recoverable queue,
+    # heartbeat-based requeue, retry, breakers): failpoints at every store write and
     # the trace decoder, a SIGKILLed worker subprocess, journal recovery
     # replayed from snapshots, and the cancel-vs-start race, shutdown
     # drain and queue bound that claim arbitration decides — all under
@@ -143,20 +143,22 @@ fi
 if [ "$tier" = fleet ]; then
     echo "== fleet tier: worker processes, respawn, claim protocol under -race =="
     # The fleet invariants: a real worker subprocess SIGKILLed mid-job
-    # (requeue to a survivor, no duplicate simulation) and one SIGSTOPped
-    # mid-job (the coordinator stops the hung worker and respawns its
-    # slot), plus the multi-worker journal contention sweep — all under
-    # the race detector.
+    # (requeue to a survivor within StaleAfter, no duplicate simulation)
+    # and one SIGSTOPped mid-job (the coordinator kills the hung worker
+    # and respawns its slot), plus the claim-liveness table, the
+    # heartbeat takeover, parent-journal recovery and the multi-worker
+    # journal contention sweep — all under the race detector.
     go test -race ./internal/fleet/...
-    go test -race -run 'MultiWorker|Claim|Renew|Reap|OwnerID|WorkerHeartbeat|FleetJournal' ./internal/serve/...
+    go test -race -run 'MultiWorker|Claim|OwnerID|WorkerHeartbeat|FleetJournal|LeaseTakeover|CompatJournal' ./internal/serve/...
 
     echo "== fleet smoke (3-worker cluster survives a SIGKILL mid-storm) =="
     # Boot a real fleet — dispatch frontend plus three worker processes
     # over a shared journal — drive a mixed storm through pythia-load,
-    # and SIGKILL one worker while the storm runs. The storm must meet
-    # its SLOs (exit 0), every admitted job must reach a terminal state
-    # with none erroring (zero lost jobs), and the coordinator must
-    # respawn back to three ready workers.
+    # and SIGKILL one worker while the storm runs: the worker running a
+    # long simulate job that misses the store, launched before the storm.
+    # The storm must meet its SLOs (exit 0), every admitted job must reach
+    # a terminal state with none erroring (zero lost jobs), and the
+    # coordinator must respawn back to three ready workers.
     smoke=$(mktemp -d)
     go build -o "$smoke/pythia-serve" ./cmd/pythia-serve
     go build -o "$smoke/pythia-load" ./cmd/pythia-load
@@ -165,6 +167,15 @@ if [ "$tier" = fleet ]; then
         -journal "$smoke/journal" -fleet 3 -queue 64 \
         >"$smoke/serve.log" 2>&1 &
     serve_pid=$!
+    for i in $(seq 1 150); do
+        curl -fsS http://127.0.0.1:18742/healthz >/dev/null 2>&1 && break
+        sleep 0.2
+    done
+    # The victim's job: fig7 at a custom scale no run has stored, about
+    # 25 simulations of 40M instructions, still running 4 s in.
+    long_job=$(curl -fsS -X POST http://127.0.0.1:18742/api/v1/runs \
+        -d '{"experiment":"fig7","scale":"custom:warmup=100000,sim=40000000,tracelen=100000,wps=1,mixes=1"}' |
+        python3 -c 'import json,sys; print(json.load(sys.stdin)["job"]["id"])') || long_job=""
     load_status=0
     "$smoke/pythia-load" -addr http://127.0.0.1:18742 -wait-ready 30s \
         -schedule constant -rps 25 -duration 8s -scale quick \
@@ -172,15 +183,15 @@ if [ "$tier" = fleet ]; then
         -slo "read:p95ms=1000,err=0;simulate:err=0" \
         -json "$smoke/fleetload.json" >"$smoke/load.log" 2>&1 &
     load_pid=$!
-    # Let the storm ramp, then kill one worker process out from under it.
+    # Let the storm ramp, then kill the worker running the long job.
     sleep 4
     victim=$(curl -fsS http://127.0.0.1:18742/api/v1/fleet |
-        python3 -c 'import json,sys; ws=json.load(sys.stdin)["fleet"]["workers"]; busy=[w["pid"] for w in ws if w.get("state")=="busy"]; anyw=[w["pid"] for w in ws if w.get("pid")]; print((busy or anyw or [0])[0])')
+        LONG_JOB="$long_job" python3 -c 'import json,os,sys; ws=json.load(sys.stdin)["fleet"]["workers"]; job=os.environ["LONG_JOB"]; print(([w["pid"] for w in ws if job and w.get("job")==job] or [0])[0])')
     if [ "$victim" -gt 0 ]; then
-        echo "SIGKILLing worker pid $victim mid-storm"
+        echo "SIGKILLing worker pid $victim mid-storm (running $long_job)"
         kill -9 "$victim" || true
     else
-        echo "no worker pid visible to kill" >&2
+        echo "no worker is running the long job ${long_job:-(launch failed)} 4 s in" >&2
         kill "$serve_pid" "$load_pid" 2>/dev/null || true
         rm -rf "$smoke"
         exit 1

@@ -67,7 +67,8 @@
 // the grace period whatever is still running is canceled.
 //
 // Every accepted job is persisted to a job journal, and an in-process
-// worker runs it through the same claim protocol fleet workers use.
+// worker runs it through the same worker loop and claim protocol fleet
+// workers use.
 // With -journal set the journal survives the process: a killed or
 // crashed server requeues its queued and orphaned-running jobs on the
 // next start (at-least-once execution — the content-addressed stores
@@ -81,11 +82,13 @@
 // Fleet mode (-fleet N, requires -journal) turns this process into a
 // stateless frontend plus a coordinator that keeps exactly N worker
 // processes (this same binary re-exec'd with -worker) alive: it starts
-// them at boot, respawns any that exit and replaces any whose heartbeat
-// goes stale. The frontend journals admissions and serves the API;
-// workers claim and execute jobs through the shared journal's lease
-// protocol; the coordinator reaps dead workers' claims so their jobs
-// requeue. See DESIGN.md "Fleet architecture".
+// them at boot, respawns any that exit and kills and replaces any whose
+// heartbeat goes stale. The frontend journals admissions and serves the
+// API; workers claim and execute jobs through the shared journal's
+// claim protocol, and each worker's heartbeat keeps its claims live;
+// the coordinator reaps the claims of workers whose heartbeat went
+// stale (5 s), so their jobs requeue. See DESIGN.md "Fleet
+// architecture".
 package main
 
 import (
@@ -123,7 +126,7 @@ func main() {
 		logJSON  = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")
 
-		workerMode = flag.Bool("worker", false, "run as a fleet worker: no HTTP, drain leased jobs from -journal until SIGTERM")
+		workerMode = flag.Bool("worker", false, "run as a fleet worker: no HTTP, claim and run jobs from -journal until SIGTERM")
 		fleetN     = flag.Int("fleet", 0, "local cluster mode: dispatch-only frontend plus N worker processes, kept alive and respawned (requires -journal)")
 	)
 	flag.Parse()

@@ -241,7 +241,7 @@ type FleetStatus struct {
 	// recent spawn-to-ready latency.
 	ColdStarts           int64   `json:"cold_starts"`
 	LastColdStartSeconds float64 `json:"last_cold_start_seconds,omitempty"`
-	// Requeues counts jobs whose expired claims the coordinator reaped.
+	// Requeues counts jobs whose stale claims the coordinator reaped.
 	Requeues int64         `json:"requeues"`
 	Workers  []FleetWorker `json:"workers"`
 }

@@ -35,7 +35,7 @@ const (
 	// the instrumented code path.
 	ModePanic
 	// ModeDelay sleeps for Spec.Delay and then returns nil, injecting
-	// latency without failure (lease-expiry and timeout tests).
+	// latency without failure (claim-staleness and timeout tests).
 	ModeDelay
 )
 

@@ -213,9 +213,8 @@ func (c *Coordinator) step() {
 	// Sweep corpses and their heartbeat litter. A crashed worker (exited
 	// without being asked) is just logged — reconciliation below respawns
 	// it, and with its heartbeat gone the reaper counts its claims from
-	// their claimed_at. Sweeping before
-	// spawning keeps a recycled PID from inheriting a dead worker's
-	// heartbeat document.
+	// their claimed_at. Sweeping before spawning keeps a recycled PID from
+	// inheriting a dead worker's heartbeat document.
 	crashed, stopped := c.sup.sweep()
 	for _, p := range crashed {
 		c.log.Warn("worker died unexpectedly", "pid", p.pid, "owner", p.owner)

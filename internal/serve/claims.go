@@ -127,26 +127,6 @@ func (l *journal) claimState(id string) (claimRecord, bool) {
 	return c, true
 }
 
-// liveClaims lists every claim on disk.
-func (l *journal) liveClaims() []claimRecord {
-	ents, err := os.ReadDir(l.claimsDir())
-	if err != nil {
-		return nil
-	}
-	var out []claimRecord
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".claim") {
-			continue
-		}
-		id := strings.TrimSuffix(name, ".claim")
-		if c, ok := l.claimState(id); ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // lastSign is a claim's owner's last sign of life: the owner's heartbeat
 // when it has one, else the claim's claimed_at, else (an empty or
 // unparseable body) the claim file's mtime. The fallbacks cover a
@@ -174,8 +154,8 @@ func (l *journal) lastSign(c claimRecord, beats map[string]time.Time) time.Time 
 // that was wrongly reaped finds its claim gone at its sampler's next
 // ownership check and abandons the run instead of split-braining.
 func (l *journal) reapStale(staleAfter time.Duration) []string {
-	claims := l.liveClaims()
-	if len(claims) == 0 {
+	ents, err := os.ReadDir(l.claimsDir())
+	if err != nil || len(ents) == 0 {
 		return nil
 	}
 	beats := make(map[string]time.Time)
@@ -184,12 +164,17 @@ func (l *journal) reapStale(staleAfter time.Duration) []string {
 	}
 	now := time.Now()
 	var reaped []string
-	for _, c := range claims {
-		if now.Sub(l.lastSign(c, beats)) <= staleAfter {
+	for _, e := range ents {
+		id, ok := strings.CutSuffix(e.Name(), ".claim")
+		if !ok || e.IsDir() {
 			continue
 		}
-		if err := os.Remove(l.claimPath(c.ID)); err == nil {
-			reaped = append(reaped, c.ID)
+		c, ok := l.claimState(id)
+		if !ok || now.Sub(l.lastSign(c, beats)) <= staleAfter {
+			continue
+		}
+		if err := os.Remove(l.claimPath(id)); err == nil {
+			reaped = append(reaped, id)
 		}
 	}
 	return reaped

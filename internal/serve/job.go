@@ -252,12 +252,14 @@ func (j *job) beginAttempt() {
 	j.journalLocked()
 }
 
-// checkpoint journals a running job's progress, so a frontend that
-// proxies the job from its record sees the sims count move.
+// checkpoint journals an open job's state: an admitted job's queued
+// record (the write-ahead that makes admission durable), and a running
+// job's progress, so a frontend that proxies the job from its record
+// sees the sims count move.
 func (j *job) checkpoint() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status == StatusRunning {
+	if !terminalStatus(j.status) {
 		j.journalLocked()
 	}
 }
@@ -280,23 +282,15 @@ func (j *job) retrying(err error, wait time.Duration) {
 	})
 }
 
-// journalQueued writes the admitted job's queued record — the
-// write-ahead that makes admission durable.
-func (j *job) journalQueued() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.journalLocked()
-}
-
-// setHeld marks the job taken (or released) by the in-process worker;
-// it refuses, returning false, once the job is terminal.
-func (j *job) setHeld(held bool) bool {
+// setHeld marks the job taken by the in-process worker; it refuses,
+// returning false, once the job is terminal.
+func (j *job) setHeld() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if terminalStatus(j.status) {
 		return false
 	}
-	j.held = held
+	j.held = true
 	return true
 }
 

@@ -55,8 +55,8 @@ type jobRecord struct {
 	Error    string `json:"error,omitempty"`
 	// Owner identifies the worker executing the job (PID + start-time
 	// nonce; see NewOwnerID). Frontends surface it as the job's worker;
-	// it is informational — the lease and mutual exclusion live in the
-	// claim file (claims.go), whose owner must match for renewal.
+	// it is informational — mutual exclusion lives in the claim file
+	// (claims.go), whose owner the running worker checks every tick.
 	Owner string `json:"owner,omitempty"`
 	// Sims and Cached mirror the job's progress/outcome so a stateless
 	// frontend can proxy status from the record alone; PolicyID names a

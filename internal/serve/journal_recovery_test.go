@@ -2,7 +2,7 @@ package serve_test
 
 // Journal-recovery properties: recovery is idempotent (restarting twice
 // from the same journal snapshot converges to the same jobs and never
-// re-simulates persisted work), expired claims are taken over while
+// re-simulates persisted work), stale claims are taken over while
 // live ones are respected, and user-visible job state round-trips the
 // restart.
 

@@ -15,7 +15,7 @@ var (
 	mRetries = obs.GetCounter("pythia_serve_retries_total",
 		"Transient-failure retry attempts across all jobs.", nil)
 	mRequeues = obs.GetCounter("pythia_serve_requeues_total",
-		"Jobs requeued from the journal (startup recovery and expired claims).", nil)
+		"Jobs requeued from the journal (startup recovery and stale claims).", nil)
 	mRecovered = obs.GetCounter("pythia_serve_journal_recovered_total",
 		"Jobs rebuilt from the journal at startup.", nil)
 	mSSESubs = obs.GetGauge("pythia_serve_sse_subscribers",

@@ -9,15 +9,14 @@
 // in-process worker goroutine over its own queued jobs, in admission
 // order, one experiment at a time; with Dispatch, worker processes
 // (RunWorker) run it over a scan of the shared journal. Each experiment
-// internally fans its simulations out over the
-// harness worker pool (harness.SetWorkers), so the machine stays fully
-// utilized while the queued-job bound — not goroutine count — bounds
-// admitted work. Every completed experiment is persisted in a
-// results.Store; a repeat request (same experiment, same scale, same
-// generator version) is served from the store with zero additional
-// simulation work, observable through the job's sims counter. Progress
-// streams to clients over SSE with full event replay, so late
-// subscribers see the whole history.
+// internally fans its simulations out over the harness worker pool
+// (harness.SetWorkers), so the machine stays fully utilized while the
+// queued-job bound — not goroutine count — bounds admitted work. Every
+// completed experiment is persisted in a results.Store; a repeat request
+// (same experiment, same scale, same generator version) is served from
+// the store with zero additional simulation work, observable through the
+// job's sims counter. Progress streams to clients over SSE with full
+// event replay, so late subscribers see the whole history.
 //
 // Policy-training jobs flow through the same claim protocol, executor
 // and SSE machinery: a POST with a "train" body trains a Pythia policy
@@ -69,8 +68,9 @@ type Config struct {
 	// with 503 rather than queueing unboundedly.
 	QueueDepth int
 	// ProgressInterval is how often a running job samples the simulation
-	// counter into an SSE progress event, and how often the watcher reads
-	// the journal; the default is 250ms.
+	// counter into an SSE progress event, checkpoints its record and
+	// checks its claim, and how often the watcher reads the journal; the
+	// default is 250ms.
 	ProgressInterval time.Duration
 	// JobHistory bounds how many finished jobs are retained for listing
 	// and late fetches (the default is 256). Queued and running jobs are
@@ -321,46 +321,59 @@ func (s *Server) recoverJobs(recs []jobRecord) (requeued int) {
 // then exits.
 func (s *Server) startWorker() {
 	w := newWorker(s.exec)
-	w.candidates = s.waitingJobs
+	w.candidates = func() []string {
+		var ids []string
+		for _, j := range s.openJobs() {
+			ids = append(ids, j.id)
+		}
+		return ids
+	}
 	w.take = func(id string) (*job, error) {
 		// A job that turned terminal meanwhile (a DELETE won the claim,
 		// canceled the job and released the claim) needs no run.
-		if j, ok := s.jobByID(id); ok && j.setHeld(true) {
+		if j, ok := s.jobByID(id); ok && j.setHeld() {
 			return j, nil
 		}
 		return nil, nil
 	}
+	draining := false
 	w.next = func(ran bool) bool {
-		if ran {
+		switch {
+		case ran:
 			return true
+		case draining:
+			return false
 		}
 		select {
 		case <-s.wake:
-			return true
 		case <-s.drain:
-			return false
+			// Shutdown closes drain after its closing transition, so one
+			// more scan sees every job admitted before it.
+			draining = true
 		}
+		return true
 	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		w.run(s.cfg.StaleAfter / 5)
+		w.run(max(s.cfg.StaleAfter/5, time.Millisecond))
 	}()
 }
 
-// waitingJobs lists the open jobs the in-process worker has not taken,
-// in admission order. A job another owner holds is listed too; its
-// claim attempt fails until reaping frees it.
-func (s *Server) waitingJobs() []string {
+// openJobs lists the open jobs the in-process worker has not taken, in
+// admission order: the in-process worker's candidates (a job another
+// owner holds among them, its claim attempt failing until reaping frees
+// it), and the jobs the watcher mirrors from the journal.
+func (s *Server) openJobs() []*job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var ids []string
+	var open []*job
 	for _, id := range s.order {
-		if s.jobs[id].proxied() {
-			ids = append(ids, id)
+		if j := s.jobs[id]; j.proxied() {
+			open = append(open, j)
 		}
 	}
-	return ids
+	return open
 }
 
 // signal rings the in-process worker's doorbell without blocking; a
@@ -416,15 +429,7 @@ func (s *Server) reap() {
 // stale — its claimant may be dead — so the job shows as queued until
 // the claimant writes again or its claim is reaped.
 func (s *Server) syncTrackedJobs() {
-	s.mu.Lock()
-	open := make([]*job, 0, len(s.order))
-	for _, id := range s.order {
-		if j := s.jobs[id]; j.proxied() {
-			open = append(open, j)
-		}
-	}
-	s.mu.Unlock()
-	for _, j := range open {
+	for _, j := range s.openJobs() {
 		rec, ok := s.journal.get(j.id)
 		if !ok {
 			continue
@@ -500,10 +505,8 @@ func (s *Server) Shutdown(ctx context.Context) {
 	// admitted job gets a terminal event. As a shutdown cancellation it
 	// leaves their journal records requeue-able.
 	if !s.cfg.Dispatch {
-		for _, id := range s.waitingJobs() {
-			if j, ok := s.jobByID(id); ok {
-				j.finish(nil, false, 0, context.Canceled)
-			}
+		for _, j := range s.openJobs() {
+			j.finish(nil, false, 0, context.Canceled)
 		}
 	}
 }
@@ -693,15 +696,6 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	// journal write (and the crash failpoint after it) must not poison
 	// the server lock if it dies.
 	s.mu.Lock()
-	// Re-check closing under mu: Shutdown takes the same lock for its
-	// closing transition, so a launch past this point is guaranteed to be
-	// swept (or executed) by shutdown's drain rather than stranded.
-	if s.closing.Load() {
-		s.mu.Unlock()
-		shedCounter("closing").Inc()
-		writeError(w, api.Errorf(api.CodeShuttingDown, "server is shutting down"))
-		return
-	}
 	s.nextID++
 	id := fmt.Sprintf("job-%d", s.nextID)
 	s.mu.Unlock()
@@ -719,7 +713,7 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	// requeues — the at-least-once side of the durability contract
 	// (content-addressed stores make the possible re-execution
 	// idempotent).
-	j.journalQueued()
+	j.checkpoint()
 	if err := fault.Hit(FPAdmitCrash); err != nil {
 		s.journal.remove(id)
 		j.cancel()
@@ -727,8 +721,9 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The closing check and registration are one step under mu, so a
-	// registered job is one the worker (or Shutdown) will finish.
+	// The closing check and registration are one step under mu, and
+	// Shutdown takes mu for its closing transition, so a registered job is
+	// one the worker (or Shutdown) will finish.
 	s.mu.Lock()
 	if s.closing.Load() {
 		s.mu.Unlock()

@@ -68,11 +68,12 @@ type WorkerConfig struct {
 }
 
 // worker is the one scan-claim-execute loop, shared by worker processes
-// (RunWorker) and a Server's in-process worker. Two hooks say where
-// they differ: candidates lists the job IDs worth trying (a journal scan
-// in a worker process; the server's own queued jobs in-process), and
-// take turns a won claim into the job to execute (a job built from the
-// record; the frontend's own job, so its status and SSE stay direct).
+// (RunWorker) and a Server's in-process worker. Hooks say where they
+// differ: candidates lists the job IDs worth trying (a journal scan in a
+// worker process; the server's own queued jobs in-process), take turns
+// a won claim into the job to execute (a job built from the record; the
+// frontend's own job, so its status and SSE stay direct), and next
+// waits for work (a poll interval; the server's admission doorbell).
 type worker struct {
 	exec    *executor
 	started time.Time
