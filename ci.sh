@@ -149,7 +149,7 @@ if [ "$tier" = fleet ]; then
     # heartbeat takeover, parent-journal recovery and the multi-worker
     # journal contention sweep — all under the race detector.
     go test -race ./internal/fleet/...
-    go test -race -run 'MultiWorker|Claim|OwnerID|WorkerHeartbeat|FleetJournal|LeaseTakeover|CompatJournal' ./internal/serve/...
+    go test -race -run 'MultiWorker|Claim|Renew|Reap|OwnerID|WorkerHeartbeat|FleetJournal|LeaseTakeover|CompatJournal' ./internal/serve/...
 
     echo "== fleet smoke (3-worker cluster survives a SIGKILL mid-storm) =="
     # Boot a real fleet — dispatch frontend plus three worker processes

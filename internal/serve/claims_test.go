@@ -79,20 +79,7 @@ func TestClaimLiveness(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			jl := testJournal(t)
-			var buf []byte
-			if tc.body != nil {
-				tc.body.ID = "job-1"
-				buf, _ = json.Marshal(tc.body)
-			}
-			if err := os.MkdirAll(jl.claimsDir(), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(jl.claimPath("job-1"), buf, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Chtimes(jl.claimPath("job-1"), tc.mtime, tc.mtime); err != nil {
-				t.Fatal(err)
-			}
+			writeClaim(t, jl, "job-1", tc.body, tc.mtime)
 			for owner, at := range tc.beats {
 				doc, _ := json.Marshal(WorkerInfo{Owner: owner, UpdatedAt: at})
 				if err := os.MkdirAll(jl.workersDir(), 0o755); err != nil {
@@ -122,6 +109,102 @@ func TestClaimLiveness(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// writeClaim lands a claim file by hand, dated mtime; a nil body leaves
+// the file empty, as a claimant killed between its create and its body
+// write does.
+func writeClaim(t *testing.T, jl *journal, id string, body *claimRecord, mtime time.Time) {
+	t.Helper()
+	var buf []byte
+	if body != nil {
+		body.ID = id
+		buf, _ = json.Marshal(body)
+	}
+	if err := os.MkdirAll(jl.claimsDir(), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jl.claimPath(id), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(jl.claimPath(id), mtime, mtime); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRenewRejectsRecycledPID: owner strings sharing a PID but minted
+// with different process nonces are different owners. A fresh process
+// that happened to receive a dead worker's PID neither holds the dead
+// worker's claim nor keeps it alive with its own heartbeat.
+func TestRenewRejectsRecycledPID(t *testing.T) {
+	jl := testJournal(t)
+	deadWorker := fmt.Sprintf("pid%d-%016x", os.Getpid(), uint64(0xAAAA))
+	imposter := fmt.Sprintf("pid%d-%016x", os.Getpid(), uint64(0xBBBB)) // same PID, new process
+	old := time.Now().Add(-time.Hour)
+	writeClaim(t, jl, "job-1", &claimRecord{Owner: deadWorker, ClaimedAt: old}, old)
+
+	if jl.holds("job-1", imposter) {
+		t.Fatal("a different process with a recycled PID holds a claim it never acquired")
+	}
+	if !jl.holds("job-1", deadWorker) {
+		t.Fatal("the true owner does not hold its claim")
+	}
+	// The true owner's fresh heartbeat keeps the old claim alive ...
+	jl.putWorker(WorkerInfo{Owner: deadWorker, PID: os.Getpid(), State: "busy", Job: "job-1"})
+	if reaped := jl.reapStale(time.Minute); len(reaped) != 0 {
+		t.Fatalf("reaped a claim whose owner heartbeats: %v", reaped)
+	}
+	// ... the imposter's does not.
+	jl.removeWorker(deadWorker)
+	jl.putWorker(WorkerInfo{Owner: imposter, PID: os.Getpid(), State: "idle"})
+	if reaped := jl.reapStale(time.Minute); len(reaped) != 1 || reaped[0] != "job-1" {
+		t.Fatalf("reapStale = %v, want [job-1]: the imposter's heartbeat kept the dead worker's claim", reaped)
+	}
+}
+
+func TestRenewAfterReapFails(t *testing.T) {
+	jl := testJournal(t)
+	owner := NewOwnerID("w")
+	if !jl.claim("job-1", owner) {
+		t.Fatal("claim refused")
+	}
+	time.Sleep(5 * time.Millisecond)
+	reaped := jl.reapStale(time.Millisecond)
+	if len(reaped) != 1 || reaped[0] != "job-1" {
+		t.Fatalf("reapStale = %v, want [job-1]", reaped)
+	}
+	// The old owner must learn it lost the job, not resurrect the claim.
+	if jl.holds("job-1", owner) {
+		t.Fatal("ownership check passed on a reaped claim")
+	}
+	if _, ok := jl.claimState("job-1"); ok {
+		t.Fatal("ownership check recreated the claim file")
+	}
+}
+
+func TestReapSparesLiveAndGracedClaims(t *testing.T) {
+	jl := testJournal(t)
+	owner := NewOwnerID("w")
+	if !jl.claim("job-live", owner) {
+		t.Fatal("claim refused")
+	}
+	jl.putWorker(WorkerInfo{Owner: owner, PID: os.Getpid(), State: "busy", Job: "job-live"})
+	// An empty claim file models a claimant killed between the O_EXCL
+	// create and the body write: no owner inside, so its liveness falls
+	// back to the file's mtime.
+	halfWritten := time.Now().Add(-time.Hour)
+	writeClaim(t, jl, "job-halfwritten", nil, halfWritten)
+
+	if reaped := jl.reapStale(2 * time.Hour); len(reaped) != 0 {
+		t.Fatalf("reaped live/graced claims: %v", reaped)
+	}
+	reaped := jl.reapStale(time.Minute)
+	if len(reaped) != 1 || reaped[0] != "job-halfwritten" {
+		t.Fatalf("reap with lapsed grace = %v, want [job-halfwritten]", reaped)
+	}
+	if !jl.holds("job-live", owner) {
+		t.Fatal("the live owner lost its claim")
 	}
 }
 
