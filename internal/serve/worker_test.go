@@ -20,12 +20,14 @@ import (
 	"pythia/internal/results"
 )
 
-func seedQueuedJobs(jl *journal, firstID, n int) {
+// seedQueuedJobs queues n fig14 jobs from job-firstID on, the i-th at a
+// parametric scale of sim0+i measured instructions.
+func seedQueuedJobs(jl *journal, firstID, n, sim0 int) {
 	now := time.Now().UTC()
 	for i := 0; i < n; i++ {
 		// Unique parametric scales: distinct store fingerprints, no
 		// ExtraScales table to ship to the workers.
-		scale := fmt.Sprintf("custom:warmup=100,sim=%d,tracelen=1000,wps=1,mixes=1", 2000+i)
+		scale := fmt.Sprintf("custom:warmup=100,sim=%d,tracelen=1000,wps=1,mixes=1", sim0+i)
 		jl.put(jobRecord{
 			ID: fmt.Sprintf("job-%d", firstID+i), Kind: KindExperiment,
 			Experiment: "fig14", Scale: scale,
@@ -82,7 +84,7 @@ func TestMultiWorkerJournalContention(t *testing.T) {
 	store := results.Open(t.TempDir())
 	const jobs, workers = 6, 3
 
-	seedQueuedJobs(jl, 1, jobs)
+	seedQueuedJobs(jl, 1, jobs, 2000)
 	startSims := harness.SimCount()
 	completed := drainWithWorkers(t, jl, store, workers)
 	firstPassSims := harness.SimCount() - startSims
@@ -123,7 +125,7 @@ func TestMultiWorkerJournalContention(t *testing.T) {
 	// everything and never ran a job twice under racing owners (a
 	// double-run would have shown up as extra sims above the single-run
 	// cost, which the repeat pass pins down).
-	seedQueuedJobs(jl, jobs+1, jobs)
+	seedQueuedJobs(jl, jobs+1, jobs, 2000)
 	startSims = harness.SimCount()
 	if completed := drainWithWorkers(t, jl, store, workers); completed != jobs {
 		t.Errorf("second pass completed %d jobs, want %d", completed, jobs)
@@ -135,5 +137,47 @@ func TestMultiWorkerJournalContention(t *testing.T) {
 		if jobIDNum(rec.ID) > jobs && !rec.Cached {
 			t.Errorf("%s not marked cached on the repeat pass", rec.ID)
 		}
+	}
+}
+
+// TestOverlappingJobsCountOwnSims: jobs that overlap in one process each
+// report the simulations they launched, not the process's. A fig14 job
+// drained alone at a fresh scale launches K sims; four more, drained by
+// two in-process workers at fresh scales of their own, must each report
+// exactly K, and together the process-wide count's growth.
+func TestOverlappingJobsCountOwnSims(t *testing.T) {
+	harness.ResetCaches()
+	defer harness.ResetCaches()
+	jl := testJournal(t)
+	store := results.Open(t.TempDir())
+
+	seedQueuedJobs(jl, 1, 1, 3000)
+	drainWithWorkers(t, jl, store, 1)
+	recs := jl.load()
+	if len(recs) != 1 || recs[0].Status != StatusDone || recs[0].Sims == 0 {
+		t.Fatalf("lone job: %+v", recs)
+	}
+	k := recs[0].Sims
+
+	seedQueuedJobs(jl, 2, 4, 3001)
+	startSims := harness.SimCount()
+	drainWithWorkers(t, jl, store, 2)
+	delta := harness.SimCount() - startSims
+
+	var sum int64
+	for _, rec := range jl.load() {
+		if rec.ID == "job-1" {
+			continue
+		}
+		if rec.Status != StatusDone {
+			t.Errorf("%s ended %q (%s), want done", rec.ID, rec.Status, rec.Error)
+		}
+		if rec.Sims != k {
+			t.Errorf("%s reports %d sims, want %d (the lone job's count)", rec.ID, rec.Sims, k)
+		}
+		sum += rec.Sims
+	}
+	if sum != delta {
+		t.Errorf("jobs report %d sims in all, the process ran %d", sum, delta)
 	}
 }
