@@ -79,6 +79,20 @@ if [ -n "$panics" ]; then
     exit 1
 fi
 
+echo "== harness run-environment gate =="
+# The harness keeps the state its runs share in one Env (DESIGN.md "Run
+# environment"). A package-level var outside this allow-list is state
+# that escaped it: the Env itself, the Scale presets, two read-only
+# tables and a metric handle. Declare one name per var line (no var
+# blocks), so this grep sees every name.
+hvars=$(grep -n '^var[ (]' internal/harness/*.go | grep -v '_test\.go:' |
+    grep -vE ':var (defaultEnv|ScaleQuick|ScaleDefault|ScaleFull|ScaleLong|BandwidthPoints|warmCheckpoints|simRate) ' || true)
+if [ -n "$hvars" ]; then
+    echo "package-level state in internal/harness outside its Env:" >&2
+    echo "$hvars" >&2
+    exit 1
+fi
+
 echo "== single-fault-framework gate =="
 # All fault injection goes through internal/fault's registry (DESIGN.md
 # "Fault model and recovery"). A package growing a private failpoint

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"pythia/internal/harness"
+	"pythia/internal/results"
 )
 
 // benchReport is the -json payload; PERF.md documents the format.
@@ -147,8 +148,9 @@ func main() {
 	}
 
 	harness.SetWorkers(*parallel)
+	var store *results.Store
 	if *resDir != "" {
-		store := harness.SetResultStore(*resDir)
+		store = harness.SetResultStore(*resDir)
 		store.SetReadOnly(*resRO)
 	} else if *resRO {
 		fmt.Fprintln(os.Stderr, "-results-readonly requires -results")
@@ -228,9 +230,9 @@ func main() {
 	}
 	report.TotalSecs = time.Since(wall).Seconds()
 
-	if st := harness.ResultStore(); st != nil {
+	if store != nil {
 		fmt.Printf("[result store %s: %d hits, %d misses, %d writes]\n",
-			st.Dir(), st.Hits(), st.Misses(), st.Writes())
+			store.Dir(), store.Hits(), store.Misses(), store.Writes())
 	}
 	if *mdPath != "" {
 		if err := os.WriteFile(*mdPath, []byte(md.String()), 0o644); err != nil {

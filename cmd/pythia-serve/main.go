@@ -119,7 +119,7 @@ func main() {
 		storeDir = flag.String("results", results.DefaultDir(), "persistent result store directory")
 		polDir   = flag.String("policies", policy.DefaultDir(), "trained-policy store directory (empty disables the policy endpoints)")
 		queue    = flag.Int("queue", 16, "max queued (admitted but unstarted) jobs")
-		parallel = flag.Int("parallel", 0, "max concurrent simulations per job (0 = all CPUs)")
+		parallel = flag.Int("parallel", 0, "max concurrent simulations in this process, across all its jobs (0 = all CPUs)")
 		grace    = flag.Duration("grace", 30*time.Second, "graceful-shutdown budget for draining queued jobs before canceling them")
 		journal  = flag.String("journal", "", "job-journal directory; accepted jobs survive crashes and are requeued on restart (empty: a private temporary journal removed at shutdown)")
 		withProf = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (profiling is opt-in; see EXPERIMENTS.md)")

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -151,11 +150,11 @@ func TestTracesForKeyIncludesSeed(t *testing.T) {
 	}
 
 	const n = 5000
-	ta, err := tracesFor(bg, trace.Mix{Name: "m", Workloads: []trace.Workload{base}}, n)
+	ta, err := defaultEnv.tracesFor(bg, trace.Mix{Name: "m", Workloads: []trace.Workload{base}}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := tracesFor(bg, trace.Mix{Name: "m", Workloads: []trace.Workload{reseeded}}, n)
+	tb, err := defaultEnv.tracesFor(bg, trace.Mix{Name: "m", Workloads: []trace.Workload{reseeded}}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,63 +170,11 @@ func TestTracesForKeyIncludesSeed(t *testing.T) {
 	}
 }
 
-// TestDynSemaShrinkGrowWakesWaiters: shrinking the limit below the current
-// occupancy and then growing it again must wake blocked acquirers — the
-// release-side Signal plus the setLimit Broadcast may not strand anyone.
-func TestDynSemaShrinkGrowWakesWaiters(t *testing.T) {
-	s := newDynSema(2)
-	if err := s.acquire(bg); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.acquire(bg); err != nil {
-		t.Fatal(err)
-	}
-	s.setLimit(1) // now over-committed: inUse 2 > cap 1
-
-	const waiters = 4
-	var acquired atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := s.acquire(bg); err == nil {
-				acquired.Add(1)
-				s.release()
-			}
-		}()
-	}
-	// While shrunk and fully held, nobody may get in.
-	time.Sleep(50 * time.Millisecond)
-	if acquired.Load() != 0 {
-		t.Fatalf("%d waiters acquired while over-committed", acquired.Load())
-	}
-	// Release one slot: still over the shrunk limit (inUse 1 == cap 1).
-	s.release()
-	time.Sleep(50 * time.Millisecond)
-	if acquired.Load() != 0 {
-		t.Fatalf("%d waiters acquired at the shrunk limit", acquired.Load())
-	}
-	// Growing the limit must wake everyone blocked.
-	s.setLimit(4)
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("waiters still blocked after the limit grew")
-	}
-	if acquired.Load() != waiters {
-		t.Fatalf("%d of %d waiters acquired", acquired.Load(), waiters)
-	}
-	s.release()
-}
-
-// TestDynSemaAcquireCanceledWhileWaiting: a waiter blocked on a full
+// TestSemaAcquireCanceledWhileWaiting: a waiter blocked on a full
 // semaphore unblocks with ctx.Err() when its context is canceled, without
 // consuming a slot.
-func TestDynSemaAcquireCanceledWhileWaiting(t *testing.T) {
-	s := newDynSema(1)
+func TestSemaAcquireCanceledWhileWaiting(t *testing.T) {
+	s := newSlotSet(1).sim
 	if err := s.acquire(bg); err != nil {
 		t.Fatal(err)
 	}

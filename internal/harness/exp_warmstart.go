@@ -52,7 +52,7 @@ func warmLadderSpec(w trace.Workload, cfg cache.Config, sc Scale, ci int, warm *
 // it to disk fails, and for an experiment that means "no reuse", never
 // "no table" — the result store's own degradation contract.
 func trainBestEffort(ctx context.Context, ts TrainSpec) (policy.Envelope, error) {
-	env, _, err := TrainPolicy(ctx, ts)
+	env, _, err := TrainPolicyIn(ctx, defaultEnv.policies.Load(), ts)
 	if err != nil && env.ID != "" {
 		return env, nil
 	}

@@ -1,21 +1,10 @@
 package harness
 
 import (
-	"sync/atomic"
 	"time"
 
 	"pythia/internal/obs"
 )
-
-// instrRetired tallies instructions retired by every simulation this
-// process has run (warmup and replays included: it measures kernel work,
-// not measurement windows). Like simCount it only grows; pythia-bench
-// computes per-experiment throughput from deltas.
-var instrRetired atomic.Int64
-
-// InstructionsRetired returns the total instructions simulated by this
-// process across all runs.
-func InstructionsRetired() int64 { return instrRetired.Load() }
 
 // simRate is the distribution of per-run simulated-instructions/sec —
 // each observation is one worker's throughput over one simulation, so
@@ -25,7 +14,7 @@ var simRate = obs.GetHistogram("pythia_sim_instructions_per_second",
 	obs.RateBuckets, nil)
 
 func init() {
-	// Func-backed: the atomics above stay the single source of truth that
+	// Func-backed: the Env's counters stay the single source of truth that
 	// tests already assert on (SimCount deltas prove store hits ran zero
 	// simulations); /metrics reads them through these callbacks.
 	obs.RegisterCounterFunc("pythia_sims_total",
@@ -42,8 +31,8 @@ func init() {
 // recordSimThroughput accounts one finished simulation: retired
 // instructions into the process counter and, when the run took long
 // enough to give a meaningful rate, an instructions/sec observation.
-func recordSimThroughput(retired int64, elapsed time.Duration) {
-	instrRetired.Add(retired)
+func (e *Env) recordSimThroughput(retired int64, elapsed time.Duration) {
+	e.instructions.Add(retired)
 	if sec := elapsed.Seconds(); sec > 0 && retired > 0 {
 		simRate.Observe(float64(retired) / sec)
 	}

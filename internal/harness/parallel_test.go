@@ -163,3 +163,39 @@ func TestSetWorkersBounds(t *testing.T) {
 		t.Errorf("default worker count %d", Workers())
 	}
 }
+
+// TestSetWorkersMidRun: a run that took its slot before SetWorkers gives
+// it back to the set it came from, and a run that starts after
+// SetWorkers takes a slot of the new set at once.
+func TestSetWorkersMidRun(t *testing.T) {
+	SetWorkers(1)
+	defer SetWorkers(0)
+	held, free := make(chan struct{}), make(chan struct{})
+	spec := RunSpec{Mix: tinyMix(t), CacheCfg: cache.DefaultConfig(1), Scale: tinyScale, PF: Baseline(),
+		Hook: func(*cache.Hierarchy, []prefetch.Prefetcher) { close(held); <-free }}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(bg, spec)
+		done <- err
+	}()
+	<-held
+	SetWorkers(1)
+	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+	defer cancel()
+	spec.Hook = nil
+	if _, err := Run(ctx, spec); err != nil {
+		t.Fatalf("run after SetWorkers, beside a run on the old slots: %v", err)
+	}
+	close(free)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the run on the old slots never returned its slot")
+	}
+	if n := len(defaultEnv.slots.Load().sim); n != 0 {
+		t.Errorf("%d slots of the new set still taken after every run finished", n)
+	}
+}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
 	"pythia/internal/cache"
 	"pythia/internal/dram"
@@ -19,32 +18,6 @@ import (
 // outcome-determining fields as the in-memory cache plus trace.GenVersion
 // (via results.Fingerprint), so generator changes invalidate them
 // automatically.
-
-var (
-	resultStoreMu  sync.Mutex
-	resultStoreVal *results.Store
-)
-
-// SetResultStore points RunCached at a persistent result store rooted at
-// dir and returns it. An empty dir disables persistence (the default).
-// It affects subsequent runs only; in-memory memoization is unchanged.
-func SetResultStore(dir string) *results.Store {
-	resultStoreMu.Lock()
-	defer resultStoreMu.Unlock()
-	if dir == "" {
-		resultStoreVal = nil
-		return nil
-	}
-	resultStoreVal = results.Open(dir)
-	return resultStoreVal
-}
-
-// ResultStore returns the active persistent store, or nil when disabled.
-func ResultStore() *results.Store {
-	resultStoreMu.Lock()
-	defer resultStoreMu.Unlock()
-	return resultStoreVal
-}
 
 // Key returns the canonical identity string of everything in a Scale that
 // determines simulation outcomes. StreamChunk is excluded for the same
@@ -117,8 +90,8 @@ type ExperimentPayload struct {
 // every cache layer for such specs; the check here keeps the rule local
 // too. Warm-started specs persist normally — their policy's content
 // address is part of the key. key is the spec's cacheKey.
-func loadPersisted(spec RunSpec, key string) (RunResult, bool) {
-	st := ResultStore()
+func (e *Env) loadPersisted(spec RunSpec, key string) (RunResult, bool) {
+	st := e.results.Load()
 	if st == nil || spec.Hook != nil || spec.TrainPolicy != nil {
 		return RunResult{}, false
 	}
@@ -131,8 +104,8 @@ func loadPersisted(spec RunSpec, key string) (RunResult, bool) {
 
 // storePersisted writes a completed run to the persistent store under
 // the spec's cacheKey (best-effort: a full disk degrades to "no reuse").
-func storePersisted(spec RunSpec, key string, r RunResult) {
-	st := ResultStore()
+func (e *Env) storePersisted(spec RunSpec, key string, r RunResult) {
+	st := e.results.Load()
 	if st == nil || spec.Hook != nil || spec.TrainPolicy != nil {
 		return
 	}

@@ -22,7 +22,7 @@ import (
 // the result from disk with zero additional simulation work.
 func TestRunCachedSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	SetResultStore(dir)
+	st := SetResultStore(dir)
 	defer SetResultStore("")
 	ResetCaches()
 	defer ResetCaches()
@@ -32,7 +32,7 @@ func TestRunCachedSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ResultStore().Writes() == 0 {
+	if st.Writes() == 0 {
 		t.Fatal("fresh run was not persisted")
 	}
 
@@ -63,7 +63,7 @@ func TestRunCachedSurvivesRestart(t *testing.T) {
 // a spec carrying one must neither be served from disk nor written there.
 func TestHookSpecsBypassPersistence(t *testing.T) {
 	dir := t.TempDir()
-	SetResultStore(dir)
+	st := SetResultStore(dir)
 	defer SetResultStore("")
 	ResetCaches()
 	defer ResetCaches()
@@ -79,7 +79,7 @@ func TestHookSpecsBypassPersistence(t *testing.T) {
 	if hooked != 1 {
 		t.Fatalf("hook ran %d times, want 1", hooked)
 	}
-	if n := ResultStore().Writes(); n != 0 {
+	if n := st.Writes(); n != 0 {
 		t.Fatalf("hooked spec persisted %d entries, want 0", n)
 	}
 

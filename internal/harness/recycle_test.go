@@ -12,9 +12,9 @@ import (
 
 // pooledFit reports whether the pool holds a hierarchy that fits cfg.
 func pooledFit(cfg cache.Config) bool {
-	spares.mu.Lock()
-	defer spares.mu.Unlock()
-	for _, sp := range spares.s {
+	defaultEnv.sparesMu.Lock()
+	defer defaultEnv.sparesMu.Unlock()
+	for _, sp := range defaultEnv.spares {
 		if sp.hier.Fits(cfg) {
 			return true
 		}

@@ -18,8 +18,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,7 +28,6 @@ import (
 	"pythia/internal/core"
 	"pythia/internal/cpu"
 	"pythia/internal/dram"
-	"pythia/internal/flight"
 	"pythia/internal/obs"
 	"pythia/internal/policy"
 	"pythia/internal/prefetch"
@@ -41,31 +38,11 @@ import (
 
 // --- Worker pool ---
 
-// simSlots caps the number of simulations executing at once; RunAll fan-out
-// may nest (an experiment over a sweep whose cells run suites of
-// workloads), so the cap is enforced where the work happens, in Run.
-var simSlots = newDynSema(runtime.GOMAXPROCS(0))
-
-// SetWorkers bounds harness parallelism to n concurrent simulations
-// (n <= 1 forces sequential execution; n == 0 restores the default,
-// GOMAXPROCS). Worker count never affects experiment output, only wall
-// time.
-func SetWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	simSlots.setLimit(n)
-	genSlots.setLimit(n)
-}
-
-// Workers reports the current parallelism bound.
-func Workers() int { return simSlots.limit() }
-
 // RunAll invokes fn(0..n-1), fanning out over min(Workers()+1, n)
 // goroutines. Every fn must write its result to its own index-addressed
 // slot; on success RunAll returns nil once all calls complete, so the slot
 // array is fully populated and tables stay byte-identical at any worker
-// count. Calls may nest — the global simulation cap keeps total CPU
+// count. Calls may nest — the sim slots Run takes keep total CPU
 // bounded.
 //
 // The goroutine beyond the sim slots is there for the work a call does
@@ -133,77 +110,6 @@ func RunAll(ctx context.Context, n int, fn func(i int) error) error {
 		return firstErr
 	}
 	return ctx.Err()
-}
-
-// dynSema is a counting semaphore with an adjustable limit.
-type dynSema struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	cap   int
-	inUse int
-}
-
-func newDynSema(limit int) *dynSema {
-	s := &dynSema{cap: limit}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// acquire blocks until a slot is free or ctx is canceled; a canceled wait
-// returns ctx.Err() without consuming a slot, so canceled simulations
-// never leak pool capacity. Cancellation is delivered to waiters through
-// an AfterFunc broadcast taken under the mutex, which closes the
-// check-then-wait race; the AfterFunc is registered lazily, only once a
-// caller actually has to wait, keeping the uncontended fast path free of
-// per-acquire allocation and parent-context locking.
-func (s *dynSema) acquire(ctx context.Context) error {
-	s.mu.Lock()
-	if s.inUse < s.cap {
-		s.inUse++
-		s.mu.Unlock()
-		return nil
-	}
-	s.mu.Unlock()
-
-	stop := context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.inUse >= s.cap {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s.cond.Wait()
-	}
-	s.inUse++
-	return nil
-}
-
-// release frees one slot. Signal suffices here: exactly one slot opened,
-// so exactly one waiter can proceed (limit growth, which can unblock many
-// waiters at once, broadcasts in setLimit instead).
-func (s *dynSema) release() {
-	s.mu.Lock()
-	s.inUse--
-	s.mu.Unlock()
-	s.cond.Signal()
-}
-
-func (s *dynSema) setLimit(n int) {
-	s.mu.Lock()
-	s.cap = n
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-func (s *dynSema) limit() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cap
 }
 
 // Scale controls simulation lengths so the full suite finishes in minutes
@@ -403,53 +309,7 @@ func (r RunResult) SumDRAMReads() int64 {
 	return n
 }
 
-var (
-	traceCache  sync.Map // key string -> *trace.Trace
-	traceFlight flight.Group[*trace.Trace]
-	// genSlots bounds concurrent trace generation separately from
-	// simSlots: generation happens inside Run (which already holds a sim
-	// slot), so reusing simSlots would self-deadlock at low worker counts.
-	// Transient cold-start CPU use is thus bounded by 2× the worker limit.
-	genSlots = newDynSema(runtime.GOMAXPROCS(0))
-)
-
 // --- Streaming trace delivery ---
-
-var (
-	streamCacheMu  sync.Mutex
-	streamCacheVal *stream.Cache
-)
-
-// streamCache returns the process-wide on-disk trace cache for streaming
-// runs, creating it at stream.DefaultDir on first use.
-func streamCache() *stream.Cache {
-	streamCacheMu.Lock()
-	defer streamCacheMu.Unlock()
-	if streamCacheVal == nil {
-		streamCacheVal = stream.NewCache(stream.DefaultDir())
-	}
-	return streamCacheVal
-}
-
-// SetTraceCacheDir points streaming runs at a different on-disk trace
-// cache directory (tests use a temp dir; clusters can share a populated
-// one). An empty dir restores the default. It affects subsequent runs
-// only.
-func SetTraceCacheDir(dir string) {
-	if dir == "" {
-		dir = stream.DefaultDir()
-	}
-	streamCacheMu.Lock()
-	defer streamCacheMu.Unlock()
-	streamCacheVal = stream.NewCache(dir)
-}
-
-// SweepTraceCache reclaims stale temp files from the on-disk trace
-// cache immediately; long-lived services call it at startup so a crash
-// mid-population never leaves litter across restarts.
-func SweepTraceCache() {
-	streamCache().Sweep()
-}
 
 // streamSources resolves each workload of a mix to a bounded-memory
 // stream source. The disk cache shares one generation pass across every
@@ -458,15 +318,16 @@ func SweepTraceCache() {
 // generator replay, which costs CPU on replay but never materializes the
 // trace either. A canceled ctx aborts the generation passes and returns
 // ctx.Err().
-func streamSources(ctx context.Context, mix trace.Mix, sc Scale) ([]stream.Source, error) {
+func (e *Env) streamSources(ctx context.Context, mix trace.Mix, sc Scale) ([]stream.Source, error) {
 	out := make([]stream.Source, len(mix.Workloads))
 	err := RunAll(ctx, len(mix.Workloads), func(i int) error {
 		w := mix.Workloads[i]
-		if err := genSlots.acquire(ctx); err != nil {
+		gen := e.slots.Load().gen
+		if err := gen.acquire(ctx); err != nil {
 			return err
 		}
-		src, err := streamCache().Source(ctx, w, sc.TraceLen, sc.StreamChunk)
-		genSlots.release()
+		src, err := e.streamCache().Source(ctx, w, sc.TraceLen, sc.StreamChunk)
+		gen.release()
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
@@ -489,25 +350,26 @@ func streamSources(ctx context.Context, mix trace.Mix, sc Scale) ([]stream.Sourc
 // (Workload.Key: name, seed, length, generator version), not just its
 // display name — two same-named workloads with different seeds must not
 // share a materialized trace.
-func tracesFor(ctx context.Context, mix trace.Mix, length int) ([]*trace.Trace, error) {
+func (e *Env) tracesFor(ctx context.Context, mix trace.Mix, length int) ([]*trace.Trace, error) {
 	out := make([]*trace.Trace, len(mix.Workloads))
 	err := RunAll(ctx, len(mix.Workloads), func(i int) error {
 		w := mix.Workloads[i]
 		key := w.Key(length)
-		if v, ok := traceCache.Load(key); ok {
+		if v, ok := e.traces.Load(key); ok {
 			out[i] = v.(*trace.Trace)
 			return nil
 		}
-		t, _, err := traceFlight.Do(key, func() (*trace.Trace, error) {
-			if v, ok := traceCache.Load(key); ok {
+		t, _, err := e.traceFlight.Do(key, func() (*trace.Trace, error) {
+			if v, ok := e.traces.Load(key); ok {
 				return v.(*trace.Trace), nil
 			}
-			if err := genSlots.acquire(ctx); err != nil {
+			gen := e.slots.Load().gen
+			if err := gen.acquire(ctx); err != nil {
 				return nil, err
 			}
 			t := w.Generate(length)
-			genSlots.release()
-			traceCache.Store(key, t)
+			gen.release()
+			e.traces.Store(key, t)
 			return t, nil
 		})
 		if err != nil {
@@ -522,15 +384,6 @@ func tracesFor(ctx context.Context, mix trace.Mix, length int) ([]*trace.Trace, 
 	return out, nil
 }
 
-// simCount tallies simulations executed by this process; it is how tests
-// and pythia-serve prove a result came from the store rather than from
-// re-simulation.
-var simCount atomic.Int64
-
-// SimCount returns the number of simulations this process has executed.
-// It only ever grows; callers measure work by deltas.
-func SimCount() int64 { return simCount.Load() }
-
 // Run executes one simulation. Concurrent callers are throttled to the
 // worker limit; each simulation owns all its mutable state, so any number
 // may run side by side with deterministic results. That state is built
@@ -543,13 +396,19 @@ func SimCount() int64 { return simCount.Load() }
 // spec or a corrupted trace-cache file. Cancellation is prompt — checked
 // while waiting for a worker slot, during trace generation, and at chunk
 // boundaries inside the simulation — and the slot is always released on
-// the way out.
+// the way out. The run counts toward SimCount and toward the counter ctx
+// carries, if any (WithSimCounter).
 func Run(ctx context.Context, spec RunSpec) (RunResult, error) {
-	if err := simSlots.acquire(ctx); err != nil {
+	return defaultEnv.run(ctx, spec)
+}
+
+func (e *Env) run(ctx context.Context, spec RunSpec) (RunResult, error) {
+	sim := e.slots.Load().sim
+	if err := sim.acquire(ctx); err != nil {
 		return RunResult{}, err
 	}
-	defer simSlots.release()
-	simCount.Add(1)
+	defer sim.release()
+	e.countSim(ctx)
 	// A serve job's timeline (if one rides the context) learns when its
 	// first worker reached each stage; Mark is a no-op outside serve.
 	tl := obs.TimelineFrom(ctx)
@@ -557,13 +416,13 @@ func Run(ctx context.Context, spec RunSpec) (RunResult, error) {
 	cores := len(spec.Mix.Workloads)
 	cfg := spec.CacheCfg
 	cfg.Cores = cores
-	prev := takeSpare(cfg)
+	prev := e.takeSpare(cfg)
 	hier, err := cache.Recycle(cfg, prev.hier)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("harness: %s: hierarchy: %w", spec.Mix.Name, err)
 	}
 
-	readers, err := openReaders(ctx, spec, prev.readers)
+	readers, err := e.openReaders(ctx, spec, prev.readers)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -622,7 +481,7 @@ func Run(ctx context.Context, spec RunSpec) (RunResult, error) {
 	for _, c := range sys.Cores {
 		retired += c.Retired()
 	}
-	recordSimThroughput(retired, time.Since(simStart))
+	e.recordSimThroughput(retired, time.Since(simStart))
 
 	res := RunResult{Name: spec.Mix.Name, PFs: pfs}
 	for _, c := range sys.Cores {
@@ -645,7 +504,7 @@ func Run(ctx context.Context, spec RunSpec) (RunResult, error) {
 				sp.readers = append(sp.readers, trace.RecycleSliceReader(nil, sr))
 			}
 		}
-		putSpare(sp)
+		e.putSpare(sp)
 	}
 	return res, nil
 }
@@ -657,10 +516,10 @@ func Run(ctx context.Context, spec RunSpec) (RunResult, error) {
 // chunk pipeline instead, so the horizon is limited by disk, not memory.
 // The record sequence is the same either way (stream package equivalence
 // tests), so a spec yields the same result on both.
-func openReaders(ctx context.Context, spec RunSpec, prev []*trace.SliceReader) ([]trace.ChunkReader, error) {
+func (e *Env) openReaders(ctx context.Context, spec RunSpec, prev []*trace.SliceReader) ([]trace.ChunkReader, error) {
 	readers := make([]trace.ChunkReader, len(spec.Mix.Workloads))
 	if spec.Scale.StreamChunk <= 0 {
-		traces, err := tracesFor(ctx, spec.Mix, spec.Scale.TraceLen)
+		traces, err := e.tracesFor(ctx, spec.Mix, spec.Scale.TraceLen)
 		if err != nil {
 			return nil, err
 		}
@@ -673,7 +532,7 @@ func openReaders(ctx context.Context, spec RunSpec, prev []*trace.SliceReader) (
 		}
 		return readers, nil
 	}
-	srcs, err := streamSources(ctx, spec.Mix, spec.Scale)
+	srcs, err := e.streamSources(ctx, spec.Mix, spec.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -688,64 +547,6 @@ func openReaders(ctx context.Context, spec RunSpec, prev []*trace.SliceReader) (
 		readers[i] = r
 	}
 	return readers, nil
-}
-
-// spare is what a finished run leaves for a later run of the same
-// geometry to recycle: its hierarchy's arrays (cache.Recycle) and its
-// slice readers' column buffers (trace.RecycleSliceReader). A small
-// simulation otherwise spends a sizeable share of its time allocating
-// and zeroing them.
-type spare struct {
-	hier    *cache.Hierarchy
-	readers []*trace.SliceReader
-}
-
-// spares pools spares, at most one per sim slot. It is not a sync.Pool: a
-// pool empties at every collection, and both perfbench and a long-lived
-// server collect between runs.
-var spares struct {
-	mu sync.Mutex
-	s  []spare
-}
-
-// takeSpare removes and returns the most recently pooled spare whose
-// hierarchy fits cfg, or the zero spare.
-func takeSpare(cfg cache.Config) spare {
-	spares.mu.Lock()
-	defer spares.mu.Unlock()
-	for i := len(spares.s) - 1; i >= 0; i-- {
-		if sp := spares.s[i]; sp.hier.Fits(cfg) {
-			spares.s = slices.Delete(spares.s, i, i+1)
-			return sp
-		}
-	}
-	return spare{}
-}
-
-// putSpare pools sp, dropping the oldest spares beyond one per sim slot.
-func putSpare(sp spare) {
-	spares.mu.Lock()
-	defer spares.mu.Unlock()
-	spares.s = append(spares.s, sp)
-	if over := len(spares.s) - Workers(); over > 0 {
-		spares.s = slices.Delete(spares.s, 0, over)
-	}
-}
-
-var (
-	baselineCache sync.Map // key string -> RunResult
-	runFlight     flight.Group[RunResult]
-)
-
-// ResetCaches drops all memoized simulation results, materialized traces
-// and pooled spares. Tests use it to force fresh runs; long-lived tools
-// can use it to bound memory between sweeps.
-func ResetCaches() {
-	baselineCache.Range(func(k, _ any) bool { baselineCache.Delete(k); return true })
-	traceCache.Range(func(k, _ any) bool { traceCache.Delete(k); return true })
-	spares.mu.Lock()
-	spares.s = nil
-	spares.mu.Unlock()
 }
 
 // mixIdentity renders a mix's full composition, not just its display
@@ -818,28 +619,32 @@ func stripPFs(r RunResult) RunResult {
 // memoized or persisted result cannot replay the hook, so serving one
 // would silently skip it.
 func RunCached(ctx context.Context, spec RunSpec) (RunResult, error) {
+	return defaultEnv.runCached(ctx, spec)
+}
+
+func (e *Env) runCached(ctx context.Context, spec RunSpec) (RunResult, error) {
 	if spec.Hook != nil || spec.TrainPolicy != nil {
-		return Run(ctx, spec)
+		return e.run(ctx, spec)
 	}
 	key := cacheKey(spec)
-	if v, ok := baselineCache.Load(key); ok {
+	if v, ok := e.runs.Load(key); ok {
 		return v.(RunResult), nil
 	}
-	r, _, err := runFlight.Do(key, func() (RunResult, error) {
-		if v, ok := baselineCache.Load(key); ok {
+	r, _, err := e.runFlight.Do(key, func() (RunResult, error) {
+		if v, ok := e.runs.Load(key); ok {
 			return v.(RunResult), nil
 		}
-		if r, ok := loadPersisted(spec, key); ok {
-			baselineCache.Store(key, r)
+		if r, ok := e.loadPersisted(spec, key); ok {
+			e.runs.Store(key, r)
 			return r, nil
 		}
-		r, err := Run(ctx, spec)
+		r, err := e.run(ctx, spec)
 		if err != nil {
 			return RunResult{}, err
 		}
-		storePersisted(spec, key, r)
+		e.storePersisted(spec, key, r)
 		r = stripPFs(r)
-		baselineCache.Store(key, r)
+		e.runs.Store(key, r)
 		return r, nil
 	})
 	return r, err

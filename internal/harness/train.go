@@ -3,11 +3,9 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"pythia/internal/cache"
 	"pythia/internal/core"
-	"pythia/internal/flight"
 	"pythia/internal/policy"
 	"pythia/internal/prefetch"
 	"pythia/internal/trace"
@@ -22,32 +20,6 @@ import (
 // a policy.Store — so later evaluations warm-start from the envelope
 // (RunSpec.WarmStart) instead of re-paying the training ramp, and a repeat
 // training request is a store hit with zero simulations.
-
-var (
-	policyStoreMu  sync.Mutex
-	policyStoreVal *policy.Store
-)
-
-// SetPolicyStore points TrainPolicy at a persistent policy store rooted at
-// dir and returns it. An empty dir disables persistence (the default);
-// training then always simulates.
-func SetPolicyStore(dir string) *policy.Store {
-	policyStoreMu.Lock()
-	defer policyStoreMu.Unlock()
-	if dir == "" {
-		policyStoreVal = nil
-		return nil
-	}
-	policyStoreVal = policy.Open(dir)
-	return policyStoreVal
-}
-
-// PolicyStore returns the active policy store, or nil when disabled.
-func PolicyStore() *policy.Store {
-	policyStoreMu.Lock()
-	defer policyStoreMu.Unlock()
-	return policyStoreVal
-}
 
 // TrainSpec describes one policy-training run: a single-core simulation of
 // one workload with a Pythia configuration, whose learned Q-table is the
@@ -77,10 +49,6 @@ func (ts TrainSpec) Provenance() policy.Provenance {
 func (ts TrainSpec) PolicyID() string {
 	return policy.ID(ts.Config, ts.Provenance())
 }
-
-// trainFlight deduplicates concurrent identical training runs when no
-// store is configured (a configured store brings its own singleflight).
-var trainFlight flight.Group[policy.Envelope]
 
 // TrainPolicyIn trains the policy described by ts, or serves it from st.
 // A store hit (or a concurrent duplicate) costs zero simulations — hit
@@ -115,7 +83,7 @@ func TrainPolicyIn(ctx context.Context, st *policy.Store, ts TrainSpec) (policy.
 				envErr = fmt.Errorf("harness: train %s: run produced no Pythia agent", ts.Workload.Name)
 			},
 		}
-		if _, err := Run(ctx, spec); err != nil {
+		if _, err := defaultEnv.run(ctx, spec); err != nil {
 			return policy.Envelope{}, err
 		}
 		if envErr != nil {
@@ -124,14 +92,8 @@ func TrainPolicyIn(ctx context.Context, st *policy.Store, ts TrainSpec) (policy.
 		return env, nil
 	}
 	if st == nil {
-		env, _, err := trainFlight.Do(ts.PolicyID(), train)
+		env, _, err := defaultEnv.trainFlight.Do(ts.PolicyID(), train)
 		return env, false, err
 	}
 	return st.GetOrTrain(ts.PolicyID(), train)
-}
-
-// TrainPolicy is TrainPolicyIn against the store configured with
-// SetPolicyStore (which may be none).
-func TrainPolicy(ctx context.Context, ts TrainSpec) (policy.Envelope, bool, error) {
-	return TrainPolicyIn(ctx, PolicyStore(), ts)
 }

@@ -133,15 +133,14 @@ func (e *executor) execute(j *job) (executed int64) {
 		j.finish(nil, false, 0, j.ctx.Err())
 		return 0
 	}
-	startSims := harness.SimCount()
-	stopSampler := e.startSampler(j, startSims)
+	stopSampler := e.startSampler(j)
 
 	var payload harness.ExperimentPayload
 	var env policy.Envelope
 	brk, attempt := e.storeBrk, func() (hit, delivered bool, err error) {
 		payload = harness.ExperimentPayload{}
 		hit, err = e.store.GetOrCompute(harness.ExperimentKey(j.expID, j.scale), &payload, func() (any, error) {
-			return e.computeExperiment(j, startSims)
+			return e.computeExperiment(j)
 		})
 		return hit, payload.Table != nil, err
 	}
@@ -163,7 +162,7 @@ func (e *executor) execute(j *job) (executed int64) {
 	}
 	stopSampler()
 
-	executed = harness.SimCount() - startSims
+	executed = j.ran.Load()
 	// The stores report a non-nil error alongside a delivered artifact
 	// when only the persist failed ("delivery beats persistence"); the
 	// artifact must still reach the client — an unwritable store degrades
@@ -235,10 +234,7 @@ func backoff(base time.Duration, attempt int) time.Duration {
 }
 
 // startSampler launches the progress sampler for a running job and
-// returns a function that stops it and waits for it to exit. The sampler
-// reads the process-wide simulation counter: with one job executing at a
-// time per process, every simulation between job start and finish
-// belongs to this job, so the delta is exact.
+// returns a function that stops it and waits for it to exit.
 //
 // Every tick checkpoints the record's sims count for frontends that
 // proxy the job, honors cancel markers left by a frontend (contexts
@@ -246,7 +242,7 @@ func backoff(base time.Duration, attempt int) time.Duration {
 // claim: the claim lives while the owner's heartbeat is fresh, so a
 // stall long enough to go stale gets it reaped, and the run is then
 // abandoned rather than split-brained with the job's next owner.
-func (e *executor) startSampler(j *job, startSims int64) (stop func()) {
+func (e *executor) startSampler(j *job) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -260,7 +256,7 @@ func (e *executor) startSampler(j *job, startSims int64) (stop func()) {
 			case <-done:
 				return
 			case <-tick.C:
-				j.progress(harness.SimCount() - startSims)
+				j.progress(j.ran.Load())
 				if e.journal.cancelRequested(j.id) {
 					e.log.Info("cancel marker honored", "job", j.id)
 					j.markUserCanceled()
@@ -300,7 +296,7 @@ func (e *executor) trainPolicy(j *job) (env policy.Envelope, hit bool, err error
 // cancellation) as error values; the recover is a last line of defense
 // against latent panics in model code, so no single request can take down
 // the service either way.
-func (e *executor) computeExperiment(j *job, startSims int64) (payload any, err error) {
+func (e *executor) computeExperiment(j *job) (payload any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("experiment %s panicked: %v", j.expID, r)
@@ -322,7 +318,7 @@ func (e *executor) computeExperiment(j *job, startSims int64) (payload any, err 
 		Title:   exp.Title,
 		Scale:   j.scaleName,
 		Table:   table,
-		Sims:    harness.SimCount() - startSims,
+		Sims:    j.ran.Load(),
 		Seconds: time.Since(start).Seconds(),
 	}, nil
 }

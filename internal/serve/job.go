@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pythia/internal/api"
@@ -55,6 +56,9 @@ type job struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
+	// ran counts the simulations run under ctx (harness.WithSimCounter):
+	// this job's own, however many jobs share the process.
+	ran atomic.Int64
 
 	// tl is the job's stage timeline (accepted→queued→leased→streaming→
 	// simulating→persisting→terminal). It also rides ctx, so the harness
@@ -125,19 +129,18 @@ func blankJob(base context.Context, id, kind, scaleName string, sc harness.Scale
 	now := time.Now().UTC()
 	tl := obs.NewTimeline("accepted", now)
 	tl.Mark("queued", now)
-	ctx, cancel := context.WithCancel(obs.WithTimeline(base, tl))
-	return &job{
+	j := &job{
 		id:        id,
 		kind:      kind,
 		scaleName: scaleName,
 		scale:     sc,
-		ctx:       ctx,
-		cancel:    cancel,
 		tl:        tl,
 		status:    StatusQueued,
 		created:   now,
 		subs:      make(map[chan Event]struct{}),
 	}
+	j.ctx, j.cancel = context.WithCancel(harness.WithSimCounter(obs.WithTimeline(base, tl), &j.ran))
+	return j
 }
 
 // terminal reports whether the job has reached done, error or canceled.

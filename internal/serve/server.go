@@ -313,8 +313,7 @@ func (s *Server) recoverJobs(recs []jobRecord) (requeued int) {
 }
 
 // startWorker starts the in-process worker: the worker loop over the
-// server's own open jobs, in admission order, one at a time — the
-// progress sampler's process-wide SimCount delta relies on that. A won
+// server's own open jobs, in admission order, one at a time. A won
 // claim runs the frontend's own *job, so status and SSE update
 // directly. On shutdown the worker runs every job it can still claim
 // (each honors its own context, so an aborted shutdown cancels them),
