@@ -14,7 +14,8 @@
 #   ci.sh full    quick + chaos, plus the race detector over every
 #                 concurrent subsystem, a short fuzz of the trace-file
 #                 decoder, a benchmark smoke of Pythia's train and
-#                 QVStore hot paths, the hierarchy's demand access, a
+#                 QVStore hot paths, MLOP, SPP and Bingo training, the
+#                 hierarchy's demand access, a
 #                 stored-result hit, trace generation and delivery, a
 #                 trace-cache fill
 #                 and a fresh-scale Fig. 14 job (the benchmark run also
@@ -310,8 +311,8 @@ if [ "$tier" = full ]; then
     echo "== fuzz smoke (trace-file decoder, record and chunk paths) =="
     go test -run='^$' -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/trace
 
-    echo "== bench smoke (Pythia train and QVStore hot paths, hierarchy access, stored-result hit, trace generation and delivery, cache fill, fresh-scale job) =="
-    go test -run='AllocationFree' -bench='PythiaTrain|QVStore|HierarchyAccess|RunCachedStoreHit|TraceGen|TraceDelivery|TraceCacheFill|FreshScaleJob' -benchtime=100x -benchmem .
+    echo "== bench smoke (Pythia train and QVStore hot paths, MLOP/SPP/Bingo train, hierarchy access, stored-result hit, trace generation and delivery, cache fill, fresh-scale job) =="
+    go test -run='AllocationFree' -bench='PythiaTrain|QVStore|MLOPTrain|SPPTrain|BingoTrain|HierarchyAccess|RunCachedStoreHit|TraceGen|TraceDelivery|TraceCacheFill|FreshScaleJob' -benchtime=100x -benchmem .
 
     echo "== perfbench (benchmark tests + one short run per workload) =="
     # perfbench is a module of its own, outside ./...: vet and test it,

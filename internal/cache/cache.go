@@ -68,6 +68,9 @@ type Cache struct {
 	// word directly instead of paying an interface dispatch per hit.
 	// Behaviour is identical to calling repl's methods.
 	lruFast *lru
+	// shipFast likewise devirtualizes SHiP (the LLC's default policy), so
+	// its small methods inline into Access and Fill.
+	shipFast *ship
 
 	// Hits and Misses count demand lookups.
 	Hits, Misses int64
@@ -130,9 +133,8 @@ func recycleCache(name string, sizeKB, ways int, repl replFactory, old *Cache) *
 			}
 		}
 	}
-	if p, ok := c.repl.(*lru); ok {
-		c.lruFast = p
-	}
+	c.lruFast, _ = c.repl.(*lru)
+	c.shipFast, _ = c.repl.(*ship)
 	return c
 }
 
@@ -185,6 +187,8 @@ func (c *Cache) Access(lineAddr, pc uint64, store bool) (hit, wasPrefetch bool) 
 		c.Hits++
 		if p := c.lruFast; p != nil {
 			p.touch(set, w)
+		} else if s := c.shipFast; s != nil {
+			s.Hit(set, w, pc)
 		} else {
 			c.repl.Hit(set, w, pc)
 		}
@@ -231,18 +235,20 @@ func (c *Cache) Fill(lineAddr, pc uint64, isPrefetch, dirty bool) Evicted {
 		}
 	}
 	var out Evicted
-	p := c.lruFast
+	p, s := c.lruFast, c.shipFast
 	if way < 0 {
-		if p != nil {
+		switch {
+		case p != nil:
 			way = p.Victim(set)
-		} else {
+		case s != nil:
+			way = s.Victim(set)
+			s.Evict(set, way)
+		default:
 			way = c.repl.Victim(set)
+			c.repl.Evict(set, way)
 		}
 		t := tags[way]
 		out = Evicted{Line: t & tagLine, Dirty: t&tagDirty != 0, Valid: true}
-		if p == nil {
-			c.repl.Evict(set, way)
-		}
 	}
 	if dirty {
 		want |= tagDirty
@@ -251,9 +257,12 @@ func (c *Cache) Fill(lineAddr, pc uint64, isPrefetch, dirty bool) Evicted {
 		want |= tagPrefetch
 	}
 	tags[way] = want
-	if p != nil {
+	switch {
+	case p != nil:
 		p.touch(set, way)
-	} else {
+	case s != nil:
+		s.Fill(set, way, pc, isPrefetch)
+	default:
 		c.repl.Fill(set, way, pc, isPrefetch)
 	}
 	return out

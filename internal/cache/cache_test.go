@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -193,8 +194,8 @@ func TestCacheMatchesReference(t *testing.T) {
 		repl, ref func(sets, ways int) Replacement
 	}{
 		{"lru", NewLRU, newRefLRU},
-		{"ship", NewSHiP, NewSHiP},
-		{"drrip", NewDRRIP, NewDRRIP},
+		{"ship", NewSHiP, newRefSHiP},
+		{"drrip", NewDRRIP, newRefDRRIP},
 	}
 	const sets = 16
 	for _, pol := range policies {
@@ -266,6 +267,79 @@ func TestLRUMatchesReference(t *testing.T) {
 			for s := 0; s < sets; s++ {
 				if got, want := p.Victim(s), ref.Victim(s); got != want {
 					t.Fatalf("%d ways, step %d: set %d victim %d, want %d", ways, step, s, got, want)
+				}
+			}
+		}
+	}
+}
+
+// rripPolicy is a SHiP or DRRIP policy whose RRPVs a test can read.
+type rripPolicy interface {
+	Replacement
+	rrpvAt(set, way int) uint8
+}
+
+// TestRRIPMatchesReference drives SHiP and DRRIP on their own, without a
+// cache, against the per-way references: random Hit, Fill, Victim and
+// Evict calls, and the cache's own Victim, Evict, Fill sequence, at every
+// associativity from 1 to 16. After each step it compares every way's
+// RRPV, and SHiP's SHCT or DRRIP's selector and BRRIP counter. A few PCs
+// share the SHCT, so counters saturate at both ends.
+func TestRRIPMatchesReference(t *testing.T) {
+	policies := []struct {
+		name      string
+		repl, ref func(sets, ways int) Replacement
+	}{
+		{"ship", NewSHiP, newRefSHiP},
+		{"drrip", NewDRRIP, newRefDRRIP},
+	}
+	const sets = 4 // DRRIP: an SRRIP leader, a BRRIP leader, two followers
+	for _, pol := range policies {
+		for ways := 1; ways <= maxWays; ways++ {
+			rng := rand.New(rand.NewSource(int64(ways)))
+			p, ref := pol.repl(sets, ways).(rripPolicy), pol.ref(sets, ways).(rripPolicy)
+			for step := 0; step < 4000; step++ {
+				set, way := rng.Intn(sets), rng.Intn(ways)
+				pc := 0x400 + uint64(rng.Intn(4))*4
+				pf := rng.Intn(4) == 0
+				switch op := rng.Intn(5); op {
+				case 0:
+					p.Hit(set, way, pc)
+					ref.Hit(set, way, pc)
+				case 1:
+					p.Fill(set, way, pc, pf)
+					ref.Fill(set, way, pc, pf)
+				case 2:
+					p.Evict(set, way)
+					ref.Evict(set, way)
+				default:
+					got, want := p.Victim(set), ref.Victim(set)
+					if got != want {
+						t.Fatalf("%s %d ways, step %d: set %d victim %d, want %d", pol.name, ways, step, set, got, want)
+					}
+					if op == 4 {
+						p.Evict(set, got)
+						ref.Evict(set, want)
+						p.Fill(set, got, pc, pf)
+						ref.Fill(set, want, pc, pf)
+					}
+				}
+				for s := 0; s < sets; s++ {
+					for w := 0; w < ways; w++ {
+						if g, r := p.rrpvAt(s, w), ref.rrpvAt(s, w); g != r {
+							t.Fatalf("%s %d ways, step %d: set %d way %d RRPV %d, want %d", pol.name, ways, step, s, w, g, r)
+						}
+					}
+				}
+				switch p := p.(type) {
+				case *ship:
+					if r := ref.(*refSHiP); !bytes.Equal(p.shct, r.shct) {
+						t.Fatalf("ship %d ways, step %d: SHCT differs from the reference", ways, step)
+					}
+				case *drrip:
+					if r := ref.(*refDRRIP); p.psel != r.psel || p.counter != r.counter {
+						t.Fatalf("drrip %d ways, step %d: psel/counter %d/%d, want %d/%d", ways, step, p.psel, p.counter, r.psel, r.counter)
+					}
 				}
 			}
 		}

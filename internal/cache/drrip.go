@@ -14,7 +14,8 @@ const (
 
 type drrip struct {
 	sets, ways int
-	rrpv       []uint8
+	fields     uint32   // rrpvFields(ways)
+	rrpv       []uint32 // one RRPV word per set (see rrpvLow)
 	psel       int
 	counter    int
 	// Leader sets: low bits pick SRRIP leaders and BRRIP leaders.
@@ -34,7 +35,8 @@ func recycleDRRIP(sets, ways int, old Replacement) Replacement {
 	return &drrip{
 		sets:       sets,
 		ways:       ways,
-		rrpv:       reuse(&o.rrpv, sets*ways),
+		fields:     rrpvFields(ways),
+		rrpv:       reuse(&o.rrpv, sets),
 		psel:       drripPSELMax / 2,
 		leaderMask: 31,
 	}
@@ -54,7 +56,7 @@ func (d *drrip) setKind(set int) int {
 
 // Hit implements Replacement.
 func (d *drrip) Hit(set, way int, pc uint64) {
-	d.rrpv[set*d.ways+way] = 0
+	d.rrpv[set] &^= 3 << (2 * uint(way))
 }
 
 // Fill implements Replacement.
@@ -73,7 +75,7 @@ func (d *drrip) Fill(set, way int, pc uint64, prefetch bool) {
 	default:
 		useBRRIP = d.psel < drripPSELMax/2
 	}
-	r := uint8(drripMaxRRPV - 1) // SRRIP insertion
+	r := uint32(drripMaxRRPV - 1) // SRRIP insertion
 	if useBRRIP {
 		r = drripMaxRRPV
 		d.counter++
@@ -84,26 +86,11 @@ func (d *drrip) Fill(set, way int, pc uint64, prefetch bool) {
 	if prefetch {
 		r = drripMaxRRPV
 	}
-	d.rrpv[set*d.ways+way] = r
+	d.rrpv[set] = setRRPV(d.rrpv[set], way, r)
 }
 
-// Victim implements Replacement.
-func (d *drrip) Victim(set int) int {
-	// Closed form of the rescan-and-age reference loop; see ship.Victim.
-	rr := d.rrpv[set*d.ways : set*d.ways+d.ways]
-	victim, maxR := 0, rr[0]
-	for w := 1; w < len(rr); w++ {
-		if r := rr[w]; r > maxR {
-			victim, maxR = w, r
-		}
-	}
-	if age := drripMaxRRPV - maxR; age > 0 {
-		for w := range rr {
-			rr[w] += age
-		}
-	}
-	return victim
-}
+// Victim implements Replacement (see rripVictim).
+func (d *drrip) Victim(set int) int { return rripVictim(&d.rrpv[set], d.fields) }
 
 // Evict implements Replacement.
 func (d *drrip) Evict(set, way int) {}

@@ -67,3 +67,5 @@ func TestDRRIPWorksInCache(t *testing.T) {
 		t.Error("recently filled lines all evicted")
 	}
 }
+
+func (d *drrip) rrpvAt(set, way int) uint8 { return uint8(d.rrpv[set] >> (2 * uint(way)) & 3) }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"pythia/internal/dram"
@@ -209,6 +210,7 @@ type heapNode struct {
 // state through fill order) is unchanged from when this was driven through
 // heap.Push/heap.Pop; the concrete methods just drop the interface
 // dispatch and per-op allocation of the boxed API.
+// TestMissHeapMatchesContainerHeap pins that order.
 type missHeap []heapNode
 
 func (h *missHeap) pushEntry(e *missEntry) {
@@ -225,26 +227,35 @@ func (h *missHeap) pushEntry(e *missEntry) {
 	*h = s
 }
 
+// popEntry removes the earliest entry. The sift picks the smaller child
+// without a branch: the popped node, parked at s[n] past the heap, reads
+// as the latest possible completion while it sifts, so a last left child
+// without a right sibling is picked as container/heap picks it, and the
+// pick is one compare and a conditional move. On equal children it keeps
+// the left one, as container/heap does.
 func (h *missHeap) popEntry() *missEntry {
 	s := *h
 	n := len(s) - 1
 	s[0], s[n] = s[n], s[0]
+	e := s[n].e
+	s[n].complete = math.MaxInt64
 	i := 0
 	for {
 		j := 2*i + 1
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && s[j2].complete < s[j].complete {
-			j = j2
+		right := 0
+		if s[j+1].complete < s[j].complete {
+			right = 1
 		}
+		j += right
 		if s[j].complete >= s[i].complete {
 			break
 		}
 		s[i], s[j] = s[j], s[i]
 		i = j
 	}
-	e := s[n].e
 	s[n] = heapNode{}
 	*h = s[:n]
 	return e
@@ -294,8 +305,9 @@ type Hierarchy struct {
 func NewHierarchy(cfg Config) (*Hierarchy, error) { return Recycle(cfg, nil) }
 
 // Recycle builds the memory system for cfg exactly as NewHierarchy does,
-// but takes the large per-line arrays (tags, LRU order words, SHiP lines
-// and SHCT, DRRIP RRPVs, each core's outstanding-miss table) from spare
+// but takes the large per-line arrays (tags, LRU order words, the SHiP
+// and DRRIP RRPV words, SHiP's flag masks, signatures and SHCT, each
+// core's outstanding-miss table) from spare
 // wherever an array of the same size is there, clearing each before use.
 // It takes each core's miss heap and entry pool as they are. A small
 // simulation otherwise spends a sizeable share of its time zeroing

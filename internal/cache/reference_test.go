@@ -5,7 +5,10 @@ package cache
 // bits into its tag word. It keeps a use stamp per way, a separate
 // metadata column and a fill scan over the whole set, and it is the
 // model TestCacheMatchesReference and TestLRUMatchesReference check the
-// packed cache against. Nothing outside the tests uses it.
+// packed cache against. Beside it are SHiP and DRRIP as they were before
+// a set's RRPVs moved into one word, with a byte of RRPV per way, the
+// model TestCacheMatchesReference and TestRRIPMatchesReference check the
+// packed policies against. Nothing outside the tests uses them.
 
 // refMeta is one line's state beside its tag.
 type refMeta struct {
@@ -125,3 +128,151 @@ func (p *refLRU) Victim(set int) int {
 }
 
 func (p *refLRU) Evict(set, way int) {}
+
+// refSHiPLine is one way's SHiP state in the reference policy.
+type refSHiPLine struct {
+	rrpv     uint8
+	sig      uint16
+	outcome  bool // saw a hit during residency
+	occupied bool
+}
+
+// refSHiP is SHiP replacement as it was before a set's RRPVs moved into
+// one word: a struct per way, and a victim scan and aging pass over the
+// set's structs.
+type refSHiP struct {
+	ways  int
+	lines []refSHiPLine
+	shct  []uint8
+}
+
+func newRefSHiP(sets, ways int) Replacement {
+	s := &refSHiP{ways: ways, lines: make([]refSHiPLine, sets*ways), shct: make([]uint8, shipSHCTSize)}
+	for i := range s.shct {
+		s.shct[i] = 1
+	}
+	return s
+}
+
+func (s *refSHiP) rrpvAt(set, way int) uint8 { return s.lines[set*s.ways+way].rrpv }
+
+func (s *refSHiP) Hit(set, way int, pc uint64) {
+	l := &s.lines[set*s.ways+way]
+	l.rrpv = 0
+	if !l.outcome {
+		l.outcome = true
+		if s.shct[l.sig] < shipCtrMax {
+			s.shct[l.sig]++
+		}
+	}
+}
+
+func (s *refSHiP) Fill(set, way int, pc uint64, prefetch bool) {
+	sig := shipSig(pc)
+	l := &s.lines[set*s.ways+way]
+	l.sig = sig
+	l.outcome = false
+	l.occupied = true
+	if s.shct[sig] == 0 {
+		l.rrpv = shipMaxRRPV
+	} else {
+		l.rrpv = shipMaxRRPV - 1
+	}
+	if prefetch {
+		l.rrpv = shipMaxRRPV
+	}
+}
+
+// Victim picks the lowest way with the highest RRPV and ages every way by
+// that RRPV's distance to the maximum, the closed form of the rescan that
+// ages the set one step at a time until some way reaches the maximum.
+func (s *refSHiP) Victim(set int) int {
+	ls := s.lines[set*s.ways : set*s.ways+s.ways]
+	victim, maxR := 0, ls[0].rrpv
+	for w := 1; w < len(ls); w++ {
+		if r := ls[w].rrpv; r > maxR {
+			victim, maxR = w, r
+		}
+	}
+	if age := shipMaxRRPV - maxR; age > 0 {
+		for w := range ls {
+			ls[w].rrpv += age
+		}
+	}
+	return victim
+}
+
+func (s *refSHiP) Evict(set, way int) {
+	l := &s.lines[set*s.ways+way]
+	if l.occupied && !l.outcome {
+		if s.shct[l.sig] > 0 {
+			s.shct[l.sig]--
+		}
+	}
+	l.occupied = false
+}
+
+// refDRRIP is DRRIP replacement as it was before a set's RRPVs moved into
+// one word: a byte per way.
+type refDRRIP struct {
+	ways    int
+	rrpv    []uint8
+	psel    int
+	counter int
+}
+
+func newRefDRRIP(sets, ways int) Replacement {
+	return &refDRRIP{ways: ways, rrpv: make([]uint8, sets*ways), psel: drripPSELMax / 2}
+}
+
+func (d *refDRRIP) rrpvAt(set, way int) uint8 { return d.rrpv[set*d.ways+way] }
+
+func (d *refDRRIP) Hit(set, way int, pc uint64) { d.rrpv[set*d.ways+way] = 0 }
+
+func (d *refDRRIP) Fill(set, way int, pc uint64, prefetch bool) {
+	useBRRIP := false
+	switch set & 31 {
+	case 0: // SRRIP leader
+		if d.psel > 0 {
+			d.psel--
+		}
+	case 1: // BRRIP leader
+		useBRRIP = true
+		if d.psel < drripPSELMax {
+			d.psel++
+		}
+	default:
+		useBRRIP = d.psel < drripPSELMax/2
+	}
+	r := uint8(drripMaxRRPV - 1)
+	if useBRRIP {
+		r = drripMaxRRPV
+		d.counter++
+		if d.counter%drripBRRIPProb == 0 {
+			r = drripMaxRRPV - 1
+		}
+	}
+	if prefetch {
+		r = drripMaxRRPV
+	}
+	d.rrpv[set*d.ways+way] = r
+}
+
+// Victim is refSHiP.Victim's closed form on the byte column.
+func (d *refDRRIP) Victim(set int) int {
+	rr := d.rrpv[set*d.ways : set*d.ways+d.ways]
+	victim, maxR := 0, rr[0]
+	for w := 1; w < len(rr); w++ {
+		if r := rr[w]; r > maxR {
+			victim, maxR = w, r
+		}
+	}
+	if age := drripMaxRRPV - maxR; age > 0 {
+		for w := range rr {
+			rr[w] += age
+		}
+	}
+	return victim
+}
+
+func (d *refDRRIP) Evict(set, way int) {}

@@ -1,5 +1,7 @@
 package cache
 
+import "math/bits"
+
 // SHiP (Signature-based Hit Predictor, Wu et al., MICRO 2011) replacement,
 // used at the LLC per the paper's Table 5. Lines are managed with 2-bit
 // re-reference prediction values (RRPV); a signature history counter table
@@ -15,33 +17,73 @@ const (
 	shipInsertMid = shipMaxRRPV - 1 // default insertion
 )
 
-type shipLine struct {
-	rrpv     uint8
-	sig      uint16
-	outcome  bool // saw a hit during residency
-	occupied bool
+// An RRPV word holds a set's 2-bit RRPVs, way w's at bits 2w and 2w+1, so
+// one uint32 covers maxWays ways. Fields of ways the set does not have
+// stay 0. SHiP and DRRIP both keep one word per set.
+const rrpvLow = 0x55555555 // the low bit of every field
+
+// rrpvFields returns the low bits of a ways-way set's fields.
+func rrpvFields(ways int) uint32 { return uint32(1<<(2*uint(ways))-1) & rrpvLow }
+
+// setRRPV returns word with way's RRPV set to r.
+func setRRPV(word uint32, way int, r uint32) uint32 {
+	sh := 2 * uint(way)
+	return word&^(3<<sh) | r<<sh
+}
+
+// rripVictim returns the lowest way holding the set's highest RRPV and
+// ages the set, as the reference algorithm does by rescanning the set and
+// aging every way by one until some way reaches the maximum RRPV 3: every
+// field gains the gap between the highest RRPV and 3 in one add, which
+// carries out of no field. fields is rrpvFields of the set's ways.
+func rripVictim(word *uint32, fields uint32) int {
+	r := *word
+	high := r >> 1 & rrpvLow // fields at 2 or 3
+	at := high & r           // fields at 3
+	gap := uint32(0)
+	if at == 0 {
+		at, gap = high, 1
+		if at == 0 {
+			at, gap = r&rrpvLow, 2 // fields at 1, none being higher
+			if at == 0 {
+				at, gap = 1, 3
+			}
+		}
+	}
+	*word = r + gap*fields
+	return bits.TrailingZeros32(at) >> 1
 }
 
 type ship struct {
-	ways  int
-	lines []shipLine
-	shct  []uint8
+	ways   int
+	fields uint32   // rrpvFields(ways)
+	rrpv   []uint32 // one RRPV word per set
+	// outcome and occupied hold a bit per way of each set: whether the
+	// line saw a hit during its residency, and whether the way holds a
+	// line the SHCT has not yet been trained on.
+	outcome, occupied []uint16
+	sig               []uint16 // the filling PC's signature, per line
+	shct              []uint8
 }
 
 // NewSHiP returns a SHiP replacement policy.
 func NewSHiP(sets, ways int) Replacement { return recycleSHiP(sets, ways, nil) }
 
-// recycleSHiP builds a SHiP policy on old's line and SHCT arrays when old
-// is a SHiP policy of the same geometry.
+// recycleSHiP builds a SHiP policy on old's arrays when old is a SHiP
+// policy of the same geometry.
 func recycleSHiP(sets, ways int, old Replacement) Replacement {
 	o, ok := old.(*ship)
 	if !ok {
 		o = &ship{}
 	}
 	s := &ship{
-		ways:  ways,
-		lines: reuse(&o.lines, sets*ways),
-		shct:  reuse(&o.shct, shipSHCTSize),
+		ways:     ways,
+		fields:   rrpvFields(ways),
+		rrpv:     reuse(&o.rrpv, sets),
+		outcome:  reuse(&o.outcome, sets),
+		occupied: reuse(&o.occupied, sets),
+		sig:      reuse(&o.sig, sets*ways),
+		shct:     reuse(&o.shct, shipSHCTSize),
 	}
 	for i := range s.shct {
 		s.shct[i] = 1 // weakly re-use-predicted
@@ -55,12 +97,11 @@ func shipSig(pc uint64) uint16 {
 
 // Hit implements Replacement.
 func (s *ship) Hit(set, way int, pc uint64) {
-	l := &s.lines[set*s.ways+way]
-	l.rrpv = 0
-	if !l.outcome {
-		l.outcome = true
-		if s.shct[l.sig] < shipCtrMax {
-			s.shct[l.sig]++
+	s.rrpv[set] &^= 3 << (2 * uint(way))
+	if bit := uint16(1) << uint(way); s.outcome[set]&bit == 0 {
+		s.outcome[set] |= bit
+		if c := &s.shct[s.sig[set*s.ways+way]]; *c < shipCtrMax {
+			*c++
 		}
 	}
 }
@@ -68,51 +109,29 @@ func (s *ship) Hit(set, way int, pc uint64) {
 // Fill implements Replacement.
 func (s *ship) Fill(set, way int, pc uint64, prefetch bool) {
 	sig := shipSig(pc)
-	l := &s.lines[set*s.ways+way]
-	l.sig = sig
-	l.outcome = false
-	l.occupied = true
-	if s.shct[sig] == 0 {
-		l.rrpv = shipInsertFar
-	} else {
-		l.rrpv = shipInsertMid
-	}
-	if prefetch {
+	s.sig[set*s.ways+way] = sig
+	bit := uint16(1) << uint(way)
+	s.outcome[set] &^= bit
+	s.occupied[set] |= bit
+	r := uint32(shipInsertMid)
+	if prefetch || s.shct[sig] == 0 {
 		// Prefetches are inserted with distant re-reference prediction to
 		// bound pollution, as common SHiP+prefetch setups do.
-		l.rrpv = shipInsertFar
+		r = shipInsertFar
 	}
+	s.rrpv[set] = setRRPV(s.rrpv[set], way, r)
 }
 
-// Victim implements Replacement. The reference algorithm rescans the set,
-// aging every line by one, until some way reaches max RRPV; that selects
-// the lowest-indexed way with the maximal RRPV and ages everyone by
-// (max - maxRRPV) rounds. The closed form below computes exactly that in a
-// single scan plus one conditional aging pass.
-func (s *ship) Victim(set int) int {
-	base := set * s.ways
-	ls := s.lines[base : base+s.ways]
-	victim, maxR := 0, ls[0].rrpv
-	for w := 1; w < len(ls); w++ {
-		if r := ls[w].rrpv; r > maxR {
-			victim, maxR = w, r
-		}
-	}
-	if age := shipMaxRRPV - maxR; age > 0 {
-		for w := range ls {
-			ls[w].rrpv += age
-		}
-	}
-	return victim
-}
+// Victim implements Replacement (see rripVictim).
+func (s *ship) Victim(set int) int { return rripVictim(&s.rrpv[set], s.fields) }
 
 // Evict implements Replacement.
 func (s *ship) Evict(set, way int) {
-	l := &s.lines[set*s.ways+way]
-	if l.occupied && !l.outcome {
-		if s.shct[l.sig] > 0 {
-			s.shct[l.sig]--
+	bit := uint16(1) << uint(way)
+	if s.occupied[set]&^s.outcome[set]&bit != 0 {
+		if c := &s.shct[s.sig[set*s.ways+way]]; *c > 0 {
+			*c--
 		}
 	}
-	l.occupied = false
+	s.occupied[set] &^= bit
 }

@@ -43,11 +43,12 @@ func TestSHiPLearnsDeadPCs(t *testing.T) {
 		s.Fill(i%16, 0, deadPC, false)
 		s.Evict(i%16, 0)
 	}
-	// New fill from the dead PC must be inserted at max RRPV (immediately
-	// evictable even against an untouched line).
-	s.Fill(1, 0, deadPC, false)
-	if got := s.lines[1*4+0].rrpv; got != shipMaxRRPV {
-		t.Errorf("dead-PC insertion RRPV = %d, want %d", got, shipMaxRRPV)
+	// A new fill from the dead PC must be inserted at max RRPV: it is the
+	// victim even against a lower way filled by an untrained PC.
+	s.Fill(1, 0, 0x100, false)
+	s.Fill(1, 1, deadPC, false)
+	if v := s.Victim(1); v != 1 {
+		t.Errorf("victim = %d, want the dead PC's way 1 (inserted at max RRPV)", v)
 	}
 }
 
@@ -59,8 +60,11 @@ func TestSHiPLearnsLivePCs(t *testing.T) {
 		s.Hit(2, 1, livePC)
 		s.Evict(2, 1)
 	}
+	// A prefetch sits at max RRPV; the lower live-PC way is the victim
+	// only if it was inserted there too.
 	s.Fill(3, 0, livePC, false)
-	if got := s.lines[3*4+0].rrpv; got == shipMaxRRPV {
+	s.Fill(3, 1, 0x100, true)
+	if v := s.Victim(3); v != 1 {
 		t.Error("re-used PC should not be inserted at distant RRPV")
 	}
 }
@@ -81,3 +85,5 @@ func TestSHiPVictimTerminates(t *testing.T) {
 		}
 	}
 }
+
+func (s *ship) rrpvAt(set, way int) uint8 { return uint8(s.rrpv[set] >> (2 * uint(way)) & 3) }

@@ -8,7 +8,8 @@
 // and a ci.sh grep-gate keeps new private failpoints from reappearing.
 //
 // A disarmed registry costs one atomic load per Hit, so failpoints are
-// safe on hot paths (the trace decode loop checks one per record).
+// safe on hot paths; a site that would call Hit once per item of a batch
+// (the trace decoder, once per record) checks Armed once instead.
 //
 // The package also owns the repo's failure taxonomy: Transient and
 // Permanent wrap errors with a retry classification, and IsTransient is
@@ -134,12 +135,16 @@ func Trips(name string) int64 {
 	return tripCounts[name]
 }
 
+// Armed reports whether any failpoint is enabled. While none is, every
+// Hit returns nil, so a site can skip a loop of Hit calls on one check.
+func Armed() bool { return armed.Load() != 0 }
+
 // Hit is the instrumented-site call: it reports the injected error (or
 // panics, or sleeps) when the named point is armed and due, and returns
 // nil otherwise. Production callers treat a non-nil return exactly like
 // a real failure of the operation the point guards.
 func Hit(name string) error {
-	if armed.Load() == 0 {
+	if !Armed() {
 		return nil
 	}
 	mu.Lock()

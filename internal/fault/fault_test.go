@@ -16,6 +16,26 @@ func TestDisarmedHitIsFree(t *testing.T) {
 	}
 }
 
+func TestArmedTracksEnabledPoints(t *testing.T) {
+	if Armed() {
+		t.Fatal("Armed before any point is enabled")
+	}
+	disable := Enable("p.armed", Spec{Count: 1})
+	if !Armed() {
+		t.Fatal("not Armed with a point enabled")
+	}
+	Hit("p.armed") // trips once and disarms
+	if Armed() {
+		t.Error("Armed after the point's only trip disarmed it")
+	}
+	disable()
+	Enable("p.armed", Spec{})
+	Disable("p.armed")
+	if Armed() {
+		t.Error("Armed after Disable")
+	}
+}
+
 func TestErrorModeDefaultsToErrInjected(t *testing.T) {
 	defer Enable("p.default", Spec{})()
 	err := Hit("p.default")

@@ -34,8 +34,16 @@ import (
 // and parametric so every process resolves it without a shared table.
 // Its fig7 job runs 25 simulations of about 40M instructions each,
 // several seconds on a 2-vCPU linux/amd64 host, so a kill sent 500 ms
-// after the worker is seen busy finds the job still running.
-const chaosScale = "custom:warmup=100000,sim=40000000,tracelen=100000,wps=1,mixes=1"
+// after the worker is seen busy finds the job still running. The race
+// detector slows simulation several times over, so under -race 8M
+// instructions each keep the job running as long past the kill.
+var chaosScale = func() string {
+	sim := 40_000_000
+	if raceEnabled {
+		sim = 8_000_000
+	}
+	return fmt.Sprintf("custom:warmup=100000,sim=%d,tracelen=100000,wps=1,mixes=1", sim)
+}()
 
 // TestFleetWorkerProcess is the worker process body, not a test in its
 // own right: it drains the shared journal until killed or SIGTERMed.

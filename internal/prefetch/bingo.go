@@ -150,10 +150,8 @@ func (b *Bingo) Train(a Access) []uint64 {
 	}
 	base := region * bingoRegionLines
 	out := b.buf[:0]
-	for i := 0; i < bingoRegionLines; i++ {
-		if fp&(1<<uint(i)) != 0 && i != off {
-			out = append(out, base+uint64(i))
-		}
+	for b := fp &^ (1 << uint(off)); b != 0; b &= b - 1 {
+		out = append(out, base+uint64(bits.TrailingZeros32(b)))
 	}
 	b.buf = out
 	return clampToPage(a.Line, out)

@@ -16,6 +16,9 @@ import (
 const (
 	mlopMaxOffset = 31
 	mlopNumOff    = 2*mlopMaxOffset + 1 // offsets -31..31
+	// mlopDenseBits is the most lines a page's map may hold and still
+	// score: denser maps would credit nearly every offset.
+	mlopDenseBits = 24
 )
 
 // MLOPConfig tunes MLOP.
@@ -87,25 +90,8 @@ func (m *MLOP) Train(a Access) []uint64 {
 	// been predicted by a previous access at (off - d) in the same page.
 	// Dense maps (heavy irregular reuse) are excluded: they would credit
 	// every offset indiscriminately.
-	if bits.OnesCount64(e.bits) > 24 {
-		e.bits |= 1 << uint(off)
-		m.trained++
-		if m.trained >= m.cfg.UpdateInterval {
-			m.selectOffsets()
-		}
-		return m.emit(a)
-	}
-	for d := -mlopMaxOffset; d <= mlopMaxOffset; d++ {
-		if d == 0 {
-			continue
-		}
-		src := off - d
-		if src < 0 || src >= mem.LinesPerPage {
-			continue
-		}
-		if e.bits&(1<<uint(src)) != 0 {
-			m.scores[d+mlopMaxOffset]++
-		}
+	if bits.OnesCount64(e.bits) <= mlopDenseBits {
+		m.score(e.bits, off)
 	}
 	e.bits |= 1 << uint(off)
 
@@ -114,6 +100,18 @@ func (m *MLOP) Train(a Access) []uint64 {
 		m.selectOffsets()
 	}
 	return m.emit(a)
+}
+
+// score credits every offset d in -31..31, d != 0, for which the page's
+// map holds the line off-d. It walks the map's set bits: each line src
+// within 31 of off, other than off itself, credits d = off-src once.
+func (m *MLOP) score(amap uint64, off int) {
+	lo := max(off-mlopMaxOffset, 0)
+	hi := min(off+mlopMaxOffset, mem.LinesPerPage-1)
+	window := (uint64(2)<<uint(hi) - 1) &^ (uint64(1)<<uint(lo) - 1)
+	for b := amap & window &^ (1 << uint(off)); b != 0; b &= b - 1 {
+		m.scores[off+mlopMaxOffset-bits.TrailingZeros64(b)]++
+	}
 }
 
 // emit issues the currently elected offsets for an access.

@@ -92,17 +92,18 @@ type fileIter struct {
 
 // FillChunk implements trace.Iter: a run of up to max records
 // decodes straight onto the chunk's columns (Decoder.DecodeChunk), never
-// materializing a Record between disk and ring. The FPDecode failpoint is
-// still consulted once per record, before the run decodes: fault specs
-// count hits in records, and a "file corrupted mid-stream" must be able to
-// land mid-chunk, after exactly the records the spec lets through.
+// materializing a Record between disk and ring. While any failpoint is
+// armed, FPDecode is still consulted once per record, before the run
+// decodes: fault specs count hits in records, and a "file corrupted
+// mid-stream" must be able to land mid-chunk, after exactly the records
+// the spec lets through.
 func (it *fileIter) FillChunk(c *trace.Chunk, max int) int {
 	if it.err != nil {
 		return 0
 	}
 	max = int(min(int64(max), it.d.Remaining()))
 	var ferr error
-	for k := 0; k < max; k++ {
+	for k := 0; k < max && fault.Armed(); k++ {
 		if ferr = fault.Hit(FPDecode); ferr != nil {
 			max = k
 			break
