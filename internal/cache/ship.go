@@ -39,31 +39,36 @@ func setRRPV(word uint32, way int, r uint32) uint32 {
 func rripVictim(word *uint32, fields uint32) int {
 	r := *word
 	high := r >> 1 & rrpvLow // fields at 2 or 3
-	at := high & r           // fields at 3
-	gap := uint32(0)
-	if at == 0 {
+	at, gap := high&r, uint32(0)
+	switch {
+	case at != 0:
+	case high != 0:
 		at, gap = high, 1
-		if at == 0 {
-			at, gap = r&rrpvLow, 2 // fields at 1, none being higher
-			if at == 0 {
-				at, gap = 1, 3
-			}
-		}
+	case r != 0: // no field is above 1, so r holds the fields at 1
+		at, gap = r, 2
+	default:
+		at, gap = 1, 3
 	}
 	*word = r + gap*fields
 	return bits.TrailingZeros32(at) >> 1
 }
 
+// shipSet is one set's SHiP state, in one 8-byte word so a fill or a
+// victim choice touches one cache line of it: the set's RRPV word, and a
+// bit per way of whether the line saw a hit during its residency
+// (outcome) and whether the way holds a line the SHCT has not yet been
+// trained on (occupied).
+type shipSet struct {
+	rrpv              uint32
+	outcome, occupied uint16
+}
+
 type ship struct {
 	ways   int
-	fields uint32   // rrpvFields(ways)
-	rrpv   []uint32 // one RRPV word per set
-	// outcome and occupied hold a bit per way of each set: whether the
-	// line saw a hit during its residency, and whether the way holds a
-	// line the SHCT has not yet been trained on.
-	outcome, occupied []uint16
-	sig               []uint16 // the filling PC's signature, per line
-	shct              []uint8
+	fields uint32 // rrpvFields(ways)
+	sets   []shipSet
+	sig    []uint16 // the filling PC's signature, per line
+	shct   []uint8
 }
 
 // NewSHiP returns a SHiP replacement policy.
@@ -77,13 +82,11 @@ func recycleSHiP(sets, ways int, old Replacement) Replacement {
 		o = &ship{}
 	}
 	s := &ship{
-		ways:     ways,
-		fields:   rrpvFields(ways),
-		rrpv:     reuse(&o.rrpv, sets),
-		outcome:  reuse(&o.outcome, sets),
-		occupied: reuse(&o.occupied, sets),
-		sig:      reuse(&o.sig, sets*ways),
-		shct:     reuse(&o.shct, shipSHCTSize),
+		ways:   ways,
+		fields: rrpvFields(ways),
+		sets:   reuse(&o.sets, sets),
+		sig:    reuse(&o.sig, sets*ways),
+		shct:   reuse(&o.shct, shipSHCTSize),
 	}
 	for i := range s.shct {
 		s.shct[i] = 1 // weakly re-use-predicted
@@ -97,41 +100,44 @@ func shipSig(pc uint64) uint16 {
 
 // Hit implements Replacement.
 func (s *ship) Hit(set, way int, pc uint64) {
-	s.rrpv[set] &^= 3 << (2 * uint(way))
-	if bit := uint16(1) << uint(way); s.outcome[set]&bit == 0 {
-		s.outcome[set] |= bit
+	st := &s.sets[set]
+	st.rrpv &^= 3 << (2 * uint(way))
+	if bit := uint16(1) << uint(way); st.outcome&bit == 0 {
+		st.outcome |= bit
 		if c := &s.shct[s.sig[set*s.ways+way]]; *c < shipCtrMax {
 			*c++
 		}
 	}
 }
 
-// Fill implements Replacement.
+// Fill implements Replacement. Prefetches are inserted with distant
+// re-reference prediction to bound pollution, as common SHiP+prefetch
+// setups do.
 func (s *ship) Fill(set, way int, pc uint64, prefetch bool) {
 	sig := shipSig(pc)
 	s.sig[set*s.ways+way] = sig
-	bit := uint16(1) << uint(way)
-	s.outcome[set] &^= bit
-	s.occupied[set] |= bit
 	r := uint32(shipInsertMid)
 	if prefetch || s.shct[sig] == 0 {
-		// Prefetches are inserted with distant re-reference prediction to
-		// bound pollution, as common SHiP+prefetch setups do.
 		r = shipInsertFar
 	}
-	s.rrpv[set] = setRRPV(s.rrpv[set], way, r)
+	st := &s.sets[set]
+	bit := uint16(1) << uint(way)
+	st.outcome &^= bit
+	st.occupied |= bit
+	st.rrpv = setRRPV(st.rrpv, way, r)
 }
 
 // Victim implements Replacement (see rripVictim).
-func (s *ship) Victim(set int) int { return rripVictim(&s.rrpv[set], s.fields) }
+func (s *ship) Victim(set int) int { return rripVictim(&s.sets[set].rrpv, s.fields) }
 
 // Evict implements Replacement.
 func (s *ship) Evict(set, way int) {
+	st := &s.sets[set]
 	bit := uint16(1) << uint(way)
-	if s.occupied[set]&^s.outcome[set]&bit != 0 {
+	if st.occupied&^st.outcome&bit != 0 {
 		if c := &s.shct[s.sig[set*s.ways+way]]; *c > 0 {
 			*c--
 		}
 	}
-	s.occupied[set] &^= bit
+	st.occupied &^= bit
 }

@@ -86,4 +86,4 @@ func TestSHiPVictimTerminates(t *testing.T) {
 	}
 }
 
-func (s *ship) rrpvAt(set, way int) uint8 { return uint8(s.rrpv[set] >> (2 * uint(way)) & 3) }
+func (s *ship) rrpvAt(set, way int) uint8 { return uint8(s.sets[set].rrpv >> (2 * uint(way)) & 3) }
