@@ -231,8 +231,8 @@ func (h *missHeap) pushEntry(e *missEntry) {
 // without a branch: the popped node, parked at s[n] past the heap, reads
 // as the latest possible completion while it sifts, so a last left child
 // without a right sibling is picked as container/heap picks it, and the
-// pick is one compare and a conditional move. On equal children it keeps
-// the left one, as container/heap does.
+// pick is one compare and a SETcc. On equal children it keeps the left
+// one, as container/heap does.
 func (h *missHeap) popEntry() *missEntry {
 	s := *h
 	n := len(s) - 1

@@ -53,11 +53,11 @@ func rripVictim(word *uint32, fields uint32) int {
 	return bits.TrailingZeros32(at) >> 1
 }
 
-// shipSet is one set's SHiP state, in one 8-byte word so a fill or a
-// victim choice touches one cache line of it: the set's RRPV word, and a
-// bit per way of whether the line saw a hit during its residency
-// (outcome) and whether the way holds a line the SHCT has not yet been
-// trained on (occupied).
+// shipSet is one set's SHiP state in 8 bytes, so a fill or a victim
+// choice touches one cache line of it: the set's RRPV word and two masks
+// with a bit per way, outcome (the line saw a hit during its residency)
+// and occupied (a fill put a line in the way and no eviction has taken it
+// out since).
 type shipSet struct {
 	rrpv              uint32
 	outcome, occupied uint16

@@ -150,8 +150,8 @@ func (b *Bingo) Train(a Access) []uint64 {
 	}
 	base := region * bingoRegionLines
 	out := b.buf[:0]
-	for b := fp &^ (1 << uint(off)); b != 0; b &= b - 1 {
-		out = append(out, base+uint64(bits.TrailingZeros32(b)))
+	for rest := fp &^ (1 << uint(off)); rest != 0; rest &= rest - 1 {
+		out = append(out, base+uint64(bits.TrailingZeros32(rest)))
 	}
 	b.buf = out
 	return clampToPage(a.Line, out)

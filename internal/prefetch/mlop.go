@@ -109,8 +109,8 @@ func (m *MLOP) score(amap uint64, off int) {
 	lo := max(off-mlopMaxOffset, 0)
 	hi := min(off+mlopMaxOffset, mem.LinesPerPage-1)
 	window := (uint64(2)<<uint(hi) - 1) &^ (uint64(1)<<uint(lo) - 1)
-	for b := amap & window &^ (1 << uint(off)); b != 0; b &= b - 1 {
-		m.scores[off+mlopMaxOffset-bits.TrailingZeros64(b)]++
+	for rest := amap & window &^ (1 << uint(off)); rest != 0; rest &= rest - 1 {
+		m.scores[off+mlopMaxOffset-bits.TrailingZeros64(rest)]++
 	}
 }
 
