@@ -3,14 +3,9 @@
 #
 #   ci.sh quick   fmt + vet + build + full tests (the tier-1 gate)
 #   ci.sh chaos   the fault-injection and crash-recovery suite under the
-#                 race detector: every failpoint armed, a worker process
-#                 SIGKILLed mid-job, journal recovery replayed
-#   ci.sh fleet   the multi-process worker tier: fleet package tests
-#                 (coordinator SIGKILL and SIGSTOP chaos) under
-#                 -race, then a live 3-worker cluster driven by
-#                 pythia-load while one worker is SIGKILLed mid-storm —
-#                 the storm must meet its SLOs and no admitted job may
-#                 be lost
+#                 race detector: every failpoint armed, a server process
+#                 SIGKILLed mid-job, journal recovery replayed, and the
+#                 claim protocol (exclusion, liveness, reaping, takeover)
 #   ci.sh full    quick + chaos, plus the race detector over every
 #                 concurrent subsystem, a short fuzz of the trace-file
 #                 decoder, a benchmark smoke of Pythia's train and
@@ -28,9 +23,11 @@
 #                 pythia-bench CLI check (CSV tables byte-identical at
 #                 -parallel 1 and 2 and over a cold and a warm result
 #                 store, the warm pass simulating nothing; bad -exp
-#                 exits 2), and a load smoke: pythia-load drives a
+#                 exits 2), a load smoke: pythia-load drives a
 #                 live pythia-serve under SLOs and proves the store
-#                 absorbs repeat traffic
+#                 absorbs repeat traffic, and a restart smoke: a
+#                 pythia-serve SIGKILLed mid-job finishes the job after
+#                 a restart over its journal
 #
 # With no argument, full runs (unchanged historical behavior).
 set -eu
@@ -39,9 +36,9 @@ cd "$(dirname "$0")"
 
 tier="${1:-full}"
 case "$tier" in
-quick | chaos | fleet | full) ;;
+quick | chaos | full) ;;
 *)
-    echo "usage: ci.sh [quick|chaos|fleet|full]" >&2
+    echo "usage: ci.sh [quick|chaos|full]" >&2
     exit 2
     ;;
 esac
@@ -60,7 +57,7 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-if [ "$tier" != chaos ] && [ "$tier" != fleet ]; then
+if [ "$tier" != chaos ]; then
     echo "== go test =="
     go test ./...
 fi
@@ -145,118 +142,16 @@ if [ "$tier" = chaos ] || [ "$tier" = full ]; then
     echo "== chaos tier: fault injection + crash recovery under -race =="
     # The durable-execution invariants (crash-recoverable queue,
     # heartbeat-based requeue, retry, breakers): failpoints at every store write and
-    # the trace decoder, a SIGKILLed worker subprocess, journal recovery
-    # replayed from snapshots, and the cancel-vs-start race, shutdown
-    # drain and queue bound that claim arbitration decides — all under
-    # the race detector.
+    # the trace decoder, a SIGKILLed server subprocess, journal recovery
+    # replayed from snapshots (an older release's journal, a live foreign
+    # claim taken over once its heartbeat goes stale), the claim
+    # protocol's exclusion, liveness and reaping, and the cancel-vs-start
+    # race, shutdown drain and queue bound that claim arbitration
+    # decides — all under the race detector.
     go test -race ./internal/fault/...
-    go test -race -run 'Chaos|Journal|Fault|Breaker|Failpoint|Sweep|Cancel|Shutdown|BoundedQueue' \
+    go test -race -run 'Chaos|Journal|Fault|Breaker|Failpoint|Sweep|Cancel|Shutdown|BoundedQueue|Claim|Renew|Reap|OwnerID|WorkerHeartbeat' \
         ./internal/serve/... ./internal/fsutil/... \
         ./internal/stream/... ./internal/results/... ./internal/policy/...
-fi
-
-if [ "$tier" = fleet ]; then
-    echo "== fleet tier: worker processes, respawn, claim protocol under -race =="
-    # The fleet invariants: a real worker subprocess SIGKILLed mid-job
-    # (requeue to a survivor within StaleAfter, no duplicate simulation)
-    # and one SIGSTOPped mid-job (the coordinator kills the hung worker
-    # and respawns its slot), plus the claim-liveness table, the
-    # heartbeat takeover, parent-journal recovery and the multi-worker
-    # journal contention sweep — all under the race detector.
-    go test -race ./internal/fleet/...
-    go test -race -run 'MultiWorker|Claim|Renew|Reap|OwnerID|WorkerHeartbeat|FleetJournal|LeaseTakeover|CompatJournal' ./internal/serve/...
-
-    echo "== fleet smoke (3-worker cluster survives a SIGKILL mid-storm) =="
-    # Boot a real fleet — dispatch frontend plus three worker processes
-    # over a shared journal — drive a mixed storm through pythia-load,
-    # and SIGKILL one worker while the storm runs: the worker running a
-    # long simulate job that misses the store, launched before the storm.
-    # The storm must meet its SLOs (exit 0), every admitted job must reach
-    # a terminal state with none erroring (zero lost jobs), and the
-    # coordinator must respawn back to three ready workers.
-    smoke=$(mktemp -d)
-    go build -o "$smoke/pythia-serve" ./cmd/pythia-serve
-    go build -o "$smoke/pythia-load" ./cmd/pythia-load
-    "$smoke/pythia-serve" -addr 127.0.0.1:18742 \
-        -results "$smoke/results" -policies "$smoke/policies" \
-        -journal "$smoke/journal" -fleet 3 -queue 64 \
-        >"$smoke/serve.log" 2>&1 &
-    serve_pid=$!
-    for i in $(seq 1 150); do
-        curl -fsS http://127.0.0.1:18742/healthz >/dev/null 2>&1 && break
-        sleep 0.2
-    done
-    # The victim's job: fig7 at a custom scale no run has stored, about
-    # 25 simulations of 40M instructions, still running 4 s in.
-    long_job=$(curl -fsS -X POST http://127.0.0.1:18742/api/v1/runs \
-        -d '{"experiment":"fig7","scale":"custom:warmup=100000,sim=40000000,tracelen=100000,wps=1,mixes=1"}' |
-        python3 -c 'import json,sys; print(json.load(sys.stdin)["job"]["id"])') || long_job=""
-    load_status=0
-    "$smoke/pythia-load" -addr http://127.0.0.1:18742 -wait-ready 30s \
-        -schedule constant -rps 25 -duration 8s -scale quick \
-        -experiments fig14,table2 -mix "read=0.7,meta=0.2,simulate=0.1" \
-        -slo "read:p95ms=1000,err=0;simulate:err=0" \
-        -json "$smoke/fleetload.json" >"$smoke/load.log" 2>&1 &
-    load_pid=$!
-    # Let the storm ramp, then kill the worker running the long job.
-    sleep 4
-    victim=$(curl -fsS http://127.0.0.1:18742/api/v1/fleet |
-        LONG_JOB="$long_job" python3 -c 'import json,os,sys; ws=json.load(sys.stdin)["fleet"]["workers"]; job=os.environ["LONG_JOB"]; print(([w["pid"] for w in ws if job and w.get("job")==job] or [0])[0])')
-    if [ "$victim" -gt 0 ]; then
-        echo "SIGKILLing worker pid $victim mid-storm (running $long_job)"
-        kill -9 "$victim" || true
-    else
-        echo "no worker is running the long job ${long_job:-(launch failed)} 4 s in" >&2
-        kill "$serve_pid" "$load_pid" 2>/dev/null || true
-        rm -rf "$smoke"
-        exit 1
-    fi
-    wait "$load_pid" || load_status=$?
-    if [ "$load_status" -ne 0 ]; then
-        echo "fleet load storm failed (exit $load_status):" >&2
-        tail -30 "$smoke/load.log" >&2
-        tail -20 "$smoke/serve.log" >&2
-        kill "$serve_pid" 2>/dev/null || true
-        rm -rf "$smoke"
-        exit 1
-    fi
-    # Zero lost jobs: every admitted job must reach a terminal state and
-    # none may end in error; the fleet must be back at 3 ready workers.
-    fleet_ok=0
-    for i in $(seq 1 120); do
-        if curl -fsS http://127.0.0.1:18742/api/v1/runs |
-            python3 -c '
-import json, sys
-jobs = json.load(sys.stdin)["jobs"]
-open_jobs = [j["id"] for j in jobs if j["status"] not in ("done", "error", "canceled")]
-errored = [j["id"] for j in jobs if j["status"] == "error"]
-if errored:
-    print("jobs lost to error:", errored, file=sys.stderr)
-    sys.exit(2)
-sys.exit(1 if open_jobs else 0)'; then
-            fleet_ok=1
-            break
-        fi
-        sleep 1
-    done
-    ready=$(curl -fsS http://127.0.0.1:18742/api/v1/fleet |
-        python3 -c 'import json,sys; print(json.load(sys.stdin)["fleet"]["ready"])')
-    kill "$serve_pid" 2>/dev/null || true
-    wait "$serve_pid" 2>/dev/null || true
-    if [ "$fleet_ok" -ne 1 ]; then
-        echo "fleet smoke: jobs stuck open or errored after the kill; server log:" >&2
-        tail -30 "$smoke/serve.log" >&2
-        rm -rf "$smoke"
-        exit 1
-    fi
-    if [ "$ready" -lt 3 ]; then
-        echo "fleet smoke: coordinator never respawned to 3 ready workers (ready=$ready)" >&2
-        tail -30 "$smoke/serve.log" >&2
-        rm -rf "$smoke"
-        exit 1
-    fi
-    echo "fleet smoke OK: storm met SLOs, zero lost jobs, fleet respawned to $ready workers"
-    rm -rf "$smoke"
 fi
 
 if [ "$tier" = full ]; then
@@ -404,6 +299,75 @@ sys.exit(0 if sims.get("fig8d") == 0 else 1)' "$cli/warm.json"; then
         rm -rf "$smoke"
         exit 1
     fi
+    rm -rf "$smoke"
+
+    echo "== restart smoke (SIGKILL mid-job, restart over the journal) =="
+    # Launch a long fig7 job at a custom scale no run has stored, SIGKILL
+    # the server while it runs, and restart it over the same journal and
+    # stores: once the dead process's heartbeat goes stale (5 s) its claim
+    # is reaped and the job must run to done. A repeat launch must then
+    # be a store hit that simulates nothing.
+    smoke=$(mktemp -d)
+    go build -o "$smoke/pythia-serve" ./cmd/pythia-serve
+    base=http://127.0.0.1:18743
+    long_scale="custom:warmup=100000,sim=200000000,tracelen=100000,wps=1,mixes=1"
+    start_serve() {
+        PYTHIA_TRACE_CACHE="$smoke/traces" "$smoke/pythia-serve" -addr 127.0.0.1:18743 \
+            -results "$smoke/results" -policies "$smoke/policies" -journal "$smoke/journal" \
+            >>"$smoke/serve.log" 2>&1 &
+        serve_pid=$!
+        for i in $(seq 1 150); do
+            curl -fsS "$base/healthz" >/dev/null 2>&1 && return 0
+            sleep 0.2
+        done
+        return 1
+    }
+    job_field() { # job_field ID FIELD prints one field of a job's status
+        curl -fsS "$base/api/v1/runs/$1" |
+            python3 -c 'import json,sys; print(json.load(sys.stdin)["job"][sys.argv[1]])' "$2"
+    }
+    restart_fail() {
+        echo "restart smoke: $1; server log:" >&2
+        tail -30 "$smoke/serve.log" >&2
+        kill -9 "$serve_pid" 2>/dev/null || true
+        rm -rf "$smoke"
+        exit 1
+    }
+    start_serve || restart_fail "server never came up"
+    long_job=$(curl -fsS -X POST "$base/api/v1/runs" \
+        -d "{\"experiment\":\"fig7\",\"scale\":\"$long_scale\"}" |
+        python3 -c 'import json,sys; print(json.load(sys.stdin)["job"]["id"])') ||
+        restart_fail "launch failed"
+    for i in $(seq 1 100); do
+        [ "$(job_field "$long_job" status)" = running ] && break
+        sleep 0.1
+    done
+    sleep 2
+    [ "$(job_field "$long_job" status)" = running ] || restart_fail "$long_job not running 2 s in"
+    echo "SIGKILLing pythia-serve pid $serve_pid mid-job ($long_job)"
+    kill -9 "$serve_pid"
+    wait "$serve_pid" 2>/dev/null || true
+    start_serve || restart_fail "restarted server never came up"
+    status=""
+    for i in $(seq 1 240); do
+        status=$(job_field "$long_job" status) || status=""
+        case "$status" in done | error | canceled) break ;; esac
+        sleep 1
+    done
+    [ "$status" = done ] || restart_fail "$long_job ended ${status:-open} after the restart, want done"
+    repeat=$(curl -fsS -X POST "$base/api/v1/runs" \
+        -d "{\"experiment\":\"fig7\",\"scale\":\"$long_scale\"}" |
+        python3 -c 'import json,sys; print(json.load(sys.stdin)["job"]["id"])') ||
+        restart_fail "repeat launch failed"
+    for i in $(seq 1 100); do
+        [ "$(job_field "$repeat" status)" = done ] && break
+        sleep 0.1
+    done
+    sims=$(job_field "$repeat" sims) || sims=""
+    [ "$sims" = 0 ] || restart_fail "repeat launch simulated $sims times, want 0"
+    kill "$serve_pid" 2>/dev/null || true
+    wait "$serve_pid" 2>/dev/null || true
+    echo "restart smoke OK: $long_job done after a SIGKILL and restart, repeat sims: 0"
     rm -rf "$smoke"
 fi
 

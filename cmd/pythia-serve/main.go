@@ -8,8 +8,6 @@
 //	pythia-serve -addr :8080
 //	pythia-serve -addr :8080 -results /var/lib/pythia/results -queue 32 -parallel 8
 //	pythia-serve -addr :8080 -journal /var/lib/pythia/journal
-//	pythia-serve -addr :8080 -journal /var/lib/pythia/journal -fleet 4
-//	pythia-serve -worker -journal /var/lib/pythia/journal
 //
 // API (v1; see DESIGN.md "API v1" and the typed client in internal/api):
 //
@@ -30,8 +28,6 @@
 //	GET    /api/v1/policies               list trained policies (metadata)
 //	GET    /api/v1/policies/{id}          one policy's envelope metadata
 //	GET    /api/v1/policies/{id}/snapshot download the raw PYQV01 Q-table
-//	GET    /api/v1/fleet                  fleet status (workers, backlog) —
-//	                                      503 on a standalone server
 //	GET    /healthz                       service + store health (unversioned)
 //	GET    /metrics                       Prometheus text exposition (queue
 //	                                      depth, job latency histograms,
@@ -39,9 +35,10 @@
 //	                                      counters, instructions/sec)
 //
 // Routes answer only under /api/v1 (the unversioned legacy aliases
-// completed their deprecation window and now 404). Every non-2xx
-// response is the api.Error JSON envelope ({"error":{"code","message",
-// "retryable","retry_after_seconds"}}); 503s additionally set
+// completed their deprecation window and now 404). Any other path, or a
+// known path under the wrong method, answers 404 not_found. Every
+// non-2xx response is the api.Error JSON envelope ({"error":{"code",
+// "message","retryable","retry_after_seconds"}}); 503s additionally set
 // Retry-After.
 //
 // With -pprof, the net/http/pprof profiling endpoints are mounted under
@@ -66,46 +63,33 @@
 // a graceful shutdown — admission closes, queued jobs drain, and after
 // the grace period whatever is still running is canceled.
 //
-// Every accepted job is persisted to a job journal, and an in-process
-// worker runs it through the same worker loop and claim protocol fleet
-// workers use.
-// With -journal set the journal survives the process: a killed or
-// crashed server requeues its queued and orphaned-running jobs on the
-// next start (at-least-once execution — the content-addressed stores
-// make re-execution idempotent); without it the journal is a private
-// temporary directory removed at shutdown. Transient store failures are
-// retried with jittered backoff; a persistently failing store opens a
-// circuit breaker that sheds new simulation jobs with 503 + Retry-After
-// while store hits keep being served (degraded read-only mode, visible
-// in /healthz).
-//
-// Fleet mode (-fleet N, requires -journal) turns this process into a
-// stateless frontend plus a coordinator that keeps exactly N worker
-// processes (this same binary re-exec'd with -worker) alive: it starts
-// them at boot, respawns any that exit and kills and replaces any whose
-// heartbeat goes stale. The frontend journals admissions and serves the
-// API; workers claim and execute jobs through the shared journal's
-// claim protocol, and each worker's heartbeat keeps its claims live;
-// the coordinator reaps the claims of workers whose heartbeat went
-// stale (5 s), so their jobs requeue. See DESIGN.md "Fleet
-// architecture".
+// Every accepted job is persisted to a job journal, and one in-process
+// worker runs the queued jobs in admission order, one at a time, each
+// fanning its simulations out over -parallel CPUs. The worker claims a
+// job before running it and heartbeats while it holds claims. With
+// -journal set the journal survives the process: a server restarted
+// after a kill or crash runs the dead process's queued jobs at once, and
+// its running ones once the dead heartbeat goes stale (5 s) —
+// at-least-once execution, which the content-addressed stores make
+// idempotent. Without -journal
+// the journal is a private temporary directory removed at shutdown.
+// Transient store failures are retried with jittered backoff; a
+// persistently failing store opens a circuit breaker that sheds new
+// simulation jobs with 503 + Retry-After while store hits keep being
+// served (degraded read-only mode, visible in /healthz).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/exec"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
-	"pythia/internal/fleet"
 	"pythia/internal/harness"
 	"pythia/internal/obs"
 	"pythia/internal/policy"
@@ -125,9 +109,6 @@ func main() {
 		withProf = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (profiling is opt-in; see EXPERIMENTS.md)")
 		logJSON  = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")
-
-		workerMode = flag.Bool("worker", false, "run as a fleet worker: no HTTP, claim and run jobs from -journal until SIGTERM")
-		fleetN     = flag.Int("fleet", 0, "local cluster mode: dispatch-only frontend plus N worker processes, kept alive and respawned (requires -journal)")
 	)
 	flag.Parse()
 
@@ -141,40 +122,10 @@ func main() {
 	store := harness.SetResultStore(*storeDir)
 	pols := harness.SetPolicyStore(*polDir)
 
-	if *workerMode {
-		runWorker(store, pols, *journal, logger)
-		return
-	}
-
-	var srv *serve.Server
-	var cluster *fleet.Local
-	if *fleetN > 0 {
-		if *journal == "" {
-			fmt.Fprintln(os.Stderr, "pythia-serve: -fleet requires -journal (the shared coordination substrate)")
-			os.Exit(2)
-		}
-		var err error
-		cluster, err = fleet.StartLocal(fleet.LocalOptions{
-			Store:         store,
-			Policies:      pols,
-			JournalDir:    *journal,
-			QueueDepth:    *queue,
-			WorkerCommand: workerCommand(*journal, *storeDir, *polDir, *parallel, *logJSON, *logLevel),
-			Workers:       *fleetN,
-			Logger:        logger,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		srv = cluster.Server
-	} else {
-		var err error
-		srv, err = serve.New(serve.Config{Store: store, Policies: pols, QueueDepth: *queue, JournalDir: *journal, Logger: logger})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	srv, err := serve.New(serve.Config{Store: store, Policies: pols, QueueDepth: *queue, JournalDir: *journal, Logger: logger})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	if n := srv.Recovered(); n > 0 {
 		fmt.Printf("recovered %d journaled job(s) from %s\n", n, *journal)
@@ -200,21 +151,13 @@ func main() {
 	if pols != nil {
 		polDesc = pols.Dir()
 	}
-	if cluster != nil {
-		fmt.Printf("pythia-serve fleet frontend on %s (journal %s, %d workers, queue %d)\n",
-			*addr, *journal, *fleetN, *queue)
-	} else {
-		fmt.Printf("pythia-serve listening on %s (store %s, policies %s, queue %d, %d workers)\n",
-			*addr, store.Dir(), polDesc, *queue, harness.Workers())
-	}
+	fmt.Printf("pythia-serve listening on %s (store %s, policies %s, queue %d, %d workers)\n",
+		*addr, store.Dir(), polDesc, *queue, harness.Workers())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
-		if cluster != nil {
-			cluster.Coord.Close()
-		}
 		srv.Close()
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -235,63 +178,8 @@ func main() {
 			defer close(httpDone)
 			httpSrv.Shutdown(ctx)
 		}()
-		if cluster != nil {
-			cluster.Shutdown(ctx)
-		} else {
-			srv.Shutdown(ctx)
-		}
+		srv.Shutdown(ctx)
 		<-httpDone
 		cancel()
-	}
-}
-
-// runWorker is the -worker mode body: drain the shared journal through
-// the serve execution engine until SIGTERM/SIGINT, then exit cleanly
-// (releasing any in-flight claim so the job requeues).
-func runWorker(store *results.Store, pols *policy.Store, journalDir string, logger *slog.Logger) {
-	if journalDir == "" {
-		fmt.Fprintln(os.Stderr, "pythia-serve: -worker requires -journal")
-		os.Exit(2)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	jobs, err := serve.RunWorker(ctx, serve.WorkerConfig{
-		Store:      store,
-		Policies:   pols,
-		JournalDir: journalDir,
-		Logger:     logger,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("worker exiting after %d job(s)\n", jobs)
-}
-
-// workerCommand builds the re-exec command for one fleet worker: this
-// same binary in -worker mode, inheriting the shared stores, journal and
-// logging setup. Worker output is interleaved onto the frontend's
-// stderr (one machine, one terminal — a local cluster, not a daemon).
-func workerCommand(journalDir, storeDir, polDir string, parallel int, logJSON bool, logLevel string) func() *exec.Cmd {
-	self, err := os.Executable()
-	if err != nil {
-		self = os.Args[0]
-	}
-	return func() *exec.Cmd {
-		args := []string{
-			"-worker",
-			"-journal", journalDir,
-			"-results", storeDir,
-			"-policies", polDir,
-			"-parallel", strconv.Itoa(parallel),
-			"-log-level", logLevel,
-		}
-		if logJSON {
-			args = append(args, "-log-json")
-		}
-		cmd := exec.Command(self, args...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		return cmd
 	}
 }

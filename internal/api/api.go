@@ -94,8 +94,8 @@ type Job struct {
 	// Recovered marks a job requeued from the journal after a restart.
 	Recovered bool `json:"recovered,omitempty"`
 	// Worker identifies the worker executing (or that executed) the job
-	// by its claim-owner ID: a fleet worker process's, or a standalone
-	// server's in-process worker's. Empty while the job is queued.
+	// by its claim-owner ID: the serving process's in-process worker.
+	// Empty while the job is queued.
 	Worker     string                     `json:"worker,omitempty"`
 	CreatedAt  time.Time                  `json:"created_at"`
 	StartedAt  *time.Time                 `json:"started_at,omitempty"`
@@ -204,6 +204,9 @@ type Health struct {
 }
 
 // FleetWorker is one worker process in the GET /api/v1/fleet view.
+//
+// Deprecated: worker processes and /api/v1/fleet are gone (the route
+// answers 404); the type stays for one release so clients still build.
 type FleetWorker struct {
 	// Owner is the worker's claim-owner identity (PID + start nonce).
 	Owner string `json:"owner"`
@@ -224,6 +227,9 @@ type FleetWorker struct {
 
 // FleetStatus is the fleet coordinator's snapshot: the fixed pool's size
 // and liveness, the journal backlog, plus the per-worker roster.
+//
+// Deprecated: worker processes and /api/v1/fleet are gone (the route
+// answers 404); the type stays for one release so clients still build.
 type FleetStatus struct {
 	// Desired is the fleet size (pythia-serve -fleet N); Ready counts
 	// live (heartbeating) workers.
@@ -247,6 +253,9 @@ type FleetStatus struct {
 }
 
 // FleetResponse wraps the GET /api/v1/fleet body.
+//
+// Deprecated: worker processes and /api/v1/fleet are gone (the route
+// answers 404); the type stays for one release so clients still build.
 type FleetResponse struct {
 	Fleet FleetStatus `json:"fleet"`
 }

@@ -312,8 +312,10 @@ func (c *Client) Health(ctx context.Context) (Health, error) {
 	return out, nil
 }
 
-// Fleet fetches the coordinator's fleet view (GET /api/v1/fleet). A
-// standalone server without a fleet answers CodeUnavailable.
+// Fleet fetches the coordinator's fleet view (GET /api/v1/fleet).
+//
+// Deprecated: worker processes are gone and every server answers the
+// route with CodeNotFound; the method stays for one release.
 func (c *Client) Fleet(ctx context.Context) (FleetStatus, error) {
 	var out FleetResponse
 	if err := c.do(ctx, http.MethodGet, Prefix+"/fleet", nil, &out); err != nil {

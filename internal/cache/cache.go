@@ -72,9 +72,6 @@ type Cache struct {
 	// its small methods inline into Access and Fill.
 	shipFast *ship
 
-	// Hits and Misses count demand lookups.
-	Hits, Misses int64
-
 	repl Replacement
 	name string
 }
@@ -184,7 +181,6 @@ func (c *Cache) Access(lineAddr, pc uint64, store bool) (hit, wasPrefetch bool) 
 		if t&tagKey != want {
 			continue
 		}
-		c.Hits++
 		if p := c.lruFast; p != nil {
 			p.touch(set, w)
 		} else if s := c.shipFast; s != nil {
@@ -200,7 +196,6 @@ func (c *Cache) Access(lineAddr, pc uint64, store bool) (hit, wasPrefetch bool) 
 		tags[w] = t
 		return true, wasPrefetch
 	}
-	c.Misses++
 	return false, false
 }
 
@@ -267,9 +262,6 @@ func (c *Cache) Fill(lineAddr, pc uint64, isPrefetch, dirty bool) Evicted {
 	}
 	return out
 }
-
-// ResetStats clears hit/miss counters (contents are preserved).
-func (c *Cache) ResetStats() { c.Hits, c.Misses = 0, 0 }
 
 // lru is least-recently-used replacement. Each set's recency order is one
 // word of 4-bit way numbers: nibble 0 is the most recently used way and

@@ -419,10 +419,7 @@ func (h *Hierarchy) CoreStats(core int) CoreStats { return h.cores[core].stats }
 func (h *Hierarchy) ResetStats() {
 	for i := range h.cores {
 		h.cores[i].stats = CoreStats{}
-		h.cores[i].l1.ResetStats()
-		h.cores[i].l2.ResetStats()
 	}
-	h.llc.ResetStats()
 	h.dram.ResetStats()
 }
 
@@ -511,7 +508,6 @@ func (h *Hierarchy) Access(core int, pc, addr uint64, store bool, cycle int64) i
 		want := lineAddr | tagValid
 		for w, t := range tags {
 			if t&tagKey == want {
-				l1.Hits++
 				l1.lruFast.touch(set, w)
 				if store {
 					tags[w] = t | tagDirty
@@ -519,9 +515,6 @@ func (h *Hierarchy) Access(core int, pc, addr uint64, store bool, cycle int64) i
 				l1Hit = true
 				break
 			}
-		}
-		if !l1Hit {
-			l1.Misses++
 		}
 	}
 	if cp.l1pf != nil {

@@ -19,11 +19,10 @@ type refMeta struct {
 // refCache is a set-associative cache with tags, metadata and
 // replacement kept apart.
 type refCache struct {
-	sets, ways   int
-	tags         []uint64 // line | tagValid, 0 when empty
-	meta         []refMeta
-	repl         Replacement
-	hits, misses int64
+	sets, ways int
+	tags       []uint64 // line | tagValid, 0 when empty
+	meta       []refMeta
+	repl       Replacement
 }
 
 func newRefCache(sets, ways int, repl Replacement) *refCache {
@@ -52,10 +51,8 @@ func (c *refCache) Access(lineAddr, pc uint64, store bool) (hit, wasPrefetch boo
 	set := c.setOf(lineAddr)
 	way, hit := c.Lookup(lineAddr)
 	if !hit {
-		c.misses++
 		return false, false
 	}
-	c.hits++
 	c.repl.Hit(set, way, pc)
 	m := &c.meta[set*c.ways+way]
 	wasPrefetch = m.prefetch

@@ -64,9 +64,9 @@ func PythiaConfigByName(name string) (core.Config, error) {
 
 // ScaleByName resolves a scale preset, or a parametric "custom:" scale.
 // Parametric scales make the name self-describing: any process that can
-// parse the name reconstructs the identical Scale, so a multi-process
-// fleet never has to ship ExtraScales configuration to its workers for
-// journaled jobs to be claimable (see internal/serve's worker loop).
+// parse the name reconstructs the identical Scale, so a server restarted
+// over a journal recovers jobs at custom scales without re-registering
+// them as ExtraScales.
 func ScaleByName(name string) (Scale, error) {
 	if strings.HasPrefix(name, customScalePrefix) {
 		return ParseCustomScale(name)

@@ -6,8 +6,8 @@
 // Design constraints, in order:
 //
 //   - No third-party modules. The registry implements the minimal subset
-//     of the Prometheus data model the fleet and load-harness roadmap
-//     items need: counter, gauge, histogram, with flat label sets.
+//     of the Prometheus data model the serving layer and load harness
+//     need: counter, gauge, histogram, with flat label sets.
 //   - Hot paths pay one atomic op. Counter.Add and Histogram.Observe are
 //     lock-free; registration (which takes a mutex) happens once per
 //     metric, at package init or service construction.

@@ -189,3 +189,27 @@ func TestCancelConflictUsesEnvelope(t *testing.T) {
 		t.Errorf("got code=%s status=%d, want conflict/409", ae.Code, ae.HTTPStatus)
 	}
 }
+
+// TestUnroutedRequestsUseEnvelope: a path no route serves, and a known
+// path under a method it does not take, answer 404 with the unified
+// error envelope, not net/http's text/plain 404 or 405.
+func TestUnroutedRequestsUseEnvelope(t *testing.T) {
+	_, ts := newTestServer(t, results.Open(t.TempDir()), 4)
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodGet, api.Prefix + "/nope"},
+		{http.MethodPut, api.Prefix + "/runs"},
+		{http.MethodGet, api.Prefix + "/fleet"},
+	} {
+		resp, body := fetch(t, tc.method, ts.URL+tc.path, nil)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", tc.method, tc.path, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s: Content-Type %q, want application/json", tc.method, tc.path, ct)
+		}
+		var env api.ErrorResponse
+		if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != api.CodeNotFound {
+			t.Errorf("%s %s: body %q is not a not_found envelope (%v)", tc.method, tc.path, body, err)
+		}
+	}
+}

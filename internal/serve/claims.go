@@ -1,19 +1,20 @@
 package serve
 
-// Multi-process coordination over the job journal. A fleet of worker
-// processes shares one journal directory; mutual exclusion comes from
-// claim files created with O_CREATE|O_EXCL — the one primitive POSIX
-// rename-based stores don't give us — so exactly one worker wins each
-// job no matter how many scan concurrently. Everything else (job
-// records, worker heartbeats, cancel markers) is atomic-rename JSON in
-// the established store idiom.
+// Claims over the job journal. Mutual exclusion comes from claim files
+// created with O_CREATE|O_EXCL — the one primitive POSIX rename-based
+// stores don't give us — so exactly one claimant wins each job: the
+// in-process worker taking it, or the frontend canceling it while it is
+// queued. A claim outlives the process that made it, which is how a
+// server restarted over the same journal tells a dead owner's jobs
+// (requeue them) from a live one's (leave them). Everything else (job
+// records, worker heartbeats) is atomic-rename JSON in the established
+// store idiom.
 //
 // Layout under the journal dir:
 //
 //	<id>.json          job record (journal.go)
 //	claims/<id>.claim  live execution claim: {id, owner, claimed_at}
 //	workers/<owner>.json worker heartbeat: state, throughput counters
-//	cancels/<id>       cancel marker: a user canceled a claimed job
 //
 // A claim lives while its owner does: the reaper (reapStale) keeps it
 // while the owner's heartbeat document is younger than the stale bound.
@@ -51,8 +52,8 @@ var processNonce = func() uint64 {
 }()
 
 // NewOwnerID mints a claim-owner identity for this process: PID plus the
-// process start nonce. Multiple owners minted in one process (tests,
-// in-process worker pools) get a distinguishing suffix.
+// process start nonce. Multiple owners minted in one process (the
+// worker's and the frontend's, tests) get a distinguishing suffix.
 func NewOwnerID(label string) string {
 	id := fmt.Sprintf("pid%d-%016x", os.Getpid(), processNonce)
 	if label != "" {
@@ -72,7 +73,6 @@ type claimRecord struct {
 
 func (l *journal) claimsDir() string  { return filepath.Join(l.dir, "claims") }
 func (l *journal) workersDir() string { return filepath.Join(l.dir, "workers") }
-func (l *journal) cancelsDir() string { return filepath.Join(l.dir, "cancels") }
 
 func (l *journal) claimPath(id string) string {
 	return filepath.Join(l.claimsDir(), fsutil.Sanitize(id)+".claim")
@@ -148,11 +148,10 @@ func (l *journal) lastSign(c claimRecord, beats map[string]time.Time) time.Time 
 // reapStale removes every claim whose owner's last sign of life is older
 // than staleAfter, and returns the affected job IDs. Removing the claim
 // is the whole requeue: a non-terminal record with no claim is
-// claimable again. One process reaps a journal — the fleet coordinator
-// when one owns it, the frontend's watcher otherwise — which keeps the
-// check-then-remove window away from the many-workers path. A live owner
-// that was wrongly reaped finds its claim gone at its sampler's next
-// ownership check and abandons the run instead of split-braining.
+// claimable again. The server's watcher is the journal's one reaper. A
+// live owner that was wrongly reaped finds its claim gone at its
+// sampler's next ownership check and abandons the run instead of
+// split-braining.
 func (l *journal) reapStale(staleAfter time.Duration) []string {
 	ents, err := os.ReadDir(l.claimsDir())
 	if err != nil || len(ents) == 0 {
@@ -180,36 +179,12 @@ func (l *journal) reapStale(staleAfter time.Duration) []string {
 	return reaped
 }
 
-// --- Cancel markers ---
-
-// markCancel requests cancellation of a job some worker currently owns:
-// the marker file is the frontend-to-worker signal (checked on every
-// progress tick), since job contexts do not cross process boundaries.
-func (l *journal) markCancel(id string) error {
-	if err := os.MkdirAll(l.cancelsDir(), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(l.cancelsDir(), fsutil.Sanitize(id)), nil, 0o644)
-}
-
-// cancelRequested reports whether a cancel marker exists for the job.
-func (l *journal) cancelRequested(id string) bool {
-	_, err := os.Stat(filepath.Join(l.cancelsDir(), fsutil.Sanitize(id)))
-	return err == nil
-}
-
-// clearCancel removes a consumed (or obsolete) cancel marker.
-func (l *journal) clearCancel(id string) {
-	os.Remove(filepath.Join(l.cancelsDir(), fsutil.Sanitize(id)))
-}
-
 // --- Worker heartbeats ---
 
 // WorkerInfo is a worker's heartbeat document: liveness (its claims
-// live while UpdatedAt is fresh, and the coordinator kills a worker
-// process whose UpdatedAt goes stale), occupancy (busy or idle, and the
-// claimed job), and cumulative throughput counters (per-worker jobs and
-// sims for /api/v1/fleet and /metrics).
+// live while UpdatedAt is fresh), occupancy (busy or idle, and the
+// claimed job), and cumulative throughput counters (completed jobs and
+// executed sims).
 type WorkerInfo struct {
 	Owner string `json:"owner"`
 	PID   int    `json:"pid"`
@@ -245,8 +220,7 @@ func (l *journal) putWorker(w WorkerInfo) {
 	}
 }
 
-// removeWorker retires a worker's heartbeat file (graceful exit, or the
-// coordinator sweeping a dead worker).
+// removeWorker retires a worker's heartbeat file on a graceful exit.
 func (l *journal) removeWorker(owner string) {
 	os.Remove(l.workerPath(owner))
 }

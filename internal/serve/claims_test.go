@@ -1,14 +1,15 @@
 package serve
 
-// Unit tests for the multi-process claim protocol: O_CREATE|O_EXCL
-// mutual exclusion, heartbeat liveness and reaping (with the recycled-PID
-// defense), cancel markers, and worker heartbeat documents.
+// Unit tests for the claim protocol: O_CREATE|O_EXCL mutual exclusion,
+// heartbeat liveness and reaping (with the recycled-PID defense), and
+// worker heartbeat documents.
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -208,38 +209,17 @@ func TestReapSparesLiveAndGracedClaims(t *testing.T) {
 	}
 }
 
-func TestCancelMarkers(t *testing.T) {
-	jl := testJournal(t)
-	if jl.cancelRequested("job-1") {
-		t.Fatal("cancel requested before any marker")
-	}
-	if err := jl.markCancel("job-1"); err != nil {
-		t.Fatal(err)
-	}
-	if !jl.cancelRequested("job-1") {
-		t.Fatal("marker not visible")
-	}
-	jl.clearCancel("job-1")
-	if jl.cancelRequested("job-1") {
-		t.Fatal("marker survived clearCancel")
-	}
-}
-
 func TestRemoveCleansClaimAndCancelLitter(t *testing.T) {
 	jl := testJournal(t)
 	jl.put(jobRecord{ID: "job-1", Kind: KindExperiment, Experiment: "fig14", Scale: "tiny", Status: StatusQueued, CreatedAt: time.Now().UTC()})
 	jl.claim("job-1", NewOwnerID("w"))
-	jl.markCancel("job-1")
 
 	jl.remove("job-1")
-	if _, ok := jl.get("job-1"); ok {
+	if _, err := os.Stat(jl.path("job-1")); !os.IsNotExist(err) {
 		t.Fatal("record survived remove")
 	}
 	if _, ok := jl.claimState("job-1"); ok {
 		t.Fatal("claim survived remove")
-	}
-	if jl.cancelRequested("job-1") {
-		t.Fatal("cancel marker survived remove")
 	}
 }
 
@@ -280,24 +260,42 @@ func TestWorkerHeartbeatRoundtrip(t *testing.T) {
 	}
 }
 
-func TestFleetJournalBacklog(t *testing.T) {
-	dir := t.TempDir()
-	jl, err := openJournal(dir)
-	if err != nil {
-		t.Fatal(err)
+// TestMultiWorkerJournalContention: claimants racing for the same job
+// IDs over one journal each win a disjoint set, and every ID has exactly
+// one winner, whose owner the claim file names. Run under -race in the
+// chaos tier.
+func TestMultiWorkerJournalContention(t *testing.T) {
+	jl := testJournal(t)
+	const ids, claimants = 200, 8
+	winners := make([][]string, ids)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for c := range claimants {
+		owner := NewOwnerID(fmt.Sprintf("w%d", c))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := range ids {
+				if jl.claim(fmt.Sprintf("job-%d", i), owner) {
+					mu.Lock()
+					winners[i] = append(winners[i], owner)
+					mu.Unlock()
+				}
+			}
+		}()
 	}
-	now := time.Now().UTC()
-	jl.put(jobRecord{ID: "job-1", Kind: KindExperiment, Experiment: "fig14", Scale: "tiny", Status: StatusQueued, CreatedAt: now})
-	jl.put(jobRecord{ID: "job-2", Kind: KindExperiment, Experiment: "fig14", Scale: "tiny", Status: StatusRunning, CreatedAt: now})
-	jl.put(jobRecord{ID: "job-3", Kind: KindExperiment, Experiment: "fig14", Scale: "tiny", Status: StatusDone, CreatedAt: now})
-	jl.claim("job-2", NewOwnerID("w"))
-
-	fj, err := OpenFleetJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued, inflight := fj.Backlog()
-	if queued != 1 || inflight != 1 {
-		t.Fatalf("Backlog = (%d queued, %d inflight), want (1, 1)", queued, inflight)
+	close(start)
+	wg.Wait()
+	for i, won := range winners {
+		id := fmt.Sprintf("job-%d", i)
+		if len(won) != 1 {
+			t.Errorf("%s won by %d claimants %v, want exactly 1", id, len(won), won)
+			continue
+		}
+		if !jl.holds(id, won[0]) {
+			t.Errorf("%s: the winner %s does not hold the claim", id, won[0])
+		}
 	}
 }

@@ -1,14 +1,12 @@
 package serve
 
-// executor is the job-execution engine the worker loop (worker.go)
-// drives, in a Server's in-process worker and in worker processes alike:
-// the loop wins a job's claim and hands it to runClaimed, so the
-// execution semantics — claim ownership, store-first GetOrCompute,
-// jittered transient retries under the attempt budget, breaker feedback,
-// delivery-beats-persistence — are identical whichever process runs it.
+// executor is the job-execution engine the in-process worker (worker.go)
+// drives: the worker wins a job's claim and hands it to runClaimed, which
+// owns the execution semantics — claim ownership, store-first
+// GetOrCompute, jittered transient retries under the attempt budget,
+// breaker feedback, delivery-beats-persistence.
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -36,7 +34,7 @@ type executor struct {
 
 	// owner is the claim-owner identity the executor runs jobs under. The
 	// progress sampler cancels the run if the claim was lost (reaped, job
-	// requeued elsewhere) or a frontend left a cancel marker.
+	// requeued).
 	owner string
 
 	log *slog.Logger
@@ -59,30 +57,25 @@ func newExecutor(cfg Config, jl *journal, owner string) *executor {
 }
 
 // runClaimed runs one job whose claim the executor's owner just won, and
-// releases the claim. specErr is the error rebuilding the job from its
-// record, if any. It reports whether the job finished here — false when
-// a draining worker released it for requeue or a lost claim orphaned
-// it — and the simulations it executed.
-func (e *executor) runClaimed(j *job, specErr error) (finished bool, sims int64) {
+// releases the claim. It reports whether the job finished here — false
+// when a draining worker released it for requeue or a lost claim
+// orphaned it — and the simulations it executed.
+func (e *executor) runClaimed(j *job) (finished bool, sims int64) {
 	j.mu.Lock()
 	j.owner = e.owner
 	attempts := j.attempts
 	j.mu.Unlock()
 	switch {
-	case e.journal.cancelRequested(j.id):
-		// A cancel marker landed while the job sat queued; honor it
-		// before spending any work.
-		j.markUserCanceled()
-		j.finish(nil, false, 0, context.Canceled)
+	case j.ctx.Err() != nil:
+		// A job canceled while queued (a DELETE that lost the claim race,
+		// or an aborted shutdown) is done before any work is spent.
+		j.finish(nil, false, 0, j.ctx.Err())
 	case attempts >= e.maxAttempts:
 		// The attempt budget is carried by the record, so a job that
 		// kills every process that touches it (a crash loop) is abandoned
 		// on its way into yet another execution.
 		e.log.Warn("job abandoned (attempt budget)", "job", j.id, "attempts", attempts)
 		j.finish(nil, false, 0, fmt.Errorf("abandoned after %d attempts (crash loop)", attempts))
-	case specErr != nil:
-		e.log.Warn("unrecoverable job spec", "job", j.id, "error", specErr.Error())
-		j.finish(nil, false, 0, fmt.Errorf("unrecoverable job spec: %w", specErr))
 	default:
 		sims = e.execute(j)
 	}
@@ -96,9 +89,6 @@ func (e *executor) runClaimed(j *job, specErr error) (finished bool, sims int64)
 	j.mu.Lock()
 	user, status := j.userCanceled, j.status
 	j.mu.Unlock()
-	if user {
-		e.journal.clearCancel(j.id)
-	}
 	e.journal.releaseClaim(j.id, e.owner)
 	if status == StatusCanceled && !user {
 		// Shutdown-driven cancel: the record keeps its pre-cancel state
@@ -127,12 +117,6 @@ func (e *executor) execute(j *job) (executed int64) {
 		e.log.Info("job finished", "job", j.id, "kind", j.kind, "status", v.Status,
 			"cached", v.Cached, "sims", v.Sims, "attempts", v.Attempts, "error", v.Error)
 	}()
-	// A job canceled while queued (DELETE, or an aborted shutdown) is
-	// already terminal — or about to be; don't touch the store for it.
-	if j.ctx.Err() != nil {
-		j.finish(nil, false, 0, j.ctx.Err())
-		return 0
-	}
 	stopSampler := e.startSampler(j)
 
 	var payload harness.ExperimentPayload
@@ -236,12 +220,10 @@ func backoff(base time.Duration, attempt int) time.Duration {
 // startSampler launches the progress sampler for a running job and
 // returns a function that stops it and waits for it to exit.
 //
-// Every tick checkpoints the record's sims count for frontends that
-// proxy the job, honors cancel markers left by a frontend (contexts
-// don't cross processes), and checks that this owner still holds the
-// claim: the claim lives while the owner's heartbeat is fresh, so a
-// stall long enough to go stale gets it reaped, and the run is then
-// abandoned rather than split-brained with the job's next owner.
+// Every tick publishes the job's sims count and checks that this owner
+// still holds the claim: the claim lives while the owner's heartbeat is
+// fresh, so a stall long enough to go stale gets it reaped, and the run
+// is then abandoned rather than split-brained with the job's next owner.
 func (e *executor) startSampler(j *job) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -257,11 +239,6 @@ func (e *executor) startSampler(j *job) (stop func()) {
 				return
 			case <-tick.C:
 				j.progress(j.ran.Load())
-				if e.journal.cancelRequested(j.id) {
-					e.log.Info("cancel marker honored", "job", j.id)
-					j.markUserCanceled()
-					j.cancel()
-				}
 				if !e.journal.holds(j.id, e.owner) {
 					// The finish path must not journal over the new owner's
 					// record.
@@ -270,7 +247,6 @@ func (e *executor) startSampler(j *job) (stop func()) {
 					j.cancel()
 					return
 				}
-				j.checkpoint()
 			}
 		}
 	}()

@@ -79,18 +79,17 @@ type job struct {
 	sims     int64
 	attempts int
 	// owner is the claim-owner identity of the worker executing the job
-	// (set once the claim is won; empty while queued). Journaled so
-	// frontends can report which worker holds each job.
+	// (set once the claim is won; empty while queued), shown as the job's
+	// worker and journaled.
 	owner string
-	// held marks a job the server's in-process worker has taken: its
-	// in-memory state leads the journal record, so the watcher leaves it
-	// alone.
+	// held marks a job the in-process worker has taken: it no longer
+	// waits in the queue.
 	held bool
 	// userCanceled distinguishes DELETE (a terminal decision, journaled)
 	// from shutdown-driven cancellation (the journal keeps the job's
 	// pre-cancel state so a restart requeues it).
 	userCanceled bool
-	// orphaned marks a worker-side job whose claim was lost; see orphan.
+	// orphaned marks a job whose claim was lost; see orphan.
 	orphaned bool
 	created  time.Time
 	started  time.Time
@@ -256,9 +255,7 @@ func (j *job) beginAttempt() {
 }
 
 // checkpoint journals an open job's state: an admitted job's queued
-// record (the write-ahead that makes admission durable), and a running
-// job's progress, so a frontend that proxies the job from its record
-// sees the sims count move.
+// record is the write-ahead that makes admission durable.
 func (j *job) checkpoint() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -297,9 +294,9 @@ func (j *job) setHeld() bool {
 	return true
 }
 
-// proxied reports whether the watcher mirrors the job from its journal
-// record: it is open and not held by the in-process worker.
-func (j *job) proxied() bool {
+// waiting reports whether the job waits for the in-process worker: it is
+// open and not yet taken.
+func (j *job) waiting() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return !terminalStatus(j.status) && !j.held
@@ -315,8 +312,8 @@ func (j *job) markUserCanceled() {
 }
 
 // orphan marks a job whose claim was lost (reaped, and possibly
-// re-claimed elsewhere). From then on its state is memory-only, so this
-// process can never overwrite the new owner's record; the worker loop
+// re-claimed by another owner). From then on its state is memory-only,
+// so this process can never overwrite the new owner's record; the worker
 // also skips releasing a claim it no longer holds.
 func (j *job) orphan() {
 	j.mu.Lock()
@@ -390,15 +387,10 @@ func (j *job) finishWith(setResult func(), cached bool, sims int64, err error) {
 	if j.status != StatusCanceled || j.userCanceled {
 		j.journalLocked()
 	}
-	j.terminateLocked()
-}
-
-// terminateLocked announces the terminal state just recorded on the job
-// — metrics, timeline, the terminal event — and closes every subscriber
-// stream. The job context is done with: canceling it releases its
-// resources (and unparks any AfterFunc the harness registered for it).
-// Callers hold mu.
-func (j *job) terminateLocked() {
+	// Announce the terminal state — metrics, timeline, the terminal
+	// event — and close every subscriber stream. The job context is done
+	// with: canceling it releases its resources (and unparks any
+	// AfterFunc the harness registered for it).
 	mSSESubs.Add(-float64(len(j.subs)))
 	j.tl.Barrier(j.status, j.finished)
 	jobsFinished(j.status).Inc()
@@ -412,63 +404,6 @@ func (j *job) terminateLocked() {
 		delete(j.subs, ch)
 	}
 	j.cancel()
-}
-
-// syncRunning applies a worker-written running record to a job the
-// frontend proxies: the status flip is announced once, progress rides
-// the record's sims counter, and the executing worker's identity becomes
-// visible. The journal is NOT written back — the worker owns the record
-// while it holds the claim; the frontend is a reader here. A job the
-// in-process worker holds is left alone: its record lags its progress.
-func (j *job) syncRunning(rec jobRecord) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if terminalStatus(j.status) || j.held {
-		return
-	}
-	j.attempts = rec.Attempts
-	j.owner = rec.Owner
-	if j.status != StatusRunning {
-		j.status = StatusRunning
-		j.started = rec.UpdatedAt
-		if j.started.IsZero() {
-			j.started = time.Now().UTC()
-		}
-		mQueueWait.Observe(j.started.Sub(j.created).Seconds())
-		j.tl.Barrier("leased", j.started)
-		j.publish("status", j.viewLocked())
-	}
-	if rec.Sims != j.sims {
-		j.sims = rec.Sims
-		j.publish("progress", map[string]any{"id": j.id, "sims": rec.Sims})
-	}
-}
-
-// adoptTerminal applies a worker-written terminal record: the frontend's
-// tracked job reaches the same terminal state the worker journaled, with
-// the artifact (res or pm) fetched from the shared stores by the caller.
-// Like finishWith it is idempotent and ends through terminateLocked;
-// unlike finishWith it does not journal — the record on disk already is
-// the terminal state.
-func (j *job) adoptTerminal(rec jobRecord, res *harness.ExperimentPayload, pm *policy.Meta) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if terminalStatus(j.status) || j.held {
-		return
-	}
-	j.finished = time.Now().UTC()
-	if !rec.UpdatedAt.IsZero() {
-		j.finished = rec.UpdatedAt
-	}
-	j.status = rec.Status
-	j.errMsg = rec.Error
-	j.cached = rec.Cached
-	j.sims = rec.Sims
-	j.attempts = rec.Attempts
-	j.owner = rec.Owner
-	j.result = res
-	j.policyMeta = pm
-	j.terminateLocked()
 }
 
 // subscribe returns the event history so far plus a channel of subsequent

@@ -48,19 +48,18 @@ type jobRecord struct {
 
 	Status string `json:"status"`
 	// Attempts counts times the job entered execution (dispatches, plus
-	// in-process transient retries); recovery refuses jobs that already
+	// transient retries); recovery refuses jobs that already
 	// burned through the attempt budget, so a job that crashes the
 	// server cannot crash-loop it forever.
 	Attempts int    `json:"attempts"`
 	Error    string `json:"error,omitempty"`
 	// Owner identifies the worker executing the job (PID + start-time
-	// nonce; see NewOwnerID). Frontends surface it as the job's worker;
-	// it is informational — mutual exclusion lives in the claim file
-	// (claims.go), whose owner the running worker checks every tick.
+	// nonce; see NewOwnerID). It is informational — mutual exclusion
+	// lives in the claim file (claims.go), whose owner the running worker
+	// checks every tick.
 	Owner string `json:"owner,omitempty"`
-	// Sims and Cached mirror the job's progress/outcome so a stateless
-	// frontend can proxy status from the record alone; PolicyID names a
-	// finished training job's artifact in the policy store.
+	// Sims and Cached mirror the job's outcome; PolicyID names a finished
+	// training job's artifact in the policy store.
 	Sims     int64  `json:"sims,omitempty"`
 	Cached   bool   `json:"cached,omitempty"`
 	PolicyID string `json:"policy_id,omitempty"`
@@ -103,24 +102,10 @@ func (l *journal) put(rec jobRecord) {
 }
 
 // remove deletes a job's record (evicted from history, or terminal at
-// recovery time), along with any claim or cancel litter it left.
+// recovery time), along with any claim it left.
 func (l *journal) remove(id string) {
 	os.Remove(l.path(id))
 	os.Remove(l.claimPath(id))
-	l.clearCancel(id)
-}
-
-// get reads one job's record (the fleet frontend's status-proxy read).
-func (l *journal) get(id string) (jobRecord, bool) {
-	buf, err := os.ReadFile(l.path(id))
-	if err != nil {
-		return jobRecord{}, false
-	}
-	var rec jobRecord
-	if err := json.Unmarshal(buf, &rec); err != nil || rec.ID == "" {
-		return jobRecord{}, false
-	}
-	return rec, true
 }
 
 // load reads every parseable record, in job-ID order. Unreadable files

@@ -10,9 +10,8 @@ import (
 )
 
 // jobBuilder resolves job specs: admission's scale lookups, and
-// executable jobs rebuilt from journal records through the same tables.
-// A restarting server rebuilding its backlog and a fleet worker
-// materializing a claimed record share it.
+// executable jobs rebuilt from journal records through the same tables
+// when a restarting server rebuilds its backlog.
 type jobBuilder struct {
 	base        context.Context
 	extraScales map[string]harness.Scale

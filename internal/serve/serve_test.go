@@ -374,23 +374,30 @@ func TestServeSurvivesJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestDispatchQueueDepthCountsQueuedJobs: on a fleet frontend (no
-// worker running here), /healthz "queued" and pythia_serve_queue_depth
-// count the queued, unclaimed jobs, and the same count is the admission
-// bound.
+// TestDispatchQueueDepthCountsQueuedJobs: while the worker is busy with
+// a long job, /healthz "queued" and pythia_serve_queue_depth count the
+// jobs queued behind it, and the same count is the admission bound.
 func TestDispatchQueueDepthCountsQueuedJobs(t *testing.T) {
 	srv, err := serve.New(serve.Config{
 		Store:            results.Open(t.TempDir()),
 		QueueDepth:       2,
 		ProgressInterval: 10 * time.Millisecond,
-		JournalDir:       t.TempDir(),
-		Dispatch:         true,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale, "verylong": veryLongScale},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := newHTTPServer(t, srv)
+
+	blocker, code := postRun(t, ts, "fig7", "verylong")
+	if code != http.StatusAccepted {
+		t.Fatalf("POST blocker = %d", code)
+	}
+	waitRunning(t, ts, blocker.ID)
+	defer func() {
+		cancelRun(t, ts, blocker.ID)
+		waitDone(t, ts, blocker.ID)
+	}()
 
 	var ids []string
 	for _, exp := range []string{"table2", "table4"} {

@@ -2,13 +2,12 @@
 // service: the first step from batch reproduction toward a system that
 // serves results to many concurrent consumers.
 //
-// Architecture: every admitted job is journaled and runs through one
-// claim protocol and one worker loop, at any scale. A worker wins a job
-// by creating its claim file, and the claim lives while its owner's
-// heartbeat is fresh. A Server without Dispatch runs that loop in one
-// in-process worker goroutine over its own queued jobs, in admission
-// order, one experiment at a time; with Dispatch, worker processes
-// (RunWorker) run it over a scan of the shared journal. Each experiment
+// Architecture: every admitted job is journaled, and one in-process
+// worker goroutine runs the server's queued jobs in admission order, one
+// experiment at a time. The worker wins a job by creating its claim
+// file, and the claim lives while the worker's heartbeat is fresh, so a
+// server restarted over the same journal requeues the jobs a dead
+// process held. Each experiment
 // internally fans its simulations out over the harness worker pool
 // (harness.SetWorkers), so the machine stays fully utilized while the
 // queued-job bound — not goroutine count — bounds admitted work. Every
@@ -68,9 +67,8 @@ type Config struct {
 	// with 503 rather than queueing unboundedly.
 	QueueDepth int
 	// ProgressInterval is how often a running job samples the simulation
-	// counter into an SSE progress event, checkpoints its record and
-	// checks its claim, and how often the watcher reads the journal; the
-	// default is 250ms.
+	// counter into an SSE progress event and checks its claim, and how
+	// often the watcher reaps stale claims; the default is 250ms.
 	ProgressInterval time.Duration
 	// JobHistory bounds how many finished jobs are retained for listing
 	// and late fetches (the default is 256). Queued and running jobs are
@@ -111,30 +109,13 @@ type Config struct {
 	// work before letting a probe through; default 15s.
 	BreakerCooldown time.Duration
 
-	// Dispatch turns the server into a stateless fleet frontend: it runs
-	// no in-process worker — worker processes (serve.RunWorker over the
-	// same JournalDir) claim and execute the journaled jobs, and the
-	// watcher proxies status, progress and terminal events back from the
-	// journal and the shared stores. Requires JournalDir. Cancellation
-	// crosses the process boundary through claim acquisition (queued
-	// jobs) or cancel markers (claimed jobs).
-	Dispatch bool
-
-	// FleetStatus, when set, backs GET /api/v1/fleet: the serving layer
-	// stays ignorant of the fleet coordinator (fleet imports serve, never
-	// the reverse); cmd wiring hands the coordinator's Status here. A
-	// coordinator is its journal's reaper, so with FleetStatus set the
-	// watcher leaves stale claims to it.
-	FleetStatus func() api.FleetStatus
-
 	// Logger receives structured job-lifecycle logs (admission, dispatch,
 	// retries, terminal states, recovery) with job IDs on every record.
 	// Nil discards them — tests and embedders that don't care stay quiet.
 	Logger *slog.Logger
 }
 
-// defaults fills every unset knob with its documented default; New and
-// RunWorker share it.
+// defaults fills every unset knob with its documented default.
 func (c *Config) defaults() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
@@ -195,8 +176,8 @@ type Server struct {
 	// builder resolves specs for admission and recovery alike.
 	builder jobBuilder
 
-	// exec is the execution engine of the in-process worker; its
-	// breakers guard admission in every mode.
+	// exec is the in-process worker's execution engine; its breakers
+	// also guard admission.
 	exec *executor
 	// wake is the in-process worker's one-slot doorbell: admission and
 	// reaping ring it, so the worker never polls while a job waits.
@@ -211,9 +192,9 @@ type Server struct {
 	started time.Time
 }
 
-// New builds a Server and starts its watcher and, without Dispatch, its
-// in-process worker. Callers own the HTTP listener (mount Handler) and
-// must stop the server with Shutdown (drain) or Close (abort).
+// New builds a Server and starts its watcher and its in-process worker.
+// Callers own the HTTP listener (mount Handler) and must stop the server
+// with Shutdown (drain) or Close (abort).
 //
 // New first recovers the journal: non-terminal jobs are re-tracked, and
 // those nobody has claimed are the worker's first candidates, ahead of
@@ -226,9 +207,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("serve: Config.Store is required")
-	}
-	if cfg.Dispatch && cfg.JournalDir == "" {
-		return nil, fmt.Errorf("serve: Dispatch mode requires Config.JournalDir (the journal is the frontend-worker coordination substrate)")
 	}
 	cfg.defaults()
 	s := &Server{
@@ -273,20 +251,18 @@ func New(cfg Config) (*Server, error) {
 		mRecovered.Add(int64(s.recovered))
 		s.log.Info("journal recovery complete", "recovered", s.recovered, "requeued", requeued)
 	}
-	if !cfg.Dispatch {
-		s.startWorker()
-	}
+	s.startWorker()
 	s.registerMetrics()
 	s.wg.Add(1)
 	go s.watcher()
 	return s, nil
 }
 
-// recoverJobs re-tracks the journal after a restart, the same way in
-// both modes: terminal records are reclaimed, every other job is rebuilt
-// as queued — one whose spec no longer resolves fails visibly — and the
-// number without a claim file is returned: they are claimable now. A
-// claimed job stays parked until reaping removes its claim.
+// recoverJobs re-tracks the journal after a restart: terminal records
+// are reclaimed, every other job is rebuilt as queued — one whose spec
+// no longer resolves fails visibly — and the number without a claim file
+// is returned: they are claimable now. A claimed job stays parked until
+// reaping removes its claim.
 func (s *Server) recoverJobs(recs []jobRecord) (requeued int) {
 	for _, rec := range recs {
 		if n := jobIDNum(rec.ID); n > s.nextID {
@@ -312,63 +288,15 @@ func (s *Server) recoverJobs(recs []jobRecord) (requeued int) {
 	return requeued
 }
 
-// startWorker starts the in-process worker: the worker loop over the
-// server's own open jobs, in admission order, one at a time. A won
-// claim runs the frontend's own *job, so status and SSE update
-// directly. On shutdown the worker runs every job it can still claim
-// (each honors its own context, so an aborted shutdown cancels them),
-// then exits.
-func (s *Server) startWorker() {
-	w := newWorker(s.exec)
-	w.candidates = func() []string {
-		var ids []string
-		for _, j := range s.openJobs() {
-			ids = append(ids, j.id)
-		}
-		return ids
-	}
-	w.take = func(id string) (*job, error) {
-		// A job that turned terminal meanwhile (a DELETE won the claim,
-		// canceled the job and released the claim) needs no run.
-		if j, ok := s.jobByID(id); ok && j.setHeld() {
-			return j, nil
-		}
-		return nil, nil
-	}
-	draining := false
-	w.next = func(ran bool) bool {
-		switch {
-		case ran:
-			return true
-		case draining:
-			return false
-		}
-		select {
-		case <-s.wake:
-		case <-s.drain:
-			// Shutdown closes drain after its closing transition, so one
-			// more scan sees every job admitted before it.
-			draining = true
-		}
-		return true
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		w.run(max(s.cfg.StaleAfter/5, time.Millisecond))
-	}()
-}
-
-// openJobs lists the open jobs the in-process worker has not taken, in
-// admission order: the in-process worker's candidates (a job another
-// owner holds among them, its claim attempt failing until reaping frees
-// it), and the jobs the watcher mirrors from the journal.
-func (s *Server) openJobs() []*job {
+// waitingJobs lists the jobs waiting for the in-process worker, in
+// admission order: its candidates (a job another owner holds among them,
+// its claim attempt failing until reaping frees it).
+func (s *Server) waitingJobs() []*job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var open []*job
 	for _, id := range s.order {
-		if j := s.jobs[id]; j.proxied() {
+		if j := s.jobs[id]; j.waiting() {
 			open = append(open, j)
 		}
 	}
@@ -384,12 +312,7 @@ func (s *Server) signal() {
 	}
 }
 
-// watcher is the frontend's journal loop: every ProgressInterval it
-// reaps stale claims (unless a fleet coordinator owns the journal) and
-// mirrors worker-side transitions into the in-memory jobs it proxies
-// (status flip, progress samples, terminal adoption with the artifact
-// fetched from the shared store) — so the HTTP surface, SSE streams
-// included, behaves identically whichever process ran the job.
+// watcher reaps stale claims every ProgressInterval until shutdown.
 func (s *Server) watcher() {
 	defer s.wg.Done()
 	tick := time.NewTicker(s.cfg.ProgressInterval)
@@ -401,10 +324,7 @@ func (s *Server) watcher() {
 		case <-s.baseCtx.Done():
 			return
 		case <-tick.C:
-			if s.cfg.FleetStatus == nil {
-				s.reap()
-			}
-			s.syncTrackedJobs()
+			s.reap()
 		}
 	}
 }
@@ -421,50 +341,6 @@ func (s *Server) reap() {
 	if len(reaped) > 0 {
 		s.signal()
 	}
-}
-
-// syncTrackedJobs applies one round of journal reads to every proxied
-// job. A running record last written before this server started is
-// stale — its claimant may be dead — so the job shows as queued until
-// the claimant writes again or its claim is reaped.
-func (s *Server) syncTrackedJobs() {
-	for _, j := range s.openJobs() {
-		rec, ok := s.journal.get(j.id)
-		if !ok {
-			continue
-		}
-		switch {
-		case terminalStatus(rec.Status):
-			s.adoptTerminalRecord(j, rec)
-		case rec.Status == StatusRunning && rec.UpdatedAt.After(s.started):
-			j.syncRunning(rec)
-		}
-	}
-}
-
-// adoptTerminalRecord finishes a tracked job from its worker-written
-// terminal record, fetching the artifact from the shared stores.
-func (s *Server) adoptTerminalRecord(j *job, rec jobRecord) {
-	var res *harness.ExperimentPayload
-	var pm *policy.Meta
-	if rec.Status == StatusDone {
-		if rec.Kind == KindTrain {
-			if s.cfg.Policies != nil && rec.PolicyID != "" {
-				if env, ok := s.cfg.Policies.Get(rec.PolicyID); ok {
-					meta := env.Meta
-					pm = &meta
-				}
-			}
-		} else {
-			var payload harness.ExperimentPayload
-			if s.store.Get(harness.ExperimentKey(j.expID, j.scale), &payload) {
-				res = &payload
-			}
-		}
-	}
-	j.adoptTerminal(rec, res, pm)
-	s.log.Info("job finished on worker", "job", j.id, "status", rec.Status,
-		"worker", rec.Owner, "sims", rec.Sims, "attempts", rec.Attempts)
 }
 
 // Shutdown gracefully stops the server: admission closes immediately
@@ -503,10 +379,8 @@ func (s *Server) Shutdown(ctx context.Context) {
 	// owner held them) are still open: finish them canceled here, so every
 	// admitted job gets a terminal event. As a shutdown cancellation it
 	// leaves their journal records requeue-able.
-	if !s.cfg.Dispatch {
-		for _, j := range s.openJobs() {
-			j.finish(nil, false, 0, context.Canceled)
-		}
+	for _, j := range s.waitingJobs() {
+		j.finish(nil, false, 0, context.Canceled)
 	}
 }
 
@@ -536,7 +410,8 @@ func (s *Server) Recovered() int {
 // endpoints, not API resources, and stay unversioned. Every route goes
 // through route(), which pairs the registration with a per-route
 // request counter — ci.sh gates direct mux.HandleFunc calls so a new
-// endpoint cannot ship unmetered.
+// endpoint cannot ship unmetered. The catch-all "/" answers every other
+// path, and a known path under the wrong method, with a 404 envelope.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	routes := []struct {
@@ -553,27 +428,16 @@ func (s *Server) Handler() http.Handler {
 		{http.MethodGet, "/policies", s.handlePolicies},
 		{http.MethodGet, "/policies/{id}", s.handlePolicy},
 		{http.MethodGet, "/policies/{id}/snapshot", s.handlePolicySnapshot},
-		{http.MethodGet, "/fleet", s.handleFleet},
 	}
 	for _, rt := range routes {
 		s.route(mux, rt.method+" "+api.Prefix+rt.path, rt.h)
 	}
 	s.route(mux, "GET /healthz", s.handleHealth)
 	s.route(mux, "GET /metrics", obs.Default().Handler().ServeHTTP)
+	s.route(mux, "/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, api.Errorf(api.CodeNotFound, "no route for %s %s", r.Method, r.URL.Path))
+	})
 	return mux
-}
-
-// handleFleet is GET /api/v1/fleet: the fleet coordinator's view of the
-// worker tier (desired/ready counts, per-worker state and throughput,
-// queued and in-flight backlog). Without a coordinator wired in (standalone
-// serve), the endpoint answers 503 — the fleet resource doesn't exist
-// here, and clients can tell that apart from an empty fleet.
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.FleetStatus == nil {
-		writeError(w, api.Errorf(api.CodeUnavailable, "no fleet coordinator configured (standalone server)"))
-		return
-	}
-	writeJSON(w, http.StatusOK, api.FleetResponse{Fleet: s.cfg.FleetStatus()})
 }
 
 // route registers pattern with a request counter wrapped around the
@@ -758,8 +622,8 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, api.JobResponse{Job: j.view()})
 }
 
-// queued counts the jobs waiting to execute — queued and not taken by
-// the in-process worker — for /healthz and /metrics.
+// queued counts the jobs waiting for the in-process worker, for /healthz
+// and /metrics.
 func (s *Server) queued() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -771,11 +635,9 @@ func (s *Server) queued() int {
 func (s *Server) queuedLocked() int {
 	n := 0
 	for _, j := range s.jobs {
-		j.mu.Lock()
-		if j.status == StatusQueued && !j.held {
+		if j.waiting() {
 			n++
 		}
-		j.mu.Unlock()
 	}
 	return n
 }
@@ -866,17 +728,15 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.JobResponse{Job: j.view()})
 }
 
-// cancelJob cancels a job through the claim protocol, whichever worker
-// runs it. The frontend tries to claim the job itself: winning means no
-// worker has it, so the job turns terminal right here, the claim making
-// that decision visible to every worker before the journal write lands.
-// Losing means a worker holds it: the in-process worker sees the
-// canceled context at its next chunk boundary, and a worker process —
-// contexts don't cross process boundaries — sees the cancel marker at
-// its next progress tick; either journals the terminal state. A DELETE is
-// an explicit client decision, so its terminal state is journaled,
-// unlike shutdown-driven cancellation (which leaves the journal
-// requeue-able).
+// cancelJob cancels a job through the claim protocol. The frontend tries
+// to claim the job itself: winning means the worker has not taken it, so
+// the job turns terminal right here, the claim deciding the race with
+// the worker before the journal write lands. Losing means a claim is
+// held: the worker sees the canceled context at its next chunk boundary
+// (or, for a job a previous process still holds, when it takes the job
+// after reaping) and journals the terminal state. A DELETE is an
+// explicit client decision, so its terminal state is journaled, unlike
+// shutdown-driven cancellation (which leaves the journal requeue-able).
 func (s *Server) cancelJob(j *job) {
 	j.markUserCanceled()
 	j.cancel()
@@ -885,9 +745,6 @@ func (s *Server) cancelJob(j *job) {
 		s.journal.releaseClaim(j.id, s.frontOwner)
 		s.log.Info("queued job canceled", "job", j.id)
 		return
-	}
-	if err := s.journal.markCancel(j.id); err != nil {
-		s.log.Warn("cancel marker write failed", "job", j.id, "error", err.Error())
 	}
 	s.log.Info("cancel requested from worker", "job", j.id)
 }
@@ -1035,7 +892,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	jobs := len(s.jobs)
 	s.mu.Unlock()
 	// The health report is truthful about degradation: an open breaker
-	// flips ok to false and names itself, so fleet probes (and humans)
+	// flips ok to false and names itself, so probes (and humans)
 	// see "degraded read-only", not a lying green light. The endpoint
 	// still answers 200 — the process is alive and serving store hits.
 	degraded := s.exec.storeBrk.open() || s.exec.polBrk.open()
