@@ -4,8 +4,8 @@
 #   ci.sh quick   fmt + vet + build + full tests (the tier-1 gate)
 #   ci.sh chaos   the fault-injection and crash-recovery suite under the
 #                 race detector: every failpoint armed, a server process
-#                 SIGKILLed mid-job, journal recovery replayed, and the
-#                 claim protocol (exclusion, liveness, reaping, takeover)
+#                 SIGKILLed mid-job, journal recovery replayed, the
+#                 journal lock, and the cancel-vs-start race
 #   ci.sh full    quick + chaos, plus the race detector over every
 #                 concurrent subsystem, a short fuzz of the trace-file
 #                 decoder, a benchmark smoke of Pythia's train and
@@ -27,7 +27,8 @@
 #                 live pythia-serve under SLOs and proves the store
 #                 absorbs repeat traffic, and a restart smoke: a
 #                 pythia-serve SIGKILLed mid-job finishes the job after
-#                 a restart over its journal
+#                 a restart over its journal, and a second pythia-serve
+#                 over a held journal refuses to start
 #
 # With no argument, full runs (unchanged historical behavior).
 set -eu
@@ -140,16 +141,16 @@ fi
 
 if [ "$tier" = chaos ] || [ "$tier" = full ]; then
     echo "== chaos tier: fault injection + crash recovery under -race =="
-    # The durable-execution invariants (crash-recoverable queue,
-    # heartbeat-based requeue, retry, breakers): failpoints at every store write and
-    # the trace decoder, a SIGKILLed server subprocess, journal recovery
-    # replayed from snapshots (an older release's journal, a live foreign
-    # claim taken over once its heartbeat goes stale), the claim
-    # protocol's exclusion, liveness and reaping, and the cancel-vs-start
-    # race, shutdown drain and queue bound that claim arbitration
-    # decides — all under the race detector.
+    # The durable-execution invariants (crash-recoverable queue, retry,
+    # breakers): failpoints at every store write and the trace decoder, a
+    # SIGKILLed server subprocess, journal recovery replayed from
+    # snapshots (an older release's journal, terminal jobs re-tracked),
+    # the journal lock (a held journal refuses a second server and is
+    # taken over once its holder closes), and the cancel-vs-start race,
+    # shutdown drain and queue bound that the job mutex decides — all
+    # under the race detector.
     go test -race ./internal/fault/...
-    go test -race -run 'Chaos|Journal|Fault|Breaker|Failpoint|Sweep|Cancel|Shutdown|BoundedQueue|Claim|Renew|Reap|OwnerID|WorkerHeartbeat' \
+    go test -race -run 'Chaos|Journal|Fault|Breaker|Failpoint|Sweep|Cancel|Shutdown|BoundedQueue|LeaseTakeover|CancelStartRace|TerminalJobSurvivesRestart|RemoveCleansClaim' \
         ./internal/serve/... ./internal/fsutil/... \
         ./internal/stream/... ./internal/results/... ./internal/policy/...
 fi
@@ -304,9 +305,10 @@ sys.exit(0 if sims.get("fig8d") == 0 else 1)' "$cli/warm.json"; then
     echo "== restart smoke (SIGKILL mid-job, restart over the journal) =="
     # Launch a long fig7 job at a custom scale no run has stored, SIGKILL
     # the server while it runs, and restart it over the same journal and
-    # stores: once the dead process's heartbeat goes stale (5 s) its claim
-    # is reaped and the job must run to done. A repeat launch must then
-    # be a store hit that simulates nothing.
+    # stores: the kernel dropped the dead process's journal lock, so the
+    # job must be running again within 2 s and then run to done. A second
+    # server over the held journal must exit 2 naming the journal. A
+    # repeat launch must then be a store hit that simulates nothing.
     smoke=$(mktemp -d)
     go build -o "$smoke/pythia-serve" ./cmd/pythia-serve
     base=http://127.0.0.1:18743
@@ -349,6 +351,23 @@ sys.exit(0 if sims.get("fig8d") == 0 else 1)' "$cli/warm.json"; then
     wait "$serve_pid" 2>/dev/null || true
     start_serve || restart_fail "restarted server never came up"
     status=""
+    for i in $(seq 1 20); do
+        status=$(job_field "$long_job" status) || status=""
+        case "$status" in running | done) break ;; esac
+        sleep 0.1
+    done
+    case "$status" in
+    running | done) ;;
+    *) restart_fail "$long_job is ${status:-unknown} 2 s after the restart, want running or done" ;;
+    esac
+    second_status=0
+    PYTHIA_TRACE_CACHE="$smoke/traces" timeout 20 "$smoke/pythia-serve" -addr 127.0.0.1:18744 \
+        -results "$smoke/results" -policies "$smoke/policies" -journal "$smoke/journal" \
+        >"$smoke/second.log" 2>&1 || second_status=$?
+    [ "$second_status" -eq 2 ] ||
+        restart_fail "a second pythia-serve over the held journal exited $second_status, want 2"
+    grep -qF "$smoke/journal" "$smoke/second.log" ||
+        restart_fail "the second pythia-serve's error does not name the journal: $(cat "$smoke/second.log")"
     for i in $(seq 1 240); do
         status=$(job_field "$long_job" status) || status=""
         case "$status" in done | error | canceled) break ;; esac
@@ -367,7 +386,7 @@ sys.exit(0 if sims.get("fig8d") == 0 else 1)' "$cli/warm.json"; then
     [ "$sims" = 0 ] || restart_fail "repeat launch simulated $sims times, want 0"
     kill "$serve_pid" 2>/dev/null || true
     wait "$serve_pid" 2>/dev/null || true
-    echo "restart smoke OK: $long_job done after a SIGKILL and restart, repeat sims: 0"
+    echo "restart smoke OK: $long_job done after a SIGKILL and restart, second server refused, repeat sims: 0"
     rm -rf "$smoke"
 fi
 

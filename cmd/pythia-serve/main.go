@@ -47,7 +47,7 @@
 // -log-json switches them to JSON, -log-level debug|info|warn|error
 // filters them.
 //
-// Training jobs flow through the same claim protocol and SSE machinery
+// Training jobs flow through the same worker and SSE machinery
 // as experiments; a repeat training request for a policy already in the
 // store completes with zero simulations (the job's sims counter proves
 // it), and warm-started evaluations reuse stored policies the same way.
@@ -65,14 +65,16 @@
 //
 // Every accepted job is persisted to a job journal, and one in-process
 // worker runs the queued jobs in admission order, one at a time, each
-// fanning its simulations out over -parallel CPUs. The worker claims a
-// job before running it and heartbeats while it holds claims. With
-// -journal set the journal survives the process: a server restarted
-// after a kill or crash runs the dead process's queued jobs at once, and
-// its running ones once the dead heartbeat goes stale (5 s) —
-// at-least-once execution, which the content-addressed stores make
-// idempotent. Without -journal
-// the journal is a private temporary directory removed at shutdown.
+// fanning its simulations out over -parallel CPUs. The server holds an
+// exclusive lock on the journal directory while it runs: a second
+// pythia-serve over the same -journal exits with status 2 and an error
+// naming the directory. With -journal set the journal survives the
+// process: the kernel drops a killed server's lock, and a server
+// restarted after a kill or crash runs the dead process's queued and
+// running jobs at once — at-least-once execution, which the
+// content-addressed stores make idempotent — and still answers for the
+// jobs that had finished. Without -journal the journal is a private
+// temporary directory removed at shutdown.
 // Transient store failures are retried with jittered backoff; a
 // persistently failing store opens a circuit breaker that sheds new
 // simulation jobs with 503 + Retry-After while store hits keep being

@@ -91,10 +91,11 @@ type Job struct {
 	// Attempts is how many times the job entered execution (> 1 after
 	// transient-failure retries or crash recovery).
 	Attempts int `json:"attempts,omitempty"`
-	// Recovered marks a job requeued from the journal after a restart.
+	// Recovered marks a job rebuilt from the journal after a restart:
+	// requeued, or re-tracked with the terminal state it had reached.
 	Recovered bool `json:"recovered,omitempty"`
-	// Worker identifies the worker executing (or that executed) the job
-	// by its claim-owner ID: the serving process's in-process worker.
+	// Worker labels the serving process whose in-process worker is
+	// executing (or executed) the job ("pid<PID>"); informational only.
 	// Empty while the job is queued.
 	Worker     string                     `json:"worker,omitempty"`
 	CreatedAt  time.Time                  `json:"created_at"`
@@ -203,64 +204,7 @@ type Health struct {
 	Journal       *JournalHealth          `json:"journal,omitempty"`
 }
 
-// FleetWorker is one worker process in the GET /api/v1/fleet view.
-//
-// Deprecated: worker processes and /api/v1/fleet are gone (the route
-// answers 404); the type stays for one release so clients still build.
-type FleetWorker struct {
-	// Owner is the worker's claim-owner identity (PID + start nonce).
-	Owner string `json:"owner"`
-	PID   int    `json:"pid"`
-	// State is "starting" (spawned, no heartbeat yet), "idle" or "busy". A
-	// worker whose heartbeat goes stale is stopped and replaced, so it
-	// leaves the roster instead.
-	State string `json:"state"`
-	// Job is the claimed job while busy.
-	Job string `json:"job,omitempty"`
-	// Jobs and Sims are cumulative completed-job and executed-simulation
-	// counters for this worker.
-	Jobs int64 `json:"jobs"`
-	Sims int64 `json:"sims"`
-	// UptimeSeconds measures from the worker's first heartbeat.
-	UptimeSeconds float64 `json:"uptime_seconds"`
-}
-
-// FleetStatus is the fleet coordinator's snapshot: the fixed pool's size
-// and liveness, the journal backlog, plus the per-worker roster.
-//
-// Deprecated: worker processes and /api/v1/fleet are gone (the route
-// answers 404); the type stays for one release so clients still build.
-type FleetStatus struct {
-	// Desired is the fleet size (pythia-serve -fleet N); Ready counts
-	// live (heartbeating) workers.
-	Desired int `json:"desired"`
-	Ready   int `json:"ready"`
-	// Starting counts spawned workers that have not heartbeat yet (cold
-	// starts in progress).
-	Starting int `json:"starting"`
-	// Queued and InFlight are the backlog: claimable journal records and
-	// claimed-but-unfinished jobs.
-	Queued   int `json:"queued"`
-	InFlight int `json:"in_flight"`
-	// ColdStarts counts workers that came up over the coordinator's
-	// lifetime, boot and respawns alike; LastColdStartSeconds is the most
-	// recent spawn-to-ready latency.
-	ColdStarts           int64   `json:"cold_starts"`
-	LastColdStartSeconds float64 `json:"last_cold_start_seconds,omitempty"`
-	// Requeues counts jobs whose stale claims the coordinator reaped.
-	Requeues int64         `json:"requeues"`
-	Workers  []FleetWorker `json:"workers"`
-}
-
-// FleetResponse wraps the GET /api/v1/fleet body.
-//
-// Deprecated: worker processes and /api/v1/fleet are gone (the route
-// answers 404); the type stays for one release so clients still build.
-type FleetResponse struct {
-	Fleet FleetStatus `json:"fleet"`
-}
-
-// / Event is one server-sent event from a job's progress stream: a type
+// Event is one server-sent event from a job's progress stream: a type
 // tag (status/progress/retry, or a terminal job status) plus its JSON
 // payload.
 type Event struct {

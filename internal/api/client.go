@@ -312,18 +312,6 @@ func (c *Client) Health(ctx context.Context) (Health, error) {
 	return out, nil
 }
 
-// Fleet fetches the coordinator's fleet view (GET /api/v1/fleet).
-//
-// Deprecated: worker processes are gone and every server answers the
-// route with CodeNotFound; the method stays for one release.
-func (c *Client) Fleet(ctx context.Context) (FleetStatus, error) {
-	var out FleetResponse
-	if err := c.do(ctx, http.MethodGet, Prefix+"/fleet", nil, &out); err != nil {
-		return FleetStatus{}, err
-	}
-	return out.Fleet, nil
-}
-
 // Events subscribes to a job's SSE progress stream and invokes fn (if
 // non-nil) for every event, returning the job's terminal view when the
 // stream ends. The server replays the full history first, so a late

@@ -140,23 +140,6 @@ func goldenCases() map[string]any {
 			Retryable:     true,
 			RetryAfterSec: 1,
 		}},
-		"fleet_response": FleetResponse{Fleet: FleetStatus{
-			Desired:              2,
-			Ready:                2,
-			Starting:             1,
-			Queued:               3,
-			InFlight:             2,
-			ColdStarts:           4,
-			LastColdStartSeconds: 0.8,
-			Requeues:             1,
-			Workers: []FleetWorker{
-				{
-					Owner: "pid3121-00c0ffee00c0ffee", PID: 3121, State: "busy",
-					Job: "job-7", Jobs: 5, Sims: 120000, UptimeSeconds: 33.5,
-				},
-				{Owner: "pid3122-00c0ffee00c0ffff", PID: 3122, State: "idle"},
-			},
-		}},
 		"progress": Progress{ID: "run-000042", Sims: 7},
 		"retry":    Retry{ID: "run-000042", Attempt: 2, Error: "injected fault", BackoffMs: 250},
 	}
@@ -241,8 +224,6 @@ func newOf(v any) any {
 		return new(Health)
 	case ErrorResponse:
 		return new(ErrorResponse)
-	case FleetResponse:
-		return new(FleetResponse)
 	case Progress:
 		return new(Progress)
 	case Retry:

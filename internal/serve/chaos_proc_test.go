@@ -110,8 +110,9 @@ func spawnChaosWorker(t *testing.T, root string) (*exec.Cmd, string, *bytes.Buff
 
 // TestChaosWorkerSIGKILLRecovery: SIGKILL a worker mid-simulation, then
 // prove (a) the store holds no corrupt or partial files, and (b) a
-// successor over the same journal requeues the orphaned job and runs it
-// to completion.
+// successor over the same journal requeues the orphaned job at once —
+// the kernel dropped the dead process's journal lock, so nothing waits
+// for staleness — and runs it to completion.
 func TestChaosWorkerSIGKILLRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test skipped in -short mode")
@@ -157,6 +158,15 @@ func TestChaosWorkerSIGKILLRecovery(t *testing.T) {
 	if !got.Job.Recovered {
 		t.Error("orphaned job not marked recovered on the successor")
 	}
+	listed := time.Now()
+	for got.Job.Status == serve.StatusQueued && time.Since(listed) < 2*time.Second {
+		time.Sleep(10 * time.Millisecond)
+		getJSON(t, base2+"/api/v1/runs/"+job.ID, &got)
+	}
+	if s := got.Job.Status; s != serve.StatusRunning && s != serve.StatusDone {
+		t.Fatalf("orphaned job is %q %v after the successor listed it, want running or done",
+			s, time.Since(listed))
+	}
 
 	done := waitSuccessorDone(t, base2, job.ID)
 	if done.Status != serve.StatusDone {
@@ -181,8 +191,7 @@ func TestChaosWorkerSIGKILLRecovery(t *testing.T) {
 }
 
 // waitSuccessorDone is waitDone with a longer deadline: the successor
-// waits for the dead worker's heartbeat to go stale before re-running a
-// multi-second simulation from scratch.
+// re-runs a multi-second simulation from scratch.
 func waitSuccessorDone(t *testing.T, base, id string) serve.JobView {
 	t.Helper()
 	deadline := time.Now().Add(4 * time.Minute)

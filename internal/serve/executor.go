@@ -1,10 +1,10 @@
 package serve
 
 // executor is the job-execution engine the in-process worker (worker.go)
-// drives: the worker wins a job's claim and hands it to runClaimed, which
-// owns the execution semantics — claim ownership, store-first
-// GetOrCompute, jittered transient retries under the attempt budget,
-// breaker feedback, delivery-beats-persistence.
+// drives: the worker takes a job and hands it to run, which owns the
+// execution semantics — the attempt budget, store-first GetOrCompute,
+// jittered transient retries, breaker feedback,
+// delivery-beats-persistence.
 
 import (
 	"fmt"
@@ -26,49 +26,43 @@ type executor struct {
 	// result and policy persistence respectively.
 	storeBrk *breaker
 	polBrk   *breaker
-	journal  *journal
 
 	maxAttempts      int
 	retryBase        time.Duration
 	progressInterval time.Duration
 
-	// owner is the claim-owner identity the executor runs jobs under. The
-	// progress sampler cancels the run if the claim was lost (reaped, job
-	// requeued).
-	owner string
+	// label names this process as the worker of the jobs it runs.
+	label string
 
 	log *slog.Logger
 }
 
 // newExecutor builds the engine from a defaulted Config (see defaults).
-func newExecutor(cfg Config, jl *journal, owner string) *executor {
+func newExecutor(cfg Config, label string) *executor {
 	return &executor{
 		store:            cfg.Store,
 		policies:         cfg.Policies,
 		storeBrk:         newBreaker("results", cfg.BreakerThreshold, cfg.BreakerCooldown),
 		polBrk:           newBreaker("policies", cfg.BreakerThreshold, cfg.BreakerCooldown),
-		journal:          jl,
 		maxAttempts:      cfg.MaxAttempts,
 		retryBase:        cfg.RetryBase,
 		progressInterval: cfg.ProgressInterval,
-		owner:            owner,
+		label:            label,
 		log:              cfg.Logger,
 	}
 }
 
-// runClaimed runs one job whose claim the executor's owner just won, and
-// releases the claim. It reports whether the job finished here — false
-// when a draining worker released it for requeue or a lost claim
-// orphaned it — and the simulations it executed.
-func (e *executor) runClaimed(j *job) (finished bool, sims int64) {
+// run runs one job the worker just took to a terminal state.
+func (e *executor) run(j *job) {
 	j.mu.Lock()
-	j.owner = e.owner
+	j.owner = e.label
 	attempts := j.attempts
 	j.mu.Unlock()
 	switch {
 	case j.ctx.Err() != nil:
-		// A job canceled while queued (a DELETE that lost the claim race,
-		// or an aborted shutdown) is done before any work is spent.
+		// A job whose context was canceled before it started (an aborted
+		// shutdown, or a DELETE just after the take) is done before any
+		// work is spent.
 		j.finish(nil, false, 0, j.ctx.Err())
 	case attempts >= e.maxAttempts:
 		// The attempt budget is carried by the record, so a job that
@@ -77,40 +71,20 @@ func (e *executor) runClaimed(j *job) (finished bool, sims int64) {
 		e.log.Warn("job abandoned (attempt budget)", "job", j.id, "attempts", attempts)
 		j.finish(nil, false, 0, fmt.Errorf("abandoned after %d attempts (crash loop)", attempts))
 	default:
-		sims = e.execute(j)
+		e.execute(j)
 	}
-
-	if j.lostClaim() {
-		// The claim was reaped mid-run and may belong to a new owner now;
-		// touch neither it nor the record.
-		e.log.Warn("job orphaned mid-run", "job", j.id)
-		return false, sims
-	}
-	j.mu.Lock()
-	user, status := j.userCanceled, j.status
-	j.mu.Unlock()
-	e.journal.releaseClaim(j.id, e.owner)
-	if status == StatusCanceled && !user {
-		// Shutdown-driven cancel: the record keeps its pre-cancel state
-		// (finishWith skipped the journal write), so releasing the claim
-		// requeues the job.
-		e.log.Info("job released for requeue (worker draining)", "job", j.id)
-		return false, sims
-	}
-	return true, sims
 }
 
-// execute runs a job and returns the simulations it executed: the
-// experiment or the training, consulting its store first (a repeat
-// request is a store hit with zero simulations, which the job's sims
-// counter proves to clients). Transient failures (store writes, I/O
-// pressure — see fault.IsTransient) retry with jittered exponential
-// backoff under the job's attempt budget, and each attempt's persist
-// outcome feeds the store's circuit breaker. Retrying is nearly free on
-// the compute side: the harness memoizes finished runs in memory even
-// when persists fail. It logs the terminal outcome — the one log line
-// per job worth grepping for.
-func (e *executor) execute(j *job) (executed int64) {
+// execute runs a job: the experiment or the training, consulting its
+// store first (a repeat request is a store hit with zero simulations,
+// which the job's sims counter proves to clients). Transient failures
+// (store writes, I/O pressure — see fault.IsTransient) retry with
+// jittered exponential backoff under the job's attempt budget, and each
+// attempt's persist outcome feeds the store's circuit breaker. Retrying
+// is nearly free on the compute side: the harness memoizes finished runs
+// in memory even when persists fail. It logs the terminal outcome — the
+// one log line per job worth grepping for.
+func (e *executor) execute(j *job) {
 	e.log.Info("job dispatched", "job", j.id, "kind", j.kind, "scale", j.scaleName)
 	defer func() {
 		v := j.view()
@@ -146,7 +120,7 @@ func (e *executor) execute(j *job) (executed int64) {
 	}
 	stopSampler()
 
-	executed = j.ran.Load()
+	executed := j.ran.Load()
 	// The stores report a non-nil error alongside a delivered artifact
 	// when only the persist failed ("delivery beats persistence"); the
 	// artifact must still reach the client — an unwritable store degrades
@@ -160,7 +134,6 @@ func (e *executor) execute(j *job) (executed int64) {
 	default:
 		j.finish(&payload, hit, executed, nil)
 	}
-	return executed
 }
 
 // recordPersist feeds one attempt's persist outcome into a store's
@@ -217,13 +190,9 @@ func backoff(base time.Duration, attempt int) time.Duration {
 	return time.Duration(rand.Int63n(int64(span))) + 1
 }
 
-// startSampler launches the progress sampler for a running job and
-// returns a function that stops it and waits for it to exit.
-//
-// Every tick publishes the job's sims count and checks that this owner
-// still holds the claim: the claim lives while the owner's heartbeat is
-// fresh, so a stall long enough to go stale gets it reaped, and the run
-// is then abandoned rather than split-brained with the job's next owner.
+// startSampler launches the progress sampler for a running job, which
+// publishes the job's sims count every tick, and returns a function that
+// stops it and waits for it to exit.
 func (e *executor) startSampler(j *job) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -239,14 +208,6 @@ func (e *executor) startSampler(j *job) (stop func()) {
 				return
 			case <-tick.C:
 				j.progress(j.ran.Load())
-				if !e.journal.holds(j.id, e.owner) {
-					// The finish path must not journal over the new owner's
-					// record.
-					e.log.Warn("claim lost, aborting run", "job", j.id)
-					j.orphan()
-					j.cancel()
-					return
-				}
 			}
 		}
 	}()

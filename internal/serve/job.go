@@ -17,7 +17,7 @@ import (
 // Job kinds and statuses are defined by the wire contract in
 // internal/api; serve re-exports them so internal code (and the journal,
 // which persists status strings) reads naturally. Both kinds flow
-// through the same claim protocol, executor and SSE machinery.
+// through the same worker, executor and SSE machinery.
 const (
 	KindExperiment = api.KindExperiment
 	KindTrain      = api.KindTrain
@@ -78,23 +78,21 @@ type job struct {
 	cached   bool
 	sims     int64
 	attempts int
-	// owner is the claim-owner identity of the worker executing the job
-	// (set once the claim is won; empty while queued), shown as the job's
-	// worker and journaled.
+	// owner is the label of the process executing the job (set when the
+	// worker takes it; empty while queued), shown as the job's worker and
+	// journaled.
 	owner string
 	// held marks a job the in-process worker has taken: it no longer
-	// waits in the queue.
+	// waits in the queue, and a DELETE leaves finishing it to the worker.
 	held bool
 	// userCanceled distinguishes DELETE (a terminal decision, journaled)
 	// from shutdown-driven cancellation (the journal keeps the job's
 	// pre-cancel state so a restart requeues it).
 	userCanceled bool
-	// orphaned marks a job whose claim was lost; see orphan.
-	orphaned bool
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	result   *harness.ExperimentPayload
+	created      time.Time
+	started      time.Time
+	finished     time.Time
+	result       *harness.ExperimentPayload
 	// policyMeta is a finished training job's artifact descriptor.
 	policyMeta *policy.Meta
 
@@ -282,9 +280,10 @@ func (j *job) retrying(err error, wait time.Duration) {
 	})
 }
 
-// setHeld marks the job taken by the in-process worker; it refuses,
-// returning false, once the job is terminal.
-func (j *job) setHeld() bool {
+// take marks the job taken by the in-process worker; it refuses,
+// returning false, once the job is terminal. Together with cancelUser it
+// decides the cancel-vs-start race under j.mu: exactly one of them wins.
+func (j *job) take() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if terminalStatus(j.status) {
@@ -302,30 +301,21 @@ func (j *job) waiting() bool {
 	return !terminalStatus(j.status) && !j.held
 }
 
-// markUserCanceled records that a cancellation was an explicit client
-// decision (DELETE), making the resulting terminal state durable; see
-// the userCanceled field.
-func (j *job) markUserCanceled() {
+// cancelUser cancels the job on a client's request (DELETE), which
+// makes the resulting terminal state durable (see userCanceled). A job
+// the worker has not taken turns terminal here and reports true: take
+// then refuses it, so it never starts. A taken job has its context
+// canceled, and the worker finishes it at the next chunk boundary.
+func (j *job) cancelUser() (wasWaiting bool) {
 	j.mu.Lock()
 	j.userCanceled = true
+	wasWaiting = !j.held && !terminalStatus(j.status)
+	if wasWaiting {
+		j.finishLocked(nil, false, 0, context.Canceled)
+	}
 	j.mu.Unlock()
-}
-
-// orphan marks a job whose claim was lost (reaped, and possibly
-// re-claimed by another owner). From then on its state is memory-only,
-// so this process can never overwrite the new owner's record; the worker
-// also skips releasing a claim it no longer holds.
-func (j *job) orphan() {
-	j.mu.Lock()
-	j.orphaned = true
-	j.mu.Unlock()
-}
-
-// lostClaim reports whether orphan was called.
-func (j *job) lostClaim() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.orphaned
+	j.cancel()
+	return wasWaiting
 }
 
 // progress announces how many simulations the job has executed so far
@@ -362,6 +352,11 @@ func (j *job) finishPolicy(meta *policy.Meta, cached bool, sims int64, err error
 func (j *job) finishWith(setResult func(), cached bool, sims int64, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.finishLocked(setResult, cached, sims, err)
+}
+
+// finishLocked is finishWith for callers holding mu.
+func (j *job) finishLocked(setResult func(), cached bool, sims int64, err error) {
 	if terminalStatus(j.status) {
 		return
 	}
@@ -403,6 +398,26 @@ func (j *job) finishWith(setResult func(), cached bool, sims int64, err error) {
 		close(ch)
 		delete(j.subs, ch)
 	}
+	j.cancel()
+}
+
+// restore installs a terminal record's outcome on a job rebuilt at
+// recovery, before the job is visible to other goroutines: a client
+// polling it across a restart gets its final state. Nothing is journaled
+// or counted again; the result itself stays in its store.
+func (j *job) restore(rec jobRecord) {
+	j.status = rec.Status
+	j.errMsg = rec.Error
+	j.sims = rec.Sims
+	j.cached = rec.Cached
+	j.owner = rec.Owner
+	j.finished = rec.UpdatedAt
+	// The record keeps no stage times, so the timeline spans the job's
+	// whole life as one stage.
+	j.tl = obs.NewTimeline("accepted", j.created)
+	j.tl.Barrier(j.status, j.finished)
+	j.publish(j.status, j.viewLocked())
+	j.closed = true
 	j.cancel()
 }
 

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"pythia/internal/fault"
@@ -53,10 +54,9 @@ type jobRecord struct {
 	// server cannot crash-loop it forever.
 	Attempts int    `json:"attempts"`
 	Error    string `json:"error,omitempty"`
-	// Owner identifies the worker executing the job (PID + start-time
-	// nonce; see NewOwnerID). It is informational — mutual exclusion
-	// lives in the claim file (claims.go), whose owner the running worker
-	// checks every tick.
+	// Owner labels the process that executed the job ("pid<PID>"). It is
+	// informational: the journal lock made that process the journal's only
+	// writer.
 	Owner string `json:"owner,omitempty"`
 	// Sims and Cached mirror the job's outcome; PolicyID names a finished
 	// training job's artifact in the policy store.
@@ -68,21 +68,46 @@ type jobRecord struct {
 	UpdatedAt time.Time `json:"updated_at"`
 }
 
-// journal persists job records, one file per job, in a directory swept
-// for stale temps at open. All writes are best-effort: losing a journal
+// journal persists job records, one file per job, in a directory that
+// one process owns at a time: openJournal takes an exclusive flock on
+// <dir>/LOCK and close releases it, as the kernel does when the process
+// dies. So the server holding the lock is the journal's only reader and
+// writer, and every non-terminal record it finds at open belongs to a
+// process that is gone. All writes are best-effort: losing a journal
 // write loses durability for that transition, never the job itself —
 // writeErrs counts the losses for /healthz.
 type journal struct {
 	dir       string
+	lock      *os.File
 	writeErrs atomic.Int64
 }
 
+// openJournal locks dir, sweeps its stale temps and removes the claims/
+// and workers/ directories that journals written before the lock kept
+// for cross-process arbitration. A journal another live process holds
+// is an error naming the directory.
 func openJournal(dir string) (*journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: journal dir: %w", err)
 	}
+	lock, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("serve: journal lock: %w", err)
+	}
+	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		lock.Close()
+		return nil, fmt.Errorf("serve: journal %s is held by another process: %w", dir, err)
+	}
 	fsutil.SweepStaleTemps(dir)
-	return &journal{dir: dir}, nil
+	os.RemoveAll(filepath.Join(dir, "claims"))
+	os.RemoveAll(filepath.Join(dir, "workers"))
+	return &journal{dir: dir, lock: lock}, nil
+}
+
+// close releases the journal lock: closing the descriptor drops the
+// flock. Closing twice is harmless.
+func (l *journal) close() {
+	l.lock.Close()
 }
 
 func (l *journal) path(id string) string {
@@ -101,11 +126,10 @@ func (l *journal) put(rec jobRecord) {
 	}
 }
 
-// remove deletes a job's record (evicted from history, or terminal at
-// recovery time), along with any claim it left.
+// remove deletes a job's record (evicted from history, or refused at
+// admission).
 func (l *journal) remove(id string) {
 	os.Remove(l.path(id))
-	os.Remove(l.claimPath(id))
 }
 
 // load reads every parseable record, in job-ID order. Unreadable files
@@ -171,12 +195,9 @@ func (j *job) recordLocked() jobRecord {
 	return rec
 }
 
-// journalLocked writes the job's current state to its journal, unless
-// the job was orphaned (its record belongs to another owner now).
-// Callers must hold j.mu; per-job writes are therefore serialized, so a
+// journalLocked writes the job's current state to its journal. Callers
+// must hold j.mu; per-job writes are therefore serialized, so a
 // checkpoint can never overwrite a terminal record.
 func (j *job) journalLocked() {
-	if !j.orphaned {
-		j.jl.put(j.recordLocked())
-	}
+	j.jl.put(j.recordLocked())
 }

@@ -2,9 +2,9 @@ package serve_test
 
 // Journal-recovery properties: recovery is idempotent (restarting twice
 // from the same journal snapshot converges to the same jobs and never
-// re-simulates persisted work), stale claims are taken over while
-// live ones are respected, and user-visible job state round-trips the
-// restart.
+// re-simulates persisted work), a journal a live server holds is not
+// shared, and user-visible job state, terminal states included,
+// round-trips the restart.
 
 import (
 	"context"
@@ -53,9 +53,8 @@ func quietHTTPServer(t *testing.T, srv *serve.Server) *httptest.Server {
 	return ts
 }
 
-// copyDir clones the journal directory, claims included — a filesystem
-// snapshot of the moment of the crash, replayable as many times as the
-// test likes.
+// copyDir clones a journal directory — a filesystem snapshot of the
+// moment of the crash, replayable as many times as the test likes.
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
@@ -158,12 +157,13 @@ func TestJournalRecoveryIdempotent(t *testing.T) {
 
 	snapshot := copyDir(t, journalDir)
 
-	// Second life, over the original journal: both ghosts recover; the
-	// fig14 ghost is a pure store hit (zero simulations), and table2 is
+	// Second life, over the original journal: the first life's finished
+	// job is re-tracked as done, and both ghosts recover; the fig14 ghost
+	// is a pure store hit (zero simulations), and table2 is
 	// simulation-free by construction — so the total must be zero.
 	idsB, simsB := recoverAndDrain(t, journalDir, results.Open(storeDir))
-	if len(idsB) != 2 {
-		t.Fatalf("second life recovered %v, want the 2 ghost jobs", idsB)
+	if len(idsB) != 3 || idsB[0] != job.ID {
+		t.Fatalf("second life recovered %v, want %s and the 2 ghost jobs", idsB, job.ID)
 	}
 	if simsB != 0 {
 		t.Errorf("second life re-simulated: %d sims, want 0 (store idempotency)", simsB)
@@ -179,17 +179,19 @@ func TestJournalRecoveryIdempotent(t *testing.T) {
 		t.Errorf("replayed recovery re-simulated: %d sims, want 0", simsC)
 	}
 
-	// Recovery reclaims terminal records: the journals now describe only
-	// jobs that finished during the lives above, as terminal states.
+	// Recovery keeps terminal records: the journals now describe all
+	// three jobs, as terminal states.
 	for _, dir := range []string{journalDir, snapshot} {
 		ents, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
+		records := 0
 		for _, e := range ents {
-			if e.IsDir() {
-				continue // claims/: released by now, and not job records
+			if !strings.HasSuffix(e.Name(), ".json") {
+				continue // LOCK: the journal lock, not a job record
 			}
+			records++
 			buf, err := os.ReadFile(filepath.Join(dir, e.Name()))
 			if err != nil {
 				t.Fatal(err)
@@ -206,129 +208,172 @@ func TestJournalRecoveryIdempotent(t *testing.T) {
 				t.Errorf("journal record %s left in state %q after drain", rec.ID, rec.Status)
 			}
 		}
+		if records != 3 {
+			t.Errorf("%s holds %d job records after recovery, want 3", dir, records)
+		}
 	}
 }
 
-// TestJournalLeaseTakeover: a journaled running job whose claim belongs
-// to an owner with a fresh heartbeat is not stolen at startup — the
-// server waits until that heartbeat goes stale, reaps the claim, then
-// runs the job. (A live claim may belong to another process sharing the
-// journal directory.) The foreign owner heartbeats for 1.5 s, then stops.
+// TestTerminalJobSurvivesRestart: a job that finished before a restart
+// still answers GET /api/v1/runs/{id} with its final state afterwards —
+// a done one and a canceled one — and a new job's ID does not collide
+// with them. Only the newest JobHistory finished jobs are kept: a restart
+// with a history of one drops the older records.
+func TestTerminalJobSurvivesRestart(t *testing.T) {
+	harness.ResetCaches()
+	defer harness.ResetCaches()
+	cfg := serve.Config{
+		Store:            results.Open(t.TempDir()),
+		QueueDepth:       4,
+		ProgressInterval: 10 * time.Millisecond,
+		JournalDir:       t.TempDir(),
+		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale, "verylong": veryLongScale},
+	}
+	first, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(first.Handler())
+	done, code := postRun(t, ts.URL, "fig14", "tiny")
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d", code)
+	}
+	before := waitDone(t, ts.URL, done.ID)
+	if before.Status != serve.StatusDone || before.Sims == 0 {
+		t.Fatalf("first-life job ended %q with %d sims (%s)", before.Status, before.Sims, before.Error)
+	}
+	canceled, code := postRun(t, ts.URL, "fig7", "verylong")
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d", code)
+	}
+	waitRunning(t, ts.URL, canceled.ID)
+	cancelRun(t, ts.URL, canceled.ID)
+	if v := waitDone(t, ts.URL, canceled.ID); v.Status != serve.StatusCanceled {
+		t.Fatalf("canceled job ended %q", v.Status)
+	}
+	ts.Close()
+	first.Close()
+
+	second, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := newHTTPServer(t, second)
+	var out struct {
+		Job serve.JobView `json:"job"`
+	}
+	if code := getJSON(t, base+"/api/v1/runs/"+done.ID, &out); code != http.StatusOK {
+		t.Fatalf("GET %s after restart = %d, want 200", done.ID, code)
+	}
+	if got := out.Job; got.Status != serve.StatusDone || got.Sims != before.Sims || got.Worker != before.Worker || !got.Recovered {
+		t.Errorf("%s after restart: status %q, sims %d, worker %q, recovered %v; want done, %d, %q, true",
+			done.ID, got.Status, got.Sims, got.Worker, got.Recovered, before.Sims, before.Worker)
+	}
+	if code := getJSON(t, base+"/api/v1/runs/"+canceled.ID, &out); code != http.StatusOK || out.Job.Status != serve.StatusCanceled {
+		t.Errorf("GET %s after restart = %d %q, want 200 canceled", canceled.ID, code, out.Job.Status)
+	}
+	if evs := readSSE(t, base, done.ID); lastType(evs) != serve.StatusDone {
+		t.Errorf("SSE stream of %s after restart ends with %q, want done", done.ID, lastType(evs))
+	}
+	fresh, code := postRun(t, base, "table2", "tiny")
+	if code != http.StatusAccepted {
+		t.Fatalf("POST after restart = %d", code)
+	}
+	if serveJobIDLE(fresh.ID, canceled.ID) {
+		t.Errorf("fresh job ID %q collides with %s", fresh.ID, canceled.ID)
+	}
+	waitDone(t, base, fresh.ID)
+	second.Close()
+
+	cfg.JobHistory = 1
+	third, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base = newHTTPServer(t, third)
+	for id, want := range map[string]int{done.ID: http.StatusNotFound, canceled.ID: http.StatusNotFound, fresh.ID: http.StatusOK} {
+		if code := getJSON(t, base+"/api/v1/runs/"+id, &out); code != want {
+			t.Errorf("GET %s with a history of one = %d, want %d", id, code, want)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(cfg.JournalDir, done.ID+".json")); !os.IsNotExist(err) {
+		t.Errorf("record of %s beyond the history kept (stat: %v)", done.ID, err)
+	}
+}
+
+// TestJournalLeaseTakeover: the journal lock is the lease. While a live
+// Server holds a journal, a second New over it fails with an error
+// naming the journal instead of sharing it; once the first server
+// closes, the same call succeeds and recovers the first server's open
+// jobs: its running job and the two queued behind it.
 func TestJournalLeaseTakeover(t *testing.T) {
 	harness.ResetCaches()
 	defer harness.ResetCaches()
 	journalDir := t.TempDir()
-	const owner = "pid1-00000000000000aa"
-	alive := 1500 * time.Millisecond
-	staleAfter := 500 * time.Millisecond
-
-	now := time.Now().UTC()
-	rec := map[string]any{
-		"id":         "job-7",
-		"kind":       serve.KindExperiment,
-		"experiment": "table2",
-		"scale":      "tiny",
-		"status":     serve.StatusRunning,
-		"attempts":   1,
-		"owner":      owner,
-		"created_at": now.Format(time.RFC3339Nano),
-		"updated_at": now.Format(time.RFC3339Nano),
-	}
-	buf, _ := json.Marshal(rec)
-	if err := os.WriteFile(filepath.Join(journalDir, "job-7.json"), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	writeDoc := func(sub, name string, doc map[string]any) {
-		t.Helper()
-		buf, _ := json.Marshal(doc)
-		if err := os.MkdirAll(filepath.Join(journalDir, sub), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		tmp := filepath.Join(journalDir, sub, name+".tmp")
-		if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(tmp, filepath.Join(journalDir, sub, name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The foreign owner's claim, and its heartbeat: fresh until it stops.
-	writeDoc("claims", "job-7.claim", map[string]any{
-		"id": "job-7", "owner": owner, "claimed_at": now.Format(time.RFC3339Nano),
-	})
-	beat := func() {
-		writeDoc("workers", owner+".json", map[string]any{
-			"owner": owner, "pid": 1, "state": "busy", "job": "job-7",
-			"updated_at": time.Now().UTC().Format(time.RFC3339Nano),
-		})
-	}
-	beat()
-	stopBeat := make(chan struct{})
-	beating := make(chan struct{})
-	go func() {
-		defer close(beating)
-		tick := time.NewTicker(100 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stopBeat:
-				return
-			case <-tick.C:
-				beat()
-			}
-		}
-	}()
-	time.AfterFunc(alive, func() { close(stopBeat) })
-	defer func() { <-beating }()
-
-	start := time.Now()
-	srv, err := serve.New(serve.Config{
+	cfg := serve.Config{
 		Store:            results.Open(t.TempDir()),
 		QueueDepth:       4,
 		ProgressInterval: 10 * time.Millisecond,
 		JournalDir:       journalDir,
-		StaleAfter:       staleAfter,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
-	})
+		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale, "verylong": veryLongScale},
+	}
+	first, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := newHTTPServer(t, srv)
+	ts := httptest.NewServer(first.Handler())
+	blocker, code := postRun(t, ts.URL, "fig7", "verylong")
+	if code != http.StatusAccepted {
+		t.Fatalf("POST blocker = %d", code)
+	}
+	waitRunning(t, ts.URL, blocker.ID)
+	var queued []string
+	for _, exp := range []string{"table2", "table4"} {
+		j, code := postRun(t, ts.URL, exp, "tiny")
+		if code != http.StatusAccepted {
+			t.Fatalf("POST %s = %d", exp, code)
+		}
+		queued = append(queued, j.ID)
+	}
 
-	// While the foreign owner heartbeats — well past its claim's age plus
-	// the stale bound — the job is registered but parked.
-	time.Sleep(alive - 300*time.Millisecond)
-	var out struct {
-		Job serve.JobView `json:"job"`
-	}
-	if code := getJSON(t, ts+"/api/v1/runs/job-7", &out); code != http.StatusOK {
-		t.Fatalf("recovered job not listed: %d", code)
-	}
-	if out.Job.Status != serve.StatusQueued {
-		t.Fatalf("job whose owner heartbeats is %q %v after startup, want queued",
-			out.Job.Status, time.Since(start))
+	if second, err := serve.New(cfg); err == nil {
+		second.Close()
+		t.Fatal("a second server started over a journal a live server holds")
+	} else if !strings.Contains(err.Error(), journalDir) {
+		t.Errorf("second server's error %q does not name the journal %s", err, journalDir)
 	}
 
-	// Once the heartbeat goes stale the claim is reaped and the job runs
-	// to completion.
-	done := waitDone(t, ts, "job-7")
-	if done.Status != serve.StatusDone {
-		t.Fatalf("taken-over job ended %q (%s)", done.Status, done.Error)
+	ts.Close()
+	first.Close()
+	second, err := serve.New(cfg)
+	if err != nil {
+		t.Fatalf("New over the journal its holder closed: %v", err)
 	}
-	if !done.Recovered {
-		t.Error("taken-over job not marked recovered")
+	base := newHTTPServer(t, second)
+	if n := second.Recovered(); n != 3 {
+		t.Errorf("successor recovered %d jobs, want 3 (the running one and two queued)", n)
 	}
-	if took := time.Since(start); took < alive+staleAfter-300*time.Millisecond {
-		t.Errorf("job finished %v after startup, before the foreign owner's heartbeat (live %v) went stale (%v)",
-			took, alive, staleAfter)
+	// The recovered blocker runs first again; cancel it so the queued
+	// jobs get the worker.
+	if _, code := cancelRun(t, base, blocker.ID); code != http.StatusOK {
+		t.Fatalf("DELETE recovered blocker = %d", code)
 	}
-	// nextID resumed past the recovered ID: no collision with new jobs.
-	fresh, code := postRun(t, ts, "table4", "tiny")
+	for _, id := range queued {
+		done := waitDone(t, base, id)
+		if done.Status != serve.StatusDone {
+			t.Fatalf("recovered %s ended %q (%s)", id, done.Status, done.Error)
+		}
+		if !done.Recovered {
+			t.Errorf("%s not marked recovered", id)
+		}
+	}
+	// nextID resumed past the recovered IDs: no collision with new jobs.
+	fresh, code := postRun(t, base, "table7", "tiny")
 	if code != http.StatusAccepted {
 		t.Fatalf("POST after takeover = %d", code)
 	}
-	if serveJobIDLE(fresh.ID, "job-7") {
-		t.Errorf("fresh job ID %q collides with recovered job-7", fresh.ID)
+	if serveJobIDLE(fresh.ID, queued[len(queued)-1]) {
+		t.Errorf("fresh job ID %q collides with the recovered jobs %v", fresh.ID, queued)
 	}
 }
 
@@ -438,8 +483,9 @@ func TestJournalUnresolvableSpecFailsVisibly(t *testing.T) {
 const compatJournal = "testdata/compat-journal"
 
 // TestCompatJournalRecovers: a server started over a copy of an older
-// release's journal reclaims the terminal record, runs both open jobs to
-// done with their results stored, and leaves no claim behind.
+// release's journal re-tracks the terminal record as done, runs both
+// open jobs to done with their results stored, and leaves no claim
+// behind.
 func TestCompatJournalRecovers(t *testing.T) {
 	harness.ResetCaches()
 	defer harness.ResetCaches()
@@ -457,11 +503,16 @@ func TestCompatJournalRecovers(t *testing.T) {
 	}
 	ts := newHTTPServer(t, srv)
 
-	if _, err := os.Stat(filepath.Join(journalDir, "job-1.json")); !os.IsNotExist(err) {
-		t.Errorf("terminal record job-1 not reclaimed at startup (stat: %v)", err)
+	if _, err := os.Stat(filepath.Join(journalDir, "job-1.json")); err != nil {
+		t.Errorf("terminal record job-1 removed at startup (stat: %v)", err)
 	}
-	if code := getJSON(t, ts+"/api/v1/runs/job-1", &struct{}{}); code != http.StatusNotFound {
-		t.Errorf("reclaimed job-1 still listed: %d", code)
+	var job1 struct {
+		Job serve.JobView `json:"job"`
+	}
+	if code := getJSON(t, ts+"/api/v1/runs/job-1", &job1); code != http.StatusOK {
+		t.Errorf("terminal job-1 not listed after the restart: %d", code)
+	} else if job1.Job.Status != serve.StatusDone || job1.Job.Sims != 4 {
+		t.Errorf("job-1 after the restart: status %q, sims %d; want done, 4", job1.Job.Status, job1.Job.Sims)
 	}
 	for _, id := range []string{"job-2", "job-3"} {
 		done := waitDone(t, ts, id)

@@ -15,7 +15,7 @@ var (
 	mRetries = obs.GetCounter("pythia_serve_retries_total",
 		"Transient-failure retry attempts across all jobs.", nil)
 	mRequeues = obs.GetCounter("pythia_serve_requeues_total",
-		"Jobs requeued from the journal (startup recovery and stale claims).", nil)
+		"Jobs requeued from the journal at startup.", nil)
 	mRecovered = obs.GetCounter("pythia_serve_journal_recovered_total",
 		"Jobs rebuilt from the journal at startup.", nil)
 	mSSESubs = obs.GetGauge("pythia_serve_sse_subscribers",
@@ -54,7 +54,7 @@ func routeCounter(pattern string) *obs.Counter {
 // servers back-to-back always scrape the current one.
 func (s *Server) registerMetrics() {
 	obs.RegisterGaugeFunc("pythia_serve_queue_depth",
-		"Jobs admitted and waiting to execute (queued, unclaimed).", nil,
+		"Jobs admitted and waiting to execute (queued, not yet taken).", nil,
 		func() float64 { return float64(s.queued()) })
 	obs.RegisterGaugeFunc("pythia_serve_queue_capacity",
 		"Admission bound on waiting jobs (Config.QueueDepth).", nil,

@@ -3,9 +3,11 @@ package serve_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -298,4 +300,96 @@ func TestServeShutdownDrainsQueue(t *testing.T) {
 	if _, code := postRun(t, ts, "table2", "tiny"); code != http.StatusServiceUnavailable {
 		t.Errorf("launch after shutdown = %d, want 503", code)
 	}
+}
+
+// TestCancelStartRace: DELETEs race the worker's take of just-admitted
+// jobs, round after round, at a fresh fig14 scale each time. The client
+// does not wait for a job to end before it launches the next, so each
+// DELETE lands while the worker is winding down the previous job, taking
+// this one, or running it. The job's mutex decides each race: every job
+// ends with exactly one terminal record, no job executes twice (the
+// process ran exactly the sims the jobs report), and a job canceled
+// before the worker took it (it names no worker) reports sims: 0 and
+// writes no result. The chaos tier runs it under -race.
+func TestCancelStartRace(t *testing.T) {
+	harness.ResetCaches()
+	defer harness.ResetCaches()
+	journalDir := t.TempDir()
+	store := results.Open(t.TempDir())
+	srv, err := serve.New(serve.Config{
+		Store:            store,
+		QueueDepth:       64,
+		ProgressInterval: 10 * time.Millisecond,
+		JournalDir:       journalDir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPServer(t, srv)
+
+	const rounds = 100
+	start := harness.SimCount()
+	scales := map[string]string{}
+	var ids []string
+	for i := range rounds {
+		scale := fmt.Sprintf("custom:warmup=1000,sim=%d,tracelen=20000,wps=1,mixes=1", 20_000+i)
+		job, code := postRun(t, ts, "fig14", scale)
+		if code != http.StatusAccepted {
+			t.Fatalf("round %d: POST = %d", i, code)
+		}
+		scales[job.ID] = scale
+		ids = append(ids, job.ID)
+		// Vary the DELETE's lag behind the admission so both sides win.
+		time.Sleep(time.Duration(i%4) * 200 * time.Microsecond)
+		if _, code := cancelRun(t, ts, job.ID); code != http.StatusOK && code != http.StatusConflict {
+			t.Fatalf("round %d: DELETE = %d", i, code)
+		}
+	}
+
+	var reported int64
+	outcomes := map[string]int{}
+	for _, id := range ids {
+		v := waitDone(t, ts, id)
+		reported += v.Sims
+		sc, err := harness.ScaleByName(scales[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := store.Has(harness.ExperimentKey("fig14", sc))
+		switch {
+		case v.Status == serve.StatusDone:
+			outcomes["done"]++
+			if !stored {
+				t.Errorf("%s done without a stored result", id)
+			}
+		case v.Status != serve.StatusCanceled:
+			t.Errorf("%s ended %q (%s), want done or canceled", id, v.Status, v.Error)
+		case v.Worker == "":
+			outcomes["canceled before the take"]++
+			if v.Sims != 0 || stored {
+				t.Errorf("%s canceled before the take reports %d sims, stored result %v; want 0, false",
+					id, v.Sims, stored)
+			}
+		default:
+			outcomes["canceled after the take"]++
+			if stored {
+				t.Errorf("%s canceled after the take wrote a result", id)
+			}
+		}
+
+		buf, err := os.ReadFile(filepath.Join(journalDir, id+".json"))
+		if err != nil {
+			t.Fatalf("%s has no journal record: %v", id, err)
+		}
+		var rec struct {
+			Status string `json:"status"`
+		}
+		if err := json.Unmarshal(buf, &rec); err != nil || rec.Status != v.Status {
+			t.Errorf("%s journal record says %q (err %v), the job %q", id, rec.Status, err, v.Status)
+		}
+	}
+	if ran := harness.SimCount() - start; ran != reported {
+		t.Errorf("the process ran %d sims, the jobs report %d: a job executed twice or uncounted", ran, reported)
+	}
+	t.Logf("outcomes over %d rounds: %v", rounds, outcomes)
 }

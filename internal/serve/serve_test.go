@@ -168,7 +168,7 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatal("first run returned no table")
 	}
 	if final.Worker == "" {
-		t.Error("finished job names no worker (the in-process worker's owner)")
+		t.Error("finished job names no worker (the serving process's label)")
 	}
 	firstRendered := final.Rendered
 

@@ -4,10 +4,10 @@
 //
 // Architecture: every admitted job is journaled, and one in-process
 // worker goroutine runs the server's queued jobs in admission order, one
-// experiment at a time. The worker wins a job by creating its claim
-// file, and the claim lives while the worker's heartbeat is fresh, so a
-// server restarted over the same journal requeues the jobs a dead
-// process held. Each experiment
+// experiment at a time. The server holds an exclusive lock on its
+// journal directory while it runs, so a server restarted over the same
+// journal knows that every open record is a dead process's and requeues
+// it at once. Each experiment
 // internally fans its simulations out over the harness worker pool
 // (harness.SetWorkers), so the machine stays fully utilized while the
 // queued-job bound — not goroutine count — bounds admitted work. Every
@@ -17,7 +17,7 @@
 // job's sims counter. Progress streams to clients over SSE with full
 // event replay, so late subscribers see the whole history.
 //
-// Policy-training jobs flow through the same claim protocol, executor
+// Policy-training jobs flow through the same worker, executor
 // and SSE machinery: a POST with a "train" body trains a Pythia policy
 // and persists it in the policy.Store, a repeat training request is a
 // store hit with zero simulations (same sims-counter proof), and stored
@@ -63,19 +63,19 @@ type Config struct {
 	// nil those endpoints answer 503 and everything else works unchanged.
 	Policies *policy.Store
 	// QueueDepth bounds the number of jobs waiting to execute (admitted
-	// but unclaimed); the default is 16. A full queue rejects launches
-	// with 503 rather than queueing unboundedly.
+	// but not yet taken by the worker); the default is 16. A full queue
+	// rejects launches with 503 rather than queueing unboundedly.
 	QueueDepth int
 	// ProgressInterval is how often a running job samples the simulation
-	// counter into an SSE progress event and checks its claim, and how
-	// often the watcher reaps stale claims; the default is 250ms.
+	// counter into an SSE progress event; the default is 250ms.
 	ProgressInterval time.Duration
 	// JobHistory bounds how many finished jobs are retained for listing
-	// and late fetches (the default is 256). Queued and running jobs are
-	// never evicted; beyond the cap, the oldest finished jobs are dropped
-	// at admission time, so server memory is bounded by admitted + capped
-	// work, not by lifetime request count. Stored results are unaffected
-	// — evicted tables remain fetchable via /api/v1/results.
+	// and late fetches (the default is 256), across restarts too: their
+	// journal records are re-tracked at startup. Queued and running jobs
+	// are never evicted; beyond the cap, the oldest finished jobs are
+	// dropped at admission time, so server memory is bounded by admitted +
+	// capped work, not by lifetime request count. Stored results are
+	// unaffected — evicted tables remain fetchable via /api/v1/results.
 	JobHistory int
 	// ExtraScales registers additional named scales beyond the harness
 	// presets (tests register tiny ones; deployments can pin custom
@@ -83,18 +83,13 @@ type Config struct {
 	ExtraScales map[string]harness.Scale
 
 	// JournalDir is the durable job journal: every accepted job is
-	// persisted there (spec + state transitions), and New recovers
-	// non-terminal jobs from it — unclaimed ones requeue immediately,
-	// claimed ones once their claim's owner goes stale. Empty means a
-	// private temporary journal that Shutdown removes: jobs then survive
-	// nothing but the process. Custom scales in ExtraScales must be
-	// re-registered for their journaled jobs to be recoverable.
+	// persisted there (spec + state transitions), and New recovers it,
+	// requeueing every non-terminal job. The Server locks the directory
+	// until Shutdown; New fails on a journal another live process holds.
+	// Empty means a private temporary journal that Shutdown removes: jobs
+	// then survive nothing but the process. Custom scales in ExtraScales
+	// must be re-registered for their journaled jobs to be recoverable.
 	JournalDir string
-	// StaleAfter is how old a claim owner's last sign of life (its
-	// heartbeat, else the claim's claimed_at) may grow before the watcher
-	// reaps the claim and requeues the job; the default is 5s. The
-	// in-process worker heartbeats every StaleAfter/5.
-	StaleAfter time.Duration
 	// MaxAttempts bounds how many times a job may enter execution —
 	// transient-failure retries and crash-recovery dispatches both
 	// count — before it fails permanently; the default is 3.
@@ -126,9 +121,6 @@ func (c *Config) defaults() {
 	if c.JobHistory <= 0 {
 		c.JobHistory = 256
 	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 5 * time.Second
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
@@ -156,8 +148,8 @@ type Server struct {
 	// lever (Close, or Shutdown past its deadline).
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	// drain tells the in-process worker to exit once it finds no job to
-	// claim, and the watcher to stop; closing is the shutdown signal.
+	// drain tells the in-process worker to exit once it finds no job
+	// waiting; closing is the shutdown signal.
 	drain     chan struct{}
 	drainOnce sync.Once
 	closing   atomic.Bool
@@ -179,27 +171,22 @@ type Server struct {
 	// exec is the in-process worker's execution engine; its breakers
 	// also guard admission.
 	exec *executor
-	// wake is the in-process worker's one-slot doorbell: admission and
-	// reaping ring it, so the worker never polls while a job waits.
+	// wake is the in-process worker's one-slot doorbell: admission rings
+	// it, so the worker never polls while a job waits.
 	wake chan struct{}
-
-	// frontOwner is this frontend's claim-owner identity, used to claim
-	// queued jobs for prompt cancellation.
-	frontOwner string
 
 	log *slog.Logger
 
 	started time.Time
 }
 
-// New builds a Server and starts its watcher and its in-process worker.
-// Callers own the HTTP listener (mount Handler) and must stop the server
-// with Shutdown (drain) or Close (abort).
+// New builds a Server and starts its in-process worker. Callers own the
+// HTTP listener (mount Handler) and must stop the server with Shutdown
+// (drain) or Close (abort), which release the journal lock.
 //
-// New first recovers the journal: non-terminal jobs are re-tracked, and
-// those nobody has claimed are the worker's first candidates, ahead of
-// new admissions; a claimed job waits until its owner goes stale and
-// the claim is reaped (the claimant may be alive in another process).
+// New first locks and recovers the journal: the newest JobHistory
+// terminal jobs are re-tracked as finished, and every non-terminal job
+// is requeued as the worker's first candidates, ahead of new admissions.
 // Re-execution is at-least-once but idempotent — results and policies
 // are content-addressed and singleflight-guarded, so a recovered job
 // that already persisted its result is a store hit with zero new
@@ -210,24 +197,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg.defaults()
 	s := &Server{
-		cfg:        cfg,
-		store:      cfg.Store,
-		drain:      make(chan struct{}),
-		wake:       make(chan struct{}, 1),
-		jobs:       make(map[string]*job),
-		frontOwner: NewOwnerID("front"),
-		log:        cfg.Logger,
-		started:    time.Now().UTC(),
+		cfg:     cfg,
+		store:   cfg.Store,
+		drain:   make(chan struct{}),
+		wake:    make(chan struct{}, 1),
+		jobs:    make(map[string]*job),
+		log:     cfg.Logger,
+		started: time.Now().UTC(),
 	}
-	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-
-	// A crash mid-WriteAtomic must not leave temp litter across
-	// restarts: sweep all three stores now, not on their first write.
-	s.store.Sweep()
-	if cfg.Policies != nil {
-		cfg.Policies.Sweep()
-	}
-	harness.SweepTraceCache()
 
 	dir := cfg.JournalDir
 	if dir == "" {
@@ -242,8 +219,18 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.journal = jl
+	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
+
+	// A crash mid-WriteAtomic must not leave temp litter across
+	// restarts: sweep all three stores now, not on their first write.
+	s.store.Sweep()
+	if cfg.Policies != nil {
+		cfg.Policies.Sweep()
+	}
+	harness.SweepTraceCache()
+
 	s.builder = jobBuilder{base: s.baseCtx, extraScales: cfg.ExtraScales, jl: jl}
-	s.exec = newExecutor(cfg, jl, NewOwnerID("local"))
+	s.exec = newExecutor(cfg, fmt.Sprintf("pid%d", os.Getpid()))
 
 	requeued := s.recoverJobs(jl.load())
 	mRequeues.Add(int64(requeued))
@@ -253,35 +240,45 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.startWorker()
 	s.registerMetrics()
-	s.wg.Add(1)
-	go s.watcher()
 	return s, nil
 }
 
-// recoverJobs re-tracks the journal after a restart: terminal records
-// are reclaimed, every other job is rebuilt as queued — one whose spec
-// no longer resolves fails visibly — and the number without a claim file
-// is returned: they are claimable now. A claimed job stays parked until
-// reaping removes its claim.
+// recoverJobs re-tracks the journal after a restart and returns how many
+// jobs it requeued. The journal lock means no other process runs them,
+// so every non-terminal job is rebuilt as queued (one whose spec no
+// longer resolves fails visibly). The newest JobHistory terminal records
+// are rebuilt as finished jobs, so a client still polling one gets its
+// final state; older ones are removed, as pruneLocked would have.
 func (s *Server) recoverJobs(recs []jobRecord) (requeued int) {
+	terminal := 0
+	for _, rec := range recs {
+		if terminalStatus(rec.Status) {
+			terminal++
+		}
+	}
 	for _, rec := range recs {
 		if n := jobIDNum(rec.ID); n > s.nextID {
 			s.nextID = n
 		}
-		if terminalStatus(rec.Status) {
+		if terminalStatus(rec.Status) && terminal > s.cfg.JobHistory {
+			terminal--
 			s.journal.remove(rec.ID)
 			continue
 		}
 		// Not yet visible to other goroutines, so publishing needs no lock.
 		j, err := s.builder.build(rec)
 		j.recovered = true
-		j.publish("status", j.viewLocked())
 		s.jobs[rec.ID] = j
 		s.order = append(s.order, rec.ID)
 		s.recovered++
+		if terminalStatus(rec.Status) {
+			j.restore(rec)
+			continue
+		}
+		j.publish("status", j.viewLocked())
 		if err != nil {
 			j.finish(nil, false, 0, fmt.Errorf("unrecoverable job spec: %w", err))
-		} else if _, claimed := s.journal.claimState(rec.ID); !claimed {
+		} else {
 			requeued++
 		}
 	}
@@ -289,8 +286,7 @@ func (s *Server) recoverJobs(recs []jobRecord) (requeued int) {
 }
 
 // waitingJobs lists the jobs waiting for the in-process worker, in
-// admission order: its candidates (a job another owner holds among them,
-// its claim attempt failing until reaping frees it).
+// admission order.
 func (s *Server) waitingJobs() []*job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -312,46 +308,15 @@ func (s *Server) signal() {
 	}
 }
 
-// watcher reaps stale claims every ProgressInterval until shutdown.
-func (s *Server) watcher() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.cfg.ProgressInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.drain:
-			return
-		case <-s.baseCtx.Done():
-			return
-		case <-tick.C:
-			s.reap()
-		}
-	}
-}
-
-// reap requeues the jobs whose claim owners went stale and wakes the
-// in-process worker for them. The worker's own claims stay live through
-// its heartbeat, like any owner's.
-func (s *Server) reap() {
-	reaped := s.journal.reapStale(s.cfg.StaleAfter)
-	for _, id := range reaped {
-		mRequeues.Inc()
-		s.log.Info("claim owner stale, job requeued", "job", id)
-	}
-	if len(reaped) > 0 {
-		s.signal()
-	}
-}
-
 // Shutdown gracefully stops the server: admission closes immediately
 // (launches get 503), then the in-process worker runs every queued job
-// it can claim before exiting. If ctx expires first, the drain turns
-// into an abort — the base context is canceled, so the in-flight job
-// ends "canceled" at its next chunk boundary and the remaining queued
-// jobs are marked canceled as the worker takes them; their journal
-// records stay requeue-able. Shutdown returns when the worker and
-// watcher have exited, and removes a private journal; it is idempotent
-// and safe to race with Close.
+// before exiting. If ctx expires first, the drain turns into an abort —
+// the base context is canceled, so the in-flight job ends "canceled" at
+// its next chunk boundary and the remaining queued jobs are marked
+// canceled as the worker takes them; their journal records stay
+// requeue-able. Shutdown returns when the worker has exited, after
+// releasing the journal lock (and removing a private journal); it is
+// idempotent and safe to race with Close.
 func (s *Server) Shutdown(ctx context.Context) {
 	// The closing transition is taken under s.mu — the same lock admission
 	// holds across its check-and-register — so after this critical section
@@ -372,15 +337,9 @@ func (s *Server) Shutdown(ctx context.Context) {
 		<-done
 	}
 	s.baseCancel()
+	s.journal.close()
 	if s.tempJournal {
-		defer os.RemoveAll(s.journal.dir)
-	}
-	// Jobs the in-process worker could not claim before it exited (another
-	// owner held them) are still open: finish them canceled here, so every
-	// admitted job gets a terminal event. As a shutdown cancellation it
-	// leaves their journal records requeue-able.
-	for _, j := range s.waitingJobs() {
-		j.finish(nil, false, 0, context.Canceled)
+		os.RemoveAll(s.journal.dir)
 	}
 }
 
@@ -570,10 +529,9 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		j = newJob(s.baseCtx, id, exp, scaleName, sc)
 	}
 	j.jl = s.journal
-	// Journal before registration: the record IS the enqueue for worker
-	// processes, and a crash in the window before registration (the
-	// FPAdmitCrash failpoint) leaves a journaled job that recovery
-	// requeues — the at-least-once side of the durability contract
+	// Journal before registration: a crash in the window before
+	// registration (the FPAdmitCrash failpoint) leaves a journaled job
+	// that recovery requeues — the at-least-once side of the durability contract
 	// (content-addressed stores make the possible re-execution
 	// idempotent).
 	j.checkpoint()
@@ -724,29 +682,18 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 			"job %q is already %s; nothing to cancel", j.id, j.view().Status))
 		return
 	}
-	s.cancelJob(j)
-	writeJSON(w, http.StatusOK, api.JobResponse{Job: j.view()})
-}
-
-// cancelJob cancels a job through the claim protocol. The frontend tries
-// to claim the job itself: winning means the worker has not taken it, so
-// the job turns terminal right here, the claim deciding the race with
-// the worker before the journal write lands. Losing means a claim is
-// held: the worker sees the canceled context at its next chunk boundary
-// (or, for a job a previous process still holds, when it takes the job
-// after reaping) and journals the terminal state. A DELETE is an
-// explicit client decision, so its terminal state is journaled, unlike
-// shutdown-driven cancellation (which leaves the journal requeue-able).
-func (s *Server) cancelJob(j *job) {
-	j.markUserCanceled()
-	j.cancel()
-	if s.journal.claim(j.id, s.frontOwner) {
-		j.finish(nil, false, 0, context.Canceled)
-		s.journal.releaseClaim(j.id, s.frontOwner)
+	// The job's mutex decides the race with the worker taking the job: a
+	// job not yet taken turns terminal right here, and a taken one stops
+	// at its next chunk boundary, the worker journaling the terminal
+	// state. Either way a DELETE is an explicit client decision, so its
+	// terminal state is journaled, unlike shutdown-driven cancellation
+	// (which leaves the journal requeue-able).
+	if j.cancelUser() {
 		s.log.Info("queued job canceled", "job", j.id)
-		return
+	} else {
+		s.log.Info("cancel requested from worker", "job", j.id)
 	}
-	s.log.Info("cancel requested from worker", "job", j.id)
+	writeJSON(w, http.StatusOK, api.JobResponse{Job: j.view()})
 }
 
 // handleEvents streams a job's progress as server-sent events: the full
