@@ -2,6 +2,8 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"runtime"
 	"strings"
 	"testing"
@@ -312,14 +314,62 @@ func TestExtTranslationRunsAtTinyScale(t *testing.T) {
 	}
 }
 
+// tableDigests pins the SHA-256 of every experiment's rendered table at
+// TestAllExperimentsRun's micro scale. A refactor of how tables are
+// computed must leave each digest unchanged: the tables are the
+// reproduction's output, and stats.Geomean sums logs in slice order, so
+// even a reordered aggregation shows here. A deliberate change to a
+// table's content updates its digest in the same change.
+var tableDigests = map[string]string{
+	"table2":             "32ee0f75a53e199825f95bfdefd95447e12be7fe488ce262e56ecd9702cb3d28",
+	"table4":             "f1a795dd38817dad511ebcddaa87f7c5a7ac5345cbb89b312156ae3e0c04cb02",
+	"table7":             "2a7da6e05f3c58784ba6944c6fbab4900067a662dc81412d75c747aaab8de6c3",
+	"table8":             "00a9422ac40fe206a25d446d03aad7223f1a29f4159c8b5beaa722bdaec16714",
+	"fig1":               "172c508ee407aaf1c84396ab7bf73f44471711aef82a14615c04564f9483d1a4",
+	"fig7":               "99b16318028e14307e3ae5e92b767a46baf2672ee9be80acc005ff6a06d6cea0",
+	"fig8a":              "7adae959569951060549210fd783668831e565c45cdee6607a7f9e9b13df2b0f",
+	"fig8b":              "134a418d8a2c2fe96af3155e7118274e2b32d54d33c81fc4689ae8a11b3a9073",
+	"fig8c":              "7cc65ba1397ac699471504ed2855a06b4682b6fdf1d02aa17676685340c2428f",
+	"fig8d":              "23a31e4daee00922b360719d47fdea604d9dba49091d44ea739b3e2ef7b413ca",
+	"fig9a":              "8838e389942a3f10c3859e73f3346d3737787aaa353070784cb47753ba9b9fc8",
+	"fig9b":              "6018ca7a375a8ffe81e433df99a7492ad49bda875d9417054879db81002e12c8",
+	"fig10a":             "70f4f0571150df882f722c48406fc6a37e01aa67430b8fb04a3cb35ad66eae2a",
+	"fig10b":             "7e4ad47ce51fe46612c3e9033707460af08a070eaf07e8f78fa08fc0db843494",
+	"fig11":              "062733a6ba67b154d91ca6c0a8a844c176f292c9e16a74f61db0dac79ef17604",
+	"fig12":              "02b6de80acf8b97630c26e9825a7d764d0cb0c56643751cee387933f45008122",
+	"fig13":              "f48de266eb64be4ad237de9520fa52a5d4b3798a10a7fe638d0435baa5eee17d",
+	"fig14":              "559f50bf054bf51aac9e2a3dd1214692dd2eb08b727f43d1edcfff550fc29a59",
+	"fig15":              "14a53c3df946f70ff021750db79ba86435bfaa000947c0bda6db02546c13835f",
+	"fig16":              "202d29ee4e809b5864694a216818623800daafbd355d89a0a210b7d553795edc",
+	"fig17":              "2112f524c360cc5dd5e40c01a8472278ca160e75e5c17c6d53123f61185fb664",
+	"fig18":              "f017b15568ef3775c663689ac6856a3fd1c76a783408d985ae396eb87323f602",
+	"fig19":              "3d1e8002ce63d2de9b46c7c5f65263179b43f860c29b9edc39f5f3f50deab0e4",
+	"fig20":              "33ab3435645bcb4d54be2a72795b03a9f85dd121394d655277f9a833da03876b",
+	"fig21":              "35038848a20a7e1fa0c510f86826c33809796496f27aa3353931e4d2be0ffb3d",
+	"fig22":              "614aa941d237ee46451c72612dd2bf0ba054d3ddabb382ffca25a4d2346a2206",
+	"fig23":              "04556c5ecefb08ce73d149815c919f091dd0c6ab944e980dc9cf24d329fb498b",
+	"ext-pruning":        "c4576c06b4fc464dc724231b5a9d3023e55931c35734cafbf2b9de2eebd2eb5e",
+	"ext-autotune":       "76eccc87b6232dc2a1e7b9403e62170757998a6852801576e6b655415b5e0939",
+	"ext-fdp":            "a13bc23b0647788bb62cb54111998e9c5e34c80133af9f2da78c2c1997ea23ce",
+	"ext-xlat":           "626362410277eed1654d1062f0931a28cf9e9a89001ba91338aa4075a0d2997e",
+	"ext-fixedpoint":     "2cad6a441779cd69835a98f0597206dc1ab9f81889864e806ff56e1670cfc459",
+	"ext-longhorizon":    "11d9e91b077de84bdfdc2d7f7a53ff1b3cb16700ea9e02a8de7b7d8b033dba45",
+	"ext-generalization": "ff718cfceb70607a4b92a83b762c6e7546de438396fe5c2761762cf4293aa3dd",
+	"ext-warmstart":      "aaad91b466ede2e234f953f5b6c279f6cec60bc86b5565e8e454519895faddad",
+	"scorecard":          "f342020376e1c41ca65b9a1ccc2f5945e60bf98b87efcdd87b1c42d8995c1edb",
+}
+
 // TestAllExperimentsRun executes every registered experiment once at a
 // micro scale: structure and plumbing of each table is exercised even when
-// the statistics are too small to be meaningful.
+// the statistics are too small to be meaningful, and each rendered table
+// must match its pinned digest (tableDigests). Two workloads per suite and
+// two heterogeneous mixes make every cross-workload aggregation take more
+// than one value, so its order is pinned too.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	micro := Scale{Warmup: 20_000, Sim: 60_000, TraceLen: 20_000, WorkloadsPerSuite: 1, HeteroMixes: 1}
+	micro := Scale{Warmup: 20_000, Sim: 60_000, TraceLen: 20_000, WorkloadsPerSuite: 2, HeteroMixes: 2}
 	for _, e := range AllExperiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -340,6 +390,10 @@ func TestAllExperimentsRun(t *testing.T) {
 			}
 			if tb.CSV() == "" {
 				t.Errorf("%s CSV empty", e.ID)
+			}
+			sum := sha256.Sum256([]byte(tb.Render()))
+			if got, want := hex.EncodeToString(sum[:]), tableDigests[e.ID]; got != want {
+				t.Errorf("%s table digest %s, want %q:\n%s", e.ID, got, want, tb.Render())
 			}
 		})
 	}

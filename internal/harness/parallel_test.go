@@ -79,7 +79,8 @@ func TestRunCachedConcurrentCallersAgree(t *testing.T) {
 // core guarantee: the same experiment renders byte-identical tables at 1
 // worker and at N workers (fresh caches each time, so every simulation
 // actually re-runs). Fig. 14, 15 and 16 fan out their cells through
-// RunAll like Fig. 1.
+// RunAll like Fig. 1; Fig. 9a, 12 and 23 gather per-workload speedups
+// across suites, categories and warmup lengths.
 func TestExperimentDeterministicAcrossWorkerCounts(t *testing.T) {
 	defer SetWorkers(0)
 	for _, exp := range []struct {
@@ -87,9 +88,12 @@ func TestExperimentDeterministicAcrossWorkerCounts(t *testing.T) {
 		run  func(context.Context, Scale) (*stats.Table, error)
 	}{
 		{"Fig. 1", Fig1Motivation},
+		{"Fig. 9a", Fig9aSingleCore},
+		{"Fig. 12", Fig12Unseen},
 		{"Fig. 14", Fig14BandwidthBuckets},
 		{"Fig. 15", Fig15StrictPythia},
 		{"Fig. 16", Fig16FeatureOpt},
+		{"Fig. 23", Fig23Warmup},
 	} {
 		render := func(workers int) string {
 			SetWorkers(workers)
