@@ -231,12 +231,14 @@ sys.exit(1 if d["failed"] > 0 else 0)' "$w"
     echo "== pythia-bench CLI (worker-count determinism, warm store, bad -exp exits 2) =="
     # Worker count changes wall time only, never a table: the CSVs of one
     # experiment set at -parallel 1 and -parallel 2 must be byte-identical.
-    # Fig. 14, 15 and 16 are in the set because they fan their cells out
-    # through RunAll, which runs one goroutine more than the sim slots.
+    # Fig. 14 is in the set because it fans its cells out through RunAll,
+    # which runs one goroutine more than the sim slots. Fig. 8d, 9a, 12,
+    # 15 and 16 fan out through the speedup grid: 9a's GEOMEAN row and
+    # 12's two systems aggregate across groups of one grid.
     cli=$(mktemp -d)
     go build -o "$cli/pythia-bench" ./cmd/pythia-bench
     for p in 1 2; do
-        "$cli/pythia-bench" -exp fig8d,ext-warmstart,fig14,fig15,fig16 -scale quick -parallel "$p" \
+        "$cli/pythia-bench" -exp fig8d,ext-warmstart,fig14,fig15,fig16,fig9a,fig12 -scale quick -parallel "$p" \
             -csv "$cli/csv-p$p" >"$cli/p$p.log"
     done
     if ! diff -r "$cli/csv-p1" "$cli/csv-p2"; then

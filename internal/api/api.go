@@ -219,20 +219,6 @@ func (e Event) AsProgress() (Progress, error) {
 	return p, err
 }
 
-// AsRetry decodes the payload of a "retry" event.
-func (e Event) AsRetry() (Retry, error) {
-	var r Retry
-	err := json.Unmarshal(e.Data, &r)
-	return r, err
-}
-
-// AsJob decodes a status or terminal event's payload, a full job view.
-func (e Event) AsJob() (Job, error) {
-	var j Job
-	err := json.Unmarshal(e.Data, &j)
-	return j, err
-}
-
 // Progress is the payload of a "progress" event.
 type Progress struct {
 	ID   string `json:"id"`

@@ -28,7 +28,9 @@ import (
 // immediately as *Error; pythia-load uses that to measure shedding
 // instead of hiding it.
 type Client struct {
-	base    string
+	base string
+	// hc has no overall timeout: per-call contexts bound requests, and
+	// SSE streams are long-lived by design.
 	hc      *http.Client
 	retries int
 
@@ -38,11 +40,6 @@ type Client struct {
 
 // Option configures a Client.
 type Option func(*Client)
-
-// WithHTTPClient substitutes the underlying http.Client (timeouts,
-// transports). The default has no overall timeout — per-call contexts
-// bound requests — because SSE streams are long-lived by design.
-func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
 // WithRetries bounds how many times a retryable failure (503 shed,
 // transport error) is retried after the initial attempt. 0 disables

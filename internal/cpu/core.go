@@ -303,16 +303,6 @@ type SystemConfig struct {
 	SimInstructions int64
 }
 
-// DefaultSystemConfig returns the simulation lengths used by the harness:
-// scaled-down versions of the paper's 100M warmup / 500M measure.
-func DefaultSystemConfig() SystemConfig {
-	return SystemConfig{
-		Core:               DefaultCoreConfig(),
-		WarmupInstructions: 2_000_000,
-		SimInstructions:    10_000_000,
-	}
-}
-
 // NewSystem builds cores over readers (one per core) and the hierarchy.
 // Each reader's chunk size is its own: batch size is delivery
 // granularity and never changes a result (batch_test.go).

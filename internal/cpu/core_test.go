@@ -200,9 +200,9 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestAccessorsAndDefaults(t *testing.T) {
-	def := DefaultSystemConfig()
-	if def.Core.Width != 4 || def.Core.ROB != 256 || def.Core.LQ != 72 {
-		t.Errorf("default core config %+v does not match Table 5", def.Core)
+	def := DefaultCoreConfig()
+	if def.Width != 4 || def.ROB != 256 || def.LQ != 72 {
+		t.Errorf("default core config %+v does not match Table 5", def)
 	}
 	sys := newSystem(t, smallConfig(), 1, computeTrace(50_000))
 	mustRun(t, sys)

@@ -127,24 +127,15 @@ func Fig15StrictPythia(ctx context.Context, sc Scale) (*stats.Table, error) {
 		Title:  "Fig. 15: basic vs strict Pythia on Ligra",
 		Header: []string{"workload", "basic", "strict", "delta"},
 	}
-	// Every (workload, basic|strict) speedup simulates in parallel into
-	// its own slot; rows are assembled afterwards.
 	pfs := []PF{BasicPythiaPF(), PythiaPF(core.StrictConfig())}
 	ws := trace.Representative(trace.SuiteLigra)
-	sp := make([]float64, len(ws)*len(pfs))
-	err := RunAll(ctx, len(sp), func(i int) error {
-		var err error
-		sp[i], err = SpeedupOn(ctx, single(ws[i/len(pfs)]), cfg, sc, pfs[i%len(pfs)])
-		return err
-	})
+	sps, err := speedupGrid(ctx, pfCells(cfg, sc, singles(ws), pfs))
 	if err != nil {
 		return nil, err
 	}
-	var bs, ss []float64
+	bs, ss := sps[0], sps[1]
 	for wi, w := range ws {
-		b, s := sp[wi*len(pfs)], sp[wi*len(pfs)+1]
-		bs = append(bs, b)
-		ss = append(ss, s)
+		b, s := bs[wi], ss[wi]
 		t.AddRow(w.Base, fmt.Sprintf("%.3f", b), fmt.Sprintf("%.3f", s), pct(s/b-1))
 	}
 	gb, gs := stats.Geomean(bs), stats.Geomean(ss)
@@ -181,28 +172,21 @@ func Fig16FeatureOpt(ctx context.Context, sc Scale) (*stats.Table, error) {
 		Title:  "Fig. 16: basic vs feature-optimized Pythia on SPEC06",
 		Header: []string{"workload", "basic", "best", "best features"},
 	}
-	// Every (workload, candidate) speedup simulates in parallel into its
-	// own slot; each workload's best candidate is picked afterwards. The
+	// Each workload's best candidate is picked from one speedup grid. The
 	// first candidate is the basic configuration.
 	cands := fig16Candidates()
 	ws := suiteWorkloads(trace.SuiteSPEC06, sc)
-	sp := make([]float64, len(ws)*len(cands))
-	err := RunAll(ctx, len(sp), func(i int) error {
-		var err error
-		sp[i], err = SpeedupOn(ctx, single(ws[i/len(cands)]), cfg, sc, PythiaPF(cands[i%len(cands)]))
-		return err
-	})
+	sps, err := speedupGrid(ctx, pfCells(cfg, sc, singles(ws), pythiaPFs(cands)))
 	if err != nil {
 		return nil, err
 	}
 	var bs, os []float64
 	for wi, w := range ws {
-		row := sp[wi*len(cands) : (wi+1)*len(cands)]
-		base := row[0]
+		base := sps[0][wi]
 		best, bestName := base, "basic"
-		for ci := 1; ci < len(row); ci++ {
-			if row[ci] > best {
-				best, bestName = row[ci], featureNames(cands[ci])
+		for ci := 1; ci < len(cands); ci++ {
+			if sps[ci][wi] > best {
+				best, bestName = sps[ci][wi], featureNames(cands[ci])
 			}
 		}
 		bs = append(bs, base)
@@ -213,6 +197,15 @@ func Fig16FeatureOpt(ctx context.Context, sc Scale) (*stats.Table, error) {
 	t.AddRow("GEOMEAN", fmt.Sprintf("%.3f", gb), fmt.Sprintf("%.3f", go_), pct(go_/gb-1))
 	t.Notes = append(t.Notes, "paper: feature optimization adds up to 5.1% (1.5% on average) over basic")
 	return t, nil
+}
+
+// pythiaPFs returns Pythia at each configuration.
+func pythiaPFs(cfgs []core.Config) []PF {
+	pfs := make([]PF, len(cfgs))
+	for i, c := range cfgs {
+		pfs[i] = PythiaPF(c)
+	}
+	return pfs
 }
 
 func featureNames(cfg core.Config) string {

@@ -51,32 +51,16 @@ func designWorkloads() []trace.Workload {
 	return out
 }
 
-func designSpeedup(ctx context.Context, cfg cache.Config, sc Scale, pf PF) (float64, error) {
-	var sp []float64
-	for _, w := range designWorkloads() {
-		s, err := SpeedupOn(ctx, single(w), cfg, sc, pf)
-		if err != nil {
-			return 0, err
-		}
-		sp = append(sp, s)
-	}
-	return stats.Geomean(sp), nil
-}
-
 // ExtActionPruning reproduces the §4.3.2 pruning method: drop each action
 // from the basic list individually and measure the performance impact;
 // actions whose removal does not hurt are pruning candidates.
 func ExtActionPruning(ctx context.Context, sc Scale) (*stats.Table, error) {
-	cfg := cache.DefaultConfig(1)
 	t := &stats.Table{
 		Title:  "Action-list pruning: performance impact of dropping each action",
 		Header: []string{"dropped action", "geomean speedup", "delta vs full list"},
 	}
-	base, err := designSpeedup(ctx, cfg, sc, BasicPythiaPF())
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("(none)", fmt.Sprintf("%.3f", base), "-")
+	pfs := []PF{BasicPythiaPF()}
+	var drops []int
 	full := core.BasicConfig().Actions
 	for _, drop := range full {
 		if drop == 0 {
@@ -90,10 +74,17 @@ func ExtActionPruning(ctx context.Context, sc Scale) (*stats.Table, error) {
 				c.Actions = append(c.Actions, a)
 			}
 		}
-		sp, err := designSpeedup(ctx, cfg, sc, PythiaPF(c))
-		if err != nil {
-			return nil, err
-		}
+		drops = append(drops, drop)
+		pfs = append(pfs, PythiaPF(c))
+	}
+	g, err := pfGeomeans(ctx, cache.DefaultConfig(1), sc, singles(designWorkloads()), pfs...)
+	if err != nil {
+		return nil, err
+	}
+	base := g[0]
+	t.AddRow("(none)", fmt.Sprintf("%.3f", base), "-")
+	for i, drop := range drops {
+		sp := g[i+1]
 		t.AddRow(fmt.Sprintf("%+d", drop), fmt.Sprintf("%.3f", sp), pct(sp/base-1))
 	}
 	t.Notes = append(t.Notes,
@@ -105,7 +96,6 @@ func ExtActionPruning(ctx context.Context, sc Scale) (*stats.Table, error) {
 // over hyperparameters evaluated on a tuning suite, reporting the top
 // configurations.
 func ExtAutoTune(ctx context.Context, sc Scale) (*stats.Table, error) {
-	cfg := cache.DefaultConfig(1)
 	t := &stats.Table{
 		Title:  "Hyperparameter grid search (top configurations)",
 		Header: []string{"alpha", "gamma", "epsilon", "geomean speedup"},
@@ -114,19 +104,24 @@ func ExtAutoTune(ctx context.Context, sc Scale) (*stats.Table, error) {
 		alpha, gamma, eps, sp float64
 	}
 	var results []result
+	var pfs []PF
 	for _, alpha := range []float64{0.02, 0.1, 0.3} {
 		for _, gamma := range []float64{0.2, 0.556, 0.8} {
 			for _, eps := range []float64{0.002, 0.01, 0.05} {
 				c := core.BasicConfig()
 				c.Name = fmt.Sprintf("pythia-a%v-g%v-e%v", alpha, gamma, eps)
 				c.Alpha, c.Gamma, c.Epsilon = alpha, gamma, eps
-				sp, err := designSpeedup(ctx, cfg, sc, PythiaPF(c))
-				if err != nil {
-					return nil, err
-				}
-				results = append(results, result{alpha, gamma, eps, sp})
+				results = append(results, result{alpha, gamma, eps, 0})
+				pfs = append(pfs, PythiaPF(c))
 			}
 		}
+	}
+	g, err := pfGeomeans(ctx, cache.DefaultConfig(1), sc, singles(designWorkloads()), pfs...)
+	if err != nil {
+		return nil, err
+	}
+	for i := range results {
+		results[i].sp = g[i]
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].sp > results[j].sp })
 	top := results
@@ -154,18 +149,9 @@ func ExtFDPComparison(ctx context.Context, sc Scale) (*stats.Table, error) {
 		Title:  "Inherent vs bolt-on bandwidth awareness",
 		Header: append([]string{"MTPS"}, pfNames(pfs)...),
 	}
-	for _, mtps := range []int{150, 2400} {
-		cfg := cache.DefaultConfig(1)
-		cfg.DRAM = cfg.DRAM.WithMTPS(mtps)
-		cells := []string{fmt.Sprint(mtps)}
-		for _, pf := range pfs {
-			sp, err := designSpeedup(ctx, cfg, sc, pf)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, fmt.Sprintf("%.3f", sp))
-		}
-		t.AddRow(cells...)
+	points := []int{150, 2400}
+	if err := pfRows(ctx, t, itoas(points), mtpsRows(sc, points, singles(designWorkloads())), pfs); err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"FDP recovers part of SPP's low-bandwidth loss by throttling after the fact;",
@@ -181,22 +167,16 @@ func ExtTranslation(ctx context.Context, sc Scale) (*stats.Table, error) {
 		Title:  "Address translation ablation",
 		Header: append([]string{"config"}, pfNames(pfs)...),
 	}
+	mixes := singles(designWorkloads())
+	var rows []speedupCell
 	for _, translate := range []bool{false, true} {
 		cfg := cache.DefaultConfig(1)
 		cfg.Translate = translate
-		label := "virtual (identity)"
-		if translate {
-			label = "translated (scattered frames)"
-		}
-		cells := []string{label}
-		for _, pf := range pfs {
-			sp, err := designSpeedup(ctx, cfg, sc, pf)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, fmt.Sprintf("%.3f", sp))
-		}
-		t.AddRow(cells...)
+		rows = append(rows, speedupCell{cfg: cfg, sc: sc, mixes: mixes})
+	}
+	labels := []string{"virtual (identity)", "translated (scattered frames)"}
+	if err := pfRows(ctx, t, labels, rows, pfs); err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"in-page prefetchers are translation-invariant by construction; deltas survive, page-crossing patterns do not")
@@ -206,24 +186,19 @@ func ExtTranslation(ctx context.Context, sc Scale) (*stats.Table, error) {
 // ExtFixedPoint verifies that 16-bit fixed-point Q-value storage (the
 // hardware's Table 4 entry width) matches the float reference.
 func ExtFixedPoint(ctx context.Context, sc Scale) (*stats.Table, error) {
-	cfg := cache.DefaultConfig(1)
 	t := &stats.Table{
 		Title:  "16-bit fixed-point QVStore vs float reference",
 		Header: []string{"config", "geomean speedup"},
 	}
-	ref, err := designSpeedup(ctx, cfg, sc, BasicPythiaPF())
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("float64 Q-values", fmt.Sprintf("%.3f", ref))
 	fp := core.BasicConfig()
 	fp.Name = "pythia-fixp"
 	fp.FixedPoint = true
-	fps, err := designSpeedup(ctx, cfg, sc, PythiaPF(fp))
+	g, err := pfGeomeans(ctx, cache.DefaultConfig(1), sc, singles(designWorkloads()), BasicPythiaPF(), PythiaPF(fp))
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("Q8.8 fixed point", fmt.Sprintf("%.3f", fps))
+	t.AddRowf("float64 Q-values", g[0])
+	t.AddRowf("Q8.8 fixed point", g[1])
 	t.Notes = append(t.Notes, "the paper's hardware stores 16-bit Q-values; parity here validates that width")
 	return t, nil
 }

@@ -6,37 +6,8 @@ import (
 
 	"pythia/internal/cache"
 	"pythia/internal/stats"
+	"pythia/internal/trace"
 )
-
-// sweepCells fills the (sweep point × prefetcher) grid of a Fig. 8-style
-// sweep in parallel: every cell is the geomean speedup of a prefetcher
-// across all suites at one system configuration. Cells are independent
-// simulations, so the whole grid fans out at once; the grid is assembled by
-// index, keeping tables identical at any worker count.
-func sweepCells(ctx context.Context, points int, pfs []PF, sc Scale, cfgFor func(point int) cache.Config) ([][]float64, error) {
-	cells := make([][]float64, points)
-	for i := range cells {
-		cells[i] = make([]float64, len(pfs))
-	}
-	err := RunAll(ctx, points*len(pfs), func(k int) error {
-		i, j := k/len(pfs), k%len(pfs)
-		cfg := cfgFor(i)
-		var all []float64
-		for _, suite := range suitesList() {
-			sp, err := suiteSpeedups(ctx, suite, cfg, sc, pfs[j])
-			if err != nil {
-				return err
-			}
-			all = append(all, sp...)
-		}
-		cells[i][j] = stats.Geomean(all)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
-}
 
 // Fig8aCores reproduces Fig. 8(a): geomean speedup while scaling the core
 // count (channel counts scale with cores per Table 5).
@@ -47,30 +18,12 @@ func Fig8aCores(ctx context.Context, sc Scale) (*stats.Table, error) {
 		Header: append([]string{"cores"}, pfNames(pfs)...),
 	}
 	coreCounts := []int{1, 2, 4, 8}
-	cells := make([][]float64, len(coreCounts))
-	for i := range cells {
-		cells[i] = make([]float64, len(pfs))
-	}
-	err := RunAll(ctx, len(coreCounts)*len(pfs), func(k int) error {
-		i, j := k/len(pfs), k%len(pfs)
-		cfg := cache.DefaultConfig(coreCounts[i])
-		mixes := mixesFor(coreCounts[i], sc)
-		sp, err := mixSpeedups(ctx, mixes, cfg, sc, pfs[j])
-		if err != nil {
-			return err
-		}
-		cells[i][j] = stats.Geomean(sp)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	rows := make([]speedupCell, len(coreCounts))
 	for i, cores := range coreCounts {
-		cellsRow := []string{fmt.Sprint(cores)}
-		for j := range pfs {
-			cellsRow = append(cellsRow, fmt.Sprintf("%.3f", cells[i][j]))
-		}
-		t.AddRow(cellsRow...)
+		rows[i] = speedupCell{cfg: cache.DefaultConfig(cores), sc: sc, mixes: mixesFor(cores, sc)}
+	}
+	if err := pfRows(ctx, t, itoas(coreCounts), rows, pfs); err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes, "paper: Pythia's margin over prior prefetchers grows with core count")
 	return t, nil
@@ -78,6 +31,23 @@ func Fig8aCores(ctx context.Context, sc Scale) (*stats.Table, error) {
 
 // BandwidthPoints is the Fig. 8(b) MTPS sweep.
 var BandwidthPoints = []int{150, 300, 600, 1200, 2400, 4800, 9600}
+
+// mtpsConfig returns the single-core system at a DRAM bandwidth.
+func mtpsConfig(mtps int) cache.Config {
+	cfg := cache.DefaultConfig(1)
+	cfg.DRAM = cfg.DRAM.WithMTPS(mtps)
+	return cfg
+}
+
+// mtpsRows returns one single-core row over mixes per DRAM bandwidth
+// point.
+func mtpsRows(sc Scale, points []int, mixes []trace.Mix) []speedupCell {
+	rows := make([]speedupCell, len(points))
+	for i, mtps := range points {
+		rows[i] = speedupCell{cfg: mtpsConfig(mtps), sc: sc, mixes: mixes}
+	}
+	return rows
+}
 
 // Fig8bBandwidth reproduces Fig. 8(b): single-core speedup while scaling
 // DRAM bandwidth from 150 to 9600 MTPS.
@@ -87,20 +57,8 @@ func Fig8bBandwidth(ctx context.Context, sc Scale) (*stats.Table, error) {
 		Title:  "Fig. 8b: speedup vs DRAM bandwidth (MTPS, single-core)",
 		Header: append([]string{"MTPS"}, pfNames(pfs)...),
 	}
-	cells, err := sweepCells(ctx, len(BandwidthPoints), pfs, sc, func(i int) cache.Config {
-		cfg := cache.DefaultConfig(1)
-		cfg.DRAM = cfg.DRAM.WithMTPS(BandwidthPoints[i])
-		return cfg
-	})
-	if err != nil {
+	if err := pfRows(ctx, t, itoas(BandwidthPoints), mtpsRows(sc, BandwidthPoints, suiteMixes(sc)), pfs); err != nil {
 		return nil, err
-	}
-	for i, mtps := range BandwidthPoints {
-		row := []string{fmt.Sprint(mtps)}
-		for j := range pfs {
-			row = append(row, fmt.Sprintf("%.3f", cells[i][j]))
-		}
-		t.AddRow(row...)
 	}
 	t.Notes = append(t.Notes,
 		"paper: at 150 MTPS Pythia outperforms MLOP/Bingo by 16.9%/20.2%; MLOP underperforms the baseline by 16%")
@@ -116,20 +74,15 @@ func Fig8cLLCSize(ctx context.Context, sc Scale) (*stats.Table, error) {
 		Header: append([]string{"LLC KB"}, pfNames(pfs)...),
 	}
 	sizes := []int{256, 512, 1024, 2048, 4096}
-	cells, err := sweepCells(ctx, len(sizes), pfs, sc, func(i int) cache.Config {
-		cfg := cache.DefaultConfig(1)
-		cfg.LLCSizeKBPerCore = sizes[i]
-		return cfg
-	})
-	if err != nil {
-		return nil, err
-	}
+	mixes := suiteMixes(sc)
+	rows := make([]speedupCell, len(sizes))
 	for i, kb := range sizes {
-		row := []string{fmt.Sprint(kb)}
-		for j := range pfs {
-			row = append(row, fmt.Sprintf("%.3f", cells[i][j]))
-		}
-		t.AddRow(row...)
+		cfg := cache.DefaultConfig(1)
+		cfg.LLCSizeKBPerCore = kb
+		rows[i] = speedupCell{cfg: cfg, sc: sc, mixes: mixes}
+	}
+	if err := pfRows(ctx, t, itoas(sizes), rows, pfs); err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes, "paper: Pythia outperforms all competitors at every LLC size")
 	return t, nil
@@ -144,28 +97,19 @@ func Fig8dMultiLevel(ctx context.Context, sc Scale) (*stats.Table, error) {
 		Header: append([]string{"MTPS"}, pfNames(pfs)...),
 	}
 	points := []int{150, 600, 2400, 9600}
-	cells, err := sweepCells(ctx, len(points), pfs, sc, func(i int) cache.Config {
-		cfg := cache.DefaultConfig(1)
-		cfg.DRAM = cfg.DRAM.WithMTPS(points[i])
-		return cfg
-	})
-	if err != nil {
+	if err := pfRows(ctx, t, itoas(points), mtpsRows(sc, points, suiteMixes(sc)), pfs); err != nil {
 		return nil, err
-	}
-	for i, mtps := range points {
-		row := []string{fmt.Sprint(mtps)}
-		for j := range pfs {
-			row = append(row, fmt.Sprintf("%.3f", cells[i][j]))
-		}
-		t.AddRow(row...)
 	}
 	t.Notes = append(t.Notes,
 		"paper: Stride+Pythia outperforms Stride+Streamer and IPCP at every bandwidth point")
 	return t, nil
 }
 
-// suitesList is a tiny indirection so experiment files avoid repeating the
-// trace import for one call.
-func suitesList() []string {
-	return []string{"SPEC06", "SPEC17", "PARSEC", "Ligra", "Cloudsuite"}
+// itoas formats each sweep point as a row label.
+func itoas(xs []int) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = fmt.Sprint(x)
+	}
+	return out
 }

@@ -13,40 +13,15 @@ import (
 // Fig10aFourCore reproduces Fig. 10(a): per-suite geomean speedup in the
 // four-core system over homogeneous and heterogeneous mixes.
 func Fig10aFourCore(ctx context.Context, sc Scale) (*stats.Table, error) {
-	cfg := cache.DefaultConfig(4)
 	pfs := StandardPFs()
-	mixes := mixesFor(4, sc)
 	t := &stats.Table{
 		Title:  "Fig. 10a: per-suite speedup (four-core)",
 		Header: append([]string{"suite"}, pfNames(pfs)...),
 	}
-	groups := map[string][]trace.Mix{}
-	var order []string
-	for _, m := range mixes {
-		s := suiteOfMix(m)
-		if _, ok := groups[s]; !ok {
-			order = append(order, s)
-		}
-		groups[s] = append(groups[s], m)
+	labels, rows := groupRows(cache.DefaultConfig(4), sc, mixesFor(4, sc), trace.Mix.Suite)
+	if err := pfRows(ctx, t, labels, rows, pfs); err != nil {
+		return nil, err
 	}
-	all := map[string][]float64{}
-	for _, suite := range order {
-		cells := []string{suite}
-		for _, pf := range pfs {
-			sp, err := mixSpeedups(ctx, groups[suite], cfg, sc, pf)
-			if err != nil {
-				return nil, err
-			}
-			all[pf.Name] = append(all[pf.Name], sp...)
-			cells = append(cells, fmt.Sprintf("%.3f", stats.Geomean(sp)))
-		}
-		t.AddRow(cells...)
-	}
-	cells := []string{"GEOMEAN"}
-	for _, pf := range pfs {
-		cells = append(cells, fmt.Sprintf("%.3f", stats.Geomean(all[pf.Name])))
-	}
-	t.AddRow(cells...)
 	t.Notes = append(t.Notes, "paper: Pythia outperforms MLOP/Bingo/SPP by 5.8/8.2/6.5% at 4C")
 	return t, nil
 }
@@ -54,18 +29,17 @@ func Fig10aFourCore(ctx context.Context, sc Scale) (*stats.Table, error) {
 // Fig10bCombinations reproduces Fig. 10(b): prefetcher stacks at four
 // cores, where combining overpredictors hurts.
 func Fig10bCombinations(ctx context.Context, sc Scale) (*stats.Table, error) {
-	cfg := cache.DefaultConfig(4)
-	mixes := mixesFor(4, sc)
 	t := &stats.Table{
 		Title:  "Fig. 10b: prefetcher combinations (four-core)",
 		Header: []string{"configuration", "geomean speedup"},
 	}
-	for _, pf := range combinationStacks() {
-		sp, err := mixSpeedups(ctx, mixes, cfg, sc, pf)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(pf.Name, fmt.Sprintf("%.3f", stats.Geomean(sp)))
+	stacks := combinationStacks()
+	g, err := pfGeomeans(ctx, cache.DefaultConfig(4), sc, mixesFor(4, sc), stacks...)
+	if err != nil {
+		return nil, err
+	}
+	for j, pf := range stacks {
+		t.AddRowf(pf.Name, g[j])
 	}
 	t.Notes = append(t.Notes, "paper: stacking prefetchers beyond St+S lowers 4C performance; Pythia wins by 4.9%")
 	return t, nil
@@ -78,18 +52,13 @@ func Fig11BandwidthOblivious(ctx context.Context, sc Scale) (*stats.Table, error
 		Title:  "Fig. 11: bandwidth-oblivious Pythia vs basic Pythia",
 		Header: []string{"MTPS", "basic", "bw-oblivious", "delta"},
 	}
-	// Both variants of every bandwidth point simulate concurrently.
 	variants := []PF{BasicPythiaPF(), PythiaPF(core.BandwidthObliviousConfig())}
-	cells, err := sweepCells(ctx, len(BandwidthPoints), variants, sc, func(i int) cache.Config {
-		cfg := cache.DefaultConfig(1)
-		cfg.DRAM = cfg.DRAM.WithMTPS(BandwidthPoints[i])
-		return cfg
-	})
+	g, err := rowGeomeans(ctx, mtpsRows(sc, BandwidthPoints, suiteMixes(sc)), variants)
 	if err != nil {
 		return nil, err
 	}
 	for i, mtps := range BandwidthPoints {
-		b, o := cells[i][0], cells[i][1]
+		b, o := g[i][0], g[i][1]
 		t.AddRow(fmt.Sprint(mtps), fmt.Sprintf("%.3f", b), fmt.Sprintf("%.3f", o), pct(o/b-1))
 	}
 	t.Notes = append(t.Notes,
@@ -105,67 +74,30 @@ func Fig12Unseen(ctx context.Context, sc Scale) (*stats.Table, error) {
 		Title:  "Fig. 12: performance on unseen CVP-2 traces",
 		Header: append([]string{"system", "category"}, pfNames(pfs)...),
 	}
-	categories := map[string][]trace.Workload{}
-	var order []string
-	for _, w := range trace.BySuite(trace.SuiteCVP2) {
-		if _, ok := categories[w.Base]; !ok {
-			order = append(order, w.Base)
-		}
-		categories[w.Base] = append(categories[w.Base], w)
-	}
+	// Both systems' category rows come from one speedup grid.
+	cvp2 := trace.BySuite(trace.SuiteCVP2)
+	category := func(m trace.Mix) string { return m.Workloads[0].Base }
+	var systems, labels []string
+	var rows []speedupCell
 	for _, cores := range []int{1, 4} {
-		cores := cores
-		cfg := cache.DefaultConfig(cores)
-		sys := fmt.Sprintf("%dC", cores)
-		// Every (category, prefetcher, workload) simulation of this system
-		// fans out at once; aggregation walks the job list in order.
-		type job struct {
-			cat         string
-			pfIdx, wIdx int
-		}
-		var jobs []job
-		for _, cat := range order {
-			for pi := range pfs {
-				for wi := range categories[cat] {
-					jobs = append(jobs, job{cat, pi, wi})
-				}
-			}
-		}
-		sps := make([]float64, len(jobs))
-		err := RunAll(ctx, len(jobs), func(k int) error {
-			j := jobs[k]
-			w := categories[j.cat][j.wIdx]
-			mix := single(w)
+		mixes := singles(cvp2)
+		for i, w := range cvp2 {
 			if cores > 1 {
-				mix = trace.HomogeneousMix(w, cores)
+				mixes[i] = trace.HomogeneousMix(w, cores)
 			}
-			sp, err := SpeedupOn(ctx, mix, cfg, sc, pfs[j.pfIdx])
-			sps[k] = sp
-			return err
-		})
-		if err != nil {
-			return nil, err
 		}
-		all := map[string][]float64{}
-		k := 0
-		for _, cat := range order {
-			cells := []string{sys, cat}
-			for _, pf := range pfs {
-				var sp []float64
-				for range categories[cat] {
-					sp = append(sp, sps[k])
-					k++
-				}
-				all[pf.Name] = append(all[pf.Name], sp...)
-				cells = append(cells, fmt.Sprintf("%.3f", stats.Geomean(sp)))
-			}
-			t.AddRow(cells...)
+		l, r := groupRows(cache.DefaultConfig(cores), sc, mixes, category)
+		for range l {
+			systems = append(systems, fmt.Sprintf("%dC", cores))
 		}
-		cells := []string{sys, "GEOMEAN"}
-		for _, pf := range pfs {
-			cells = append(cells, fmt.Sprintf("%.3f", stats.Geomean(all[pf.Name])))
-		}
-		t.AddRow(cells...)
+		labels, rows = append(labels, l...), append(rows, r...)
+	}
+	g, err := rowGeomeans(ctx, rows, pfs)
+	if err != nil {
+		return nil, err
+	}
+	for i, row := range g {
+		addRow2f(t, systems[i], labels[i], row...)
 	}
 	t.Notes = append(t.Notes, "paper: Pythia wins on traces never used for tuning (crypto/INT/FP/server)")
 	return t, nil

@@ -133,30 +133,15 @@ func Fig7Coverage(ctx context.Context, sc Scale) (*stats.Table, error) {
 // Fig9aSingleCore reproduces Fig. 9(a): per-suite geomean speedup over the
 // no-prefetching baseline in the single-core system.
 func Fig9aSingleCore(ctx context.Context, sc Scale) (*stats.Table, error) {
-	cfg := cache.DefaultConfig(1)
 	pfs := StandardPFs()
 	t := &stats.Table{
 		Title:  "Fig. 9a: per-suite speedup (single-core)",
 		Header: append([]string{"suite"}, pfNames(pfs)...),
 	}
-	all := map[string][]float64{}
-	for _, suite := range trace.Suites() {
-		cells := []string{suite}
-		for _, pf := range pfs {
-			sp, err := suiteSpeedups(ctx, suite, cfg, sc, pf)
-			if err != nil {
-				return nil, err
-			}
-			all[pf.Name] = append(all[pf.Name], sp...)
-			cells = append(cells, fmt.Sprintf("%.3f", stats.Geomean(sp)))
-		}
-		t.AddRow(cells...)
+	labels, rows := groupRows(cache.DefaultConfig(1), sc, suiteMixes(sc), trace.Mix.Suite)
+	if err := pfRows(ctx, t, labels, rows, pfs); err != nil {
+		return nil, err
 	}
-	cells := []string{"GEOMEAN"}
-	for _, pf := range pfs {
-		cells = append(cells, fmt.Sprintf("%.3f", stats.Geomean(all[pf.Name])))
-	}
-	t.AddRow(cells...)
 	t.Notes = append(t.Notes, "paper: Pythia 1.224 geomean; outperforms MLOP/Bingo/SPP by 3.4/3.8/4.3%")
 	return t, nil
 }
@@ -181,21 +166,17 @@ func combinationStacks() []PF {
 // Fig9bCombinations reproduces Fig. 9(b): Pythia vs stacked combinations of
 // prior prefetchers, single-core.
 func Fig9bCombinations(ctx context.Context, sc Scale) (*stats.Table, error) {
-	cfg := cache.DefaultConfig(1)
 	t := &stats.Table{
 		Title:  "Fig. 9b: prefetcher combinations (single-core)",
 		Header: []string{"configuration", "geomean speedup"},
 	}
-	for _, pf := range combinationStacks() {
-		var all []float64
-		for _, suite := range trace.Suites() {
-			sp, err := suiteSpeedups(ctx, suite, cfg, sc, pf)
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, sp...)
-		}
-		t.AddRow(pf.Name, fmt.Sprintf("%.3f", stats.Geomean(all)))
+	stacks := combinationStacks()
+	g, err := pfGeomeans(ctx, cache.DefaultConfig(1), sc, suiteMixes(sc), stacks...)
+	if err != nil {
+		return nil, err
+	}
+	for j, pf := range stacks {
+		t.AddRowf(pf.Name, g[j])
 	}
 	t.Notes = append(t.Notes, "paper: Pythia outperforms the full St+S+B+D+M stack by 1.4% at 1C")
 	return t, nil

@@ -11,50 +11,41 @@ import (
 	"pythia/internal/trace"
 )
 
+// percentileRows adds the sorted-curve summary of Figs. 17-18: per
+// percentile, each prefetcher's speedup at that point of its curve.
+func percentileRows(t *stats.Table, curves [][]float64) {
+	for _, p := range []float64{0, 10, 25, 50, 75, 90, 100} {
+		row := make([]float64, len(curves))
+		for j, c := range curves {
+			row[j] = stats.Percentile(c, p)
+		}
+		t.AddRowf(fmt.Sprintf("p%.0f", p), row...)
+	}
+}
+
 // Fig17LineGraph1C reproduces Fig. 17: the sorted single-core performance
 // curve of every prefetcher, summarized at deciles (the paper plots 150
 // traces; we report the distribution).
 func Fig17LineGraph1C(ctx context.Context, sc Scale) (*stats.Table, error) {
-	cfg := cache.DefaultConfig(1)
-	pfs := StandardPFs()
+	pfs := StandardPFs() // the last is basic Pythia
 	t := &stats.Table{
 		Title:  "Fig. 17: single-core speedup distribution (sorted, deciles)",
 		Header: append([]string{"percentile"}, pfNames(pfs)...),
 	}
-	curves := map[string][]float64{}
-	for _, suite := range trace.Suites() {
-		for _, pf := range pfs {
-			sp, err := suiteSpeedups(ctx, suite, cfg, sc, pf)
-			if err != nil {
-				return nil, err
-			}
-			curves[pf.Name] = append(curves[pf.Name], sp...)
-		}
+	mixes := suiteMixes(sc)
+	curves, err := speedupGrid(ctx, pfCells(cache.DefaultConfig(1), sc, mixes, pfs))
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range []float64{0, 10, 25, 50, 75, 90, 100} {
-		cells := []string{fmt.Sprintf("p%.0f", p)}
-		for _, pf := range pfs {
-			cells = append(cells, fmt.Sprintf("%.3f", stats.Percentile(curves[pf.Name], p)))
-		}
-		t.AddRow(cells...)
-	}
+	percentileRows(t, curves)
 	// Best/worst traces for Pythia, as the paper calls out.
 	type wl struct {
 		name string
 		sp   float64
 	}
-	var all []trace.Workload
-	for _, suite := range trace.Suites() {
-		all = append(all, suiteWorkloads(suite, sc)...)
-	}
-	list := make([]wl, len(all))
-	err := RunAll(ctx, len(all), func(i int) error {
-		sp, err := SpeedupOn(ctx, single(all[i]), cfg, sc, BasicPythiaPF())
-		list[i] = wl{all[i].Name, sp}
-		return err
-	})
-	if err != nil {
-		return nil, err
+	list := make([]wl, len(mixes))
+	for i, m := range mixes {
+		list[i] = wl{m.Name, curves[len(pfs)-1][i]}
 	}
 	sort.Slice(list, func(i, j int) bool { return list[i].sp < list[j].sp })
 	if len(list) > 0 {
@@ -68,28 +59,16 @@ func Fig17LineGraph1C(ctx context.Context, sc Scale) (*stats.Table, error) {
 // Fig18LineGraph4C reproduces Fig. 18: the four-core mix speedup
 // distribution.
 func Fig18LineGraph4C(ctx context.Context, sc Scale) (*stats.Table, error) {
-	cfg := cache.DefaultConfig(4)
 	pfs := StandardPFs()
-	mixes := mixesFor(4, sc)
 	t := &stats.Table{
 		Title:  "Fig. 18: four-core mix speedup distribution (sorted, deciles)",
 		Header: append([]string{"percentile"}, pfNames(pfs)...),
 	}
-	curves := map[string][]float64{}
-	for _, pf := range pfs {
-		sp, err := mixSpeedups(ctx, mixes, cfg, sc, pf)
-		if err != nil {
-			return nil, err
-		}
-		curves[pf.Name] = sp
+	curves, err := speedupGrid(ctx, pfCells(cache.DefaultConfig(4), sc, mixesFor(4, sc), pfs))
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range []float64{0, 10, 25, 50, 75, 90, 100} {
-		cells := []string{fmt.Sprintf("p%.0f", p)}
-		for _, pf := range pfs {
-			cells = append(cells, fmt.Sprintf("%.3f", stats.Percentile(curves[pf.Name], p)))
-		}
-		t.AddRow(cells...)
-	}
+	percentileRows(t, curves)
 	return t, nil
 }
 
@@ -114,37 +93,30 @@ func Fig19FeatureSweep(ctx context.Context, sc Scale) (*stats.Table, error) {
 		configs = append(configs, b.WithFeatures("1f:"+f.String(), f))
 	}
 	configs = append(configs, fig16Candidates()...)
+	pfs := pythiaPFs(configs)
+	// The design-space sweep is embarrassingly parallel: every candidate
+	// config evaluates independently, in one speedup grid.
+	ws := suiteWorkloads(trace.SuiteSPEC06, sc)
+	sps, err := speedupGrid(ctx, pfCells(cfg, sc, singles(ws), pfs))
+	if err != nil {
+		return nil, err
+	}
 	type row struct {
 		name            string
 		sp, cov, overpr float64
 	}
-	ws := suiteWorkloads(trace.SuiteSPEC06, sc)
-	// The design-space sweep is embarrassingly parallel: every candidate
-	// config evaluates independently (and within one, every workload).
 	rows := make([]row, len(configs))
-	err := RunAll(ctx, len(configs), func(ci int) error {
-		cand := configs[ci]
-		sps := make([]float64, len(ws))
+	for ci, cand := range configs {
+		// The grid memoized both runs of every cell, so coverage and
+		// overprediction read them back without simulating.
 		covs := make([]float64, len(ws))
 		overs := make([]float64, len(ws))
-		err := RunAll(ctx, len(ws), func(wi int) error {
-			pf := PythiaPF(cand)
-			sp, err := SpeedupOn(ctx, single(ws[wi]), cfg, sc, pf)
-			if err != nil {
-				return err
+		for wi, w := range ws {
+			if covs[wi], overs[wi], err = coverageOverpred(ctx, w, cfg, sc, pfs[ci]); err != nil {
+				return nil, err
 			}
-			sps[wi] = sp
-			covs[wi], overs[wi], err = coverageOverpred(ctx, ws[wi], cfg, sc, pf)
-			return err
-		})
-		if err != nil {
-			return err
 		}
-		rows[ci] = row{featureNames(cand), stats.Geomean(sps), stats.Mean(covs), stats.Mean(overs)}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		rows[ci] = row{featureNames(cand), stats.Geomean(sps[ci]), stats.Mean(covs), stats.Mean(overs)}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].sp < rows[j].sp })
 	for _, r := range rows {
@@ -157,52 +129,36 @@ func Fig19FeatureSweep(ctx context.Context, sc Scale) (*stats.Table, error) {
 // Fig20Hyperparams reproduces Fig. 20: sensitivity to the exploration rate
 // ε and learning rate α (log sweeps).
 func Fig20Hyperparams(ctx context.Context, sc Scale) (*stats.Table, error) {
-	cfg := cache.DefaultConfig(1)
 	t := &stats.Table{
 		Title:  "Fig. 20: hyperparameter sensitivity",
 		Header: []string{"parameter", "value", "geomean speedup"},
 	}
-	ws := suiteWorkloads(trace.SuiteSPEC06, sc)
-	run := func(c core.Config) (float64, error) {
-		sp := make([]float64, len(ws))
-		err := RunAll(ctx, len(ws), func(i int) error {
-			var err error
-			sp[i], err = SpeedupOn(ctx, single(ws[i]), cfg, sc, PythiaPF(c))
-			return err
-		})
-		if err != nil {
-			return 0, err
-		}
-		return stats.Geomean(sp), nil
-	}
-	// Both log sweeps fan out across their sample points.
+	// Both log sweeps fan out across their sample points at once.
 	epss := []float64{1e-6, 1e-4, 1e-3, 1e-2, 1e-1, 0.5, 1.0}
 	alphas := []float64{1e-5, 1e-3, 0.0065, 0.05, 0.1, 0.3, 1.0}
-	epsSp := make([]float64, len(epss))
-	alphaSp := make([]float64, len(alphas))
-	err := RunAll(ctx, len(epss)+len(alphas), func(i int) error {
+	var pfs []PF
+	for _, eps := range epss {
 		c := core.BasicConfig()
-		var err error
-		if i < len(epss) {
-			c.Name = fmt.Sprintf("pythia-eps%g", epss[i])
-			c.Epsilon = epss[i]
-			epsSp[i], err = run(c)
-		} else {
-			j := i - len(epss)
-			c.Name = fmt.Sprintf("pythia-alpha%g", alphas[j])
-			c.Alpha = alphas[j]
-			alphaSp[j], err = run(c)
-		}
-		return err
-	})
+		c.Name = fmt.Sprintf("pythia-eps%g", eps)
+		c.Epsilon = eps
+		pfs = append(pfs, PythiaPF(c))
+	}
+	for _, alpha := range alphas {
+		c := core.BasicConfig()
+		c.Name = fmt.Sprintf("pythia-alpha%g", alpha)
+		c.Alpha = alpha
+		pfs = append(pfs, PythiaPF(c))
+	}
+	mixes := singles(suiteWorkloads(trace.SuiteSPEC06, sc))
+	g, err := pfGeomeans(ctx, cache.DefaultConfig(1), sc, mixes, pfs...)
 	if err != nil {
 		return nil, err
 	}
 	for i, eps := range epss {
-		t.AddRow("epsilon", fmt.Sprintf("%g", eps), fmt.Sprintf("%.3f", epsSp[i]))
+		addRow2f(t, "epsilon", fmt.Sprintf("%g", eps), g[i])
 	}
 	for i, alpha := range alphas {
-		t.AddRow("alpha", fmt.Sprintf("%g", alpha), fmt.Sprintf("%.3f", alphaSp[i]))
+		addRow2f(t, "alpha", fmt.Sprintf("%g", alpha), g[len(epss)+i])
 	}
 	t.Notes = append(t.Notes,
 		"paper: performance collapses as epsilon->1; alpha has an interior optimum",
@@ -231,38 +187,17 @@ func versusTable(ctx context.Context, sc Scale, title string, rival PF, note str
 		Title:  title,
 		Header: append([]string{"system", "suite"}, pfNames(pfs)...),
 	}
-	// Single-core per suite.
-	cfg1 := cache.DefaultConfig(1)
-	all := map[string][]float64{}
-	for _, suite := range trace.Suites() {
-		cells := []string{"1C", suite}
-		for _, pf := range pfs {
-			sp, err := suiteSpeedups(ctx, suite, cfg1, sc, pf)
-			if err != nil {
-				return nil, err
-			}
-			all[pf.Name] = append(all[pf.Name], sp...)
-			cells = append(cells, fmt.Sprintf("%.3f", stats.Geomean(sp)))
-		}
-		t.AddRow(cells...)
+	// Single-core per suite, then the four-core aggregate.
+	labels, rows := groupRows(cache.DefaultConfig(1), sc, suiteMixes(sc), trace.Mix.Suite)
+	rows = append(rows, speedupCell{cfg: cache.DefaultConfig(4), sc: sc, mixes: mixesFor(4, sc)})
+	g, err := rowGeomeans(ctx, rows, pfs)
+	if err != nil {
+		return nil, err
 	}
-	cells := []string{"1C", "GEOMEAN"}
-	for _, pf := range pfs {
-		cells = append(cells, fmt.Sprintf("%.3f", stats.Geomean(all[pf.Name])))
+	for i, label := range labels {
+		addRow2f(t, "1C", label, g[i]...)
 	}
-	t.AddRow(cells...)
-	// Four-core aggregate.
-	cfg4 := cache.DefaultConfig(4)
-	mixes := mixesFor(4, sc)
-	cells = []string{"4C", "ALL"}
-	for _, pf := range pfs {
-		sp, err := mixSpeedups(ctx, mixes, cfg4, sc, pf)
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, fmt.Sprintf("%.3f", stats.Geomean(sp)))
-	}
-	t.AddRow(cells...)
+	addRow2f(t, "4C", "ALL", g[len(labels)]...)
 	t.Notes = append(t.Notes, note)
 	return t, nil
 }
@@ -270,29 +205,22 @@ func versusTable(ctx context.Context, sc Scale, title string, rival PF, note str
 // Fig23Warmup reproduces Fig. 23: sensitivity to the number of warmup
 // instructions.
 func Fig23Warmup(ctx context.Context, sc Scale) (*stats.Table, error) {
-	cfg := cache.DefaultConfig(1)
 	pfs := StandardPFs()
 	t := &stats.Table{
 		Title:  "Fig. 23: sensitivity to warmup length",
 		Header: append([]string{"warmup instr"}, pfNames(pfs)...),
 	}
 	fracs := []float64{0, 0.05, 0.15, 0.25, 0.5, 1.0}
-	for _, f := range fracs {
+	rows := make([]speedupCell, len(fracs))
+	labels := make([]string, len(fracs))
+	for i, f := range fracs {
 		scv := sc
 		scv.Warmup = int64(float64(sc.Warmup) * f)
-		cells := []string{fmt.Sprint(scv.Warmup)}
-		for _, pf := range pfs {
-			var all []float64
-			for _, suite := range trace.Suites() {
-				sp, err := suiteSpeedups(ctx, suite, cfg, scv, pf)
-				if err != nil {
-					return nil, err
-				}
-				all = append(all, sp...)
-			}
-			cells = append(cells, fmt.Sprintf("%.3f", stats.Geomean(all)))
-		}
-		t.AddRow(cells...)
+		rows[i] = speedupCell{cfg: cache.DefaultConfig(1), sc: scv, mixes: suiteMixes(scv)}
+		labels[i] = fmt.Sprint(scv.Warmup)
+	}
+	if err := pfRows(ctx, t, labels, rows, pfs); err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes, "paper: Pythia outperforms prior prefetchers at every warmup length, including none")
 	return t, nil

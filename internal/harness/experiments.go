@@ -67,20 +67,133 @@ func ExperimentByID(id string) (Experiment, bool) {
 // pct formats a fraction as a percentage.
 func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
 
-// suiteSpeedups runs pf over a suite's workloads (1-core) in parallel and
-// returns per-workload speedups in workload order.
-func suiteSpeedups(ctx context.Context, suite string, cfg cache.Config, sc Scale, pf PF) ([]float64, error) {
-	ws := suiteWorkloads(suite, sc)
-	out := make([]float64, len(ws))
-	err := RunAll(ctx, len(ws), func(i int) error {
-		sp, err := SpeedupOn(ctx, single(ws[i]), cfg, sc, pf)
-		out[i] = sp
+// speedupCell is one cell of a speedup table: prefetcher pf against the
+// no-prefetching baseline on each of mixes, at one system configuration
+// and scale.
+type speedupCell struct {
+	cfg   cache.Config
+	sc    Scale
+	pf    PF
+	mixes []trace.Mix
+}
+
+// speedupGrid is the one fan-out behind every speedup table. It runs
+// every SpeedupOn of every cell in a single RunAll, so a whole table's
+// simulations share the sim slots at once, and returns each cell's
+// per-mix speedups in mix order. Tables aggregate those slices in order
+// (stats.Geomean sums logs in slice order), so a table is byte-identical
+// at any worker count.
+func speedupGrid(ctx context.Context, cells []speedupCell) ([][]float64, error) {
+	out := make([][]float64, len(cells))
+	var jobs [][2]int // (cell, mix)
+	for c, cell := range cells {
+		out[c] = make([]float64, len(cell.mixes))
+		for m := range cell.mixes {
+			jobs = append(jobs, [2]int{c, m})
+		}
+	}
+	err := RunAll(ctx, len(jobs), func(i int) error {
+		c, m := jobs[i][0], jobs[i][1]
+		cell := cells[c]
+		var err error
+		out[c][m], err = SpeedupOn(ctx, cell.mixes[m], cell.cfg, cell.sc, cell.pf)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// pfCells returns one cell per prefetcher over the same mixes at one
+// configuration.
+func pfCells(cfg cache.Config, sc Scale, mixes []trace.Mix, pfs []PF) []speedupCell {
+	cells := make([]speedupCell, len(pfs))
+	for j, pf := range pfs {
+		cells[j] = speedupCell{cfg, sc, pf, mixes}
+	}
+	return cells
+}
+
+// rowGeomeans returns, for each row (a cell whose pf is unused), each
+// prefetcher's geomean speedup at the row's configuration, scale and
+// mixes, all from one speedup grid.
+func rowGeomeans(ctx context.Context, rows []speedupCell, pfs []PF) ([][]float64, error) {
+	var cells []speedupCell
+	for _, r := range rows {
+		cells = append(cells, pfCells(r.cfg, r.sc, r.mixes, pfs)...)
+	}
+	sps, err := speedupGrid(ctx, cells)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]float64, len(rows))
+	for i := range rows {
+		out[i] = geomeans(sps[i*len(pfs) : (i+1)*len(pfs)])
+	}
+	return out, nil
+}
+
+// pfRows adds the rows of rowGeomeans to t, row i labeled labels[i].
+func pfRows(ctx context.Context, t *stats.Table, labels []string, rows []speedupCell, pfs []PF) error {
+	g, err := rowGeomeans(ctx, rows, pfs)
+	if err != nil {
+		return err
+	}
+	for i, label := range labels {
+		t.AddRowf(label, g[i]...)
+	}
+	return nil
+}
+
+// pfGeomeans returns each prefetcher's geomean speedup over mixes at one
+// configuration.
+func pfGeomeans(ctx context.Context, cfg cache.Config, sc Scale, mixes []trace.Mix, pfs ...PF) ([]float64, error) {
+	sps, err := speedupGrid(ctx, pfCells(cfg, sc, mixes, pfs))
+	if err != nil {
+		return nil, err
+	}
+	return geomeans(sps), nil
+}
+
+// geomeans returns the geomean of each cell's speedups.
+func geomeans(sps [][]float64) []float64 {
+	out := make([]float64, len(sps))
+	for i, sp := range sps {
+		out[i] = stats.Geomean(sp)
+	}
+	return out
+}
+
+// groupRows splits mixes into one row per key, in order of each key's
+// first appearance, and appends a GEOMEAN row over every group's mixes
+// in group order (its runs are memo hits of the group rows' runs). It
+// returns the rows' labels alongside.
+func groupRows(cfg cache.Config, sc Scale, mixes []trace.Mix, key func(trace.Mix) string) ([]string, []speedupCell) {
+	var labels []string
+	var rows []speedupCell
+	at := map[string]int{}
+	for _, m := range mixes {
+		k := key(m)
+		if _, ok := at[k]; !ok {
+			at[k] = len(rows)
+			labels = append(labels, k)
+			rows = append(rows, speedupCell{cfg: cfg, sc: sc})
+		}
+		rows[at[k]].mixes = append(rows[at[k]].mixes, m)
+	}
+	all := speedupCell{cfg: cfg, sc: sc}
+	for _, r := range rows {
+		all.mixes = append(all.mixes, r.mixes...)
+	}
+	return append(labels, "GEOMEAN"), append(rows, all)
+}
+
+// addRow2f is stats.Table.AddRowf for a row led by two labels.
+func addRow2f(t *stats.Table, lead, label string, vals ...float64) {
+	t.AddRowf(label, vals...)
+	r := len(t.Rows) - 1
+	t.Rows[r] = append([]string{lead}, t.Rows[r]...)
 }
 
 // coverageOverpred returns the artifact-formula coverage and overprediction
@@ -102,32 +215,10 @@ func coverageOverpred(ctx context.Context, w trace.Workload, cfg cache.Config, s
 
 // mixesFor builds the standard multi-core mix list at a scale.
 func mixesFor(cores int, sc Scale) []trace.Mix {
-	var mixes []trace.Mix
-	var pool []trace.Workload
-	for _, s := range trace.Suites() {
-		ws := suiteWorkloads(s, sc)
-		pool = append(pool, ws...)
-		for _, w := range ws {
-			mixes = append(mixes, trace.HomogeneousMix(w, cores))
-		}
+	pool := suitePool(sc)
+	mixes := make([]trace.Mix, len(pool))
+	for i, w := range pool {
+		mixes[i] = trace.HomogeneousMix(w, cores)
 	}
-	mixes = append(mixes, trace.HeterogeneousMixes(pool, cores, sc.HeteroMixes, 42)...)
-	return mixes
+	return append(mixes, trace.HeterogeneousMixes(pool, cores, sc.HeteroMixes, 42)...)
 }
-
-// mixSpeedups runs pf over a mix list in parallel, preserving mix order.
-func mixSpeedups(ctx context.Context, mixes []trace.Mix, cfg cache.Config, sc Scale, pf PF) ([]float64, error) {
-	out := make([]float64, len(mixes))
-	err := RunAll(ctx, len(mixes), func(i int) error {
-		sp, err := SpeedupOn(ctx, mixes[i], cfg, sc, pf)
-		out[i] = sp
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// suiteOfMix groups a mix under its suite or "Mix".
-func suiteOfMix(m trace.Mix) string { return m.Suite() }

@@ -4,9 +4,12 @@
 // the experiment index in DESIGN.md).
 //
 // Experiments fan their independent simulations out over a worker pool
-// (SetWorkers / RunAll); every simulation is deterministic and results are
-// written into index-addressed slots, so a rendered table is byte-identical
-// at any worker count. PERF.md describes the parallel architecture.
+// (SetWorkers / RunAll); every speedup table does so through one grid,
+// speedupGrid, which runs all its cells in a single RunAll. Every
+// simulation is deterministic and results are written into
+// index-addressed slots, so a rendered table is byte-identical at any
+// worker count (DESIGN.md "Experiment tables"; PERF.md describes the
+// parallel architecture).
 //
 // The harness never panics on unrunnable work: construction, stream and
 // simulation failures return as errors, and every entry point accepts a
@@ -690,3 +693,25 @@ func suiteWorkloads(suite string, sc Scale) []trace.Workload {
 func single(w trace.Workload) trace.Mix {
 	return trace.Mix{Name: w.Name, Workloads: []trace.Workload{w}}
 }
+
+// singles wraps each workload as a 1-core mix.
+func singles(ws []trace.Workload) []trace.Mix {
+	mixes := make([]trace.Mix, len(ws))
+	for i, w := range ws {
+		mixes[i] = single(w)
+	}
+	return mixes
+}
+
+// suitePool returns every suite's workloads in suite order, honoring the
+// scale's per-suite cap.
+func suitePool(sc Scale) []trace.Workload {
+	var ws []trace.Workload
+	for _, s := range trace.Suites() {
+		ws = append(ws, suiteWorkloads(s, sc)...)
+	}
+	return ws
+}
+
+// suiteMixes returns suitePool's workloads as 1-core mixes.
+func suiteMixes(sc Scale) []trace.Mix { return singles(suitePool(sc)) }

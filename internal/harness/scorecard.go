@@ -34,35 +34,20 @@ func Scorecard() []Claim {
 			ID: "1c-ordering", Source: "§6.2.1 / Fig. 9a",
 			Statement: "Pythia outperforms SPP, Bingo and MLOP on the single-core geomean",
 			Check: func(ctx context.Context, sc Scale) (string, bool, error) {
-				cfg := cache.DefaultConfig(1)
-				g := map[string]float64{}
-				for _, pf := range StandardPFs() {
-					var sp []float64
-					for _, suite := range trace.Suites() {
-						s, err := suiteSpeedups(ctx, suite, cfg, sc, pf)
-						if err != nil {
-							return "", false, err
-						}
-						sp = append(sp, s...)
-					}
-					g[pf.Name] = stats.Geomean(sp)
+				g, err := pfGeomeans(ctx, cache.DefaultConfig(1), sc, suiteMixes(sc), StandardPFs()...)
+				if err != nil {
+					return "", false, err
 				}
-				ok := g["pythia"] > g["SPP"] && g["pythia"] > g["Bingo"] && g["pythia"] > g["MLOP"]
-				return fmt.Sprintf("pythia %.3f, SPP %.3f, Bingo %.3f, MLOP %.3f",
-					g["pythia"], g["SPP"], g["Bingo"], g["MLOP"]), ok, nil
+				spp, bingo, mlop, py := g[0], g[1], g[2], g[3]
+				ok := py > spp && py > bingo && py > mlop
+				return fmt.Sprintf("pythia %.3f, SPP %.3f, Bingo %.3f, MLOP %.3f", py, spp, bingo, mlop), ok, nil
 			},
 		},
 		{
 			ID: "gems-delta-win", Source: "Fig. 1 / §6.5",
 			Statement: "On the GemsFDTD delta-chain workload, Pythia beats Bingo (delta learners win)",
 			Check: func(ctx context.Context, sc Scale) (string, bool, error) {
-				cfg := cache.DefaultConfig(1)
-				w, _ := trace.ByName("459.GemsFDTD-100B")
-				py, err := SpeedupOn(ctx, single(w), cfg, sc, BasicPythiaPF())
-				if err != nil {
-					return "", false, err
-				}
-				bi, err := SpeedupOn(ctx, single(w), cfg, sc, BingoPF())
+				py, bi, err := pairOn(ctx, sc, "459.GemsFDTD-100B", BasicPythiaPF(), BingoPF())
 				if err != nil {
 					return "", false, err
 				}
@@ -73,13 +58,7 @@ func Scorecard() []Claim {
 			ID: "sphinx-spatial-win", Source: "Fig. 1",
 			Statement: "On the sphinx3 spatial-footprint workload, Bingo beats SPP",
 			Check: func(ctx context.Context, sc Scale) (string, bool, error) {
-				cfg := cache.DefaultConfig(1)
-				w, _ := trace.ByName("482.sphinx3-100B")
-				bi, err := SpeedupOn(ctx, single(w), cfg, sc, BingoPF())
-				if err != nil {
-					return "", false, err
-				}
-				sp, err := SpeedupOn(ctx, single(w), cfg, sc, SPPPF())
+				bi, sp, err := pairOn(ctx, sc, "482.sphinx3-100B", BingoPF(), SPPPF())
 				if err != nil {
 					return "", false, err
 				}
@@ -90,59 +69,29 @@ func Scorecard() []Claim {
 			ID: "low-bw-lead", Source: "§6.2.2 / Fig. 8b",
 			Statement: "At 150 MTPS Pythia leads SPP, Bingo and MLOP; every prefetcher does worse than at 2400 MTPS",
 			Check: func(ctx context.Context, sc Scale) (string, bool, error) {
-				low := cache.DefaultConfig(1)
-				low.DRAM = low.DRAM.WithMTPS(150)
-				high := cache.DefaultConfig(1)
-				lowG := map[string]float64{}
-				ok := true
-				for _, pf := range StandardPFs() {
-					var l, h []float64
-					for _, suite := range trace.Suites() {
-						ls, err := suiteSpeedups(ctx, suite, low, sc, pf)
-						if err != nil {
-							return "", false, err
-						}
-						hs, err := suiteSpeedups(ctx, suite, high, sc, pf)
-						if err != nil {
-							return "", false, err
-						}
-						l = append(l, ls...)
-						h = append(h, hs...)
-					}
-					lowG[pf.Name] = stats.Geomean(l)
-					if stats.Geomean(l) >= stats.Geomean(h) {
-						ok = false
-					}
+				g, err := rowGeomeans(ctx, mtpsRows(sc, []int{150, 2400}, suiteMixes(sc)), StandardPFs())
+				if err != nil {
+					return "", false, err
 				}
-				for _, rival := range []string{"SPP", "Bingo", "MLOP"} {
-					if lowG["pythia"] < lowG[rival] {
-						ok = false
-					}
+				low, high := g[0], g[1] // SPP, Bingo, MLOP, pythia
+				ok := true
+				for j := range low {
+					ok = ok && low[j] < high[j] && low[3] >= low[j]
 				}
 				return fmt.Sprintf("150 MTPS: pythia %.3f, SPP %.3f, Bingo %.3f, MLOP %.3f",
-					lowG["pythia"], lowG["SPP"], lowG["Bingo"], lowG["MLOP"]), ok, nil
+					low[3], low[0], low[1], low[2]), ok, nil
 			},
 		},
 		{
 			ID: "bw-awareness", Source: "§6.3.3 / Fig. 11",
 			Statement: "The bandwidth-oblivious ablation does not beat basic Pythia under constrained bandwidth",
 			Check: func(ctx context.Context, sc Scale) (string, bool, error) {
-				cfg := cache.DefaultConfig(1)
-				cfg.DRAM = cfg.DRAM.WithMTPS(300)
-				var b, o []float64
-				for _, suite := range trace.Suites() {
-					bs, err := suiteSpeedups(ctx, suite, cfg, sc, BasicPythiaPF())
-					if err != nil {
-						return "", false, err
-					}
-					os, err := suiteSpeedups(ctx, suite, cfg, sc, PythiaPF(core.BandwidthObliviousConfig()))
-					if err != nil {
-						return "", false, err
-					}
-					b = append(b, bs...)
-					o = append(o, os...)
+				g, err := pfGeomeans(ctx, mtpsConfig(300), sc, suiteMixes(sc),
+					BasicPythiaPF(), PythiaPF(core.BandwidthObliviousConfig()))
+				if err != nil {
+					return "", false, err
 				}
-				gb, gobl := stats.Geomean(b), stats.Geomean(o)
+				gb, gobl := g[0], g[1]
 				return fmt.Sprintf("basic %.3f vs oblivious %.3f at 300 MTPS", gb, gobl), gobl <= gb*1.02, nil
 			},
 		},
@@ -150,21 +99,12 @@ func Scorecard() []Claim {
 			ID: "strict-ligra", Source: "§6.6.1 / Fig. 15",
 			Statement: "Strict reward customization does not lose on the Ligra suite",
 			Check: func(ctx context.Context, sc Scale) (string, bool, error) {
-				cfg := cache.DefaultConfig(1)
-				var b, s []float64
-				for _, w := range suiteWorkloads(trace.SuiteLigra, sc) {
-					bs, err := SpeedupOn(ctx, single(w), cfg, sc, BasicPythiaPF())
-					if err != nil {
-						return "", false, err
-					}
-					ss, err := SpeedupOn(ctx, single(w), cfg, sc, PythiaPF(core.StrictConfig()))
-					if err != nil {
-						return "", false, err
-					}
-					b = append(b, bs)
-					s = append(s, ss)
+				mixes := singles(suiteWorkloads(trace.SuiteLigra, sc))
+				g, err := pfGeomeans(ctx, cache.DefaultConfig(1), sc, mixes, BasicPythiaPF(), PythiaPF(core.StrictConfig()))
+				if err != nil {
+					return "", false, err
 				}
-				gb, gs := stats.Geomean(b), stats.Geomean(s)
+				gb, gs := g[0], g[1]
 				return fmt.Sprintf("basic %.3f vs strict %.3f", gb, gs), gs >= gb*0.99, nil
 			},
 		},
@@ -186,16 +126,12 @@ func Scorecard() []Claim {
 			ID: "unseen", Source: "§6.4 / Fig. 12",
 			Statement: "Pythia gains on the unseen CVP-2 traces it was never tuned on",
 			Check: func(ctx context.Context, sc Scale) (string, bool, error) {
-				cfg := cache.DefaultConfig(1)
-				var sp []float64
-				for _, w := range trace.Representative(trace.SuiteCVP2) {
-					s, err := SpeedupOn(ctx, single(w), cfg, sc, BasicPythiaPF())
-					if err != nil {
-						return "", false, err
-					}
-					sp = append(sp, s)
+				mixes := singles(trace.Representative(trace.SuiteCVP2))
+				gs, err := pfGeomeans(ctx, cache.DefaultConfig(1), sc, mixes, BasicPythiaPF())
+				if err != nil {
+					return "", false, err
 				}
-				g := stats.Geomean(sp)
+				g := gs[0]
 				return fmt.Sprintf("geomean %.3f", g), g > 1.0, nil
 			},
 		},
@@ -214,22 +150,22 @@ func Scorecard() []Claim {
 // rivalGeomeans compares Pythia's single-core geomean to a rival's across
 // every suite (the shared body of the CP-HW and POWER7 claims).
 func rivalGeomeans(ctx context.Context, sc Scale, rival PF, label string) (string, bool, error) {
-	cfg := cache.DefaultConfig(1)
-	var p, c []float64
-	for _, suite := range trace.Suites() {
-		ps, err := suiteSpeedups(ctx, suite, cfg, sc, BasicPythiaPF())
-		if err != nil {
-			return "", false, err
-		}
-		cs, err := suiteSpeedups(ctx, suite, cfg, sc, rival)
-		if err != nil {
-			return "", false, err
-		}
-		p = append(p, ps...)
-		c = append(c, cs...)
+	g, err := pfGeomeans(ctx, cache.DefaultConfig(1), sc, suiteMixes(sc), BasicPythiaPF(), rival)
+	if err != nil {
+		return "", false, err
 	}
-	gp, gc := stats.Geomean(p), stats.Geomean(c)
+	gp, gc := g[0], g[1]
 	return fmt.Sprintf("pythia %.3f vs %s %.3f", gp, label, gc), gp > gc, nil
+}
+
+// pairOn returns the speedups of a and b on one single-core workload.
+func pairOn(ctx context.Context, sc Scale, workload string, a, b PF) (float64, float64, error) {
+	w, _ := trace.ByName(workload)
+	sps, err := speedupGrid(ctx, pfCells(cache.DefaultConfig(1), sc, []trace.Mix{single(w)}, []PF{a, b}))
+	if err != nil {
+		return 0, 0, err
+	}
+	return sps[0][0], sps[1][0], nil
 }
 
 // RunScorecard evaluates every claim at a scale.

@@ -403,9 +403,11 @@ func (j *job) finishLocked(setResult func(), cached bool, sims int64, err error)
 
 // restore installs a terminal record's outcome on a job rebuilt at
 // recovery, before the job is visible to other goroutines: a client
-// polling it across a restart gets its final state. Nothing is journaled
-// or counted again; the result itself stays in its store.
-func (j *job) restore(rec jobRecord) {
+// polling it across a restart gets its final state, and a done job its
+// artifact (res or meta, reloaded from its store by the caller; nil on a
+// store miss). Nothing is journaled or counted again.
+func (j *job) restore(rec jobRecord, res *harness.ExperimentPayload, meta *policy.Meta) {
+	j.result, j.policyMeta = res, meta
 	j.status = rec.Status
 	j.errMsg = rec.Error
 	j.sims = rec.Sims

@@ -24,6 +24,7 @@ import (
 
 	"pythia/internal/fault"
 	"pythia/internal/harness"
+	"pythia/internal/policy"
 	"pythia/internal/results"
 	"pythia/internal/serve"
 )
@@ -217,13 +218,16 @@ func TestJournalRecoveryIdempotent(t *testing.T) {
 // TestTerminalJobSurvivesRestart: a job that finished before a restart
 // still answers GET /api/v1/runs/{id} with its final state afterwards —
 // a done one and a canceled one — and a new job's ID does not collide
-// with them. Only the newest JobHistory finished jobs are kept: a restart
-// with a history of one drops the older records.
+// with them. A done job keeps its artifact: an experiment's result and
+// rendered table, a training job's policy, reloaded from their stores.
+// Only the newest JobHistory finished jobs are kept: a restart with a
+// history of one drops the older records.
 func TestTerminalJobSurvivesRestart(t *testing.T) {
 	harness.ResetCaches()
 	defer harness.ResetCaches()
 	cfg := serve.Config{
 		Store:            results.Open(t.TempDir()),
+		Policies:         policy.Open(t.TempDir()),
 		QueueDepth:       4,
 		ProgressInterval: 10 * time.Millisecond,
 		JournalDir:       t.TempDir(),
@@ -239,8 +243,16 @@ func TestTerminalJobSurvivesRestart(t *testing.T) {
 		t.Fatalf("POST = %d", code)
 	}
 	before := waitDone(t, ts.URL, done.ID)
-	if before.Status != serve.StatusDone || before.Sims == 0 {
-		t.Fatalf("first-life job ended %q with %d sims (%s)", before.Status, before.Sims, before.Error)
+	if before.Status != serve.StatusDone || before.Sims == 0 || before.Result == nil || before.Rendered == "" {
+		t.Fatalf("first-life job ended %q with %d sims, result %v (%s)", before.Status, before.Sims, before.Result != nil, before.Error)
+	}
+	trained, code := postTrain(t, ts.URL, "459.GemsFDTD-100B", "pythia", "tiny")
+	if code != http.StatusAccepted {
+		t.Fatalf("POST train = %d", code)
+	}
+	trainedBefore := waitDone(t, ts.URL, trained.ID)
+	if trainedBefore.Status != serve.StatusDone || trainedBefore.Policy == nil {
+		t.Fatalf("training job ended %q with policy %v (%s)", trainedBefore.Status, trainedBefore.Policy, trainedBefore.Error)
 	}
 	canceled, code := postRun(t, ts.URL, "fig7", "verylong")
 	if code != http.StatusAccepted {
@@ -269,6 +281,22 @@ func TestTerminalJobSurvivesRestart(t *testing.T) {
 		t.Errorf("%s after restart: status %q, sims %d, worker %q, recovered %v; want done, %d, %q, true",
 			done.ID, got.Status, got.Sims, got.Worker, got.Recovered, before.Sims, before.Worker)
 	}
+	for _, want := range []serve.JobView{before, trainedBefore} {
+		out.Job = serve.JobView{}
+		if code := getJSON(t, base+"/api/v1/runs/"+want.ID, &out); code != http.StatusOK {
+			t.Fatalf("GET %s after restart = %d, want 200", want.ID, code)
+		}
+		type artifact struct {
+			Result   any
+			Rendered string
+			Policy   any
+		}
+		got, _ := json.Marshal(artifact{out.Job.Result, out.Job.Rendered, out.Job.Policy})
+		exp, _ := json.Marshal(artifact{want.Result, want.Rendered, want.Policy})
+		if string(got) != string(exp) {
+			t.Errorf("%s artifact after restart:\n%s\nwant\n%s", want.ID, got, exp)
+		}
+	}
 	if code := getJSON(t, base+"/api/v1/runs/"+canceled.ID, &out); code != http.StatusOK || out.Job.Status != serve.StatusCanceled {
 		t.Errorf("GET %s after restart = %d %q, want 200 canceled", canceled.ID, code, out.Job.Status)
 	}
@@ -291,7 +319,8 @@ func TestTerminalJobSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	base = newHTTPServer(t, third)
-	for id, want := range map[string]int{done.ID: http.StatusNotFound, canceled.ID: http.StatusNotFound, fresh.ID: http.StatusOK} {
+	for id, want := range map[string]int{done.ID: http.StatusNotFound, canceled.ID: http.StatusNotFound,
+		trained.ID: http.StatusNotFound, fresh.ID: http.StatusOK} {
 		if code := getJSON(t, base+"/api/v1/runs/"+id, &out); code != want {
 			t.Errorf("GET %s with a history of one = %d, want %d", id, code, want)
 		}

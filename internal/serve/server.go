@@ -272,7 +272,8 @@ func (s *Server) recoverJobs(recs []jobRecord) (requeued int) {
 		s.order = append(s.order, rec.ID)
 		s.recovered++
 		if terminalStatus(rec.Status) {
-			j.restore(rec)
+			res, meta := s.reloadArtifact(j, rec, err)
+			j.restore(rec, res, meta)
 			continue
 		}
 		j.publish("status", j.viewLocked())
@@ -283,6 +284,30 @@ func (s *Server) recoverJobs(recs []jobRecord) (requeued int) {
 		}
 	}
 	return requeued
+}
+
+// reloadArtifact fetches a done job's artifact back from its store: an
+// experiment's result by its key, a training job's policy by the ID its
+// record names. A job whose spec no longer resolves (buildErr), or a
+// store miss, gets none.
+func (s *Server) reloadArtifact(j *job, rec jobRecord, buildErr error) (*harness.ExperimentPayload, *policy.Meta) {
+	if rec.Status != StatusDone || buildErr != nil {
+		return nil, nil
+	}
+	if j.kind == KindTrain {
+		if s.cfg.Policies == nil {
+			return nil, nil
+		}
+		if env, ok := s.cfg.Policies.Get(rec.PolicyID); ok {
+			return nil, &env.Meta
+		}
+		return nil, nil
+	}
+	var res harness.ExperimentPayload
+	if s.store.Get(harness.ExperimentKey(j.expID, j.scale), &res) {
+		return &res, nil
+	}
+	return nil, nil
 }
 
 // waitingJobs lists the jobs waiting for the in-process worker, in

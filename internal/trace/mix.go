@@ -49,20 +49,3 @@ func HeterogeneousMixes(pool []Workload, n, count int, seed int64) []Mix {
 	}
 	return mixes
 }
-
-// StandardMixes returns the evaluation mix list for an n-core system: one
-// homogeneous mix per representative workload of each suite plus `hetero`
-// random heterogeneous mixes, mirroring the paper's 4C methodology.
-func StandardMixes(n, hetero int) []Mix {
-	var mixes []Mix
-	var pool []Workload
-	for _, s := range Suites() {
-		reps := Representative(s)
-		pool = append(pool, reps...)
-		for _, w := range reps {
-			mixes = append(mixes, HomogeneousMix(w, n))
-		}
-	}
-	mixes = append(mixes, HeterogeneousMixes(pool, n, hetero, 42)...)
-	return mixes
-}

@@ -121,25 +121,6 @@ func TestHeterogeneousMixes(t *testing.T) {
 	}
 }
 
-func TestStandardMixes(t *testing.T) {
-	ms := StandardMixes(2, 3)
-	if len(ms) == 0 {
-		t.Fatal("no standard mixes")
-	}
-	hetero := 0
-	for _, m := range ms {
-		if len(m.Workloads) != 2 {
-			t.Errorf("mix %s has %d workloads", m.Name, len(m.Workloads))
-		}
-		if m.Suite() == "Mix" {
-			hetero++
-		}
-	}
-	if hetero < 1 {
-		t.Error("expected heterogeneous mixes in the standard list")
-	}
-}
-
 func TestFixedWorkload(t *testing.T) {
 	orig := &Trace{Name: "file-x", Suite: "FILE", Records: []Record{{PC: 1, Addr: 64}}}
 	w := Fixed(orig)
