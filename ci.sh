@@ -169,7 +169,7 @@ if [ "$tier" = full ]; then
         ./internal/flight/... ./internal/fsutil/... ./internal/cpu/...
 
     echo "== batch bit-identity under -race (fused kernel vs shim, worker counts) =="
-    # The fused SoA kernel must stay bit-identical to the record-at-a-time
+    # The fused chunk kernel must stay bit-identical to the record-at-a-time
     # shim the tests keep as its reference, at every chunk edge and chunk
     # size and on randomly drawn systems, and experiment results must not
     # depend on worker count. These run inside the package sweeps above
@@ -204,7 +204,7 @@ if [ "$tier" = full ]; then
     fi
     rm -rf "$tf"
 
-    echo "== fuzz smoke (trace-file decoder, record and chunk paths) =="
+    echo "== fuzz smoke (trace-file decoder, every chunk size against chunk size 1 and Read) =="
     go test -run='^$' -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/trace
 
     echo "== bench smoke (Pythia train and QVStore hot paths, MLOP/SPP/Bingo train, hierarchy access, stored-result hit, trace generation and delivery, cache fill, fresh-scale job) =="

@@ -54,6 +54,12 @@ type benchReport struct {
 	TotalSecs   float64           `json:"total_seconds"`
 }
 
+// benchExperiment is one experiment's line of the -json report. Seconds,
+// Sims and Instructions are marginal costs: what the experiment's own
+// call did after every earlier experiment of the same invocation filled
+// the run memo. An experiment whose runs an earlier one already made
+// reports 0 sims and near-0 seconds, so the figures depend on the -exp
+// order and are not the experiment's cost on its own.
 type benchExperiment struct {
 	ID      string  `json:"id"`
 	Title   string  `json:"title"`

@@ -4,10 +4,10 @@
 // per-workload warmup then measurement, and trace replay for cores that
 // finish early in multi-programmed runs.
 //
-// The hot loop is batched: cores consume records as column chunks
-// (trace.Chunk) through trace.ChunkReader and fuse a whole batch per
-// driver step (stepChunk), keeping clock and retirement state in
-// registers instead of paying an interface call per record. The tests
+// The hot loop is batched: cores consume records in chunks (trace.Chunk)
+// through trace.ChunkReader and fuse a whole batch per driver step
+// (stepChunk), keeping clock and retirement state in registers instead
+// of paying an interface call per record. The tests
 // keep the record-at-a-time driver the kernel replaced (shim_test.go) as
 // a reference it must match bit for bit — across chunk-boundary edge
 // cases, replays, multi-core runs and randomly drawn systems.
@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"pythia/internal/cache"
 	"pythia/internal/trace"
@@ -87,7 +88,10 @@ type Core struct {
 	inflight loadRing // FIFO of outstanding loads, capacity LQ
 	replays  int
 
-	// cur/pos is the column batch being consumed by the fused kernel.
+	// widthShift is log2(cfg.Width) for power-of-two widths, else -1.
+	widthShift int
+
+	// cur/pos is the batch being consumed by the fused kernel.
 	cur trace.Chunk
 	pos int
 
@@ -141,7 +145,7 @@ func (c *Core) Replays() int { return c.replays }
 // (simulated-instructions/sec) are computed from this.
 func (c *Core) Retired() int64 { return c.instret }
 
-// nextBatch pulls the next column batch from the reader, replaying the
+// nextBatch pulls the next batch from the reader, replaying the
 // trace once on a clean EOF (the paper's methodology for cores that
 // finish early). Returning with an empty cur means the trace itself is
 // empty; the caller spins the clock. A delivery failure aborts: the
@@ -160,7 +164,7 @@ func (c *Core) nextBatch() error {
 			if err := c.reader.Err(); err != nil {
 				return fmt.Errorf("cpu: core %d: trace replay: %w", c.id, err)
 			}
-			c.cur, c.pos = trace.Chunk{}, 0
+			c.cur, c.pos = nil, 0
 			return nil
 		}
 	}
@@ -169,13 +173,13 @@ func (c *Core) nextBatch() error {
 }
 
 // stepChunk is the fused hot loop: it advances the core through the
-// current column batch until the batch is exhausted, retired instructions
+// current batch until the batch is exhausted, retired instructions
 // reach instrLimit, or the local clock passes cycleCap (the scheduling
 // bound capFor computes). Per record it performs exactly the arithmetic
 // of the record-at-a-time shim — issue-width clocking (in closed form),
 // load retirement, ROB/LQ stalls, one hierarchy access — in the same
 // order, so the two paths are bit-identical (batch_test.go). The fusion
-// wins come from keeping clock state in locals, indexing dense columns
+// wins come from keeping clock state in locals, indexing the chunk
 // instead of an interface call per record, and O(1) ring pops.
 func (c *Core) stepChunk(instrLimit, cycleCap int64) error {
 	if c.pos >= c.cur.Len() {
@@ -195,51 +199,36 @@ func (c *Core) stepChunk(instrLimit, cycleCap int64) error {
 		instret  = c.instret
 		issueRem = c.issueRem
 		width    = c.cfg.Width
+		shift    = c.widthShift
 		rob      = int64(c.cfg.ROB)
 		lq       = c.cfg.LQ
 		hier     = c.hier
 		id       = c.id
 		addrOff  = c.addrOffset
 	)
-	// The refill division runs once per record on the issue-clock critical
-	// path; for power-of-two widths (the Table 5 core is 4-wide) a shift
-	// computes the identical quotient.
-	widthShift := -1
-	if width&(width-1) == 0 {
-		for s := 0; s < 32; s++ {
-			if 1<<s == width {
-				widthShift = s
-				break
-			}
-		}
-	}
 	// The load ring runs on locals too; ringLen never changes, so the wrap
 	// arithmetic compiles to straight-line code.
 	buf := c.inflight.buf
 	head, m := c.inflight.head, c.inflight.n
 	ringLen := len(buf)
 
-	pcs := c.cur.PC
-	n := len(pcs)
-	// Columns are equal-length by the Chunk invariant; reslicing to n lets
-	// the compiler drop the per-record bounds checks.
-	addrs := c.cur.Addr[:n]
-	gaps := c.cur.NonMem[:n]
-	stores := c.cur.Store[:n]
-	i := c.pos
-	for i < n && instret < instrLimit && cycle <= cycleCap {
+	// Indexing from 0 lets the compiler drop the per-record bounds checks.
+	recs := c.cur[c.pos:]
+	i := 0
+	for i < len(recs) && instret < instrLimit && cycle <= cycleCap {
+		r := &recs[i]
 		// Issue the non-memory instructions plus the memory op at
 		// Width/cycle. This is the closed form of the shim's refill loop:
 		// identical integer sequence, no iteration (TestIssueClockClosedForm).
-		k := int(gaps[i]) + 1
+		k := int(r.NonMem) + 1
 		instret += int64(k)
 		if k <= issueRem {
 			issueRem -= k
 		} else {
 			k -= issueRem
 			var refills int
-			if widthShift >= 0 {
-				refills = (k + width - 1) >> widthShift
+			if shift >= 0 {
+				refills = (k + width - 1) >> shift
 			} else {
 				refills = (k + width - 1) / width
 			}
@@ -270,8 +259,8 @@ func (c *Core) stepChunk(instrLimit, cycleCap int64) error {
 			m--
 		}
 
-		done := hier.Access(id, pcs[i], addrs[i]+addrOff, stores[i], cycle)
-		if !stores[i] && done > cycle {
+		done := hier.Access(id, r.PC, r.Addr+addrOff, r.Store, cycle)
+		if !r.Store && done > cycle {
 			j := head + m
 			if j >= ringLen {
 				j -= ringLen
@@ -282,8 +271,9 @@ func (c *Core) stepChunk(instrLimit, cycleCap int64) error {
 		i++
 	}
 	c.inflight.head, c.inflight.n = head, m
-	c.records += int64(i - c.pos)
-	c.cycle, c.instret, c.issueRem, c.pos = cycle, instret, issueRem, i
+	c.records += int64(i)
+	c.cycle, c.instret, c.issueRem = cycle, instret, issueRem
+	c.pos += i
 	return nil
 }
 
@@ -313,6 +303,13 @@ func NewSystem(cfg SystemConfig, hier *cache.Hierarchy, readers []trace.ChunkRea
 	if cfg.Core.Width <= 0 || cfg.Core.ROB <= 0 || cfg.Core.LQ <= 0 {
 		return nil, fmt.Errorf("cpu: invalid core config %+v", cfg.Core)
 	}
+	// The refill division runs once per record on the issue-clock critical
+	// path; for power-of-two widths (the Table 5 core is 4-wide) a shift
+	// computes the identical quotient.
+	shift := -1
+	if w := cfg.Core.Width; w&(w-1) == 0 {
+		shift = bits.TrailingZeros(uint(w))
+	}
 	s := &System{Hier: hier, cfg: cfg}
 	for i, r := range readers {
 		s.Cores = append(s.Cores, &Core{
@@ -320,6 +317,7 @@ func NewSystem(cfg SystemConfig, hier *cache.Hierarchy, readers []trace.ChunkRea
 			cfg:        cfg.Core,
 			reader:     r,
 			hier:       hier,
+			widthShift: shift,
 			inflight:   newLoadRing(cfg.Core.LQ),
 			addrOffset: uint64(i) << 56,
 		})

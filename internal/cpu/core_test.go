@@ -263,13 +263,14 @@ type failingReader struct {
 
 func (r *failingReader) NextChunk() (trace.Chunk, bool) {
 	if r.left <= 0 {
-		return trace.Chunk{}, false
+		return nil, false
 	}
-	c := trace.NewChunk(r.left)
-	for ; r.left > 0; r.left-- {
-		c.Append(trace.Record{PC: 1, Addr: 64, NonMem: 1})
+	c := make(trace.Chunk, r.left)
+	for i := range c {
+		c[i] = trace.Record{PC: 1, Addr: 64, NonMem: 1}
 	}
-	return *c, true
+	r.left = 0
+	return c, true
 }
 
 func (r *failingReader) Reset() {}

@@ -1,9 +1,9 @@
-// Kernel throughput benchmarks: the fused SoA chunk loop against the
+// Kernel throughput benchmarks: the fused chunk loop against the
 // record-at-a-time shim over three synthetic profiles — mixed (misses
 // exercise the hierarchy), hot (L1-resident, probe-bound) and comp
 // (compute-dense, issue-arithmetic-bound). Wall-clock comparisons on
 // shared hardware need interleaved best-of-N runs; see PERF.md
-// "Batched SoA kernel" for methodology and recorded numbers.
+// "Batched kernel" for methodology and recorded numbers.
 package cpu
 
 import (

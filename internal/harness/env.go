@@ -44,11 +44,14 @@ type Env struct {
 	// no policy store is given (a store brings its own singleflight).
 	trainFlight flight.Group[policy.Envelope]
 
-	// spares holds at most one spare per sim slot. It is not a sync.Pool:
-	// a pool empties at every collection, and both perfbench and a
-	// long-lived server collect between runs.
+	// spares holds the cleared hierarchies of finished runs, for a later
+	// run of the same geometry to recycle (cache.Recycle); a small
+	// simulation otherwise spends a sizeable share of its time allocating
+	// and zeroing them. It holds at most one per sim slot. It is not a
+	// sync.Pool: a pool empties at every collection, and both perfbench
+	// and a long-lived server collect between runs.
 	sparesMu sync.Mutex
-	spares   []spare
+	spares   []*cache.Hierarchy
 
 	// sims and instructions only ever grow; callers measure work by
 	// deltas.
@@ -215,32 +218,22 @@ func (e *Env) countSim(ctx context.Context) {
 	}
 }
 
-// spare is what a finished run leaves for a later run of the same
-// geometry to recycle: its hierarchy's arrays (cache.Recycle) and its
-// slice readers' column buffers (trace.RecycleSliceReader). A small
-// simulation otherwise spends a sizeable share of its time allocating
-// and zeroing them.
-type spare struct {
-	hier    *cache.Hierarchy
-	readers []*trace.SliceReader
-}
-
-// takeSpare removes and returns the most recently pooled spare whose
-// hierarchy fits cfg, or the zero spare.
-func (e *Env) takeSpare(cfg cache.Config) spare {
+// takeSpare removes and returns the most recently pooled spare
+// hierarchy that fits cfg, or nil.
+func (e *Env) takeSpare(cfg cache.Config) *cache.Hierarchy {
 	e.sparesMu.Lock()
 	defer e.sparesMu.Unlock()
 	for i := len(e.spares) - 1; i >= 0; i-- {
-		if sp := e.spares[i]; sp.hier.Fits(cfg) {
+		if sp := e.spares[i]; sp.Fits(cfg) {
 			e.spares = slices.Delete(e.spares, i, i+1)
 			return sp
 		}
 	}
-	return spare{}
+	return nil
 }
 
 // putSpare pools sp, dropping the oldest spares beyond one per sim slot.
-func (e *Env) putSpare(sp spare) {
+func (e *Env) putSpare(sp *cache.Hierarchy) {
 	e.sparesMu.Lock()
 	defer e.sparesMu.Unlock()
 	e.spares = append(e.spares, sp)

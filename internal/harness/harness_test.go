@@ -401,8 +401,7 @@ func TestAllExperimentsRun(t *testing.T) {
 
 // TestRunAllocDoesNotScaleWithTraceLen checks that a materialized run
 // replays its resident trace in place: the bytes one Run allocates (the
-// hierarchy, the cores and a batch-sized column buffer) must not grow
-// with the trace. Each trace is generated and cached by a first run, so
+// hierarchy and the cores) must not grow with the trace. Each trace is generated and cached by a first run, so
 // only the second run of each length is measured.
 func TestRunAllocDoesNotScaleWithTraceLen(t *testing.T) {
 	t.Cleanup(ResetCaches)

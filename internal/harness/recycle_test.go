@@ -15,7 +15,7 @@ func pooledFit(cfg cache.Config) bool {
 	defaultEnv.sparesMu.Lock()
 	defer defaultEnv.sparesMu.Unlock()
 	for _, sp := range defaultEnv.spares {
-		if sp.hier.Fits(cfg) {
+		if sp.Fits(cfg) {
 			return true
 		}
 	}

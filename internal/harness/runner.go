@@ -390,8 +390,8 @@ func (e *Env) tracesFor(ctx context.Context, mix trace.Mix, length int) ([]*trac
 // Run executes one simulation. Concurrent callers are throttled to the
 // worker limit; each simulation owns all its mutable state, so any number
 // may run side by side with deterministic results. That state is built
-// on a finished run's cleared arrays where one fits (see spare), which
-// changes no result.
+// on a finished run's cleared arrays where one fits (see Env.spares),
+// which changes no result.
 //
 // Errors are returned, never panicked: an unbuildable hierarchy or system,
 // a stream that cannot open or fails mid-run, and a canceled ctx all
@@ -419,13 +419,12 @@ func (e *Env) run(ctx context.Context, spec RunSpec) (RunResult, error) {
 	cores := len(spec.Mix.Workloads)
 	cfg := spec.CacheCfg
 	cfg.Cores = cores
-	prev := e.takeSpare(cfg)
-	hier, err := cache.Recycle(cfg, prev.hier)
+	hier, err := cache.Recycle(cfg, e.takeSpare(cfg))
 	if err != nil {
 		return RunResult{}, fmt.Errorf("harness: %s: hierarchy: %w", spec.Mix.Name, err)
 	}
 
-	readers, err := e.openReaders(ctx, spec, prev.readers)
+	readers, err := e.openReaders(ctx, spec)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -498,28 +497,23 @@ func (e *Env) run(ctx context.Context, spec RunSpec) (RunResult, error) {
 	}
 	// A hook may have kept the hierarchy, so only hook-free runs give
 	// theirs up for the next run to recycle. The spare holds the arrays
-	// and column buffers alone: readers over no records, so the pool
-	// keeps neither this run's trace nor its prefetchers alive.
+	// alone, so the pool keeps neither this run's trace nor its
+	// prefetchers alive.
 	if spec.Hook == nil {
-		sp := spare{hier: hier.Spare()}
-		for _, r := range readers {
-			if sr, ok := r.(*trace.SliceReader); ok {
-				sp.readers = append(sp.readers, trace.RecycleSliceReader(nil, sr))
-			}
-		}
-		e.putSpare(sp)
+		e.putSpare(hier.Spare())
 	}
 	return res, nil
 }
 
 // openReaders opens one trace reader per core of spec's mix, the only
 // place a run's trace delivery is chosen. StreamChunk == 0 replays the
-// memoized traces (tracesFor) through slice readers built on prev's
-// column buffers. StreamChunk > 0 streams each trace through the bounded
-// chunk pipeline instead, so the horizon is limited by disk, not memory.
+// memoized traces (tracesFor) through slice readers, which serve windows
+// of the resident records. StreamChunk > 0 streams each trace through
+// the bounded chunk pipeline instead, so the horizon is limited by disk,
+// not memory.
 // The record sequence is the same either way (stream package equivalence
 // tests), so a spec yields the same result on both.
-func (e *Env) openReaders(ctx context.Context, spec RunSpec, prev []*trace.SliceReader) ([]trace.ChunkReader, error) {
+func (e *Env) openReaders(ctx context.Context, spec RunSpec) ([]trace.ChunkReader, error) {
 	readers := make([]trace.ChunkReader, len(spec.Mix.Workloads))
 	if spec.Scale.StreamChunk <= 0 {
 		traces, err := e.tracesFor(ctx, spec.Mix, spec.Scale.TraceLen)
@@ -527,11 +521,7 @@ func (e *Env) openReaders(ctx context.Context, spec RunSpec, prev []*trace.Slice
 			return nil, err
 		}
 		for i, t := range traces {
-			var old *trace.SliceReader
-			if i < len(prev) {
-				old = prev[i]
-			}
-			readers[i] = trace.RecycleSliceReader(t.Records, old)
+			readers[i] = trace.NewSliceReader(t.Records)
 		}
 		return readers, nil
 	}

@@ -282,7 +282,6 @@ func TestTerminalJobSurvivesRestart(t *testing.T) {
 			done.ID, got.Status, got.Sims, got.Worker, got.Recovered, before.Sims, before.Worker)
 	}
 	for _, want := range []serve.JobView{before, trainedBefore} {
-		out.Job = serve.JobView{}
 		if code := getJSON(t, base+"/api/v1/runs/"+want.ID, &out); code != http.StatusOK {
 			t.Fatalf("GET %s after restart = %d, want 200", want.ID, code)
 		}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -62,6 +63,8 @@ func postRun(t *testing.T, base, exp, scale string) (serve.JobView, int) {
 	return j, http.StatusAccepted
 }
 
+// getJSON GETs url, decodes the JSON body into out (out may be nil) and
+// returns the status code.
 func getJSON(t *testing.T, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -70,7 +73,12 @@ func getJSON(t *testing.T, url string, out any) int {
 	}
 	defer resp.Body.Close()
 	if out != nil {
-		json.NewDecoder(resp.Body).Decode(out)
+		// Zero *out first: the views' omitempty fields would otherwise keep
+		// what an earlier response decoded into a reused out.
+		reflect.ValueOf(out).Elem().SetZero()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("GET %s: decoding the response: %v", url, err)
+		}
 	}
 	return resp.StatusCode
 }

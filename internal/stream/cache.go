@@ -105,9 +105,9 @@ func (c *Cache) valid(path string, w trace.Workload, n int) bool {
 }
 
 // encodeWorkload streams n records of w into wr through the incremental
-// encoder, one column chunk at a time. The generator fills chunks in a
-// chunk pipeline's producer goroutine (the one GenSource readers use), so
-// generation overlaps encoding and writing, and no []Record is ever
+// encoder, one chunk at a time. The generator fills chunks in a chunk
+// pipeline's producer goroutine (the one GenSource readers use), so
+// generation overlaps encoding and writing, and the trace is never
 // materialized between the two. The context is checked between chunks so
 // a canceled generation pass aborts promptly.
 func encodeWorkload(ctx context.Context, wr *os.File, w trace.Workload, n int) (records int, instructions int64, err error) {
@@ -132,7 +132,7 @@ func encodeWorkload(ctx context.Context, wr *os.File, w trace.Workload, n int) (
 		if !ok {
 			break
 		}
-		if err := e.EncodeChunk(&c); err != nil {
+		if err := e.EncodeChunk(c); err != nil {
 			return records, instructions, err
 		}
 		records += c.Len()

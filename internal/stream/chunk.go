@@ -26,11 +26,10 @@ var (
 
 // chunkedReader is the pipelined core of the package: a producer goroutine
 // pulls records from a one-pass iterator and hands them to the consumer in
-// column chunks (trace.Chunk — parallel PC/Addr/NonMem/Store slices)
-// through a bounded ring, recycling chunk buffers through a free list so
-// steady-state streaming allocates nothing. Every producer (the generator,
-// the file decoder, a fixed workload's records) appends straight onto the
-// columns.
+// chunks (trace.Chunk) through a bounded ring, recycling chunk buffers
+// through a free list so steady-state streaming allocates nothing. Every
+// producer (the generator, the file decoder, a fixed workload's records)
+// appends straight onto the chunk.
 //
 // Memory bound: at most DefaultDepth+2 chunk buffers ever exist per
 // reader — one in the producer's hands, up to DefaultDepth queued, one
@@ -157,8 +156,8 @@ func iterErr(it trace.Iter) error {
 }
 
 // NextChunk implements trace.ChunkReader: it recycles the chunk handed
-// out last and pulls the next one from the ring. The returned column view
-// is valid until the next NextChunk/Reset/Close call. At the end of a
+// out last and pulls the next one from the ring. The returned chunk is
+// valid until the next NextChunk/Reset/Close call. At the end of a
 // pass it returns false, setting the sticky error on failures.
 func (c *chunkedReader) NextChunk() (trace.Chunk, bool) {
 	if c.cur != nil {
@@ -166,7 +165,7 @@ func (c *chunkedReader) NextChunk() (trace.Chunk, bool) {
 		c.cur = nil
 	}
 	if c.err != nil || c.p == nil {
-		return trace.Chunk{}, false
+		return nil, false
 	}
 	var buf *trace.Chunk
 	var ok bool
@@ -183,7 +182,7 @@ func (c *chunkedReader) NextChunk() (trace.Chunk, bool) {
 		if c.p.err != nil {
 			c.err = c.p.err
 		}
-		return trace.Chunk{}, false
+		return nil, false
 	}
 	obsRing.Add(-1)
 	obsChunks.Inc()

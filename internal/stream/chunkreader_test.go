@@ -13,7 +13,7 @@ func iterRecords(it trace.Iter) []trace.Record {
 	var out []trace.Record
 	c := trace.NewChunk(1)
 	for c.Reset(); it.FillChunk(c, 1) == 1; c.Reset() {
-		out = append(out, c.At(0))
+		out = append(out, (*c)[0])
 	}
 	return out
 }

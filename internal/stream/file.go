@@ -91,8 +91,8 @@ type fileIter struct {
 }
 
 // FillChunk implements trace.Iter: a run of up to max records
-// decodes straight onto the chunk's columns (Decoder.DecodeChunk), never
-// materializing a Record between disk and ring. While any failpoint is
+// decodes straight onto the chunk (Decoder.DecodeChunk), with no
+// intermediate buffer between disk and ring. While any failpoint is
 // armed, FPDecode is still consulted once per record, before the run
 // decodes: fault specs count hits in records, and a "file corrupted
 // mid-stream" must be able to land mid-chunk, after exactly the records

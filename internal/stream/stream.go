@@ -5,12 +5,12 @@
 // records per core. This package decouples trace production from
 // consumption (the vhive-invitro synthesizer split, applied to memory
 // traces): a Source produces restartable trace.ChunkReaders on demand,
-// and each reader pumps records through a bounded ring of reusable column
-// chunks (trace.Chunk — SoA parallel slices) filled by a producer
-// goroutine, so generation or file decode overlaps simulation and peak
-// resident trace memory is capped at a handful of chunks regardless of
-// trace length. The fused simulation kernel consumes those chunks
-// directly (DESIGN.md "Chunk-column contract").
+// and each reader pumps records through a bounded ring of reusable record
+// chunks (trace.Chunk) filled by a producer goroutine, so generation or
+// file decode overlaps simulation and peak resident trace memory is
+// capped at a handful of chunks regardless of trace length. The fused
+// simulation kernel consumes those chunks directly (DESIGN.md "Chunk
+// contract").
 //
 // Two backends exist:
 //
@@ -28,8 +28,8 @@ package stream
 
 import "pythia/internal/trace"
 
-// DefaultChunk is the default chunk size in records (608 KiB of columns
-// per chunk at 19 B/record).
+// DefaultChunk is the default chunk size in records (768 KiB per chunk
+// at 24 B/record).
 const DefaultChunk = 1 << 15
 
 // DefaultDepth is the chunk-ring depth: the producer may run at most

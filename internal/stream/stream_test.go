@@ -35,9 +35,7 @@ func drain(r trace.ChunkReader, limit int) []trace.Record {
 		if !ok {
 			break
 		}
-		for i := 0; i < c.Len(); i++ {
-			out = append(out, c.At(i))
-		}
+		out = append(out, c...)
 	}
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]

@@ -1,88 +1,58 @@
 package trace
 
-// The batched (SoA) record path. A Chunk carries a batch of records as
-// parallel column slices instead of a []Record: the simulation kernel
-// walks dense uint64/uint16/bool columns with no per-record interface
-// call and no 26-byte struct copies, and producers (generator, file
-// decoder) append straight into the columns without ever materializing
-// an intermediate []Record. PERF.md "Batched SoA kernel" documents the
-// layout invariants and the measured effect.
+// The batched record path. A Chunk is a window of consecutive records,
+// the same layout a resident trace has: a SliceReader serves windows of
+// the caller's records in place, and producers (generator, file decoder)
+// append straight onto a recycled chunk. The simulation kernel walks a
+// whole chunk per step with no per-record interface call. DESIGN.md
+// "Chunk contract" documents the invariants.
 
-// DefaultBatch is the column-batch size a SliceReader serves unless
-// SetBatch picks another, and the chunk size of trace-cache fills. It
-// matches the working-set goal of the stream pipeline's chunks: large
-// enough to amortize per-batch costs to noise, small enough to stay
-// cache-resident alongside the simulator's own state.
+// DefaultBatch is the batch size a SliceReader serves unless SetBatch
+// picks another, and the chunk size of trace-cache fills. It matches the
+// working-set goal of the stream pipeline's chunks: large enough to
+// amortize per-batch costs to noise, small enough to stay cache-resident
+// alongside the simulator's own state.
 const DefaultBatch = 1 << 13
 
-// Chunk is a batch of records in column (SoA) layout. All four columns
-// always have equal length; index i across the columns is record i.
-// Chunks are plain data: producers fill them with Append (or column-wise
-// writes that keep the equal-length invariant), consumers index the
-// columns directly.
-type Chunk struct {
-	PC     []uint64
-	Addr   []uint64
-	NonMem []uint16
-	Store  []bool
-}
+// Chunk is a batch of consecutive records. Producers append to it (a
+// *Chunk), consumers index it.
+type Chunk []Record
 
-// NewChunk returns an empty chunk with capacity for n records per column.
+// NewChunk returns an empty chunk with capacity for n records.
 func NewChunk(n int) *Chunk {
-	return &Chunk{
-		PC:     make([]uint64, 0, n),
-		Addr:   make([]uint64, 0, n),
-		NonMem: make([]uint16, 0, n),
-		Store:  make([]bool, 0, n),
-	}
+	c := make(Chunk, 0, n)
+	return &c
 }
 
 // Len returns the number of records in the chunk.
-func (c *Chunk) Len() int { return len(c.PC) }
+func (c Chunk) Len() int { return len(c) }
 
-// Reset truncates all columns to zero length, keeping their capacity, so
+// Reset truncates the chunk to zero length, keeping its capacity, so
 // chunk buffers recycle through free lists without reallocating.
-func (c *Chunk) Reset() {
-	c.PC = c.PC[:0]
-	c.Addr = c.Addr[:0]
-	c.NonMem = c.NonMem[:0]
-	c.Store = c.Store[:0]
-}
-
-// Append adds one record to the columns.
-func (c *Chunk) Append(r Record) {
-	c.PC = append(c.PC, r.PC)
-	c.Addr = append(c.Addr, r.Addr)
-	c.NonMem = append(c.NonMem, r.NonMem)
-	c.Store = append(c.Store, r.Store)
-}
-
-// At returns record i assembled from the columns.
-func (c *Chunk) At(i int) Record {
-	return Record{PC: c.PC[i], Addr: c.Addr[i], NonMem: c.NonMem[i], Store: c.Store[i]}
-}
+func (c *Chunk) Reset() { *c = (*c)[:0] }
 
 // Instructions returns the total instruction count of the chunk's
 // records (each record counts its access plus its NonMem gap).
-func (c *Chunk) Instructions() int64 {
-	n := int64(len(c.NonMem))
-	for _, g := range c.NonMem {
-		n += int64(g)
+func (c Chunk) Instructions() int64 {
+	n := int64(len(c))
+	for i := range c {
+		n += int64(c[i].NonMem)
 	}
 	return n
 }
 
 // ChunkReader is the one contract between trace delivery and the
-// simulation kernel. NextChunk delivers the next run of records as a
-// column view; ok == false ends the pass, and Err tells a delivery
-// failure (non-nil) from a clean end of trace (nil). Reset restarts the
-// trace from its first record, which the multi-core driver uses to replay
-// traces for cores that finish early (per the paper's methodology).
-// Close releases what the reader holds (a producer goroutine, an open
-// file); it is idempotent.
+// simulation kernel. NextChunk delivers the next run of records; ok ==
+// false ends the pass, and Err tells a delivery failure (non-nil) from a
+// clean end of trace (nil). Reset restarts the trace from its first
+// record, which the multi-core driver uses to replay traces for cores
+// that finish early (per the paper's methodology). Close releases what
+// the reader holds (a producer goroutine, an open file); it is
+// idempotent.
 //
-// The returned chunk is valid only until the next NextChunk, Reset or
-// Close call on the same reader: implementations recycle column buffers.
+// The returned chunk is read-only and valid only until the next
+// NextChunk, Reset or Close call on the same reader: implementations
+// recycle chunk buffers or serve windows of a resident trace.
 type ChunkReader interface {
 	NextChunk() (Chunk, bool)
 	Reset()

@@ -20,19 +20,12 @@ func randRecords(n int, seed int64) []Record {
 	return recs
 }
 
-func TestChunkAppendAtReset(t *testing.T) {
+func TestChunkResetAndInstructions(t *testing.T) {
 	recs := randRecords(100, 1)
 	c := NewChunk(100)
-	for _, r := range recs {
-		c.Append(r)
-	}
+	*c = append(*c, recs...)
 	if c.Len() != 100 {
 		t.Fatalf("Len = %d", c.Len())
-	}
-	for i, r := range recs {
-		if c.At(i) != r {
-			t.Fatalf("At(%d) = %+v, want %+v", i, c.At(i), r)
-		}
 	}
 	var wantInstr int64
 	for _, r := range recs {
@@ -42,77 +35,43 @@ func TestChunkAppendAtReset(t *testing.T) {
 		t.Fatalf("Instructions = %d, want %d", c.Instructions(), wantInstr)
 	}
 	c.Reset()
-	if c.Len() != 0 || cap(c.PC) != 100 {
-		t.Fatalf("Reset left len=%d cap=%d", c.Len(), cap(c.PC))
+	if c.Len() != 0 || cap(*c) != 100 {
+		t.Fatalf("Reset left len=%d cap=%d", c.Len(), cap(*c))
 	}
 }
 
-// TestEncodeChunkMatchesWriteRecord: the column encoder must produce the
-// exact bytes of the per-record encoder, including across an arbitrary
-// chunk split (delta state carries over).
-func TestEncodeChunkMatchesWriteRecord(t *testing.T) {
+// TestEncodeChunkSplitMatchesWrite: encoding a trace in two chunks split
+// at an arbitrary record must produce the exact bytes of Write, which
+// encodes it in one (delta state carries over between chunks).
+func TestEncodeChunkSplitMatchesWrite(t *testing.T) {
 	recs := randRecords(1000, 2)
-	var a bytes.Buffer
-	e1, err := NewEncoder(&a, "t", "s", len(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := e1.WriteRecord(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	whole := encodeTrace(t, &Trace{Name: "t", Suite: "s", Records: recs})
 
 	var b bytes.Buffer
-	e2, err := NewEncoder(&b, "t", "s", len(recs))
+	e, err := NewEncoder(&b, "t", "s", len(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewChunk(len(recs))
-	for _, r := range recs[:337] {
-		c.Append(r)
-	}
-	if err := e2.EncodeChunk(c); err != nil {
-		t.Fatal(err)
-	}
-	c.Reset()
-	for _, r := range recs[337:] {
-		c.Append(r)
-	}
-	if err := e2.EncodeChunk(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("chunked encoding produced different bytes than per-record encoding")
-	}
-}
-
-// TestDecodeChunkRoundTrip: records written per-record come back intact
-// through the column decode path, at a chunk size that leaves a partial
-// final chunk.
-func TestDecodeChunkRoundTrip(t *testing.T) {
-	recs := randRecords(777, 3)
-	var buf bytes.Buffer
-	e, err := NewEncoder(&buf, "rt", "s", len(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := e.WriteRecord(r); err != nil {
+	for _, c := range []Chunk{recs[:337], recs[337:]} {
+		if err := e.EncodeChunk(c); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(whole, b.Bytes()) {
+		t.Fatal("split encoding produced different bytes than Write")
+	}
+}
 
-	d, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+// TestDecodeChunkRoundTrip: written records come back intact through the
+// chunk decode path, at a chunk size that leaves a partial final chunk.
+func TestDecodeChunkRoundTrip(t *testing.T) {
+	recs := randRecords(777, 3)
+	data := encodeTrace(t, &Trace{Name: "rt", Suite: "s", Records: recs})
+
+	d, err := NewDecoder(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +89,7 @@ func TestDecodeChunkRoundTrip(t *testing.T) {
 		if n == 0 {
 			break
 		}
-		for i := 0; i < n; i++ {
-			got = append(got, c.At(i))
-		}
+		got = append(got, *c...)
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
@@ -144,7 +101,7 @@ func TestDecodeChunkRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFillChunkGenMatchesNext: the generator's direct column fill yields
+// TestFillChunkGenMatchesNext: the generator's direct chunk fill yields
 // the exact record sequence of repeated Next calls.
 func TestFillChunkGenMatchesNext(t *testing.T) {
 	// Actors carry state, so each Generator needs its own Spec.
@@ -168,8 +125,8 @@ func TestFillChunkGenMatchesNext(t *testing.T) {
 			if !ok {
 				t.Fatal("reference generator ended early")
 			}
-			if c.At(j) != want {
-				t.Fatalf("record %d = %+v, want %+v", i+j, c.At(j), want)
+			if (*c)[j] != want {
+				t.Fatalf("record %d = %+v, want %+v", i+j, (*c)[j], want)
 			}
 		}
 		i += n

@@ -107,19 +107,18 @@ func (g *Gen) Remaining() int {
 	return g.left
 }
 
-// FillChunk implements Iter: it appends up to max records to c's
-// columns, producing exactly the sequence repeated Next calls would —
-// both run the same generation step, so the stream equivalence tests and
-// the on-disk cache (keyed by GenVersion) see identical output.
+// FillChunk implements Iter: it appends up to max records to c,
+// producing exactly the sequence repeated Next calls would — both run
+// the same generation step, so the stream equivalence tests and the
+// on-disk cache (keyed by GenVersion) see identical output.
 func (g *Gen) FillChunk(c *Chunk, max int) int {
 	n := 0
-	for n < max {
+	for ; n < max; n++ {
 		rec, ok := g.Next()
 		if !ok {
 			break
 		}
-		c.Append(rec)
-		n++
+		*c = append(*c, rec)
 	}
 	return n
 }

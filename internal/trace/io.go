@@ -42,10 +42,6 @@ const maxRecordCount = 1 << 32
 // included) and the flags byte.
 const maxRecordLen = 3*binary.MaxVarintLen64 + 1
 
-// encoderFlush is the pending-output size at which WriteRecord writes
-// through to the underlying writer.
-const encoderFlush = 64 << 10
-
 // Encoder streams records into the binary trace format. The record count
 // is part of the header, so it must be known up front; Close fails if the
 // number of records written differs.
@@ -59,7 +55,7 @@ type Encoder struct {
 }
 
 // NewEncoder writes the trace header for count records to w and returns an
-// encoder ready to accept exactly count WriteRecord calls.
+// encoder ready to accept exactly count records.
 func NewEncoder(w io.Writer, name, suite string, count int) (*Encoder, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("trace: negative record count %d", count)
@@ -97,34 +93,17 @@ func (e *Encoder) flush() error {
 	return e.err
 }
 
-// WriteRecord appends one record.
-func (e *Encoder) WriteRecord(r Record) error {
-	if e.left == 0 {
-		return fmt.Errorf("trace: encoder: more records than the declared count")
-	}
-	e.left--
-	e.buf = appendRecord(e.buf, r.PC-e.prevPC, r.Addr-e.prevAddr, r.NonMem, r.Store)
-	e.prevPC, e.prevAddr = r.PC, r.Addr
-	if len(e.buf) >= encoderFlush {
-		return e.flush()
-	}
-	return nil
-}
-
-// EncodeChunk appends every record of a column chunk, streaming straight
-// off the columns: the chunked write path never assembles a Record or a
-// []Record between producer and encoder. The chunk's bytes reach the
+// EncodeChunk appends every record of c. The chunk's bytes reach the
 // underlying writer in one write.
-func (e *Encoder) EncodeChunk(c *Chunk) error {
-	n := c.Len()
-	if uint64(n) > e.left {
+func (e *Encoder) EncodeChunk(c Chunk) error {
+	if uint64(len(c)) > e.left {
 		return fmt.Errorf("trace: encoder: more records than the declared count")
 	}
-	e.left -= uint64(n)
+	e.left -= uint64(len(c))
 	b, pc, addr := e.buf, e.prevPC, e.prevAddr
-	for i := 0; i < n; i++ {
-		b = appendRecord(b, c.PC[i]-pc, c.Addr[i]-addr, c.NonMem[i], c.Store[i])
-		pc, addr = c.PC[i], c.Addr[i]
+	for _, r := range c {
+		b = appendRecord(b, r.PC-pc, r.Addr-addr, r.NonMem, r.Store)
+		pc, addr = r.PC, r.Addr
 	}
 	e.buf, e.prevPC, e.prevAddr = b, pc, addr
 	return e.flush()
@@ -145,10 +124,8 @@ func Write(w io.Writer, t *Trace) error {
 	if err != nil {
 		return err
 	}
-	for _, r := range t.Records {
-		if err := e.WriteRecord(r); err != nil {
-			return err
-		}
+	if err := e.EncodeChunk(t.Records); err != nil {
+		return err
 	}
 	return e.Close()
 }
@@ -163,7 +140,6 @@ type Decoder struct {
 	read     uint64
 	prevPC   uint64
 	prevAddr uint64
-	one      Chunk // Next's one-record chunk
 }
 
 // NewDecoder reads and validates the trace header from r.
@@ -219,23 +195,9 @@ func (d *Decoder) Count() int64 { return int64(d.count) }
 // Remaining returns how many of the declared records are still to decode.
 func (d *Decoder) Remaining() int64 { return int64(d.count - d.read) }
 
-// Next decodes the next record. It returns io.EOF after the declared count
-// of records has been read, and an ErrBadFormat-wrapped error on corrupt
-// input.
-func (d *Decoder) Next() (Record, error) {
-	if d.read >= d.count {
-		return Record{}, io.EOF
-	}
-	d.one.Reset()
-	if _, err := d.DecodeChunk(&d.one, 1); err != nil {
-		return Record{}, err
-	}
-	return d.one.At(0), nil
-}
-
-// DecodeChunk appends up to max records onto c's columns, returning how
-// many were decoded. A clean end of trace yields (n, nil) with n < max;
-// corrupt input yields the ErrBadFormat-wrapped error.
+// DecodeChunk appends up to max records onto c, returning how many were
+// decoded. A clean end of trace yields (n, nil) with n < max; corrupt
+// input yields the ErrBadFormat-wrapped error.
 //
 // Whole runs of records are parsed straight out of the buffered window.
 // A record the window does not hold in full (the input's last bytes), or
@@ -274,10 +236,7 @@ func (d *Decoder) DecodeChunk(c *Chunk, max int) (int, error) {
 			q += k
 			pc += uint64(pcD)
 			addr += uint64(addrD)
-			c.PC = append(c.PC, pc)
-			c.Addr = append(c.Addr, addr)
-			c.NonMem = append(c.NonMem, uint16(nonmem))
-			c.Store = append(c.Store, win[q]&1 != 0)
+			*c = append(*c, Record{PC: pc, Addr: addr, NonMem: uint16(nonmem), Store: win[q]&1 != 0})
 			p = q + 1
 			m++
 		}
@@ -320,10 +279,7 @@ func (d *Decoder) decodeSlow(c *Chunk) error {
 	d.read++
 	d.prevPC += uint64(pcD)
 	d.prevAddr += uint64(addrD)
-	c.PC = append(c.PC, d.prevPC)
-	c.Addr = append(c.Addr, d.prevAddr)
-	c.NonMem = append(c.NonMem, uint16(nonmem))
-	c.Store = append(c.Store, flags&1 != 0)
+	*c = append(*c, Record{PC: d.prevPC, Addr: d.prevAddr, NonMem: uint16(nonmem), Store: flags&1 != 0})
 	return nil
 }
 
@@ -333,22 +289,11 @@ func Read(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{Name: d.Name(), Suite: d.Suite()}
 	// Cap the pre-allocation: the header's count is untrusted input, so a
 	// corrupt file must not force a huge up-front allocation.
-	capHint := d.count
-	if capHint > 1<<20 {
-		capHint = 1 << 20
+	recs := make(Chunk, 0, min(d.count, 1<<20))
+	if _, err := d.DecodeChunk(&recs, int(d.count)); err != nil {
+		return nil, err
 	}
-	t.Records = make([]Record, 0, capHint)
-	for {
-		rec, err := d.Next()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Records = append(t.Records, rec)
-	}
+	return &Trace{Name: d.Name(), Suite: d.Suite(), Records: recs}, nil
 }

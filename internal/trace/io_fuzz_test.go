@@ -20,27 +20,18 @@ func encodeTrace(t *testing.T, tr *Trace) []byte {
 	return buf.Bytes()
 }
 
-// decodeRecords decodes data record by record through Decoder.Next
-// (chunk == 0) or through Decoder.DecodeChunk at the given chunk size. It
-// returns the records decoded before the first error, and that error.
+// decodeRecords decodes data through Decoder.DecodeChunk at the given
+// chunk size. It returns the records decoded before the first error, and
+// that error. Chunk size 1 is the reference the tests hold larger sizes
+// to: it refills the read window before every record, while larger sizes
+// parse runs of records out of one window and hand a record to the
+// byte-by-byte decodeSlow only where the window runs short.
 func decodeRecords(r io.Reader, chunk int) ([]Record, error) {
 	d, err := NewDecoder(r)
 	if err != nil {
 		return nil, err
 	}
 	var out []Record
-	if chunk == 0 {
-		for {
-			rec, err := d.Next()
-			if err == io.EOF {
-				return out, nil
-			}
-			if err != nil {
-				return out, err
-			}
-			out = append(out, rec)
-		}
-	}
 	c := NewChunk(chunk)
 	for {
 		c.Reset()
@@ -48,9 +39,7 @@ func decodeRecords(r io.Reader, chunk int) ([]Record, error) {
 		if n != c.Len() {
 			return out, fmt.Errorf("DecodeChunk returned %d but the chunk holds %d", n, c.Len())
 		}
-		for i := 0; i < n; i++ {
-			out = append(out, c.At(i))
-		}
+		out = append(out, *c...)
 		if err != nil || n < chunk {
 			return out, err
 		}
@@ -77,9 +66,10 @@ func sameDecode(t *testing.T, label string, got []Record, gotErr error, want []R
 // FuzzRoundTrip feeds arbitrary bytes to the decoder: anything that
 // decodes must re-encode and decode again to the identical trace, and
 // nothing — however corrupt — may crash or over-allocate (the decoder caps
-// name lengths, record counts and the records pre-allocation). The chunk
-// path (DecodeChunk, what file-streamed runs use) must agree with Read on
-// every input: the same records, and the same success or failure.
+// name lengths, record counts and the records pre-allocation). Every
+// chunk size of DecodeChunk (what file-streamed runs use) must agree with
+// chunk size 1 and with Read on every input: the same records, and the
+// same success or failure.
 //
 // Run with: go test -fuzz=FuzzRoundTrip ./internal/trace
 func FuzzRoundTrip(f *testing.F) {
@@ -101,13 +91,13 @@ func FuzzRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
-		want, wantErr := decodeRecords(bytes.NewReader(data), 0)
+		want, wantErr := decodeRecords(bytes.NewReader(data), 1)
 		if err == nil {
-			sameDecode(t, "Next", want, wantErr, tr.Records, nil)
+			sameDecode(t, "Read", tr.Records, nil, want, wantErr)
 		} else {
-			sameDecode(t, "Next", nil, wantErr, nil, err)
+			sameDecode(t, "Read", nil, err, nil, wantErr)
 		}
-		for _, chunk := range []int{1, 7, 4096} {
+		for _, chunk := range []int{7, 4096} {
 			got, gotErr := decodeRecords(bytes.NewReader(data), chunk)
 			sameDecode(t, fmt.Sprintf("chunk %d", chunk), got, gotErr, want, wantErr)
 		}
@@ -201,16 +191,12 @@ func TestCorruptRecordRejectedMidTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewChunk(len(good))
-		for _, r := range good {
-			c.Append(r)
-		}
-		if err := e.EncodeChunk(c); err != nil {
+		if err := e.EncodeChunk(good); err != nil {
 			t.Fatal(err)
 		}
 		buf.Write(bad)
 		buf.Write(make([]byte, 200))
-		for _, chunk := range []int{0, 1, 7, 4096} {
+		for _, chunk := range []int{1, 7, 4096} {
 			got, err := decodeRecords(bytes.NewReader(buf.Bytes()), chunk)
 			if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "record 100:") {
 				t.Fatalf("%s, chunk %d: error %v, want ErrBadFormat at record 100", name, chunk, err)
@@ -221,8 +207,8 @@ func TestCorruptRecordRejectedMidTrace(t *testing.T) {
 }
 
 // TestDecoderTruncatedMidRecord walks every truncation point of a small
-// trace through the incremental Decoder, record by record and through the
-// chunk path.
+// trace through the incremental Decoder, one record per chunk and in
+// larger chunks.
 func TestDecoderTruncatedMidRecord(t *testing.T) {
 	tr := &Trace{Name: "trunc", Suite: "TEST", Records: []Record{
 		{PC: 1 << 40, Addr: 1 << 41, NonMem: 300},
@@ -237,7 +223,7 @@ func TestDecoderTruncatedMidRecord(t *testing.T) {
 		if !errors.Is(err, ErrBadFormat) {
 			t.Fatalf("truncation at byte %d: %v is not ErrBadFormat", cut, err)
 		}
-		want, wantErr := decodeRecords(bytes.NewReader(full[:cut]), 0)
+		want, wantErr := decodeRecords(bytes.NewReader(full[:cut]), 1)
 		for _, chunk := range []int{1, 7, 4096} {
 			got, err := decodeRecords(bytes.NewReader(full[:cut]), chunk)
 			if !errors.Is(err, ErrBadFormat) {
@@ -249,7 +235,8 @@ func TestDecoderTruncatedMidRecord(t *testing.T) {
 }
 
 // TestDecoderHeaderAndEOF exercises the Decoder surface directly: header
-// accessors, io.EOF after the declared count, and EOF stickiness.
+// accessors, the declared count bounding a chunk, and a clean end of
+// trace that stays clean.
 func TestDecoderHeaderAndEOF(t *testing.T) {
 	tr := &Trace{Name: "dec", Suite: "SUITE", Records: []Record{{PC: 7, Addr: 9, NonMem: 3}}}
 	d, err := NewDecoder(bytes.NewReader(encodeTrace(t, tr)))
@@ -259,13 +246,13 @@ func TestDecoderHeaderAndEOF(t *testing.T) {
 	if d.Name() != "dec" || d.Suite() != "SUITE" || d.Count() != 1 {
 		t.Fatalf("header: %q/%q count %d", d.Name(), d.Suite(), d.Count())
 	}
-	rec, err := d.Next()
-	if err != nil || rec != tr.Records[0] {
-		t.Fatalf("Next = %+v, %v", rec, err)
+	c := NewChunk(4)
+	if n, err := d.DecodeChunk(c, 4); n != 1 || err != nil || (*c)[0] != tr.Records[0] || d.Remaining() != 0 {
+		t.Fatalf("DecodeChunk = %d, %v, chunk %+v, %d remaining", n, err, *c, d.Remaining())
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := d.Next(); err != io.EOF {
-			t.Fatalf("post-count Next #%d: %v, want io.EOF", i, err)
+		if n, err := d.DecodeChunk(c, 4); n != 0 || err != nil {
+			t.Fatalf("post-count DecodeChunk #%d = %d, %v, want 0, nil", i, n, err)
 		}
 	}
 }
@@ -281,10 +268,13 @@ func TestEncoderCountEnforced(t *testing.T) {
 	if err := e.Close(); err == nil {
 		t.Error("Close with a missing record succeeded")
 	}
-	if err := e.WriteRecord(Record{}); err != nil {
+	if err := e.EncodeChunk(Chunk{{}, {}}); err == nil {
+		t.Error("writing past the declared count succeeded")
+	}
+	if err := e.EncodeChunk(Chunk{{}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteRecord(Record{}); err == nil {
+	if err := e.EncodeChunk(Chunk{{}}); err == nil {
 		t.Error("writing past the declared count succeeded")
 	}
 	if err := e.Close(); err != nil {

@@ -85,7 +85,7 @@ func TestRoundTripProperty(t *testing.T) {
 // TestRoundTripAcrossRefills round-trips a trace many times longer than
 // the decoder's read buffer, with deltas of every varint width from one
 // byte to ten, so records straddle buffer refills at every offset. Each
-// decode path (Next, DecodeChunk at several sizes) reads it through
+// decode path (Read, DecodeChunk at several sizes) reads it through
 // readers that return whole, half and single-byte reads.
 func TestRoundTripAcrossRefills(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -107,7 +107,12 @@ func TestRoundTripAcrossRefills(t *testing.T) {
 		"byte":  func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) },
 	}
 	for name, open := range readers {
-		for _, chunk := range []int{0, 1, 7, 4096, 1 << 15} {
+		back, err := Read(open())
+		if err != nil {
+			t.Fatalf("%s reads: Read: %v", name, err)
+		}
+		sameDecode(t, name+" reads, Read", back.Records, nil, tr.Records, nil)
+		for _, chunk := range []int{1, 7, 4096, 1 << 15} {
 			got, err := decodeRecords(open(), chunk)
 			sameDecode(t, fmt.Sprintf("%s reads, chunk %d", name, chunk), got, err, tr.Records, nil)
 		}

@@ -10,9 +10,7 @@ func iterRecords(it Iter, chunk int) []Record {
 	for {
 		c.Reset()
 		n := it.FillChunk(c, chunk)
-		for i := 0; i < n; i++ {
-			out = append(out, c.At(i))
-		}
+		out = append(out, *c...)
 		if n < chunk {
 			return out
 		}

@@ -58,9 +58,7 @@ type sliceIter struct{ recs []Record }
 // FillChunk implements Iter.
 func (it *sliceIter) FillChunk(c *Chunk, max int) int {
 	n := min(max, len(it.recs))
-	for _, r := range it.recs[:n] {
-		c.Append(r)
-	}
+	*c = append(*c, it.recs[:n]...)
 	it.recs = it.recs[n:]
 	return n
 }

@@ -55,25 +55,22 @@ func (t *Trace) String() string {
 // interface that generators, file decoders and slices share. Streaming
 // sources (internal/stream) build restartable ChunkReaders out of Iters.
 type Iter interface {
-	// FillChunk appends up to max records straight onto c's columns and
-	// returns how many it appended; fewer than max means the pass ended
-	// or failed (iterators that can fail expose Err).
+	// FillChunk appends up to max records onto c and returns how many
+	// it appended; fewer than max means the pass ended or failed
+	// (iterators that can fail expose Err).
 	FillChunk(c *Chunk, max int) int
 }
 
 // SliceReader is the ChunkReader over a materialized record slice. It
 // reads the caller's records in place: nothing proportional to the trace
-// is copied at construction or on Reset (a cursor rewind), so any number
-// of readers can replay one resident trace. NextChunk transposes at most
-// one batch into a column buffer the reader owns and reuses across calls,
-// which the ChunkReader contract allows: a chunk lives only until the
-// next NextChunk or Reset. A SliceReader cannot fail and holds nothing to
-// release.
+// is copied at construction, on Reset (a cursor rewind) or by NextChunk,
+// which returns a window of the slice, so any number of readers can
+// replay one resident trace. A SliceReader cannot fail and holds nothing
+// to release.
 type SliceReader struct {
 	recs  []Record
 	pos   int
-	batch int   // NextChunk batch size; 0 = DefaultBatch
-	buf   Chunk // NextChunk's reused column buffer
+	batch int // NextChunk batch size; 0 = DefaultBatch
 }
 
 // NewSliceReader returns a reader over recs. The reader keeps recs rather
@@ -82,46 +79,22 @@ func NewSliceReader(recs []Record) *SliceReader {
 	return &SliceReader{recs: recs}
 }
 
-// RecycleSliceReader returns a reader over recs, as NewSliceReader does,
-// that takes spare's column buffer instead of allocating its own (spare
-// may be nil). NextChunk overwrites the buffer before serving it, so no
-// state of spare's run carries over. spare keeps no buffer afterwards.
-func RecycleSliceReader(recs []Record, spare *SliceReader) *SliceReader {
-	s := &SliceReader{recs: recs}
-	if spare != nil {
-		s.buf, spare.buf = spare.buf, Chunk{}
-	}
-	return s
-}
-
-// NextChunk implements ChunkReader: it transposes the next batch of
-// records into the reader's column buffer and returns a view of it, valid
-// until the next NextChunk or Reset call.
+// NextChunk implements ChunkReader: it returns the next batch of the
+// caller's records as a window whose capacity ends at its length, so an
+// append to it cannot write into the records that follow.
 func (s *SliceReader) NextChunk() (Chunk, bool) {
 	n := len(s.recs) - s.pos
 	if n <= 0 {
-		return Chunk{}, false
+		return nil, false
 	}
 	b := s.batch
 	if b <= 0 {
 		b = DefaultBatch
 	}
-	if n > b {
-		n = b
-	}
-	c := &s.buf
-	if cap(c.PC) < n {
-		*c = *NewChunk(min(b, len(s.recs)))
-	}
-	c.PC, c.Addr, c.NonMem, c.Store = c.PC[:n], c.Addr[:n], c.NonMem[:n], c.Store[:n]
-	for i, r := range s.recs[s.pos : s.pos+n] {
-		c.PC[i] = r.PC
-		c.Addr[i] = r.Addr
-		c.NonMem[i] = r.NonMem
-		c.Store[i] = r.Store
-	}
+	n = min(n, b)
+	c := Chunk(s.recs[s.pos : s.pos+n : s.pos+n])
 	s.pos += n
-	return *c, true
+	return c, true
 }
 
 // SetBatch sets the batch size NextChunk serves (n <= 0 restores

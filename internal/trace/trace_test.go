@@ -33,9 +33,7 @@ func TestTraceString(t *testing.T) {
 func drainSlice(r *SliceReader) []Record {
 	var out []Record
 	for c, ok := r.NextChunk(); ok; c, ok = r.NextChunk() {
-		for i := 0; i < c.Len(); i++ {
-			out = append(out, c.At(i))
-		}
+		out = append(out, c...)
 	}
 	return out
 }
@@ -62,39 +60,37 @@ func TestSliceReader(t *testing.T) {
 	}
 }
 
-// TestRecycleSliceReader checks that a reader on a recycled column
-// buffer serves exactly the chunks of a fresh reader, whatever the
-// spare's run left in the buffer, and serves them from that buffer.
-func TestRecycleSliceReader(t *testing.T) {
-	w, ok := ByName("459.GemsFDTD-100B")
-	if !ok {
-		t.Fatal("missing workload")
-	}
-	recs := w.Generate(3000).Records
-	spare := NewSliceReader(w.Generate(5000).Records)
-	spare.SetBatch(1024)
-	for _, ok := spare.NextChunk(); ok; _, ok = spare.NextChunk() {
-	}
-	buf := &spare.buf.PC[:1][0]
-	fresh := NewSliceReader(recs)
-	recycled := RecycleSliceReader(recs, spare)
-	if spare.buf.PC != nil {
-		t.Error("the spare kept its column buffer")
-	}
-	fresh.SetBatch(1024)
-	recycled.SetBatch(1024)
-	for n := 0; ; n++ {
-		a, okA := fresh.NextChunk()
-		b, okB := recycled.NextChunk()
-		if okA != okB || !reflect.DeepEqual(a, b) {
-			t.Fatalf("chunk %d differs: fresh (%v, %d records), recycled (%v, %d records)", n, okA, a.Len(), okB, b.Len())
+// TestSliceReaderWindowsInPlace checks that NextChunk serves windows of
+// the caller's records without copying or allocating, each with its
+// capacity capped at its length, so an append to a chunk cannot write
+// into the records after it.
+func TestSliceReaderWindowsInPlace(t *testing.T) {
+	recs := randRecords(1000, 6)
+	r := NewSliceReader(recs)
+	r.SetBatch(300)
+	for pos := 0; pos < len(recs); {
+		c, ok := r.NextChunk()
+		if !ok {
+			t.Fatalf("reader ended at record %d of %d", pos, len(recs))
 		}
-		if !okA {
-			break
+		if want := min(300, len(recs)-pos); len(c) != want || cap(c) != want {
+			t.Fatalf("chunk at %d: len %d cap %d, want both %d", pos, len(c), cap(c), want)
 		}
-		if &b.PC[0] != buf {
-			t.Fatalf("chunk %d: the recycled reader allocated a buffer of its own", n)
+		if &c[0] != &recs[pos] {
+			t.Fatalf("chunk at %d does not alias the caller's records", pos)
 		}
+		pos += len(c)
+	}
+	if _, ok := r.NextChunk(); ok {
+		t.Fatal("exhausted reader served a chunk")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset()
+		for _, ok := r.NextChunk(); ok; _, ok = r.NextChunk() {
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a pass of NextChunk allocated %.1f times", allocs)
 	}
 }
 
