@@ -290,7 +290,7 @@ sys.exit(0 if sims.get("fig8d") == 0 else 1)' "$cli/warm.json"; then
     serve_pid=$!
     load_status=0
     "$smoke/pythia-load" -addr http://127.0.0.1:18741 -wait-ready 15s \
-        -schedule constant -rps 25 -duration 5s -scale quick \
+        -rps 25 -duration 5s -scale quick \
         -experiments fig14,table2 -mix "read=0.7,meta=0.2,simulate=0.1" \
         -slo "read:p95ms=1000,err=0;simulate:err=0" -min-store-hits 1 \
         -json "$smoke/loadtest.json" || load_status=$?

@@ -1,26 +1,29 @@
 // pythia-load drives synthetic traffic at a live pythia-serve and
 // grades the result against declared SLOs — the measurement half of the
-// serving story: PRs 6–7 made the server survive load, this proves how
-// it behaves under it.
+// serving story: how the server behaves under load.
 //
-// Arrivals are open-loop (Poisson around the schedule's instantaneous
-// rate): a slow server doesn't slow the generator, it sheds. Schedules:
+// Arrivals are open-loop Poisson at one rate per step: a slow server
+// doesn't slow the generator, it sheds. The steps are -rps, 2·-rps,
+// 3·-rps, … up to -rps-to, each -duration long; without -rps-to the
+// run is the single step -rps. The report names the knee: the last
+// step, before the first that fell behind, whose OK completions reached
+// 95% of its offered arrivals:
 //
-//	pythia-load -schedule constant -rps 50 -duration 30s
-//	pythia-load -schedule ramp -rps 5 -rps-to 200 -ramp-over 30s -duration 45s
-//	pythia-load -schedule burst -rps 10 -burst-peak 300 -burst-at 10s -burst-for 5s -duration 30s
-//	pythia-load -schedule diurnal -rps 50 -amplitude 40 -period 60s -duration 2m
-//	pythia-load -schedule replay -replay-file sched.json -duration 1m
+//	pythia-load -rps 50 -duration 30s
+//	pythia-load -rps 10 -rps-to 80 -duration 10s -mix job=1 \
+//	    -scale custom:warmup=20000,sim=100000,tracelen=20000,wps=1,mixes=1
 //
 // Traffic is a weighted mix of request classes (-mix
 // "read=0.6,simulate=0.2,train=0.05,policy=0.05,meta=0.1"): hot-key
-// store reads (Zipf-skewed via -zipf), store-miss/hit experiment
-// launches, policy training, and metadata reads. -prepare seeds the hot
-// keys first so a hit storm measures the store, not a 404 storm.
+// store reads (Zipf-skewed via -zipf), experiment launches timed to the
+// launch response (simulate), experiment jobs at fresh custom: scales
+// timed to their terminal event (job), policy training, and metadata
+// reads. -prepare seeds the hot keys first so a hit storm measures the
+// store, not a 404 storm.
 //
 // -slo declares per-class bounds ("read:p95ms=50,err=0;simulate:shed=0.2");
-// any violation renders in the report and exits nonzero, so a load run
-// is CI-gateable. -json writes the load.Report as JSON.
+// any violation in any step renders in the report and exits nonzero, so
+// a load run is CI-gateable. -json writes the load.SweepReport as JSON.
 //
 // Exit codes: 0 pass, 1 SLO violation (or -min-store-hits unmet),
 // 2 usage/setup error.
@@ -48,23 +51,11 @@ func main() {
 func run() int {
 	var (
 		addr     = flag.String("addr", "http://127.0.0.1:8080", "base URL of the pythia-serve instance")
-		schedule = flag.String("schedule", "constant", "arrival schedule: constant, ramp, burst, diurnal, replay")
-		rps      = flag.Float64("rps", 25, "base arrival rate (constant rate; ramp start; burst/diurnal base)")
-		rpsTo    = flag.Float64("rps-to", 0, "ramp end rate")
-		rampOver = flag.Duration("ramp-over", 10*time.Second, "ramp length")
-
-		burstPeak = flag.Float64("burst-peak", 0, "burst spike rate")
-		burstAt   = flag.Duration("burst-at", 5*time.Second, "burst start offset")
-		burstFor  = flag.Duration("burst-for", 5*time.Second, "burst length")
-
-		amplitude = flag.Float64("amplitude", 0, "diurnal sine amplitude")
-		period    = flag.Duration("period", time.Minute, "diurnal sine period")
-
-		replayFile = flag.String("replay-file", "", "replay schedule JSON ([{\"at_sec\":0,\"rps\":10},...])")
-
-		duration = flag.Duration("duration", 30*time.Second, "total run length")
+		rps      = flag.Float64("rps", 25, "arrival rate of the first step, and the step size")
+		rpsTo    = flag.Float64("rps-to", 0, "highest step rate of the sweep (0: the single step -rps)")
+		duration = flag.Duration("duration", 30*time.Second, "length of each step")
 		mix      = flag.String("mix", "read=0.6,simulate=0.2,train=0.05,policy=0.05,meta=0.1",
-			"request-class weights (read, simulate, train, policy, meta)")
+			"request-class weights (read, simulate, job, train, policy, meta)")
 		experiments = flag.String("experiments", "fig14,table2", "comma-separated target experiments (hot keys)")
 		workloads   = flag.String("workloads", "mix1", "comma-separated training workloads for the train class")
 		scale       = flag.String("scale", "quick", "scale every request targets")
@@ -76,21 +67,14 @@ func run() int {
 		waitReady = flag.Duration("wait-ready", 0, "poll /healthz up to this long for the server to come up")
 
 		sloSpec       = flag.String("slo", "", "per-class SLOs, e.g. \"read:p95ms=50,err=0;simulate:shed=0.2\"")
-		minStoreHits  = flag.Int64("min-store-hits", 0, "fail unless the run produced at least this many store hits")
-		jsonOut       = flag.String("json", "", "write the load.Report as JSON to this file")
+		minStoreHits  = flag.Int64("min-store-hits", 0, "fail unless every step produced at least this many store hits")
+		jsonOut       = flag.String("json", "", "write the load.SweepReport as JSON to this file")
 		requestExpiry = flag.Duration("request-timeout", 30*time.Second, "per-request timeout")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	sched, err := buildSchedule(*schedule, *rps, *rpsTo, *rampOver,
-		*burstPeak, *burstAt, *burstFor, *amplitude, *period, *replayFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pythia-load:", err)
-		return 2
-	}
 
 	targets := load.Targets{
 		Experiments: splitList(*experiments),
@@ -102,6 +86,17 @@ func run() int {
 		return 2
 	}
 
+	// Seeding retries politely; measurement never retries — the report
+	// must show sheds, not hide them behind client backoff.
+	prepClient := api.NewClient(*addr)
+	loadClient := api.NewClient(*addr, api.WithRetries(0))
+
+	mixClasses, err := load.BuildMix(loadClient, *mix, targets, *zipfS)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pythia-load:", err)
+		return 2
+	}
+
 	var slos map[string]load.SLO
 	if *sloSpec != "" {
 		if slos, err = load.ParseSLOs(*sloSpec); err != nil {
@@ -109,11 +104,6 @@ func run() int {
 			return 2
 		}
 	}
-
-	// Seeding retries politely; measurement never retries — the report
-	// must show sheds, not hide them behind client backoff.
-	prepClient := api.NewClient(*addr)
-	loadClient := api.NewClient(*addr, api.WithRetries(0))
 
 	if *waitReady > 0 {
 		if err := waitHealthy(ctx, loadClient, *waitReady); err != nil {
@@ -131,48 +121,45 @@ func run() int {
 		}
 	}
 
-	mixClasses, err := load.BuildMix(loadClient, *mix, targets, *zipfS)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pythia-load:", err)
-		return 2
-	}
-
-	fmt.Fprintf(os.Stderr, "driving %s for %s against %s...\n", sched.Name(), *duration, *addr)
-	rep, err := load.Run(ctx, load.Config{
+	fmt.Fprintf(os.Stderr, "driving steps of %g rps up to %g rps, %s each, against %s...\n",
+		*rps, max(*rps, *rpsTo), *duration, *addr)
+	sweep, err := load.Sweep(ctx, load.Config{
 		Client:         loadClient,
-		Schedule:       sched,
+		RPS:            *rps,
 		Duration:       *duration,
 		Mix:            mixClasses,
 		Seed:           *seed,
 		MaxInFlight:    *maxInflight,
 		RequestTimeout: *requestExpiry,
-	})
+	}, *rpsTo)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pythia-load:", err)
 		return 2
 	}
-	rep.PrepareSims = prepSims
+	sweep.Steps[0].PrepareSims = prepSims
 
 	violated := false
-	if slos != nil && len(rep.CheckSLOs(slos)) > 0 {
-		violated = true
-	}
-	if *minStoreHits > 0 {
-		if rep.Server == nil || rep.Server.StoreHits < *minStoreHits {
-			got := int64(0)
-			if rep.Server != nil {
-				got = rep.Server.StoreHits
-			}
-			rep.Violations = append(rep.Violations, fmt.Sprintf(
-				"store hits %d below required minimum %d", got, *minStoreHits))
+	for _, rep := range sweep.Steps {
+		if slos != nil && len(rep.CheckSLOs(slos)) > 0 {
 			violated = true
+		}
+		if *minStoreHits > 0 {
+			if rep.Server == nil || rep.Server.StoreHits < *minStoreHits {
+				got := int64(0)
+				if rep.Server != nil {
+					got = rep.Server.StoreHits
+				}
+				rep.Violations = append(rep.Violations, fmt.Sprintf(
+					"store hits %d below required minimum %d", got, *minStoreHits))
+				violated = true
+			}
 		}
 	}
 
-	fmt.Print(rep.Render())
+	fmt.Print(sweep.Render())
 
 	if *jsonOut != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
+		buf, err := json.MarshalIndent(sweep, "", "  ")
 		if err == nil {
 			err = os.WriteFile(*jsonOut, append(buf, '\n'), 0o644)
 		}
@@ -186,37 +173,6 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-func buildSchedule(kind string, rps, rpsTo float64, rampOver time.Duration,
-	burstPeak float64, burstAt, burstFor time.Duration,
-	amplitude float64, period time.Duration, replayFile string) (load.Schedule, error) {
-	switch kind {
-	case "constant":
-		return load.Constant{RPS: rps}, nil
-	case "ramp":
-		if rpsTo <= 0 {
-			return nil, fmt.Errorf("ramp schedule needs -rps-to")
-		}
-		return load.Ramp{From: rps, To: rpsTo, Over: rampOver}, nil
-	case "burst":
-		if burstPeak <= 0 {
-			return nil, fmt.Errorf("burst schedule needs -burst-peak")
-		}
-		return load.Burst{Base: rps, Peak: burstPeak, At: burstAt, For: burstFor}, nil
-	case "diurnal":
-		if amplitude <= 0 {
-			return nil, fmt.Errorf("diurnal schedule needs -amplitude")
-		}
-		return load.Diurnal{Base: rps, Amplitude: amplitude, Period: period}, nil
-	case "replay":
-		if replayFile == "" {
-			return nil, fmt.Errorf("replay schedule needs -replay-file")
-		}
-		return load.ReadReplay(replayFile)
-	default:
-		return nil, fmt.Errorf("unknown schedule %q (want constant, ramp, burst, diurnal, replay)", kind)
-	}
 }
 
 func waitHealthy(ctx context.Context, c *api.Client, limit time.Duration) error {

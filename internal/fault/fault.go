@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Mode selects what a tripped failpoint does.
@@ -34,9 +33,6 @@ const (
 	// ModePanic panics with an InjectedPanic value, simulating a crash in
 	// the instrumented code path.
 	ModePanic
-	// ModeDelay sleeps for Spec.Delay and then returns nil, injecting
-	// latency without failure (claim-staleness and timeout tests).
-	ModeDelay
 )
 
 // Spec describes an armed failpoint.
@@ -46,8 +42,6 @@ type Spec struct {
 	// Err is the error ModeError returns; nil defaults to a wrapped
 	// ErrInjected. Wrap it with Transient to exercise retry paths.
 	Err error
-	// Delay is ModeDelay's sleep.
-	Delay time.Duration
 	// Skip passes through the first Skip hits before the point starts
 	// tripping (reach "the Nth write" without tripping earlier ones).
 	Skip int
@@ -139,7 +133,7 @@ func Trips(name string) int64 {
 func Armed() bool { return armed.Load() != 0 }
 
 // Hit is the instrumented-site call: it reports the injected error (or
-// panics, or sleeps) when the named point is armed and due, and returns
+// panics) when the named point is armed and due, and returns
 // nil otherwise. Production callers treat a non-nil return exactly like
 // a real failure of the operation the point guards.
 func Hit(name string) error {
@@ -169,9 +163,6 @@ func Hit(name string) error {
 	switch spec.Mode {
 	case ModePanic:
 		panic(InjectedPanic{Point: name}) // fault: injected panic
-	case ModeDelay:
-		time.Sleep(spec.Delay)
-		return nil
 	default:
 		return spec.Err
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"syscall"
 	"testing"
-	"time"
 )
 
 func TestDisarmedHitIsFree(t *testing.T) {
@@ -100,17 +99,6 @@ func TestPanicMode(t *testing.T) {
 	}()
 	Hit("p.panic")
 	t.Fatal("Hit did not panic")
-}
-
-func TestDelayMode(t *testing.T) {
-	defer Enable("p.delay", Spec{Mode: ModeDelay, Delay: 30 * time.Millisecond})()
-	start := time.Now()
-	if err := Hit("p.delay"); err != nil {
-		t.Fatalf("delay mode returned error: %v", err)
-	}
-	if d := time.Since(start); d < 30*time.Millisecond {
-		t.Fatalf("Hit returned after %v, want >= 30ms", d)
-	}
 }
 
 func TestDisableScopesToOnePoint(t *testing.T) {

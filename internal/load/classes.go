@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pythia/internal/api"
+	"pythia/internal/harness"
 )
 
 // Class is one kind of synthetic request. Pick binds a single request's
@@ -61,8 +62,8 @@ func (c *ReadClass) Pick(rng *rand.Rand) func(ctx context.Context) error {
 
 // SimulateClass launches experiment jobs (POST /runs): a store hit
 // answers instantly with zero simulations, a miss occupies the executor.
-// The measured latency is the launch round-trip — admission is the
-// operation a client experiences; execution is asynchronous by design.
+// The measured latency is the launch round-trip only; JobClass measures
+// execution.
 type SimulateClass struct {
 	Client *api.Client
 	Targets
@@ -75,6 +76,49 @@ func (c *SimulateClass) Pick(rng *rand.Rand) func(ctx context.Context) error {
 	return func(ctx context.Context) error {
 		_, err := c.Client.Launch(ctx, api.LaunchRequest{Experiment: exp, Scale: c.Scale})
 		return err
+	}
+}
+
+// JobClass measures the simulation: each request launches the first
+// target experiment at a fresh custom: scale (the target scale with
+// ",sim=S+1+i" appended, where S is its simulated-instruction count and
+// i counts this class's requests) and follows the job's events to its
+// terminal one, so the latency covers admission, queueing and
+// execution. A job that ends anything but done, or that the store
+// answered (cached, or zero simulations), is an error: a reused store
+// must not pass for a fast server.
+type JobClass struct {
+	Client *api.Client
+	Targets
+	// sim is the target scale's simulated-instruction count (S above).
+	sim  int64
+	next int64
+}
+
+func (c *JobClass) Name() string { return "job" }
+
+func (c *JobClass) Pick(rng *rand.Rand) func(ctx context.Context) error {
+	exp := c.Experiments[0]
+	scale := fmt.Sprintf("%s,sim=%d", c.Scale, c.sim+1+c.next)
+	c.next++
+	return func(ctx context.Context) error {
+		j, err := c.Client.Launch(ctx, api.LaunchRequest{Experiment: exp, Scale: scale})
+		if err != nil {
+			return err
+		}
+		if id := j.ID; !j.Terminal() {
+			if j, err = c.Client.Events(ctx, id, nil); err != nil {
+				return fmt.Errorf("load: follow job %s: %w", id, err)
+			}
+		}
+		switch {
+		case j.Status != api.StatusDone:
+			return fmt.Errorf("load: job %s ended %s: %s", j.ID, j.Status, j.Error)
+		case j.Cached || j.Sims == 0:
+			return fmt.Errorf("load: job %s at %s was a store hit (cached %t, sims %d)",
+				j.ID, scale, j.Cached, j.Sims)
+		}
+		return nil
 	}
 }
 
@@ -134,7 +178,7 @@ type WeightedClass struct {
 // BuildMix constructs the weighted class list from a mix spec like
 // "read=0.6,simulate=0.2,train=0.05,policy=0.05,meta=0.1". Weights are
 // relative, not required to sum to 1. zipfS sets the read class's
-// hot-key skew.
+// hot-key skew. The job class needs a custom: target scale.
 func BuildMix(client *api.Client, spec string, tg Targets, zipfS float64) ([]WeightedClass, error) {
 	if len(tg.Experiments) == 0 {
 		return nil, fmt.Errorf("load: no target experiments")
@@ -142,9 +186,11 @@ func BuildMix(client *api.Client, spec string, tg Targets, zipfS float64) ([]Wei
 	if len(tg.Workloads) == 0 {
 		tg.Workloads = []string{"mix1"}
 	}
+	job := &JobClass{Client: client, Targets: tg}
 	byName := map[string]Class{
 		"read":     &ReadClass{Client: client, Targets: tg, S: zipfS},
 		"simulate": &SimulateClass{Client: client, Targets: tg},
+		"job":      job,
 		"train":    &TrainClass{Client: client, Targets: tg},
 		"policy":   &PolicyClass{Client: client},
 		"meta":     &MetaClass{Client: client},
@@ -169,6 +215,16 @@ func BuildMix(client *api.Client, spec string, tg Targets, zipfS float64) ([]Wei
 		}
 		if w == 0 {
 			continue
+		}
+		if cls == Class(job) {
+			if !strings.HasPrefix(tg.Scale, "custom:") {
+				return nil, fmt.Errorf("load: the job class needs a custom: scale, not %q", tg.Scale)
+			}
+			sc, err := harness.ParseCustomScale(tg.Scale)
+			if err != nil {
+				return nil, fmt.Errorf("load: job class: %w", err)
+			}
+			job.sim = sc.Sim
 		}
 		mix = append(mix, WeightedClass{Class: cls, Weight: w})
 	}

@@ -2,60 +2,14 @@ package load
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"pythia/internal/api"
 )
-
-func TestSchedules(t *testing.T) {
-	cases := []struct {
-		sched Schedule
-		at    time.Duration
-		want  float64
-	}{
-		{Constant{RPS: 25}, 0, 25},
-		{Constant{RPS: 25}, time.Hour, 25},
-		{Ramp{From: 0, To: 100, Over: 10 * time.Second}, 0, 0},
-		{Ramp{From: 0, To: 100, Over: 10 * time.Second}, 5 * time.Second, 50},
-		{Ramp{From: 0, To: 100, Over: 10 * time.Second}, 20 * time.Second, 100},
-		{Burst{Base: 10, Peak: 200, At: 5 * time.Second, For: time.Second}, 0, 10},
-		{Burst{Base: 10, Peak: 200, At: 5 * time.Second, For: time.Second}, 5500 * time.Millisecond, 200},
-		{Burst{Base: 10, Peak: 200, At: 5 * time.Second, For: time.Second}, 7 * time.Second, 10},
-		{Diurnal{Base: 50, Amplitude: 30, Period: 20 * time.Second}, 5 * time.Second, 80},
-		{Diurnal{Base: 10, Amplitude: 30, Period: 20 * time.Second}, 15 * time.Second, 0}, // clamped
-		{Replay{Points: []Point{{0, 5}, {2, 50}}}, time.Second, 5},
-		{Replay{Points: []Point{{0, 5}, {2, 50}}}, 3 * time.Second, 50},
-	}
-	for _, c := range cases {
-		if got := c.sched.RateAt(c.at); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("%s.RateAt(%s) = %g, want %g", c.sched.Name(), c.at, got, c.want)
-		}
-	}
-}
-
-func TestReadReplay(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sched.json")
-	os.WriteFile(path, []byte(`[{"at_sec":5,"rps":50},{"at_sec":0,"rps":10}]`), 0o644)
-	r, err := ReadReplay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Points sort by time; before the first point the rate is zero.
-	if got := r.RateAt(time.Second); got != 10 {
-		t.Errorf("RateAt(1s) = %g, want 10", got)
-	}
-	if got := r.RateAt(6 * time.Second); got != 50 {
-		t.Errorf("RateAt(6s) = %g, want 50", got)
-	}
-	if _, err := ReadReplay(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Error("missing schedule file should error")
-	}
-}
 
 func TestParseSLOs(t *testing.T) {
 	slos, err := ParseSLOs("read:p95ms=50,p99ms=200,err=0; simulate:shed=0.2")
@@ -110,6 +64,12 @@ func TestQuantiles(t *testing.T) {
 	if r.P50Ms < 50 || r.P50Ms > 52 {
 		t.Errorf("p50 = %g", r.P50Ms)
 	}
+	if r.P90Ms < 90 || r.P90Ms > 92 {
+		t.Errorf("p90 = %g", r.P90Ms)
+	}
+	if r.OKPerSec != 10 {
+		t.Errorf("ok/s = %g, want 100 ok over 10s", r.OKPerSec)
+	}
 	if r.P99Ms < 99 || r.P99Ms > 100 {
 		t.Errorf("p99 = %g", r.P99Ms)
 	}
@@ -134,7 +94,8 @@ func TestBuildMix(t *testing.T) {
 			t.Errorf("mix[%d] = %s, want %s", i, mix[i].Class.Name(), want)
 		}
 	}
-	for _, bad := range []string{"", "bogus=1", "read", "read=x", "read=-1"} {
+	// The job class needs a custom: scale to count up from.
+	for _, bad := range []string{"", "bogus=1", "read", "read=x", "read=-1", "job=1"} {
 		if _, err := BuildMix(c, bad, tg, 0); err == nil {
 			t.Errorf("BuildMix(%q) should fail", bad)
 		}
@@ -147,11 +108,10 @@ func TestBuildMix(t *testing.T) {
 func TestOpenLoopDispatchAgainstStub(t *testing.T) {
 	run := func(seed int64) *Report {
 		cfg := Config{
-			Client:          api.NewClient("http://127.0.0.1:0", api.WithRetries(0)),
-			Schedule:        Constant{RPS: 200},
-			Duration:        500 * time.Millisecond,
-			Seed:            seed,
-			SkipServerDelta: true,
+			Client:   api.NewClient("http://127.0.0.1:0", api.WithRetries(0)),
+			RPS:      200,
+			Duration: 500 * time.Millisecond,
+			Seed:     seed,
 			Mix: []WeightedClass{
 				{Class: stubClass{name: "a"}, Weight: 3},
 				{Class: stubClass{name: "b"}, Weight: 1},
@@ -186,6 +146,102 @@ func TestOpenLoopDispatchAgainstStub(t *testing.T) {
 	if again := run(7); again.Offered != rep.Offered {
 		t.Errorf("same seed offered %d then %d arrivals", rep.Offered, again.Offered)
 	}
+}
+
+// TestSweepStepsAndKnee runs step sweeps over a stub class that answers
+// a budget of requests and fails every later one. Arrivals depend only
+// on the seed, so a budget of exactly the first two steps' arrivals
+// must put the knee at step 2.
+func TestSweepStepsAndKnee(t *testing.T) {
+	sweep := func(budget int64, to float64) *SweepReport {
+		t.Helper()
+		sw, err := Sweep(context.Background(), Config{
+			Client:   api.NewClient("http://127.0.0.1:0", api.WithRetries(0)),
+			RPS:      200,
+			Duration: 100 * time.Millisecond,
+			Seed:     3,
+			Mix:      []WeightedClass{{Class: &budgetClass{left: budget}, Weight: 1}},
+		}, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sw
+	}
+
+	all := sweep(math.MaxInt64, 700)
+	if len(all.Steps) != 3 {
+		t.Fatalf("sweep to 700 at 200 rps ran %d steps, want 3", len(all.Steps))
+	}
+	for k, st := range all.Steps {
+		if want := float64(k+1) * 200; st.RPS != want {
+			t.Errorf("step %d rate = %g, want %g", k+1, st.RPS, want)
+		}
+		if st.Offered == 0 || st.Classes[0].OK != st.Offered {
+			t.Errorf("step %d: ok %d of %d offered, want all", k+1, st.Classes[0].OK, st.Offered)
+		}
+	}
+	if all.KneeRPS != 600 {
+		t.Errorf("knee = %g, want 600 when every step keeps up", all.KneeRPS)
+	}
+	if one := sweep(math.MaxInt64, 0); len(one.Steps) != 1 || one.Steps[0].RPS != 200 || one.KneeRPS != 200 {
+		t.Errorf("sweep without a target: %d steps, first at %g, knee %g; want one step at 200",
+			len(one.Steps), one.Steps[0].RPS, one.KneeRPS)
+	}
+
+	first, second := all.Steps[0].Offered, all.Steps[1].Offered
+	mid := sweep(first+second, 700)
+	for k, st := range mid.Steps {
+		if st.Offered != all.Steps[k].Offered {
+			t.Fatalf("step %d offered %d then %d arrivals at one seed", k+1, all.Steps[k].Offered, st.Offered)
+		}
+	}
+	if got := mid.Steps[2].Classes[0]; got.OK != 0 || got.Errors != got.Requests {
+		t.Errorf("step 3 past the budget: %+v, want only errors", got)
+	}
+	if mid.KneeRPS != 400 {
+		t.Errorf("knee = %g, want 400 (the last step within the budget)", mid.KneeRPS)
+	}
+
+	if behind := sweep(first/2, 700); behind.KneeRPS != 0 {
+		t.Errorf("knee = %g, want none when step 1 already falls behind", behind.KneeRPS)
+	}
+}
+
+// TestKneeRule pins the rule on hand-made steps: 95% of offered is
+// keeping up, 94% is not, and a step that keeps up again after one that
+// fell behind does not raise the knee.
+func TestKneeRule(t *testing.T) {
+	step := func(rps float64, ok, offered int64) *Report {
+		return &Report{RPS: rps, Offered: offered, Classes: []ClassReport{{OK: ok / 2}, {OK: ok - ok/2}}}
+	}
+	cases := []struct {
+		steps []*Report
+		want  float64
+	}{
+		{[]*Report{step(10, 100, 100), step(20, 95, 100), step(30, 94, 100), step(40, 100, 100)}, 20},
+		{[]*Report{step(10, 94, 100), step(20, 100, 100)}, 0},
+		{[]*Report{step(10, 0, 0)}, 10},
+		{nil, 0},
+	}
+	for i, c := range cases {
+		if got := knee(c.steps); got != c.want {
+			t.Errorf("case %d: knee = %g, want %g", i, got, c.want)
+		}
+	}
+}
+
+var errBudget = errors.New("budget spent")
+
+// budgetClass answers its first left picks and fails every later one.
+type budgetClass struct{ left int64 }
+
+func (b *budgetClass) Name() string { return "budget" }
+func (b *budgetClass) Pick(*rand.Rand) func(context.Context) error {
+	b.left--
+	if b.left < 0 {
+		return func(context.Context) error { return errBudget }
+	}
+	return func(context.Context) error { return nil }
 }
 
 type stubClass struct{ name string }

@@ -7,13 +7,22 @@ import (
 	"strings"
 )
 
-// Report is one load run's measurements, as pythia-load renders them and
-// writes them with -json.
+// SweepReport is a step sweep's measurements, as pythia-load renders
+// them and writes them with -json.
+type SweepReport struct {
+	Steps []*Report `json:"steps"`
+	// KneeRPS is the rate of the knee: the last step, before the first
+	// that fell behind, whose OK completions reached 95% of its offered
+	// arrivals. 0 means step 1 already fell behind.
+	KneeRPS float64 `json:"knee_rps"`
+}
+
+// Report is one load run's measurements: one step of a sweep.
 type Report struct {
-	Schedule    string  `json:"schedule"`
+	RPS         float64 `json:"rps"`
 	DurationSec float64 `json:"duration_seconds"`
 	Seed        int64   `json:"seed"`
-	// Offered is how many arrivals the schedule generated (executed +
+	// Offered is how many arrivals the run generated (executed +
 	// dropped at the in-flight cap).
 	Offered int64         `json:"offered"`
 	Classes []ClassReport `json:"classes"`
@@ -30,7 +39,8 @@ type Report struct {
 
 // ClassReport is one request class's measured behavior. Latency
 // quantiles cover successful requests only; sheds and errors are rated
-// separately — a 503 in 200µs must not improve the p50.
+// separately — a 503 in 200µs must not improve the p50. OKPerSec is the
+// completed requests per second of the run's wall time.
 type ClassReport struct {
 	Class    string  `json:"class"`
 	Requests int64   `json:"requests"`
@@ -38,8 +48,9 @@ type ClassReport struct {
 	Shed     int64   `json:"shed"`
 	Errors   int64   `json:"errors"`
 	Dropped  int64   `json:"dropped,omitempty"`
-	RPS      float64 `json:"rps"`
+	OKPerSec float64 `json:"ok_per_s"`
 	P50Ms    float64 `json:"p50_ms"`
+	P90Ms    float64 `json:"p90_ms"`
 	P95Ms    float64 `json:"p95_ms"`
 	P99Ms    float64 `json:"p99_ms"`
 	MeanMs   float64 `json:"mean_ms"`
@@ -173,16 +184,32 @@ func (r *Report) CheckSLOs(slos map[string]SLO) []string {
 	return violations
 }
 
+// Render formats the sweep as one table per step, then the knee.
+func (s *SweepReport) Render() string {
+	var b strings.Builder
+	for i, st := range s.Steps {
+		fmt.Fprintf(&b, "step %d of %d: ", i+1, len(s.Steps))
+		b.WriteString(st.Render())
+	}
+	if s.KneeRPS > 0 {
+		fmt.Fprintf(&b, "knee: %g rps (last step with ok >= 95%% of offered)\n", s.KneeRPS)
+	} else {
+		b.WriteString("knee: none (step 1 already had ok < 95% of offered)\n")
+	}
+	return b.String()
+}
+
 // Render formats the report as an aligned text table for terminals.
 func (r *Report) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "schedule %s  wall %.1fs  offered %d  seed %d\n",
-		r.Schedule, r.DurationSec, r.Offered, r.Seed)
-	fmt.Fprintf(&b, "%-10s %8s %8s %6s %6s %7s %8s %9s %9s %9s\n",
-		"class", "requests", "ok", "shed", "errs", "rps", "p50ms", "p95ms", "p99ms", "maxms")
+	fmt.Fprintf(&b, "rps %g  wall %.1fs  offered %d  seed %d\n",
+		r.RPS, r.DurationSec, r.Offered, r.Seed)
+	fmt.Fprintf(&b, "%-10s %8s %8s %6s %6s %6s %7s %8s %9s %9s %9s %9s\n",
+		"class", "requests", "ok", "shed", "shed%", "errs", "ok/s", "p50ms", "p90ms", "p95ms", "p99ms", "maxms")
 	for _, c := range r.Classes {
-		fmt.Fprintf(&b, "%-10s %8d %8d %6d %6d %7.1f %8.2f %9.2f %9.2f %9.2f\n",
-			c.Class, c.Requests, c.OK, c.Shed, c.Errors, c.RPS, c.P50Ms, c.P95Ms, c.P99Ms, c.MaxMs)
+		fmt.Fprintf(&b, "%-10s %8d %8d %6d %6.1f %6d %7.1f %8.2f %9.2f %9.2f %9.2f %9.2f\n",
+			c.Class, c.Requests, c.OK, c.Shed, 100*c.ShedRate(), c.Errors, c.OKPerSec,
+			c.P50Ms, c.P90Ms, c.P95Ms, c.P99Ms, c.MaxMs)
 	}
 	if r.Server != nil {
 		fmt.Fprintf(&b, "server: sims %+d, store hits %+d, misses %+d\n",

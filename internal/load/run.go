@@ -1,3 +1,16 @@
+// Package load is an open-loop load harness for pythia-serve: it offers
+// a Poisson arrival stream at one rate over a weighted mix of request
+// classes, fires the requests at a live server through the typed
+// api.Client, and reports client-side latency quantiles, throughput,
+// and error/shed rates per class against declared SLOs. Sweep repeats
+// the run at rising rates and names the knee: the last rate the server
+// kept up with.
+//
+// Open-loop means arrivals are generated on their own clock — a slow
+// server does not slow the generator down, it just accumulates
+// in-flight requests (bounded by MaxInFlight) and sheds. That is the
+// regime a serving system actually faces: users do not politely wait
+// for each other.
 package load
 
 import (
@@ -10,12 +23,17 @@ import (
 	"pythia/internal/api"
 )
 
+// drainTimeout bounds how long Run waits for stragglers after the last
+// arrival.
+const drainTimeout = 30 * time.Second
+
 // Config parameterizes one load run.
 type Config struct {
 	// Client executes the requests. Use a no-retry client: the harness
 	// must observe sheds, not paper over them with backoff.
-	Client   *api.Client
-	Schedule Schedule
+	Client *api.Client
+	// RPS is the mean arrival rate (req/s) of the run's Poisson stream.
+	RPS      float64
 	Duration time.Duration
 	Mix      []WeightedClass
 	// Seed makes the arrival sequence and per-request parameter choices
@@ -27,24 +45,19 @@ type Config struct {
 	MaxInFlight int
 	// RequestTimeout bounds each request (default 30s).
 	RequestTimeout time.Duration
-	// DrainTimeout bounds how long run waits for stragglers after the
-	// last arrival (default 30s).
-	DrainTimeout time.Duration
-	// SkipServerDelta disables the before/after /healthz sampling.
-	SkipServerDelta bool
 }
 
 // Run drives the configured traffic against the server and returns the
 // measured report. The arrival process is open-loop: a single
-// dispatcher goroutine walks the schedule on the wall clock, sampling
-// exponential inter-arrival gaps at the instantaneous rate, and fires
-// each request in its own goroutine at its arrival time.
+// dispatcher goroutine samples exponential inter-arrival gaps at
+// cfg.RPS on the wall clock and fires each request in its own goroutine
+// at its arrival time.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Client == nil {
 		return nil, fmt.Errorf("load: Config.Client is required")
 	}
-	if cfg.Schedule == nil {
-		return nil, fmt.Errorf("load: Config.Schedule is required")
+	if cfg.RPS <= 0 {
+		return nil, fmt.Errorf("load: Config.RPS must be positive")
 	}
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("load: Config.Duration must be positive")
@@ -57,9 +70,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 30 * time.Second
 	}
 
 	var totalWeight float64
@@ -74,10 +84,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	var before api.Health
 	haveBefore := false
-	if !cfg.SkipServerDelta {
-		if h, err := cfg.Client.Health(ctx); err == nil {
-			before, haveBefore = h, true
-		}
+	if h, err := cfg.Client.Health(ctx); err == nil {
+		before, haveBefore = h, true
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -94,13 +102,7 @@ dispatch:
 			break dispatch
 		default:
 		}
-		rate := cfg.Schedule.RateAt(elapsed)
-		if rate <= 0 {
-			// Idle stretch of the schedule: step forward and re-sample.
-			elapsed += 50 * time.Millisecond
-			continue
-		}
-		gap := time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
+		gap := time.Duration(rng.ExpFloat64() / cfg.RPS * float64(time.Second))
 		elapsed += gap
 		if elapsed >= cfg.Duration {
 			break
@@ -143,12 +145,12 @@ dispatch:
 	go func() { wg.Wait(); close(drained) }()
 	select {
 	case <-drained:
-	case <-time.After(cfg.DrainTimeout):
+	case <-time.After(drainTimeout):
 	}
 	wall := time.Since(start)
 
 	rep := &Report{
-		Schedule:    cfg.Schedule.Name(),
+		RPS:         cfg.RPS,
 		DurationSec: wall.Seconds(),
 		Seed:        cfg.Seed,
 		Offered:     offered,
@@ -163,6 +165,52 @@ dispatch:
 		}
 	}
 	return rep, nil
+}
+
+// Sweep runs the step sweep: one Run of cfg.Duration at each rate
+// cfg.RPS, 2·cfg.RPS, 3·cfg.RPS, … up to to, so the step size equals
+// the start rate. A to below 2·cfg.RPS sweeps the single step cfg.RPS.
+// The mix's classes keep their state across steps (the job class keeps
+// numbering its fresh scales). A canceled ctx ends the sweep after the
+// step it interrupted.
+func Sweep(ctx context.Context, cfg Config, to float64) (*SweepReport, error) {
+	start := cfg.RPS
+	sw := &SweepReport{}
+	// The tolerance keeps a step whose product rounds just above to
+	// (3 × 0.1 > 0.3 in floating point).
+	for k := 1; k == 1 || float64(k)*start <= to*(1+1e-9); k++ {
+		cfg.RPS = float64(k) * start
+		rep, err := Run(ctx, cfg)
+		if err != nil {
+			return nil, err
+		}
+		sw.Steps = append(sw.Steps, rep)
+		if ctx.Err() != nil {
+			break
+		}
+	}
+	sw.KneeRPS = knee(sw.Steps)
+	return sw, nil
+}
+
+// knee returns the rate of the last step that kept up before the first
+// one that fell behind, or 0 when step 1 already fell behind. A step
+// keeps up when its OK completions reach 95% of its offered arrivals; a
+// step that keeps up again past the first that did not is noise, not a
+// higher knee.
+func knee(steps []*Report) float64 {
+	rate := 0.0
+	for _, st := range steps {
+		var ok int64
+		for _, c := range st.Classes {
+			ok += c.OK
+		}
+		if float64(ok) < 0.95*float64(st.Offered) {
+			break
+		}
+		rate = st.RPS
+	}
+	return rate
 }
 
 func pickClass(rng *rand.Rand, mix []WeightedClass, total float64) WeightedClass {
@@ -221,12 +269,13 @@ func (c *collector) report(name string, wall time.Duration) ClassReport {
 		Dropped:  c.dropped,
 	}
 	if wall > 0 {
-		r.RPS = float64(r.Requests) / wall.Seconds()
+		r.OKPerSec = float64(r.OK) / wall.Seconds()
 	}
 	if n := len(c.latencies); n > 0 {
 		sorted := append([]float64(nil), c.latencies...)
 		sortFloats(sorted)
 		r.P50Ms = quantile(sorted, 0.50)
+		r.P90Ms = quantile(sorted, 0.90)
 		r.P95Ms = quantile(sorted, 0.95)
 		r.P99Ms = quantile(sorted, 0.99)
 		r.MaxMs = sorted[n-1]
