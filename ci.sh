@@ -147,10 +147,11 @@ if [ "$tier" = chaos ] || [ "$tier" = full ]; then
     # snapshots (an older release's journal, terminal jobs re-tracked),
     # the journal lock (a held journal refuses a second server and is
     # taken over once its holder closes), and the cancel-vs-start race,
-    # shutdown drain and queue bound that the job mutex decides — all
-    # under the race detector.
+    # shutdown drain and queue bound that the job mutex decides, and the
+    # per-job progress that simulation goroutines publish — all under the
+    # race detector.
     go test -race ./internal/fault/...
-    go test -race -run 'Chaos|Journal|Fault|Breaker|Failpoint|Sweep|Cancel|Shutdown|BoundedQueue|LeaseTakeover|CancelStartRace|TerminalJobSurvivesRestart|RemoveCleansClaim|ClaimMutualExclusion' \
+    go test -race -run 'Chaos|Journal|Fault|Breaker|Failpoint|Sweep|Cancel|Shutdown|BoundedQueue|LeaseTakeover|CancelStartRace|TerminalJobSurvivesRestart|RemoveCleansClaim|ClaimMutualExclusion|Progress|OverlappingJobsCountOwnSims' \
         ./internal/serve/... ./internal/fsutil/... \
         ./internal/stream/... ./internal/results/... ./internal/policy/...
 fi

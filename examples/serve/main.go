@@ -110,10 +110,10 @@ func main() {
 
 	blocker, err := impatient.Launch(ctx, api.LaunchRequest{Experiment: "fig9a"})
 	check(err)
-	waitRunning(ctx, impatient, blocker.ID) // occupies the executor
+	waitRunning(ctx, impatient, blocker.ID) // occupies the worker
 	filler, err := impatient.Launch(ctx, api.LaunchRequest{Experiment: "fig14", Scale: "quick"})
 	check(err) // occupies the one queue slot
-	fmt.Printf("executor busy with %s, queue holds %s\n", blocker.ID, filler.ID)
+	fmt.Printf("worker busy with %s, queue holds %s\n", blocker.ID, filler.ID)
 
 	// The no-retry client sees the raw shed: a typed, retryable error.
 	_, err = impatient.Launch(ctx, api.LaunchRequest{Experiment: "fig1", Scale: "quick"})

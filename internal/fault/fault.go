@@ -13,7 +13,7 @@
 //
 // The package also owns the repo's failure taxonomy: Transient and
 // Permanent wrap errors with a retry classification, and IsTransient is
-// the single predicate the serve executor consults before retrying. See DESIGN.md "Fault model and
+// the single predicate the serve worker consults before retrying. See DESIGN.md "Fault model and
 // recovery".
 package fault
 

@@ -202,19 +202,21 @@ func InstructionsRetired() int64 { return defaultEnv.instructions.Load() }
 
 type simCounterKey struct{}
 
-// WithSimCounter returns a context under which Run adds 1 to n for every
-// simulation it executes, besides the process's SimCount. A serve job
-// counts its own simulations this way, however many jobs run in the
-// process at once. A counter attached further down replaces n.
-func WithSimCounter(ctx context.Context, n *atomic.Int64) context.Context {
-	return context.WithValue(ctx, simCounterKey{}, n)
+// WithSimCounter returns a context under which Run calls started once
+// for every simulation it starts, besides counting it in the process's
+// SimCount. A serve job counts its own simulations this way, however
+// many jobs run in the process at once. started runs on the
+// simulation's goroutine, so it must be safe for concurrent use. A
+// callback attached further down replaces started.
+func WithSimCounter(ctx context.Context, started func()) context.Context {
+	return context.WithValue(ctx, simCounterKey{}, started)
 }
 
 // countSim accounts one simulation starting under ctx.
 func (e *Env) countSim(ctx context.Context) {
 	e.sims.Add(1)
-	if n, ok := ctx.Value(simCounterKey{}).(*atomic.Int64); ok {
-		n.Add(1)
+	if started, ok := ctx.Value(simCounterKey{}).(func()); ok {
+		started()
 	}
 }
 

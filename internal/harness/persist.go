@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"pythia/internal/cache"
-	"pythia/internal/dram"
 	"pythia/internal/results"
 	"pythia/internal/stats"
 )
@@ -26,27 +24,6 @@ import (
 func (sc Scale) Key() string {
 	return fmt.Sprintf("w%d|s%d|t%d|wps%d|hm%d",
 		sc.Warmup, sc.Sim, sc.TraceLen, sc.WorkloadsPerSuite, sc.HeteroMixes)
-}
-
-// runPayload is the persisted form of a RunResult: every core's full
-// counter set (the per-trial statistics), not just the aggregates derived
-// from them. Live prefetcher objects (RunResult.PFs) are inherently
-// process-local and are not persisted; consumers that introspect policies
-// already guard for their absence.
-type runPayload struct {
-	Name    string                    `json:"name"`
-	IPC     []float64                 `json:"ipc"`
-	Stats   []cache.CoreStats         `json:"core_stats"`
-	Buckets [dram.BucketCount]float64 `json:"dram_buckets"`
-	DRAM    dram.Stats                `json:"dram"`
-}
-
-func payloadOf(r RunResult) runPayload {
-	return runPayload{Name: r.Name, IPC: r.IPC, Stats: r.Stats, Buckets: r.Buckets, DRAM: r.DRAM}
-}
-
-func (p runPayload) result() RunResult {
-	return RunResult{Name: p.Name, IPC: p.IPC, Stats: p.Stats, Buckets: p.Buckets, DRAM: p.DRAM}
 }
 
 // runKey addresses one simulation in the persistent store; key is the
@@ -95,11 +72,11 @@ func (e *Env) loadPersisted(spec RunSpec, key string) (RunResult, bool) {
 	if st == nil || spec.Hook != nil || spec.TrainPolicy != nil {
 		return RunResult{}, false
 	}
-	var p runPayload
-	if !st.Get(runKey(spec, key), &p) {
+	var r RunResult
+	if !st.Get(runKey(spec, key), &r) {
 		return RunResult{}, false
 	}
-	return p.result(), true
+	return r, true
 }
 
 // storePersisted writes a completed run to the persistent store under
@@ -109,5 +86,5 @@ func (e *Env) storePersisted(spec RunSpec, key string, r RunResult) {
 	if st == nil || spec.Hook != nil || spec.TrainPolicy != nil {
 		return
 	}
-	_ = st.Put(runKey(spec, key), payloadOf(r))
+	_ = st.Put(runKey(spec, key), r)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pythia/internal/cache"
+	"pythia/internal/dram"
 	"pythia/internal/policy"
 	"pythia/internal/prefetch"
 	"pythia/internal/trace"
@@ -295,10 +296,10 @@ func TestEarlierStoreEntriesStillHit(t *testing.T) {
 		t.Fatalf("stored run: %d sims, %d hits, %d misses; want 0/1/0", n, st.Hits(), st.Misses())
 	}
 	key := runKey(spec, cacheKey(spec))
-	var want runPayload
+	var want RunResult
 	decodeTwoPass(t, filepath.Join(dir, fmt.Sprintf("run-459.GemsFDTD-100B_pythia-%s.json", key.Fingerprint)), &want)
-	if !reflect.DeepEqual(got, want.result()) {
-		t.Errorf("stored run decoded to\n%+v\nwant\n%+v", got, want.result())
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stored run decoded to\n%+v\nwant\n%+v", got, want)
 	}
 
 	ekey := ExperimentKey("fig14", compatScale)
@@ -340,5 +341,39 @@ func TestStoredRunEntryMatchesEarlierBytes(t *testing.T) {
 	want = createdAt.ReplaceAll(want, []byte(`"created_at": ""`))
 	if !bytes.Equal(got, want) {
 		t.Errorf("run entry differs from 19e553d's:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestRunResultEncoding pins the persisted form of a run to the bytes
+// earlier builds wrote for it (through a separate payload type), so
+// their store entries still decode and hit: the same field names, and
+// no live prefetchers.
+func TestRunResultEncoding(t *testing.T) {
+	r := RunResult{
+		Name:    "mix",
+		IPC:     []float64{1.25, 0.5},
+		Stats:   []cache.CoreStats{{Accesses: 1, Loads: 2, L1Misses: 3, L2Misses: 4, LLCLoadMisses: 5, LLCDemandAccesses: 6, DRAMReads: 7, PfIssued: 8, PfDropped: 9, PfToDRAM: 10, PfFills: 11, PfUseful: 12, PfLate: 13, Writebacks: 14, PfLLCHits: 15}},
+		Buckets: [dram.BucketCount]float64{0.125, 0.25, 0.5, 0.125},
+		DRAM:    dram.Stats{Reads: 16, Writes: 17, RowHits: 18, RowMisses: 19, BusBusy: 20, RefreshStalls: 21, FirstCycle: 22, LastCycle: 23},
+		PFs:     []prefetch.Prefetcher{prefetch.NewBingo(prefetch.DefaultBingoConfig())},
+	}
+	const want = `{"name":"mix","ipc":[1.25,0.5],` +
+		`"core_stats":[{"Accesses":1,"Loads":2,"L1Misses":3,"L2Misses":4,"LLCLoadMisses":5,"LLCDemandAccesses":6,"DRAMReads":7,"PfIssued":8,"PfDropped":9,"PfToDRAM":10,"PfFills":11,"PfUseful":12,"PfLate":13,"Writebacks":14,"PfLLCHits":15}],` +
+		`"dram_buckets":[0.125,0.25,0.5,0.125],` +
+		`"dram":{"Reads":16,"Writes":17,"RowHits":18,"RowMisses":19,"BusBusy":20,"RefreshStalls":21,"FirstCycle":22,"LastCycle":23}}`
+	got, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Errorf("encoded run\n%s\nwant\n%s", got, want)
+	}
+	var back RunResult
+	if err := json.Unmarshal(got, &back); err != nil {
+		t.Fatal(err)
+	}
+	r.PFs = nil
+	if !reflect.DeepEqual(back, r) {
+		t.Errorf("decoded run\n%+v\nwant\n%+v", back, r)
 	}
 }

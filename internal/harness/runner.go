@@ -284,14 +284,18 @@ type RunSpec struct {
 	TrainPolicy func(pfs []prefetch.Prefetcher)
 }
 
-// RunResult summarizes one simulation.
+// RunResult summarizes one simulation. It is also the persisted form of
+// a run (see storePersisted): every core's full counter set, not just the
+// aggregates derived from them. Live prefetcher objects (PFs) are
+// process-local and are not persisted; consumers that introspect policies
+// already guard for their absence.
 type RunResult struct {
-	Name    string
-	IPC     []float64
-	Stats   []cache.CoreStats
-	Buckets [dram.BucketCount]float64
-	DRAM    dram.Stats
-	PFs     []prefetch.Prefetcher
+	Name    string                    `json:"name"`
+	IPC     []float64                 `json:"ipc"`
+	Stats   []cache.CoreStats         `json:"core_stats"`
+	Buckets [dram.BucketCount]float64 `json:"dram_buckets"`
+	DRAM    dram.Stats                `json:"dram"`
+	PFs     []prefetch.Prefetcher     `json:"-"`
 }
 
 // SumLLCLoadMisses totals demand-load LLC misses across cores.
@@ -399,7 +403,7 @@ func (e *Env) tracesFor(ctx context.Context, mix trace.Mix, length int) ([]*trac
 // spec or a corrupted trace-cache file. Cancellation is prompt — checked
 // while waiting for a worker slot, during trace generation, and at chunk
 // boundaries inside the simulation — and the slot is always released on
-// the way out. The run counts toward SimCount and toward the counter ctx
+// the way out. The run counts toward SimCount and calls the callback ctx
 // carries, if any (WithSimCounter).
 func Run(ctx context.Context, spec RunSpec) (RunResult, error) {
 	return defaultEnv.run(ctx, spec)

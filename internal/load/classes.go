@@ -61,7 +61,7 @@ func (c *ReadClass) Pick(rng *rand.Rand) func(ctx context.Context) error {
 }
 
 // SimulateClass launches experiment jobs (POST /runs): a store hit
-// answers instantly with zero simulations, a miss occupies the executor.
+// answers instantly with zero simulations, a miss occupies the worker.
 // The measured latency is the launch round-trip only; JobClass measures
 // execution.
 type SimulateClass struct {

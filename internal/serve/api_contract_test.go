@@ -72,7 +72,7 @@ func TestEveryShedPathSetsRetryAfter(t *testing.T) {
 
 	t.Run("shutting_down", func(t *testing.T) {
 		srv, ts := newTestServer(t, results.Open(t.TempDir()), 4)
-		// Park a slow job on the executor so the drain lingers with
+		// Park a slow job on the worker so the drain lingers with
 		// closing=true, then observe the launch shed during it.
 		blocker, code := postRun(t, ts.URL, "fig7", "slow")
 		if code != http.StatusAccepted {
@@ -107,7 +107,7 @@ func TestEveryShedPathSetsRetryAfter(t *testing.T) {
 	t.Run("queue_full", func(t *testing.T) {
 		// The shutting_down subtest just ran the same slow experiment; wipe
 		// the in-process caches so the blocker actually occupies the
-		// executor instead of finishing instantly from memory.
+		// worker instead of finishing instantly from memory.
 		harness.ResetCaches()
 		_, ts := newTestServer(t, results.Open(t.TempDir()), 1)
 		if _, code := postRun(t, ts.URL, "fig7", "slow"); code != http.StatusAccepted {

@@ -20,9 +20,8 @@ import (
 // the breaker. With one job at a time per worker at most one probe runs
 // at a time anyway.
 type breaker struct {
-	name      string
-	threshold int
-	cooldown  time.Duration
+	name     string
+	cooldown time.Duration
 
 	mu       sync.Mutex
 	fails    int // consecutive failures
@@ -32,8 +31,12 @@ type breaker struct {
 	trips    int64 // times the breaker opened
 }
 
-func newBreaker(name string, threshold int, cooldown time.Duration) *breaker {
-	return &breaker{name: name, threshold: threshold, cooldown: cooldown}
+// breakerThreshold is how many consecutive persist failures open a
+// store's breaker.
+const breakerThreshold = 3
+
+func newBreaker(name string, cooldown time.Duration) *breaker {
+	return &breaker{name: name, cooldown: cooldown}
 }
 
 // register exposes the breaker's state on the default registry
@@ -67,7 +70,7 @@ func (b *breaker) recordFailure(err error) {
 	if err != nil {
 		b.lastErr = err.Error()
 	}
-	if !b.isOpen && b.fails >= b.threshold {
+	if !b.isOpen && b.fails >= breakerThreshold {
 		b.isOpen = true
 		b.trips++
 	}

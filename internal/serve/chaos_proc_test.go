@@ -50,11 +50,10 @@ func TestChaosChildServer(t *testing.T) {
 		WorkloadsPerSuite: 1, HeteroMixes: 1,
 	}
 	srv, err := serve.New(serve.Config{
-		Store:            results.Open(filepath.Join(root, "results")),
-		QueueDepth:       4,
-		ProgressInterval: 25 * time.Millisecond,
-		JournalDir:       filepath.Join(root, "journal"),
-		ExtraScales:      map[string]harness.Scale{"chaos": chaosScale},
+		Store:       results.Open(filepath.Join(root, "results")),
+		QueueDepth:  4,
+		JournalDir:  filepath.Join(root, "journal"),
+		ExtraScales: map[string]harness.Scale{"chaos": chaosScale},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -85,12 +85,9 @@ func TestChaosTransientStoreFaultRetries(t *testing.T) {
 	defer fault.Reset()
 	storeDir := t.TempDir()
 	srv, err := serve.New(serve.Config{
-		Store:            results.Open(storeDir),
-		QueueDepth:       4,
-		ProgressInterval: 10 * time.Millisecond,
-		MaxAttempts:      3,
-		RetryBase:        2 * time.Millisecond,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+		Store:       results.Open(storeDir),
+		QueueDepth:  4,
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,14 +152,10 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	storeDir := t.TempDir()
 	cooldown := 1500 * time.Millisecond
 	srv, err := serve.New(serve.Config{
-		Store:            results.Open(storeDir),
-		QueueDepth:       4,
-		ProgressInterval: 10 * time.Millisecond,
-		MaxAttempts:      2,
-		RetryBase:        time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  cooldown,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+		Store:           results.Open(storeDir),
+		QueueDepth:      4,
+		BreakerCooldown: cooldown,
+		ExtraScales:     map[string]harness.Scale{"tiny": tinyScale},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,15 +243,11 @@ func TestChaosPolicyBreakerShedsTraining(t *testing.T) {
 	defer harness.ResetCaches()
 	defer fault.Reset()
 	srv, err := serve.New(serve.Config{
-		Store:            results.Open(t.TempDir()),
-		Policies:         policy.Open(t.TempDir()),
-		QueueDepth:       4,
-		ProgressInterval: 10 * time.Millisecond,
-		MaxAttempts:      2,
-		RetryBase:        time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Minute,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+		Store:           results.Open(t.TempDir()),
+		Policies:        policy.Open(t.TempDir()),
+		QueueDepth:      4,
+		BreakerCooldown: time.Minute,
+		ExtraScales:     map[string]harness.Scale{"tiny": tinyScale},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,12 +303,9 @@ func TestChaosDecodeFaultFailsPermanently(t *testing.T) {
 	defer harness.SetTraceCacheDir("")
 	storeDir := t.TempDir()
 	srv, err := serve.New(serve.Config{
-		Store:            results.Open(storeDir),
-		QueueDepth:       4,
-		ProgressInterval: 10 * time.Millisecond,
-		MaxAttempts:      3,
-		RetryBase:        time.Millisecond,
-		ExtraScales:      map[string]harness.Scale{"tinystream": tinyStreamScale, "tiny": tinyScale},
+		Store:       results.Open(storeDir),
+		QueueDepth:  4,
+		ExtraScales: map[string]harness.Scale{"tinystream": tinyStreamScale, "tiny": tinyScale},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -371,11 +357,10 @@ func TestChaosAdmitCrashRecovered(t *testing.T) {
 	storeDir := t.TempDir()
 	mk := func() *serve.Server {
 		srv, err := serve.New(serve.Config{
-			Store:            results.Open(storeDir),
-			QueueDepth:       4,
-			ProgressInterval: 10 * time.Millisecond,
-			JournalDir:       journalDir,
-			ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+			Store:       results.Open(storeDir),
+			QueueDepth:  4,
+			JournalDir:  journalDir,
+			ExtraScales: map[string]harness.Scale{"tiny": tinyScale},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -441,11 +426,10 @@ func TestChaosJournalWriteFaultIsBestEffort(t *testing.T) {
 	defer harness.ResetCaches()
 	defer fault.Reset()
 	srv, err := serve.New(serve.Config{
-		Store:            results.Open(t.TempDir()),
-		QueueDepth:       4,
-		ProgressInterval: 10 * time.Millisecond,
-		JournalDir:       t.TempDir(),
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+		Store:       results.Open(t.TempDir()),
+		QueueDepth:  4,
+		JournalDir:  t.TempDir(),
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale},
 	})
 	if err != nil {
 		t.Fatal(err)

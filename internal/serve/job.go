@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pythia/internal/api"
@@ -17,7 +16,7 @@ import (
 // Job kinds and statuses are defined by the wire contract in
 // internal/api; serve re-exports them so internal code (and the journal,
 // which persists status strings) reads naturally. Both kinds flow
-// through the same worker, executor and SSE machinery.
+// through the same worker and SSE machinery.
 const (
 	KindExperiment = api.KindExperiment
 	KindTrain      = api.KindTrain
@@ -56,9 +55,6 @@ type job struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	// ran counts the simulations run under ctx (harness.WithSimCounter):
-	// this job's own, however many jobs share the process.
-	ran atomic.Int64
 
 	// tl is the job's stage timeline (accepted→queued→leased→streaming→
 	// simulating→persisting→terminal). It also rides ctx, so the harness
@@ -72,10 +68,13 @@ type job struct {
 	// recovered marks a job rebuilt from the journal after a restart.
 	recovered bool
 
-	mu       sync.Mutex
-	status   string
-	errMsg   string
-	cached   bool
+	mu     sync.Mutex
+	status string
+	errMsg string
+	cached bool
+	// sims counts the simulations started under ctx
+	// (harness.WithSimCounter calls simStarted): this job's own, however
+	// many jobs share the process.
 	sims     int64
 	attempts int
 	// owner is the label of the process executing the job (set when the
@@ -106,37 +105,25 @@ type job struct {
 // (golden-pinned in internal/api).
 type JobView = api.Job
 
-func newJob(base context.Context, id string, exp harness.Experiment, scaleName string, sc harness.Scale) *job {
-	j := blankJob(base, id, KindExperiment, scaleName, sc)
-	j.expID = exp.ID
-	j.title = exp.Title
-	j.publish("status", j.viewLocked())
-	return j
-}
-
-func newTrainJob(base context.Context, id string, ts harness.TrainSpec, scaleName string, sc harness.Scale) *job {
-	j := blankJob(base, id, KindTrain, scaleName, sc)
-	j.train = ts
-	j.title = "Train policy: " + ts.Config.Name + " on " + ts.Workload.Name
-	j.publish("status", j.viewLocked())
-	return j
-}
-
-func blankJob(base context.Context, id, kind, scaleName string, sc harness.Scale) *job {
+// blankJob builds a queued job for spec, resolved to sc, in journal jl,
+// its context a child of base. The kind-specific target is the caller's
+// to fill in (Server.newJob).
+func blankJob(base context.Context, jl *journal, spec jobRecord, sc harness.Scale) *job {
 	now := time.Now().UTC()
 	tl := obs.NewTimeline("accepted", now)
 	tl.Mark("queued", now)
 	j := &job{
-		id:        id,
-		kind:      kind,
-		scaleName: scaleName,
+		id:        spec.ID,
+		kind:      spec.Kind,
+		scaleName: spec.Scale,
 		scale:     sc,
 		tl:        tl,
+		jl:        jl,
 		status:    StatusQueued,
 		created:   now,
 		subs:      make(map[chan Event]struct{}),
 	}
-	j.ctx, j.cancel = context.WithCancel(harness.WithSimCounter(obs.WithTimeline(base, tl), &j.ran))
+	j.ctx, j.cancel = context.WithCancel(harness.WithSimCounter(obs.WithTimeline(base, tl), j.simStarted))
 	return j
 }
 
@@ -196,8 +183,8 @@ func (j *job) viewLocked() JobView {
 }
 
 // publish appends an event to the history and fans it out to live
-// subscribers. Callers must hold mu (newJob's construction-time call is
-// safe: no other goroutine can see the job yet).
+// subscribers. Callers must hold mu (admission's and recovery's first
+// calls are safe: no other goroutine can see the job yet).
 func (j *job) publish(typ string, payload any) {
 	buf, err := json.Marshal(payload)
 	if err != nil {
@@ -205,10 +192,10 @@ func (j *job) publish(typ string, payload any) {
 	}
 	ev := Event{Type: typ, Data: buf}
 	// Coalesce consecutive progress events in the history: live
-	// subscribers already received each one, and replaying every sample of
-	// a long run would bloat the history (and server memory) for no
-	// information — only the latest progress figure matters to a late
-	// subscriber.
+	// subscribers already received each one, and replaying one per
+	// simulation of a long run would bloat the history (and server memory)
+	// for no information — only the latest progress figure matters to a
+	// late subscriber.
 	if typ == "progress" && len(j.events) > 0 && j.events[len(j.events)-1].Type == "progress" {
 		j.events[len(j.events)-1] = ev
 	} else {
@@ -248,6 +235,9 @@ func (j *job) beginAttempt() {
 		j.status = StatusRunning
 		j.started = time.Now().UTC()
 		j.publish("status", j.viewLocked())
+		// Execution starts at the count so far (0), so even a job that runs
+		// no simulation announces its progress.
+		j.publish("progress", api.Progress{ID: j.id, Sims: j.sims})
 	}
 	j.journalLocked()
 }
@@ -311,24 +301,33 @@ func (j *job) cancelUser() (wasWaiting bool) {
 	j.userCanceled = true
 	wasWaiting = !j.held && !terminalStatus(j.status)
 	if wasWaiting {
-		j.finishLocked(nil, false, 0, context.Canceled)
+		j.finishLocked(nil, false, context.Canceled)
 	}
 	j.mu.Unlock()
 	j.cancel()
 	return wasWaiting
 }
 
-// progress announces how many simulations the job has executed so far
-// (dropped once the job is terminal, so no event trails the terminal one
-// in the history).
-func (j *job) progress(sims int64) {
+// simStarted counts one simulation started under the job's context and
+// announces the new count. It runs on the simulation's goroutine. The
+// count is bumped and published under mu, so progress never goes
+// backwards; once the job is terminal the count is final and nothing is
+// published, so no event trails the terminal one.
+func (j *job) simStarted() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if terminalStatus(j.status) {
 		return
 	}
-	j.sims = sims
-	j.publish("progress", map[string]any{"id": j.id, "sims": sims})
+	j.sims++
+	j.publish("progress", api.Progress{ID: j.id, Sims: j.sims})
+}
+
+// simCount reports how many simulations the job has started so far.
+func (j *job) simCount() int64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.sims
 }
 
 // finish records the terminal state, announces it, and closes every
@@ -337,32 +336,31 @@ func (j *job) progress(sims int64) {
 // on request is a normal lifecycle outcome, not a failure. Finishing twice
 // is a no-op (a job may be finished by both a DELETE and the worker
 // that raced it).
-func (j *job) finish(res *harness.ExperimentPayload, cached bool, sims int64, err error) {
-	j.finishWith(func() { j.result = res }, cached, sims, err)
+func (j *job) finish(res *harness.ExperimentPayload, cached bool, err error) {
+	j.finishWith(func() { j.result = res }, cached, err)
 }
 
 // finishPolicy is finish for training jobs: the artifact is a policy
 // descriptor rather than a rendered table.
-func (j *job) finishPolicy(meta *policy.Meta, cached bool, sims int64, err error) {
-	j.finishWith(func() { j.policyMeta = meta }, cached, sims, err)
+func (j *job) finishPolicy(meta *policy.Meta, cached bool, err error) {
+	j.finishWith(func() { j.policyMeta = meta }, cached, err)
 }
 
 // finishWith records the terminal state (setResult installs the
 // kind-specific artifact on success) under mu.
-func (j *job) finishWith(setResult func(), cached bool, sims int64, err error) {
+func (j *job) finishWith(setResult func(), cached bool, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.finishLocked(setResult, cached, sims, err)
+	j.finishLocked(setResult, cached, err)
 }
 
 // finishLocked is finishWith for callers holding mu.
-func (j *job) finishLocked(setResult func(), cached bool, sims int64, err error) {
+func (j *job) finishLocked(setResult func(), cached bool, err error) {
 	if terminalStatus(j.status) {
 		return
 	}
 	j.finished = time.Now().UTC()
 	j.cached = cached
-	j.sims = sims
 	switch {
 	case err == nil:
 		j.status = StatusDone

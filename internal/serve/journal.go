@@ -42,21 +42,22 @@ type jobRecord struct {
 	// Workload and Config identify a train job's target.
 	Workload string `json:"workload,omitempty"`
 	Config   string `json:"config,omitempty"`
-	// Scale is the scale *name*; recovery resolves it through the same
-	// ExtraScales table as admission, so custom scales survive restarts
-	// as long as the server is rebuilt with the same configuration.
+	// Scale is the scale *name*; recovery resolves it as admission did
+	// (Server.newJob), so custom scales survive restarts as long as the
+	// server is rebuilt with the same ExtraScales.
 	Scale string `json:"scale"`
 
 	Status string `json:"status"`
-	// Attempts counts times the job entered execution (dispatches, plus
-	// transient retries); recovery refuses jobs that already
-	// burned through the attempt budget, so a job that crashes the
-	// server cannot crash-loop it forever.
+	// Attempts counts the times the job entered execution, transient
+	// retries included. It survives restarts, so the worker abandons a
+	// requeued job that already used up the attempt budget (maxAttempts)
+	// instead of running it again: a job that crashes the server cannot
+	// crash-loop it forever.
 	Attempts int    `json:"attempts"`
 	Error    string `json:"error,omitempty"`
-	// Owner labels the process that executed the job ("pid<PID>"). It is
-	// informational: the journal lock made that process the journal's only
-	// writer.
+	// Owner labels the process that ran the job ("pid<PID>"), shown as
+	// the job's worker. Nothing decides anything by it: the journal lock
+	// already makes one process the journal's only writer.
 	Owner string `json:"owner,omitempty"`
 	// Sims and Cached mirror the job's outcome; PolicyID names a finished
 	// training job's artifact in the policy store.

@@ -87,11 +87,10 @@ func recoverAndDrain(t *testing.T, journalDir string, store *results.Store) ([]s
 	harness.ResetCaches() // force recovery to prove itself against disk, not memory
 	before := harness.SimCount()
 	srv, err := serve.New(serve.Config{
-		Store:            store,
-		QueueDepth:       4,
-		ProgressInterval: 10 * time.Millisecond,
-		JournalDir:       journalDir,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+		Store:       store,
+		QueueDepth:  4,
+		JournalDir:  journalDir,
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,11 +133,10 @@ func TestJournalRecoveryIdempotent(t *testing.T) {
 	// result persists), then two admissions crash inside the journal→queue
 	// window, then the process dies.
 	srvA, err := serve.New(serve.Config{
-		Store:            results.Open(storeDir),
-		QueueDepth:       4,
-		ProgressInterval: 10 * time.Millisecond,
-		JournalDir:       journalDir,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+		Store:       results.Open(storeDir),
+		QueueDepth:  4,
+		JournalDir:  journalDir,
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,12 +224,11 @@ func TestTerminalJobSurvivesRestart(t *testing.T) {
 	harness.ResetCaches()
 	defer harness.ResetCaches()
 	cfg := serve.Config{
-		Store:            results.Open(t.TempDir()),
-		Policies:         policy.Open(t.TempDir()),
-		QueueDepth:       4,
-		ProgressInterval: 10 * time.Millisecond,
-		JournalDir:       t.TempDir(),
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale, "verylong": veryLongScale},
+		Store:       results.Open(t.TempDir()),
+		Policies:    policy.Open(t.TempDir()),
+		QueueDepth:  4,
+		JournalDir:  t.TempDir(),
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale, "verylong": veryLongScale},
 	}
 	first, err := serve.New(cfg)
 	if err != nil {
@@ -339,11 +336,10 @@ func TestJournalLeaseTakeover(t *testing.T) {
 	defer harness.ResetCaches()
 	journalDir := t.TempDir()
 	cfg := serve.Config{
-		Store:            results.Open(t.TempDir()),
-		QueueDepth:       4,
-		ProgressInterval: 10 * time.Millisecond,
-		JournalDir:       journalDir,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale, "verylong": veryLongScale},
+		Store:       results.Open(t.TempDir()),
+		QueueDepth:  4,
+		JournalDir:  journalDir,
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale, "verylong": veryLongScale},
 	}
 	first, err := serve.New(cfg)
 	if err != nil {
@@ -437,12 +433,10 @@ func TestJournalAbandonsCrashLoopers(t *testing.T) {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Store:            results.Open(t.TempDir()),
-		QueueDepth:       4,
-		ProgressInterval: 10 * time.Millisecond,
-		JournalDir:       journalDir,
-		MaxAttempts:      3,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+		Store:       results.Open(t.TempDir()),
+		QueueDepth:  4,
+		JournalDir:  journalDir,
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -484,11 +478,10 @@ func TestJournalUnresolvableSpecFailsVisibly(t *testing.T) {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Store:            results.Open(t.TempDir()),
-		QueueDepth:       4,
-		ProgressInterval: 10 * time.Millisecond,
-		JournalDir:       journalDir,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale}, // no "bespoke"
+		Store:       results.Open(t.TempDir()),
+		QueueDepth:  4,
+		JournalDir:  journalDir,
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale}, // no "bespoke"
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -520,11 +513,10 @@ func TestCompatJournalRecovers(t *testing.T) {
 	journalDir := copyDir(t, compatJournal)
 	store := results.Open(t.TempDir())
 	srv, err := serve.New(serve.Config{
-		Store:            store,
-		QueueDepth:       4,
-		ProgressInterval: 10 * time.Millisecond,
-		JournalDir:       journalDir,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+		Store:       store,
+		QueueDepth:  4,
+		JournalDir:  journalDir,
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale},
 	})
 	if err != nil {
 		t.Fatal(err)

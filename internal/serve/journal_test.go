@@ -73,8 +73,9 @@ func TestClaimMutualExclusion(t *testing.T) {
 	const rounds = 300
 	wins := map[string]int{}
 	for i := range rounds {
-		j := newJob(context.Background(), fmt.Sprintf("job-%d", i), exp, "quick", sc)
-		j.jl = jl
+		spec := jobRecord{ID: fmt.Sprintf("job-%d", i), Kind: KindExperiment, Experiment: exp.ID, Scale: "quick"}
+		j := blankJob(context.Background(), jl, spec, sc)
+		j.expID, j.title = exp.ID, exp.Title
 		j.checkpoint()
 
 		var taken, canceled bool
@@ -120,7 +121,7 @@ func TestClaimMutualExclusion(t *testing.T) {
 			t.Fatalf("round %d: take won, job %q, record %q; want the worker to finish a queued job", i, v.Status, rec.Status)
 		}
 		// The worker ends the taken job; DELETE made that end durable.
-		j.finish(nil, false, 0, j.ctx.Err())
+		j.finish(nil, false, j.ctx.Err())
 		if rec := readRecord(t, jl, j.id); rec.Status != StatusCanceled {
 			t.Fatalf("round %d: the taken job was canceled by DELETE but journaled %q", i, rec.Status)
 		}

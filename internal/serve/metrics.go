@@ -74,8 +74,8 @@ func (s *Server) registerMetrics() {
 			"Entries currently on disk.", obs.L("store", "policies"),
 			func() float64 { return float64(p.Len()) })
 	}
-	s.exec.storeBrk.register()
-	s.exec.polBrk.register()
+	s.storeBrk.register()
+	s.polBrk.register()
 	obs.RegisterCounterFunc("pythia_serve_journal_write_errors_total",
 		"Journal writes that failed (job state may lag on disk).", nil,
 		func() float64 { return float64(s.journal.writeErrs.Load()) })

@@ -109,10 +109,9 @@ func TestServeSurvivesTraceCacheCorruption(t *testing.T) {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Store:            results.Open(t.TempDir()),
-		QueueDepth:       4,
-		ProgressInterval: 10 * time.Millisecond,
-		ExtraScales:      map[string]harness.Scale{"tinystream": tinyStreamScale, "tiny": tinyScale},
+		Store:       results.Open(t.TempDir()),
+		QueueDepth:  4,
+		ExtraScales: map[string]harness.Scale{"tinystream": tinyStreamScale, "tiny": tinyScale},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,16 +150,15 @@ func TestServeSurvivesTraceCacheCorruption(t *testing.T) {
 }
 
 // TestServeCancelRunningJob: DELETE on an in-flight long run ends it with
-// a terminal "canceled" SSE event promptly, and the freed executor runs
+// a terminal "canceled" SSE event promptly, and the freed worker runs
 // the next job.
 func TestServeCancelRunningJob(t *testing.T) {
 	harness.ResetCaches()
 	defer harness.ResetCaches()
 	srv, err := serve.New(serve.Config{
-		Store:            results.Open(t.TempDir()),
-		QueueDepth:       4,
-		ProgressInterval: 10 * time.Millisecond,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale, "verylong": veryLongScale},
+		Store:       results.Open(t.TempDir()),
+		QueueDepth:  4,
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale, "verylong": veryLongScale},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +192,7 @@ func TestServeCancelRunningJob(t *testing.T) {
 		t.Errorf("second DELETE = %d, want 409", code)
 	}
 
-	// The executor slot is free: a fresh job completes.
+	// The worker is free: a fresh job completes.
 	job2, code := postRun(t, ts, "table2", "tiny")
 	if code != http.StatusAccepted {
 		t.Fatalf("POST after cancel = %d", code)
@@ -212,16 +210,15 @@ var veryLongScale = harness.Scale{
 }
 
 // TestServeCancelQueuedJob: DELETE on a job still waiting in the queue
-// makes it terminal immediately; the executor later discards it without
+// makes it terminal immediately; the worker later discards it without
 // running any simulation.
 func TestServeCancelQueuedJob(t *testing.T) {
 	harness.ResetCaches()
 	defer harness.ResetCaches()
 	srv, err := serve.New(serve.Config{
-		Store:            results.Open(t.TempDir()),
-		QueueDepth:       4,
-		ProgressInterval: 10 * time.Millisecond,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale, "verylong": veryLongScale},
+		Store:       results.Open(t.TempDir()),
+		QueueDepth:  4,
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale, "verylong": veryLongScale},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +246,7 @@ func TestServeCancelQueuedJob(t *testing.T) {
 		t.Errorf("canceled queued job reports %d sims", v.Sims)
 	}
 
-	// Unblock the executor and confirm it survives draining the canceled
+	// Unblock the worker and confirm it survives draining the canceled
 	// job.
 	cancelRun(t, ts, blocker.ID)
 	waitDone(t, ts, blocker.ID)
@@ -264,10 +261,9 @@ func TestServeShutdownDrainsQueue(t *testing.T) {
 	harness.ResetCaches()
 	defer harness.ResetCaches()
 	srv, err := serve.New(serve.Config{
-		Store:            results.Open(t.TempDir()),
-		QueueDepth:       8,
-		ProgressInterval: 10 * time.Millisecond,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+		Store:       results.Open(t.TempDir()),
+		QueueDepth:  8,
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,10 +313,9 @@ func TestCancelStartRace(t *testing.T) {
 	journalDir := t.TempDir()
 	store := results.Open(t.TempDir())
 	srv, err := serve.New(serve.Config{
-		Store:            store,
-		QueueDepth:       64,
-		ProgressInterval: 10 * time.Millisecond,
-		JournalDir:       journalDir,
+		Store:      store,
+		QueueDepth: 64,
+		JournalDir: journalDir,
 	})
 	if err != nil {
 		t.Fatal(err)

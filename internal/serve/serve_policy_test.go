@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"pythia/internal/harness"
 	"pythia/internal/policy"
@@ -19,11 +18,10 @@ import (
 func newPolicyServer(t *testing.T, store *results.Store, pols *policy.Store) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	srv, err := serve.New(serve.Config{
-		Store:            store,
-		Policies:         pols,
-		QueueDepth:       16,
-		ProgressInterval: 10 * time.Millisecond,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+		Store:       store,
+		Policies:    pols,
+		QueueDepth:  16,
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale},
 	})
 	if err != nil {
 		t.Fatal(err)

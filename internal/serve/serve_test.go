@@ -21,17 +21,16 @@ import (
 // the name "tiny".
 var tinyScale = harness.Scale{Warmup: 50_000, Sim: 200_000, TraceLen: 40_000, WorkloadsPerSuite: 1, HeteroMixes: 1}
 
-// slowScale is big enough that a job visibly occupies the executor while
+// slowScale is big enough that a job visibly occupies the worker while
 // the queue-rejection test piles more jobs behind it.
 var slowScale = harness.Scale{Warmup: 100_000, Sim: 3_000_000, TraceLen: 100_000, WorkloadsPerSuite: 1, HeteroMixes: 1}
 
 func newTestServer(t *testing.T, store *results.Store, queueDepth int) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	srv, err := serve.New(serve.Config{
-		Store:            store,
-		QueueDepth:       queueDepth,
-		ProgressInterval: 10 * time.Millisecond,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale, "slow": slowScale},
+		Store:       store,
+		QueueDepth:  queueDepth,
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale, "slow": slowScale},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +250,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestServeBoundedQueue: with the executor pinned by a slow job and a
+// TestServeBoundedQueue: with the worker pinned by a slow job and a
 // queue of depth 1, a third launch must be rejected with 503 instead of
 // queueing unboundedly.
 func TestServeBoundedQueue(t *testing.T) {
@@ -263,7 +262,7 @@ func TestServeBoundedQueue(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("POST slow run = %d", code)
 	}
-	// Wait for the executor to pick it up so the queue is empty.
+	// Wait for the worker to pick it up so the queue is empty.
 	deadline := time.Now().Add(time.Minute)
 	for {
 		var out struct {
@@ -322,11 +321,10 @@ func TestServeJobHistoryBounded(t *testing.T) {
 	defer harness.ResetCaches()
 	store := results.Open(t.TempDir())
 	srv, err := serve.New(serve.Config{
-		Store:            store,
-		QueueDepth:       16,
-		JobHistory:       2,
-		ProgressInterval: 10 * time.Millisecond,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale},
+		Store:       store,
+		QueueDepth:  16,
+		JobHistory:  2,
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -387,10 +385,9 @@ func TestServeSurvivesJobLifecycle(t *testing.T) {
 // jobs queued behind it, and the same count is the admission bound.
 func TestDispatchQueueDepthCountsQueuedJobs(t *testing.T) {
 	srv, err := serve.New(serve.Config{
-		Store:            results.Open(t.TempDir()),
-		QueueDepth:       2,
-		ProgressInterval: 10 * time.Millisecond,
-		ExtraScales:      map[string]harness.Scale{"tiny": tinyScale, "verylong": veryLongScale},
+		Store:       results.Open(t.TempDir()),
+		QueueDepth:  2,
+		ExtraScales: map[string]harness.Scale{"tiny": tinyScale, "verylong": veryLongScale},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -434,18 +431,18 @@ func TestDispatchQueueDepthCountsQueuedJobs(t *testing.T) {
 	}
 }
 
-// TestServeProgressNeverRegresses: a single-process job's SSE progress
-// never goes backwards while the watcher is reading the journal. The
-// worker checkpoints its record on every progress tick, so the record
-// always holds some earlier sims count than the job itself.
+// TestServeProgressNeverRegresses: a job's SSE progress never goes
+// backwards. Progress is published as each of the job's simulations
+// starts, from the simulation goroutines, several at once; the count is
+// bumped and published under the job's lock, so the events leave in
+// count order.
 func TestServeProgressNeverRegresses(t *testing.T) {
 	harness.ResetCaches()
 	defer harness.ResetCaches()
 	srv, err := serve.New(serve.Config{
-		Store:            results.Open(t.TempDir()),
-		QueueDepth:       4,
-		ProgressInterval: 5 * time.Millisecond,
-		ExtraScales:      map[string]harness.Scale{"slow": slowScale},
+		Store:       results.Open(t.TempDir()),
+		QueueDepth:  4,
+		ExtraScales: map[string]harness.Scale{"slow": slowScale},
 	})
 	if err != nil {
 		t.Fatal(err)

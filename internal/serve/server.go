@@ -17,11 +17,11 @@
 // job's sims counter. Progress streams to clients over SSE with full
 // event replay, so late subscribers see the whole history.
 //
-// Policy-training jobs flow through the same worker, executor
-// and SSE machinery: a POST with a "train" body trains a Pythia policy
-// and persists it in the policy.Store, a repeat training request is a
-// store hit with zero simulations (same sims-counter proof), and stored
-// policies are listable and downloadable under /api/v1/policies.
+// Policy-training jobs flow through the same worker and SSE machinery: a
+// POST with a "train" body trains a Pythia policy and persists it in the
+// policy.Store, a repeat training request is a store hit with zero
+// simulations (same sims-counter proof), and stored policies are listable
+// and downloadable under /api/v1/policies.
 //
 // Failure and cancellation are first-class: the harness returns errors as
 // values (a corrupted trace-cache file fails only the job that touched
@@ -45,13 +45,11 @@ import (
 	"time"
 
 	"pythia/internal/api"
-	"pythia/internal/cache"
 	"pythia/internal/fault"
 	"pythia/internal/harness"
 	"pythia/internal/obs"
 	"pythia/internal/policy"
 	"pythia/internal/results"
-	"pythia/internal/trace"
 )
 
 // Config parameterizes a Server.
@@ -66,9 +64,6 @@ type Config struct {
 	// but not yet taken by the worker); the default is 16. A full queue
 	// rejects launches with 503 rather than queueing unboundedly.
 	QueueDepth int
-	// ProgressInterval is how often a running job samples the simulation
-	// counter into an SSE progress event; the default is 250ms.
-	ProgressInterval time.Duration
 	// JobHistory bounds how many finished jobs are retained for listing
 	// and late fetches (the default is 256), across restarts too: their
 	// journal records are re-tracked at startup. Queued and running jobs
@@ -90,18 +85,9 @@ type Config struct {
 	// then survive nothing but the process. Custom scales in ExtraScales
 	// must be re-registered for their journaled jobs to be recoverable.
 	JournalDir string
-	// MaxAttempts bounds how many times a job may enter execution —
-	// transient-failure retries and crash-recovery dispatches both
-	// count — before it fails permanently; the default is 3.
-	MaxAttempts int
-	// RetryBase is the first retry backoff; attempt n waits up to
-	// RetryBase·2^(n-1), full-jittered, capped at 5s. Default 100ms.
-	RetryBase time.Duration
-	// BreakerThreshold is how many consecutive persist failures open a
-	// store's circuit breaker (degraded read-only mode); default 3.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker sheds write-needing
-	// work before letting a probe through; default 15s.
+	// BreakerCooldown is how long an open store circuit breaker (see
+	// breakerThreshold) sheds write-needing work before letting a probe
+	// through; default 15s.
 	BreakerCooldown time.Duration
 
 	// Logger receives structured job-lifecycle logs (admission, dispatch,
@@ -115,20 +101,8 @@ func (c *Config) defaults() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
 	}
-	if c.ProgressInterval <= 0 {
-		c.ProgressInterval = 250 * time.Millisecond
-	}
 	if c.JobHistory <= 0 {
 		c.JobHistory = 256
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 100 * time.Millisecond
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 15 * time.Second
@@ -165,12 +139,13 @@ type Server struct {
 	journal     *journal
 	tempJournal bool
 	recovered   int
-	// builder resolves specs for admission and recovery alike.
-	builder jobBuilder
 
-	// exec is the in-process worker's execution engine; its breakers
-	// also guard admission.
-	exec *executor
+	// storeBrk and polBrk are the circuit breakers of result and policy
+	// persistence: execution feeds them, admission sheds on them.
+	storeBrk *breaker
+	polBrk   *breaker
+	// label names this process as the worker of the jobs it runs.
+	label string
 	// wake is the in-process worker's one-slot doorbell: admission rings
 	// it, so the worker never polls while a job waits.
 	wake chan struct{}
@@ -197,13 +172,16 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg.defaults()
 	s := &Server{
-		cfg:     cfg,
-		store:   cfg.Store,
-		drain:   make(chan struct{}),
-		wake:    make(chan struct{}, 1),
-		jobs:    make(map[string]*job),
-		log:     cfg.Logger,
-		started: time.Now().UTC(),
+		cfg:      cfg,
+		store:    cfg.Store,
+		drain:    make(chan struct{}),
+		wake:     make(chan struct{}, 1),
+		jobs:     make(map[string]*job),
+		storeBrk: newBreaker("results", cfg.BreakerCooldown),
+		polBrk:   newBreaker("policies", cfg.BreakerCooldown),
+		label:    fmt.Sprintf("pid%d", os.Getpid()),
+		log:      cfg.Logger,
+		started:  time.Now().UTC(),
 	}
 
 	dir := cfg.JournalDir
@@ -228,9 +206,6 @@ func New(cfg Config) (*Server, error) {
 		cfg.Policies.Sweep()
 	}
 	harness.SweepTraceCache()
-
-	s.builder = jobBuilder{base: s.baseCtx, extraScales: cfg.ExtraScales, jl: jl}
-	s.exec = newExecutor(cfg, fmt.Sprintf("pid%d", os.Getpid()))
 
 	requeued := s.recoverJobs(jl.load())
 	mRequeues.Add(int64(requeued))
@@ -266,19 +241,28 @@ func (s *Server) recoverJobs(recs []jobRecord) (requeued int) {
 			continue
 		}
 		// Not yet visible to other goroutines, so publishing needs no lock.
-		j, err := s.builder.build(rec)
+		j, specErr := s.newJob(rec)
+		if specErr != nil {
+			j = s.placeholder(rec)
+		}
+		j.attempts = rec.Attempts
+		j.created = rec.CreatedAt
 		j.recovered = true
 		s.jobs[rec.ID] = j
 		s.order = append(s.order, rec.ID)
 		s.recovered++
 		if terminalStatus(rec.Status) {
-			res, meta := s.reloadArtifact(j, rec, err)
+			var res *harness.ExperimentPayload
+			var meta *policy.Meta
+			if specErr == nil {
+				res, meta = s.reloadArtifact(j, rec)
+			}
 			j.restore(rec, res, meta)
 			continue
 		}
 		j.publish("status", j.viewLocked())
-		if err != nil {
-			j.finish(nil, false, 0, fmt.Errorf("unrecoverable job spec: %w", err))
+		if specErr != nil {
+			j.finish(nil, false, fmt.Errorf("unrecoverable job spec: %s", specErr.Message))
 		} else {
 			requeued++
 		}
@@ -288,10 +272,9 @@ func (s *Server) recoverJobs(recs []jobRecord) (requeued int) {
 
 // reloadArtifact fetches a done job's artifact back from its store: an
 // experiment's result by its key, a training job's policy by the ID its
-// record names. A job whose spec no longer resolves (buildErr), or a
-// store miss, gets none.
-func (s *Server) reloadArtifact(j *job, rec jobRecord, buildErr error) (*harness.ExperimentPayload, *policy.Meta) {
-	if rec.Status != StatusDone || buildErr != nil {
+// record names. A store miss gets none.
+func (s *Server) reloadArtifact(j *job, rec jobRecord) (*harness.ExperimentPayload, *policy.Meta) {
+	if rec.Status != StatusDone {
 		return nil, nil
 	}
 	if j.kind == KindTrain {
@@ -485,75 +468,46 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.Errorf(api.CodeBadRequest, "bad request body: %v", err))
 		return
 	}
-	sc, err := s.builder.resolveScale(req.Scale)
-	if err != nil {
-		writeError(w, api.Errorf(api.CodeBadRequest, "%v", err))
+	spec := jobRecord{Kind: KindExperiment, Experiment: req.Experiment, Scale: req.Scale}
+	if spec.Scale == "" {
+		spec.Scale = "default"
+	}
+	if req.Train != nil {
+		spec.Kind, spec.Workload, spec.Config = KindTrain, req.Train.Workload, req.Train.Config
+		if spec.Config == "" {
+			spec.Config = "pythia"
+		}
+	}
+	j, specErr := s.newJob(spec)
+	if specErr != nil {
+		writeError(w, *specErr)
 		return
 	}
-	scaleName := req.Scale
-	if scaleName == "" {
-		scaleName = "default"
+	// Degraded mode: an open policy breaker sheds training work (every
+	// training job needs a store write to be useful). With the result-store
+	// breaker open, only experiments the store can already answer are
+	// admitted — a store hit needs no write, so degraded is read-only, not
+	// down.
+	if j.kind == KindTrain && !s.polBrk.allow() {
+		j.cancel()
+		shedDegraded(w, s.polBrk, "policy store")
+		return
+	}
+	if j.kind != KindTrain && !s.storeBrk.allow() && !s.store.Has(harness.ExperimentKey(j.expID, j.scale)) {
+		j.cancel()
+		shedDegraded(w, s.storeBrk, "result store")
+		return
 	}
 
-	var exp harness.Experiment
-	var train harness.TrainSpec
-	if req.Train != nil {
-		if s.cfg.Policies == nil {
-			writeError(w, api.Errorf(api.CodeUnavailable, "no policy store configured"))
-			return
-		}
-		wl, ok := trace.ByName(req.Train.Workload)
-		if !ok {
-			writeError(w, api.Errorf(api.CodeNotFound, "unknown workload %q", req.Train.Workload))
-			return
-		}
-		cfgName := req.Train.Config
-		if cfgName == "" {
-			cfgName = "pythia"
-		}
-		cfg, err := harness.PythiaConfigByName(cfgName)
-		if err != nil {
-			writeError(w, api.Errorf(api.CodeBadRequest, "%v", err))
-			return
-		}
-		train = harness.TrainSpec{Workload: wl, CacheCfg: cache.DefaultConfig(1), Scale: sc, Config: cfg}
-		// Degraded mode: an open policy breaker sheds training work (every
-		// training job needs a store write to be useful).
-		if !s.exec.polBrk.allow() {
-			shedDegraded(w, s.exec.polBrk, "policy store")
-			return
-		}
-	} else {
-		var ok bool
-		exp, ok = harness.ExperimentByID(req.Experiment)
-		if !ok {
-			writeError(w, api.Errorf(api.CodeNotFound, "unknown experiment %q", req.Experiment))
-			return
-		}
-		// Degraded mode: with the result-store breaker open, only requests
-		// the store can already answer are admitted — a store hit needs no
-		// write, so degraded is read-only, not down.
-		if !s.store.Has(harness.ExperimentKey(exp.ID, sc)) && !s.exec.storeBrk.allow() {
-			shedDegraded(w, s.exec.storeBrk, "result store")
-			return
-		}
-	}
-
-	// Mint the ID under mu, but journal the admission outside it: the
-	// journal write (and the crash failpoint after it) must not poison
-	// the server lock if it dies.
+	// Mint the ID under mu (only now, so refused launches burn none), but
+	// journal the admission outside it: the journal write (and the crash
+	// failpoint after it) must not poison the server lock if it dies.
 	s.mu.Lock()
 	s.nextID++
 	id := fmt.Sprintf("job-%d", s.nextID)
 	s.mu.Unlock()
-
-	var j *job
-	if req.Train != nil {
-		j = newTrainJob(s.baseCtx, id, train, scaleName, sc)
-	} else {
-		j = newJob(s.baseCtx, id, exp, scaleName, sc)
-	}
-	j.jl = s.journal
+	j.id = id
+	j.publish("status", j.viewLocked())
 	// Journal before registration: a crash in the window before
 	// registration (the FPAdmitCrash failpoint) leaves a journaled job
 	// that recovery requeues — the at-least-once side of the durability contract
@@ -601,7 +555,7 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.signal()
 	s.log.Info("job admitted", "job", id, "kind", j.kind,
-		"experiment", j.expID, "scale", scaleName)
+		"experiment", j.expID, "scale", j.scaleName)
 	writeJSON(w, http.StatusAccepted, api.JobResponse{Job: j.view()})
 }
 
@@ -790,7 +744,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.Errorf(api.CodeNotFound, "unknown experiment %q", expID))
 		return
 	}
-	sc, err := s.builder.resolveScale(r.URL.Query().Get("scale"))
+	sc, err := s.scale(r.URL.Query().Get("scale"))
 	if err != nil {
 		writeError(w, api.Errorf(api.CodeBadRequest, "%v", err))
 		return
@@ -867,11 +821,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	// flips ok to false and names itself, so probes (and humans)
 	// see "degraded read-only", not a lying green light. The endpoint
 	// still answers 200 — the process is alive and serving store hits.
-	degraded := s.exec.storeBrk.open() || s.exec.polBrk.open()
+	degraded := s.storeBrk.open() || s.polBrk.open()
 	health := api.Health{
 		OK:            !degraded,
 		Degraded:      degraded,
-		Breakers:      map[string]api.BreakerState{"results": s.exec.storeBrk.view(), "policies": s.exec.polBrk.view()},
+		Breakers:      map[string]api.BreakerState{"results": s.storeBrk.view(), "policies": s.polBrk.view()},
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Jobs:          jobs,
 		QueueDepth:    s.cfg.QueueDepth,

@@ -1,11 +1,11 @@
 package serve_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"pythia/internal/harness"
 	"pythia/internal/results"
@@ -31,10 +31,9 @@ func TestOverlappingJobsCountOwnSims(t *testing.T) {
 	var bases []string
 	for range 2 {
 		srv, err := serve.New(serve.Config{
-			Store:            results.Open(t.TempDir()),
-			QueueDepth:       4,
-			ProgressInterval: 10 * time.Millisecond,
-			JournalDir:       t.TempDir(),
+			Store:      results.Open(t.TempDir()),
+			QueueDepth: 4,
+			JournalDir: t.TempDir(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -86,5 +85,81 @@ func TestOverlappingJobsCountOwnSims(t *testing.T) {
 	}
 	if delta := harness.SimCount() - startSims; sum != delta {
 		t.Errorf("jobs report %d sims in all, the process ran %d", sum, delta)
+	}
+}
+
+// TestLiveProgressCountsOwnSims: a live SSE subscriber to a fresh-scale
+// fig14 job sees progress that never decreases and ends at the job's
+// terminal sims, while a second server in the process runs a fig14 job
+// of its own at the same time. Progress is published from the
+// simulation goroutines as each of the job's simulations starts, so the
+// other job's simulations must not show up in it: the two jobs report
+// the same count, and together the process-wide count's growth.
+func TestLiveProgressCountsOwnSims(t *testing.T) {
+	harness.ResetCaches()
+	defer harness.ResetCaches()
+	startSims := harness.SimCount()
+	var bases, ids []string
+	for i := range 2 {
+		srv, err := serve.New(serve.Config{
+			Store:      results.Open(t.TempDir()),
+			QueueDepth: 4,
+			JournalDir: t.TempDir(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := newHTTPServer(t, srv)
+		j, code := postRun(t, base, "fig14", overlapScale(2_000_000+i))
+		if code != http.StatusAccepted {
+			t.Fatalf("POST job %d = %d", i, code)
+		}
+		bases, ids = append(bases, base), append(ids, j.ID)
+	}
+
+	var sims []int64
+	for i, base := range bases {
+		var progress []int64
+		var final serve.JobView
+		for _, ev := range readSSE(t, base, ids[i]) {
+			switch ev.Type {
+			case "progress":
+				var p struct {
+					Sims int64 `json:"sims"`
+				}
+				if err := json.Unmarshal(ev.Data, &p); err != nil {
+					t.Fatal(err)
+				}
+				progress = append(progress, p.Sims)
+			case serve.StatusDone, serve.StatusError, serve.StatusCanceled:
+				if err := json.Unmarshal(ev.Data, &final); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if final.Status != serve.StatusDone || final.Cached || final.Sims == 0 {
+			t.Fatalf("job %d ended %q, cached %v, with %d sims (%s); want done, uncached, sims > 0",
+				i, final.Status, final.Cached, final.Sims, final.Error)
+		}
+		if len(progress) == 0 {
+			t.Fatalf("job %d: no progress events", i)
+		}
+		for k := 1; k < len(progress); k++ {
+			if progress[k] < progress[k-1] {
+				t.Errorf("job %d: progress went backwards: %v", i, progress)
+				break
+			}
+		}
+		if last := progress[len(progress)-1]; last != final.Sims {
+			t.Errorf("job %d: last progress %d, terminal sims %d (progress %v)", i, last, final.Sims, progress)
+		}
+		t.Logf("job %d: progress %v, terminal sims %d", i, progress, final.Sims)
+		sims = append(sims, final.Sims)
+	}
+	if sims[0] != sims[1] {
+		t.Errorf("the two jobs report %d and %d sims, want equal counts", sims[0], sims[1])
+	}
+	if delta := harness.SimCount() - startSims; sims[0]+sims[1] != delta {
+		t.Errorf("jobs report %d sims in all, the process ran %d", sims[0]+sims[1], delta)
 	}
 }
