@@ -19,7 +19,10 @@
 #                 perfbench tests plus a short run of each workload
 #                 (correctness checks gate, timings do not), a
 #                 pythia-sim -tracefile check (a tracegen file prints
-#                 what its registry workload prints), a
+#                 what its registry workload prints), a policy
+#                 lifecycle check (examples/policy trains, hits the
+#                 store, warm-starts, refuses a mismatched config and
+#                 downloads the snapshot), a
 #                 pythia-bench CLI check (CSV tables byte-identical at
 #                 -parallel 1 and 2 and over a cold and a warm result
 #                 store, the warm pass simulating nothing; bad -exp
@@ -204,6 +207,32 @@ if [ "$tier" = full ]; then
         exit 1
     fi
     rm -rf "$tf"
+
+    echo "== policy lifecycle (examples/policy: train, store hit, warm start, mismatch, download) =="
+    # The example trains a policy, serves the repeat from its store,
+    # warm-starts evaluations from it, refuses to restore it into another
+    # configuration and downloads its snapshot over the v1 API. Fresh
+    # trace-cache and result-store directories keep earlier runs out of
+    # it; each act must print its success line.
+    pol=$(mktemp -d)
+    pol_status=0
+    PYTHIA_TRACE_CACHE="$pol/traces" PYTHIA_RESULT_STORE="$pol/results" \
+        go run ./examples/policy >"$pol/out.txt" 2>&1 || pol_status=$?
+    if [ "$pol_status" -ne 0 ]; then
+        echo "examples/policy exited $pol_status:" >&2
+        cat "$pol/out.txt" >&2
+        rm -rf "$pol"
+        exit 1
+    fi
+    for want in 'hit=true' 'policy.ErrMismatch) = true' 'identical to local copy: true'; do
+        if ! grep -qF "$want" "$pol/out.txt"; then
+            echo "examples/policy output lacks \"$want\":" >&2
+            cat "$pol/out.txt" >&2
+            rm -rf "$pol"
+            exit 1
+        fi
+    done
+    rm -rf "$pol"
 
     echo "== fuzz smoke (trace-file decoder, every chunk size against chunk size 1 and Read) =="
     go test -run='^$' -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/trace

@@ -40,9 +40,6 @@ type Env struct {
 	traceFlight flight.Group[*trace.Trace]
 	runs        sync.Map // cacheKey -> RunResult
 	runFlight   flight.Group[RunResult]
-	// trainFlight deduplicates concurrent identical training runs when
-	// no policy store is given (a store brings its own singleflight).
-	trainFlight flight.Group[policy.Envelope]
 
 	// spares holds the cleared hierarchies of finished runs, for a later
 	// run of the same geometry to recycle (cache.Recycle); a small

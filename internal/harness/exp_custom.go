@@ -24,7 +24,8 @@ func Fig13QValueCurves(ctx context.Context, sc Scale) (*stats.Table, error) {
 		t.Notes = append(t.Notes, "missing GemsFDTD workload")
 		return t, nil
 	}
-	cfgActions := core.BasicConfig().Actions
+	cfg := core.BasicConfig()
+	cfgActions := cfg.Actions
 	actIdx := func(off int) int {
 		for i, a := range cfgActions {
 			if a == off {
@@ -38,14 +39,16 @@ func Fig13QValueCurves(ctx context.Context, sc Scale) (*stats.Table, error) {
 		label string
 	}{{0x436a81, "0x436a81+0"}, {0x4377c5, "0x4377c5+0"}} {
 		featVal := core.FeaturePCDelta.Value(&core.State{PC: study.pc, Delta: 0})
+		// The watch is installed as the agent is built, so it sees every
+		// Q-update of the run. Run, not RunCached: a stored result could
+		// not fill the watch.
 		var watch *core.QWatch
-		spec := RunSpec{
-			Mix: single(w), CacheCfg: cache.DefaultConfig(1), Scale: sc, PF: BasicPythiaPF(),
-			Hook: func(h *cache.Hierarchy, pfs []prefetch.Prefetcher) {
-				watch = pfs[0].(*core.Pythia).WatchFeature(0, featVal, 8)
-			},
-		}
-		if _, err := Run(ctx, spec); err != nil {
+		pf := PF{Name: cfg.Name, L2: func(sys prefetch.System) prefetch.Prefetcher {
+			py := core.MustNew(cfg, sys)
+			watch = py.WatchFeature(0, featVal, 8)
+			return py
+		}}
+		if _, err := Run(ctx, RunSpec{Mix: single(w), CacheCfg: cache.DefaultConfig(1), Scale: sc, PF: pf}); err != nil {
 			return nil, err
 		}
 		if watch == nil || len(watch.Series) == 0 {

@@ -109,13 +109,27 @@ func TestExperimentDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// trainProbe forwards to the prefetcher it wraps and calls onTrain at
+// every Train, which the hierarchy makes on the simulation's goroutine.
+type trainProbe struct {
+	prefetch.Prefetcher
+	onTrain func()
+}
+
+func (p trainProbe) Train(a prefetch.Access) []uint64 {
+	p.onTrain()
+	return p.Prefetcher.Train(a)
+}
+
 // TestRunAllOneSimulationPerSlot checks that at one worker RunAll over
 // Fig. 14's specs runs two goroutines, so that one can write its result
-// while the other simulates, but never two simulations at once. A run is
-// in flight from its Hook (before simulating) to its TrainPolicy (after).
-// The first run waits in its Hook (for at most 5 s in all) until the
-// second goroutine has entered its call, which proves the two goroutines
-// overlap.
+// while the other simulates, but never two simulations at once. A run's
+// PF factory runs inside its sim slot and marks the run as the latest
+// to start; its prefetcher then flags any Train call made after another
+// run's factory has run, which only a simulation still running beside
+// that run can make. The first factory waits (for at most 5 s in all)
+// until the second goroutine has entered its call, which proves the two
+// goroutines overlap.
 func TestRunAllOneSimulationPerSlot(t *testing.T) {
 	SetWorkers(1)
 	defer SetWorkers(0)
@@ -127,22 +141,27 @@ func TestRunAllOneSimulationPerSlot(t *testing.T) {
 		for m := peak.Load(); v > m && !peak.CompareAndSwap(m, v); m = peak.Load() {
 		}
 	}
-	var calls, callPeak, sims, simPeak atomic.Int32
+	var calls, callPeak, latest atomic.Int32
+	var overlapped atomic.Bool
 	pfs := fig14PFs()
 	deadline := time.Now().Add(5 * time.Second)
 	err := RunAll(bg, len(pfs), func(i int) error {
 		raise(&callPeak, calls.Add(1))
 		defer calls.Add(-1)
-		spec := RunSpec{Mix: single(w), CacheCfg: cache.DefaultConfig(1), Scale: tinyScale, PF: pfs[i],
-			Hook: func(*cache.Hierarchy, []prefetch.Prefetcher) {
-				raise(&simPeak, sims.Add(1))
-				for callPeak.Load() < 2 && time.Now().Before(deadline) {
-					time.Sleep(time.Millisecond)
+		pf, id := pfs[i], int32(i+1)
+		build := pf.L2
+		pf.L2 = func(sys prefetch.System) prefetch.Prefetcher {
+			latest.Store(id)
+			for callPeak.Load() < 2 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			return trainProbe{build(sys), func() {
+				if latest.Load() != id {
+					overlapped.Store(true)
 				}
-			},
-			TrainPolicy: func([]prefetch.Prefetcher) { sims.Add(-1) },
+			}}
 		}
-		_, err := Run(bg, spec)
+		_, err := Run(bg, RunSpec{Mix: single(w), CacheCfg: cache.DefaultConfig(1), Scale: tinyScale, PF: pf})
 		return err
 	})
 	if err != nil {
@@ -151,8 +170,8 @@ func TestRunAllOneSimulationPerSlot(t *testing.T) {
 	if got := callPeak.Load(); got != 2 {
 		t.Errorf("RunAll had %d calls in flight at once, want 2 (one more than the sim slots)", got)
 	}
-	if got := simPeak.Load(); got != 1 {
-		t.Errorf("%d simulations ran at once at one worker, want 1", got)
+	if overlapped.Load() {
+		t.Error("a simulation trained after another run's prefetcher was built: two simulations ran at once at one worker")
 	}
 }
 
@@ -175,18 +194,22 @@ func TestSetWorkersMidRun(t *testing.T) {
 	SetWorkers(1)
 	defer SetWorkers(0)
 	held, free := make(chan struct{}), make(chan struct{})
-	spec := RunSpec{Mix: tinyMix(t), CacheCfg: cache.DefaultConfig(1), Scale: tinyScale, PF: Baseline(),
-		Hook: func(*cache.Hierarchy, []prefetch.Prefetcher) { close(held); <-free }}
+	spec := RunSpec{Mix: tinyMix(t), CacheCfg: cache.DefaultConfig(1), Scale: tinyScale, PF: Baseline()}
+	holding := spec
+	holding.PF = PF{Name: "holding", L2: func(prefetch.System) prefetch.Prefetcher {
+		close(held)
+		<-free
+		return prefetch.None{}
+	}}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(bg, spec)
+		_, err := Run(bg, holding)
 		done <- err
 	}()
 	<-held
 	SetWorkers(1)
 	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
 	defer cancel()
-	spec.Hook = nil
 	if _, err := Run(ctx, spec); err != nil {
 		t.Fatalf("run after SetWorkers, beside a run on the old slots: %v", err)
 	}

@@ -60,16 +60,12 @@ type ExperimentPayload struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// loadPersisted consults the persistent store for a spec. Specs carrying a
-// live-state hook (Hook or TrainPolicy) are never persisted or restored:
-// hooks exist to observe live simulation state (Q-value watches, policy
-// snapshots), which a disk hit cannot provide. RunCached already bypasses
-// every cache layer for such specs; the check here keeps the rule local
-// too. Warm-started specs persist normally — their policy's content
-// address is part of the key. key is the spec's cacheKey.
+// loadPersisted consults the persistent store for a spec. Warm-started
+// specs persist like any other: their policy's content address is part
+// of the key. key is the spec's cacheKey.
 func (e *Env) loadPersisted(spec RunSpec, key string) (RunResult, bool) {
 	st := e.results.Load()
-	if st == nil || spec.Hook != nil || spec.TrainPolicy != nil {
+	if st == nil {
 		return RunResult{}, false
 	}
 	var r RunResult
@@ -83,7 +79,7 @@ func (e *Env) loadPersisted(spec RunSpec, key string) (RunResult, bool) {
 // the spec's cacheKey (best-effort: a full disk degrades to "no reuse").
 func (e *Env) storePersisted(spec RunSpec, key string, r RunResult) {
 	st := e.results.Load()
-	if st == nil || spec.Hook != nil || spec.TrainPolicy != nil {
+	if st == nil {
 		return
 	}
 	_ = st.Put(runKey(spec, key), r)

@@ -60,43 +60,6 @@ func TestRunCachedSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestHookSpecsBypassPersistence: hooks observe live simulation state, so
-// a spec carrying one must neither be served from disk nor written there.
-func TestHookSpecsBypassPersistence(t *testing.T) {
-	dir := t.TempDir()
-	st := SetResultStore(dir)
-	defer SetResultStore("")
-	ResetCaches()
-	defer ResetCaches()
-
-	hooked := 0
-	spec := RunSpec{
-		Mix: tinyMix(t), CacheCfg: cache.DefaultConfig(1), Scale: tinyScale, PF: Baseline(),
-		Hook: func(*cache.Hierarchy, []prefetch.Prefetcher) { hooked++ },
-	}
-	if _, err := RunCached(bg, spec); err != nil {
-		t.Fatal(err)
-	}
-	if hooked != 1 {
-		t.Fatalf("hook ran %d times, want 1", hooked)
-	}
-	if n := st.Writes(); n != 0 {
-		t.Fatalf("hooked spec persisted %d entries, want 0", n)
-	}
-
-	ResetCaches()
-	before := SimCount()
-	if _, err := RunCached(bg, spec); err != nil {
-		t.Fatal(err)
-	}
-	if delta := SimCount() - before; delta != 1 {
-		t.Errorf("hooked spec after reset simulated %d times, want 1 (no disk hit)", delta)
-	}
-	if hooked != 2 {
-		t.Errorf("hook ran %d times total, want 2", hooked)
-	}
-}
-
 // TestCacheKeyDistinguishesFullConfig guards the memoization key against
 // the collision class a review caught empirically: specs differing only in
 // a cache-config field absent from a hand-picked key (Translate,

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pythia/internal/cache"
-	"pythia/internal/prefetch"
 	"pythia/internal/trace"
 )
 
@@ -93,28 +92,5 @@ func TestRecycledHierarchyMatchesFresh(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestHookRunKeepsItsHierarchy checks that a run with a Hook never gives
-// its hierarchy to the pool: the hook may hold on to it.
-func TestHookRunKeepsItsHierarchy(t *testing.T) {
-	ResetCaches()
-	t.Cleanup(ResetCaches)
-	var kept *cache.Hierarchy
-	spec := RunSpec{Mix: tinyMix(t), CacheCfg: cache.DefaultConfig(1), Scale: tinyScale, PF: Baseline(),
-		Hook: func(h *cache.Hierarchy, _ []prefetch.Prefetcher) { kept = h }}
-	if _, err := Run(bg, spec); err != nil {
-		t.Fatal(err)
-	}
-	if pooledFit(cache.DefaultConfig(1)) {
-		t.Fatal("a hooked run gave its hierarchy to the pool")
-	}
-	if _, err := Run(bg, RunSpec{Mix: tinyMix(t), CacheCfg: cache.DefaultConfig(1), Scale: tinyScale, PF: Baseline()}); err != nil {
-		t.Fatal(err)
-	}
-	// The hooked hierarchy is still whole: its statistics stay readable.
-	if s := kept.CoreStats(0); s.Accesses == 0 {
-		t.Errorf("kept hierarchy reports %+v", s)
 	}
 }

@@ -19,25 +19,30 @@ func PFByName(name string) (PF, error) {
 		"mlop":            MLOPPF,
 		"dspatch":         DSPatchPF,
 		"ppf":             PPFPF,
-		"pythia":          BasicPythiaPF,
-		"pythia-paper":    func() PF { return PythiaPF(core.PaperHorizonConfig()) },
-		"pythia-strict":   func() PF { return PythiaPF(core.StrictConfig()) },
-		"pythia-bwobl":    func() PF { return PythiaPF(core.BandwidthObliviousConfig()) },
 		"cphw":            CPHWPF,
 		"power7":          Power7PF,
 		"ipcp":            IPCPPF,
 		"stride+streamer": StrideStreamerPF,
 		"stride+pythia":   StridePythiaPF,
 	}
+	for n, cfg := range pythiaConfigs() {
+		all[n] = func() PF { return PythiaPF(cfg()) }
+	}
 	if f, ok := all[name]; ok {
 		return f(), nil
 	}
-	names := make([]string, 0, len(all))
-	for n := range all {
-		names = append(names, n)
+	return PF{}, fmt.Errorf("unknown prefetcher %q (available: %v)", name, sortedNames(all))
+}
+
+// pythiaConfigs names the Pythia configurations, for both PFByName and
+// PythiaConfigByName.
+func pythiaConfigs() map[string]func() core.Config {
+	return map[string]func() core.Config{
+		"pythia":        core.BasicConfig,
+		"pythia-paper":  core.PaperHorizonConfig,
+		"pythia-strict": core.StrictConfig,
+		"pythia-bwobl":  core.BandwidthObliviousConfig,
 	}
-	sort.Strings(names)
-	return PF{}, fmt.Errorf("unknown prefetcher %q (available: %v)", name, names)
 }
 
 // PythiaConfigByName resolves a Pythia configuration by name for the
@@ -45,21 +50,21 @@ func PFByName(name string) (PF, error) {
 // Unlike PFByName this returns the raw core.Config, which training needs
 // for provenance and fingerprinting.
 func PythiaConfigByName(name string) (core.Config, error) {
-	all := map[string]func() core.Config{
-		"pythia":        core.BasicConfig,
-		"pythia-paper":  core.PaperHorizonConfig,
-		"pythia-strict": core.StrictConfig,
-		"pythia-bwobl":  core.BandwidthObliviousConfig,
-	}
+	all := pythiaConfigs()
 	if f, ok := all[name]; ok {
 		return f(), nil
 	}
-	names := make([]string, 0, len(all))
-	for n := range all {
+	return core.Config{}, fmt.Errorf("unknown Pythia configuration %q (available: %v)", name, sortedNames(all))
+}
+
+// sortedNames returns m's keys in order, for an unknown-name error.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	return core.Config{}, fmt.Errorf("unknown Pythia configuration %q (available: %v)", name, names)
+	return names
 }
 
 // ScaleByName resolves a scale preset, or a parametric "custom:" scale.

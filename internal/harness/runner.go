@@ -259,15 +259,15 @@ func StandardPFs() []PF {
 	return []PF{SPPPF(), BingoPF(), MLOPPF(), BasicPythiaPF()}
 }
 
-// RunSpec fully describes one simulation.
+// RunSpec fully describes one simulation. It is data: every spec can be
+// memoized and persisted. A caller that needs a run's live agents sets
+// them up in its PF factory and reads them back from Run's
+// RunResult.PFs.
 type RunSpec struct {
 	Mix      trace.Mix
 	CacheCfg cache.Config
 	Scale    Scale
 	PF       PF
-	// Hook runs after prefetchers are attached, before simulation; used by
-	// the Fig. 13 case study to install Q-value watches.
-	Hook func(h *cache.Hierarchy, pfs []prefetch.Prefetcher)
 	// WarmStart restores a trained policy into every Pythia agent of the
 	// run before simulation begins. The envelope's compatibility checks
 	// apply: a configuration or generator-version mismatch fails the run
@@ -275,13 +275,6 @@ type RunSpec struct {
 	// from scratch. The policy's identity is part of the run's cache key,
 	// so warm and cold runs of one spec never share a memoized result.
 	WarmStart *policy.Envelope
-	// TrainPolicy runs after a successful simulation with the live
-	// prefetchers, before Run returns — the post-run counterpart of Hook,
-	// used by the policy-training path to snapshot learned Q-state. Like
-	// Hook, it observes live simulation state, so specs carrying it are
-	// excluded from memoization and the persistent result store (a cached
-	// result could not invoke it).
-	TrainPolicy func(pfs []prefetch.Prefetcher)
 }
 
 // RunResult summarizes one simulation. It is also the persisted form of
@@ -458,9 +451,6 @@ func (e *Env) run(ctx context.Context, spec RunSpec) (RunResult, error) {
 			hier.AttachL1Prefetcher(i, spec.PF.L1(hier))
 		}
 	}
-	if spec.Hook != nil {
-		spec.Hook(hier, pfs)
-	}
 	if spec.WarmStart != nil {
 		restored := 0
 		for _, p := range pfs {
@@ -496,16 +486,10 @@ func (e *Env) run(ctx context.Context, spec RunSpec) (RunResult, error) {
 	}
 	res.Buckets = hier.DRAM().Buckets()
 	res.DRAM = hier.DRAM().Stats()
-	if spec.TrainPolicy != nil {
-		spec.TrainPolicy(pfs)
-	}
-	// A hook may have kept the hierarchy, so only hook-free runs give
-	// theirs up for the next run to recycle. The spare holds the arrays
+	// The next run recycles this one's arrays. The spare holds the arrays
 	// alone, so the pool keeps neither this run's trace nor its
 	// prefetchers alive.
-	if spec.Hook == nil {
-		e.putSpare(hier.Spare())
-	}
+	e.putSpare(hier.Spare())
 	return res, nil
 }
 
@@ -539,7 +523,7 @@ func (e *Env) openReaders(ctx context.Context, spec RunSpec) ([]trace.ChunkReade
 			for _, r := range readers[:i] {
 				r.Close()
 			}
-			return nil, fmt.Errorf("harness: open stream %s: %w", src.Name(), err)
+			return nil, fmt.Errorf("harness: open stream %s: %w", spec.Mix.Workloads[i].Name, err)
 		}
 		readers[i] = r
 	}
@@ -611,18 +595,12 @@ func stripPFs(r RunResult) RunResult {
 //
 // RunCached results never carry live PFs, whether they come from memory
 // or disk (see stripPFs); callers that introspect prefetcher state must
-// use Run directly. For the same reason, specs carrying a live-state hook
-// (Hook or TrainPolicy) bypass every cache layer and always simulate: a
-// memoized or persisted result cannot replay the hook, so serving one
-// would silently skip it.
+// use Run directly, which returns them in RunResult.PFs.
 func RunCached(ctx context.Context, spec RunSpec) (RunResult, error) {
 	return defaultEnv.runCached(ctx, spec)
 }
 
 func (e *Env) runCached(ctx context.Context, spec RunSpec) (RunResult, error) {
-	if spec.Hook != nil || spec.TrainPolicy != nil {
-		return e.run(ctx, spec)
-	}
 	key := cacheKey(spec)
 	if v, ok := e.runs.Load(key); ok {
 		return v.(RunResult), nil

@@ -7,7 +7,6 @@ import (
 	"pythia/internal/cache"
 	"pythia/internal/core"
 	"pythia/internal/policy"
-	"pythia/internal/prefetch"
 	"pythia/internal/trace"
 )
 
@@ -51,48 +50,25 @@ func (ts TrainSpec) PolicyID() string {
 }
 
 // TrainPolicyIn trains the policy described by ts, or serves it from st.
-// A store hit (or a concurrent duplicate) costs zero simulations — hit
-// reports which, so callers can prove the accounting via SimCount deltas.
-// st may be nil: training then always simulates (but concurrent identical
-// requests still share one run). The training run itself goes through Run
-// with a TrainPolicy post-run hook, composing with RunCached's
-// hook-exclusion rule rather than bypassing it: a training run is never
-// served from, or leaked into, the simulation result caches under a
-// cold-run key.
+// A store hit costs zero simulations — hit reports it, so callers can
+// prove the accounting via SimCount deltas. st may be nil: training then
+// always simulates. The training run goes through Run, never RunCached,
+// and snapshots the agent Run returns live in RunResult.PFs.
 func TrainPolicyIn(ctx context.Context, st *policy.Store, ts TrainSpec) (policy.Envelope, bool, error) {
 	if err := ts.Config.Validate(); err != nil {
 		return policy.Envelope{}, false, fmt.Errorf("harness: train %s: %w", ts.Workload.Name, err)
 	}
 	train := func() (policy.Envelope, error) {
-		var env policy.Envelope
-		var envErr error
-		spec := RunSpec{
-			Mix:      single(ts.Workload),
-			CacheCfg: ts.CacheCfg,
-			Scale:    ts.Scale,
-			PF:       PythiaPF(ts.Config),
-			TrainPolicy: func(pfs []prefetch.Prefetcher) {
-				for _, p := range pfs {
-					if py, ok := p.(*core.Pythia); ok {
-						prov := ts.Provenance()
-						prov.Sims = 1
-						env, envErr = policy.New(py, prov)
-						return
-					}
-				}
-				envErr = fmt.Errorf("harness: train %s: run produced no Pythia agent", ts.Workload.Name)
-			},
-		}
-		if _, err := defaultEnv.run(ctx, spec); err != nil {
+		res, err := Run(ctx, RunSpec{Mix: single(ts.Workload), CacheCfg: ts.CacheCfg, Scale: ts.Scale, PF: PythiaPF(ts.Config)})
+		if err != nil {
 			return policy.Envelope{}, err
 		}
-		if envErr != nil {
-			return policy.Envelope{}, envErr
-		}
-		return env, nil
+		prov := ts.Provenance()
+		prov.Sims = 1
+		return policy.New(res.PFs[0].(*core.Pythia), prov)
 	}
 	if st == nil {
-		env, _, err := defaultEnv.trainFlight.Do(ts.PolicyID(), train)
+		env, err := train()
 		return env, false, err
 	}
 	return st.GetOrTrain(ts.PolicyID(), train)

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -9,7 +11,6 @@ import (
 	"pythia/internal/fault"
 	"pythia/internal/fsutil"
 	"pythia/internal/policy"
-	"pythia/internal/prefetch"
 	"pythia/internal/trace"
 )
 
@@ -64,6 +65,35 @@ func TestTrainPolicyRepeatIsStoreHit(t *testing.T) {
 	}
 	if again.ID != env.ID {
 		t.Errorf("repeat served a different policy: %s vs %s", again.ID, env.ID)
+	}
+}
+
+// TestTrainedPolicyPinned pins the policy training produces without a
+// store: its content address and the SHA-256 of its snapshot bytes, so
+// a change to how training runs or reads its agent cannot change the
+// learned Q-table unnoticed. With no store there is nothing to hit, so a
+// repeat trains again.
+func TestTrainedPolicyPinned(t *testing.T) {
+	ResetCaches()
+	defer ResetCaches()
+	const (
+		wantID  = "pol-b1aeda9e5c95ce73"
+		wantSum = "babe86d1b8c2ef16a3b9222ae4ae76ae3d2d38ce34aef7647c07ca9bba02d275"
+	)
+	ts := tinyTrainSpec(t)
+	for i := 0; i < 2; i++ {
+		before := SimCount()
+		env, hit, err := TrainPolicyIn(bg, nil, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if delta := SimCount() - before; hit || delta != 1 {
+			t.Errorf("call %d: hit=%v after %d simulations, want hit=false after 1", i+1, hit, delta)
+		}
+		sum := sha256.Sum256(env.Snapshot)
+		if env.ID != wantID || hex.EncodeToString(sum[:]) != wantSum {
+			t.Errorf("call %d: policy %s with snapshot sha256 %x, want %s with %s", i+1, env.ID, sum, wantID, wantSum)
+		}
 	}
 }
 
@@ -237,31 +267,5 @@ func TestWarmExperimentsSurvivePersistFailure(t *testing.T) {
 	}
 	if st.Writes() != 0 {
 		t.Errorf("store recorded %d writes past the failpoint", st.Writes())
-	}
-}
-
-// TestTrainPolicySpecsBypassResultCaches: a spec carrying the TrainPolicy
-// post-run hook must always simulate through RunCached (composing with
-// the Hook-exclusion rule), and must never leak into the persistent
-// result store.
-func TestTrainPolicySpecsBypassResultCaches(t *testing.T) {
-	ResetCaches()
-	defer ResetCaches()
-	st := SetResultStore(t.TempDir())
-	defer SetResultStore("")
-
-	hooks := 0
-	spec := RunSpec{Mix: tinyMix(t), CacheCfg: cache.DefaultConfig(1), Scale: tinyScale,
-		PF: BasicPythiaPF(), TrainPolicy: func(pfs []prefetch.Prefetcher) { hooks++ }}
-	for i := 0; i < 2; i++ {
-		if _, err := RunCached(bg, spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hooks != 2 {
-		t.Errorf("TrainPolicy hook ran %d times over 2 RunCached calls, want 2", hooks)
-	}
-	if st.Writes() != 0 {
-		t.Errorf("TrainPolicy spec wrote %d result-store entries, want 0", st.Writes())
 	}
 }

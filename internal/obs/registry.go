@@ -1,6 +1,6 @@
 // Package obs is the zero-dependency telemetry layer: a process-wide
-// metrics registry (atomic counters, gauges, fixed-bucket histograms with
-// server-side quantile estimation) exposed in Prometheus text format, plus
+// metrics registry (atomic counters, gauges, fixed-bucket histograms)
+// exposed in Prometheus text format, plus
 // per-job stage timelines threaded through contexts.
 //
 // Design constraints, in order:
@@ -14,8 +14,8 @@
 //   - Latency is exported as distributions, never point estimates: the
 //     Su et al. uncertainty caveat adopted in PR 5 applies to serving
 //     metrics too, so histograms carry full bucket vectors from which
-//     p50/p95/p99 are derivable (Quantile estimates them server-side for
-//     /healthz; Prometheus' histogram_quantile works off the buckets).
+//     p50/p95/p99 are derivable (Prometheus' histogram_quantile works off
+//     the buckets).
 //   - Func-backed metrics (CounterFunc, GaugeFunc) read existing sources
 //     of truth (harness.SimCount, queue lengths, breaker state) instead
 //     of duplicating them; re-registering one replaces the callback, so
@@ -158,51 +158,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
-// within the bucket that holds the target rank — the same estimate
-// Prometheus' histogram_quantile computes from the exported buckets. An
-// empty histogram reports 0; ranks landing in the +Inf bucket report the
-// highest finite bound (the estimate is saturated, not extrapolated).
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i == len(h.bounds) {
-				// +Inf bucket: saturate at the largest finite bound.
-				if len(h.bounds) == 0 {
-					return 0
-				}
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(n)
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
 
 // snapshot copies the histogram's state for exposition.
 func (h *Histogram) snapshot() HistSnapshot {

@@ -77,45 +77,6 @@ func TestTypeConflictDetaches(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4, 8})
-	// 100 observations uniform over (0,1]: all land in the le=1 bucket.
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) / 100)
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	almost(t, h.Sum(), 50.5, 1e-9, "sum")
-	// Linear interpolation inside [0,1): p50 ≈ 0.5, p95 ≈ 0.95.
-	almost(t, h.Quantile(0.50), 0.5, 1e-9, "p50")
-	almost(t, h.Quantile(0.95), 0.95, 1e-9, "p95")
-
-	// Spread across buckets: 50 at 1.5 (le=2), 50 at 3 (le=4).
-	h2 := newHistogram([]float64{1, 2, 4, 8})
-	for i := 0; i < 50; i++ {
-		h2.Observe(1.5)
-		h2.Observe(3)
-	}
-	// p25 rank=25 lands mid first occupied bucket (1,2]: 1 + (25/50)*1 = 1.5
-	almost(t, h2.Quantile(0.25), 1.5, 1e-9, "p25")
-	// p75 rank=75 lands in (2,4]: 2 + (25/50)*2 = 3
-	almost(t, h2.Quantile(0.75), 3, 1e-9, "p75")
-	// p100 = top of last occupied bucket.
-	almost(t, h2.Quantile(1), 4, 1e-9, "p100")
-
-	// Overflow saturates at the highest finite bound.
-	h3 := newHistogram([]float64{1, 2})
-	h3.Observe(1000)
-	almost(t, h3.Quantile(0.99), 2, 1e-9, "overflow quantile")
-
-	// Empty histogram.
-	h4 := newHistogram([]float64{1})
-	if h4.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile should be 0")
-	}
-}
-
 func TestHistogramSharedAcrossRegistrations(t *testing.T) {
 	r := NewRegistry()
 	h1 := r.Histogram("test_lat_seconds", "lat", LatencyBuckets, nil)

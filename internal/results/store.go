@@ -112,8 +112,8 @@ func Open(dir string) *Store {
 func DefaultDir() string { return fsutil.DefaultDir("PYTHIA_RESULT_STORE", "pythia-result-store") }
 
 // SetReadOnly toggles write suppression: a read-only store serves hits but
-// silently drops Put calls (CI uses this to consume a shared populated
-// store without mutating it).
+// silently drops Put calls (pythia-bench -results-readonly uses this to
+// consume a shared populated store without mutating it).
 func (s *Store) SetReadOnly(ro bool) { s.readOnly.Store(ro) }
 
 // path maps a key to its file. The name is embedded (sanitized) for

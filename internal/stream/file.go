@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"pythia/internal/fault"
 	"pythia/internal/trace"
@@ -26,26 +25,6 @@ type FileSource struct {
 	Path string
 	// Chunk is records per pipeline chunk (0 = DefaultChunk).
 	Chunk int
-
-	nameOnce sync.Once
-	name     string
-}
-
-// Name implements Source. It returns the trace name from the file header,
-// falling back to the path when the header is unreadable.
-func (s *FileSource) Name() string {
-	s.nameOnce.Do(func() {
-		s.name = s.Path
-		f, err := os.Open(s.Path)
-		if err != nil {
-			return
-		}
-		defer f.Close()
-		if d, err := trace.NewDecoder(f); err == nil {
-			s.name = d.Name()
-		}
-	})
-	return s.name
 }
 
 // Open implements Source.

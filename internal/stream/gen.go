@@ -20,9 +20,6 @@ type GenSource struct {
 	Chunk int
 }
 
-// Name implements Source.
-func (s *GenSource) Name() string { return s.W.Name }
-
 // Open implements Source.
 func (s *GenSource) Open() (trace.ChunkReader, error) {
 	return newChunkedReader(func() (trace.Iter, io.Closer, error) {

@@ -49,8 +49,6 @@ const DefaultDepth = 2
 // failure from a genuine end of trace (Err == nil). Callers must Close
 // every reader they open; cpu.System.Close does this for every core.
 type Source interface {
-	// Name identifies the underlying trace.
-	Name() string
 	// Open returns a new reader positioned at the first record.
 	Open() (trace.ChunkReader, error)
 }
@@ -61,9 +59,6 @@ type Source interface {
 type SliceSource struct {
 	T *trace.Trace
 }
-
-// Name implements Source.
-func (s *SliceSource) Name() string { return s.T.Name }
 
 // Open implements Source.
 func (s *SliceSource) Open() (trace.ChunkReader, error) {

@@ -95,9 +95,6 @@ func TestFileSourceMatchesGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Name() != w.Name {
-		t.Errorf("source name %q, want %q", src.Name(), w.Name)
-	}
 	r, err := src.Open()
 	if err != nil {
 		t.Fatal(err)
