@@ -19,7 +19,8 @@
 #                 perfbench tests plus a short run of each workload
 #                 (correctness checks gate, timings do not), a
 #                 pythia-sim -tracefile check (a tracegen file prints
-#                 what its registry workload prints), a policy
+#                 what its registry workload prints, and a 200-record
+#                 one prints no NaN), a policy
 #                 lifecycle check (examples/policy trains, hits the
 #                 store, warm-starts, refuses a mismatched config and
 #                 downloads the snapshot), a
@@ -203,6 +204,15 @@ if [ "$tier" = full ]; then
     run_sim registry -workload 459.GemsFDTD-100B
     if ! diff "$tf/file.txt" "$tf/registry.txt"; then
         echo "pythia-sim -tracefile differs from -workload on the same trace" >&2
+        rm -rf "$tf"
+        exit 1
+    fi
+    # A trace too short to miss in the LLC leaves the baseline with no
+    # misses: coverage and overprediction must print 0, never NaN.
+    "$tf/tracegen" -workload 459.GemsFDTD-100B -n 200 -o "$tf/tiny.pytr" >/dev/null
+    run_sim tiny -tracefile "$tf/tiny.pytr" -pf spp
+    if grep NaN "$tf/tiny.txt"; then
+        echo "pythia-sim printed NaN on a trace with no baseline LLC misses" >&2
         rm -rf "$tf"
         exit 1
     fi

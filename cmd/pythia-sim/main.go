@@ -29,6 +29,7 @@ import (
 	"pythia/internal/core"
 	"pythia/internal/harness"
 	"pythia/internal/policy"
+	"pythia/internal/stats"
 	"pythia/internal/trace"
 )
 
@@ -144,8 +145,8 @@ func main() {
 			issued, useful, 100*float64(useful)/float64(issued), late)
 	}
 	fmt.Printf("coverage: %.1f%%  overprediction: %.1f%%\n",
-		100*float64(base.SumLLCLoadMisses()-run.SumLLCLoadMisses())/float64(base.SumLLCLoadMisses()),
-		100*float64(run.SumDRAMReads()-base.SumDRAMReads())/float64(base.SumDRAMReads()))
+		100*stats.Coverage(base.SumLLCLoadMisses(), run.SumLLCLoadMisses()),
+		100*stats.Overprediction(base.SumDRAMReads(), run.SumDRAMReads()))
 	fmt.Printf("bandwidth buckets (<25/25-50/50-75/>=75): %.0f%% %.0f%% %.0f%% %.0f%%\n",
 		100*run.Buckets[0], 100*run.Buckets[1], 100*run.Buckets[2], 100*run.Buckets[3])
 

@@ -116,17 +116,20 @@ func TestRunAllStopsOnError(t *testing.T) {
 	}
 }
 
-// TestRunAllHonorsContext: a pre-canceled context runs nothing.
+// TestRunAllHonorsContext: a pre-canceled context runs nothing and
+// returns its error at any n.
 func TestRunAllHonorsContext(t *testing.T) {
 	canceled, cancel := context.WithCancel(bg)
 	cancel()
-	var calls atomic.Int32
-	err := RunAll(canceled, 100, func(int) error { calls.Add(1); return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunAll returned %v", err)
-	}
-	if calls.Load() != 0 {
-		t.Errorf("RunAll ran %d calls under a canceled context", calls.Load())
+	for _, n := range []int{0, 1, 100} {
+		var calls atomic.Int32
+		err := RunAll(canceled, n, func(int) error { calls.Add(1); return nil })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("n=%d: RunAll returned %v", n, err)
+		}
+		if calls.Load() != 0 {
+			t.Errorf("n=%d: RunAll ran %d calls under a canceled context", n, calls.Load())
+		}
 	}
 }
 

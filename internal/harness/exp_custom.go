@@ -93,28 +93,17 @@ func Fig14BandwidthBuckets(ctx context.Context, sc Scale) (*stats.Table, error) 
 		t.Notes = append(t.Notes, "missing Ligra-CC workload")
 		return t, nil
 	}
-	// Every prefetcher's run simulates in parallel; rows are assembled in
-	// presentation order afterwards.
+	// fig14PFs leads with the no-prefetching baseline, whose pair is the
+	// baseline run twice (speedup 1).
 	pfs := fig14PFs()
-	runs := make([]RunResult, len(pfs))
-	err := RunAll(ctx, len(pfs), func(i int) error {
-		var err error
-		runs[i], err = RunCached(ctx, RunSpec{Mix: single(w), CacheCfg: cfg, Scale: sc, PF: pfs[i]})
-		return err
-	})
+	pairs, err := pairGrid(ctx, pfCells(cfg, sc, []trace.Mix{single(w)}, pfs))
 	if err != nil {
 		return nil, err
 	}
-	base := runs[0] // fig14PFs leads with the no-prefetching baseline
 	for i, pf := range pfs {
-		run := runs[i]
-		sp := 1.0
-		if pf.Name != "nopref" {
-			sp = Speedup(run, base)
-		}
-		t.AddRow(pf.Name,
-			pct(run.Buckets[0]), pct(run.Buckets[1]), pct(run.Buckets[2]), pct(run.Buckets[3]),
-			fmt.Sprintf("%.3f", sp))
+		p := pairs[i][0]
+		b := p.pf.Buckets
+		t.AddRow(pf.Name, pct(b[0]), pct(b[1]), pct(b[2]), pct(b[3]), fmt.Sprintf("%.3f", p.speedup()))
 	}
 	t.Notes = append(t.Notes,
 		"paper: MLOP/Bingo push Ligra-CC into the >50% buckets and lose performance;",

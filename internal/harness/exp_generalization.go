@@ -100,31 +100,30 @@ func ExtGeneralization(ctx context.Context, sc Scale) (*stats.Table, error) {
 		return nil, err
 	}
 
-	// Phase 2: every (train A, eval B, trial) cell in parallel. Baseline
-	// and cold runs recur across cells and deduplicate through RunCached.
-	deltas := make([]float64, n*n*trials)
-	err = RunAll(ctx, n*n*trials, func(i int) error {
-		a, b, tr := i/(n*trials), (i/trials)%n, i%trials
-		mix := single(ws[b])
-		pf := PythiaPF(genConfig(tr))
-		base, err := RunCached(ctx, RunSpec{Mix: mix, CacheCfg: cfg, Scale: sc, PF: Baseline()})
-		if err != nil {
-			return err
+	// Phase 2: every (train A, eval B, trial) cell's baseline, cold and
+	// warm runs, in one run grid. Baseline and cold runs recur across
+	// cells and deduplicate through RunCached.
+	var specs []RunSpec
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			for tr := 0; tr < trials; tr++ {
+				base := RunSpec{Mix: single(ws[b]), CacheCfg: cfg, Scale: sc, PF: Baseline()}
+				cold := base
+				cold.PF = PythiaPF(genConfig(tr))
+				warm := cold
+				warm.WarmStart = &envs[a*trials+tr]
+				specs = append(specs, base, cold, warm)
+			}
 		}
-		cold, err := RunCached(ctx, RunSpec{Mix: mix, CacheCfg: cfg, Scale: sc, PF: pf})
-		if err != nil {
-			return err
-		}
-		env := envs[a*trials+tr]
-		warm, err := RunCached(ctx, RunSpec{Mix: mix, CacheCfg: cfg, Scale: sc, PF: pf, WarmStart: &env})
-		if err != nil {
-			return err
-		}
-		deltas[i] = Speedup(warm, base) - Speedup(cold, base)
-		return nil
-	})
+	}
+	runs, err := runGrid(ctx, specs)
 	if err != nil {
 		return nil, err
+	}
+	deltas := make([]float64, n*n*trials)
+	for i := range deltas {
+		base, cold, warm := runs[3*i], runs[3*i+1], runs[3*i+2]
+		deltas[i] = Speedup(warm, base) - Speedup(cold, base)
 	}
 
 	header := []string{"train \\ eval"}

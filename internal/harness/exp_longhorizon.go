@@ -38,7 +38,6 @@ func ExtLongHorizon(ctx context.Context, sc Scale) (*stats.Table, error) {
 		Header: []string{"workload", "instructions/core",
 			pfs[0].Name + " speedup", pfs[1].Name + " speedup"},
 	}
-	type row struct{ sp [2]float64 }
 	var ws []trace.Workload
 	for _, name := range longHorizonWorkloads() {
 		w, ok := trace.ByName(name)
@@ -48,25 +47,16 @@ func ExtLongHorizon(ctx context.Context, sc Scale) (*stats.Table, error) {
 		}
 		ws = append(ws, w)
 	}
-	rows := make([]row, len(ws))
-	err := RunAll(ctx, len(ws)*len(pfs), func(i int) error {
-		w, pf := ws[i/len(pfs)], i%len(pfs)
-		sp, err := SpeedupOn(ctx, single(w), cfg, sc, pfs[pf])
-		rows[i/len(pfs)].sp[pf] = sp
-		return err
-	})
+	sps, err := speedupGrid(ctx, pfCells(cfg, sc, singles(ws), pfs))
 	if err != nil {
 		return nil, err
 	}
-	geo := [2][]float64{}
 	for i, w := range ws {
 		t.AddRow(w.Name, fmt.Sprintf("%d", sc.Sim),
-			fmt.Sprintf("%.3f", rows[i].sp[0]), fmt.Sprintf("%.3f", rows[i].sp[1]))
-		geo[0] = append(geo[0], rows[i].sp[0])
-		geo[1] = append(geo[1], rows[i].sp[1])
+			fmt.Sprintf("%.3f", sps[0][i]), fmt.Sprintf("%.3f", sps[1][i]))
 	}
 	t.AddRow("GEOMEAN", fmt.Sprintf("%d", sc.Sim),
-		fmt.Sprintf("%.3f", stats.Geomean(geo[0])), fmt.Sprintf("%.3f", stats.Geomean(geo[1])))
+		fmt.Sprintf("%.3f", stats.Geomean(sps[0])), fmt.Sprintf("%.3f", stats.Geomean(sps[1])))
 	if sc.StreamChunk > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"traces streamed via internal/stream (%d-record chunks); peak resident trace memory is the chunk ring, not TraceLen", sc.StreamChunk))

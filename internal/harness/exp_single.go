@@ -19,52 +19,32 @@ func fig1Workloads() []string {
 }
 
 // Fig1Motivation reproduces Fig. 1: coverage, overprediction and IPC
-// improvement of SPP, Bingo and Pythia on six example workloads. All
-// (workload, prefetcher) cells simulate in parallel; rows are assembled in
-// presentation order afterwards.
+// improvement of SPP, Bingo and Pythia on six example workloads, all from
+// one pair grid.
 func Fig1Motivation(ctx context.Context, sc Scale) (*stats.Table, error) {
-	cfg := cache.DefaultConfig(1)
 	pfs := []PF{SPPPF(), BingoPF(), BasicPythiaPF()}
 	t := &stats.Table{
 		Title:  "Fig. 1: motivation workloads (single-core)",
 		Header: []string{"workload", "prefetcher", "coverage", "overpred", "speedup"},
 	}
-	type job struct {
-		w  trace.Workload
-		pf PF
-	}
-	var jobs []job
+	var ws []trace.Workload
 	for _, name := range fig1Workloads() {
 		w, ok := trace.ByName(name)
 		if !ok {
 			t.Notes = append(t.Notes, "missing workload "+name)
 			continue
 		}
-		for _, pf := range pfs {
-			jobs = append(jobs, job{w, pf})
-		}
+		ws = append(ws, w)
 	}
-	type cell struct{ cov, over, sp float64 }
-	cells := make([]cell, len(jobs))
-	err := RunAll(ctx, len(jobs), func(i int) error {
-		j := jobs[i]
-		cov, over, err := coverageOverpred(ctx, j.w, cfg, sc, j.pf)
-		if err != nil {
-			return err
-		}
-		sp, err := SpeedupOn(ctx, single(j.w), cfg, sc, j.pf)
-		if err != nil {
-			return err
-		}
-		cells[i] = cell{cov, over, sp}
-		return nil
-	})
+	pairs, err := pairGrid(ctx, pfCells(cache.DefaultConfig(1), sc, singles(ws), pfs))
 	if err != nil {
 		return nil, err
 	}
-	for i, j := range jobs {
-		c := cells[i]
-		t.AddRow(j.w.Name, j.pf.Name, pct(c.cov), pct(c.over), fmt.Sprintf("%.3f", c.sp))
+	for wi, w := range ws {
+		for j, pf := range pfs {
+			p := pairs[j][wi]
+			t.AddRow(w.Name, pf.Name, pct(p.coverage()), pct(p.overpred()), fmt.Sprintf("%.3f", p.speedup()))
+		}
 	}
 	t.Notes = append(t.Notes,
 		"paper shape: Bingo > SPP on sphinx3/canneal/facesim; SPP > Bingo on GemsFDTD;",
@@ -73,7 +53,9 @@ func Fig1Motivation(ctx context.Context, sc Scale) (*stats.Table, error) {
 }
 
 // Fig7Coverage reproduces Fig. 7: per-suite prefetch coverage and
-// overprediction at the LLC-memory boundary, single-core.
+// overprediction at the LLC-memory boundary, single-core. Every (suite,
+// prefetcher) cell comes from one pair grid; the AVG rows take each
+// prefetcher's values over all suites in suite order.
 func Fig7Coverage(ctx context.Context, sc Scale) (*stats.Table, error) {
 	cfg := cache.DefaultConfig(1)
 	pfs := StandardPFs()
@@ -81,50 +63,26 @@ func Fig7Coverage(ctx context.Context, sc Scale) (*stats.Table, error) {
 		Title:  "Fig. 7: coverage and overprediction per suite (single-core)",
 		Header: []string{"suite", "prefetcher", "coverage", "overpred"},
 	}
-	// Simulate every (suite, prefetcher, workload) cell in parallel, then
-	// aggregate in presentation order.
-	type job struct {
-		suite string
-		pf    PF
-		w     trace.Workload
+	suites := trace.Suites()
+	var cells []speedupCell
+	for _, suite := range suites {
+		cells = append(cells, pfCells(cfg, sc, singles(suiteWorkloads(suite, sc)), pfs)...)
 	}
-	var jobs []job
-	for _, suite := range trace.Suites() {
-		for _, pf := range pfs {
-			for _, w := range suiteWorkloads(suite, sc) {
-				jobs = append(jobs, job{suite, pf, w})
-			}
-		}
-	}
-	covs := make([]float64, len(jobs))
-	overs := make([]float64, len(jobs))
-	err := RunAll(ctx, len(jobs), func(i int) error {
-		var err error
-		covs[i], overs[i], err = coverageOverpred(ctx, jobs[i].w, cfg, sc, jobs[i].pf)
-		return err
-	})
+	pairs, err := pairGrid(ctx, cells)
 	if err != nil {
 		return nil, err
 	}
-	type agg struct{ cov, over []float64 }
-	total := map[string]*agg{}
-	for i := 0; i < len(jobs); {
-		suite, pf := jobs[i].suite, jobs[i].pf
-		var scov, sover []float64
-		for ; i < len(jobs) && jobs[i].suite == suite && jobs[i].pf.Name == pf.Name; i++ {
-			scov = append(scov, covs[i])
-			sover = append(sover, overs[i])
-		}
-		if total[pf.Name] == nil {
-			total[pf.Name] = &agg{}
-		}
-		total[pf.Name].cov = append(total[pf.Name].cov, scov...)
-		total[pf.Name].over = append(total[pf.Name].over, sover...)
-		t.AddRow(suite, pf.Name, pct(stats.Mean(scov)), pct(stats.Mean(sover)))
+	covs := make([][]float64, len(pfs))
+	overs := make([][]float64, len(pfs))
+	for i, ps := range pairs {
+		j := i % len(pfs)
+		_, cov, over := pairMetrics(ps)
+		covs[j] = append(covs[j], cov...)
+		overs[j] = append(overs[j], over...)
+		t.AddRow(suites[i/len(pfs)], pfs[j].Name, pct(stats.Mean(cov)), pct(stats.Mean(over)))
 	}
-	for _, pf := range pfs {
-		a := total[pf.Name]
-		t.AddRow("AVG", pf.Name, pct(stats.Mean(a.cov)), pct(stats.Mean(a.over)))
+	for j, pf := range pfs {
+		t.AddRow("AVG", pf.Name, pct(stats.Mean(covs[j])), pct(stats.Mean(overs[j])))
 	}
 	t.Notes = append(t.Notes, "paper: Pythia 71% coverage / 27% overpredictions; MLOP 64%/110%")
 	return t, nil

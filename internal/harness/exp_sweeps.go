@@ -93,11 +93,10 @@ func Fig19FeatureSweep(ctx context.Context, sc Scale) (*stats.Table, error) {
 		configs = append(configs, b.WithFeatures("1f:"+f.String(), f))
 	}
 	configs = append(configs, fig16Candidates()...)
-	pfs := pythiaPFs(configs)
 	// The design-space sweep is embarrassingly parallel: every candidate
-	// config evaluates independently, in one speedup grid.
+	// config evaluates independently, in one pair grid.
 	ws := suiteWorkloads(trace.SuiteSPEC06, sc)
-	sps, err := speedupGrid(ctx, pfCells(cfg, sc, singles(ws), pfs))
+	pairs, err := pairGrid(ctx, pfCells(cfg, sc, singles(ws), pythiaPFs(configs)))
 	if err != nil {
 		return nil, err
 	}
@@ -107,16 +106,8 @@ func Fig19FeatureSweep(ctx context.Context, sc Scale) (*stats.Table, error) {
 	}
 	rows := make([]row, len(configs))
 	for ci, cand := range configs {
-		// The grid memoized both runs of every cell, so coverage and
-		// overprediction read them back without simulating.
-		covs := make([]float64, len(ws))
-		overs := make([]float64, len(ws))
-		for wi, w := range ws {
-			if covs[wi], overs[wi], err = coverageOverpred(ctx, w, cfg, sc, pfs[ci]); err != nil {
-				return nil, err
-			}
-		}
-		rows[ci] = row{featureNames(cand), stats.Geomean(sps[ci]), stats.Mean(covs), stats.Mean(overs)}
+		sps, covs, overs := pairMetrics(pairs[ci])
+		rows[ci] = row{featureNames(cand), stats.Geomean(sps), stats.Mean(covs), stats.Mean(overs)}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].sp < rows[j].sp })
 	for _, r := range rows {

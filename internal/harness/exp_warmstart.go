@@ -110,25 +110,22 @@ func ExtWarmStart(ctx context.Context, sc Scale) (*stats.Table, error) {
 		return nil, err
 	}
 
-	// Phase 2: workload × {cold, warm} × checkpoint, all in parallel into
-	// index-addressed slots.
-	nc := len(warmCheckpoints)
-	ipc := make([]float64, len(ws)*2*nc)
-	err = RunAll(ctx, len(ws)*2*nc, func(i int) error {
-		wi, arm, ci := i/(2*nc), (i/nc)%2, i%nc
-		var warm *policy.Envelope
-		if arm == 1 {
-			warm = &envs[wi]
+	// Phase 2: workload × {cold, warm} × checkpoint, in one run grid.
+	var specs []RunSpec
+	for wi, w := range ws {
+		for _, warm := range []*policy.Envelope{nil, &envs[wi]} {
+			for ci := range warmCheckpoints {
+				specs = append(specs, warmLadderSpec(w, cfg, sc, ci, warm))
+			}
 		}
-		r, err := RunCached(ctx, warmLadderSpec(ws[wi], cfg, sc, ci, warm))
-		if err != nil {
-			return err
-		}
-		ipc[i] = r.IPC[0]
-		return nil
-	})
+	}
+	runs, err := runGrid(ctx, specs)
 	if err != nil {
 		return nil, err
+	}
+	ipc := make([]float64, len(runs))
+	for i, r := range runs {
+		ipc[i] = r.IPC[0]
 	}
 
 	t := &stats.Table{
@@ -136,9 +133,10 @@ func ExtWarmStart(ctx context.Context, sc Scale) (*stats.Table, error) {
 		Header: []string{"workload", "arm",
 			"IPC@12.5%", "IPC@25%", "IPC@50%", "IPC@100%", "converged at (instr)", "converge speedup"},
 	}
-	for wi, w := range ws {
-		cold := ipc[wi*2*nc : wi*2*nc+nc]
-		warm := ipc[wi*2*nc+nc : wi*2*nc+2*nc]
+	nc := len(warmCheckpoints)
+	for _, w := range ws {
+		cold, warm := ipc[:nc], ipc[nc:2*nc]
+		ipc = ipc[2*nc:]
 		coldConv := warmConvergeInstr(cold, sc.Sim)
 		warmConv := warmConvergeInstr(warm, sc.Sim)
 		for arm, series := range [][]float64{cold, warm} {
@@ -148,8 +146,8 @@ func ExtWarmStart(ctx context.Context, sc Scale) (*stats.Table, error) {
 				adv = fmt.Sprintf("%.1fx", float64(coldConv)/float64(warmConv))
 			}
 			row := []string{w.Base, name}
-			for ci := 0; ci < nc; ci++ {
-				row = append(row, fmt.Sprintf("%.3f", series[ci]))
+			for _, v := range series {
+				row = append(row, fmt.Sprintf("%.3f", v))
 			}
 			row = append(row, fmt.Sprint(conv), adv)
 			t.AddRow(row...)

@@ -77,30 +77,88 @@ type speedupCell struct {
 	mixes []trace.Mix
 }
 
-// speedupGrid is the one fan-out behind every speedup table. It runs
-// every SpeedupOn of every cell in a single RunAll, so a whole table's
-// simulations share the sim slots at once, and returns each cell's
-// per-mix speedups in mix order. Tables aggregate those slices in order
-// (stats.Geomean sums logs in slice order), so a table is byte-identical
-// at any worker count.
-func speedupGrid(ctx context.Context, cells []speedupCell) ([][]float64, error) {
-	out := make([][]float64, len(cells))
-	var jobs [][2]int // (cell, mix)
-	for c, cell := range cells {
-		out[c] = make([]float64, len(cell.mixes))
-		for m := range cell.mixes {
-			jobs = append(jobs, [2]int{c, m})
-		}
-	}
-	err := RunAll(ctx, len(jobs), func(i int) error {
-		c, m := jobs[i][0], jobs[i][1]
-		cell := cells[c]
+// runGrid is the one fan-out behind every experiment table. It runs
+// RunCached on every spec in a single RunAll, so a whole table's
+// simulations share the sim slots at once, and returns the results in
+// spec order. A spec that recurs (a baseline shared by several cells)
+// simulates once: RunCached deduplicates it. Tables aggregate the
+// results in order (stats.Geomean sums logs in slice order), so a table
+// is byte-identical at any worker count.
+func runGrid(ctx context.Context, specs []RunSpec) ([]RunResult, error) {
+	out := make([]RunResult, len(specs))
+	err := RunAll(ctx, len(specs), func(i int) error {
 		var err error
-		out[c][m], err = SpeedupOn(ctx, cell.mixes[m], cell.cfg, cell.sc, cell.pf)
+		out[i], err = RunCached(ctx, specs[i])
 		return err
 	})
 	if err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// runPair is one mix of a speedup cell: its no-prefetching baseline run
+// and its prefetched run.
+type runPair struct{ base, pf RunResult }
+
+func (p runPair) speedup() float64 { return Speedup(p.pf, p.base) }
+
+// coverage and overpred are the artifact-formula coverage and
+// overprediction of the prefetched run against its baseline.
+func (p runPair) coverage() float64 {
+	return stats.Coverage(p.base.SumLLCLoadMisses(), p.pf.SumLLCLoadMisses())
+}
+
+func (p runPair) overpred() float64 {
+	return stats.Overprediction(p.base.SumDRAMReads(), p.pf.SumDRAMReads())
+}
+
+// pairGrid runs every cell's baseline and prefetched runs in one runGrid
+// and returns each cell's pairs in mix order.
+func pairGrid(ctx context.Context, cells []speedupCell) ([][]runPair, error) {
+	var specs []RunSpec
+	for _, cell := range cells {
+		for _, mix := range cell.mixes {
+			spec := RunSpec{Mix: mix, CacheCfg: cell.cfg, Scale: cell.sc, PF: Baseline()}
+			specs = append(specs, spec)
+			spec.PF = cell.pf
+			specs = append(specs, spec)
+		}
+	}
+	runs, err := runGrid(ctx, specs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]runPair, len(cells))
+	for c, cell := range cells {
+		out[c] = make([]runPair, len(cell.mixes))
+		for m := range out[c] {
+			out[c][m], runs = runPair{runs[0], runs[1]}, runs[2:]
+		}
+	}
+	return out, nil
+}
+
+// pairMetrics returns each pair's speedup, coverage and overprediction
+// in mix order.
+func pairMetrics(ps []runPair) (sps, covs, overs []float64) {
+	for _, p := range ps {
+		sps = append(sps, p.speedup())
+		covs = append(covs, p.coverage())
+		overs = append(overs, p.overpred())
+	}
+	return sps, covs, overs
+}
+
+// speedupGrid returns each cell's per-mix speedups in mix order.
+func speedupGrid(ctx context.Context, cells []speedupCell) ([][]float64, error) {
+	pairs, err := pairGrid(ctx, cells)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]float64, len(pairs))
+	for c, ps := range pairs {
+		out[c], _, _ = pairMetrics(ps)
 	}
 	return out, nil
 }
@@ -194,23 +252,6 @@ func addRow2f(t *stats.Table, lead, label string, vals ...float64) {
 	t.AddRowf(label, vals...)
 	r := len(t.Rows) - 1
 	t.Rows[r] = append([]string{lead}, t.Rows[r]...)
-}
-
-// coverageOverpred returns the artifact-formula coverage and overprediction
-// of a prefetcher on one 1-core workload.
-func coverageOverpred(ctx context.Context, w trace.Workload, cfg cache.Config, sc Scale, pf PF) (cov, over float64, err error) {
-	mix := single(w)
-	base, err := RunCached(ctx, RunSpec{Mix: mix, CacheCfg: cfg, Scale: sc, PF: Baseline()})
-	if err != nil {
-		return 0, 0, err
-	}
-	run, err := RunCached(ctx, RunSpec{Mix: mix, CacheCfg: cfg, Scale: sc, PF: pf})
-	if err != nil {
-		return 0, 0, err
-	}
-	cov = stats.Coverage(base.SumLLCLoadMisses(), run.SumLLCLoadMisses())
-	over = stats.Overprediction(base.SumDRAMReads(), run.SumDRAMReads())
-	return cov, over, nil
 }
 
 // mixesFor builds the standard multi-core mix list at a scale.

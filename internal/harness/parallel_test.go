@@ -17,13 +17,15 @@ func TestRunAllCoversEveryIndex(t *testing.T) {
 	defer SetWorkers(0)
 	for _, workers := range []int{1, 4} {
 		SetWorkers(workers)
-		hits := make([]int32, 100)
-		if err := RunAll(bg, len(hits), func(i int) error { atomic.AddInt32(&hits[i], 1); return nil }); err != nil {
-			t.Fatal(err)
-		}
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
+		for _, n := range []int{0, 1, 100} {
+			hits := make([]int32, n)
+			if err := RunAll(bg, n, func(i int) error { atomic.AddInt32(&hits[i], 1); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, h)
+				}
 			}
 		}
 	}
@@ -78,9 +80,12 @@ func TestRunCachedConcurrentCallersAgree(t *testing.T) {
 // TestExperimentDeterministicAcrossWorkerCounts is the parallel harness's
 // core guarantee: the same experiment renders byte-identical tables at 1
 // worker and at N workers (fresh caches each time, so every simulation
-// actually re-runs). Fig. 14, 15 and 16 fan out their cells through
-// RunAll like Fig. 1; Fig. 9a, 12 and 23 gather per-workload speedups
-// across suites, categories and warmup lengths.
+// actually re-runs). Every table here runs its cells through runGrid:
+// Fig. 1, 7, 14 and 19 read coverage, overprediction or bandwidth
+// buckets from its pair view; Fig. 9a, 12 and 23 gather per-workload
+// speedups across suites, categories and warmup lengths; the
+// long-horizon, warm-start and generalization studies hand it their own
+// specs, the last two after training policies.
 func TestExperimentDeterministicAcrossWorkerCounts(t *testing.T) {
 	defer SetWorkers(0)
 	for _, exp := range []struct {
@@ -88,12 +93,17 @@ func TestExperimentDeterministicAcrossWorkerCounts(t *testing.T) {
 		run  func(context.Context, Scale) (*stats.Table, error)
 	}{
 		{"Fig. 1", Fig1Motivation},
+		{"Fig. 7", Fig7Coverage},
 		{"Fig. 9a", Fig9aSingleCore},
 		{"Fig. 12", Fig12Unseen},
 		{"Fig. 14", Fig14BandwidthBuckets},
 		{"Fig. 15", Fig15StrictPythia},
 		{"Fig. 16", Fig16FeatureOpt},
+		{"Fig. 19", Fig19FeatureSweep},
 		{"Fig. 23", Fig23Warmup},
+		{"ext-longhorizon", ExtLongHorizon},
+		{"ext-warmstart", ExtWarmStart},
+		{"ext-generalization", ExtGeneralization},
 	} {
 		render := func(workers int) string {
 			SetWorkers(workers)

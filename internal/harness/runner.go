@@ -4,9 +4,10 @@
 // the experiment index in DESIGN.md).
 //
 // Experiments fan their independent simulations out over a worker pool
-// (SetWorkers / RunAll); every speedup table does so through one grid,
-// speedupGrid, which runs all its cells in a single RunAll. Every
-// simulation is deterministic and results are written into
+// (SetWorkers / RunAll); every experiment table does so through one
+// grid, runGrid, which runs all its specs in a single RunAll (speedup,
+// coverage and overprediction tables through its pair view, pairGrid).
+// Every simulation is deterministic and results are written into
 // index-addressed slots, so a rendered table is byte-identical at any
 // worker count (DESIGN.md "Experiment tables"; PERF.md describes the
 // parallel architecture).
@@ -56,23 +57,13 @@ import (
 //
 // Errors short-circuit the fan-out: once any fn returns non-nil (or ctx is
 // canceled), no further indices are dispatched, in-flight calls finish,
-// and RunAll returns the first error observed. Partial results in the slot
+// and RunAll returns the first error observed; under a canceled ctx it
+// returns ctx.Err() at any n, 0 included. Partial results in the slot
 // array must be discarded by the caller.
 func RunAll(ctx context.Context, n int, fn func(i int) error) error {
 	w := Workers() + 1
 	if w > n {
 		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	var (
 		next     atomic.Int64

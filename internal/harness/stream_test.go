@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pythia/internal/cache"
+	"pythia/internal/stream"
 )
 
 // streamScale is tinyScale with streaming delivery switched on.
@@ -51,6 +54,41 @@ func TestStreamingRunMatchesMaterialized(t *testing.T) {
 		if mat.Buckets != str.Buckets {
 			t.Errorf("%s: bandwidth buckets diverge", pf.Name)
 		}
+	}
+}
+
+// TestStreamingFallbackMatchesMaterialized covers the fallback of
+// streamSources: a trace cache that cannot be created (its directory
+// lies under a regular file) makes each source replay the generator
+// (stream.GenSource), and a streamed run on it must still match the
+// materialized run of the same spec.
+func TestStreamingFallbackMatchesMaterialized(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	SetTraceCacheDir(filepath.Join(file, "traces"))
+	t.Cleanup(func() { SetTraceCacheDir("") })
+	mix := tinyMix(t)
+	srcs, err := defaultEnv.streamSources(bg, mix, streamScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := srcs[0].(*stream.GenSource); !ok {
+		t.Fatalf("source over an unusable trace cache is %T, want *stream.GenSource", srcs[0])
+	}
+	spec := RunSpec{Mix: mix, CacheCfg: cache.DefaultConfig(1), Scale: tinyScale, PF: BasicPythiaPF()}
+	mat, err := Run(bg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Scale = streamScale
+	str, err := Run(bg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mat.IPC[0] != str.IPC[0] || mat.Stats[0] != str.Stats[0] || mat.DRAM != str.DRAM || mat.Buckets != str.Buckets {
+		t.Errorf("generator-replay run diverges from materialized:\nmaterialized %+v\nstreamed     %+v", mat, str)
 	}
 }
 
