@@ -177,11 +177,7 @@ func pfCells(cfg cache.Config, sc Scale, mixes []trace.Mix, pfs []PF) []speedupC
 // prefetcher's geomean speedup at the row's configuration, scale and
 // mixes, all from one speedup grid.
 func rowGeomeans(ctx context.Context, rows []speedupCell, pfs []PF) ([][]float64, error) {
-	var cells []speedupCell
-	for _, r := range rows {
-		cells = append(cells, pfCells(r.cfg, r.sc, r.mixes, pfs)...)
-	}
-	sps, err := speedupGrid(ctx, cells)
+	sps, err := speedupGrid(ctx, rowCells(rows, pfs))
 	if err != nil {
 		return nil, err
 	}
@@ -190,6 +186,15 @@ func rowGeomeans(ctx context.Context, rows []speedupCell, pfs []PF) ([][]float64
 		out[i] = geomeans(sps[i*len(pfs) : (i+1)*len(pfs)])
 	}
 	return out, nil
+}
+
+// rowCells returns each row's pfCells, row after row.
+func rowCells(rows []speedupCell, pfs []PF) []speedupCell {
+	var cells []speedupCell
+	for _, r := range rows {
+		cells = append(cells, pfCells(r.cfg, r.sc, r.mixes, pfs)...)
+	}
+	return cells
 }
 
 // pfRows adds the rows of rowGeomeans to t, row i labeled labels[i].

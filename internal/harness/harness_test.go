@@ -240,38 +240,6 @@ func TestExtFixedPointRunsAtTinyScale(t *testing.T) {
 	}
 }
 
-func TestScorecardStructure(t *testing.T) {
-	claims := Scorecard()
-	if len(claims) != 10 {
-		t.Errorf("scorecard has %d claims, want 10", len(claims))
-	}
-	seen := map[string]bool{}
-	for _, c := range claims {
-		if c.ID == "" || c.Source == "" || c.Statement == "" || c.Check == nil {
-			t.Errorf("claim %+v incomplete", c.ID)
-		}
-		if seen[c.ID] {
-			t.Errorf("duplicate claim %s", c.ID)
-		}
-		seen[c.ID] = true
-	}
-}
-
-func TestScorecardStorageClaim(t *testing.T) {
-	// The static claim must pass at any scale.
-	for _, c := range Scorecard() {
-		if c.ID == "storage" {
-			detail, ok, err := c.Check(bg, tinyScale)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				t.Errorf("storage claim failed: %s", detail)
-			}
-		}
-	}
-}
-
 func TestFig15RunsAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -359,6 +327,10 @@ var tableDigests = map[string]string{
 	"scorecard":          "f342020376e1c41ca65b9a1ccc2f5945e60bf98b87efcdd87b1c42d8995c1edb",
 }
 
+// microScale is TestAllExperimentsRun's scale: two workloads per suite
+// and two heterogeneous mixes, at a fraction of tinyScale's instructions.
+var microScale = Scale{Warmup: 20_000, Sim: 60_000, TraceLen: 20_000, WorkloadsPerSuite: 2, HeteroMixes: 2}
+
 // TestAllExperimentsRun executes every registered experiment once at a
 // micro scale: structure and plumbing of each table is exercised even when
 // the statistics are too small to be meaningful, and each rendered table
@@ -369,11 +341,10 @@ func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	micro := Scale{Warmup: 20_000, Sim: 60_000, TraceLen: 20_000, WorkloadsPerSuite: 2, HeteroMixes: 2}
 	for _, e := range AllExperiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tb, err := e.Run(bg, micro)
+			tb, err := e.Run(bg, microScale)
 			if err != nil {
 				t.Fatalf("%s failed: %v", e.ID, err)
 			}

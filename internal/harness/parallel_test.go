@@ -85,7 +85,8 @@ func TestRunCachedConcurrentCallersAgree(t *testing.T) {
 // buckets from its pair view; Fig. 9a, 12 and 23 gather per-workload
 // speedups across suites, categories and warmup lengths; the
 // long-horizon, warm-start and generalization studies hand it their own
-// specs, the last two after training policies.
+// specs, the last two after training policies; the scorecard runs every
+// claim's cells in one grid and splits the pairs back out per claim.
 func TestExperimentDeterministicAcrossWorkerCounts(t *testing.T) {
 	defer SetWorkers(0)
 	for _, exp := range []struct {
@@ -104,6 +105,7 @@ func TestExperimentDeterministicAcrossWorkerCounts(t *testing.T) {
 		{"ext-longhorizon", ExtLongHorizon},
 		{"ext-warmstart", ExtWarmStart},
 		{"ext-generalization", ExtGeneralization},
+		{"scorecard", RunScorecard},
 	} {
 		render := func(workers int) string {
 			SetWorkers(workers)
